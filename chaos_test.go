@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"norman"
+	"norman/internal/arch"
 	"norman/internal/faults"
 	"norman/internal/health"
 	"norman/internal/nic"
@@ -216,6 +217,7 @@ func chaosRun(t *testing.T) chaosResult {
 	inj.Start(sim.Time(horizon))
 	sys.RunFor(horizon)
 	sys.Run() // drain in-flight echoes; the watchdog is paused for the drain
+	assertJobsReturned(t, w)
 
 	res.TxLost = inj.Tx.Lost
 	res.TxCorrupted = inj.Tx.Corrupted
@@ -247,6 +249,18 @@ func chaosRun(t *testing.T) chaosResult {
 	res.ReportRejected = rep.Rejected
 	res.RulesAfter = len(sys.IPTablesList())
 	return res
+}
+
+// assertJobsReturned is the soak's record-lifetime gate: once the dataplane
+// has drained (what is still queued is control-plane timers), every datapath
+// job the NIC took — through faults, crashes, link flaps, trap storms,
+// quarantines and live upgrades — is back on its free list. A record still
+// out is a frame the NIC lost track of.
+func assertJobsReturned(t *testing.T, w *arch.World) {
+	t.Helper()
+	if out := w.NIC.JobsOutstanding(); out != 0 {
+		t.Errorf("%d datapath jobs outstanding after the soak drained", out)
+	}
 }
 
 // TestChaosSoak is the composition gate: faults, crash recovery and overload
@@ -470,6 +484,7 @@ func chaosTenantRun(t *testing.T) chaosTenantResult {
 	inj.Start(sim.Time(horizon))
 	sys.RunFor(horizon)
 	sys.Run()
+	assertJobsReturned(t, w)
 
 	res.TxLost = inj.Tx.Lost
 	res.TxCorrupted = inj.Tx.Corrupted

@@ -99,21 +99,15 @@ func (b *base) deliverPolled(c *Conn, p *packet.Packet, now sim.Time, appCost si
 	if free := core.FreeAt(); free > start {
 		start = free
 	}
-	b.w.Eng.At(start, func() {
-		_, done := core.Acquire(b.w.Eng.Now(), appCost)
-		b.w.Eng.At(done, func() { b.upcall(c, p, b.w.Eng.Now()) })
-	})
+	h := b.w.hop(start, hopRun, b, c, p)
+	h.core, h.cost = core, appCost
 }
 
 // deliverWoken models a blocked app being woken by the kernel: context
 // switch on the app core, then processing.
 func (b *base) deliverWoken(c *Conn, p *packet.Packet, wakeAt sim.Time, appCost sim.Duration) {
-	core := b.w.Core(c.Info.PID)
-	b.w.Eng.At(wakeAt, func() {
-		now := b.w.Eng.Now()
-		_, done := core.Acquire(now, sim.Duration(b.w.Model.ContextSwitch)+appCost)
-		b.w.Eng.At(done, func() { b.upcall(c, p, b.w.Eng.Now()) })
-	})
+	h := b.w.hop(wakeAt, hopRun, b, c, p)
+	h.core, h.cost = b.w.Core(c.Info.PID), sim.Duration(b.w.Model.ContextSwitch)+appCost
 }
 
 // softFilterCost is the CPU time a software interposition layer spends

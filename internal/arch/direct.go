@@ -109,15 +109,19 @@ func (d *direct) Send(c *Conn, p *packet.Packet) {
 	d.traceStamp(p)
 	d.trace(p, now, "host", "syscall_send", "")
 	_, done := core.Acquire(now, cost)
-	d.w.Eng.At(done, func() {
-		if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: d.w.Eng.Now()}); err != nil {
-			d.TxAppDrops++
-			d.trace(p, d.w.Eng.Now(), "ring", "tx_drop_full", "")
-			return
-		}
-		d.trace(p, d.w.Eng.Now(), "ring", "tx_enqueue", "")
-		d.w.NIC.DoorbellTx(c.NC)
-	})
+	d.w.hop(done, hopSend, &d.base, c, p)
+}
+
+// postTx is Send's second half, once the core has paid the staging cost:
+// publish the descriptor and ring the doorbell.
+func (b *base) postTx(c *Conn, p *packet.Packet, now sim.Time) {
+	if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: now}); err != nil {
+		b.TxAppDrops++
+		b.trace(p, now, "ring", "tx_drop_full", "")
+		return
+	}
+	b.trace(p, now, "ring", "tx_enqueue", "")
+	b.w.NIC.DoorbellTx(c.NC)
 }
 
 // SendBatch stages a whole burst and rings the doorbell once — the

@@ -149,9 +149,7 @@ func (a *KOPI) onNotify(nc *nic.Conn, kind mem.NotifyKind, at sim.Time) {
 	}
 	_, intrDone := a.w.KernCore().Acquire(at, sim.Duration(a.w.Model.Interrupt))
 	wakeAt := intrDone.Add(sim.Duration(a.w.Model.ContextSwitch))
-	a.w.Eng.At(wakeAt, func() {
-		a.drainBlocked(c)
-	})
+	a.w.hop(wakeAt, hopDrain, &a.base, c, nil)
 }
 
 // Ping sends a kernel-originated ICMP echo through the NIC's management
@@ -177,8 +175,8 @@ func (a *KOPI) SetRxCoalesce(c *Conn, d sim.Duration) {
 
 // drainBlocked consumes every pending descriptor for a woken connection,
 // charging per-packet app costs sequentially on its core.
-func (a *KOPI) drainBlocked(c *Conn) {
-	core := a.w.Core(c.Info.PID)
+func (b *base) drainBlocked(c *Conn) {
+	core := b.w.Core(c.Info.PID)
 	for {
 		slotAddr := c.NC.RX.TailAddr()
 		desc, err := c.NC.RX.Pop()
@@ -186,8 +184,8 @@ func (a *KOPI) drainBlocked(c *Conn) {
 			return
 		}
 		p := desc.Pkt
-		now := a.w.Eng.Now()
-		_, done := core.Acquire(now, a.appRxCost(c, p, slotAddr))
-		a.w.Eng.At(done, func() { a.upcall(c, p, a.w.Eng.Now()) })
+		now := b.w.Eng.Now()
+		_, done := core.Acquire(now, b.appRxCost(c, p, slotAddr))
+		b.w.hop(done, hopUpcall, b, c, p)
 	}
 }

@@ -47,6 +47,7 @@ type World struct {
 	cores     map[uint32]*sim.Server // per-process app cores
 	kernCores []*sim.Server          // kernel / sidecar dataplane cores (softirq queues)
 	pollers   map[*sim.Server]bool   // cores pinned at 100% by poll loops
+	hopFree   *hop                   // free list of host-side event records (hop.go)
 }
 
 // WorldConfig parameterizes NewWorld; zero values take defaults.
@@ -273,9 +274,7 @@ func (w *World) SendOnWire(p *packet.Packet, at sim.Time) {
 	if w.Peer == nil {
 		return
 	}
-	w.Eng.At(at.Add(sim.Duration(w.Model.WireLatency)), func() {
-		w.Peer(p, w.Eng.Now())
-	})
+	w.hop(at.Add(sim.Duration(w.Model.WireLatency)), hopWire, nil, nil, p)
 }
 
 // Flow builds the canonical local->remote UDP flow key for port pairs.

@@ -123,10 +123,7 @@ func (n *NIC) drainTx(c *Conn) {
 					// The extra nanosecond absorbs float truncation; a
 					// zero wait would respin at the same instant forever.
 					wait := sim.Duration((need-c.rlTokens)/c.rlRate*float64(sim.Second)) + sim.Nanosecond
-					n.eng.After(wait, func() {
-						c.rlWaiting = false
-						n.drainTx(c)
-					})
+					n.job(c, nil).arm(stTxPaced, now.Add(wait))
 				}
 				return
 			}
@@ -158,52 +155,71 @@ func (n *NIC) drainTx(c *Conn) {
 		c.rlTokens -= float64(frame)
 	}
 
+	j := n.job(c, p)
+	j.index, j.frame, j.prod = index, frame, d.Produced
 	if n.tsched != nil {
 		// Tenant-scheduled dataplane: the descriptor fetch queues on the
 		// tenant's DMA DRR ring instead of FIFO at the engine; the drain
-		// chain resumes when the grant is served (tenant.go).
-		n.tsched.DMA.Request(grant{kind: reqTxFetch, c: c, p: p, index: index,
-			frame: frame, est: n.model.DMA(64 + frame), prod: d.Produced})
+		// chain resumes when the grant is served (txFetched).
+		j.stage, j.est = stTxFetch, n.model.DMA(64+frame)
+		n.tsched.DMA.Request(j)
+		n.settle(j)
 		return
 	}
-
-	// Fetch descriptor + payload over PCIe. The fetch engine is pipelined:
-	// the next descriptor is fetched as soon as the DMA engine frees up,
-	// while this packet rides its own latency chain through the pipeline.
 	_, fetchDone := n.dma.Acquire(now, n.dmaCost(c, c.TX, index, frame, false))
-	n.eng.At(fetchDone, func() { n.drainTx(c) })
-	arrive := fetchDone.Add(n.model.DMALatency)
+	n.txFetched(j, fetchDone)
+}
 
-	n.eng.At(arrive, func() { n.txArrive(c, p, frame, d.Produced) })
+// txFetched continues a descriptor fetch that owns the DMA engine until
+// done. The fetch engine is pipelined: the connection's next descriptor is
+// fetched as soon as the engine frees up, while this packet rides its own
+// latency chain across PCIe and through the pipeline.
+func (n *NIC) txFetched(j *job, done sim.Time) {
+	n.job(j.c, nil).arm(stTxDrain, done)
+	j.arm(stTxArrive, done.Add(n.model.DMALatency))
 }
 
 // txArrive is the egress continuation once a fetched descriptor's payload has
 // crossed PCIe: outage check, metadata stamp, then the pipeline — directly on
 // the unscheduled path, via the tenant pipeline DRR on the scheduled one.
-func (n *NIC) txArrive(c *Conn, p *packet.Packet, frame int, produced sim.Time) {
+func (n *NIC) txArrive(j *job) {
 	now := n.eng.Now()
 	if n.Down(now) {
 		n.TxOutageDrop++ // dataplane outage: frame lost, typed as such
 		n.txSlotFree()
 		return
 	}
-	stamp(c, p, produced)
+	stamp(j.c, j.p, j.prod)
+	occ := n.pipeOccupancy(j.frame)
 	if n.tsched != nil {
-		n.tsched.Pipe.Request(grant{kind: reqTxPipe, c: c, p: p, frame: frame,
-			est: n.pipeOccupancy(frame)})
+		j.stage, j.est = stTxPipe, occ
+		n.tsched.Pipe.Request(j)
 		return
 	}
-	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(frame))
+	_, pipeDone := n.pipeline.Acquire(now, occ)
+	n.txPipe(j, pipeDone)
+}
+
+// txPipe runs the egress pipeline on a frame that owns the pipeline slot
+// ending at done: the overlay runs now (on the scheduled dataplane its cycles
+// are billed to the owning tenant), and the frame leaves once the occupancy
+// plus program latency has elapsed.
+func (n *NIC) txPipe(j *job, done sim.Time) {
+	p, now := j.p, n.eng.Now()
 	lat := sim.Duration(n.model.NICPipeline)
 	if n.egress != nil {
-		verdict, cycles, trap := n.egress.Run(p, env{n: n, now: now, c: c})
+		verdict, cycles, trap := n.egress.Run(p, j)
 		if trap != nil {
 			if n.tracer != nil {
 				n.trace(p, now, "nic", "trap_fallback", "pipeline=egress: "+trap.Error())
 			}
-			verdict, cycles = n.trapFallback(Egress, p, env{n: n, now: now, c: c})
+			verdict, cycles = n.trapFallback(Egress, p, j)
 		}
-		lat += n.model.NICCycles(cycles)
+		cyc := n.model.NICCycles(cycles)
+		lat += cyc
+		if n.tsched != nil {
+			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
+		}
 		if n.tracer != nil {
 			n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 		}
@@ -213,7 +229,7 @@ func (n *NIC) txArrive(c *Conn, p *packet.Packet, frame int, produced sim.Time) 
 			return
 		}
 	}
-	n.eng.At(pipeDone.Add(lat), func() { n.txEmit(c, p) })
+	j.arm(stTxEmit, done.Add(lat))
 }
 
 // txEmit hands a pipeline-approved frame onward: TSO segmentation when
@@ -268,7 +284,7 @@ func (n *NIC) sendToWire(p *packet.Packet, c *Conn) {
 		p.Meta.Class = n.classifier(p)
 	}
 	if n.sched == nil {
-		n.transmit(p, now, true)
+		n.transmit(p, c, now, true)
 		return
 	}
 	// The scheduler (with its own per-class bounds) takes over buffering;
@@ -295,23 +311,28 @@ func (n *NIC) pumpWire() {
 		at = now
 	}
 	n.schedPump = true
-	n.eng.At(at, func() {
-		n.schedPump = false
-		now := n.eng.Now()
-		if p, ok := n.sched.Dequeue(now); ok {
-			n.transmit(p, now, false)
-			n.pumpWire()
-			return
-		}
-		// No progress (e.g. a shaper's tokens not yet accrued): retry a
-		// little later rather than spinning at this instant.
-		n.eng.After(100*sim.Nanosecond, n.pumpWire)
-	})
+	n.job(nil, nil).arm(stPump, at)
 }
 
-// transmit serializes a frame onto the wire. freeSlot marks packets still
-// holding a staging-buffer slot (the unscheduled path).
-func (n *NIC) transmit(p *packet.Packet, now sim.Time, freeSlot bool) {
+// pump is pumpWire's pending event: move one frame from the scheduler to the
+// wire. The qdisc holds bare packets, so the owning connection is looked up.
+func (n *NIC) pump() {
+	n.schedPump = false
+	now := n.eng.Now()
+	if p, ok := n.sched.Dequeue(now); ok {
+		n.transmit(p, n.conns[p.Meta.ConnID], now, false)
+		n.pumpWire()
+		return
+	}
+	// No progress (e.g. a shaper's tokens not yet accrued): retry a little
+	// later rather than spinning at this instant.
+	n.job(nil, nil).arm(stPumpRetry, now.Add(100*sim.Nanosecond))
+}
+
+// transmit serializes a frame of connection c (nil: none, or closed since)
+// onto the wire. freeSlot marks packets still holding a staging-buffer slot
+// (the unscheduled path).
+func (n *NIC) transmit(p *packet.Packet, c *Conn, now sim.Time, freeSlot bool) {
 	frame := p.FrameLen()
 	_, done := n.wireTx.Acquire(now, n.model.Wire(frame))
 	n.TxFrames++
@@ -322,18 +343,16 @@ func (n *NIC) transmit(p *packet.Packet, now sim.Time, freeSlot bool) {
 	if n.tap != nil {
 		n.tap.Offer(p, now)
 	}
-	if cn, ok := n.conns[p.Meta.ConnID]; ok {
-		cn.TxSent++
+	// A frame that kept an earlier privileged stamp (stamp) is attributed to
+	// the connection it names, not the queue it was drained from.
+	if c != nil && c.ID == p.Meta.ConnID {
+		c.TxSent++
 	}
-	out := p
-	n.eng.At(done, func() {
-		if freeSlot {
-			n.txSlotFree()
-		}
-		if n.OnTransmit != nil {
-			n.OnTransmit(out, n.eng.Now())
-		}
-	})
+	st := stTxWireQ
+	if freeSlot {
+		st = stTxWire
+	}
+	n.job(nil, p).arm(st, done)
 }
 
 // InjectTx transmits a control-plane-originated frame (ARP replies, ICMP
@@ -347,27 +366,27 @@ func (n *NIC) InjectTx(p *packet.Packet) {
 		return
 	}
 	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(p.FrameLen()))
-	n.eng.At(pipeDone.Add(sim.Duration(n.model.NICPipeline)), func() {
-		n.transmit(p, n.eng.Now(), false)
-	})
+	n.job(nil, p).arm(stTxInject, pipeDone.Add(sim.Duration(n.model.NICPipeline)))
 }
 
 // DeliverFromWire is the wire-side entry: a frame starts arriving at the
 // current engine time and is processed once its last bit is in — ingress is
 // serialized at line rate, so no experiment can observe goodput above it.
 func (n *NIC) DeliverFromWire(p *packet.Packet) {
-	_, arrived := n.wireRx.Acquire(n.eng.Now(), n.model.Wire(p.FrameLen()))
-	n.eng.At(arrived, func() { n.rxFrame(p) })
+	j := n.job(nil, p)
+	j.frame = p.FrameLen()
+	_, arrived := n.wireRx.Acquire(n.eng.Now(), n.model.Wire(j.frame))
+	j.arm(stRxWire, arrived)
 }
 
-func (n *NIC) rxFrame(p *packet.Packet) {
-	now := n.eng.Now()
+func (n *NIC) rxFrame(j *job) {
+	p, now := j.p, n.eng.Now()
 	n.RxWire++
 	if n.tracer != nil {
 		if p.Meta.Trace == 0 {
 			p.Meta.Trace = n.tracer.StampID()
 		}
-		n.trace(p, now, "nic", "rx_wire", fmt.Sprintf("len=%d", p.FrameLen()))
+		n.trace(p, now, "nic", "rx_wire", fmt.Sprintf("len=%d", j.frame))
 	}
 	if !n.linkUp {
 		// The MAC has no carrier: the frame never makes it off the wire.
@@ -383,35 +402,56 @@ func (n *NIC) rxFrame(p *packet.Packet) {
 		// being blackholed mid-upgrade.
 		return
 	}
-	n.rxAdmit(p, now)
+	n.rxAdmit(j, now)
 }
 
 // rxAdmit is ingress admission past the MAC and pause gate: both the live
 // wire path (rxFrame) and the pause-buffer replay (ResumeRx) enter here, so
 // a replayed frame takes exactly the path it would have taken live — FIFO
-// accounting, shed policy, outage check, pipeline, DMA.
-func (n *NIC) rxAdmit(p *packet.Packet, now sim.Time) {
-	if n.tsched != nil {
-		n.rxFrameSched(p, now)
-		return
-	}
-	if n.rxInflight >= n.rxWindow {
+// accounting, shed policy, outage check, pipeline, DMA. The destination
+// connection is resolved here, once, and rides in the job from then on.
+//
+// The two dataplanes differ only in order. Unscheduled, the frame must win a
+// slot of the one shared FIFO before anything else is decided, and is stamped
+// last, so shed policy and the outage slow path see it as it came off the
+// wire. Tenant-scheduled, steer and stamp come first — tenant attribution
+// decides whose FIFO share the frame occupies.
+func (n *NIC) rxAdmit(j *job, now sim.Time) {
+	p := j.p
+	sched := n.tsched != nil
+	if !sched && n.rxInflight >= n.rxWindow {
 		n.RxFifoDrop++
 		n.trace(p, now, "nic", "rx_fifo_drop", "")
 		return
+	}
+	c := n.steer(p)
+	j.c = c
+	if sched {
+		if c != nil {
+			stamp(c, p, now)
+		}
+		if !n.tsched.rxAdmit(p.Meta.Tenant) {
+			n.RxFifoDrop++
+			if n.tracer != nil {
+				n.trace(p, now, "nic", "rx_fifo_drop", fmt.Sprintf("tenant=%d", p.Meta.Tenant))
+			}
+			return
+		}
 	}
 	// Priority-aware shedding: under sustained pressure the installed policy
 	// drops low-class ingress here, before the frame can occupy a FIFO slot
 	// or touch the DMA engine — the point is to stop cold descriptors from
 	// thrashing the DDIO ways, so the shed must happen upstream of both.
-	if n.shedPolicy != nil {
-		if c := n.steer(p); c != nil && n.shedPolicy(c, p) {
-			n.RxShed++
+	if n.shedPolicy != nil && c != nil && n.shedPolicy(c, p) {
+		n.rxShareRelease(p)
+		n.RxShed++
+		if n.tracer != nil {
 			n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
-			return
 		}
+		return
 	}
 	if n.Down(now) {
+		n.rxShareRelease(p)
 		n.RxOutageDrop++
 		if n.SlowPath != nil {
 			n.RxSlowPath++
@@ -419,136 +459,129 @@ func (n *NIC) rxAdmit(p *packet.Packet, now sim.Time) {
 		}
 		return
 	}
-
 	n.rxInflight++
-	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(p.FrameLen()))
-	lat := sim.Duration(n.model.NICPipeline)
-
-	// Steer first so trusted metadata is stamped before the overlay runs —
-	// the overlay's uid/pid/cmd fields come from the connection context.
-	c := n.steer(p)
+	occ := n.pipeOccupancy(j.frame)
+	if sched {
+		if n.tap != nil {
+			n.tap.Offer(p, now)
+		}
+		j.stage, j.est = stRxPipe, occ
+		n.tsched.Pipe.Request(j)
+		return
+	}
+	_, pipeDone := n.pipeline.Acquire(now, occ)
+	// Stamp before the overlay runs — its uid/pid/cmd fields come from the
+	// connection context.
 	if c != nil {
 		stamp(c, p, now)
 	}
 	if n.tap != nil {
 		n.tap.Offer(p, now)
 	}
+	n.rxPipe(j, pipeDone)
+}
 
+// rxPipe runs the ingress pipeline on a frame that owns the pipeline slot
+// ending at done: flow-cache hit or overlay interpretation now (on the
+// scheduled dataplane the cycles are billed to the owning tenant), then the
+// frame leaves for the DMA engine — or the slow path, unsteered — once the
+// occupancy plus program latency has elapsed.
+func (n *NIC) rxPipe(j *job, done sim.Time) {
+	c, p, now := j.c, j.p, n.eng.Now()
+	lat := sim.Duration(n.model.NICPipeline)
 	if n.ingress != nil {
+		var cyc sim.Duration // latency the program (or its cached verdict) adds
+		verdict := overlay.VerdictPass
 		if e, hit := n.fcLookup(p, c); hit {
 			// Fast path: the memoized verdict and rewrite apply at
 			// single-lookup cost — no overlay interpretation.
-			lat += n.model.NICCycles(1)
+			cyc, verdict = n.model.NICCycles(1), e.verdict
 			p.Meta.Mark = e.mark
 			p.Meta.Class = e.class
 			if n.tracer != nil {
 				n.trace(p, now, "nic", "flowcache_hit", fmt.Sprintf("verdict=%v hits=%d", e.verdict, e.hits))
 			}
-			if e.verdict == overlay.VerdictDrop {
-				n.RxDropVerdict++
-				n.rxInflight--
-				return
-			}
 		} else {
-			verdict, cycles, trap := n.ingress.Run(p, env{n: n, now: now, c: c})
+			var cycles int
+			var trap error
+			verdict, cycles, trap = n.ingress.Run(p, j)
 			trapped := trap != nil
 			if trapped {
 				if n.tracer != nil {
 					n.trace(p, now, "nic", "trap_fallback", "pipeline=ingress: "+trap.Error())
 				}
-				verdict, cycles = n.trapFallback(Ingress, p, env{n: n, now: now, c: c})
+				verdict, cycles = n.trapFallback(Ingress, p, j)
 			}
 			n.IngressProgCycles += uint64(cycles)
-			lat += n.model.NICCycles(cycles)
+			cyc = n.model.NICCycles(cycles)
 			if n.fc != nil && n.ingressCacheable && c != nil {
-				lat += n.model.NICCycles(1) // the probe that missed
+				cyc += n.model.NICCycles(1) // the probe that missed
 			}
 			if n.tracer != nil {
 				n.trace(p, now, "nic", "pipeline_ingress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 			}
 			n.fcInstall(p, c, verdict, trapped)
-			if verdict == overlay.VerdictDrop {
-				n.RxDropVerdict++
-				n.rxInflight--
-				return
-			}
+		}
+		lat += cyc
+		if n.tsched != nil {
+			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
+		}
+		if verdict == overlay.VerdictDrop {
+			n.RxDropVerdict++
+			n.rxRelease(p)
+			return
 		}
 	}
-
+	at := done.Add(lat)
 	if c == nil {
 		if n.SlowPath != nil {
 			n.RxSlowPath++
-			at := pipeDone.Add(lat)
-			n.eng.At(at, func() {
-				n.rxInflight--
-				n.SlowPath(p, n.eng.Now())
-			})
+			j.arm(stRxSlow, at)
 		} else {
 			n.RxDropNoSteer++
-			n.rxInflight--
+			n.rxRelease(p)
 		}
 		return
 	}
-
-	// DMA the frame into the connection's RX ring.
-	index := c.RX.Head()
-	start := pipeDone.Add(lat)
-	dmaAt := start
-	if free := n.dma.FreeAt(); free > dmaAt {
-		dmaAt = free
+	if n.tsched == nil {
+		// The ring slot is claimed at admission and the store starts when
+		// the FIFO-served DMA engine frees up; the scheduled dataplane does
+		// both when the frame reaches the tenant's DMA ring (rxStore).
+		j.index = c.RX.Head()
+		if free := n.dma.FreeAt(); free > at {
+			at = free
+		}
 	}
-	n.eng.At(dmaAt, func() {
-		now := n.eng.Now()
-		_, dmaDone := n.dma.Acquire(now, n.dmaCost(c, c.RX, index, p.FrameLen(), true))
-		visible := dmaDone.Add(n.model.DMALatency)
-		n.eng.At(visible, func() { n.rxComplete(c, p, index) })
-	})
+	j.arm(stRxStore, at)
 }
 
-// rxFrameSched is the tenant-scheduled ingress path: steer and stamp first —
-// tenant attribution decides whose FIFO share the frame occupies — then
-// charge that share, apply shedding/outage policy, and queue the frame on the
-// tenant's pipeline DRR ring.
-func (n *NIC) rxFrameSched(p *packet.Packet, now sim.Time) {
-	c := n.steer(p)
-	if c != nil {
-		stamp(c, p, now)
-	}
-	if !n.tsched.rxAdmit(p.Meta.Tenant) {
-		n.RxFifoDrop++
-		n.trace(p, now, "nic", "rx_fifo_drop", fmt.Sprintf("tenant=%d", p.Meta.Tenant))
+// rxStore DMAs a frame that has left the pipeline into its connection's RX
+// ring: straight onto the DMA engine, or onto the tenant's DMA DRR ring.
+func (n *NIC) rxStore(j *job) {
+	c := j.c
+	if n.tsched != nil {
+		j.index = c.RX.Head()
+		j.stage, j.est = stRxDMA, n.model.DMA(64+j.frame)
+		n.tsched.DMA.Request(j)
 		return
 	}
-	if n.shedPolicy != nil && c != nil && n.shedPolicy(c, p) {
+	_, dmaDone := n.dma.Acquire(n.eng.Now(), n.dmaCost(c, c.RX, j.index, j.frame, true))
+	j.arm(stRxVisible, dmaDone.Add(n.model.DMALatency))
+}
+
+// rxShareRelease returns the tenant FIFO share a frame was charged at
+// admission when it is refused before taking a global FIFO slot.
+func (n *NIC) rxShareRelease(p *packet.Packet) {
+	if n.tsched != nil {
 		n.tsched.rxRelease(p.Meta.Tenant)
-		n.RxShed++
-		n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
-		return
 	}
-	if n.Down(now) {
-		n.tsched.rxRelease(p.Meta.Tenant)
-		n.RxOutageDrop++
-		if n.SlowPath != nil {
-			n.RxSlowPath++
-			n.SlowPath(p, now)
-		}
-		return
-	}
-	n.rxInflight++
-	if n.tap != nil {
-		n.tap.Offer(p, now)
-	}
-	n.tsched.Pipe.Request(grant{kind: reqRxPipe, c: c, p: p, frame: p.FrameLen(),
-		est: n.pipeOccupancy(p.FrameLen())})
 }
 
 // rxRelease returns the ingress FIFO slot(s) a frame held: the global
 // counter always, the owning tenant's share when the scheduler is installed.
 func (n *NIC) rxRelease(p *packet.Packet) {
 	n.rxInflight--
-	if n.tsched != nil {
-		n.tsched.rxRelease(p.Meta.Tenant)
-	}
+	n.rxShareRelease(p)
 }
 
 // rxComplete finishes an RX DMA: the descriptor completion is host-visible,
@@ -579,17 +612,13 @@ func (n *NIC) rxComplete(c *Conn, p *packet.Packet, index uint64) {
 // steer resolves the destination connection for an inbound frame.
 func (n *NIC) steer(p *packet.Packet) *Conn {
 	if k, ok := p.Flow(); ok {
-		if id, ok := n.steering[k]; ok {
-			if c, ok := n.conns[id]; ok {
-				return c
-			}
+		if c := n.steering[k]; c != nil {
+			return c
 		}
 		// Also try the destination-side normalized key (server side of a
 		// flow steered by local tuple).
-		if id, ok := n.steering[k.Reverse()]; ok {
-			if c, ok := n.conns[id]; ok {
-				return c
-			}
+		if c := n.steering[k.Reverse()]; c != nil {
+			return c
 		}
 	}
 	if c := n.rssSteer(p); c != nil {

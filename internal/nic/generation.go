@@ -250,7 +250,10 @@ func (n *NIC) ResumeRx() error {
 	n.rxPauseBuf = nil
 	now := n.eng.Now()
 	for _, p := range buf {
-		n.rxAdmit(p, now)
+		j := n.job(nil, p)
+		j.frame = p.FrameLen()
+		n.rxAdmit(j, now)
+		n.settle(j)
 	}
 	return nil
 }
@@ -275,6 +278,8 @@ func (n *NIC) pauseIntake(p *packet.Packet, now sim.Time) bool {
 	}
 	n.rxPauseBuf = append(n.rxPauseBuf, p)
 	n.RxPauseBuffered++
-	n.trace(p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
+	if n.tracer != nil {
+		n.trace(p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
+	}
 	return true
 }

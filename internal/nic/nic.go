@@ -121,8 +121,8 @@ type NIC struct {
 	pipeline *sim.Server
 
 	conns       map[uint64]*Conn
-	steering    map[packet.FlowKey]uint64 // flow -> conn id
-	defaultConn uint64                    // conn id for unsteered traffic, 0 = none
+	steering    map[packet.FlowKey]*Conn // flow -> open connection
+	defaultConn uint64                   // conn id for unsteered traffic, 0 = none
 
 	// RSS fallback steering (rss.go).
 	rssKey    [RSSKeySize]byte
@@ -209,6 +209,11 @@ type NIC struct {
 	shedPolicy func(c *Conn, p *packet.Packet) bool
 
 	tap *sniff.Tap
+
+	// jobFree is the intrusive free list of datapath job records (job.go);
+	// jobsOut counts the records currently held by an event or a DRR ring.
+	jobFree *job
+	jobsOut int
 
 	// tracer, when non-nil, receives packet-lifecycle span events from
 	// every NIC interposition point (ring dequeue, pipeline verdicts, trap
@@ -312,7 +317,7 @@ func New(cfg Config) *NIC {
 		wireRx:     sim.NewServer("nic.wirerx"),
 		pipeline:   sim.NewServer("nic.pipeline"),
 		conns:      make(map[uint64]*Conn),
-		steering:   make(map[packet.FlowKey]uint64),
+		steering:   make(map[packet.FlowKey]*Conn),
 		sramBudget: cfg.SRAMBudget,
 		txWindow:   32,
 		rxWindow:   128,
@@ -363,12 +368,13 @@ func (n *NIC) OpenConn(id uint64, meta packet.Meta, queue *mem.NotifyQueue) (*Co
 
 // CloseConn releases a connection's NIC state and steering entries.
 func (n *NIC) CloseConn(id uint64) error {
-	if _, ok := n.conns[id]; !ok {
+	c, ok := n.conns[id]
+	if !ok {
 		return ErrNoSuchConn
 	}
 	delete(n.conns, id)
-	for k, cid := range n.steering {
-		if cid == id {
+	for k, sc := range n.steering {
+		if sc == c {
 			delete(n.steering, k)
 			n.sramUsed -= 16
 		}
@@ -392,7 +398,8 @@ func (n *NIC) ConnCount() int { return len(n.conns) }
 // SteerFlow installs an exact-match steering entry (flow director). Each
 // entry consumes SRAM.
 func (n *NIC) SteerFlow(k packet.FlowKey, connID uint64) error {
-	if _, ok := n.conns[connID]; !ok {
+	c, ok := n.conns[connID]
+	if !ok {
 		return ErrNoSuchConn
 	}
 	if _, exists := n.steering[k]; !exists {
@@ -401,15 +408,17 @@ func (n *NIC) SteerFlow(k packet.FlowKey, connID uint64) error {
 		}
 		n.sramUsed += 16
 	}
-	n.steering[k] = connID
+	n.steering[k] = c
 	n.fcInvalidateKey(k)
 	return nil
 }
 
 // SteeredConn returns the connection id a flow is steered to, if any.
 func (n *NIC) SteeredConn(k packet.FlowKey) (uint64, bool) {
-	id, ok := n.steering[k]
-	return id, ok
+	if c := n.steering[k]; c != nil {
+		return c.ID, true
+	}
+	return 0, false
 }
 
 // DropSteering removes one steering entry, releasing its SRAM. It models

@@ -77,7 +77,7 @@ func (n *NIC) LastGood(dir Direction) *overlay.Program { return n.lastGood[dir] 
 // One trap event counts once: the absorbed trap increments TrapFallbacks,
 // and the terminal double-trap increments TrapFailOpens instead of
 // inflating the fallback count a second time.
-func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e env) (overlay.Verdict, int) {
+func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e overlay.Env) (overlay.Verdict, int) {
 	n.TrapFallbacks++
 	var repl *overlay.Machine
 	if lg := n.lastGood[dir]; lg != nil {
@@ -181,31 +181,6 @@ func (n *NIC) ReloadBitstream(now sim.Time, d sim.Duration) sim.Time {
 	}
 	n.fcFlush()
 	return n.outageUntil
-}
-
-// env adapts the NIC to overlay.Env for one packet run.
-type env struct {
-	n   *NIC
-	now sim.Time
-	c   *Conn // owning connection for notify, may be nil
-}
-
-// Now implements overlay.Env.
-func (e env) Now() sim.Time { return e.now }
-
-// Mirror implements overlay.Env by feeding the capture tap.
-func (e env) Mirror(p *packet.Packet) {
-	if e.n.tap != nil {
-		e.n.tap.Offer(p, e.now)
-	}
-}
-
-// Notify implements overlay.Env by appending to the owning connection's
-// notification queue.
-func (e env) Notify(p *packet.Packet) {
-	if e.c != nil {
-		e.n.pushNotify(e.c, mem.NotifyRxReady, e.now)
-	}
 }
 
 func (n *NIC) pushNotify(c *Conn, kind mem.NotifyKind, now sim.Time) {

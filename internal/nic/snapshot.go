@@ -43,8 +43,8 @@ func (n *NIC) SnapshotConfig(now sim.Time) *ConfigSnapshot {
 	if n.egress != nil {
 		s.Egress = n.egress.Program()
 	}
-	for k, v := range n.steering {
-		s.Steering[k] = v
+	for k, c := range n.steering {
+		s.Steering[k] = c.ID
 	}
 	return s
 }

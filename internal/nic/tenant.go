@@ -1,11 +1,8 @@
 package nic
 
 import (
-	"fmt"
 	"sort"
 
-	"norman/internal/overlay"
-	"norman/internal/packet"
 	"norman/internal/sim"
 )
 
@@ -21,44 +18,25 @@ import (
 // acquires its server directly, preserving the historical FIFO dataplane
 // byte-for-byte (E1–E12 tables do not move).
 
-// reqKind selects which datapath continuation a grant resumes.
-type reqKind uint8
-
-const (
-	reqTxFetch reqKind = iota // DMA engine: TX descriptor+payload fetch
-	reqTxPipe                 // pipeline: egress slot for a fetched frame
-	reqRxPipe                 // pipeline: ingress slot for a wire frame
-	reqRxDMA                  // DMA engine: RX descriptor read + payload store
-)
-
-// grant is one queued request for a scheduled resource. It is a flat value —
-// per-tenant queues are rings of grants, so steady-state scheduling allocates
-// nothing. est is the *estimated* server occupancy used for deficit
-// accounting at selection time; the actual cost (which may include a DDIO
+// A queued request for a scheduled resource is the frame's own datapath job
+// (job.go): per-tenant queues are rings of job pointers, so steady-state
+// scheduling allocates nothing. The job's stage says which continuation the
+// grant resumes; est is the *estimated* server occupancy used for deficit
+// accounting at selection time — the actual cost (which may include a DDIO
 // descriptor miss the scheduler cannot predict) is billed as a correction
-// when the grant is served.
-type grant struct {
-	kind  reqKind
-	c     *Conn // nil only for unsteered reqRxPipe frames
-	p     *packet.Packet
-	index uint64       // ring slot, DMA kinds only
-	frame int          // wire frame length
-	est   sim.Duration // estimated server occupancy (DRR accounting unit)
-	prod  sim.Time     // TX descriptor Produced stamp (reqTxFetch)
-	enq   sim.Time     // when the request was queued, for wait accounting
-}
+// when the request is served.
 
-// tenantID attributes a grant: the steered connection's tenant, or whatever
+// tenantID attributes a request: the steered connection's tenant, or whatever
 // the packet already carries (0, the unattributed tenant, for unsteered
 // ingress).
-func (g grant) tenantID() uint32 {
-	if g.c != nil {
-		return g.c.Meta.Tenant
+func (j *job) tenantID() uint32 {
+	if j.c != nil {
+		return j.c.Meta.Tenant
 	}
-	return g.p.Meta.Tenant
+	return j.p.Meta.Tenant
 }
 
-// tenantQ is one tenant's state on one scheduled resource: a grant ring and
+// tenantQ is one tenant's state on one scheduled resource: a request ring and
 // the DRR deficit. Deficits are int64 nanoseconds of server time and reset
 // when the queue drains — an idle tenant neither banks credit nor carries
 // debt, which is what makes the scheduler work-conserving.
@@ -68,7 +46,7 @@ type tenantQ struct {
 	quantum int64 // per-round deficit refill, ns of server time
 	deficit int64
 
-	q      []grant
+	q      []*job
 	head   int
 	n      int
 	queued bool // on the active ring
@@ -78,9 +56,9 @@ type tenantQ struct {
 	wait   sim.Duration // time requests spent queued
 }
 
-func (q *tenantQ) push(g grant) {
+func (q *tenantQ) push(g *job) {
 	if q.n == len(q.q) {
-		grown := make([]grant, maxInt(8, 2*len(q.q)))
+		grown := make([]*job, maxInt(8, 2*len(q.q)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.q[(q.head+i)%len(q.q)]
 		}
@@ -91,9 +69,9 @@ func (q *tenantQ) push(g grant) {
 	q.n++
 }
 
-func (q *tenantQ) pop() grant {
+func (q *tenantQ) pop() *job {
 	g := q.q[q.head]
-	q.q[q.head] = grant{} // drop packet references
+	q.q[q.head] = nil
 	q.head = (q.head + 1) % len(q.q)
 	q.n--
 	return g
@@ -107,7 +85,7 @@ func maxInt(a, b int) int {
 }
 
 // TenantDRR schedules one serial sim.Server across tenants by deficit round
-// robin — the same discipline as the qos egress DRR, rebuilt over grant rings
+// robin — the same discipline as the qos egress DRR, rebuilt over job rings
 // so the per-packet hot path (Request → select → serve) allocates nothing.
 // Each round a backlogged tenant's deficit grows by weight × the cost of one
 // full frame on this resource; it is served while the deficit covers the head
@@ -132,15 +110,16 @@ type TenantDRR struct {
 	base      sim.Duration // one weight unit's per-round refill
 	defWeight int
 
-	// cost returns a grant's actual server occupancy (it may touch the LLC,
+	// cost returns a request's actual server occupancy (it may touch the LLC,
 	// so it runs exactly once, at serve time). deliver resumes the datapath
-	// once the server slot ending at done is owned.
-	cost    func(g grant) sim.Duration
-	deliver func(g grant, done sim.Time)
+	// once the server slot ending at done is owned; a job it does not arm
+	// again is freed.
+	cost    func(g *job) sim.Duration
+	deliver func(g *job, done sim.Time)
 }
 
 func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Duration,
-	cost func(grant) sim.Duration, deliver func(grant, sim.Time)) *TenantDRR {
+	cost func(*job) sim.Duration, deliver func(*job, sim.Time)) *TenantDRR {
 	if base < 1 {
 		base = 1
 	}
@@ -190,8 +169,10 @@ func (d *TenantDRR) queue(tenant uint32) *tenantQ {
 // is backlogged the grant is served immediately — an uncontended tenant sees
 // exactly the unscheduled latency, and (as in classic DRR) uncontended serves
 // do not touch deficits. Otherwise the request queues on its tenant ring and
-// the round-robin pump orders it against the other tenants' backlogs.
-func (d *TenantDRR) Request(g grant) {
+// the round-robin pump orders it against the other tenants' backlogs. The
+// caller settles g: a queued request is armed (the ring holds it), one served
+// on the spot is whatever deliver left it.
+func (d *TenantDRR) Request(g *job) {
 	now := d.nic.eng.Now()
 	g.enq = now
 	q := d.queue(g.tenantID())
@@ -199,6 +180,7 @@ func (d *TenantDRR) Request(g grant) {
 		d.serve(q, g, now)
 		return
 	}
+	g.armed = true
 	q.push(g)
 	d.backlog++
 	if !q.queued {
@@ -219,7 +201,7 @@ func (d *TenantDRR) Charge(tenant uint32, dur sim.Duration) {
 	d.queue(tenant).deficit -= int64(dur)
 }
 
-func (d *TenantDRR) serve(q *tenantQ, g grant, now sim.Time) {
+func (d *TenantDRR) serve(q *tenantQ, g *job, now sim.Time) {
 	cost := d.cost(g)
 	_, done := d.srv.Acquire(now, cost)
 	q.grants++
@@ -264,7 +246,9 @@ func (d *TenantDRR) pump() {
 	q.grants++
 	q.work += cost
 	q.wait += now.Sub(g.enq)
+	g.armed = false
 	d.deliver(g, done)
+	d.nic.settle(g)
 	if d.backlog > 0 {
 		d.schedule(done)
 	}
@@ -274,7 +258,7 @@ func (d *TenantDRR) pump() {
 // the head tenant's deficit cannot cover its head grant, and pop the first
 // affordable grant. Queues that drain leave the round with their deficit
 // reset.
-func (d *TenantDRR) next() (grant, *tenantQ, bool) {
+func (d *TenantDRR) next() (*job, *tenantQ, bool) {
 	for d.activeN > 0 {
 		q := d.qs[d.active[d.activeHead]]
 		if q.n == 0 {
@@ -299,7 +283,7 @@ func (d *TenantDRR) next() (grant, *tenantQ, bool) {
 		}
 		return g, q, true
 	}
-	return grant{}, nil, false
+	return nil, nil, false
 }
 
 func (d *TenantDRR) activePush(id uint32) {
@@ -400,12 +384,12 @@ func (s *TenantSched) rxQueue(tenant uint32) *tenantRx {
 
 // pipeCost: the pipeline's occupancy is frame-length-determined, so the
 // estimate is exact.
-func (s *TenantSched) pipeCost(g grant) sim.Duration { return g.est }
+func (s *TenantSched) pipeCost(g *job) sim.Duration { return g.est }
 
 // dmaCostOf computes the DMA engine occupancy at serve time — this is where
 // the descriptor's DDIO fate (per-tenant partition included) is decided.
-func (s *TenantSched) dmaCostOf(g grant) sim.Duration {
-	if g.kind == reqTxFetch {
+func (s *TenantSched) dmaCostOf(g *job) sim.Duration {
+	if g.stage == stTxFetch {
 		return s.n.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
 	}
 	return s.n.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
@@ -414,116 +398,22 @@ func (s *TenantSched) dmaCostOf(g grant) sim.Duration {
 // dmaGrant resumes the datapath after a DMA grant: TX fetches continue the
 // connection's drain chain and deliver the frame to the egress pipeline after
 // the PCIe flight; RX stores become host-visible after the same flight.
-func (s *TenantSched) dmaGrant(g grant, done sim.Time) {
-	n := s.n
-	switch g.kind {
-	case reqTxFetch:
-		c, p, frame, prod := g.c, g.p, g.frame, g.prod
-		n.eng.At(done, func() { n.drainTx(c) })
-		n.eng.At(done.Add(n.model.DMALatency), func() { n.txArrive(c, p, frame, prod) })
-	default: // reqRxDMA
-		c, p, index := g.c, g.p, g.index
-		n.eng.At(done.Add(n.model.DMALatency), func() { n.rxComplete(c, p, index) })
+func (s *TenantSched) dmaGrant(g *job, done sim.Time) {
+	if g.stage == stTxFetch {
+		s.n.txFetched(g, done)
+		return
 	}
+	g.arm(stRxVisible, done.Add(s.n.model.DMALatency))
 }
 
-// pipeGrant resumes the datapath after a pipeline grant: the overlay runs now
-// (its cycles billed to the owning tenant), and the frame leaves the pipeline
-// once the granted occupancy plus program latency elapses.
-func (s *TenantSched) pipeGrant(g grant, done sim.Time) {
-	n := s.n
-	now := n.eng.Now()
-	lat := sim.Duration(n.model.NICPipeline)
-	switch g.kind {
-	case reqTxPipe:
-		c, p := g.c, g.p
-		if n.egress != nil {
-			verdict, cycles, trap := n.egress.Run(p, env{n: n, now: now, c: c})
-			if trap != nil {
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "trap_fallback", "pipeline=egress: "+trap.Error())
-				}
-				verdict, cycles = n.trapFallback(Egress, p, env{n: n, now: now, c: c})
-			}
-			cyc := n.model.NICCycles(cycles)
-			lat += cyc
-			s.Pipe.Charge(p.Meta.Tenant, cyc)
-			if n.tracer != nil {
-				n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
-			}
-			if verdict == overlay.VerdictDrop {
-				n.TxDropVerdict++
-				n.txSlotFree()
-				return
-			}
-		}
-		n.eng.At(done.Add(lat), func() { n.txEmit(c, p) })
-	default: // reqRxPipe
-		c, p := g.c, g.p
-		if n.ingress != nil {
-			if e, hit := n.fcLookup(p, c); hit {
-				// Fast path: single-lookup cost, billed to the tenant like
-				// any other pipeline-adjacent work.
-				cyc := n.model.NICCycles(1)
-				lat += cyc
-				s.Pipe.Charge(p.Meta.Tenant, cyc)
-				p.Meta.Mark = e.mark
-				p.Meta.Class = e.class
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "flowcache_hit", fmt.Sprintf("verdict=%v hits=%d", e.verdict, e.hits))
-				}
-				if e.verdict == overlay.VerdictDrop {
-					n.RxDropVerdict++
-					n.rxRelease(p)
-					return
-				}
-			} else {
-				verdict, cycles, trap := n.ingress.Run(p, env{n: n, now: now, c: c})
-				trapped := trap != nil
-				if trapped {
-					if n.tracer != nil {
-						n.trace(p, now, "nic", "trap_fallback", "pipeline=ingress: "+trap.Error())
-					}
-					verdict, cycles = n.trapFallback(Ingress, p, env{n: n, now: now, c: c})
-				}
-				n.IngressProgCycles += uint64(cycles)
-				cyc := n.model.NICCycles(cycles)
-				if n.fc != nil && n.ingressCacheable && c != nil {
-					cyc += n.model.NICCycles(1) // the probe that missed
-				}
-				lat += cyc
-				s.Pipe.Charge(p.Meta.Tenant, cyc)
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "pipeline_ingress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
-				}
-				n.fcInstall(p, c, verdict, trapped)
-				if verdict == overlay.VerdictDrop {
-					n.RxDropVerdict++
-					n.rxRelease(p)
-					return
-				}
-			}
-		}
-		if c == nil {
-			at := done.Add(lat)
-			if n.SlowPath != nil {
-				n.RxSlowPath++
-				n.eng.At(at, func() {
-					n.rxRelease(p)
-					n.SlowPath(p, n.eng.Now())
-				})
-			} else {
-				n.RxDropNoSteer++
-				n.rxRelease(p)
-			}
-			return
-		}
-		frame := g.frame
-		n.eng.At(done.Add(lat), func() {
-			s.DMA.Request(grant{kind: reqRxDMA, c: c, p: p, index: c.RX.Head(),
-				frame: frame, est: n.model.DMA(64 + frame)})
-		})
+// pipeGrant resumes the datapath after a pipeline grant: the same pipeline
+// step the unscheduled dataplane runs when it acquires the server directly.
+func (s *TenantSched) pipeGrant(g *job, done sim.Time) {
+	if g.stage == stTxPipe {
+		s.n.txPipe(g, done)
+		return
 	}
+	s.n.rxPipe(g, done)
 }
 
 // rxAdmit charges one ingress FIFO slot to a tenant; false means the tenant's

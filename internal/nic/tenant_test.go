@@ -15,6 +15,23 @@ func tenantFlow(dport uint16) packet.FlowKey {
 		SrcPort: dport, DstPort: 99, Proto: packet.ProtoUDP}
 }
 
+// rxNow offers p to the NIC as a frame whose last bit arrived this instant
+// (DeliverFromWire without the wire serialization).
+func rxNow(n *NIC, p *packet.Packet) {
+	j := n.job(nil, p)
+	j.frame, j.stage = p.FrameLen(), stRxWire
+	j.Fire()
+}
+
+// request submits one bare scheduling request for c and settles it, as every
+// datapath caller of TenantDRR.Request does.
+func request(n *NIC, d *TenantDRR, c *Conn, est sim.Duration) {
+	j := n.job(c, nil)
+	j.est = est
+	d.Request(j)
+	n.settle(j)
+}
+
 func tenantUDP(dport uint16) *packet.Packet {
 	return packet.NewUDP(packet.MAC{1}, packet.MAC{2}, packet.MakeIP(10, 0, 0, 2),
 		packet.MakeIP(10, 0, 0, 1), 99, dport, 1460)
@@ -45,7 +62,7 @@ func offer(n *NIC, eng *sim.Engine, count int, spacing sim.Duration, tenants ...
 		at := sim.Time(sim.Duration(i) * spacing)
 		for _, id := range tenants {
 			id := id
-			eng.At(at, func() { n.rxFrame(tenantUDP(uint16(5000 + id))) })
+			eng.At(at, func() { rxNow(n, tenantUDP(uint16(5000+id))) })
 		}
 	}
 }
@@ -92,11 +109,11 @@ func TestTenantDRRWorkConserving(t *testing.T) {
 	srv := sim.NewServer("wc.pipe")
 	d := newTenantDRR(n, srv, map[uint32]int{1: 1, 2: 7},
 		100*sim.Nanosecond,
-		func(grant) sim.Duration { return 10 * sim.Nanosecond },
-		func(grant, sim.Time) { served++ })
+		func(*job) sim.Duration { return 10 * sim.Nanosecond },
+		func(*job, sim.Time) { served++ })
 	eng.At(0, func() {
 		for i := 0; i < 1000; i++ {
-			d.Request(grant{c: ca, est: 10 * sim.Nanosecond})
+			request(n, d, ca, 10*sim.Nanosecond)
 		}
 	})
 	eng.Run()
@@ -125,7 +142,7 @@ func TestTenantSchedulerUncontendedLatency(t *testing.T) {
 		}
 		var at sim.Time
 		n.OnRxDeliver = func(c *Conn, now sim.Time) { at = now }
-		eng.At(0, func() { n.rxFrame(tenantUDP(5001)) })
+		eng.At(0, func() { rxNow(n, tenantUDP(5001)) })
 		eng.Run()
 		if at == 0 {
 			t.Fatal("frame not delivered")
@@ -155,12 +172,12 @@ func TestTenantDRRZeroAlloc(t *testing.T) {
 	var served uint64
 	d := newTenantDRR(n, sim.NewServer("test.pipe"), map[uint32]int{1: 3, 2: 1},
 		100*sim.Nanosecond,
-		func(grant) sim.Duration { return 10 * sim.Nanosecond },
-		func(grant, sim.Time) { served++ })
+		func(*job) sim.Duration { return 10 * sim.Nanosecond },
+		func(*job, sim.Time) { served++ })
 	load := func() {
 		for i := 0; i < 64; i++ {
-			d.Request(grant{c: ca, est: 10 * sim.Nanosecond})
-			d.Request(grant{c: cb, est: 10 * sim.Nanosecond})
+			request(n, d, ca, 10*sim.Nanosecond)
+			request(n, d, cb, 10*sim.Nanosecond)
 		}
 		eng.Run()
 	}
@@ -185,13 +202,13 @@ func BenchmarkTenantDRR(b *testing.B) {
 	cb, _ := n.OpenConn(2, packet.Meta{Tenant: 2}, nil)
 	d := newTenantDRR(n, sim.NewServer("bench.pipe"), map[uint32]int{1: 3, 2: 1},
 		100*sim.Nanosecond,
-		func(grant) sim.Duration { return 10 * sim.Nanosecond },
-		func(grant, sim.Time) {})
+		func(*job) sim.Duration { return 10 * sim.Nanosecond },
+		func(*job, sim.Time) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Request(grant{c: ca, est: 10 * sim.Nanosecond})
-		d.Request(grant{c: cb, est: 10 * sim.Nanosecond})
+		request(n, d, ca, 10*sim.Nanosecond)
+		request(n, d, cb, 10*sim.Nanosecond)
 		if i%64 == 63 {
 			eng.Run()
 		}

@@ -16,18 +16,9 @@ type ICMP struct {
 
 // NewICMPEcho builds an ICMP echo request or reply.
 func NewICMPEcho(srcMAC, dstMAC MAC, src, dst IPv4, icmpType uint8, id, seq uint16, payloadLen int) *Packet {
-	return &Packet{
-		Eth: Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
-		IP: &IP{
-			TotalLen: uint16(20 + 8 + payloadLen),
-			TTL:      64,
-			Proto:    ProtoICMP,
-			Src:      src,
-			Dst:      dst,
-		},
-		ICMP:       &ICMP{Type: icmpType, ID: id, Seq: seq},
-		PayloadLen: payloadLen,
-	}
+	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoICMP, 8, payloadLen)
+	p.ICMP = &ICMP{Type: icmpType, ID: id, Seq: seq}
+	return p
 }
 
 // EchoReplyTo builds the reply to an echo request, swapping addressing.

@@ -157,6 +157,14 @@ type Meta struct {
 // contents are carried only when a test or the sniffer needs real bytes;
 // otherwise PayloadLen alone drives the cost model, keeping large sweeps
 // allocation-light.
+//
+// The IP, UDP and TCP headers of a packet built by NewUDP, NewTCP or Clone
+// live inside the Packet itself (ip, udp, tcp below) with the exported
+// pointers aimed at them, so the per-frame constructors are one allocation.
+// The pointers stay the API: a literal may still aim them anywhere. Copying a
+// Packet by value leaves the copy's pointers on the origin's storage — use
+// Clone. ARP and ICMP keep their own allocation: embedding them too would
+// push every UDP/TCP frame out of the 208-byte allocator size class.
 type Packet struct {
 	Eth  Eth
 	ARP  *ARP
@@ -169,6 +177,10 @@ type Packet struct {
 	PayloadLen int // authoritative payload size in bytes
 
 	Meta Meta
+
+	ip  IP
+	tcp TCP
+	udp UDP
 }
 
 // FrameLen returns the on-wire frame length in bytes (without FCS).
@@ -233,24 +245,28 @@ func (p *Packet) Flow() (k FlowKey, ok bool) {
 	return k, true
 }
 
-// Clone returns a deep copy of the packet (headers and payload).
+// Clone returns a deep copy of the packet (headers and payload). The copy's
+// IP/UDP/TCP headers live in its own embedded storage wherever the origin's
+// lived, so the copy is one allocation plus one for ARP, ICMP or carried
+// payload bytes.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	q := new(Packet)
+	*q = *p
 	if p.ARP != nil {
 		a := *p.ARP
 		q.ARP = &a
 	}
 	if p.IP != nil {
-		h := *p.IP
-		q.IP = &h
+		q.ip = *p.IP
+		q.IP = &q.ip
 	}
 	if p.UDP != nil {
-		u := *p.UDP
-		q.UDP = &u
+		q.udp = *p.UDP
+		q.UDP = &q.udp
 	}
 	if p.TCP != nil {
-		t := *p.TCP
-		q.TCP = &t
+		q.tcp = *p.TCP
+		q.TCP = &q.tcp
 	}
 	if p.ICMP != nil {
 		ic := *p.ICMP
@@ -259,40 +275,36 @@ func (p *Packet) Clone() *Packet {
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}
-	return &q
+	return q
+}
+
+// newIPv4 builds the frame every IPv4 transport constructor starts from, its
+// IP header in embedded storage; l4 is the transport header length.
+func newIPv4(srcMAC, dstMAC MAC, src, dst IPv4, proto uint8, l4, payloadLen int) *Packet {
+	p := &Packet{
+		Eth:        Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
+		PayloadLen: payloadLen,
+		ip:         IP{TotalLen: uint16(20 + l4 + payloadLen), TTL: 64, Proto: proto, Src: src, Dst: dst},
+	}
+	p.IP = &p.ip
+	return p
 }
 
 // NewUDP builds a UDP datagram with the given addressing and payload size.
 func NewUDP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, payloadLen int) *Packet {
-	return &Packet{
-		Eth: Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
-		IP: &IP{
-			TotalLen: uint16(20 + 8 + payloadLen),
-			TTL:      64,
-			Proto:    ProtoUDP,
-			Src:      src,
-			Dst:      dst,
-		},
-		UDP:        &UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)},
-		PayloadLen: payloadLen,
-	}
+	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoUDP, 8, payloadLen)
+	p.udp = UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)}
+	p.UDP = &p.udp
+	return p
 }
 
 // NewTCP builds a TCP segment with the given addressing, flags and payload
 // size.
 func NewTCP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, flags uint8, payloadLen int) *Packet {
-	return &Packet{
-		Eth: Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
-		IP: &IP{
-			TotalLen: uint16(20 + 20 + payloadLen),
-			TTL:      64,
-			Proto:    ProtoTCP,
-			Src:      src,
-			Dst:      dst,
-		},
-		TCP:        &TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535},
-		PayloadLen: payloadLen,
-	}
+	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoTCP, 20, payloadLen)
+	p.tcp = TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535}
+	p.TCP = &p.tcp
+	return p
 }
 
 // NewARPRequest builds a who-has ARP broadcast.

@@ -260,3 +260,41 @@ func TestConservationQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWFQHeapOrderAndAllocs checks the in-place finish-tag heap against its
+// specification — pops come out in (finish, seq) order under interleaved
+// pushes — and that a warm enqueue/dequeue cycle allocates nothing.
+func TestWFQHeapOrderAndAllocs(t *testing.T) {
+	var h wfqHeap
+	rng := sim.NewRNG(1, "wfqheap")
+	var seq uint64
+	var last wfqItem
+	for round := 0; round < 200; round++ {
+		for i := rng.Intn(8); i >= 0; i-- {
+			seq++
+			// Never below the last finish served, as WFQ's virtual time guarantees.
+			h.push(wfqItem{finish: last.finish + float64(rng.Intn(4)), seq: seq})
+		}
+		for i := rng.Intn(len(h) + 1); i > 0; i-- {
+			it := h.pop()
+			if it.less(&last) {
+				t.Fatalf("round %d: popped (%v,%d) after (%v,%d)", round, it.finish, it.seq, last.finish, last.seq)
+			}
+			last = it
+		}
+	}
+	q := NewWFQ(64)
+	p := pkt(1, 1000)
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			q.Enqueue(p, 0)
+		}
+		for i := 0; i < 16; i++ {
+			q.Dequeue(0)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("WFQ enqueue/dequeue allocates %.2f per 16-frame cycle, want 0", allocs)
+	}
+}

@@ -1,8 +1,6 @@
 package qos
 
 import (
-	"container/heap"
-
 	"norman/internal/packet"
 	"norman/internal/sim"
 )
@@ -38,24 +36,61 @@ type wfqItem struct {
 	class  uint32
 }
 
+// wfqHeap is a binary min-heap on (finish, seq), sifted in place on the typed
+// slice: container/heap would box every item into an interface on the way in
+// and again on the way out, two allocations per frame. The order is total, so
+// the service order does not depend on the heap's shape.
 type wfqHeap []wfqItem
 
-func (h wfqHeap) Len() int { return len(h) }
-func (h wfqHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
+func (a *wfqItem) less(b *wfqItem) bool {
+	if a.finish != b.finish {
+		return a.finish < b.finish
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h wfqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wfqHeap) Push(x interface{}) { *h = append(*h, x.(wfqItem)) }
-func (h *wfqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1].p = nil
-	*h = old[:n-1]
-	return it
+
+func (h *wfqHeap) push(it wfqItem) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.less(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = it
+}
+
+func (h *wfqHeap) pop() wfqItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	it := s[n]
+	s[n].p = nil
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s[r].less(&s[m]) {
+			m = r
+		}
+		if !s[m].less(&it) {
+			break
+		}
+		s[i] = s[m]
+		i = m
+	}
+	if n > 0 {
+		s[i] = it
+	}
+	return top
 }
 
 // NewWFQ creates a WFQ qdisc bounded to limit total packets. Classes not
@@ -135,7 +170,7 @@ func (q *WFQ) Enqueue(p *packet.Packet, _ sim.Time) bool {
 	}
 	c.finish = start + float64(p.FrameLen())/c.weight
 	q.seq++
-	heap.Push(&q.heapq, wfqItem{p: p, finish: c.finish, seq: q.seq, class: c.id})
+	q.heapq.push(wfqItem{p: p, finish: c.finish, seq: q.seq, class: c.id})
 	q.nitems++
 	c.queued++
 	q.stats.EnqPackets++
@@ -152,7 +187,7 @@ func (q *WFQ) Dequeue(_ sim.Time) (*packet.Packet, bool) {
 	if q.nitems == 0 {
 		return nil, false
 	}
-	it := heap.Pop(&q.heapq).(wfqItem)
+	it := q.heapq.pop()
 	q.nitems--
 	q.class(it.class).queued--
 	if it.finish > q.vtime {

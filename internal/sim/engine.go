@@ -5,20 +5,35 @@ import (
 	"sync/atomic"
 )
 
-// An event is a callback scheduled at a point in virtual time. Events at the
+// Handler is the closure-free form of an event callback: a value that knows
+// how to continue when its instant arrives. Per-packet model code schedules a
+// pooled record that implements it (AtHandler) instead of building a func()
+// that captures the same fields, so a steady-state datapath hop allocates
+// nothing.
+type Handler interface{ Fire() }
+
+// funcHandler adapts a plain func() to Handler. A func value is
+// pointer-shaped, so the conversion to the interface stores it directly: At
+// and After cost no allocation beyond the closure the caller already built.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
+// An event is a Handler scheduled at a point in virtual time. Events at the
 // same instant fire in scheduling order (seq breaks ties), which keeps runs
 // deterministic regardless of heap internals.
 //
-// Events are stored by value in the engine's heap slice: scheduling never
-// boxes through an interface and never allocates a per-event node. The
-// slice's spare capacity doubles as the freelist for deferred closures —
-// popped slots have their fn cleared (so the closure and everything it
-// captures is released immediately) and are reused by subsequent pushes
-// without touching the allocator.
+// Events are stored by value in the engine's heap slice — four words, no
+// per-event node — so scheduling itself never allocates once the slice has
+// grown to the run's peak depth. The engine does not own what h points at: a
+// popped slot has its h cleared so the heap's spare capacity retains no
+// reference to a fired closure or record, and whoever scheduled the handler
+// decides whether it is garbage (a closure) or goes back on a free list (a
+// datapath job record).
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
 // less orders events by time, then by scheduling sequence.
@@ -90,15 +105,15 @@ func (e *Engine) push(ev event) {
 }
 
 // pop removes and returns the earliest event. The caller must have checked
-// len(e.events) > 0. The vacated tail slot's closure is cleared so the heap's
-// spare capacity retains no references (it is the freelist for future
-// pushes, not a root set).
+// len(e.events) > 0. The vacated tail slot's handler is cleared so the heap's
+// spare capacity retains no references (it is reused by future pushes, not a
+// root set).
 func (e *Engine) pop() event {
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n].fn = nil
+	h[n].h = nil
 	e.events = h[:n]
 	if n > 0 {
 		e.siftDown(last)
@@ -136,22 +151,25 @@ func (e *Engine) siftDown(ev event) {
 	h[i] = ev
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// a causality violation is always a model bug.
-func (e *Engine) At(t Time, fn func()) {
+// AtHandler schedules h.Fire to run at absolute time t. Scheduling in the
+// past panics: a causality violation is always a model bug.
+func (e *Engine) AtHandler(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(event{at: t, seq: e.seq, h: h})
 }
+
+// At schedules fn to run at absolute time t (AtHandler for a plain func).
+func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, funcHandler(fn)) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event %v in the past", d))
 	}
-	e.At(e.now.Add(d), fn)
+	e.AtHandler(e.now.Add(d), funcHandler(fn))
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -172,7 +190,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.nFired++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 

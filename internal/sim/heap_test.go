@@ -82,6 +82,46 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// countdown is a pooled-record-style Handler: it re-arms itself until spent.
+type countdown struct {
+	e    *Engine
+	left int
+}
+
+func (c *countdown) Fire() {
+	if c.left--; c.left > 0 {
+		c.e.AtHandler(c.e.Now().Add(Nanosecond), c)
+	}
+}
+
+// TestEngineHandlerFormAllocs pins the closure-free scheduling form: a
+// record that implements Handler rides the heap as itself, so arming and
+// firing it allocates nothing — and it interleaves with func() events in
+// plain scheduling order.
+func TestEngineHandlerFormAllocs(t *testing.T) {
+	e := NewEngine()
+	c := &countdown{e: e}
+	run := func() {
+		c.left = 1000
+		e.AtHandler(e.Now(), c)
+		e.Run()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+		t.Fatalf("handler-form dispatch allocates %.1f/run, want 0", allocs)
+	}
+
+	var order []int
+	at := e.Now().Add(Nanosecond)
+	e.At(at, func() { order = append(order, 1) })
+	e.AtHandler(at, funcHandler(func() { order = append(order, 2) }))
+	e.At(at, func() { order = append(order, 3) })
+	e.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("same-instant handlers and funcs fired as %v, want scheduling order", order)
+	}
+}
+
 // TestFiredTotal checks that engine-fired counts flush to the global
 // aggregate when runs return.
 func TestFiredTotal(t *testing.T) {

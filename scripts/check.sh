@@ -29,46 +29,40 @@ if [ -n "$undocumented" ]; then
 fi
 
 go test ./...
-# The pool defaults to GOMAXPROCS workers; force a wide pool so the race
-# pass exercises real interleavings even on small machines.
-NORMAN_WORKERS=8 go test -race -count=1 ./internal/sim/... ./internal/experiments/... ./internal/faults/...
-# Fault-injection determinism under race at an explicit non-default seed:
-# the E9 table must be byte-identical sequentially and at any pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E9|Fault|Trap|Abort' ./internal/experiments/... ./internal/faults/... ./internal/transport/... ./internal/nic/... ./internal/overlay/...
-# Crash-recovery determinism under race at the same non-default seed: the
-# E10 table (crash, journal replay, reconciliation) must also be
-# byte-identical sequentially and at any pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E10|Recovery|Journal|Reconcile' ./internal/experiments/... ./internal/recovery/... ./internal/ctl/...
-# Overload-governor determinism under race at the same non-default seed: the
-# E11 table (admission, backpressure, shedding past the DDIO cliff) and the
-# cross-subsystem chaos soak must be byte-identical sequentially and at any
-# pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E11|Overload|Watchdog|Watermark|Chaos' ./internal/experiments/... ./internal/overload/... ./internal/transport/... ./internal/mem/... .
-# Tenant-isolation determinism under race at the same non-default seed: the
-# E13 table (weighted scheduling, DDIO partitioning, per-tenant governor) and
-# the adversarial-tenant chaos soak must be byte-identical sequentially and
-# at any pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E13|Tenant' ./internal/experiments/... ./internal/nic/... ./internal/cache/... ./internal/overload/... ./internal/ctl/... .
-# Flow-cache determinism under race: the E14 table (hit rates, partition
-# quotas, clock eviction, typed denials) and the cache's conservation
-# ledger must be byte-identical sequentially and at any pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E14|FlowCache' ./internal/experiments/... ./internal/nic/... ./internal/ctl/... .
-# Hardware-fault / health-failover determinism under race at the same
-# non-default seed: the E15 table (checksum detection, quarantine,
-# slow-path failover, probation failback) and the hardware-fault layer of
-# the chaos soak must be byte-identical sequentially and at any pool
-# width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E15|Health|Chaos' ./internal/experiments/... ./internal/health/... ./internal/faults/... ./internal/nic/... .
-# Live-upgrade determinism under race at the same non-default seed: the
-# E16 table (staged A/B cutover, pause buffering, canary rollback, warm
-# handover), the generation/pause/outage accounting, the snapshot codec
-# and journal compaction must be byte-identical sequentially and at any
-# pool width.
-NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E16|Upgrade|Snapshot|Compact|Generation|Pause|Outage' ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
-# Sharded-engine determinism under race: the E12 table and the barrier
-# coordinator's merge order must be byte-identical at any shard count
-# (DESIGN.md §8), with the lockstep worker goroutines under the detector.
-NORMAN_WORKERS=8 go test -race -count=1 -run 'E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst' ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
+# Race passes. The pool defaults to GOMAXPROCS workers; NORMAN_WORKERS=8
+# forces a wide pool so the detector sees real interleavings even on small
+# machines, and each subsystem's determinism tests run at an explicit
+# non-default fault seed: its experiment table and its slice of the chaos
+# soak must be byte-identical sequentially and at any pool width. One row per
+# pass: fault seed (- = default), -run pattern (- = every test), packages.
+while read -r seed pattern pkgs; do
+	case "$seed" in '' | '#'*) continue ;; esac
+	[ "$seed" = - ] && seed= || seed="NORMAN_FAULT_SEED=$seed"
+	[ "$pattern" = - ] && pattern= || pattern="-run $pattern"
+	# shellcheck disable=SC2086 # seed, pattern and pkgs are word lists
+	env NORMAN_WORKERS=8 $seed go test -race -count=1 $pattern $pkgs
+done <<'PASSES'
+# every test of the packages that run worlds on parallel goroutines
+- - ./internal/sim/... ./internal/experiments/... ./internal/faults/...
+# E9: fault injection, trap fallback, transport aborts
+7 E9|Fault|Trap|Abort ./internal/experiments/... ./internal/faults/... ./internal/transport/... ./internal/nic/... ./internal/overlay/...
+# E10: crash, journal replay, reconciliation
+7 E10|Recovery|Journal|Reconcile ./internal/experiments/... ./internal/recovery/... ./internal/ctl/...
+# E11: admission, backpressure, shedding past the DDIO cliff; the chaos soak
+7 E11|Overload|Watchdog|Watermark|Chaos ./internal/experiments/... ./internal/overload/... ./internal/transport/... ./internal/mem/... .
+# E13: weighted scheduling, DDIO partitioning, the adversarial-tenant soak
+7 E13|Tenant ./internal/experiments/... ./internal/nic/... ./internal/cache/... ./internal/overload/... ./internal/ctl/... .
+# E14: flow-cache hit rates, partition quotas, clock eviction, the ledger
+7 E14|FlowCache ./internal/experiments/... ./internal/nic/... ./internal/ctl/... .
+# E15: checksum detection, quarantine, slow-path failover, probation failback
+7 E15|Health|Chaos ./internal/experiments/... ./internal/health/... ./internal/faults/... ./internal/nic/... .
+# E16: staged A/B cutover, pause buffering, canary rollback, snapshot codec
+7 E16|Upgrade|Snapshot|Compact|Generation|Pause|Outage ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
+# E12: the barrier coordinator's merge order at any shard count (DESIGN.md §8)
+- E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
+# datapath job records: every early exit returns its record, hot paths allocate nothing
+7 Jobs|ZeroAlloc|HandlerForm ./internal/sim/... ./internal/nic/... ./internal/arch/...
+PASSES
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
 # socket, and validate the exported file carries the classic little-endian
@@ -255,4 +249,14 @@ done
 grep -q "engine: 4 shards" "$tmp/shards.out"
 grep -q "shard 3:" "$tmp/shards.out"
 kill "$daemon_pid"
+# Modeled-output gate: a short normbench run must reproduce the committed
+# baseline's model fingerprint on all four workloads. Modeled outputs are
+# machine-independent, so any difference is a behaviour change; host metrics
+# carry this machine's noise and are not gated here (compare's own exit
+# status is about them, hence the || true).
+go build -o "$tmp/normbench" ./bench/cmd/normbench
+"$tmp/normbench" -seed 1 -seconds 5 -out "$tmp/nb.json" -trace-out "$tmp/nb-trace" >/dev/null
+"$tmp/normbench" -compare bench/baseline/seed1.json "$tmp/nb.json" >"$tmp/nb.cmp" || true
+grep model_fingerprint "$tmp/nb.cmp"
+[ "$(grep model_fingerprint "$tmp/nb.cmp" | grep -c ' same$')" -eq 4 ]
 echo "check.sh: all gates passed"
