@@ -2,7 +2,11 @@ package norman_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"norman"
@@ -365,6 +369,40 @@ func TestChaosSoak(t *testing.T) {
 	if r2 := chaosRun(t); !reflect.DeepEqual(r, r2) {
 		t.Errorf("chaos soak not deterministic:\nrun1 %+v\nrun2 %+v", r, r2)
 	}
+	// And it is the same fingerprint every build has produced since the golden
+	// was cut: a refactor of anything under the soak reproduces it byte for
+	// byte or says why not.
+	checkGoldenLine(t, "chaos", fmt.Sprintf("%+v", r))
+}
+
+// checkGoldenLine compares got with the "key: …" line of testdata/chaos.golden
+// (both soaks run fixed seeds, so their %+v fingerprints are constants of the
+// code). A deliberate behaviour change regenerates a line by deleting it (or
+// the file) and running the test once: a missing line is appended from got and
+// the run fails so the new value gets reviewed, never silently adopted.
+func checkGoldenLine(t *testing.T, key, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "chaos.golden")
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	prefix := key + ": "
+	for _, line := range strings.Split(string(data), "\n") {
+		if want, ok := strings.CutPrefix(line, prefix); ok {
+			if got != want {
+				t.Errorf("%s %q differs from the golden:\n got: %s\nwant: %s", path, key, got, want)
+			}
+			return
+		}
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, prefix+got+"\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("%s had no %q line: appended it from this run; review and commit it", path, key)
 }
 
 // chaosTenantResult fingerprints one adversarial-tenant soak: per-tenant
@@ -543,4 +581,5 @@ func TestChaosAdversarialTenant(t *testing.T) {
 	if r2 := chaosTenantRun(t); !reflect.DeepEqual(r, r2) {
 		t.Errorf("adversarial-tenant soak not deterministic:\nrun1 %+v\nrun2 %+v", r, r2)
 	}
+	checkGoldenLine(t, "tenant", fmt.Sprintf("%+v", r))
 }

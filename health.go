@@ -1,9 +1,6 @@
 package norman
 
-import (
-	"norman/internal/health"
-	"norman/internal/telemetry"
-)
+import "norman/internal/health"
 
 // EnableHealth attaches the NIC hardware-health monitor: per-component
 // error/latency signals (trap-fallback rate, flow-cache checksum failures,
@@ -16,12 +13,7 @@ import (
 func (s *System) EnableHealth(cfg health.Config) *health.Monitor {
 	if s.hm == nil {
 		s.hm = health.New(s.w.Eng, s.w.NIC, cfg)
-		if s.w.Tracer != nil {
-			s.hm.SetTracer(s.w.Tracer)
-		}
-		if s.reg != nil {
-			s.hm.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
+		s.attach(partHealth, s.hm)
 	}
 	return s.hm
 }

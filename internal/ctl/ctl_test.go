@@ -72,6 +72,26 @@ func TestStatusAndAdvance(t *testing.T) {
 	}
 }
 
+// TestStatusCountsLinkDrops: a frame the MAC drops while the link is down is a
+// typed ingress drop like any other, so status must count it — during a flap
+// an operator would otherwise watch rx_frames grow with nothing delivered and
+// nothing dropped.
+func TestStatusCountsLinkDrops(t *testing.T) {
+	c, sys := startServer(t)
+	sys.World().NIC.SetLink(false)
+	var st StatusData
+	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 1}, &st); err != nil {
+		t.Fatal(err)
+	}
+	link := sys.World().NIC.RxLinkDrop
+	if link == 0 {
+		t.Fatal("echo replies arriving on a down link must be dropped at the MAC")
+	}
+	if st.RxDrops < link {
+		t.Fatalf("status rx_drops = %d, want it to include the %d link-down drops", st.RxDrops, link)
+	}
+}
+
 func TestRuleLifecycle(t *testing.T) {
 	c, _ := startServer(t)
 	uid := uint32(1000)

@@ -246,11 +246,10 @@ func (s *Server) status() (json.RawMessage, error) {
 		VirtualTime:  s.sys.Now().String(),
 		TxFrames:     w.NIC.TxFrames,
 		RxFrames:     w.NIC.RxWire,
-		RxDrops: w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxDropVerdict +
-			w.NIC.RxFifoDrop + w.NIC.RxOutageDrop + w.NIC.RxShed + w.NIC.RxPauseDrop,
-		SRAMUsed:   used,
-		SRAMBudget: budget,
-		Conns:      w.NIC.ConnCount(),
+		RxDrops:      w.NIC.RxDropped(),
+		SRAMUsed:     used,
+		SRAMBudget:   budget,
+		Conns:        w.NIC.ConnCount(),
 	})
 }
 

@@ -243,8 +243,6 @@ func e11Run(n int, governed bool, scale Scale) e11Result {
 	}
 	// The zero-silent-loss ledger: every offered frame is delivered or sits
 	// in exactly one drop counter.
-	counted := w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxFifoDrop +
-		w.NIC.RxDropVerdict + w.NIC.RxOutageDrop + w.NIC.RxShed
-	res.silent = int64(gen.Sent) - int64(delivered) - int64(counted)
+	res.silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return res
 }

@@ -358,8 +358,6 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	}
 	// The zero-silent-loss ledger: every offered frame is delivered or sits
 	// in exactly one drop counter.
-	counted := w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxFifoDrop +
-		w.NIC.RxDropVerdict + w.NIC.RxOutageDrop + w.NIC.RxShed
-	res.silent = int64(sent()) - int64(delivered) - int64(counted)
+	res.silent = int64(sent()) - int64(delivered) - int64(w.NIC.RxDropped())
 	return res
 }

@@ -303,8 +303,6 @@ func e14Run(floodFlows int, leg e14Leg, scale Scale, shards int) e14Result {
 	}
 	// The zero-silent-loss ledger: every offered frame is delivered or sits
 	// in exactly one drop counter — with or without the fast path.
-	counted := w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxFifoDrop +
-		w.NIC.RxDropVerdict + w.NIC.RxOutageDrop + w.NIC.RxShed
-	res.silent = int64(sent) - int64(delivered) - int64(counted)
+	res.silent = int64(sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return res
 }

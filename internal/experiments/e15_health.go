@@ -187,7 +187,7 @@ func e15Run(archName string, scale Scale, shards int) E15Point {
 		Arch:          archName,
 		Delivered:     delivered,
 		LinkDrops:     w.NIC.RxLinkDrop,
-		TrapFallbacks: w.NIC.TrapFallbacks + w.NIC.TrapFailOpens,
+		TrapFallbacks: w.NIC.Traps(),
 	}
 	if fc := w.NIC.FlowCache(); fc != nil {
 		p.CorruptServed = fc.CorruptServed
@@ -207,8 +207,6 @@ func e15Run(archName string, scale Scale, shards int) E15Point {
 	// exactly one drop counter — including frames lost at the MAC while the
 	// link was down and frames eaten by a (possibly corrupted) cached
 	// verdict. Zero silent loss is the failover's proof obligation.
-	counted := w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxFifoDrop +
-		w.NIC.RxDropVerdict + w.NIC.RxOutageDrop + w.NIC.RxShed + w.NIC.RxLinkDrop
-	p.Silent = int64(gen.Sent) - int64(delivered) - int64(counted)
+	p.Silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return p
 }

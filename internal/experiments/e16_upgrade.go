@@ -284,9 +284,6 @@ func e16Run(archName string, scale Scale, shards int) E16Point {
 	// offered frame is delivered, held-and-replayed, or sits in exactly one
 	// typed drop counter. Zero silent loss is the upgrade's proof obligation —
 	// including for the architecture that blackholed.
-	counted := w.NIC.RxDropNoSteer + w.NIC.RxDropRing + w.NIC.RxFifoDrop +
-		w.NIC.RxDropVerdict + w.NIC.RxOutageDrop + w.NIC.RxShed +
-		w.NIC.RxLinkDrop + w.NIC.RxPauseDrop
-	p.Silent = int64(gen.Sent) - int64(delivered) - int64(counted)
+	p.Silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return p
 }

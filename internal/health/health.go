@@ -29,12 +29,14 @@
 // Probing undoes the action; a relapse during probation re-applies it. All
 // sampling runs on the world's virtual-time engine with no RNG draws, so the
 // monitor is deterministic by construction and byte-identical at any worker
-// width.
+// width. The sampler and the streak counting are internal/supervise's; this
+// package supplies the four signals and the failover actions.
 package health
 
 import (
 	"norman/internal/nic"
 	"norman/internal/sim"
+	"norman/internal/supervise"
 	"norman/internal/telemetry"
 )
 
@@ -138,11 +140,10 @@ func (c Config) dmaQueueBound() int {
 
 // comp is one component's runtime state.
 type comp struct {
-	name       Component
-	state      State
-	hotStreak  int // consecutive faulty samples while healthy
-	calmStreak int // consecutive calm samples while quarantined/probing
-	faulty     bool
+	name   Component
+	state  State
+	streak supervise.Streak // faulty samples while healthy, calm ones after
+	faulty bool
 
 	// Event counters, surfaced in Status and metrics.
 	signals     uint64 // faulty samples observed
@@ -167,20 +168,18 @@ type ComponentStatus struct {
 // quarantine/probation state machine. Like everything else on the dataplane
 // it lives on one engine's event loop and is not safe for concurrent use.
 type Monitor struct {
-	eng    *sim.Engine
 	n      *nic.NIC
 	cfg    Config
 	tracer *telemetry.Tracer
 
-	comps    []*comp
-	until    sim.Time
-	watchGen uint64
-	running  bool
+	// Start(until)/Stop/Running are the sampler's: until bounds it in virtual
+	// time (0 = forever), and Stop retains component states and any active
+	// quarantine actions.
+	*supervise.Sampler
+	comps []*comp
 
-	// Previous counter snapshots for delta signals.
-	prevStallNs uint64
-	prevCkFails uint64
-	prevTraps   uint64
+	// The counters read as per-period signals.
+	stallNs, ckFails, traps supervise.Delta
 
 	// Aggregate event counters.
 	Samples     uint64
@@ -196,7 +195,6 @@ type Monitor struct {
 // after the monitor is still covered.
 func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Monitor {
 	m := &Monitor{
-		eng: eng,
 		n:   n,
 		cfg: cfg,
 		comps: []*comp{
@@ -206,6 +204,7 @@ func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Monitor {
 			{name: Pipeline},
 		},
 	}
+	m.Sampler = supervise.NewSampler(eng, cfg.sampleEvery(), m.sample)
 	if fc := n.FlowCache(); fc != nil {
 		fc.SetVerify(true)
 	}
@@ -224,69 +223,23 @@ func (m *Monitor) span(now sim.Time, point string, c *comp) {
 	m.tracer.Record(m.tracer.StampID(), now, "health", point, "component="+string(c.name))
 }
 
-// Start arms the sampler until the given virtual time (0 = forever).
-func (m *Monitor) Start(until sim.Time) {
-	if m.running {
-		return
-	}
-	m.running = true
-	m.until = until
-	m.watchGen++
-	gen := m.watchGen
-	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
-}
-
-// Stop halts the sampler; in-flight ticks become no-ops. Component states
-// (and any active quarantine actions) are retained.
-func (m *Monitor) Stop() {
-	m.running = false
-	m.watchGen++
-}
-
-// Running reports whether the sampler is armed.
-func (m *Monitor) Running() bool { return m.running }
-
-func (m *Monitor) tick(gen uint64) {
-	if gen != m.watchGen {
-		return
-	}
-	now := m.eng.Now()
-	if m.until != 0 && now.After(m.until) {
-		m.running = false
-		return
-	}
-	m.sample(now)
-	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
-}
-
 // sample reads each component's signal once and advances its state machine.
 // Signals are counter deltas (or levels) over one period, so a burst that
 // happened entirely inside a period is seen exactly once — and a component
 // must stay noisy across EscalateAfter periods to be quarantined.
-func (m *Monitor) sample(now sim.Time) {
+func (m *Monitor) sample(now sim.Time) bool {
 	m.Samples++
 	if fc := m.n.FlowCache(); fc != nil && !fc.Verify() {
 		fc.SetVerify(true)
 	}
 
 	// DMA: injected stall time per period against the allowed fraction.
-	stall := m.n.DMAStallNs
-	dStall := stall - m.prevStallNs
-	m.prevStallNs = stall
+	dStall := m.stallNs.Take(m.n.DMAStallNs)
 	budget := uint64(float64(m.cfg.sampleEvery()/sim.Nanosecond) * m.cfg.dmaStallFrac())
-
 	// Flow cache: detected checksum failures per period.
-	var ck uint64
-	if fc := m.n.FlowCache(); fc != nil {
-		ck = fc.ChecksumFails
-	}
-	dCk := ck - m.prevCkFails
-	m.prevCkFails = ck
-
+	dCk := m.ckFails.Take(m.n.ChecksumFails())
 	// Pipeline: traps absorbed (fallbacks) or terminal (fail-opens).
-	traps := m.n.TrapFallbacks + m.n.TrapFailOpens
-	dTraps := traps - m.prevTraps
-	m.prevTraps = traps
+	dTraps := m.traps.Take(m.n.Traps())
 
 	for _, c := range m.comps {
 		switch c.name {
@@ -304,44 +257,37 @@ func (m *Monitor) sample(now sim.Time) {
 		}
 		m.advance(now, c)
 	}
+	return true
 }
 
-// advance runs one component's state machine for one sample.
+// advance runs one component's state machine for one sample. The state picks
+// the two streak bounds; the streak says when one is reached.
 func (m *Monitor) advance(now sim.Time, c *comp) {
+	dir := -1
+	if c.faulty {
+		dir = +1
+	}
+	up, down := m.cfg.escalateAfter(), 0 // healthy: calm samples lead nowhere
 	switch c.state {
-	case Healthy:
-		if !c.faulty {
-			c.hotStreak = 0
-			return
-		}
-		c.hotStreak++
-		if c.hotStreak >= m.cfg.escalateAfter() {
-			m.quarantine(now, c)
-		}
 	case Quarantined:
-		if c.faulty {
-			c.calmStreak = 0
-			return
-		}
-		c.calmStreak++
-		if c.calmStreak >= m.cfg.probationAfter() {
-			m.probe(now, c)
-		}
+		up, down = 0, m.cfg.probationAfter()
 	case Probation:
-		if c.faulty {
-			// Relapse: the fault came back the moment the component was
-			// trusted again — re-quarantine (a fresh event, counted again).
-			m.quarantine(now, c)
+		// Relapse: a single faulty sample the moment the component is trusted
+		// again re-quarantines it (a fresh event, counted again).
+		up, down = 1, m.cfg.restoreAfter()
+	}
+	switch c.streak.Step(dir, up, down) {
+	case +1:
+		m.quarantine(now, c)
+	case -1:
+		if c.state == Quarantined {
+			m.probe(now, c)
 			return
 		}
-		c.calmStreak++
-		if c.calmStreak >= m.cfg.restoreAfter() {
-			c.state = Healthy
-			c.calmStreak = 0
-			c.failbacks++
-			m.Failbacks++
-			m.span(now, "failback", c)
-		}
+		c.state = Healthy
+		c.failbacks++
+		m.Failbacks++
+		m.span(now, "failback", c)
 	}
 }
 
@@ -351,8 +297,6 @@ func (m *Monitor) advance(now sim.Time, c *comp) {
 // removed.
 func (m *Monitor) quarantine(now sim.Time, c *comp) {
 	c.state = Quarantined
-	c.hotStreak = 0
-	c.calmStreak = 0
 	c.quarantines++
 	m.Quarantines++
 	m.span(now, "quarantine", c)
@@ -387,7 +331,6 @@ func (m *Monitor) quarantine(now sim.Time, c *comp) {
 // the fast path is trusted again, under watch — a relapse re-quarantines.
 func (m *Monitor) probe(now sim.Time, c *comp) {
 	c.state = Probation
-	c.calmStreak = 0
 	m.Probes++
 	m.span(now, "probe", c)
 	switch c.name {

@@ -288,6 +288,29 @@ type NIC struct {
 	IngressProgCycles uint64
 }
 
+// RxDropped sums every typed ingress drop class: no-steer, ring, verdict,
+// FIFO, outage, shed, link, pause. It is the "counted" term of the
+// conservation ledger (sent − delivered − counted = silent loss) and the
+// rx_drops an operator sees; a new drop class is added here and nowhere else.
+func (n *NIC) RxDropped() uint64 {
+	return n.RxDropNoSteer + n.RxDropRing + n.RxDropVerdict + n.RxFifoDrop +
+		n.RxOutageDrop + n.RxShed + n.RxLinkDrop + n.RxPauseDrop
+}
+
+// Traps is the pipeline-fault signal the health monitor and the upgrade
+// canary both sample: overlay traps absorbed (fallbacks) or terminal
+// (fail-opens).
+func (n *NIC) Traps() uint64 { return n.TrapFallbacks + n.TrapFailOpens }
+
+// ChecksumFails is the flow-cache corruption signal the same two supervisors
+// sample: entries whose checksum failed verification, 0 with no cache.
+func (n *NIC) ChecksumFails() uint64 {
+	if n.fc == nil {
+		return 0
+	}
+	return n.fc.ChecksumFails
+}
+
 // New builds a NIC.
 func New(cfg Config) *NIC {
 	if cfg.Engine == nil {

@@ -20,7 +20,9 @@
 //     high-priority goodput survives the cliff.
 //   - Watchdog: a virtual-time sampler drives a three-state health machine
 //     (ok/pressured/saturated) with streak-based hysteresis, exported via
-//     metrics, trace spans, and the overload.status ctl op.
+//     metrics, trace spans, and the overload.status ctl op. The sampler and
+//     the hysteresis are internal/supervise's; this package supplies the
+//     signals and the actions.
 package overload
 
 import (
@@ -32,6 +34,7 @@ import (
 	"norman/internal/nic"
 	"norman/internal/packet"
 	"norman/internal/sim"
+	"norman/internal/supervise"
 	"norman/internal/telemetry"
 )
 
@@ -107,6 +110,14 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// The watermarks: the ring/FIFO occupancy fraction that raises pressure, and
+// the fraction it must fall back under before pressure releases. Readings in
+// the dead band between them hold the current state.
+const (
+	highWatermark = 0.75
+	lowWatermark  = 0.25
+)
+
 // Config parameterizes a Governor. Zero values pick the defaults noted.
 type Config struct {
 	// DDIOShare is the fraction of the LLC's DDIO capacity that admitted
@@ -116,11 +127,6 @@ type Config struct {
 	// MaxConnsPerTenant caps simultaneously open connections per UID.
 	// 0 = unlimited.
 	MaxConnsPerTenant int
-	// HighWatermark is the ring/FIFO occupancy fraction that raises
-	// pressure; 0 = 0.75. LowWatermark is the fraction that must clear
-	// before pressure releases; 0 = 0.25.
-	HighWatermark float64
-	LowWatermark  float64
 	// SampleEvery is the watchdog sampling period in virtual time; 0 = 10µs.
 	SampleEvery sim.Duration
 	// EscalateAfter is how many consecutive hot samples escalate the state
@@ -149,20 +155,6 @@ func (c Config) ddioShare() float64 {
 	return c.DDIOShare
 }
 
-func (c Config) highWater() float64 {
-	if c.HighWatermark <= 0 {
-		return 0.75
-	}
-	return c.HighWatermark
-}
-
-func (c Config) lowWater() float64 {
-	if c.LowWatermark <= 0 {
-		return 0.25
-	}
-	return c.LowWatermark
-}
-
 func (c Config) sampleEvery() sim.Duration {
 	if c.SampleEvery <= 0 {
 		return 10 * sim.Microsecond
@@ -189,7 +181,6 @@ func (c Config) clearAfter() int {
 // hang off it. It runs entirely in virtual time and keeps plain counters, so
 // it is deterministic and free when idle.
 type Governor struct {
-	eng *sim.Engine
 	nic *nic.NIC
 	cfg Config
 
@@ -198,14 +189,10 @@ type Governor struct {
 	ringBytes   int // RX descriptor footprint admitted so far
 	ringBudget  int // ddioShare × LLC DDIOBytes; 0 = unlimited (no cache model)
 
-	// Watchdog.
-	state      State
-	hotStreak  int
-	calmStreak int
-	lastDrops  uint64 // NIC drop counters at the previous sample
-	until      sim.Time
-	watchGen   uint64 // bumps cancel in-flight ticks
-	running    bool
+	// Watchdog: Start(until)/Stop/Running are the sampler's — until bounds it
+	// in virtual time (0 = until Stop), and Stop retains the health state.
+	*supervise.Sampler
+	machine
 
 	subs   []func(pressured bool)
 	tracer *telemetry.Tracer
@@ -223,9 +210,41 @@ type Governor struct {
 	rejectedLoad     uint64
 	rejectedThrottle uint64
 	rejectedProgram  uint64
-	transitions      uint64
 	signals          uint64
 	shedPkts         uint64
+}
+
+// machine is one three-state health machine — the global watchdog's, and each
+// tenant's private one — with the drop counter it reads as its saturation
+// signal.
+type machine struct {
+	state       State
+	streak      supervise.Streak
+	drops       supervise.Delta
+	transitions uint64
+}
+
+// advance turns one raw reading through the hysteresis: EscalateAfter
+// consecutive readings above the current state raise it one level,
+// ClearAfter consecutive calm readings below it lower it one level, anything
+// else — the dead band between the watermarks included — holds it and breaks
+// both runs. It reports the state left behind when the machine moved.
+func (m *machine) advance(raw State, calm bool, cfg Config) (prev State, moved bool) {
+	dir := 0
+	switch {
+	case raw > m.state:
+		dir = +1
+	case raw < m.state && calm:
+		dir = -1
+	}
+	step := m.streak.Step(dir, cfg.escalateAfter(), cfg.clearAfter())
+	if step == 0 {
+		return m.state, false
+	}
+	prev = m.state
+	m.state += State(step)
+	m.transitions++
+	return prev, true
 }
 
 // tenantGov is one tenant's private budget and health machine.
@@ -234,23 +253,18 @@ type tenantGov struct {
 	weight     int
 	ringBytes  int
 	ringBudget int // weight share of the governor budget; 0 = unlimited
-
-	state       State
-	hotStreak   int
-	calmStreak  int
-	lastDrops   uint64
-	transitions uint64
+	machine
 }
 
 // NewGovernor builds a governor over the NIC. llc supplies the DDIO budget;
 // nil (no cache model) leaves ring admission unlimited.
 func NewGovernor(eng *sim.Engine, n *nic.NIC, llc *cache.LLC, cfg Config) *Governor {
 	g := &Governor{
-		eng:         eng,
 		nic:         n,
 		cfg:         cfg,
 		tenantConns: make(map[uint32]int),
 	}
+	g.Sampler = supervise.NewSampler(eng, cfg.sampleEvery(), g.sample)
 	if llc != nil {
 		g.ringBudget = int(cfg.ddioShare() * float64(llc.DDIOBytes()))
 	}
@@ -299,9 +313,6 @@ func (g *Governor) SetTracer(t *telemetry.Tracer) { g.tracer = t }
 
 // State returns the watchdog's current health state.
 func (g *Governor) State() State { return g.state }
-
-// Running reports whether the watchdog sampler is active.
-func (g *Governor) Running() bool { return g.running }
 
 // connCost is the RX descriptor footprint one connection pins in the DDIO
 // ways: ringSize descriptor cache lines. This is the quantity whose aggregate
@@ -419,40 +430,6 @@ func (g *Governor) InstallShedding(classOf func(uid uint32) uint32, weights map[
 	})
 }
 
-// Start launches the watchdog sampler. until bounds it in virtual time
-// (0 = run until Stop) — experiments pass their horizon so the engine can
-// drain to quiescence afterwards. Idempotent while running.
-func (g *Governor) Start(until sim.Time) {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.until = until
-	g.watchGen++
-	gen := g.watchGen
-	g.eng.After(g.cfg.sampleEvery(), func() { g.tick(gen) })
-}
-
-// Stop halts the watchdog; in-flight ticks become no-ops. The health state
-// is retained.
-func (g *Governor) Stop() {
-	g.running = false
-	g.watchGen++
-}
-
-func (g *Governor) tick(gen uint64) {
-	if gen != g.watchGen {
-		return
-	}
-	now := g.eng.Now()
-	if g.until != 0 && now.After(g.until) {
-		g.running = false
-		return
-	}
-	g.sample(now)
-	g.eng.After(g.cfg.sampleEvery(), func() { g.tick(gen) })
-}
-
 // occupancy returns the aggregate RX ring occupancy fraction, the ingress
 // FIFO fill fraction, and how many rings sit above their high watermark.
 func (g *Governor) occupancy() (occ, fifo float64, overHigh int) {
@@ -466,129 +443,65 @@ func (g *Governor) occupancy() (occ, fifo float64, overHigh int) {
 	return occ, fifo, over
 }
 
-// sample takes one watchdog reading and turns it through the hysteresis
-// machine: EscalateAfter consecutive hot samples raise the state one level,
-// ClearAfter consecutive calm samples (below the *low* watermark, with no
-// new drops) lower it one level. Raw readings between the watermarks hold
-// the current state — that dead band is what prevents oscillation.
-func (g *Governor) sample(now sim.Time) {
+// sample takes one watchdog reading and advances the global machine and then
+// each tenant's: a new drop since the last sample reads saturated, occupancy
+// past the high watermark reads pressured, and only a reading back under the
+// *low* watermark with no new drops counts as calm.
+func (g *Governor) sample(now sim.Time) bool {
 	occ, fifo, overHigh := g.occupancy()
-	drops := g.nic.RxFifoDrop + g.nic.RxDropRing
-	delta := drops - g.lastDrops
-	g.lastDrops = drops
-
-	hi, lo := g.cfg.highWater(), g.cfg.lowWater()
-	var raw State
-	switch {
-	case delta > 0:
-		raw = StateSaturated
-	case occ >= hi || fifo >= hi || overHigh > 0:
-		raw = StatePressured
-	default:
-		raw = StateOK
-	}
-
-	switch {
-	case raw > g.state:
-		g.hotStreak++
-		g.calmStreak = 0
-		if g.hotStreak >= g.cfg.escalateAfter() {
-			g.setState(g.state+1, now)
-			g.hotStreak = 0
-		}
-	case raw < g.state && occ <= lo && fifo <= lo && delta == 0:
-		g.calmStreak++
-		g.hotStreak = 0
-		if g.calmStreak >= g.cfg.clearAfter() {
-			g.setState(g.state-1, now)
-			g.calmStreak = 0
-		}
-	default:
-		g.hotStreak = 0
-		g.calmStreak = 0
+	delta := g.drops.Take(g.nic.RxFifoDrop + g.nic.RxDropRing)
+	raw := rawState(delta, occ >= highWatermark || fifo >= highWatermark || overHigh > 0)
+	calm := occ <= lowWatermark && fifo <= lowWatermark && delta == 0
+	if prev, moved := g.advance(raw, calm, g.cfg); moved {
+		g.transitioned(prev, now)
 	}
 
 	// Per-tenant health machines, in sorted tenant order: each tenant is
 	// judged only by its own rings and its own FIFO-share drops, through the
 	// same escalate/clear hysteresis as the global watchdog.
 	for _, id := range g.tenantOrder {
-		g.sampleTenant(g.tenants[id], now, hi, lo)
+		g.sampleTenant(g.tenants[id], now)
 	}
+	return true
 }
 
-func (g *Governor) sampleTenant(tg *tenantGov, now sim.Time, hi, lo float64) {
+// rawState ranks one reading: drops outrank pressure.
+func rawState(newDrops uint64, pressured bool) State {
+	switch {
+	case newDrops > 0:
+		return StateSaturated
+	case pressured:
+		return StatePressured
+	}
+	return StateOK
+}
+
+// sampleTenant advances one tenant's machine, emitting a "throttle" span
+// under the "tenant" layer on a transition so traces show who was squeezed
+// and when.
+func (g *Governor) sampleTenant(tg *tenantGov, now sim.Time) {
 	used, capacity, overHigh := g.nic.TenantRxOccupancy(tg.tenant)
 	var occ float64
 	if capacity > 0 {
 		occ = float64(used) / float64(capacity)
 	}
-	drops := g.nic.TenantFifoDrops(tg.tenant)
-	delta := drops - tg.lastDrops
-	tg.lastDrops = drops
-
+	delta := tg.drops.Take(g.nic.TenantFifoDrops(tg.tenant))
 	budgetFull := tg.ringBudget > 0 && tg.ringBytes+g.connCost() > tg.ringBudget
-	var raw State
-	switch {
-	case delta > 0:
-		raw = StateSaturated
-	case occ >= hi || overHigh > 0 || budgetFull:
-		raw = StatePressured
-	default:
-		raw = StateOK
-	}
-
-	switch {
-	case raw > tg.state:
-		tg.hotStreak++
-		tg.calmStreak = 0
-		if tg.hotStreak >= g.cfg.escalateAfter() {
-			g.setTenantState(tg, tg.state+1, now)
-			tg.hotStreak = 0
-		}
-	case raw < tg.state && occ <= lo && delta == 0 && !budgetFull:
-		tg.calmStreak++
-		tg.hotStreak = 0
-		if tg.calmStreak >= g.cfg.clearAfter() {
-			g.setTenantState(tg, tg.state-1, now)
-			tg.calmStreak = 0
-		}
-	default:
-		tg.hotStreak = 0
-		tg.calmStreak = 0
+	raw := rawState(delta, occ >= highWatermark || overHigh > 0 || budgetFull)
+	calm := occ <= lowWatermark && delta == 0 && !budgetFull
+	if prev, moved := tg.advance(raw, calm, g.cfg); moved && g.tracer != nil {
+		g.tracer.Record(g.tracer.StampID(), now, "tenant", "throttle",
+			fmt.Sprintf("tenant=%d %s->%s", tg.tenant, prev, tg.state))
 	}
 }
 
-// setTenantState commits one tenant's health transition, emitting a
-// "throttle" span under the "tenant" layer so traces show who was squeezed
-// and when.
-func (g *Governor) setTenantState(tg *tenantGov, s State, now sim.Time) {
-	if s == tg.state {
-		return
-	}
-	prev := tg.state
-	tg.state = s
-	tg.transitions++
+// transitioned follows a move of the global machine: emit a trace span, and
+// notify subscribers on the pressure edge (leaving OK / returning to OK).
+func (g *Governor) transitioned(prev State, now sim.Time) {
 	if g.tracer != nil {
-		id := g.tracer.StampID()
-		g.tracer.Record(id, now, "tenant", "throttle",
-			fmt.Sprintf("tenant=%d %s->%s", tg.tenant, prev, s))
+		g.tracer.Record(g.tracer.StampID(), now, "overload", "pressure", prev.String()+"->"+g.state.String())
 	}
-}
-
-// setState commits a transition: count it, emit a trace span, and notify
-// subscribers on the pressure edge (leaving OK / returning to OK).
-func (g *Governor) setState(s State, now sim.Time) {
-	if s == g.state {
-		return
-	}
-	prev := g.state
-	g.state = s
-	g.transitions++
-	if g.tracer != nil {
-		id := g.tracer.StampID()
-		g.tracer.Record(id, now, "overload", "pressure", prev.String()+"->"+s.String())
-	}
-	on, wasOn := s != StateOK, prev != StateOK
+	on, wasOn := g.state != StateOK, prev != StateOK
 	if on != wasOn {
 		g.signals++
 		for _, fn := range g.subs {
@@ -709,7 +622,7 @@ func (g *Governor) Snapshot() Snapshot {
 		FifoFrac:         fifo,
 		ShedPackets:      g.shedPkts,
 		Signals:          g.signals,
-		Watching:         g.running,
+		Watching:         g.Running(),
 		Tenants:          g.TenantSnapshots(),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"norman/internal/overlay"
 	"norman/internal/recovery"
 	"norman/internal/sim"
+	"norman/internal/supervise"
 	"norman/internal/telemetry"
 )
 
@@ -52,38 +53,28 @@ var (
 	ErrBusy        = errors.New("upgrade: an upgrade is already in flight")
 )
 
-// Config tunes the manager. The zero value is usable: every knob has a
-// default sized so a cutover's pause covers the MMIO activation cost with an
-// order of magnitude to spare and the canary catches a misbehaving chain
-// within a few samples.
+// The canary's verdict rule and the cutover's pause bound. The pause buffer
+// covers the MMIO activation cost with an order of magnitude to spare
+// (overflow is the typed RxPauseDrop class). A freshly cut-over generation
+// that traps, drops or corrupts *at all* in a sample is breaching, and
+// breachAfter consecutive breaching samples roll it back — one-off blips
+// survive, sustained regressions do not.
+const (
+	pauseFrames          = nic.DefaultPauseFrames
+	breachAfter          = 2
+	maxTrapsPerSample    = 0
+	maxDropsPerSample    = 0
+	maxChecksumPerSample = 0
+)
+
+// Config tunes the manager. The zero value is usable.
 type Config struct {
-	// PauseFrames bounds the cutover pause buffer (default
-	// nic.DefaultPauseFrames). Overflow is the typed RxPauseDrop class.
-	PauseFrames int
 	// CanaryWindow is how long the old generation is retained after cutover
 	// while the new one proves itself (default 200 µs).
 	CanaryWindow sim.Duration
 	// SampleEvery is the canary sampling period (default 5 µs, matching the
 	// health monitor's cadence).
 	SampleEvery sim.Duration
-	// BreachAfter is how many consecutive breaching samples trigger rollback
-	// (default 2 — one-off blips survive, sustained regressions do not).
-	BreachAfter int
-	// MaxTrapsPerSample, MaxDropsPerSample and MaxChecksumPerSample are the
-	// per-sample deltas of pipeline traps, ingress verdict drops and
-	// flow-cache checksum failures the canary tolerates. The defaults are
-	// zero: a freshly cut-over generation that traps, drops or corrupts at
-	// all is breaching.
-	MaxTrapsPerSample    uint64
-	MaxDropsPerSample    uint64
-	MaxChecksumPerSample uint64
-}
-
-func (c Config) pauseFrames() int {
-	if c.PauseFrames > 0 {
-		return c.PauseFrames
-	}
-	return nic.DefaultPauseFrames
 }
 
 func (c Config) canaryWindow() sim.Duration {
@@ -98,13 +89,6 @@ func (c Config) sampleEvery() sim.Duration {
 		return c.SampleEvery
 	}
 	return 5 * sim.Microsecond
-}
-
-func (c Config) breachAfter() int {
-	if c.BreachAfter > 0 {
-		return c.BreachAfter
-	}
-	return 2
 }
 
 // Manager sequences live upgrades of one NIC's interposition layer. Like the
@@ -129,14 +113,12 @@ type Manager struct {
 	// cutover is only sound when it is the very chain the snapshot's entries
 	// were computed under (a same-policy flip, e.g. a bitstream respin).
 	stagedIng *overlay.Program
-	// canary sampler state (the health monitor's watchGen pattern).
-	watchGen     uint64
-	canaryUntil  sim.Time
-	breachStreak int
-	running      bool
-	prevTraps    uint64
-	prevDrops    uint64
-	prevCkFails  uint64
+	// The canary: its sampler, when its window closes, the breach run, and the
+	// three counters it reads as per-sample signals.
+	canary               *supervise.Sampler
+	canaryUntil          sim.Time
+	breach               supervise.Streak
+	traps, drops, ckFail supervise.Delta
 	// lastReason records why the most recent rollback happened.
 	lastReason string
 
@@ -152,7 +134,9 @@ type Manager struct {
 
 // New builds a manager over a world's engine and NIC.
 func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Manager {
-	return &Manager{eng: eng, n: n, cfg: cfg}
+	m := &Manager{eng: eng, n: n, cfg: cfg}
+	m.canary = supervise.NewSampler(eng, cfg.sampleEvery(), m.sample)
+	return m
 }
 
 // SetTracer attaches a trace sink: every stage, cutover, canary verdict,
@@ -235,7 +219,7 @@ func (m *Manager) CutOver(now sim.Time) (sim.Duration, error) {
 	if m.phase != Staged {
 		return 0, ErrNotStaged
 	}
-	if err := m.n.PauseRx(m.cfg.pauseFrames()); err != nil {
+	if err := m.n.PauseRx(pauseFrames); err != nil {
 		return 0, err
 	}
 	load, err := m.n.ActivateStaged(now)
@@ -296,83 +280,52 @@ func (m *Manager) warmTransfer(now sim.Time) {
 // old generation held for rollback until the window expires clean.
 func (m *Manager) startCanary(now sim.Time) {
 	m.canaryUntil = now.Add(m.cfg.canaryWindow())
-	m.breachStreak = 0
-	m.prevTraps = m.n.TrapFallbacks + m.n.TrapFailOpens
-	m.prevDrops = m.n.RxDropVerdict
-	if fc := m.n.FlowCache(); fc != nil {
-		m.prevCkFails = fc.ChecksumFails
-	} else {
-		m.prevCkFails = 0
-	}
-	m.running = true
-	m.watchGen++
-	gen := m.watchGen
-	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
+	m.breach = supervise.Streak{}
+	m.traps.Take(m.n.Traps())
+	m.drops.Take(m.n.RxDropVerdict)
+	m.ckFail.Take(m.n.ChecksumFails())
+	m.canary.Start(0)
 }
 
 // Running reports whether the canary sampler is armed.
-func (m *Manager) Running() bool { return m.running }
+func (m *Manager) Running() bool { return m.canary.Running() }
 
-// Stop halts the canary sampler without resolving the canary: the old
-// generation stays retained. Start re-arms it. System.Run uses this pair to
-// drain the engine without the sampler's self-rescheduling timer keeping it
-// busy forever.
-func (m *Manager) Stop() {
-	m.running = false
-	m.watchGen++
-}
+// Pause halts the canary sampler without resolving the canary — the old
+// generation stays retained — and Resume re-arms it if the canary is still
+// open. System.Run brackets its drain with the pair.
+func (m *Manager) Pause() { m.canary.Pause() }
 
-// Start re-arms a stopped canary sampler (no-op unless a canary is open).
-func (m *Manager) Start(until sim.Time) {
-	if m.running || m.phase != Canary {
-		return
-	}
-	if until != 0 {
-		m.canaryUntil = until
-	}
-	m.running = true
-	m.watchGen++
-	gen := m.watchGen
-	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
-}
+// Resume undoes Pause.
+func (m *Manager) Resume() { m.canary.Resume() }
 
-func (m *Manager) tick(gen uint64) {
-	if gen != m.watchGen || m.phase != Canary {
-		return
+// sample takes one canary reading; it ends the sampler's run (false) once the
+// canary has resolved either way.
+func (m *Manager) sample(now sim.Time) bool {
+	if m.phase != Canary {
+		return false
 	}
-	now := m.eng.Now()
 	m.CanarySamples++
+	dTraps := m.traps.Take(m.n.Traps())
+	dDrops := m.drops.Take(m.n.RxDropVerdict)
+	dCk := m.ckFail.Take(m.n.ChecksumFails())
 
-	traps := m.n.TrapFallbacks + m.n.TrapFailOpens
-	drops := m.n.RxDropVerdict
-	var ck uint64
-	if fc := m.n.FlowCache(); fc != nil {
-		ck = fc.ChecksumFails
-	}
-	dTraps, dDrops, dCk := traps-m.prevTraps, drops-m.prevDrops, ck-m.prevCkFails
-	m.prevTraps, m.prevDrops, m.prevCkFails = traps, drops, ck
-
-	breach := dTraps > m.cfg.MaxTrapsPerSample ||
-		dDrops > m.cfg.MaxDropsPerSample ||
-		dCk > m.cfg.MaxChecksumPerSample
-	if breach {
+	dir := 0
+	if dTraps > maxTrapsPerSample || dDrops > maxDropsPerSample || dCk > maxChecksumPerSample {
+		dir = +1
 		m.CanaryBreaches++
-		m.breachStreak++
-		m.span(now, "canary_breach", fmt.Sprintf("traps=%d drops=%d ck=%d streak=%d", dTraps, dDrops, dCk, m.breachStreak))
-		if m.breachStreak >= m.cfg.breachAfter() {
-			m.rollback(now, fmt.Sprintf("canary breach: traps=%d drops=%d ck=%d over %d samples",
-				dTraps, dDrops, dCk, m.breachStreak))
-			return
-		}
-	} else {
-		m.breachStreak = 0
+		// Hot+1: the run length this sample makes, before Step may restart it.
+		m.span(now, "canary_breach", fmt.Sprintf("traps=%d drops=%d ck=%d streak=%d", dTraps, dDrops, dCk, m.breach.Hot+1))
 	}
-
+	if m.breach.Step(dir, breachAfter, 0) > 0 {
+		m.rollback(now, fmt.Sprintf("canary breach: traps=%d drops=%d ck=%d over %d samples",
+			dTraps, dDrops, dCk, breachAfter))
+		return false
+	}
 	if !now.Before(m.canaryUntil) {
 		m.commit(now)
-		return
+		return false
 	}
-	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
+	return true
 }
 
 // commit resolves the canary in favor of the new generation.
@@ -381,8 +334,7 @@ func (m *Manager) commit(now sim.Time) {
 		return
 	}
 	m.phase = Committed
-	m.running = false
-	m.watchGen++
+	m.canary.Stop()
 	m.Commits++
 	m.pre = nil
 	m.span(now, "commit", fmt.Sprintf("gen=%d", m.n.Generation()))
@@ -403,7 +355,7 @@ func (m *Manager) Rollback(now sim.Time, reason string) error {
 // warm-restored, and ingress resumes — the same hitless mechanics as the
 // cutover, pointed backwards.
 func (m *Manager) rollback(now sim.Time, reason string) {
-	if err := m.n.PauseRx(m.cfg.pauseFrames()); err != nil && !errors.Is(err, nic.ErrRxPaused) {
+	if err := m.n.PauseRx(pauseFrames); err != nil && !errors.Is(err, nic.ErrRxPaused) {
 		return
 	}
 	if err := m.n.RollbackGeneration(now); err != nil {
@@ -412,8 +364,7 @@ func (m *Manager) rollback(now sim.Time, reason string) {
 	}
 	m.Rollbacks++
 	m.phase = RolledBack
-	m.running = false
-	m.watchGen++
+	m.canary.Stop()
 	m.lastReason = reason
 	m.warmTransfer(now) // restore the pre-upgrade fast path
 	_ = m.n.ResumeRx()
@@ -443,8 +394,7 @@ func (m *Manager) Adopt(now sim.Time) uint64 {
 		m.commit(now)
 	} else if m.phase == Canary {
 		m.phase = Committed
-		m.running = false
-		m.watchGen++
+		m.canary.Stop()
 	}
 	gen := m.n.Generation()
 	m.span(now, "adopt", fmt.Sprintf("gen=%d", gen))

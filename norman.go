@@ -146,6 +146,51 @@ type System struct {
 	gov   *overload.Governor
 	hm    *health.Monitor
 	up    *upgrade.Manager
+	// parts lists the attached subsystems in the one order everything that
+	// walks them uses: telemetry wiring, and — for the supervisors among them —
+	// the pause and resume around a drain, hence the order coinciding sampler
+	// ticks fire in.
+	parts [numParts]component
+}
+
+// The slots of System.parts.
+const (
+	partRecovery = iota
+	partGovernor
+	partHealth
+	partCanary
+	numParts
+)
+
+// component is a subsystem the facade attaches to a System: it traces
+// through the world's tracer and exports its series on the registry.
+type component interface {
+	SetTracer(*telemetry.Tracer)
+	RegisterMetrics(*telemetry.Registry, telemetry.Labels)
+}
+
+// supervisor is what the components that sample on a virtual-time timer —
+// and so keep the engine non-quiescent while they run — implement besides.
+type supervisor interface {
+	Pause()
+	Resume()
+}
+
+// attach records a freshly built component in its slot and wires it to
+// whatever observability is already on; EnableTelemetry wires the components
+// attached before it.
+func (s *System) attach(slot int, c component) {
+	s.parts[slot] = c
+	s.wire(c)
+}
+
+// wire points a component at the world's tracer (nil before EnableTelemetry:
+// no spans) and registers its metrics once there is a registry.
+func (s *System) wire(c component) {
+	c.SetTracer(s.w.Tracer)
+	if s.reg != nil {
+		c.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
+	}
 }
 
 // installedRule remembers admin rule state for IPTablesList.
@@ -190,22 +235,15 @@ func (s *System) Spawn(u *User, command string) *Process {
 func (s *System) Now() Duration { return sim.Duration(s.w.Eng.Now()) }
 
 // Run executes queued events until the simulation drains and returns the
-// final virtual time. A running overload watchdog is paused for the drain
-// (its self-rescheduling timer would otherwise keep the engine busy forever)
-// and resumed afterwards; use RunFor for bounded stepping with the watchdog
-// live.
+// final virtual time. Running supervisors are paused for the drain (their
+// self-rescheduling timers would otherwise keep the engine busy forever) and
+// resumed afterwards with the horizons they were started with; use RunFor for
+// bounded stepping with them live.
 func (s *System) Run() Duration {
-	resume := s.gov != nil && s.gov.Running()
-	if resume {
-		s.gov.Stop()
-	}
-	resumeHM := s.hm != nil && s.hm.Running()
-	if resumeHM {
-		s.hm.Stop()
-	}
-	resumeUp := s.up != nil && s.up.Running()
-	if resumeUp {
-		s.up.Stop()
+	for _, p := range s.parts {
+		if sv, ok := p.(supervisor); ok {
+			sv.Pause()
+		}
 	}
 	var t Duration
 	if s.w.Coord != nil {
@@ -213,14 +251,10 @@ func (s *System) Run() Duration {
 	} else {
 		t = sim.Duration(s.w.Eng.Run())
 	}
-	if resume {
-		s.gov.Start(0)
-	}
-	if resumeHM {
-		s.hm.Start(0)
-	}
-	if resumeUp {
-		s.up.Start(0)
+	for _, p := range s.parts {
+		if sv, ok := p.(supervisor); ok {
+			sv.Resume()
+		}
 	}
 	return t
 }
@@ -282,21 +316,10 @@ func (s *System) EnableTelemetry() *telemetry.Registry {
 		s.reg = telemetry.NewRegistry()
 		s.w.EnableTracing(0)
 		s.w.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		if s.rec != nil {
-			s.rec.SetTracer(s.w.Tracer)
-			s.rec.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
-		if s.gov != nil {
-			s.gov.SetTracer(s.w.Tracer)
-			s.gov.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
-		if s.hm != nil {
-			s.hm.SetTracer(s.w.Tracer)
-			s.hm.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
-		if s.up != nil {
-			s.up.SetTracer(s.w.Tracer)
-			s.up.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
+		for _, c := range s.parts {
+			if c != nil {
+				s.wire(c)
+			}
 		}
 	}
 	return s.reg

@@ -1,9 +1,6 @@
 package norman
 
-import (
-	"norman/internal/overload"
-	"norman/internal/telemetry"
-)
+import "norman/internal/overload"
 
 // ErrAdmission re-exports the typed admission-rejection sentinel so API
 // users can errors.Is against the public package.
@@ -23,12 +20,7 @@ var ErrAdmission = overload.ErrAdmission
 func (s *System) EnableOverload(cfg overload.Config) *overload.Governor {
 	if s.gov == nil {
 		s.gov = overload.NewGovernor(s.w.Eng, s.w.NIC, s.w.LLC, cfg)
-		if s.w.Tracer != nil {
-			s.gov.SetTracer(s.w.Tracer)
-		}
-		if s.reg != nil {
-			s.gov.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
+		s.attach(partGovernor, s.gov)
 	}
 	return s.gov
 }

@@ -7,7 +7,6 @@ import (
 	"norman/internal/filter"
 	"norman/internal/qos"
 	"norman/internal/recovery"
-	"norman/internal/telemetry"
 )
 
 // ErrControlPlaneDown re-exports the typed mutation-rejection error so API
@@ -22,12 +21,7 @@ var ErrControlPlaneDown = recovery.ErrControlPlaneDown
 func (s *System) EnableRecovery() *recovery.Manager {
 	if s.rec == nil {
 		s.rec = recovery.NewManager()
-		if s.w.Tracer != nil {
-			s.rec.SetTracer(s.w.Tracer)
-		}
-		if s.reg != nil {
-			s.rec.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
+		s.attach(partRecovery, s.rec)
 	}
 	return s.rec
 }

@@ -62,6 +62,8 @@ done <<'PASSES'
 - E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
 # datapath job records: every early exit returns its record, hot paths allocate nothing
 7 Jobs|ZeroAlloc|HandlerForm ./internal/sim/... ./internal/nic/... ./internal/arch/...
+# the supervision kernel, and the goldens its three users must reproduce byte for byte
+7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
 PASSES
 
 # pcap round-trip smoke: boot a real daemon, capture through the control

@@ -5,7 +5,6 @@ import (
 
 	"norman/internal/overlay"
 	"norman/internal/recovery"
-	"norman/internal/telemetry"
 	"norman/internal/upgrade"
 )
 
@@ -31,12 +30,7 @@ func (s *System) EnableLiveUpgrade(cfg upgrade.Config) *upgrade.Manager {
 		if s.rec != nil {
 			s.up.SetRecovery(s.rec)
 		}
-		if s.w.Tracer != nil {
-			s.up.SetTracer(s.w.Tracer)
-		}
-		if s.reg != nil {
-			s.up.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		}
+		s.attach(partCanary, s.up)
 	}
 	return s.up
 }
