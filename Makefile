@@ -26,7 +26,7 @@ race:
 
 # Engine hot-loop microbenchmarks (the allocs/op column must stay at 0).
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkTimer' -benchmem ./internal/sim/
 
 # Full experiment benchmark sweep (regenerates every table).
 bench:

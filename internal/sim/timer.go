@@ -1,0 +1,106 @@
+package sim
+
+import "fmt"
+
+// stamp is a heap position: an instant and the sequence number that orders
+// it among events at that instant.
+type stamp struct {
+	at  Time
+	seq uint64
+}
+
+// Timer is a re-armable one-shot: a timeout that is usually pushed back
+// before it expires (a retransmission timer re-armed by every ACK). It is its
+// own Handler, so re-arming allocates nothing.
+//
+// Reset is lazy and order-preserving. It reserves a sequence number exactly
+// as After would and records the logical deadline (at, seq), but pushes a heap
+// event only when none of the timer's queued events already fires at or
+// before that deadline. The earliest queued event is the cover. A cover that
+// fires early makes sure the deadline is still covered, pushing an event at
+// the logical (at, seq) — the reserved seq, not a fresh one — when nothing
+// else is queued before it, and the callback runs only when the firing event
+// is the logical deadline. Heap order is exactly (at, seq), so the callback
+// fires at the instant and in the position the closure of a plain After(d,
+// fn) would have: replacing a push-per-arm timeout with a Timer reorders
+// nothing, and the engine's event loop does not know timers exist.
+//
+// When the deadline moves earlier than the cover, a new cover is pushed and
+// the old one stays queued behind it as an orphan; it fires as a no-op, or
+// covers a later deadline. The heap grows with the number of times the
+// deadline moved earlier, not with the number of resets.
+//
+// The timer also keeps its horizon, the furthest deadline ever armed, and
+// once it has no live deadline and no queued event left parks one last no-op
+// there. A push-per-arm timeout leaves every cancelled event in the heap, so
+// the clock Run returns includes the furthest deadline ever armed; the parked
+// event keeps that drained clock the same.
+type Timer struct {
+	e  *Engine
+	fn func()
+
+	deadline stamp // logical deadline; seq 0 = disarmed
+	horizon  stamp
+
+	// queued mirrors the timer's events in the engine heap, each strictly
+	// earlier than the one below it, so the last entry is the cover and is
+	// the one firing whenever Fire runs.
+	queued []stamp
+	buf    [3]stamp // queued's first backing array; a deeper stack spills to the heap
+}
+
+// NewTimer returns a disarmed timer that runs fn when it expires.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	t := &Timer{e: e, fn: fn}
+	t.queued = t.buf[:0]
+	return t
+}
+
+// Reset arms the timer to expire at absolute time at, replacing any earlier
+// deadline. Like AtHandler it panics on a time before now.
+func (t *Timer) Reset(at Time) {
+	e := t.e
+	if at < e.now {
+		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, e.now))
+	}
+	e.seq++
+	t.deadline = stamp{at, e.seq}
+	if at >= t.horizon.at {
+		t.horizon = t.deadline
+	}
+	t.cover(t.deadline)
+}
+
+// Stop disarms the timer. The callback does not run until the next Reset.
+func (t *Timer) Stop() { t.deadline.seq = 0 }
+
+// Armed reports whether a deadline is set and has not yet expired.
+func (t *Timer) Armed() bool { return t.deadline.seq != 0 }
+
+// cover makes sure one of the timer's queued events fires at or before s,
+// pushing s itself when none does.
+func (t *Timer) cover(s stamp) {
+	if n := len(t.queued); n == 0 || s.at < t.queued[n-1].at {
+		t.queued = append(t.queued, s)
+		t.e.push(event{at: s.at, seq: s.seq, h: t})
+	}
+}
+
+// Fire implements Handler for the timer's own heap events.
+func (t *Timer) Fire() {
+	n := len(t.queued) - 1
+	fired := t.queued[n]
+	t.queued = t.queued[:n]
+	if fired.seq == t.deadline.seq {
+		t.deadline.seq = 0
+		t.fn()
+	}
+	// Wake again for the live deadline; with none left, once at the horizon.
+	next := t.deadline
+	if next.seq == 0 {
+		if next = t.horizon; next.at <= t.e.now {
+			return
+		}
+	}
+	t.cover(next)
+}

@@ -1,0 +1,367 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// rearmer is what the differential schedules drive: a Timer on one engine,
+// the reference implementation on another.
+type rearmer interface {
+	Reset(at Time)
+	Stop()
+	Armed() bool
+}
+
+// genTimer is the reference: the push-per-arm timeout Timer replaced. Every
+// Reset pushes a fresh closure tagged with a generation, a stale generation
+// fires as a no-op, and cancelled events stay in the heap until their time.
+type genTimer struct {
+	e     *Engine
+	fn    func()
+	gen   uint64
+	armed bool
+}
+
+func (g *genTimer) Reset(at Time) {
+	g.gen++
+	gen := g.gen
+	g.armed = true
+	g.e.At(at, func() {
+		if gen != g.gen {
+			return
+		}
+		g.armed = false
+		g.fn()
+	})
+}
+
+func (g *genTimer) Stop()       { g.gen++; g.armed = false }
+func (g *genTimer) Armed() bool { return g.armed }
+
+// What one step of a schedule does to a timer (or beside it).
+const (
+	actNone    = iota
+	actFresh   // Reset(now + d)
+	actLater   // Reset(last deadline + d)
+	actEarlier // Reset(last deadline - d), floored at now
+	actEqual   // Reset(last deadline) again, floored at now
+	actStop
+	actPlain // schedule an ordinary At event at now + d
+	nActs
+)
+
+type action struct {
+	kind, timer int
+	d           Duration
+}
+
+// A schedule is a fixed script: driver events at absolute times, and for each
+// timer what its callback does on its k-th expiry (cycled).
+type schedule struct {
+	timers  int
+	drivers []struct {
+		at Time
+		action
+	}
+	react [][]action
+	mid   Time // RunUntil here first, then Run
+}
+
+const quantum = 10 * Nanosecond // coarse instants, so deadlines and events collide
+
+func randomSchedule(seed int64) schedule {
+	g := NewRNG(seed, "timer-schedule")
+	act := func() action {
+		return action{kind: g.Intn(nActs), timer: g.Intn(3), d: Duration(g.Intn(12)) * quantum}
+	}
+	sc := schedule{timers: 3, mid: Time(g.Intn(60)) * Time(quantum)}
+	sc.drivers = make([]struct {
+		at Time
+		action
+	}, 20+g.Intn(40))
+	for i := range sc.drivers {
+		sc.drivers[i].at = Time(g.Intn(60)) * Time(quantum)
+		sc.drivers[i].action = act()
+	}
+	sc.react = make([][]action, sc.timers)
+	for i := range sc.react {
+		sc.react[i] = make([]action, 1+g.Intn(4))
+		for k := range sc.react[i] {
+			sc.react[i][k] = act()
+			// A callback that always re-arms would never drain: every
+			// cycle ends in a step that does not.
+			if k == len(sc.react[i])-1 && sc.react[i][k].kind != actStop {
+				sc.react[i][k].kind = actNone
+			}
+		}
+	}
+	return sc
+}
+
+type traceEntry struct {
+	Now   Time
+	Label string
+}
+
+// play runs sc on e with timers built by mk and returns every callback as
+// (now, label), the trace length when RunUntil(sc.mid) returned, and the
+// clock Run drained at.
+func play(sc schedule, e *Engine, run func() Time, runUntil func(Time) Time, mk func(fn func()) rearmer) (trace []traceEntry, atMid int, end Time) {
+	timers := make([]rearmer, sc.timers)
+	last := make([]Time, sc.timers) // each timer's latest deadline
+	fires := make([]int, sc.timers)
+	record := func(format string, args ...any) {
+		trace = append(trace, traceEntry{e.Now(), fmt.Sprintf(format, args...)})
+	}
+	plain := 0
+	do := func(a action) {
+		t, now := timers[a.timer], e.Now()
+		at := now
+		switch a.kind {
+		case actNone:
+			return
+		case actStop:
+			t.Stop()
+			return
+		case actPlain:
+			plain++
+			id := plain
+			e.At(now.Add(a.d), func() { record("plain %d", id) })
+			return
+		case actFresh:
+			at = now.Add(a.d)
+		case actLater:
+			at = last[a.timer].Add(a.d)
+		case actEarlier:
+			at = last[a.timer].Add(-a.d)
+		case actEqual:
+			at = last[a.timer]
+		}
+		if at < now {
+			at = now
+		}
+		last[a.timer] = at
+		t.Reset(at)
+	}
+	for i := range timers {
+		i := i
+		timers[i] = mk(func() {
+			record("timer %d expired, armed=%v", i, timers[i].Armed())
+			a := sc.react[i][fires[i]%len(sc.react[i])]
+			fires[i]++
+			do(a)
+		})
+	}
+	for k, d := range sc.drivers {
+		k, d := k, d
+		e.At(d.at, func() {
+			record("driver %d, timer %d armed=%v", k, d.timer, timers[d.timer].Armed())
+			do(d.action)
+		})
+	}
+	runUntil(sc.mid)
+	atMid = len(trace)
+	end = run()
+	return trace, atMid, end
+}
+
+func playTimer(sc schedule, e *Engine) ([]traceEntry, int, Time) {
+	return play(sc, e, e.Run, e.RunUntil, func(fn func()) rearmer { return e.NewTimer(fn) })
+}
+
+func playReference(sc schedule, e *Engine) ([]traceEntry, int, Time) {
+	return play(sc, e, e.Run, e.RunUntil, func(fn func()) rearmer { return &genTimer{e: e, fn: fn} })
+}
+
+// TestTimerDifferential is the order-identity property: over random
+// interleavings of Reset (earlier, later, equal deadlines), Stop, re-arming
+// and stopping from inside the callback, and ordinary events at colliding
+// instants, a Timer produces the same (now, label) trace of callbacks as the
+// push-per-arm reference, the same state at an intermediate RunUntil, and
+// drains the engine at the same clock.
+func TestTimerDifferential(t *testing.T) {
+	expiries := 0
+	for seed := int64(0); seed < 1500; seed++ {
+		sc := randomSchedule(seed)
+		want, wantMid, wantEnd := playReference(sc, NewEngine())
+		e := NewEngine()
+		got, gotMid, gotEnd := playTimer(sc, e)
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: traces diverge at entry %d of %d/%d:\n timer     %v\n reference %v",
+						seed, i, len(got), len(want), got[min(i, len(got)-1)], want[i])
+				}
+			}
+			t.Fatalf("seed %d: timer trace has %d entries, reference %d", seed, len(got), len(want))
+		}
+		if gotMid != wantMid || gotEnd != wantEnd {
+			t.Fatalf("seed %d: %d callbacks by RunUntil(%v) and drained at %v; reference %d and %v",
+				seed, gotMid, sc.mid, gotEnd, wantMid, wantEnd)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left after Run", seed, e.Pending())
+		}
+		expiries += len(want) - len(sc.drivers)
+	}
+	if expiries < 1500 {
+		t.Fatalf("only %d timer expiries and plain events over all schedules: the generator went quiet", expiries)
+	}
+}
+
+// TestTimerOnShardEngine: a shard's engine is an ordinary Engine, so a Timer
+// on it behaves as on a standalone one with the barrier coordinator driving
+// the run: the standalone reference's trace, and the drained clock of the
+// reference run under the same coordinator (barriers round a shard's clock up
+// to an epoch boundary, so that is the comparable clock).
+func TestTimerOnShardEngine(t *testing.T) {
+	onShard := func(sc schedule, timer bool) ([]traceEntry, int, Time) {
+		s := NewSharded(2, 2, Microsecond)
+		for i := 0; i < 20; i++ { // the other shard runs ordinary work alongside
+			s.Engine(0).At(Time(i)*Time(50*Nanosecond), func() {})
+		}
+		e := s.Engine(1)
+		return play(sc, e, s.Run, s.RunUntil, func(fn func()) rearmer {
+			if timer {
+				return e.NewTimer(fn)
+			}
+			return &genTimer{e: e, fn: fn}
+		})
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		sc := randomSchedule(seed)
+		want, wantMid, _ := playReference(sc, NewEngine())
+		_, _, wantEnd := onShard(sc, false)
+		got, gotMid, gotEnd := onShard(sc, true)
+		if !reflect.DeepEqual(got, want) || gotMid != wantMid {
+			t.Fatalf("seed %d: trace on a shard engine differs from the reference (%d/%d entries, %d/%d by mid)",
+				seed, len(got), len(want), gotMid, wantMid)
+		}
+		if gotEnd != wantEnd {
+			t.Fatalf("seed %d: sharded run drained at %v, with the reference timer at %v", seed, gotEnd, wantEnd)
+		}
+	}
+}
+
+// TestTimerCallbackRearmAndStop covers the two in-callback cases directly.
+func TestTimerCallbackRearmAndStop(t *testing.T) {
+	const step = 100 * Nanosecond
+	e := NewEngine()
+	var fired []Time
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		fired = append(fired, e.Now())
+		if tm.Armed() {
+			t.Error("timer still armed inside its own callback")
+		}
+		switch len(fired) {
+		case 1, 2:
+			tm.Reset(e.Now().Add(step)) // re-arm from inside
+		case 3:
+			tm.Reset(e.Now().Add(step / 2))
+			tm.Stop() // and stop from inside: the re-arm must not fire
+		}
+	})
+	tm.Reset(Time(step))
+	end := e.Run()
+	if !reflect.DeepEqual(fired, []Time{Time(step), Time(2 * step), Time(3 * step)}) {
+		t.Fatalf("fired at %v, want every %v up to %v", fired, step, 3*step)
+	}
+	if tm.Armed() {
+		t.Fatal("stopped timer reports armed")
+	}
+	// The stopped re-arm is the horizon: the clock still walks to it.
+	if want := Time(3*step + step/2); end != want {
+		t.Fatalf("drained at %v, want %v", end, want)
+	}
+	// A stopped timer is reusable.
+	tm.Reset(e.Now().Add(step))
+	e.Run()
+	if len(fired) != 4 {
+		t.Fatalf("re-armed after Stop: fired %d times, want 4", len(fired))
+	}
+}
+
+func TestTimerResetInPastPanics(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer(func() {})
+	e.At(100, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("arming a timer in the past should panic like AtHandler")
+			}
+		}()
+		tm.Reset(50)
+	})
+	e.Run()
+}
+
+// TestTimerZeroAlloc pins the point of the primitive: pushing a deadline
+// back costs no allocation, and neither does a full fire-and-re-arm cycle.
+func TestTimerZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		if n++; n < 1000 {
+			tm.Reset(e.Now().Add(Nanosecond))
+		}
+	})
+	cycle := func() {
+		n = 0
+		tm.Reset(e.Now().Add(Nanosecond))
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("fire-and-re-arm allocates %.1f per 1000 cycles, want 0", allocs)
+	}
+	if n != 1000 {
+		t.Fatalf("callback ran %d times, want 1000", n)
+	}
+
+	tm.Reset(e.Now().Add(Microsecond))
+	at := e.Now().Add(Microsecond)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		at = at.Add(Nanosecond)
+		tm.Reset(at)
+	}); allocs != 0 {
+		t.Fatalf("Reset allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestTimerPendingBound: the heap grows with the number of times the
+// deadline moved earlier, not with the number of resets.
+func TestTimerPendingBound(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	tm := e.NewTimer(func() { fired++ })
+	const n, earlier = 10000, 7
+	for i := 0; i < n; i++ {
+		tm.Reset(Time(1000 + i)) // later every time
+		tm.Reset(Time(1000 + i)) // and once more at the same deadline
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("%d pushed-back resets left %d events pending, want 1", 2*n, e.Pending())
+	}
+	for i := 1; i <= earlier; i++ {
+		tm.Reset(Time(1000 - i))
+	}
+	if e.Pending() != 1+earlier {
+		t.Fatalf("%d earlier resets left %d events pending, want %d", earlier, e.Pending(), 1+earlier)
+	}
+	before := e.Fired()
+	end := e.Run()
+	if fired != 1 {
+		t.Fatalf("callback ran %d times, want once", fired)
+	}
+	// Drained at the horizon, the furthest deadline ever armed.
+	if end != Time(1000+n-1) {
+		t.Fatalf("drained at %v, want %v", end, Time(1000+n-1))
+	}
+	if got := e.Fired() - before; got > 2+earlier {
+		t.Fatalf("%d heap events fired for one expiry after %d earlier moves", got, earlier)
+	}
+}

@@ -21,9 +21,11 @@ type Responder struct {
 	// ooo holds out-of-order segments: start -> end (exclusive).
 	ooo map[uint32]uint32
 
-	// Loss model.
+	// Loss model. The RNG is a 607-word source, so it is built on the first
+	// draw: a responder whose loss probabilities stay 0 never pays for one.
 	DataLossProb float64
 	AckLossProb  float64
+	seed         int64
 	rng          *sim.RNG
 
 	// Deliver, when set, carries ACKs back toward the host instead of the
@@ -48,8 +50,19 @@ func NewResponder(a arch.Arch, dstPort uint16, seed int64) *Responder {
 		a:    a,
 		port: dstPort,
 		ooo:  map[uint32]uint32{},
-		rng:  sim.NewRNG(seed, "transport-responder"),
+		seed: seed,
 	}
+}
+
+// lost draws from the loss model: true with probability prob.
+func (r *Responder) lost(prob float64) bool {
+	if prob <= 0 {
+		return false
+	}
+	if r.rng == nil {
+		r.rng = sim.NewRNG(r.seed, "transport-responder")
+	}
+	return r.rng.Float64() < prob
 }
 
 // SetTracer attaches a packet-lifecycle tracer for peer-side span events.
@@ -71,7 +84,7 @@ func (r *Responder) Recv(p *packet.Packet, at sim.Time) {
 	if p.TCP.Flags&packet.TCPAck != 0 && p.PayloadLen == 0 {
 		return // not a data segment
 	}
-	if r.DataLossProb > 0 && r.rng.Float64() < r.DataLossProb {
+	if r.lost(r.DataLossProb) {
 		r.DataDrops++
 		r.trace(p, at, "rx_drop", "peer loss model")
 		return
@@ -87,7 +100,7 @@ func (r *Responder) Recv(p *packet.Packet, at sim.Time) {
 	}
 
 	// Cumulative ACK for everything contiguous so far.
-	if r.AckLossProb > 0 && r.rng.Float64() < r.AckLossProb {
+	if r.lost(r.AckLossProb) {
 		r.AckDrops++
 		return
 	}

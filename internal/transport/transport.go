@@ -113,7 +113,7 @@ type Stream struct {
 	rttSentAt    sim.Time // when it was sent
 	rttValid     bool
 
-	timerGen uint64 // cancels stale RTO events
+	rtoTimer *sim.Timer // the one RTO, pushed back by every advancing ACK
 	done     bool
 
 	// Give-up tracking: consecutive RTO expiries pinned on the same sndUna.
@@ -148,6 +148,7 @@ func New(a arch.Arch, conn *arch.Conn, flow packet.FlowKey, mux *host.Mux, cfg C
 		ssthresh: float64(cfg.Window),
 		rto:      cfg.InitialRTO,
 	}
+	s.rtoTimer = a.World().Eng.NewTimer(s.onTimeout)
 	mux.Handle(conn, s.onAck)
 	return s
 }
@@ -165,8 +166,12 @@ func (s *Stream) Done() bool { return s.done }
 func (s *Stream) Aborted() bool { return s.aborted }
 
 // Terminal reports whether the stream has reached a terminal state: either
-// completed (Done) or aborted (Err non-nil). A terminal stream schedules no
-// further events — the no-livelock guarantee E9 measures.
+// completed (Done) or aborted (Err non-nil). A terminal stream sends nothing
+// and runs no further callback — the no-livelock guarantee E9 measures — but
+// its stopped RTO timer still holds the engine's clock until the furthest
+// deadline it was ever armed for (the sim.Timer horizon: up to InitialRTO
+// after Start for a transfer shorter than that). The drained clock is
+// model-visible, so TestStreamTimerDrainedClock pins it.
 func (s *Stream) Terminal() bool { return s.done || s.aborted }
 
 // Err returns the terminal error of an aborted stream (wrapping ErrAborted),
@@ -181,7 +186,7 @@ func (s *Stream) abort(err error) {
 	}
 	s.aborted = true
 	s.err = err
-	s.timerGen++ // cancel any armed RTO
+	s.rtoTimer.Stop()
 	s.Stats.Aborted = true
 	s.Stats.Finished = s.now()
 	if s.cfg.OnAbort != nil {
@@ -298,14 +303,7 @@ func (s *Stream) armTimer() {
 	if s.done || s.aborted || s.sndUna >= s.cfg.TotalBytes {
 		return
 	}
-	s.timerGen++
-	gen := s.timerGen
-	s.a.World().Eng.After(s.rto, func() {
-		if gen != s.timerGen || s.done || s.aborted {
-			return
-		}
-		s.onTimeout()
-	})
+	s.rtoTimer.Reset(s.now().Add(s.rto))
 }
 
 func (s *Stream) onTimeout() {
@@ -385,14 +383,19 @@ func (s *Stream) onAck(_ *arch.Conn, p *packet.Packet, at sim.Time) {
 		}
 		if s.sndUna >= s.cfg.TotalBytes {
 			s.done = true
-			s.timerGen++
+			s.rtoTimer.Stop()
 			s.Stats.Finished = at
 			if s.cfg.Done != nil {
 				s.cfg.Done(at)
 			}
 			return
 		}
-		s.armTimer()
+		// trySend ends by re-arming the RTO for the advanced window (the
+		// stream is neither done nor aborted here). Arming before it as well
+		// would be unobservable: only the last Reset before a fire counts,
+		// both land on now+rto, and the sequence number the extra arm
+		// reserved shifts every later event's uniformly without reordering
+		// any two.
 		s.trySend()
 
 	case ack == s.sndUna:

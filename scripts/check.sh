@@ -60,8 +60,9 @@ done <<'PASSES'
 7 E16|Upgrade|Snapshot|Compact|Generation|Pause|Outage ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
 # E12: the barrier coordinator's merge order at any shard count (DESIGN.md §8)
 - E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
-# datapath job records: every early exit returns its record, hot paths allocate nothing
-7 Jobs|ZeroAlloc|HandlerForm ./internal/sim/... ./internal/nic/... ./internal/arch/...
+# datapath job records: every early exit returns its record, hot paths allocate
+# nothing; the engine timer's order identity and the stream that re-arms it
+7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/...
 # the supervision kernel, and the goldens its three users must reproduce byte for byte
 7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
 PASSES
