@@ -110,6 +110,11 @@ type engineRecord struct {
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
 
+	// Steady-depth pop+push with datapath-like horizons, at the heap depth
+	// the rx workloads hold and the one tx_stream_churn holds.
+	ChurnNsDepth10   float64 `json:"churn_ns_per_event_depth10"`
+	ChurnNsDepth1000 float64 `json:"churn_ns_per_event_depth1000"`
+
 	// Sharded batched ring-drain baseline: aggregate dataplane events/s
 	// when 8 lockstep shards each drain descriptor bursts instead of firing
 	// one heap event per packet. Speedup is against events_per_sec above.
@@ -238,6 +243,9 @@ func main() {
 		rec := engineBaseline()
 		fmt.Printf("--- %.1f ns/event, %.1f Mevents/s, %d allocs/op\n",
 			rec.NsPerEvent, rec.EventsPerSec/1e6, rec.AllocsPerOp)
+		rec.ChurnNsDepth10, rec.ChurnNsDepth1000 = churnBaseline(10), churnBaseline(1000)
+		fmt.Printf("--- steady-depth churn: %.1f ns/event at depth 10, %.1f at depth 1000\n",
+			rec.ChurnNsDepth10, rec.ChurnNsDepth1000)
 		fmt.Printf("=== engine: sharded batched ring-drain microbenchmark (%d shards, batch %d)\n",
 			shardedBenchShards, shardedBenchBatch)
 		rec.ShardedShards = shardedBenchShards
@@ -328,6 +336,47 @@ func engineBaseline() engineRecord {
 		AllocsPerOp:  r.AllocsPerOp(),
 		BytesPerOp:   r.AllocedBytesPerOp(),
 	}
+}
+
+// churn is the steady-depth load of BenchmarkEngineHeapChurn in internal/sim:
+// every fired event schedules one successor at a horizon drawn up front from
+// the datapath's latencies (timing.Default's LLC hit, poll iteration,
+// cacheline transfer, MMIO write, DMA latency, NIC pipeline, wire latency)
+// and a far retransmission timeout.
+type churn struct {
+	eng      *sim.Engine
+	horizons [1 << 16]sim.Duration
+	next     int
+}
+
+func (c *churn) Fire() {
+	c.next++
+	c.eng.AtHandler(c.eng.Now().Add(c.horizons[c.next%len(c.horizons)]), c)
+}
+
+// churnBaseline measures one pop plus one push with the heap held at depth.
+func churnBaseline(depth int) float64 {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	from := [...]sim.Duration{
+		15 * sim.Nanosecond, 20 * sim.Nanosecond, 60 * sim.Nanosecond, 100 * sim.Nanosecond,
+		450 * sim.Nanosecond, 500 * sim.Nanosecond, 2 * sim.Microsecond, 10 * sim.Millisecond,
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		c := &churn{eng: sim.NewEngine()}
+		g := sim.NewRNG(1, "bench")
+		for i := range c.horizons {
+			c.horizons[i] = from[g.Intn(len(from))]
+		}
+		for i := 0; i < depth; i++ {
+			c.Fire()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.eng.Step()
+		}
+	})
+	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
 func writeJSON(path string, v interface{}) {

@@ -93,6 +93,11 @@ type Conn struct {
 	Delivered uint64
 	// LastDeliver is the virtual time of the most recent delivery.
 	LastDeliver sim.Time
+
+	// core is the app core of the owning process, resolved once when the
+	// connection is registered: World.Core is a create-on-miss map lookup and
+	// the per-frame paths read it from here.
+	core *sim.Server
 }
 
 // DeliverFunc is the application-receive upcall. It runs after all

@@ -94,20 +94,19 @@ func (b *base) memTouch(addr uint64, n int) sim.Duration {
 // core is poll-pinned (accounted by MarkPoller), so we charge only the
 // processing occupancy and half a poll iteration of discovery latency.
 func (b *base) deliverPolled(c *Conn, p *packet.Packet, now sim.Time, appCost sim.Duration) {
-	core := b.w.Core(c.Info.PID)
 	start := now.Add(sim.Duration(b.w.Model.PollIteration) / 2)
-	if free := core.FreeAt(); free > start {
+	if free := c.core.FreeAt(); free > start {
 		start = free
 	}
 	h := b.w.hop(start, hopRun, b, c, p)
-	h.core, h.cost = core, appCost
+	h.core, h.cost = c.core, appCost
 }
 
 // deliverWoken models a blocked app being woken by the kernel: context
 // switch on the app core, then processing.
 func (b *base) deliverWoken(c *Conn, p *packet.Packet, wakeAt sim.Time, appCost sim.Duration) {
 	h := b.w.hop(wakeAt, hopRun, b, c, p)
-	h.core, h.cost = b.w.Core(c.Info.PID), sim.Duration(b.w.Model.ContextSwitch)+appCost
+	h.core, h.cost = c.core, sim.Duration(b.w.Model.ContextSwitch)+appCost
 }
 
 // softFilterCost is the CPU time a software interposition layer spends
@@ -170,8 +169,11 @@ func (b *base) connFor(id uint64) (*Conn, bool) {
 	return c, ok
 }
 
-// register records a new handle.
-func (b *base) register(c *Conn) { b.conns[c.Info.ID] = c }
+// register records a new handle and pins its process's app core on it.
+func (b *base) register(c *Conn) {
+	c.core = b.w.Core(c.Info.PID)
+	b.conns[c.Info.ID] = c
+}
 
 // unregister removes a handle.
 func (b *base) unregister(c *Conn) { delete(b.conns, c.Info.ID) }

@@ -74,7 +74,7 @@ func (d *direct) Connect(proc *kernel.Process, flow packet.FlowKey) (*Conn, erro
 	}
 	c := &Conn{Info: ci, NC: nc, Mode: RxPoll}
 	d.register(c)
-	d.w.MarkPoller(d.w.Core(proc.PID))
+	d.w.MarkPoller(c.core)
 	return c, nil
 }
 
@@ -94,7 +94,7 @@ func (d *direct) Close(c *Conn) error {
 // batching every kernel-bypass runtime relies on.
 func (d *direct) Send(c *Conn, p *packet.Packet) {
 	m := d.w.Model
-	core := d.w.Core(c.Info.PID)
+	core := c.core
 	now := d.w.Eng.Now()
 	hdr := p.FrameLen()
 	if hdr > 128 {
@@ -132,7 +132,7 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 		return
 	}
 	m := d.w.Model
-	core := d.w.Core(c.Info.PID)
+	core := c.core
 	now := d.w.Eng.Now()
 	var cost sim.Duration
 	for i, p := range pkts {

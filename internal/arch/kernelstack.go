@@ -128,7 +128,7 @@ func (a *KernelStack) Send(c *Conn, p *packet.Packet) {
 	}
 	m := a.w.Model
 	now := a.w.Eng.Now()
-	appCore := a.w.Core(c.Info.PID)
+	appCore := c.core
 
 	// Transfer 1: user -> kernel.
 	_, sysDone := appCore.Acquire(now, sim.Duration(m.Syscall)+m.Copy(p.FrameLen()))
@@ -147,7 +147,7 @@ func (a *KernelStack) SendBatch(c *Conn, pkts []*packet.Packet) {
 	}
 	m := a.w.Model
 	now := a.w.Eng.Now()
-	appCore := a.w.Core(c.Info.PID)
+	appCore := c.core
 	cost := sim.Duration(m.Syscall)
 	for _, p := range pkts {
 		cost += m.Copy(p.FrameLen())
@@ -173,7 +173,7 @@ func (a *KernelStack) kernelTx(c *Conn, p *packet.Packet) {
 	}
 	m := a.w.Model
 	now := a.w.Eng.Now()
-	appCore := a.w.Core(c.Info.PID)
+	appCore := c.core
 	// The kernel stamps trusted metadata from process context; the lifecycle
 	// trace ID rides along (metadata replacement must not orphan the span).
 	meta := a.w.Kern.Meta(c.Info)

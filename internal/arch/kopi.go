@@ -176,7 +176,7 @@ func (a *KOPI) SetRxCoalesce(c *Conn, d sim.Duration) {
 // drainBlocked consumes every pending descriptor for a woken connection,
 // charging per-packet app costs sequentially on its core.
 func (b *base) drainBlocked(c *Conn) {
-	core := b.w.Core(c.Info.PID)
+	core := c.core
 	for {
 		slotAddr := c.NC.RX.TailAddr()
 		desc, err := c.NC.RX.Pop()

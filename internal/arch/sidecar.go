@@ -120,7 +120,7 @@ func (a *Sidecar) sidecarFixed() sim.Duration { return a.w.Model.Cycles(300) }
 func (a *Sidecar) Send(c *Conn, p *packet.Packet) {
 	m := a.w.Model
 	now := a.w.Eng.Now()
-	appCore := a.w.Core(c.Info.PID)
+	appCore := c.core
 	rings := a.appRings[c.Info.ID]
 
 	_, appDone := appCore.Acquire(now, m.Cycles(60))
@@ -141,7 +141,7 @@ func (a *Sidecar) SendBatch(c *Conn, pkts []*packet.Packet) {
 	}
 	m := a.w.Model
 	now := a.w.Eng.Now()
-	appCore := a.w.Core(c.Info.PID)
+	appCore := c.core
 	rings := a.appRings[c.Info.ID]
 	batch := append([]*packet.Packet(nil), pkts...)
 	_, appDone := appCore.Acquire(now, m.Cycles(60*len(pkts)))

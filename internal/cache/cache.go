@@ -18,6 +18,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -43,11 +45,21 @@ type LLC struct {
 	ddioWays int
 	lineSz   int
 
-	// tags[set*ways+way] holds the cached line address (addr >> lineShift),
-	// or 0 for invalid. stamp provides LRU ordering.
-	tags  []uint64
-	stamp []uint64
-	clock uint64
+	lineShift int    // log2(lineSz), or -1 when lineSz is not a power of two
+	setMask   uint64 // sets-1 when sets is a power of two, else 0
+
+	// data holds one record per set, stride words apart: the ways' line tags
+	// (line number + 1; 0 = invalid), then one recency-rank byte per way,
+	// packed four to a word. Ranks are a permutation of 0..ways-1, 0 the least
+	// recently used, and order the ways exactly as a global access stamp per
+	// way would: never-touched ways, whose stamps would tie, keep their
+	// initial ranks 0..ways-1 below every touched way, so the lowest index
+	// among them is replaced first (DESIGN.md §5 "LLC set record"). The
+	// stride is a whole number of 64-byte host lines; the default 11-way set
+	// (44 tag bytes + 11 rank bytes) is exactly one.
+	data      []uint32
+	rankWords int
+	stride    int
 
 	hits      uint64
 	misses    uint64
@@ -84,33 +96,65 @@ func New(cfg Config) *LLC {
 	if cfg.DDIOWays > cfg.Ways {
 		cfg.DDIOWays = cfg.Ways
 	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways, the set record ranks at most %d", cfg.Ways, maxWays))
+	}
 	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
 	if sets <= 0 {
 		sets = 1
 	}
-	return &LLC{
-		sets:     sets,
-		ways:     cfg.Ways,
-		ddioWays: cfg.DDIOWays,
-		lineSz:   cfg.LineBytes,
-		tags:     make([]uint64, sets*cfg.Ways),
-		stamp:    make([]uint64, sets*cfg.Ways),
+	c := &LLC{
+		sets:      sets,
+		ways:      cfg.Ways,
+		ddioWays:  cfg.DDIOWays,
+		lineSz:    cfg.LineBytes,
+		lineShift: -1,
+		rankWords: (cfg.Ways + 3) / 4,
 	}
+	if cfg.LineBytes&(cfg.LineBytes-1) == 0 {
+		c.lineShift = bits.TrailingZeros(uint(cfg.LineBytes))
+	}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
+	const hostLine = 64 / 4 // words
+	c.stride = (c.ways + c.rankWords + hostLine - 1) / hostLine * hostLine
+	c.data = make([]uint32, sets*c.stride)
+	c.Reset()
+	return c
 }
 
 // LineBytes returns the configured line size.
 func (c *LLC) LineBytes() int { return c.lineSz }
 
+// maxWays bounds the associativity: touch compares four rank bytes at a time
+// and needs their top bit free.
+const maxWays = 128
+
 // lineOf maps an address to its (set, tag) pair. Tag 0 is reserved for
-// invalid entries, so line numbers are offset by 1. The set index mixes the
-// line number through a multiplicative hash: simulated allocations are
-// perfectly page-aligned and regularly strided, which without hashing
-// produces pathological set conflicts that physical-page scattering (and
-// Intel's complex LLC index hash) prevent on real machines.
-func (c *LLC) lineOf(addr uint64) (set int, tag uint64) {
-	line := addr/uint64(c.lineSz) + 1
-	mixed := line * 0x9E3779B97F4A7C15 // Fibonacci hashing constant
-	return int((mixed >> 17) % uint64(c.sets)), line
+// invalid entries, so line numbers are offset by 1; an address whose line
+// number does not fit the 32-bit tag panics rather than alias a lower one.
+// The set index mixes the line number through a multiplicative hash:
+// simulated allocations are perfectly page-aligned and regularly strided,
+// which without hashing produces pathological set conflicts that
+// physical-page scattering (and Intel's complex LLC index hash) prevent on
+// real machines. Power-of-two geometries shift and mask where the general
+// case divides.
+func (c *LLC) lineOf(addr uint64) (set int, tag uint32) {
+	var line uint64
+	if c.lineShift >= 0 {
+		line = addr>>c.lineShift + 1
+	} else {
+		line = addr/uint64(c.lineSz) + 1
+	}
+	if line > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: address %#x is line %d, beyond the 32-bit tag", addr, line-1))
+	}
+	mixed := (line * 0x9E3779B97F4A7C15) >> 17 // Fibonacci hashing constant
+	if c.setMask != 0 {
+		return int(mixed & c.setMask), uint32(line)
+	}
+	return int(mixed % uint64(c.sets)), uint32(line)
 }
 
 // access performs a lookup over lookupWays ways and, on miss, allocates the
@@ -125,26 +169,45 @@ func (c *LLC) access(addr uint64, lookupWays, allocWays int) (hit bool) {
 // the per-tenant DDIO partition is built on.
 func (c *LLC) accessWays(addr uint64, lookupLo, lookupHi, allocLo, allocHi int) (hit bool) {
 	set, tag := c.lineOf(addr)
-	base := set * c.ways
-	c.clock++
+	rec := c.data[set*c.stride:]
+	tags, ranks := rec[:c.ways], rec[c.ways:c.ways+c.rankWords]
 	for w := lookupLo; w < lookupHi; w++ {
-		if c.tags[base+w] == tag {
-			c.stamp[base+w] = c.clock
+		if tags[w] == tag {
+			touch(ranks, w, c.ways)
 			return true
 		}
 	}
 	if allocHi <= allocLo {
 		return false
 	}
-	victim := base + allocLo
+	// Lowest rank in the window, carried with its way in the low byte.
+	oldest := rankOf(ranks, allocLo)<<8 | uint32(allocLo)
 	for w := allocLo + 1; w < allocHi; w++ {
-		if c.stamp[base+w] < c.stamp[victim] {
-			victim = base + w
-		}
+		oldest = min(oldest, rankOf(ranks, w)<<8|uint32(w))
 	}
-	c.tags[victim] = tag
-	c.stamp[victim] = c.clock
+	victim := int(oldest & 0xff)
+	tags[victim] = tag
+	touch(ranks, victim, c.ways)
 	return false
+}
+
+// rankOf reads way w's recency rank.
+func rankOf(ranks []uint32, w int) uint32 {
+	return ranks[w>>2] >> (uint(w&3) * 8) & 0xff
+}
+
+// touch makes way w the most recently used of its set: every way ranked
+// above it moves down one and w takes the top rank, ways-1. A word of four
+// ranks moves at once: a rank byte x ≤ 127 exceeds r exactly when x + (127 − r)
+// carries into its top bit, and no such sum reaches the neighbouring byte.
+// Padding bytes past the last way stay 0.
+func touch(ranks []uint32, w, ways int) {
+	r := rankOf(ranks, w)
+	above := (0x7f - r) * 0x01010101
+	for i, x := range ranks {
+		ranks[i] = x - (x+above)&0x80808080>>7
+	}
+	ranks[w>>2] += (uint32(ways-1) - r) << (uint(w&3) * 8)
 }
 
 // CPUAccess simulates a CPU load/store of one line; reports whether it hit.
@@ -327,11 +390,14 @@ func (c *LLC) DDIOWays() int { return c.ddioWays }
 
 // Reset invalidates the cache and zeroes statistics.
 func (c *LLC) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamp[i] = 0
+	clear(c.data)
+	ranks := make([]uint32, c.rankWords) // way w at rank w
+	for w := 0; w < c.ways; w++ {
+		ranks[w>>2] |= uint32(w) << (uint(w&3) * 8)
 	}
-	c.clock = 0
+	for rec := c.data; len(rec) > 0; rec = rec[c.stride:] {
+		copy(rec[c.ways:], ranks)
+	}
 	c.hits, c.misses, c.dmaHits, c.dmaMisses = 0, 0, 0, 0
 	if c.tenantHit != nil {
 		c.tenantHit = make(map[uint32]uint64, len(c.parts))

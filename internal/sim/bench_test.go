@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event dispatch rate — the
 // budget everything else in the simulation spends from.
@@ -42,19 +45,50 @@ func BenchmarkTimerReset(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHeapChurn stresses out-of-order scheduling.
+// churnHorizons are the delays a datapath event schedules its successor at
+// (timing.Default's LLC hit, poll iteration, cacheline transfer, MMIO write,
+// DMA latency, NIC pipeline, wire latency) plus a far retransmission timeout.
+var churnHorizons = [...]Duration{
+	15 * Nanosecond, 20 * Nanosecond, 60 * Nanosecond, 100 * Nanosecond,
+	450 * Nanosecond, 500 * Nanosecond, 2 * Microsecond, 10 * Millisecond,
+}
+
+// churn is the steady-depth load: every fired event schedules one successor,
+// so the heap holds the depth it was primed with for the whole run.
+type churn struct {
+	e        *Engine
+	horizons [1 << 16]Duration // drawn up front: the RNG stays out of the timed loop
+	next     int
+}
+
+func (c *churn) Fire() {
+	c.next++
+	c.e.AtHandler(c.e.Now().Add(c.horizons[c.next%len(c.horizons)]), c)
+}
+
+// BenchmarkEngineHeapChurn measures one pop plus one push at a steady heap
+// depth — 10 is what the rx workloads hold, 1000 what tx_stream_churn holds —
+// with horizons mixed the way a datapath mixes them, so which sibling fires
+// first is not predictable the way BenchmarkEngineEventThroughput's one-event
+// heap is.
 func BenchmarkEngineHeapChurn(b *testing.B) {
-	e := NewEngine()
-	g := NewRNG(1, "bench")
-	for i := 0; i < b.N; i++ {
-		e.At(e.Now().Add(Duration(g.Intn(1000))*Nanosecond), func() {})
-		if i%64 == 63 {
-			for j := 0; j < 32; j++ {
-				e.Step()
+	for _, depth := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			c := &churn{e: NewEngine()}
+			g := NewRNG(1, "bench")
+			for i := range c.horizons {
+				c.horizons[i] = churnHorizons[g.Intn(len(churnHorizons))]
 			}
-		}
+			for i := 0; i < depth; i++ {
+				c.Fire()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.e.Step()
+			}
+		})
 	}
-	e.Run()
 }
 
 // BenchmarkServerAcquire measures the FIFO-resource hot path.

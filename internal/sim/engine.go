@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -23,33 +25,57 @@ func (f funcHandler) Fire() { f() }
 // same instant fire in scheduling order (seq breaks ties), which keeps runs
 // deterministic regardless of heap internals.
 //
-// Events are stored by value in the engine's heap slice — four words, no
-// per-event node — so scheduling itself never allocates once the slice has
-// grown to the run's peak depth. The engine does not own what h points at: a
-// popped slot has its h cleared so the heap's spare capacity retains no
-// reference to a fired closure or record, and whoever scheduled the handler
-// decides whether it is garbage (a closure) or goes back on a free list (a
-// datapath job record).
+// The heap stores an event as two parallel entries — its key in Engine.keys,
+// its handler in Engine.hs — so scheduling never allocates once the arrays
+// have grown to the run's peak depth. The engine does not own what h points
+// at: a popped slot has its handler cleared so the heap's spare capacity
+// retains no reference to a fired closure or record, and whoever scheduled
+// the handler decides whether it is garbage (a closure) or goes back on a
+// free list (a datapath job record).
 type event struct {
-	at  Time
-	seq uint64
-	h   Handler
+	key
+	h Handler
 }
 
-// less orders events by time, then by scheduling sequence.
-func (a *event) less(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// key is an event's place in the total order, compared as one 128-bit
+// integer: the instant as an unsigned word (nothing is scheduled before the
+// epoch, so the conversion from Time preserves order), then the sequence
+// number.
+type key struct {
+	at, seq uint64
 }
 
-// The heap is 4-ary rather than binary: a shallower tree means fewer
-// comparison levels per sift, and the four children of a node share two
-// cache lines, so the extra per-level comparisons are nearly free. For the
-// event-queue access pattern (push future, pop min) this is measurably
-// faster than container/heap and needs no interface dispatch.
-const heapArity = 4
+// lt returns 1 when a orders strictly before b and 0 otherwise: the borrow
+// out of the 128-bit subtraction a − b, computed without a branch.
+func lt(a, b key) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
+}
+
+// pick returns j when take is 1 and i when it is 0, without a branch.
+func pick(take uint64, i, j int) int {
+	return i ^ ((i ^ j) & -int(take))
+}
+
+// The heap is 4-ary and laid out so that a sift branches only to leave its
+// loop: which of two events fires first is a coin toss to a branch predictor,
+// and those mispredictions, not depth, were the cost of a pop (DESIGN.md §8).
+// The root sits at index heapRoot, so the children of node i are the aligned
+// group 4(i−2) … 4(i−2)+3, the parent of node j is j/4 + 2, and — keys being
+// 16 bytes in an array the allocator aligns to a host line — four siblings
+// share one 64-byte line. Every key slot past the last event holds
+// sentinelKey, which orders after any real key, and the arrays' length is a
+// multiple of four, so a partly occupied sibling group runs the same four-way
+// tournament as a full one; grow and pop keep that invariant. The order is
+// still strictly (at, seq) and queued keys are distinct, so which event pops
+// next is the function of the schedule it always was.
+const (
+	heapArity = 4
+	heapRoot  = heapArity - 1
+)
+
+var sentinelKey = key{at: math.MaxUint64, seq: math.MaxUint64}
 
 // Engine is a single-threaded discrete-event simulator.
 //
@@ -59,9 +85,13 @@ const heapArity = 4
 // per goroutine) is safe and is how the experiment harness fans sweeps out
 // across cores.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []event // 4-ary min-heap, root at index 0
+	now Time
+	seq uint64
+	// 4-ary min-heap of n events in slots [heapRoot, heapRoot+n) of two
+	// parallel arrays of equal length; keys past the last event are sentinels.
+	keys    []key
+	hs      []Handler
+	n       int
 	stopped bool
 	nFired  uint64
 	flushed uint64 // portion of nFired already added to firedTotal
@@ -89,33 +119,48 @@ func (e *Engine) Now() Time { return e.now }
 // and runaway-detection metric in tests).
 func (e *Engine) Fired() uint64 { return e.nFired }
 
+// grow doubles the heap arrays and pads the new key slots with sentinels.
+func (e *Engine) grow() {
+	size := max(4*heapArity, 2*len(e.keys))
+	keys := make([]key, size)
+	for i := copy(keys, e.keys); i < size; i++ {
+		keys[i] = sentinelKey
+	}
+	hs := make([]Handler, size)
+	copy(hs, e.hs)
+	e.keys, e.hs = keys, hs
+}
+
 // push inserts ev, sifting it up to its heap position.
 func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.less(&e.events[parent]) {
+	i := heapRoot + e.n
+	if i >= len(e.keys) {
+		e.grow()
+	}
+	e.n++
+	keys, hs := e.keys, e.hs
+	for i > heapRoot {
+		parent := i/heapArity + 2
+		if lt(ev.key, keys[parent]) == 0 {
 			break
 		}
-		e.events[i] = e.events[parent]
+		keys[i], hs[i] = keys[parent], hs[parent]
 		i = parent
 	}
-	e.events[i] = ev
+	keys[i], hs[i] = ev.key, ev.h
 }
 
 // pop removes and returns the earliest event. The caller must have checked
-// len(e.events) > 0. The vacated tail slot's handler is cleared so the heap's
-// spare capacity retains no references (it is reused by future pushes, not a
-// root set).
+// e.n > 0. The vacated tail slot gets the sentinel key back and its handler
+// cleared, so the heap's spare capacity retains no references (it is reused
+// by future pushes, not a root set).
 func (e *Engine) pop() event {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n].h = nil
-	e.events = h[:n]
-	if n > 0 {
+	top := event{e.keys[heapRoot], e.hs[heapRoot]}
+	e.n--
+	tail := heapRoot + e.n
+	last := event{e.keys[tail], e.hs[tail]}
+	e.keys[tail], e.hs[tail] = sentinelKey, nil
+	if e.n > 0 {
 		e.siftDown(last)
 	}
 	return top
@@ -123,32 +168,26 @@ func (e *Engine) pop() event {
 
 // siftDown places ev, notionally at the root, into its heap position.
 func (e *Engine) siftDown(ev event) {
-	h := e.events
-	n := len(h)
-	i := 0
+	keys, hs := e.keys, e.hs
+	end := heapRoot + e.n
+	i := heapRoot
 	for {
-		first := heapArity*i + 1
-		if first >= n {
+		first := heapArity * (i - 2)
+		if first >= end {
 			break
 		}
-		// Find the smallest of up to four children.
-		m := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].less(&h[m]) {
-				m = c
-			}
-		}
-		if !h[m].less(&ev) {
+		// Smallest of the four siblings; slots past end hold sentinels.
+		g := keys[first : first+heapArity : first+heapArity]
+		a, b := int(lt(g[1], g[0])), 2+int(lt(g[3], g[2]))
+		m := pick(lt(g[b], g[a]), a, b)
+		if lt(g[m], ev.key) == 0 {
 			break
 		}
-		h[i] = h[m]
+		m += first
+		keys[i], hs[i] = keys[m], hs[m]
 		i = m
 	}
-	h[i] = ev
+	keys[i], hs[i] = ev.key, ev.h
 }
 
 // AtHandler schedules h.Fire to run at absolute time t. Scheduling in the
@@ -158,7 +197,7 @@ func (e *Engine) AtHandler(t Time, h Handler) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h})
+	e.push(event{key{uint64(t), e.seq}, h})
 }
 
 // At schedules fn to run at absolute time t (AtHandler for a plain func).
@@ -184,11 +223,11 @@ func (e *Engine) Stop() {
 // Step executes the single earliest pending event and reports whether one
 // existed.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.n == 0 {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.at
+	e.now = Time(ev.at)
 	e.nFired++
 	ev.h.Fire()
 	return true
@@ -215,29 +254,37 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with timestamps not after deadline. The clock is
 // left at min(deadline, time of last event). Events scheduled beyond the
-// deadline stay queued.
+// deadline stay queued. A Stop that leaves events at or before the deadline
+// queued leaves the clock at the stopping event, so time never runs backwards
+// when they fire.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
+	for !e.stopped && e.due(deadline) {
 		e.Step()
 	}
-	if e.now < deadline {
+	if e.now < deadline && !e.due(deadline) {
 		e.now = deadline
 	}
 	e.flushFired()
 	return e.now
 }
 
+// due reports whether an event at or before deadline is queued.
+func (e *Engine) due(deadline Time) bool {
+	at, ok := e.NextAt()
+	return ok && at <= deadline
+}
+
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.n }
 
 // NextAt returns the time of the earliest pending event, if any. The shard
 // coordinator uses it to fast-forward barriers over dead air.
 func (e *Engine) NextAt() (Time, bool) {
-	if len(e.events) == 0 {
+	if e.n == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return Time(e.keys[heapRoot].at), true
 }
 
 // AddFired credits n logical sub-events processed inside the currently

@@ -3,6 +3,7 @@ package sim
 import (
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestEngineHeapOrderingChurn drives the 4-ary heap through a randomized
@@ -138,5 +139,21 @@ func TestFiredTotal(t *testing.T) {
 	e.Run()
 	if d := FiredTotal() - before; d != 10 {
 		t.Fatalf("FiredTotal advanced by %d after idle Run, want 10", d)
+	}
+}
+
+// TestHeapSiblingsShareALine pins the host layout the heap's index scheme
+// exists for: at every capacity the key array starts on a 64-byte boundary,
+// so each aligned group of four 16-byte sibling keys is one host line.
+func TestHeapSiblingsShareALine(t *testing.T) {
+	if size := unsafe.Sizeof(key{}); size != 16 {
+		t.Fatalf("key is %d bytes, want 16", size)
+	}
+	e := NewEngine()
+	for n := 1; n <= 1<<14; n++ {
+		e.At(Time(n), func() {})
+		if base := uintptr(unsafe.Pointer(&e.keys[0])); base%64 != 0 || len(e.keys)%heapArity != 0 {
+			t.Fatalf("at %d events the key array is %d long at %#x: sibling groups straddle host lines", n, len(e.keys), base)
+		}
 	}
 }

@@ -84,6 +84,27 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineStopRunUntil: a Stop that leaves an event queued before the
+// deadline must not advance the clock past it — the next Run would set the
+// clock back. With nothing left before the deadline, a stopped RunUntil
+// still ends at the deadline.
+func TestEngineStopRunUntil(t *testing.T) {
+	e := NewEngine()
+	e.At(10, e.Stop)
+	e.At(20, func() {})
+	if now := e.RunUntil(100); now != 10 || e.Pending() != 1 {
+		t.Fatalf("RunUntil stopped at t=10 with an event due at 20: now=%v pending=%d, want 10 and 1", now, e.Pending())
+	}
+	if now := e.Run(); now != 20 {
+		t.Fatalf("resumed Run ended at %v, want 20", now)
+	}
+	e.At(30, e.Stop)
+	e.At(200, func() {})
+	if now := e.RunUntil(100); now != 100 {
+		t.Fatalf("RunUntil stopped by its last due event ended at %v, want the deadline 100", now)
+	}
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0

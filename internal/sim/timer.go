@@ -82,7 +82,7 @@ func (t *Timer) Armed() bool { return t.deadline.seq != 0 }
 func (t *Timer) cover(s stamp) {
 	if n := len(t.queued); n == 0 || s.at < t.queued[n-1].at {
 		t.queued = append(t.queued, s)
-		t.e.push(event{at: s.at, seq: s.seq, h: t})
+		t.e.push(event{key{uint64(s.at), s.seq}, t})
 	}
 }
 

@@ -65,6 +65,9 @@ done <<'PASSES'
 7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/...
 # the supervision kernel, and the goldens its three users must reproduce byte for byte
 7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
+# the branch-free event heap and the LLC set record, fuzzed against the code
+# they replaced (seed corpora); RunUntil after Stop
+7 EngineOrder|LLCEquiv|StopRunUntil ./internal/sim/... ./internal/cache/...
 PASSES
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
