@@ -18,7 +18,10 @@
 // quarantine/failover/failback events and the per-component state rows. With
 // -upgrade it reports the live-upgrade subsystem: lifecycle phase, pipeline
 // generation, cutover/commit/rollback counts, canary accounting, and the
-// pause-buffer and warm-transfer numbers of the last flip.
+// pause-buffer and warm-transfer numbers of the last flip. With -ledger it
+// prints the NIC's conservation ledger out of the same telemetry dump: frames
+// in, every typed drop reason, the in-flight terms and the residual (0 unless
+// the NIC lost a frame silently).
 package main
 
 import (
@@ -26,8 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"norman/internal/ctl"
+	"norman/internal/nic"
 )
 
 func main() {
@@ -41,6 +46,7 @@ func main() {
 	flowsFlag := flag.Bool("flows", false, "show the NIC flow-cache status (occupancy, hit/miss, per-tenant partitions)")
 	healthFlag := flag.Bool("health", false, "show the NIC hardware-health monitor (component states, quarantines, failovers)")
 	upgradeFlag := flag.Bool("upgrade", false, "show the live-upgrade subsystem (phase, generation, canary, rollbacks)")
+	ledgerFlag := flag.Bool("ledger", false, "show the NIC conservation ledger (drop reasons, in-flight terms, residual)")
 	flag.Parse()
 
 	c, err := ctl.Dial(*socket)
@@ -223,6 +229,23 @@ func main() {
 		}
 		for _, a := range data.Actions {
 			fmt.Printf("  repair: %s\n", a)
+		}
+		return
+	}
+
+	if *ledgerFlag {
+		var data ctl.TelemetryData
+		if err := c.Call(ctl.OpTelemetry, ctl.TelemetryArgs{Format: "prometheus"}, &data); err != nil {
+			fatal(err)
+		}
+		terms := map[string]bool{}
+		for _, s := range nic.LedgerSeries() {
+			terms["norman_nic_"+s] = true
+		}
+		for _, line := range strings.Split(data.Body, "\n") {
+			if terms[line[:strings.IndexAny(line+" ", "{ ")]] { // the series name ends at its labels or its value
+				fmt.Println(strings.TrimPrefix(line, "norman_nic_"))
+			}
 		}
 		return
 	}

@@ -89,8 +89,8 @@ func main() {
 	rows := sys.Netstat()
 	fmt.Printf("netstat            : %d rows, all pid=%d (server)\n", len(rows), serverPID)
 
-	fmt.Printf("nic: rxwire=%d fifodrop=%d nosteer=%d ringdrop=%d verdict=%d\n",
-		w.NIC.RxWire, w.NIC.RxFifoDrop, w.NIC.RxDropNoSteer, w.NIC.RxDropRing, w.NIC.RxDropVerdict)
+	fmt.Printf("nic: rxwire=%d dropped=%d (fifo=%d) ledger balanced=%t\n",
+		w.NIC.RxWire, w.NIC.RxDropped(), w.NIC.RxFifoDrop, w.NIC.Balance() == nil)
 	_, matched := capture.Counters()
 	fmt.Printf("tcpdump host %s: %d frames (want 8 = 4 requests + 4 responses)\n", watchIP, matched)
 }

@@ -124,7 +124,7 @@ func TestWorldShardsConfig(t *testing.T) {
 	}
 	fired := make(chan uint64, 1)
 	ws.Eng.At(sim.Time(sim.Microsecond), func() { fired <- ws.Coord.ShardFired(0) })
-	ws.Coord.RunUntil(sim.Time(2 * sim.Microsecond))
+	ws.RunUntil(sim.Time(2 * sim.Microsecond))
 	select {
 	case <-fired:
 	default:

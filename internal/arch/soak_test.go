@@ -67,22 +67,17 @@ func TestSoakConservation(t *testing.T) {
 					})
 				}
 			}
-			w.Eng.Run()
+			// Wire → ring and fetched descriptor → wire conservation is the
+			// NIC's own law; the checks below extend it to the host's ends.
+			if err := w.Drain(); err != nil {
+				t.Fatal(err)
+			}
 
 			n := w.NIC
-			// RX conservation.
 			var delivered, ringResidue uint64
 			for _, c := range conns {
 				delivered += c.NC.RxDelivered
 				ringResidue += uint64(c.NC.RX.Len())
-			}
-			accounted := delivered + n.RxDropNoSteer + n.RxDropRing + n.RxDropVerdict +
-				n.RxSlowPath + n.RxOutageDrop + n.RxFifoDrop
-			if accounted != n.RxWire {
-				t.Fatalf("RX conservation broken: wire=%d accounted=%d (delivered=%d drops=%d/%d/%d/%d/%d/%d)",
-					n.RxWire, accounted, delivered,
-					n.RxDropNoSteer, n.RxDropRing, n.RxDropVerdict,
-					n.RxSlowPath, n.RxOutageDrop, n.RxFifoDrop)
 			}
 			// Poll-mode apps consume everything delivered to the rings.
 			if appDelivered+ringResidue != delivered {

@@ -131,6 +131,34 @@ func NewWorld(cfg WorldConfig) *World {
 	return w
 }
 
+// Now returns the world's virtual time.
+func (w *World) Now() sim.Time {
+	if w.Coord != nil {
+		return w.Coord.Now()
+	}
+	return w.Eng.Now()
+}
+
+// RunUntil advances the world through virtual time t — in lockstep barrier
+// epochs when sharded.
+func (w *World) RunUntil(t sim.Time) sim.Time {
+	if w.Coord != nil {
+		return w.Coord.RunUntil(t)
+	}
+	return w.Eng.RunUntil(t)
+}
+
+// Drain runs the world until no event remains (in-flight DMA, deliveries,
+// echoes) and returns the NIC's conservation verdict, nic.NIC.Balance.
+func (w *World) Drain() error {
+	if w.Coord != nil {
+		w.Coord.Run()
+	} else {
+		w.Eng.Run()
+	}
+	return w.NIC.Balance()
+}
+
 // EnableTracing attaches a packet-lifecycle tracer of the given span depth
 // (<= 0 uses telemetry.DepthFromEnv) to the world and its NIC. Architectures
 // that stamp packets on the host side consult w.Tracer directly.

@@ -229,6 +229,7 @@ func e10Point(name string, outage sim.Duration, pkts int, seed int64, crash bool
 	sent += e10Conns
 
 	sys.RunFor(sim.Duration(e10Horizon))
+	balanced(sys.World().NIC.Balance())
 
 	res := e10Result{sent: sent, delivered: delivered, report: report}
 	for i := range conns {

@@ -224,7 +224,7 @@ func e11Run(n int, governed bool, scale Scale) e11Result {
 	}
 	gen.Start(0)
 	w.Eng.RunUntil(sim.Time(dur))
-	w.Eng.Run() // drain in-flight DMA/delivery; the watchdog stops at dur
+	balanced(w.Drain()) // in-flight DMA/delivery; the watchdog stops at dur
 
 	res := e11Result{
 		hiGbps:   stats.Throughput(hiBytes, sim.Time(dur).Sub(winLo)),
@@ -241,8 +241,6 @@ func e11Run(n int, governed bool, scale Scale) e11Result {
 	} else {
 		res.state = "-"
 	}
-	// The zero-silent-loss ledger: every offered frame is delivered or sits
-	// in exactly one drop counter.
-	res.silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
+	res.silent = silentLoss(w, gen.Sent, delivered)
 	return res
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"norman/internal/arch"
-	"norman/internal/host"
 	"norman/internal/nic"
-	"norman/internal/overlay"
 	"norman/internal/overload"
 	"norman/internal/packet"
 	"norman/internal/sim"
@@ -53,35 +51,14 @@ type E13Point struct {
 	CtlSilent      int64
 }
 
-// E13 tenant identities and weights: the victim holds 7/8 of every
-// schedulable resource, the adversary 1/8 — the victim waits for at most
-// about one adversary grant per scheduler rotation.
+// E13's governor settings and the adversary's traffic: 1502 B elephants at
+// 85 Gbps. With the victim's 12.5 Gbps they stay under the 100 Gbps wire, so
+// any victim latency growth comes from NIC resources, not link queueing.
 const (
-	e13VictimUID  = 101
-	e13AdvUID     = 202
-	e13VictimTid  = 1
-	e13AdvTid     = 2
-	e13VictimW    = 7
-	e13AdvW       = 1
-	e13RingSize   = 16
 	e13Share      = 0.85 // governor DDIO share, as in E11
 	e13ProgCycles = 64   // governor per-packet overlay cycle bound
-)
-
-// e13VictimConns is the victim's flow count: 64 rings × 1 KiB of descriptor
-// lines = 64 KiB, comfortably inside one DDIO way.
-const e13VictimConns = 64
-
-// Victim traffic: small frames at 12.5 Gbps. Adversary traffic: 1502 B
-// elephants at 85 Gbps. Together they stay under the 100 Gbps wire, so any
-// victim latency growth comes from NIC resources, not link queueing.
-const (
-	e13VictimPayload = 256
-	e13VictimFrame   = e13VictimPayload + 42
-	e13VictimGbps    = 12.5
-	e13AdvPayload    = 1460
-	e13AdvFrame      = e13AdvPayload + 42
-	e13AdvGbps       = 85
+	e13AdvPayload = 1460
+	e13AdvGbps    = 85
 )
 
 // RunE13 sweeps the adversary's connection count across the DDIO cliff and
@@ -92,9 +69,6 @@ const (
 // table by design; every cell is byte-identical at any shard or worker
 // width (TestE13Determinism enforces both).
 func RunE13(scale Scale, shards int) ([]E13Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
 	sweep := []int{256, 1024, 2048, 4096, 8192}
 	if scale < 0.5 {
 		sweep = []int{256, 2048, 8192}
@@ -195,30 +169,21 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	if leg != e13Raw {
 		name = "kopi"
 	}
-	a := arch.New(name, arch.WorldConfig{Model: model, RingSize: e13RingSize, Shards: shards})
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
+	tp := newTenantPair(name, model, shards)
+	w := tp.w
 
-	vicUser := w.Kern.AddUser(e13VictimUID, "victim")
-	advUser := w.Kern.AddUser(e13AdvUID, "adversary")
-	vicProc := w.Kern.Spawn(vicUser.UID, "victim-svc")
-	advProc := w.Kern.Spawn(advUser.UID, "adv-svc")
-	w.Kern.AssignTenant(e13VictimUID, e13VictimTid)
-	w.Kern.AssignTenant(e13AdvUID, e13AdvTid)
-
-	weights := map[uint32]int{e13VictimTid: e13VictimW, e13AdvTid: e13AdvW}
 	var gov *overload.Governor
 	if leg != e13Raw {
 		// The full isolation stack: weighted DRR over pipeline + DMA,
 		// one exclusive DDIO way per tenant, and the governor's descriptor
 		// budget split 7:1 with private per-tenant health machines.
-		w.NIC.SetTenantScheduler(weights)
-		if err := w.LLC.PartitionDDIO(map[uint32]int{e13VictimTid: 1, e13AdvTid: 1}); err != nil {
+		w.NIC.SetTenantScheduler(pairWeights())
+		if err := w.LLC.PartitionDDIO(map[uint32]int{pairVictimTid: 1, pairAdvTid: 1}); err != nil {
 			panic(fmt.Sprintf("e13: partition: %v", err))
 		}
 		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{
 			DDIOShare:        e13Share,
-			TenantWeights:    weights,
+			TenantWeights:    pairWeights(),
 			MaxProgramCycles: e13ProgCycles,
 		})
 	}
@@ -227,55 +192,35 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	// straight onto the shared ingress pipeline; the governed world checks
 	// the verified cycle bound first and refuses with a typed error.
 	var progRefused uint64
-	prog, err := overlay.Assemble("adv-burn", e13AdversarySource())
-	if err != nil {
-		panic(fmt.Sprintf("e13: assemble: %v", err))
-	}
+	prog := mustAssemble("adv-burn", e13AdversarySource())
 	if leg == e13Raw {
 		if _, _, err := w.NIC.LoadProgram(nic.Ingress, prog); err != nil {
 			panic(fmt.Sprintf("e13: load: %v", err))
 		}
 	} else if leg == e13Ctl {
-		if err := gov.AdmitProgram(e13AdvTid, prog.CycleBound()); err != nil {
+		if err := gov.AdmitProgram(pairAdvTid, prog.CycleBound()); err != nil {
 			progRefused++
 		} else {
 			panic("e13: the 202-cycle program must not pass a 64-cycle bound")
 		}
 	}
 
-	// Dial order: victim first (its 64 rings always fit every budget), then
-	// the adversary until admission refuses. Rejected flows stay in the
-	// offered set — their frames arrive, find no steering entry, and are
-	// counted as no-steer drops: a typed rejection's dataplane shadow.
-	var rejected uint64
-	vicFlows := make([]packet.FlowKey, 0, e13VictimConns)
-	for i := 0; i < e13VictimConns; i++ {
-		flow := w.Flow(uint16(3000+i/512), uint16(6000+i%512))
-		vicFlows = append(vicFlows, flow)
-		if gov != nil {
-			if err := gov.AdmitConn(w.Kern.TenantOf(vicUser.UID)); err != nil {
-				panic(fmt.Sprintf("e13: victim conn %d rejected: %v", i, err))
-			}
+	// The governed worlds dial through admission: the victim's rings always
+	// fit, the adversary is connected until its budget refuses.
+	admit := func(tenant uint32) func() error {
+		if gov == nil {
+			return nil
 		}
-		if _, err := a.Connect(vicProc, flow); err != nil {
-			panic(fmt.Sprintf("e13: victim connect %d: %v", i, err))
+		return func() error { return gov.AdmitConn(tenant) }
+	}
+	for i, c := range tp.dialVictim(admit(pairVictimTid)) {
+		if c == nil {
+			panic(fmt.Sprintf("e13: victim conn %d rejected", i))
 		}
 	}
-	advFlows := make([]packet.FlowKey, 0, advConns)
+	var rejected uint64
 	if leg != e13Solo {
-		for i := 0; i < advConns; i++ {
-			flow := w.Flow(uint16(2000+i/512), uint16(7000+i%512))
-			advFlows = append(advFlows, flow)
-			if gov != nil {
-				if err := gov.AdmitConn(w.Kern.TenantOf(advUser.UID)); err != nil {
-					rejected++
-					continue
-				}
-			}
-			if _, err := a.Connect(advProc, flow); err != nil {
-				panic(fmt.Sprintf("e13: adv connect %d: %v", i, err))
-			}
-		}
+		rejected = tp.dialAdversary(advConns, admit(pairAdvTid))
 	}
 
 	// Duration: enough for the adversary's rings to wrap several times at
@@ -284,20 +229,18 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	if scale < 0.5 {
 		wraps = 2
 	}
-	dur := sim.Duration(advConns*e13RingSize*wraps) * (140 * sim.Nanosecond)
+	dur := sim.Duration(advConns*pairRingSize*wraps) * (140 * sim.Nanosecond)
 	if min := scale.d(4 * sim.Millisecond); dur < min {
 		dur = min
 	}
 	winLo := sim.Time(dur) / 2
-	var delivered uint64
 	var vicBytes, advBytes uint64
 	var vicLat stats.Histogram
-	a.SetDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
-		delivered++
+	tp.onDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
 		if at < winLo {
 			return
 		}
-		if c.Info.UID == vicUser.UID {
+		if c.Info.UID == pairVictimUID {
 			vicBytes += uint64(p.FrameLen())
 			// NIC-receive to app-delivery latency: FIFO wait, pipeline
 			// scheduling, and the DMA whose descriptor fetch the DDIO
@@ -311,29 +254,7 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	if gov != nil {
 		gov.Start(sim.Time(dur))
 	}
-	vgen := &host.InboundGen{
-		Arch: a, Flows: vicFlows, Payload: e13VictimPayload,
-		Interval: host.IntervalFor(e13VictimGbps, e13VictimFrame),
-		Until:    sim.Time(dur),
-	}
-	vgen.Start(0)
-	sent := func() uint64 { return vgen.Sent }
-	if leg != e13Solo {
-		agen := &host.InboundGen{
-			Arch: a, Flows: advFlows, Payload: e13AdvPayload,
-			Interval: host.IntervalFor(e13AdvGbps, e13AdvFrame),
-			Until:    sim.Time(dur),
-		}
-		agen.Start(0)
-		sent = func() uint64 { return vgen.Sent + agen.Sent }
-	}
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run() // drain in-flight DMA/delivery
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
+	_, silent := tp.run(dur, e13AdvPayload, e13AdvGbps)
 
 	res := e13Result{
 		vicGbps:     stats.Throughput(vicBytes, sim.Time(dur).Sub(winLo)),
@@ -342,6 +263,7 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 		drops:       w.NIC.RxFifoDrop + w.NIC.RxDropRing,
 		rejected:    rejected,
 		progRefused: progRefused,
+		silent:      silent,
 		vicState:    "-",
 		advState:    "-",
 	}
@@ -349,15 +271,12 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 		res.admitted = gov.Snapshot().Admitted
 		for _, ts := range gov.TenantSnapshots() {
 			switch ts.Tenant {
-			case e13VictimTid:
+			case pairVictimTid:
 				res.vicState = ts.State
-			case e13AdvTid:
+			case pairAdvTid:
 				res.advState = ts.State
 			}
 		}
 	}
-	// The zero-silent-loss ledger: every offered frame is delivered or sits
-	// in exactly one drop counter.
-	res.silent = int64(sent()) - int64(delivered) - int64(w.NIC.RxDropped())
 	return res
 }

@@ -63,9 +63,9 @@ func TestE13Isolation(t *testing.T) {
 		t.Fatalf("uncontrolled victim p99 %.1fµs must be >= 5x the solo %.1fµs",
 			post.RawVicP99, post.SoloP99)
 	}
-	if post.RawVicGbps >= 0.9*e13VictimGbps {
+	if post.RawVicGbps >= 0.9*pairVictimGbps {
 		t.Fatalf("uncontrolled victim goodput %.2f Gbps must collapse below 90%% of the offered %.1f",
-			post.RawVicGbps, float64(e13VictimGbps))
+			post.RawVicGbps, float64(pairVictimGbps))
 	}
 
 	// The governed world holds the victim.
@@ -73,9 +73,9 @@ func TestE13Isolation(t *testing.T) {
 		t.Fatalf("governed victim p99 %.1fµs must stay within 1.5x the solo %.1fµs",
 			post.CtlVicP99, post.SoloP99)
 	}
-	if post.CtlVicGbps < 0.95*e13VictimGbps {
+	if post.CtlVicGbps < 0.95*pairVictimGbps {
 		t.Fatalf("governed victim goodput %.2f Gbps must stay within 5%% of the offered %.1f",
-			post.CtlVicGbps, float64(e13VictimGbps))
+			post.CtlVicGbps, float64(pairVictimGbps))
 	}
 
 	// Containment is visible and typed, never silent.

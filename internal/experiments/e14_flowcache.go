@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"norman/internal/arch"
-	"norman/internal/host"
-	"norman/internal/nic"
-	"norman/internal/overlay"
 	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/stats"
@@ -49,33 +46,15 @@ type E14Point struct {
 	PrtLedger    int64
 }
 
-// E14 identities and shape: the same 7:1 victim/adversary split as E13, a
-// 256-entry cache (64 buckets × 4 ways, 8 KiB of SRAM), and a victim whose
-// 64 flows fit its 224-entry partition with room to spare.
+// E14's cache: 256 entries (64 buckets × 4 ways, 8 KiB of SRAM), so the
+// victim's 64 flows fit its 224-entry partition with room to spare. Flood
+// traffic: minimum-size frames at 10 Gbps round-robin over FloodFlows short
+// flows — at 8192 flows each is revisited every ~700 µs, far past any
+// plausible residency, so the flood is pure install churn.
 const (
-	e14VictimUID  = 101
-	e14AdvUID     = 202
-	e14VictimTid  = 1
-	e14AdvTid     = 2
-	e14VictimW    = 7
-	e14AdvW       = 1
-	e14RingSize   = 16
-	e14CacheSlots = 256
-)
-
-// Victim traffic: 64 established flows, small frames at 12.5 Gbps (a flow is
-// re-referenced every ~12 µs). Flood traffic: minimum-size frames at 10 Gbps
-// round-robin over FloodFlows short flows — at 8192 flows each is revisited
-// every ~700 µs, far past any plausible residency, so the flood is pure
-// install churn.
-const (
-	e14VictimConns   = 64
-	e14VictimPayload = 256
-	e14VictimFrame   = e14VictimPayload + 42
-	e14VictimGbps    = 12.5
-	e14FloodPayload  = 64
-	e14FloodFrame    = e14FloodPayload + 42
-	e14FloodGbps     = 10
+	e14CacheSlots   = 256
+	e14FloodPayload = 64
+	e14FloodGbps    = 10
 )
 
 // e14ACLSource is the cacheable ingress program: a 15-rule port blocklist
@@ -101,9 +80,6 @@ func e14ACLSource() string {
 // the three worlds. shards is an execution parameter only; every cell is
 // byte-identical at any shard or worker width (TestE14Determinism).
 func RunE14(scale Scale, shards int) ([]E14Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
 	sweep := []int{64, 512, 2048, 8192}
 	if scale < 0.5 {
 		sweep = []int{64, 8192}
@@ -195,99 +171,41 @@ type e14Result struct {
 // cost and the victim's delivery tail. The tenant scheduler runs in every
 // leg so the only variable between worlds is the cache configuration.
 func e14Run(floodFlows int, leg e14Leg, scale Scale, shards int) e14Result {
-	model := timing.Default()
-	a := arch.New("kopi", arch.WorldConfig{Model: model, RingSize: e14RingSize, Shards: shards})
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
-
-	vicUser := w.Kern.AddUser(e14VictimUID, "victim")
-	advUser := w.Kern.AddUser(e14AdvUID, "flooder")
-	vicProc := w.Kern.Spawn(vicUser.UID, "victim-svc")
-	advProc := w.Kern.Spawn(advUser.UID, "flood-src")
-	w.Kern.AssignTenant(e14VictimUID, e14VictimTid)
-	w.Kern.AssignTenant(e14AdvUID, e14AdvTid)
-
-	weights := map[uint32]int{e14VictimTid: e14VictimW, e14AdvTid: e14AdvW}
-	w.NIC.SetTenantScheduler(weights)
-	if leg != e14Off {
-		if err := w.NIC.EnableFlowCache(e14CacheSlots); err != nil {
-			panic(fmt.Sprintf("e14: enable cache: %v", err))
-		}
-		if leg == e14Part {
-			if err := w.NIC.FlowCache().SetQuotas(weights); err != nil {
-				panic(fmt.Sprintf("e14: partition: %v", err))
-			}
+	tp := newTenantPair("kopi", timing.Default(), shards)
+	w := tp.w
+	w.NIC.SetTenantScheduler(pairWeights())
+	tp.loadACL("e14-acl", leg != e14Off)
+	if leg == e14Part {
+		if err := w.NIC.FlowCache().SetQuotas(pairWeights()); err != nil {
+			panic(fmt.Sprintf("e14: partition: %v", err))
 		}
 	}
 
-	prog, err := overlay.Assemble("e14-acl", e14ACLSource())
-	if err != nil {
-		panic(fmt.Sprintf("e14: assemble: %v", err))
-	}
-	if _, _, err := w.NIC.LoadProgram(nic.Ingress, prog); err != nil {
-		panic(fmt.Sprintf("e14: load: %v", err))
-	}
-
-	vicFlows := make([]packet.FlowKey, 0, e14VictimConns)
-	for i := 0; i < e14VictimConns; i++ {
-		flow := w.Flow(uint16(3000+i/512), uint16(6000+i%512))
-		vicFlows = append(vicFlows, flow)
-		if _, err := a.Connect(vicProc, flow); err != nil {
-			panic(fmt.Sprintf("e14: victim connect %d: %v", i, err))
-		}
-	}
-	advFlows := make([]packet.FlowKey, 0, floodFlows)
-	for i := 0; i < floodFlows; i++ {
-		flow := w.Flow(uint16(2000+i/512), uint16(7000+i%512))
-		advFlows = append(advFlows, flow)
-		if _, err := a.Connect(advProc, flow); err != nil {
-			panic(fmt.Sprintf("e14: flood connect %d: %v", i, err))
-		}
-	}
+	tp.dialVictim(nil)
+	tp.dialAdversary(floodFlows, nil)
 
 	dur := scale.d(4 * sim.Millisecond)
 	winLo := sim.Time(dur) / 2
-	var delivered uint64
 	var vicLat stats.Histogram
-	a.SetDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
-		delivered++
-		if at < winLo || c.Info.UID != vicUser.UID {
+	tp.onDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
+		if at < winLo || c.Info.UID != pairVictimUID {
 			return
 		}
 		vicLat.Observe(at.Sub(p.Meta.Enqueued))
 	})
 
-	vgen := &host.InboundGen{
-		Arch: a, Flows: vicFlows, Payload: e14VictimPayload,
-		Interval: host.IntervalFor(e14VictimGbps, e14VictimFrame),
-		Until:    sim.Time(dur),
-	}
-	vgen.Start(0)
-	agen := &host.InboundGen{
-		Arch: a, Flows: advFlows, Payload: e14FloodPayload,
-		Interval: host.IntervalFor(e14FloodGbps, e14FloodFrame),
-		Until:    sim.Time(dur),
-	}
-	agen.Start(0)
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run()
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
-
-	sent := vgen.Sent + agen.Sent
+	sent, silent := tp.run(dur, e14FloodPayload, e14FloodGbps)
 	res := e14Result{
 		vicP99: float64(vicLat.P99()) / float64(sim.Microsecond),
 		cycPkt: float64(w.NIC.IngressProgCycles) / float64(sent),
+		silent: silent,
 	}
 	if f := w.NIC.FlowCache(); f != nil {
 		if total := f.Hits + f.Misses; total > 0 {
 			res.hitPct = 100 * float64(f.Hits) / float64(total)
 		}
 		for _, ts := range f.TenantStats() {
-			if ts.Tenant != e14VictimTid {
+			if ts.Tenant != pairVictimTid {
 				continue
 			}
 			// A tenant's misses are its installs plus its denials (every
@@ -301,8 +219,5 @@ func e14Run(floodFlows int, leg e14Leg, scale Scale, shards int) e14Result {
 		res.denied = f.Denied
 		res.ledger = int64(f.Installs) - int64(f.Evictions) - int64(f.Invalidations) - int64(f.Len())
 	}
-	// The zero-silent-loss ledger: every offered frame is delivered or sits
-	// in exactly one drop counter — with or without the fast path.
-	res.silent = int64(sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return res
 }

@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"norman/internal/arch"
 	"norman/internal/faults"
 	"norman/internal/health"
-	"norman/internal/host"
 	"norman/internal/nic"
-	"norman/internal/overlay"
-	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/stats"
 	"norman/internal/timing"
@@ -57,9 +53,6 @@ const (
 // is execution-only; every cell is byte-identical at any shard or worker
 // width (TestE15Determinism).
 func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E15Point, len(archs))
 	r := NewRunner()
@@ -84,34 +77,15 @@ func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
 // e15Run offers the victim workload on one architecture under the fault
 // schedule and reports delivery, corruption and health accounting.
 func e15Run(archName string, scale Scale, shards int) E15Point {
-	model := timing.Default()
-	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize, Shards: shards})
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
-
-	vicUser := w.Kern.AddUser(e14VictimUID, "victim")
-	vicProc := w.Kern.Spawn(vicUser.UID, "victim-svc")
-	w.Kern.AssignTenant(e14VictimUID, e14VictimTid)
+	tp := newTenantPair(archName, timing.Default(), shards)
+	w := tp.w
 
 	// The fast path exists on bypass and kopi; the kernel stack interprets
 	// everything (its "cache off" row is the slow-path baseline the others
 	// fail over to). Bypass runs the cache raw — no checksum verification, no
 	// monitor — which is precisely the paper's complaint about unsupervised
 	// offload.
-	withCache := archName != "kernelstack"
-	if withCache {
-		if err := w.NIC.EnableFlowCache(e14CacheSlots); err != nil {
-			panic(fmt.Sprintf("e15: enable cache: %v", err))
-		}
-	}
-
-	prog, err := overlay.Assemble("e15-acl", e14ACLSource())
-	if err != nil {
-		panic(fmt.Sprintf("e15: assemble: %v", err))
-	}
-	if _, _, err := w.NIC.LoadProgram(nic.Ingress, prog); err != nil {
-		panic(fmt.Sprintf("e15: load: %v", err))
-	}
+	tp.loadACL("e15-acl", archName != "kernelstack")
 
 	var hm *health.Monitor
 	dur := scale.d(4 * sim.Millisecond)
@@ -140,73 +114,31 @@ func e15Run(archName string, scale Scale, shards int) E15Point {
 	inj.ScheduleSRAMBurst(t2, e15SRAMFlips)
 	inj.ScheduleTrapStorm(nic.Ingress, t3, e15StormTraps, sim.Microsecond, "e15-storm")
 
-	vicFlows := make([]packet.FlowKey, 0, e14VictimConns)
-	for i := 0; i < e14VictimConns; i++ {
-		flow := w.Flow(uint16(3000+i/512), uint16(6000+i%512))
-		vicFlows = append(vicFlows, flow)
-		if _, err := a.Connect(vicProc, flow); err != nil {
-			panic(fmt.Sprintf("e15: connect %d: %v", i, err))
-		}
-	}
+	tp.dialVictim(nil)
 
-	var delivered uint64
-	a.SetDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
-		delivered++
-	})
+	tp.onDeliver(nil)
 
 	// Hit-rate windows: a snapshot just before the SRAM burst (the pre-fault
 	// fast path) and the delta over [3·dur/4, dur) (the recovered fast path —
 	// for KOPI, after quarantine, probation and failback have all run).
-	var preHits, preLookups, winHits, winLookups uint64
-	if fc := w.NIC.FlowCache(); fc != nil {
-		w.Eng.At(t2, func() {
-			preHits = fc.Hits
-			preLookups = fc.Hits + fc.Misses
-		})
-		w.Eng.At(sim.Time(3*dur/4), func() {
-			winHits = fc.Hits
-			winLookups = fc.Hits + fc.Misses
-		})
-	}
-
-	gen := &host.InboundGen{
-		Arch: a, Flows: vicFlows, Payload: e14VictimPayload,
-		Interval: host.IntervalFor(e14VictimGbps, e14VictimFrame),
-		Until:    sim.Time(dur),
-	}
-	gen.Start(0)
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run()
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
+	hits := tp.watchHits(t2, sim.Time(3*dur/4))
+	_, silent := tp.run(dur, 0, 0)
 
 	p := E15Point{
 		Arch:          archName,
-		Delivered:     delivered,
+		Delivered:     tp.delivered,
+		Silent:        silent,
 		LinkDrops:     w.NIC.RxLinkDrop,
 		TrapFallbacks: w.NIC.Traps(),
 	}
 	if fc := w.NIC.FlowCache(); fc != nil {
 		p.CorruptServed = fc.CorruptServed
 		p.ChecksumFails = fc.ChecksumFails
-		if preLookups > 0 {
-			p.PreHitPct = 100 * float64(preHits) / float64(preLookups)
-		}
-		if post := (fc.Hits + fc.Misses) - winLookups; post > 0 {
-			p.PostHitPct = 100 * float64(fc.Hits-winHits) / float64(post)
-		}
 	}
+	p.PreHitPct, p.PostHitPct = hits.pcts()
 	if hm != nil {
 		p.Quarantines = hm.Quarantines
 		p.Failbacks = hm.Failbacks
 	}
-	// The conservation ledger: every offered frame is delivered or sits in
-	// exactly one drop counter — including frames lost at the MAC while the
-	// link was down and frames eaten by a (possibly corrupted) cached
-	// verdict. Zero silent loss is the failover's proof obligation.
-	p.Silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return p
 }

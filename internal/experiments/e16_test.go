@@ -79,9 +79,9 @@ func TestE16LiveUpgrade(t *testing.T) {
 	if bypass.OutageDrops == 0 {
 		t.Fatal("the bypass respin must eat traffic as outage drops")
 	}
-	if bypass.BrokenConns != e14VictimConns {
+	if bypass.BrokenConns != pairVictimConns {
 		t.Fatalf("the respin must break all %d connections, broke %d",
-			e14VictimConns, bypass.BrokenConns)
+			pairVictimConns, bypass.BrokenConns)
 	}
 
 	// KOPI's cutover is hitless: the pause buffer absorbed the flip.

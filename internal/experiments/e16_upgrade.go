@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"norman/internal/arch"
-	"norman/internal/host"
 	"norman/internal/nic"
-	"norman/internal/overlay"
 	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/stats"
@@ -77,9 +75,6 @@ func e16BadSource() string { return "drop\n" }
 // that could even sequence a staged cutover. shards is execution-only; every
 // cell is byte-identical at any shard or worker width (TestE16Determinism).
 func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E16Point, len(archs))
 	r := NewRunner()
@@ -104,39 +99,14 @@ func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
 // e16Run offers the victim workload on one architecture through the upgrade
 // schedule and reports delivery, outage, handover and rollback accounting.
 func e16Run(archName string, scale Scale, shards int) E16Point {
-	model := timing.Default()
-	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize, Shards: shards})
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
-
-	vicUser := w.Kern.AddUser(e14VictimUID, "victim")
-	vicProc := w.Kern.Spawn(vicUser.UID, "victim-svc")
-	w.Kern.AssignTenant(e14VictimUID, e14VictimTid)
+	tp := newTenantPair(archName, timing.Default(), shards)
+	w := tp.w
 
 	// The fast path exists on bypass and kopi, as in E15; the kernel stack
 	// interprets everything in software and swaps policy the same way.
-	withCache := archName != "kernelstack"
-	if withCache {
-		if err := w.NIC.EnableFlowCache(e14CacheSlots); err != nil {
-			panic(fmt.Sprintf("e16: enable cache: %v", err))
-		}
-	}
-
-	v1, err := overlay.Assemble("e16-acl-v1", e14ACLSource())
-	if err != nil {
-		panic(fmt.Sprintf("e16: assemble v1: %v", err))
-	}
-	v2, err := overlay.Assemble("e16-acl-v2", e16ACLv2Source())
-	if err != nil {
-		panic(fmt.Sprintf("e16: assemble v2: %v", err))
-	}
-	v3, err := overlay.Assemble("e16-bad", e16BadSource())
-	if err != nil {
-		panic(fmt.Sprintf("e16: assemble v3: %v", err))
-	}
-	if _, _, err := w.NIC.LoadProgram(nic.Ingress, v1); err != nil {
-		panic(fmt.Sprintf("e16: load v1: %v", err))
-	}
+	tp.loadACL("e16-acl-v1", archName != "kernelstack")
+	v2 := mustAssemble("e16-acl-v2", e16ACLv2Source())
+	v3 := mustAssemble("e16-bad", e16BadSource())
 
 	dur := scale.d(4 * sim.Millisecond)
 	t1 := sim.Time(dur / 4)     // the policy upgrade
@@ -190,29 +160,17 @@ func e16Run(archName string, scale Scale, shards int) E16Point {
 		})
 	}
 
-	vicFlows := make([]packet.FlowKey, 0, e14VictimConns)
-	connIDs := make([]uint64, 0, e14VictimConns)
-	for i := 0; i < e14VictimConns; i++ {
-		flow := w.Flow(uint16(3000+i/512), uint16(6000+i%512))
-		vicFlows = append(vicFlows, flow)
-		c, err := a.Connect(vicProc, flow)
-		if err != nil {
-			panic(fmt.Sprintf("e16: connect %d: %v", i, err))
-		}
-		connIDs = append(connIDs, c.Info.ID)
-	}
+	conns := tp.dialVictim(nil)
 
 	// The recovery window [3·dur/4, dur) starts well after the rollback has
 	// restored the committed generation: a connection silent across the whole
 	// window is broken, and the hit-rate delta over it is the recovered fast
 	// path.
 	winLo := sim.Time(3 * dur / 4)
-	var delivered uint64
 	var lastAt sim.Time
 	var maxGap sim.Duration
-	winDeliveries := make(map[uint64]uint64, e14VictimConns)
-	a.SetDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
-		delivered++
+	winDeliveries := make(map[uint64]uint64, pairVictimConns)
+	tp.onDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
 		if gap := at.Sub(lastAt); gap > maxGap {
 			maxGap = gap
 		}
@@ -222,31 +180,8 @@ func e16Run(archName string, scale Scale, shards int) E16Point {
 		}
 	})
 
-	var preHits, preLookups, winHits, winLookups uint64
-	if fc := w.NIC.FlowCache(); fc != nil {
-		w.Eng.At(t1, func() {
-			preHits = fc.Hits
-			preLookups = fc.Hits + fc.Misses
-		})
-		w.Eng.At(winLo, func() {
-			winHits = fc.Hits
-			winLookups = fc.Hits + fc.Misses
-		})
-	}
-
-	gen := &host.InboundGen{
-		Arch: a, Flows: vicFlows, Payload: e14VictimPayload,
-		Interval: host.IntervalFor(e14VictimGbps, e14VictimFrame),
-		Until:    sim.Time(dur),
-	}
-	gen.Start(0)
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run()
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
+	hits := tp.watchHits(t1, winLo)
+	_, silent := tp.run(dur, 0, 0)
 
 	// The final gap: a dataplane that went dark partway through the run shows
 	// it here even though no delivery follows.
@@ -256,34 +191,23 @@ func e16Run(archName string, scale Scale, shards int) E16Point {
 
 	p := E16Point{
 		Arch:          archName,
-		Delivered:     delivered,
+		Delivered:     tp.delivered,
+		Silent:        silent,
 		OutageDrops:   w.NIC.RxOutageDrop + w.NIC.TxOutageDrop,
 		PauseBuffered: w.NIC.RxPauseBuffered,
 		PauseDrops:    w.NIC.RxPauseDrop,
 		MaxGapUs:      float64(maxGap) / float64(sim.Microsecond),
 	}
-	for _, id := range connIDs {
-		if winDeliveries[id] == 0 {
+	for _, c := range conns {
+		if winDeliveries[c.Info.ID] == 0 {
 			p.BrokenConns++
 		}
 	}
-	if fc := w.NIC.FlowCache(); fc != nil {
-		if preLookups > 0 {
-			p.PreHitPct = 100 * float64(preHits) / float64(preLookups)
-		}
-		if post := (fc.Hits + fc.Misses) - winLookups; post > 0 {
-			p.PostHitPct = 100 * float64(fc.Hits-winHits) / float64(post)
-		}
-	}
+	p.PreHitPct, p.PostHitPct = hits.pcts()
 	if mgr != nil {
 		p.WarmEntries = mgr.WarmEntries
 		p.Rollbacks = mgr.Rollbacks
 		p.CanaryBreaches = mgr.CanaryBreaches
 	}
-	// The conservation ledger, E15's form plus the pause-overflow class: every
-	// offered frame is delivered, held-and-replayed, or sits in exactly one
-	// typed drop counter. Zero silent loss is the upgrade's proof obligation —
-	// including for the architecture that blackholed.
-	p.Silent = int64(gen.Sent) - int64(delivered) - int64(w.NIC.RxDropped())
 	return p
 }

@@ -113,6 +113,7 @@ func e1Throughput(a arch.Arch, payload int, withPolicy bool, scale Scale) (gbps,
 	if gbits > 0 {
 		cpuPerGbit = busy.Seconds() / gbits
 	}
+	balanced(w.Drain())
 	return gbps, cpuPerGbit
 }
 
@@ -162,7 +163,9 @@ func e1Rx(a arch.Arch, scale Scale, polled bool) float64 {
 	}
 	gen.Start(0)
 	w.Eng.RunUntil(sim.Time(dur))
-	return stats.Throughput(winBytes, sim.Time(dur).Sub(winLo))
+	gbps := stats.Throughput(winBytes, sim.Time(dur).Sub(winLo))
+	balanced(w.Drain())
+	return gbps
 }
 
 // e1RTT measures closed-loop echo latency.
@@ -179,7 +182,7 @@ func e1RTT(a arch.Arch, scale Scale) (p50, p99 sim.Duration) {
 	m := host.NewMux(a)
 	probe := &host.Probe{Arch: a, Conn: c, Flow: flow, Payload: 64, Count: scale.n(500, 50)}
 	probe.Start(m)
-	w.Eng.Run()
+	balanced(w.Drain())
 	return probe.Hist.P50(), probe.Hist.P99()
 }
 

@@ -143,7 +143,7 @@ func e2Debugging(name string, scale Scale) CapLevel {
 		Interval: 50 * sim.Microsecond, Until: sim.Time(scale.d(4 * sim.Millisecond)),
 	}
 	normal.Start(0)
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	if tapErr != nil {
 		// No capture point at all: Alice must audit app by app (§2).
@@ -229,7 +229,7 @@ func e2PortPartition(name string, scale Scale) CapLevel {
 			return w.UDPTo(spoof, 200)
 		}}
 	rg.Start(0)
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	legit := sink.PerDstPort[5432]
 	if legit == 0 {
@@ -267,7 +267,7 @@ func e2Scheduling(name string) CapLevel {
 	w.Eng.At(sim.Time(100*sim.Microsecond), func() {
 		a.DeliverWire(w.UDPFrom(flow, 128))
 	})
-	w.Eng.Run()
+	balanced(w.Drain())
 	if got == 1 {
 		return CapYes
 	}
@@ -306,7 +306,7 @@ func e2Ping(name string) CapLevel {
 	if err := a.Ping(w.PeerIP, 56, func(_ sim.Duration, o bool) { ok = o }); err != nil {
 		return CapNo
 	}
-	w.Eng.Run()
+	balanced(w.Drain())
 	if ok {
 		return CapYes
 	}
@@ -387,7 +387,7 @@ func runQoSShare(name string, weight float64, scale Scale, kind string) (float64
 	}
 	mk(gameConn, gameFlow).Start(0)
 	mk(backupConn, backupFlow).Start(0)
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	gameBytes := float64(perPort[1234])
 	backupBytes := float64(perPort[873])

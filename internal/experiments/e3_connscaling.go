@@ -144,5 +144,6 @@ func e3Run(n int, v e3Variant, scale Scale) (gbps float64, missFrac float64) {
 	if hits, misses := w.NIC.DMADescHit, w.NIC.DMADescMiss; hits+misses > 0 {
 		missFrac = float64(misses) / float64(hits+misses)
 	}
+	balanced(w.Drain())
 	return gbps, missFrac
 }

@@ -150,7 +150,7 @@ func e4Disrupt(name string, bitstream bool, scale Scale) E4Disruption {
 		}
 		updateTime = a.LastProgramLoad
 	})
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	lost := s.Sent - sink.Packets
 	return E4Disruption{
@@ -191,7 +191,7 @@ func e4KernelRuleUpdate(scale Scale) E4Disruption {
 			panic("e4: kernel install: " + err.Error())
 		}
 	})
-	w.Eng.Run()
+	balanced(w.Drain())
 	lost := s.Sent - sink.Packets
 	return E4Disruption{
 		Mechanism:   "kernel-rule-update",

@@ -171,6 +171,7 @@ func e5Traffic(offered int, fallback bool, scale Scale) (agg, fast, slow float64
 	win := sim.Time(dur).Sub(winLo)
 	fast = stats.Throughput(fastBytes, win)
 	slow = stats.Throughput(slowBytes, win)
+	balanced(w.Drain())
 	return fast + slow, fast, slow, accepted
 }
 

@@ -157,7 +157,7 @@ func e6Game(name string, scale Scale) E6Game {
 	}
 	mk(gameConn, gameFlow, 5).Start(0)     // the game tries to use 5G
 	mk(backupConn, backupFlow, 6).Start(0) // productive work wants 6G
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	win := until.Sub(winLo)
 	g.GameGbps = stats.Throughput(perPort[1234], win)

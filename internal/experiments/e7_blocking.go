@@ -124,7 +124,8 @@ func e7Run(name string, mode arch.RxMode, rate int, coalesce sim.Duration, scale
 		w.Eng.After(rng.Exp(interval), tick)
 	}
 	w.Eng.At(0, tick)
-	end := w.Eng.Run()
+	balanced(w.Drain())
+	end := w.Now()
 	if end < sim.Time(dur) {
 		end = sim.Time(dur)
 	}

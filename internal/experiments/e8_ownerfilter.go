@@ -138,7 +138,7 @@ func e8Enforce(name string, scale Scale) E8Row {
 		Interval: 20 * sim.Microsecond, Until: until,
 		Build: func(uint64) *packet.Packet { return w.UDPTo(spoofFlow, 200) }}
 	rg.Start(0)
-	w.Eng.Run()
+	balanced(w.Drain())
 
 	row.LegitPackets = legit
 	row.Violations = violations

@@ -248,6 +248,7 @@ func e9Point(name string, pct float64, seed int64, total uint32, row *E9Row, tel
 	row.WireDup = inj.Tx.Duplicated + inj.Rx.Duplicated
 	row.WireReordered = inj.Tx.Reordered + inj.Rx.Reordered
 	row.RxFifoDrops = w.NIC.RxFifoDrop
+	balanced(w.NIC.Balance())
 
 	if tel != nil {
 		e9Collect(tel, point, name, pct, w, inj, streams, resps, tap)

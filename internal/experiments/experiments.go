@@ -28,9 +28,22 @@ import (
 	"norman/internal/sim"
 )
 
-// runFor drives a world's engine until the given virtual deadline.
-func runFor(w *arch.World, d sim.Duration) sim.Time {
-	return w.Eng.RunUntil(sim.Time(d))
+// silentLoss is the conservation column of E11 and E13–E16: frames offered
+// that were neither delivered to an application nor counted under a typed NIC
+// drop reason. NIC.Balance covers wire → ring; this covers ring → app too.
+func silentLoss(w *arch.World, sent, delivered uint64) int64 {
+	return int64(sent) - int64(delivered) - int64(w.NIC.RxDropped())
+}
+
+// balanced fails the experiment unless its world's NIC ledger holds. Every
+// driver ends its world through it — balanced(w.Drain()), or
+// balanced(w.NIC.Balance()) where a fault injector keeps the engine busy
+// forever — so no table is printed over a NIC that lost a frame. (E12's
+// sharded world has queue groups and no NIC.)
+func balanced(err error) {
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
 }
 
 // Scale compresses experiment durations for quick test runs: drivers

@@ -138,12 +138,10 @@ func (n *NIC) drainTx(c *Conn) {
 		}
 		return
 	}
-	n.txInflight++
 	index := c.TX.Tail()
 	d, err := c.TX.Pop()
 	if err != nil {
 		c.txDraining = false
-		n.txInflight--
 		return
 	}
 	p := d.Pkt
@@ -157,6 +155,9 @@ func (n *NIC) drainTx(c *Conn) {
 
 	j := n.job(c, p)
 	j.index, j.frame, j.prod = index, frame, d.Produced
+	n.txAccept(1)
+	n.txInflight++
+	j.held |= heldTxSlot
 	if n.tsched != nil {
 		// Tenant-scheduled dataplane: the descriptor fetch queues on the
 		// tenant's DMA DRR ring instead of FIFO at the engine; the drain
@@ -185,8 +186,7 @@ func (n *NIC) txFetched(j *job, done sim.Time) {
 func (n *NIC) txArrive(j *job) {
 	now := n.eng.Now()
 	if n.Down(now) {
-		n.TxOutageDrop++ // dataplane outage: frame lost, typed as such
-		n.txSlotFree()
+		n.drop(j, TxOutage)
 		return
 	}
 	stamp(j.c, j.p, j.prod)
@@ -224,8 +224,7 @@ func (n *NIC) txPipe(j *job, done sim.Time) {
 			n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 		}
 		if verdict == overlay.VerdictDrop {
-			n.TxDropVerdict++
-			n.txSlotFree()
+			n.drop(j, TxVerdict)
 			return
 		}
 	}
@@ -234,63 +233,51 @@ func (n *NIC) txPipe(j *job, done sim.Time) {
 
 // txEmit hands a pipeline-approved frame onward: TSO segmentation when
 // configured, otherwise straight to the scheduler/wire.
-func (n *NIC) txEmit(c *Conn, p *packet.Packet) {
+func (n *NIC) txEmit(j *job) {
+	c, p := j.c, j.p
 	// TSO: the pipeline cuts oversized TCP segments to wire MSS.
 	if c.tsoMSS > 0 && p.TCP != nil && p.PayloadLen > c.tsoMSS {
-		// The super-segment holds one staging slot but produces
-		// several wire frames, each of which releases one slot on
-		// its way out (directly or via the scheduler hand-off);
-		// pre-charge the difference so accounting balances.
+		// The super-segment holds one staging slot but produces several
+		// wire frames, each of which releases one slot on its way out
+		// (directly or via the scheduler hand-off): charge the difference
+		// and pass one slot to every segment's own job.
 		nSegs := (p.PayloadLen + c.tsoMSS - 1) / c.tsoMSS
+		n.txAccept(nSegs - 1)
 		n.txInflight += nSegs - 1
+		j.held &^= heldTxSlot
 		for off := 0; off < p.PayloadLen; off += c.tsoMSS {
 			seg := p.Clone()
 			seg.TCP.Seq = p.TCP.Seq + uint32(off)
 			seg.PayloadLen = min(c.tsoMSS, p.PayloadLen-off)
 			seg.Payload = nil
-			n.sendToWire(seg, c)
+			sj := n.job(c, seg)
+			sj.held |= heldTxSlot
+			n.sendToWire(sj)
+			n.settle(sj)
 		}
 		return
 	}
-	n.sendToWire(p, c)
-}
-
-// txSlotFree releases one staging-buffer slot and resumes a stalled queue.
-// The stall queue pops by copy+truncate so the backing array is reused and
-// never retains pointers to connections already resumed (a `q = q[1:]`
-// re-slice would keep every popped *Conn reachable for the array's
-// lifetime).
-func (n *NIC) txSlotFree() {
-	n.txInflight--
-	for len(n.txStalled) > 0 {
-		c := n.txStalled[0]
-		last := len(n.txStalled) - 1
-		copy(n.txStalled, n.txStalled[1:])
-		n.txStalled[last] = nil
-		n.txStalled = n.txStalled[:last]
-		c.txStalled = false
-		if c.txDraining {
-			n.drainTx(c)
-			return
-		}
-	}
+	n.sendToWire(j)
 }
 
 // sendToWire hands a pipeline-approved frame to the scheduler (or straight
 // to the wire when no qdisc is installed).
-func (n *NIC) sendToWire(p *packet.Packet, c *Conn) {
-	now := n.eng.Now()
+func (n *NIC) sendToWire(j *job) {
+	p, now := j.p, n.eng.Now()
 	if n.classifier != nil {
 		p.Meta.Class = n.classifier(p)
 	}
 	if n.sched == nil {
-		n.transmit(p, c, now, true)
+		n.transmit(j, j.c, now)
 		return
 	}
 	// The scheduler (with its own per-class bounds) takes over buffering;
 	// the staging slot frees as soon as the packet is classified into it.
-	n.sched.Enqueue(p, now)
-	n.txSlotFree()
+	if !n.sched.Enqueue(p, now) {
+		n.txRefused++
+		n.txAhead--
+	}
+	n.release(j)
 	n.pumpWire()
 }
 
@@ -320,7 +307,7 @@ func (n *NIC) pump() {
 	n.schedPump = false
 	now := n.eng.Now()
 	if p, ok := n.sched.Dequeue(now); ok {
-		n.transmit(p, n.conns[p.Meta.ConnID], now, false)
+		n.transmit(n.job(nil, p), n.conns[p.Meta.ConnID], now)
 		n.pumpWire()
 		return
 	}
@@ -329,13 +316,15 @@ func (n *NIC) pump() {
 	n.job(nil, nil).arm(stPumpRetry, now.Add(100*sim.Nanosecond))
 }
 
-// transmit serializes a frame of connection c (nil: none, or closed since)
-// onto the wire. freeSlot marks packets still holding a staging-buffer slot
-// (the unscheduled path).
-func (n *NIC) transmit(p *packet.Packet, c *Conn, now sim.Time, freeSlot bool) {
+// transmit serializes j's frame, of connection c (nil: none, or closed
+// since), onto the wire. A job that came straight from the pipeline keeps its
+// staging slot until the last bit is out.
+func (n *NIC) transmit(j *job, c *Conn, now sim.Time) {
+	p := j.p
 	frame := p.FrameLen()
 	_, done := n.wireTx.Acquire(now, n.model.Wire(frame))
 	n.TxFrames++
+	n.txAhead--
 	n.TxBytes += uint64(frame)
 	if n.tracer != nil {
 		n.trace(p, now, "wire", "tx", fmt.Sprintf("len=%d", frame))
@@ -348,11 +337,7 @@ func (n *NIC) transmit(p *packet.Packet, c *Conn, now sim.Time, freeSlot bool) {
 	if c != nil && c.ID == p.Meta.ConnID {
 		c.TxSent++
 	}
-	st := stTxWireQ
-	if freeSlot {
-		st = stTxWire
-	}
-	n.job(nil, p).arm(st, done)
+	j.arm(stTxWire, done)
 }
 
 // InjectTx transmits a control-plane-originated frame (ARP replies, ICMP
@@ -361,12 +346,15 @@ func (n *NIC) transmit(p *packet.Packet, c *Conn, now sim.Time, freeSlot bool) {
 // descriptor to speak.
 func (n *NIC) InjectTx(p *packet.Packet) {
 	now := n.eng.Now()
+	j := n.job(nil, p)
+	n.txAccept(1)
 	if n.Down(now) {
-		n.TxOutageDrop++
+		n.drop(j, TxOutage)
+		n.settle(j)
 		return
 	}
 	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(p.FrameLen()))
-	n.job(nil, p).arm(stTxInject, pipeDone.Add(sim.Duration(n.model.NICPipeline)))
+	j.arm(stTxInject, pipeDone.Add(sim.Duration(n.model.NICPipeline)))
 }
 
 // DeliverFromWire is the wire-side entry: a frame starts arriving at the
@@ -392,11 +380,10 @@ func (n *NIC) rxFrame(j *job) {
 		// The MAC has no carrier: the frame never makes it off the wire.
 		// Announced loss (the link state is visible to the health monitor),
 		// unlike a silent FIFO overflow.
-		n.RxLinkDrop++
-		n.trace(p, now, "nic", "rx_link_down", "")
+		n.drop(j, RxLink)
 		return
 	}
-	if n.pauseIntake(p, now) {
+	if n.pauseIntake(j, now) {
 		// Generation cutover in progress: the frame waits out the epoch flip
 		// in the pause buffer (or became a typed RxPauseDrop) instead of
 		// being blackholed mid-upgrade.
@@ -420,8 +407,7 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 	p := j.p
 	sched := n.tsched != nil
 	if !sched && n.rxInflight >= n.rxWindow {
-		n.RxFifoDrop++
-		n.trace(p, now, "nic", "rx_fifo_drop", "")
+		n.drop(j, RxFifo)
 		return
 	}
 	c := n.steer(p)
@@ -431,28 +417,21 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 			stamp(c, p, now)
 		}
 		if !n.tsched.rxAdmit(p.Meta.Tenant) {
-			n.RxFifoDrop++
-			if n.tracer != nil {
-				n.trace(p, now, "nic", "rx_fifo_drop", fmt.Sprintf("tenant=%d", p.Meta.Tenant))
-			}
+			n.drop(j, RxFifo)
 			return
 		}
+		j.held |= heldShare
 	}
 	// Priority-aware shedding: under sustained pressure the installed policy
 	// drops low-class ingress here, before the frame can occupy a FIFO slot
 	// or touch the DMA engine — the point is to stop cold descriptors from
 	// thrashing the DDIO ways, so the shed must happen upstream of both.
 	if n.shedPolicy != nil && c != nil && n.shedPolicy(c, p) {
-		n.rxShareRelease(p)
-		n.RxShed++
-		if n.tracer != nil {
-			n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
-		}
+		n.drop(j, RxShed)
 		return
 	}
 	if n.Down(now) {
-		n.rxShareRelease(p)
-		n.RxOutageDrop++
+		n.drop(j, RxOutage)
 		if n.SlowPath != nil {
 			n.RxSlowPath++
 			n.SlowPath(p, now)
@@ -460,6 +439,7 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 		return
 	}
 	n.rxInflight++
+	j.held |= heldFifo
 	occ := n.pipeOccupancy(j.frame)
 	if sched {
 		if n.tap != nil {
@@ -527,8 +507,7 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
 		}
 		if verdict == overlay.VerdictDrop {
-			n.RxDropVerdict++
-			n.rxRelease(p)
+			n.drop(j, RxVerdict)
 			return
 		}
 	}
@@ -538,8 +517,7 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 			n.RxSlowPath++
 			j.arm(stRxSlow, at)
 		} else {
-			n.RxDropNoSteer++
-			n.rxRelease(p)
+			n.drop(j, RxNoSteer)
 		}
 		return
 	}
@@ -567,46 +545,6 @@ func (n *NIC) rxStore(j *job) {
 	}
 	_, dmaDone := n.dma.Acquire(n.eng.Now(), n.dmaCost(c, c.RX, j.index, j.frame, true))
 	j.arm(stRxVisible, dmaDone.Add(n.model.DMALatency))
-}
-
-// rxShareRelease returns the tenant FIFO share a frame was charged at
-// admission when it is refused before taking a global FIFO slot.
-func (n *NIC) rxShareRelease(p *packet.Packet) {
-	if n.tsched != nil {
-		n.tsched.rxRelease(p.Meta.Tenant)
-	}
-}
-
-// rxRelease returns the ingress FIFO slot(s) a frame held: the global
-// counter always, the owning tenant's share when the scheduler is installed.
-func (n *NIC) rxRelease(p *packet.Packet) {
-	n.rxInflight--
-	n.rxShareRelease(p)
-}
-
-// rxComplete finishes an RX DMA: the descriptor completion is host-visible,
-// so the frame either lands in the ring or becomes a counted ring drop.
-func (n *NIC) rxComplete(c *Conn, p *packet.Packet, index uint64) {
-	now := n.eng.Now()
-	n.rxRelease(p)
-	if err := c.RX.Push(mem.Desc{Pkt: p, Produced: p.Meta.Enqueued}); err != nil {
-		n.RxDropRing++
-		c.RxDropped++
-		if n.tracer != nil {
-			n.trace(p, now, "ring", "rx_drop_full", fmt.Sprintf("conn=%d", c.ID))
-		}
-		return
-	}
-	c.RxDelivered++
-	if n.tracer != nil {
-		n.trace(p, now, "ring", "rx_enqueue", fmt.Sprintf("conn=%d slot=%d", c.ID, index))
-	}
-	if c.NotifyRx {
-		n.pushNotify(c, mem.NotifyRxReady, now)
-	}
-	if n.OnRxDeliver != nil {
-		n.OnRxDeliver(c, now)
-	}
 }
 
 // steer resolves the destination connection for an inbound frame.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"norman/internal/overlay"
-	"norman/internal/packet"
 	"norman/internal/sim"
 )
 
@@ -46,19 +45,6 @@ func genSRAM(ing, eg *overlay.Program) int {
 		b += eg.SRAMBytes()
 	}
 	return b
-}
-
-// genLoadCost is the MMIO write traffic to program one generation's chains
-// into the shadow bank: one configuration-register write per instruction word
-// and per declared table/meter/counter, same cost model as LoadProgram.
-func (n *NIC) genLoadCost(g *pipelineGen) sim.Duration {
-	writes := 0
-	for _, p := range []*overlay.Program{g.ingress, g.egress} {
-		if p != nil {
-			writes += len(p.Code) + len(p.Tables) + len(p.Meters) + len(p.Counters)
-		}
-	}
-	return sim.Duration(writes) * sim.Duration(n.model.MMIOWrite)
 }
 
 // StageGeneration verifies and stages a shadow pipeline generation (ingress
@@ -130,34 +116,23 @@ func (n *NIC) ActivateStaged(now sim.Time) (sim.Duration, error) {
 	// by SRAM(); now they are counted via prevGen.sram instead, while the new
 	// pair moves from the staged charge to the live-program accounting — the
 	// total double-residency footprint is unchanged by the flip.
-	prev := &pipelineGen{sram: 0}
-	if n.ingress != nil {
-		prev.ingress = n.ingress.Program()
-	}
-	if n.egress != nil {
-		prev.egress = n.egress.Program()
-	}
+	prev := &pipelineGen{ingress: n.program(Ingress), egress: n.program(Egress)}
 	prev.sram = genSRAM(prev.ingress, prev.egress)
 	n.sramUsed += prev.sram - g.sram
 	n.prevGen = prev
 
 	if g.ingress != nil {
 		n.lastGood[Ingress] = prev.ingress
-		n.ingress = overlay.NewMachine(g.ingress)
-		n.ingressCacheable = programCacheable(g.ingress)
-	} else {
-		n.ingress = nil
-		n.ingressCacheable = false
 	}
 	if g.egress != nil {
 		n.lastGood[Egress] = prev.egress
-		n.egress = overlay.NewMachine(g.egress)
-	} else {
-		n.egress = nil
 	}
-	n.fcFlush()
+	n.install(Ingress, g.ingress)
+	n.install(Egress, g.egress)
 	n.generation++
-	return n.genLoadCost(g), nil
+	// The shadow bank is programmed like any pipeline: same cost model as
+	// LoadProgram, both chains.
+	return n.loadCost(g.ingress) + n.loadCost(g.egress), nil
 }
 
 // CommitGeneration resolves the canary in favor of the new generation: the
@@ -182,19 +157,8 @@ func (n *NIC) RollbackGeneration(now sim.Time) error {
 	prev := n.prevGen
 	n.prevGen = nil
 	n.sramUsed -= prev.sram // the pair becomes the live charge again
-	if prev.ingress != nil {
-		n.ingress = overlay.NewMachine(prev.ingress)
-		n.ingressCacheable = programCacheable(prev.ingress)
-	} else {
-		n.ingress = nil
-		n.ingressCacheable = false
-	}
-	if prev.egress != nil {
-		n.egress = overlay.NewMachine(prev.egress)
-	} else {
-		n.egress = nil
-	}
-	n.fcFlush()
+	n.install(Ingress, prev.ingress)
+	n.install(Egress, prev.egress)
 	n.generation++
 	return nil
 }
@@ -265,21 +229,20 @@ func (n *NIC) RxPaused() bool { return n.rxPaused }
 // buffer.
 func (n *NIC) RxPauseQueue() int { return len(n.rxPauseBuf) }
 
-// pauseIntake buffers (or, over budget, drops) one frame while ingress is
+// pauseIntake buffers (or, over budget, drops) j's frame while ingress is
 // paused. Returns true when the frame was consumed by the pause path.
-func (n *NIC) pauseIntake(p *packet.Packet, now sim.Time) bool {
+func (n *NIC) pauseIntake(j *job, now sim.Time) bool {
 	if !n.rxPaused {
 		return false
 	}
 	if len(n.rxPauseBuf) >= n.rxPauseCap {
-		n.RxPauseDrop++
-		n.trace(p, now, "nic", "rx_pause_drop", "")
+		n.drop(j, RxPause)
 		return true
 	}
-	n.rxPauseBuf = append(n.rxPauseBuf, p)
+	n.rxPauseBuf = append(n.rxPauseBuf, j.p)
 	n.RxPauseBuffered++
 	if n.tracer != nil {
-		n.trace(p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
+		n.trace(j.p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
 	}
 	return true
 }

@@ -28,8 +28,7 @@ const (
 	stTxPipe   // queued on the tenant pipeline DRR → txPipe
 	stTxEmit   // pipeline latency elapsed → txEmit
 	stTxInject // control-plane frame leaves the pipeline → transmit
-	stTxWire   // serialized, staging slot still held → txSlotFree, OnTransmit
-	stTxWireQ  // serialized, slot already released at the qdisc → OnTransmit
+	stTxWire   // serialized → release the staging slot if still held, OnTransmit
 
 	stPump      // qdisc dequeue instant → pump
 	stPumpRetry // the qdisc made no progress → pumpWire
@@ -44,7 +43,9 @@ const (
 // engine event) or TenantDRR.Request (a ring slot) holds it; whoever resumes
 // it — Fire, the DRR pump — runs one step and settles it: a step that armed
 // the job again keeps it, any other return (delivered, dropped, handed on)
-// frees it. Code that takes a job outside Fire settles it itself. The list is
+// frees it. Code that takes a job outside Fire settles it itself. held is what
+// the job owns of the NIC's bounded resources; the three ways out of the
+// datapath release it (ledger.go). The list is
 // touched only from the NIC's engine goroutine, so sharded and parallel
 // worlds share nothing; it holds as many records as were ever in flight at
 // once. Packets are not pooled: taps, captures, retransmit queues and the
@@ -59,8 +60,9 @@ type job struct {
 	est   sim.Duration // tenant DRR: estimated server occupancy
 	enq   sim.Time     // tenant DRR: when the request was queued
 	stage stage
-	armed bool // held by an engine event or a DRR ring
-	next  *job // free list
+	armed bool  // held by an engine event or a DRR ring
+	held  uint8 // heldShare | heldFifo | heldTxSlot
+	next  *job  // free list
 }
 
 // job takes a record off the free list for connection c and packet p.
@@ -83,6 +85,9 @@ func (n *NIC) settle(j *job) {
 	}
 	if j.stage == stFree {
 		panic("nic: datapath job freed twice")
+	}
+	if j.held != 0 {
+		panic("nic: datapath job freed while holding a FIFO, share or staging slot")
 	}
 	j.c, j.p, j.stage = nil, nil, stFree
 	j.next, n.jobFree = n.jobFree, j
@@ -110,10 +115,9 @@ func (j *job) Fire() {
 	case stRxStore:
 		n.rxStore(j)
 	case stRxVisible:
-		n.rxComplete(j.c, j.p, j.index)
+		n.rxComplete(j)
 	case stRxSlow:
-		n.rxRelease(j.p)
-		n.SlowPath(j.p, n.eng.Now())
+		n.punt(j)
 	case stTxPaced:
 		j.c.rlWaiting = false
 		fallthrough
@@ -122,13 +126,11 @@ func (j *job) Fire() {
 	case stTxArrive:
 		n.txArrive(j)
 	case stTxEmit:
-		n.txEmit(j.c, j.p)
+		n.txEmit(j)
 	case stTxInject:
-		n.transmit(j.p, n.conns[j.p.Meta.ConnID], n.eng.Now(), false)
+		n.transmit(j, n.conns[j.p.Meta.ConnID], n.eng.Now())
 	case stTxWire:
-		n.txSlotFree()
-		fallthrough
-	case stTxWireQ:
+		n.release(j)
 		if n.OnTransmit != nil {
 			n.OnTransmit(j.p, n.eng.Now())
 		}

@@ -1,12 +1,14 @@
 package nic
 
 import (
+	"strings"
 	"testing"
 
 	"norman/internal/mem"
 	"norman/internal/packet"
 	"norman/internal/qos"
 	"norman/internal/sim"
+	"norman/internal/telemetry"
 )
 
 // jobWorld is a NIC with one steered connection (id 1, tenant 1) receiving
@@ -51,26 +53,54 @@ func load(t *testing.T, n *NIC, dir Direction, src string) {
 func pushTx(t *testing.T, n *NIC, c *Conn, frames int) {
 	t.Helper()
 	for i := 0; i < frames; i++ {
-		if err := c.TX.Push(mem.Desc{Pkt: udpTo(80)}); err != nil {
+		if err := c.TX.Push(mem.Desc{Pkt: traced(n, udpTo(80))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n.DoorbellTx(c)
 }
 
+// traced stamps an egress packet the way the host side does, so the NIC's
+// spans for it are recorded (ingress frames are stamped at rx_wire).
+func traced(n *NIC, p *packet.Packet) *packet.Packet {
+	if n.tracer != nil {
+		p.Meta.Trace = n.tracer.StampID()
+	}
+	return p
+}
+
+// dropSpans counts the recorded nic/drop spans by their reason= field.
+func dropSpans(tr *telemetry.Tracer) map[string]uint64 {
+	got := map[string]uint64{}
+	for _, id := range tr.IDs() {
+		for _, ev := range tr.Trace(id) {
+			if ev.Layer == "nic" && ev.Point == "drop" {
+				reason, _, _ := strings.Cut(strings.TrimPrefix(ev.Note, "reason="), " ")
+				got[reason]++
+			}
+		}
+	}
+	return got
+}
+
 const dropPort80 = "ldf r0, dst_port\njeq r0, 80, bad\npass\nbad:\ndrop\n"
 
-// TestJobsReturnOnEveryExit drives one frame (or a few) down every early
-// exit of the datapath, on both dataplanes, and checks two things each time:
-// the exit was the one intended (its typed counter moved) and the frame's job
-// record came back — a leaked record is a frame the NIC still thinks is in
-// flight, a record freed twice panics in settle.
+// TestJobsReturnOnEveryExit drives one frame (or a few) down every exit of the
+// datapath, on both dataplanes, and checks each time that the exit was the one
+// intended (its typed counter moved), that the frame's job record came back —
+// a leaked record is a frame the NIC still thinks is in flight, a record freed
+// twice or freed holding a slot panics in settle — that the ledger balances,
+// and that every drop left one nic/drop span naming its reason and was charged
+// to a tenant when the scheduler keeps tenant rows. The cases are keyed by the
+// reason table: a Reason no case exercises fails the test.
 func TestJobsReturnOnEveryExit(t *testing.T) {
+	const noDrop = NumReasons // a delivery, punt or transmit exit
 	exits := []struct {
-		name string
-		run  func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (got, want uint64)
+		name   string
+		reason Reason
+		run    func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (got, want uint64)
 	}{
-		{"delivered", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"delivered", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.DeliverFromWire(udpTo(80))
 			n.DeliverFromWire(udpTo(80))
 			if out := n.JobsOutstanding(); out != 2 {
@@ -79,13 +109,13 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			drained(t, n, eng)
 			return c.RxDelivered, 2
 		}},
-		{"link_down", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"link_down", RxLink, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.SetLink(false)
 			n.DeliverFromWire(udpTo(80))
 			drained(t, n, eng)
 			return n.RxLinkDrop, 1
 		}},
-		{"pause_replay_across_flip", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"pause_replay_across_flip", RxPause, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			if err := n.StageGeneration(0, assemble(t, "v2", "pass\n"), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +138,7 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			drained(t, n, eng)
 			return c.RxDelivered, 2
 		}},
-		{"fifo_drop", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"fifo_drop", RxFifo, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.StallDMA(sim.Millisecond) // nothing leaves the 128-slot FIFO while 200 frames arrive
 			for i := 0; i < 200; i++ {
 				n.DeliverFromWire(udpTo(80))
@@ -120,13 +150,13 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			return c.RxDelivered + n.RxFifoDrop, 200
 		}},
-		{"shed", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"shed", RxShed, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.SetShedPolicy(func(*Conn, *packet.Packet) bool { return true })
 			n.DeliverFromWire(udpTo(80))
 			drained(t, n, eng)
 			return n.RxShed, 1
 		}},
-		{"outage_slow_path", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"outage_slow_path", RxOutage, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			slow := uint64(0)
 			n.SlowPath = func(*packet.Packet, sim.Time) { slow++ }
 			n.ReloadBitstream(eng.Now(), sim.Millisecond)
@@ -134,7 +164,18 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			drained(t, n, eng)
 			return slow + n.RxOutageDrop, 2
 		}},
-		{"overlay_then_flowcache_verdict_drop", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"outage_empties_pause_buffer", RxOutage, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+			if err := n.PauseRx(4); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				n.DeliverFromWire(udpTo(80))
+			}
+			drained(t, n, eng)
+			n.ReloadBitstream(eng.Now(), sim.Millisecond) // the buffered frames are part of the outage
+			return n.RxOutageDrop, 3
+		}},
+		{"overlay_then_flowcache_verdict_drop", RxVerdict, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			if err := n.EnableFlowCache(16); err != nil {
 				t.Fatal(err)
 			}
@@ -147,12 +188,12 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			return n.RxDropVerdict, 2
 		}},
-		{"no_steer_drop", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"no_steer_drop", RxNoSteer, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.DeliverFromWire(udpTo(81))
 			drained(t, n, eng)
 			return n.RxDropNoSteer, 1
 		}},
-		{"no_steer_slow_path", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"no_steer_slow_path", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			slow := uint64(0)
 			n.SlowPath = func(*packet.Packet, sim.Time) { slow++ }
 			n.DeliverFromWire(udpTo(81))
@@ -162,26 +203,42 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			return slow, 1
 		}},
-		{"ring_full", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"ring_full", RxRing, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			for i := 0; i < 11; i++ { // ring of 8, nobody pops
 				n.DeliverFromWire(udpTo(80))
 			}
 			drained(t, n, eng)
 			return n.RxDropRing, 3
 		}},
-		{"tx_verdict_drop", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"tx_verdict_drop", TxVerdict, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			load(t, n, Egress, dropPort80)
 			pushTx(t, n, c, 3)
 			drained(t, n, eng)
 			return n.TxDropVerdict, 3
 		}},
-		{"tx_outage", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"tx_outage", TxOutage, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			pushTx(t, n, c, 1)
 			n.ReloadBitstream(eng.Now(), 10*sim.Microsecond) // the fetch is in flight
 			drained(t, n, eng)
 			return n.TxOutageDrop, 1
 		}},
-		{"tx_staging_stall_resume", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"tx_inject_outage", TxOutage, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+			n.ReloadBitstream(eng.Now(), sim.Millisecond)
+			n.InjectTx(traced(n, udpTo(9)))
+			drained(t, n, eng)
+			return n.TxOutageDrop, 1
+		}},
+		{"tx_qdisc_refuses", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+			n.SetScheduler(qos.NewPFIFO(2))
+			n.wireTx.Acquire(eng.Now(), 100*sim.Microsecond) // nothing leaves the 2-slot qdisc while 8 frames arrive
+			pushTx(t, n, c, 8)
+			drained(t, n, eng)
+			if n.txRefused == 0 {
+				t.Fatal("the qdisc refused nothing")
+			}
+			return n.TxFrames + n.txRefused, 8
+		}},
+		{"tx_staging_stall_resume", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			// Five full rings against a 32-slot staging buffer held shut by a
 			// busy wire: queues stall, then resume as slots free.
 			n.wireTx.Acquire(eng.Now(), 100*sim.Microsecond)
@@ -204,12 +261,12 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			return n.TxFrames, 40
 		}},
-		{"tx_tso_and_qdisc", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"tx_tso_and_qdisc", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			n.SetScheduler(qos.NewPFIFO(64))
 			if err := n.SetTSO(1, 1000); err != nil {
 				t.Fatal(err)
 			}
-			big := packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 4500)
+			big := traced(n, packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 4500))
 			if err := c.TX.Push(mem.Desc{Pkt: big}); err != nil {
 				t.Fatal(err)
 			}
@@ -217,17 +274,19 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			drained(t, n, eng)
 			return n.TxFrames, 5
 		}},
-		{"tx_paced_and_inject", func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
+		{"tx_paced_and_inject", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			if err := n.SetConnRate(1, 1e6, 1514); err != nil {
 				t.Fatal(err)
 			}
 			pushTx(t, n, c, 3) // the bucket covers one frame; two wait for tokens
-			n.InjectTx(udpTo(9))
+			n.InjectTx(traced(n, udpTo(9)))
 			drained(t, n, eng)
 			return n.TxFrames, 4
 		}},
 	}
+	covered := map[Reason]bool{}
 	for _, ex := range exits {
+		covered[ex.reason] = true
 		for _, sched := range []bool{false, true} {
 			name := ex.name + "/fifo"
 			if sched {
@@ -235,13 +294,32 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				n, eng, c := jobWorld(t, sched)
+				tr := telemetry.NewTracer(512)
+				n.SetTracer(tr)
 				if got, want := ex.run(t, n, eng, c); got != want {
 					t.Fatalf("typed counter = %d, want %d", got, want)
 				}
-				if n.RxInflight() != 0 || n.txInflight != 0 {
-					t.Fatalf("FIFO/staging occupancy leaked: rx=%d tx=%d", n.RxInflight(), n.txInflight)
+				if err := n.Balance(); err != nil {
+					t.Fatal(err)
+				}
+				spans := dropSpans(tr)
+				for r := Reason(0); r < NumReasons; r++ {
+					if (n.Dropped(r) > 0) != (r == ex.reason) {
+						t.Errorf("%d frames dropped under %q on the %q exit", n.Dropped(r), r, ex.name)
+					}
+					if spans[r.String()] != n.Dropped(r) {
+						t.Errorf("%d drop spans carry reason=%s, the counter reads %d", spans[r.String()], r, n.Dropped(r))
+					}
+					if charged := n.TenantDrops(0, r) + n.TenantDrops(1, r) + n.TenantDrops(2, r); sched && charged != n.Dropped(r) {
+						t.Errorf("%d of %d %q drops charged to a tenant", charged, n.Dropped(r), r)
+					}
 				}
 			})
+		}
+	}
+	for r := Reason(0); r < NumReasons; r++ {
+		if !covered[r] {
+			t.Errorf("drop reason %q (%s) has no exit case", r, r.Metric())
 		}
 	}
 }

@@ -136,6 +136,11 @@ type NIC struct {
 	txWindow   int
 	txStalled  []*Conn
 
+	// The conservation ledger's private terms (ledger.go).
+	txAccepted, txRefused uint64
+	txAhead               int
+	rxDelivered, rxPunted uint64
+
 	// RX ingress FIFO: frames in flight between the wire and their DMA
 	// completion. When the DMA engine stalls (cold descriptors, DDIO
 	// exhaustion) the FIFO overflows and the NIC drops on the floor, as
@@ -240,7 +245,9 @@ type NIC struct {
 	// kernel's cue to wake a blocked thread, §4.3).
 	OnNotify func(c *Conn, kind mem.NotifyKind, at sim.Time)
 
-	// Counters.
+	// Counters. The drop counters are the storage of the reason table in
+	// ledger.go, which says what each one means and is the only code that
+	// increments them.
 	RxWire        uint64 // frames that arrived from the wire
 	RxDropNoSteer uint64
 	RxDropRing    uint64
@@ -248,28 +255,18 @@ type NIC struct {
 	RxSlowPath    uint64
 	RxOutageDrop  uint64
 	RxFifoDrop    uint64
-	// RxShed counts ingress frames dropped by the installed shed policy —
-	// deliberate, priority-aware load shedding, distinct from the
-	// involuntary FIFO/ring drops above.
-	RxShed uint64
-	// RxLinkDrop counts ingress frames lost because the physical link was
-	// down (a link flap) — loss the wire itself announces, unlike the silent
-	// FIFO drops above.
-	RxLinkDrop uint64
+	RxShed        uint64
+	RxLinkDrop    uint64
+	RxPauseDrop   uint64
+	TxDropVerdict uint64
+	TxOutageDrop  uint64
 	// RxPauseBuffered counts frames held (and later replayed) by the cutover
-	// pause buffer; RxPauseDrop counts the bounded buffer's typed overflow —
-	// the only loss a hitless upgrade is permitted, and it is accounted.
+	// pause buffer.
 	RxPauseBuffered uint64
-	RxPauseDrop     uint64
 	TxFrames        uint64
-	TxDropVerdict   uint64
-	// TxOutageDrop counts egress frames lost to a bitstream-reload outage —
-	// previously misfiled under TxDropVerdict, which conflated a dataplane
-	// blackout with a policy decision.
-	TxOutageDrop uint64
-	TxBytes      uint64
-	DMADescMiss  uint64
-	DMADescHit   uint64
+	TxBytes         uint64
+	DMADescMiss     uint64
+	DMADescHit      uint64
 	// TrapFallbacks counts overlay runtime traps absorbed by falling back to
 	// the last-good chain (or failing open) instead of crashing — the
 	// graceful-degradation metric E9 reports.
@@ -286,15 +283,6 @@ type NIC struct {
 	// actually interpreted — flow-cache hits add nothing here, which is how
 	// E14 shows the fast path's per-packet cost collapsing to one lookup.
 	IngressProgCycles uint64
-}
-
-// RxDropped sums every typed ingress drop class: no-steer, ring, verdict,
-// FIFO, outage, shed, link, pause. It is the "counted" term of the
-// conservation ledger (sent − delivered − counted = silent loss) and the
-// rx_drops an operator sees; a new drop class is added here and nowhere else.
-func (n *NIC) RxDropped() uint64 {
-	return n.RxDropNoSteer + n.RxDropRing + n.RxDropVerdict + n.RxFifoDrop +
-		n.RxOutageDrop + n.RxShed + n.RxLinkDrop + n.RxPauseDrop
 }
 
 // Traps is the pipeline-fault signal the health monitor and the upgrade
@@ -497,14 +485,7 @@ func (n *NIC) trace(p *packet.Packet, at sim.Time, layer, point, note string) {
 
 // SRAM returns used and budget bytes, including loaded programs.
 func (n *NIC) SRAM() (used, budget int) {
-	u := n.sramUsed
-	if n.ingress != nil {
-		u += n.ingress.Program().SRAMBytes()
-	}
-	if n.egress != nil {
-		u += n.egress.Program().SRAMBytes()
-	}
-	return u, n.sramBudget
+	return n.sramUsed + genSRAM(n.program(Ingress), n.program(Egress)), n.sramBudget
 }
 
 // Model returns the NIC's cost model.
@@ -564,11 +545,17 @@ func (n *NIC) RxWindow() int { return n.rxWindow }
 // SetRxWindow resizes the ingress FIFO depth. The fault-injection layer uses
 // it to model transient ring-overflow pressure (a misbehaving bus master or
 // PCIe credit stall shrinking effective buffering); values < 1 clamp to 1.
+// The tenant scheduler's FIFO shares are fractions of this depth and follow it.
 func (n *NIC) SetRxWindow(depth int) {
 	if depth < 1 {
 		depth = 1
 	}
 	n.rxWindow = depth
+	if n.tsched != nil {
+		for id, r := range n.tsched.rx {
+			r.window = n.tsched.rxShare(id)
+		}
+	}
 }
 
 // RxInflight returns the current ingress FIFO occupancy (frames between the
@@ -623,26 +610,10 @@ func (n *NIC) FlowCacheBypassed() bool { return n.fcBypass }
 // false when there is no last-good chain or it is already the one installed.
 func (n *NIC) ReinstallLastGood(dir Direction) bool {
 	prev := n.lastGood[dir]
-	if prev == nil {
+	if prev == nil || n.program(dir) == prev {
 		return false
 	}
-	var cur *overlay.Machine
-	if dir == Ingress {
-		cur = n.ingress
-	} else {
-		cur = n.egress
-	}
-	if cur != nil && cur.Program() == prev {
-		return false
-	}
-	m := overlay.NewMachine(prev)
-	if dir == Ingress {
-		n.ingress = m
-		n.ingressCacheable = programCacheable(prev)
-	} else {
-		n.egress = m
-	}
-	n.fcFlush()
+	n.install(dir, prev)
 	return true
 }
 

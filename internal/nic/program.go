@@ -31,7 +31,6 @@ func (d Direction) String() string {
 // MMIO traffic proportional to program size: each instruction and table slot
 // is written through configuration registers.
 func (n *NIC) LoadProgram(dir Direction, p *overlay.Program) (*overlay.Machine, sim.Duration, error) {
-	m := overlay.NewMachine(p)
 	cost := n.programSRAMDelta(dir, p)
 	if cost > 0 {
 		used, budget := n.SRAM()
@@ -40,27 +39,39 @@ func (n *NIC) LoadProgram(dir Direction, p *overlay.Program) (*overlay.Machine, 
 				ErrSRAMExhausted, p.Name, cost, budget-used)
 		}
 	}
-	// One MMIO write per instruction word plus one per declared table (the
-	// table contents are populated separately by the control plane).
-	writes := len(p.Code) + len(p.Tables) + len(p.Meters) + len(p.Counters)
-	load := sim.Duration(writes) * sim.Duration(n.model.MMIOWrite)
-	switch dir {
-	case Ingress:
-		if n.ingress != nil {
-			n.lastGood[Ingress] = n.ingress.Program()
-		}
-		n.ingress = m
-		// The decision procedure changed: nothing memoized under the old
-		// chain may serve another packet (E4 hot-reload invalidation).
-		n.ingressCacheable = programCacheable(p)
-		n.fcFlush()
-	case Egress:
-		if n.egress != nil {
-			n.lastGood[Egress] = n.egress.Program()
-		}
-		n.egress = m
+	if old := n.program(dir); old != nil {
+		n.lastGood[dir] = old
 	}
-	return m, load, nil
+	n.install(dir, p)
+	return n.Machine(dir), n.loadCost(p), nil
+}
+
+// install makes p (nil: nothing) the program deciding packets on one
+// pipeline. A new ingress decision procedure empties the flow cache: nothing
+// memoized under the old chain may serve another packet (E4 hot-reload
+// invalidation).
+func (n *NIC) install(dir Direction, p *overlay.Program) {
+	var m *overlay.Machine
+	if p != nil {
+		m = overlay.NewMachine(p)
+	}
+	if dir == Egress {
+		n.egress = m
+		return
+	}
+	n.ingress, n.ingressCacheable = m, p != nil && programCacheable(p)
+	n.fcFlush()
+}
+
+// loadCost is the MMIO write traffic to program p into a pipeline bank: one
+// configuration-register write per instruction word plus one per declared
+// table, meter and counter (table contents are populated separately by the
+// control plane). A nil program costs nothing.
+func (n *NIC) loadCost(p *overlay.Program) sim.Duration {
+	if p == nil {
+		return 0
+	}
+	return sim.Duration(len(p.Code)+len(p.Tables)+len(p.Meters)+len(p.Counters)) * sim.Duration(n.model.MMIOWrite)
 }
 
 // LastGood returns the fallback program a pipeline would degrade to after a
@@ -79,28 +90,15 @@ func (n *NIC) LastGood(dir Direction) *overlay.Program { return n.lastGood[dir] 
 // inflating the fallback count a second time.
 func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e overlay.Env) (overlay.Verdict, int) {
 	n.TrapFallbacks++
-	var repl *overlay.Machine
-	if lg := n.lastGood[dir]; lg != nil {
-		repl = overlay.NewMachine(lg)
-	} else if cur := n.Machine(dir); cur != nil {
-		repl = overlay.NewMachine(cur.Program())
+	repl := n.lastGood[dir]
+	if repl == nil {
+		repl = n.program(dir)
 	}
-	switch dir {
-	case Ingress:
-		n.ingress = repl
-		if repl != nil {
-			n.ingressCacheable = programCacheable(repl.Program())
-		} else {
-			n.ingressCacheable = false
-		}
-		n.fcFlush()
-	case Egress:
-		n.egress = repl
-	}
+	n.install(dir, repl)
 	if repl == nil {
 		return overlay.VerdictPass, 0
 	}
-	v, cycles, trap := repl.Run(p, e)
+	v, cycles, trap := n.Machine(dir).Run(p, e)
 	if trap != nil {
 		// Failing open is not a fallback to a last-good chain; count it in
 		// its own bucket so one fault event never shows up twice in
@@ -115,29 +113,18 @@ func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e overlay.Env) (over
 // programSRAMDelta returns the SRAM change from replacing dir's program
 // with p.
 func (n *NIC) programSRAMDelta(dir Direction, p *overlay.Program) int {
-	old := 0
-	switch dir {
-	case Ingress:
-		if n.ingress != nil {
-			old = n.ingress.Program().SRAMBytes()
-		}
-	case Egress:
-		if n.egress != nil {
-			old = n.egress.Program().SRAMBytes()
-		}
-	}
-	return p.SRAMBytes() - old
+	return p.SRAMBytes() - genSRAM(n.program(dir), nil)
 }
 
 // UnloadProgram removes the program on one pipeline.
-func (n *NIC) UnloadProgram(dir Direction) {
-	if dir == Ingress {
-		n.ingress = nil
-		n.ingressCacheable = false
-		n.fcFlush()
-	} else {
-		n.egress = nil
+func (n *NIC) UnloadProgram(dir Direction) { n.install(dir, nil) }
+
+// program returns the program live on a pipeline, or nil.
+func (n *NIC) program(dir Direction) *overlay.Program {
+	if m := n.Machine(dir); m != nil {
+		return m.Program()
 	}
+	return nil
 }
 
 // Machine returns the machine currently loaded on a pipeline, or nil.
@@ -160,11 +147,9 @@ func (n *NIC) ReloadBitstream(now sim.Time, d sim.Duration) sim.Time {
 		d = DefaultBitstreamReload
 	}
 	n.outageUntil = now.Add(d)
-	n.ingress = nil
-	n.egress = nil
-	n.lastGood[Ingress] = nil
-	n.lastGood[Egress] = nil
-	n.ingressCacheable = false
+	n.install(Ingress, nil)
+	n.install(Egress, nil)
+	n.lastGood = [2]*overlay.Program{}
 	// A respin wipes the shadow bank too: staged and retained generations are
 	// gone, their SRAM released. A paused ingress cannot survive the reset —
 	// buffered frames are part of the outage and counted as such.
@@ -176,10 +161,13 @@ func (n *NIC) ReloadBitstream(now sim.Time, d sim.Duration) sim.Time {
 	if n.rxPaused {
 		n.rxPaused = false
 		n.rxPauseCap = 0
-		n.RxOutageDrop += uint64(len(n.rxPauseBuf))
+		for _, p := range n.rxPauseBuf {
+			j := n.job(nil, p)
+			n.drop(j, RxOutage)
+			n.settle(j)
+		}
 		n.rxPauseBuf = nil
 	}
-	n.fcFlush()
 	return n.outageUntil
 }
 

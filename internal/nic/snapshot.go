@@ -36,12 +36,8 @@ func (n *NIC) SnapshotConfig(now sim.Time) *ConfigSnapshot {
 		Steering:    make(map[packet.FlowKey]uint64, len(n.steering)),
 		DefaultConn: n.defaultConn,
 		TakenAt:     now,
-	}
-	if n.ingress != nil {
-		s.Ingress = n.ingress.Program()
-	}
-	if n.egress != nil {
-		s.Egress = n.egress.Program()
+		Ingress:     n.program(Ingress),
+		Egress:      n.program(Egress),
 	}
 	for k, c := range n.steering {
 		s.Steering[k] = c.ID

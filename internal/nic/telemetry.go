@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 
 	"norman/internal/sim"
 	"norman/internal/telemetry"
@@ -12,143 +13,107 @@ import (
 // path; the registry reads them lazily through closures at render time, so
 // registration adds no per-packet cost.
 func (n *NIC) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) {
-	counters := []struct {
-		name, help string
-		v          *uint64
-	}{
-		{"rx_wire", "frames that arrived from the wire", &n.RxWire},
-		{"rx_drop_nosteer", "frames dropped for lack of a steering rule (no default conn)", &n.RxDropNoSteer},
-		{"rx_drop_ring", "frames dropped because the destination RX ring was full", &n.RxDropRing},
-		{"rx_drop_verdict", "frames dropped by an ingress overlay verdict", &n.RxDropVerdict},
-		{"rx_slow_path", "frames punted to the software slow path", &n.RxSlowPath},
-		{"rx_outage_drop", "frames dropped while the dataplane was faulted down", &n.RxOutageDrop},
-		{"rx_fifo_drop", "frames dropped at the MAC FIFO under DMA backpressure", &n.RxFifoDrop},
-		{"rx_shed", "ingress frames deliberately dropped by the priority-aware shed policy", &n.RxShed},
-		{"rx_link_drop", "ingress frames lost while the physical link was down", &n.RxLinkDrop},
-		{"rx_pause_buffered", "ingress frames held and replayed by the cutover pause buffer", &n.RxPauseBuffered},
-		{"rx_pause_drop", "ingress frames dropped because the bounded cutover pause buffer overflowed", &n.RxPauseDrop},
-		{"tx_frames", "frames transmitted onto the wire", &n.TxFrames},
-		{"tx_drop_verdict", "frames dropped by an egress overlay verdict", &n.TxDropVerdict},
-		{"tx_outage_drop", "egress frames lost to a bitstream-reload outage", &n.TxOutageDrop},
-		{"tx_bytes", "bytes transmitted onto the wire", &n.TxBytes},
-		{"dma_desc_hit", "descriptor fetches satisfied by the on-NIC shadow (no PCIe round trip)", &n.DMADescHit},
-		{"dma_desc_miss", "descriptor fetches that crossed PCIe to host memory", &n.DMADescMiss},
-		{"trap_fallbacks", "overlay runtime traps absorbed by falling back to the last-good chain", &n.TrapFallbacks},
-		{"trap_fail_opens", "double-trap events that unloaded the pipeline and failed open", &n.TrapFailOpens},
-		{"dma_stall_ns", "injected DMA-engine stall time", &n.DMAStallNs},
+	desc := func(name, help, unit string) telemetry.Desc {
+		return telemetry.Desc{Layer: "nic", Name: name, Help: help, Unit: unit}
 	}
-	for _, c := range counters {
-		v := c.v
-		unit := "frames"
-		if c.name == "tx_bytes" {
-			unit = "bytes"
-		} else if c.name == "dma_desc_hit" || c.name == "dma_desc_miss" {
-			unit = "fetches"
-		} else if c.name == "trap_fallbacks" || c.name == "trap_fail_opens" {
-			unit = "traps"
-		} else if c.name == "dma_stall_ns" {
-			unit = "ns"
-		}
-		r.Counter(telemetry.Desc{Layer: "nic", Name: c.name, Help: c.help, Unit: unit},
-			labels, func() uint64 { return *v })
+	counter := func(name, help, unit string, v *uint64) {
+		r.Counter(desc(name, help, unit), labels, func() uint64 { return *v })
 	}
-	r.Gauge(telemetry.Desc{Layer: "nic", Name: "sram_used_bytes", Help: "on-NIC SRAM consumed by connections, steering entries and overlay programs", Unit: "bytes"},
+	counter("rx_wire", "frames that arrived from the wire", "frames", &n.RxWire)
+	counter("rx_slow_path", "frames punted to the software slow path", "frames", &n.RxSlowPath)
+	counter("rx_pause_buffered", "ingress frames held and replayed by the cutover pause buffer", "frames", &n.RxPauseBuffered)
+	counter("tx_frames", "frames transmitted onto the wire", "frames", &n.TxFrames)
+	counter("tx_bytes", "bytes transmitted onto the wire", "bytes", &n.TxBytes)
+	counter("dma_desc_hit", "descriptor fetches satisfied by the on-NIC shadow (no PCIe round trip)", "fetches", &n.DMADescHit)
+	counter("dma_desc_miss", "descriptor fetches that crossed PCIe to host memory", "fetches", &n.DMADescMiss)
+	counter("trap_fallbacks", "overlay runtime traps absorbed by falling back to the last-good chain", "traps", &n.TrapFallbacks)
+	counter("trap_fail_opens", "double-trap events that unloaded the pipeline and failed open", "traps", &n.TrapFailOpens)
+	counter("dma_stall_ns", "injected DMA-engine stall time", "ns", &n.DMAStallNs)
+	// The drop counters and the conservation ledger: one series per row of
+	// the tables in ledger.go.
+	for _, row := range reasons {
+		counter(row.metric, row.help, "frames", row.ctr(n))
+	}
+	for _, term := range ledgerTerms {
+		read := term.read
+		r.Gauge(desc("ledger_"+term.name, term.help, "frames"), labels, func() float64 { return float64(read(n)) })
+	}
+	r.Gauge(desc("ledger_residual", "frames the conservation ledger cannot account for, rx plus tx (0 on a NIC that loses nothing silently)", "frames"),
+		labels, func() float64 {
+			rx, tx := n.residuals()
+			return math.Abs(float64(rx)) + math.Abs(float64(tx))
+		})
+	r.Gauge(desc("sram_used_bytes", "on-NIC SRAM consumed by connections, steering entries and overlay programs", "bytes"),
 		labels, func() float64 { used, _ := n.SRAM(); return float64(used) })
-	r.Gauge(telemetry.Desc{Layer: "nic", Name: "sram_budget_bytes", Help: "total on-NIC SRAM budget", Unit: "bytes"},
+	r.Gauge(desc("sram_budget_bytes", "total on-NIC SRAM budget", "bytes"),
 		labels, func() float64 { _, budget := n.SRAM(); return float64(budget) })
 
 	// Flow-cache series register only when the cache is installed at
 	// registration time (like the per-tenant scheduler series below); the
 	// closures re-read n.fc so a later re-enable keeps the series live.
-	if n.fc != nil {
-		fcCounters := []struct {
-			name, help string
-			read       func(*FlowCache) uint64
-		}{
-			{"flowcache_hits", "ingress frames served by the exact-match flow cache (no overlay interpretation)", func(f *FlowCache) uint64 { return f.Hits }},
-			{"flowcache_misses", "ingress frames that probed the flow cache and took the slow path", func(f *FlowCache) uint64 { return f.Misses }},
-			{"flowcache_installs", "flow-cache entries installed after a slow-path run", func(f *FlowCache) uint64 { return f.Installs }},
-			{"flowcache_evictions", "flow-cache entries evicted by the per-bucket clock", func(f *FlowCache) uint64 { return f.Evictions }},
-			{"flowcache_invalidations", "flow-cache entries dropped by reload/steering/close invalidation", func(f *FlowCache) uint64 { return f.Invalidations }},
-			{"flowcache_denied", "flow-cache installs refused because the tenant's partition had no victim", func(f *FlowCache) uint64 { return f.Denied }},
-			{"flowcache_checksum_fails", "flow-cache hits refused because the entry's checksum no longer matched (detected SRAM corruption)", func(f *FlowCache) uint64 { return f.ChecksumFails }},
-			{"flowcache_corrupt_served", "lookups that applied a corrupted entry's decision (ground truth; non-zero only with verification off)", func(f *FlowCache) uint64 { return f.CorruptServed }},
-		}
-		for _, c := range fcCounters {
-			read := c.read
-			unit := "frames"
-			if c.name != "flowcache_hits" && c.name != "flowcache_misses" &&
-				c.name != "flowcache_checksum_fails" && c.name != "flowcache_corrupt_served" {
-				unit = "entries"
+	fcRead := func(read func(*FlowCache) uint64) func() uint64 {
+		return func() uint64 {
+			if f := n.fc; f != nil {
+				return read(f)
 			}
-			r.Counter(telemetry.Desc{Layer: "nic", Name: c.name, Help: c.help, Unit: unit},
-				labels, func() uint64 {
-					if f := n.fc; f != nil {
-						return read(f)
-					}
-					return 0
-				})
+			return 0
 		}
-		r.Gauge(telemetry.Desc{Layer: "nic", Name: "flowcache_entries", Help: "live flow-cache entries", Unit: "entries"},
-			labels, func() float64 {
-				if f := n.fc; f != nil {
-					return float64(f.Len())
-				}
-				return 0
-			})
-		r.Gauge(telemetry.Desc{Layer: "nic", Name: "flowcache_capacity", Help: "flow-cache entry slots charged against the SRAM budget", Unit: "entries"},
-			labels, func() float64 {
-				if f := n.fc; f != nil {
-					return float64(f.Capacity())
-				}
-				return 0
-			})
+	}
+	if n.fc != nil {
+		fc := func(name, help, unit string, read func(*FlowCache) uint64) {
+			r.Counter(desc("flowcache_"+name, help, unit), labels, fcRead(read))
+		}
+		fc("hits", "ingress frames served by the exact-match flow cache (no overlay interpretation)", "frames", func(f *FlowCache) uint64 { return f.Hits })
+		fc("misses", "ingress frames that probed the flow cache and took the slow path", "frames", func(f *FlowCache) uint64 { return f.Misses })
+		fc("installs", "flow-cache entries installed after a slow-path run", "entries", func(f *FlowCache) uint64 { return f.Installs })
+		fc("evictions", "flow-cache entries evicted by the per-bucket clock", "entries", func(f *FlowCache) uint64 { return f.Evictions })
+		fc("invalidations", "flow-cache entries dropped by reload/steering/close invalidation", "entries", func(f *FlowCache) uint64 { return f.Invalidations })
+		fc("denied", "flow-cache installs refused because the tenant's partition had no victim", "entries", func(f *FlowCache) uint64 { return f.Denied })
+		fc("checksum_fails", "flow-cache hits refused because the entry's checksum no longer matched (detected SRAM corruption)", "frames", func(f *FlowCache) uint64 { return f.ChecksumFails })
+		fc("corrupt_served", "lookups that applied a corrupted entry's decision (ground truth; non-zero only with verification off)", "frames", func(f *FlowCache) uint64 { return f.CorruptServed })
+		entries := fcRead(func(f *FlowCache) uint64 { return uint64(f.Len()) })
+		capacity := fcRead(func(f *FlowCache) uint64 { return uint64(f.Capacity()) })
+		r.Gauge(desc("flowcache_entries", "live flow-cache entries", "entries"), labels, func() float64 { return float64(entries()) })
+		r.Gauge(desc("flowcache_capacity", "flow-cache entry slots charged against the SRAM budget", "entries"), labels, func() float64 { return float64(capacity()) })
 	}
 
 	// Per-tenant scheduler accounting, one labeled series per tenant known
 	// to the scheduler at registration, in sorted tenant order.
-	if n.tsched != nil {
-		for _, st := range n.tsched.Stats() {
-			id := st.Tenant
-			tl := make(telemetry.Labels, len(labels)+1)
-			for k, v := range labels {
-				tl[k] = v
-			}
-			tl["tenant"] = fmt.Sprint(id)
-			r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_pipe_grants", Help: "pipeline slots granted to the tenant by the DRR scheduler", Unit: "grants"},
-				tl, func() uint64 { return n.tsched.statsFor(id).PipeGrants })
-			r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_dma_grants", Help: "DMA engine slots granted to the tenant by the DRR scheduler", Unit: "grants"},
-				tl, func() uint64 { return n.tsched.statsFor(id).DMAGrants })
-			r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_pipe_work_ns", Help: "pipeline occupancy consumed by the tenant", Unit: "ns"},
-				tl, func() uint64 { return uint64(n.tsched.statsFor(id).PipeWork / sim.Nanosecond) })
-			r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_dma_work_ns", Help: "DMA engine occupancy consumed by the tenant", Unit: "ns"},
-				tl, func() uint64 { return uint64(n.tsched.statsFor(id).DMAWork / sim.Nanosecond) })
-			r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_fifo_drops", Help: "ingress frames dropped at the tenant's FIFO share", Unit: "frames"},
-				tl, func() uint64 { return n.tsched.statsFor(id).RxFifoDrops })
-			if n.fc != nil {
-				r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_flowcache_hits", Help: "flow-cache hits on the tenant's entries", Unit: "frames"},
-					tl, func() uint64 {
-						if f := n.fc; f != nil {
-							for _, st := range f.TenantStats() {
-								if st.Tenant == id {
-									return st.Hits
-								}
-							}
+	if n.tsched == nil {
+		return
+	}
+	for _, st := range n.tsched.Stats() {
+		id := st.Tenant
+		tl := telemetry.Labels{"tenant": fmt.Sprint(id)} // the registry copies the label set
+		for k, v := range labels {
+			tl[k] = v
+		}
+		tenant := func(name, help, unit string, read func() uint64) {
+			r.Counter(desc("tenant_"+name, help, unit), tl, read)
+		}
+		tenant("pipe_grants", "pipeline slots granted to the tenant by the DRR scheduler", "grants", func() uint64 { return n.tsched.statsFor(id).PipeGrants })
+		tenant("dma_grants", "DMA engine slots granted to the tenant by the DRR scheduler", "grants", func() uint64 { return n.tsched.statsFor(id).DMAGrants })
+		tenant("pipe_work_ns", "pipeline occupancy consumed by the tenant", "ns", func() uint64 { return uint64(n.tsched.statsFor(id).PipeWork / sim.Nanosecond) })
+		tenant("dma_work_ns", "DMA engine occupancy consumed by the tenant", "ns", func() uint64 { return uint64(n.tsched.statsFor(id).DMAWork / sim.Nanosecond) })
+		tenant("fifo_drops", "ingress frames dropped at the tenant's FIFO share", "frames", func() uint64 { return n.TenantDrops(id, RxFifo) })
+		if n.fc != nil {
+			fcTenant := func(pick func(FlowTenantStats) uint64) func() uint64 {
+				return fcRead(func(f *FlowCache) uint64 {
+					for _, st := range f.TenantStats() {
+						if st.Tenant == id {
+							return pick(st)
 						}
-						return 0
-					})
-				r.Counter(telemetry.Desc{Layer: "nic", Name: "tenant_flowcache_denied", Help: "flow-cache installs refused inside the tenant's partition", Unit: "entries"},
-					tl, func() uint64 {
-						if f := n.fc; f != nil {
-							for _, st := range f.TenantStats() {
-								if st.Tenant == id {
-									return st.Denied
-								}
-							}
-						}
-						return 0
-					})
+					}
+					return 0
+				})
 			}
+			tenant("flowcache_hits", "flow-cache hits on the tenant's entries", "frames", fcTenant(func(st FlowTenantStats) uint64 { return st.Hits }))
+			tenant("flowcache_denied", "flow-cache installs refused inside the tenant's partition", "entries", fcTenant(func(st FlowTenantStats) uint64 { return st.Denied }))
+		}
+		for reason := Reason(0); reason < NumReasons; reason++ {
+			reason := reason
+			tl["reason"] = reason.String()
+			tenant("drops", "frames dropped on the tenant's account, by reason", "frames", func() uint64 { return n.TenantDrops(id, reason) })
 		}
 	}
 }

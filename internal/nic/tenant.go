@@ -58,7 +58,7 @@ type tenantQ struct {
 
 func (q *tenantQ) push(g *job) {
 	if q.n == len(q.q) {
-		grown := make([]*job, maxInt(8, 2*len(q.q)))
+		grown := make([]*job, max(8, 2*len(q.q)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.q[(q.head+i)%len(q.q)]
 		}
@@ -75,13 +75,6 @@ func (q *tenantQ) pop() *job {
 	q.head = (q.head + 1) % len(q.q)
 	q.n--
 	return g
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TenantDRR schedules one serial sim.Server across tenants by deficit round
@@ -133,13 +126,8 @@ func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Dura
 		deliver:   deliver,
 	}
 	d.pumpFn = d.pump
-	ids := make([]uint32, 0, len(weights))
-	for id := range weights {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		d.addQueue(id, weights[id])
+	for id, w := range weights { // addQueue keeps order sorted whatever the map's order
+		d.addQueue(id, w)
 	}
 	return d
 }
@@ -201,13 +189,16 @@ func (d *TenantDRR) Charge(tenant uint32, dur sim.Duration) {
 	d.queue(tenant).deficit -= int64(dur)
 }
 
-func (d *TenantDRR) serve(q *tenantQ, g *job, now sim.Time) {
+// serve grants g the server now and resumes its datapath, returning what the
+// grant actually cost and when it ends.
+func (d *TenantDRR) serve(q *tenantQ, g *job, now sim.Time) (sim.Duration, sim.Time) {
 	cost := d.cost(g)
 	_, done := d.srv.Acquire(now, cost)
 	q.grants++
 	q.work += cost
 	q.wait += now.Sub(g.enq)
 	d.deliver(g, done)
+	return cost, done
 }
 
 // schedule keeps exactly one pending pump event against the server.
@@ -238,16 +229,11 @@ func (d *TenantDRR) pump() {
 	if !ok {
 		return
 	}
-	cost := d.cost(g)
+	g.armed = false
+	cost, done := d.serve(q, g, now)
 	// True-up: the deficit was charged the estimate at selection; bill the
 	// difference so tenants pay actual occupancy (DDIO misses included).
 	q.deficit -= int64(cost) - int64(g.est)
-	_, done := d.srv.Acquire(now, cost)
-	q.grants++
-	q.work += cost
-	q.wait += now.Sub(g.enq)
-	g.armed = false
-	d.deliver(g, done)
 	d.nic.settle(g)
 	if d.backlog > 0 {
 		d.schedule(done)
@@ -288,7 +274,7 @@ func (d *TenantDRR) next() (*job, *tenantQ, bool) {
 
 func (d *TenantDRR) activePush(id uint32) {
 	if d.activeN == len(d.active) {
-		grown := make([]uint32, maxInt(8, 2*len(d.active)))
+		grown := make([]uint32, max(8, 2*len(d.active)))
 		for i := 0; i < d.activeN; i++ {
 			grown[i] = d.active[(d.activeHead+i)%len(d.active)]
 		}
@@ -311,14 +297,14 @@ func (d *TenantDRR) activeRotate() { d.activePush(d.activePop()) }
 // Backlog returns the total queued grants across tenants.
 func (d *TenantDRR) Backlog() int { return d.backlog }
 
-// tenantRx is one tenant's share of the ingress FIFO. Partitioning the FIFO
-// is what stops a backlogged neighbor's frames from camping every slot: each
-// tenant overflows its own share and the MAC drops *its* excess, not the
-// victim's.
+// tenantRx is one tenant's share of the ingress FIFO, plus the drops charged
+// to it by reason (ledger.go). Partitioning the FIFO is what stops a
+// backlogged neighbor's frames from camping every slot: each tenant overflows
+// its own share and the MAC drops *its* excess, not the victim's.
 type tenantRx struct {
 	inflight int
 	window   int
-	fifoDrop uint64
+	drops    [NumReasons]uint64
 }
 
 // TenantSched bundles the two per-resource schedulers and the per-tenant
@@ -334,7 +320,6 @@ type TenantSched struct {
 
 	rx      map[uint32]*tenantRx
 	rxOrder []uint32
-	defRxW  int
 }
 
 func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
@@ -343,37 +328,37 @@ func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
 		weights: make(map[uint32]int, len(weights)),
 		rx:      make(map[uint32]*tenantRx, len(weights)),
 	}
-	ids := make([]uint32, 0, len(weights))
 	for id, w := range weights {
-		if w < 1 {
-			w = 1
-		}
-		s.weights[id] = w
-		s.total += w
-		ids = append(ids, id)
+		s.weights[id] = max(w, 1)
+		s.total += max(w, 1)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Quanta: one weight unit buys one full frame per round on each resource.
 	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, n.pipeOccupancy(1514), s.pipeCost, s.pipeGrant)
 	s.DMA = newTenantDRR(n, n.dma, s.weights, n.model.DMA(64+1514), s.dmaCostOf, s.dmaGrant)
-	// FIFO shares: weight-proportional with a floor, so even the lightest
-	// tenant can absorb a small burst.
-	s.defRxW = maxInt(8, n.rxWindow/(4*maxInt(1, s.total)))
-	for _, id := range ids {
+	for id := range s.weights { // shares need the total; rxQueue keeps rxOrder sorted
 		s.rxQueue(id)
 	}
 	return s
+}
+
+// rxShare sizes a tenant's FIFO share from the current FIFO depth:
+// weight-proportional (a quarter of one weight unit for a tenant without a
+// weight) with a floor of 8, so even the lightest tenant can absorb a small
+// burst.
+func (s *TenantSched) rxShare(tenant uint32) int {
+	depth := s.n.rxWindow
+	win := depth / (4 * max(1, s.total))
+	if w, ok := s.weights[tenant]; ok {
+		win = depth * w / s.total
+	}
+	return max(8, win)
 }
 
 func (s *TenantSched) rxQueue(tenant uint32) *tenantRx {
 	if r, ok := s.rx[tenant]; ok {
 		return r
 	}
-	win := s.defRxW
-	if w, ok := s.weights[tenant]; ok {
-		win = maxInt(8, s.n.rxWindow*w/s.total)
-	}
-	r := &tenantRx{window: win}
+	r := &tenantRx{window: s.rxShare(tenant)}
 	s.rx[tenant] = r
 	i := sort.Search(len(s.rxOrder), func(i int) bool { return s.rxOrder[i] >= tenant })
 	s.rxOrder = append(s.rxOrder, 0)
@@ -417,22 +402,22 @@ func (s *TenantSched) pipeGrant(g *job, done sim.Time) {
 }
 
 // rxAdmit charges one ingress FIFO slot to a tenant; false means the tenant's
-// share is full and the frame must be dropped (counted per tenant and in the
-// global RxFifoDrop).
+// share is full and the frame must be dropped (an RxFifo drop).
 func (s *TenantSched) rxAdmit(tenant uint32) bool {
 	r := s.rxQueue(tenant)
 	if r.inflight >= r.window {
-		r.fifoDrop++
 		return false
 	}
 	r.inflight++
 	return true
 }
 
-func (s *TenantSched) rxRelease(tenant uint32) {
-	if r, ok := s.rx[tenant]; ok && r.inflight > 0 {
-		r.inflight--
+func (s *TenantSched) rxLeave(tenant uint32) {
+	r := s.rx[tenant]
+	if r == nil || r.inflight == 0 {
+		panic("nic: tenant FIFO share released but not held")
 	}
+	r.inflight--
 }
 
 // TenantSchedStats is one tenant's scheduler accounting across both scheduled
@@ -463,7 +448,7 @@ func (s *TenantSched) statsFor(tenant uint32) TenantSchedStats {
 		st.DMAGrants, st.DMAWork, st.DMAWait = q.grants, q.work, q.wait
 	}
 	if r, ok := s.rx[tenant]; ok {
-		st.RxFifoDrops, st.RxInflight, st.RxWindow = r.fifoDrop, r.inflight, r.window
+		st.RxFifoDrops, st.RxInflight, st.RxWindow = r.drops[RxFifo], r.inflight, r.window
 	}
 	return st
 }
@@ -519,17 +504,17 @@ func (s *TenantSched) Weights() map[uint32]int {
 	return out
 }
 
-// TenantFifoDrops returns ingress frames dropped at one tenant's FIFO share
-// (0 when no scheduler is installed — unscheduled drops are global).
-func (n *NIC) TenantFifoDrops(tenant uint32) uint64 {
-	if n.tsched == nil {
-		return 0
-	}
-	if r, ok := n.tsched.rx[tenant]; ok {
-		return r.fifoDrop
+// TenantDrops returns the frames dropped under one reason on one tenant's
+// account (0 when no scheduler is installed — unscheduled drops are global).
+func (n *NIC) TenantDrops(tenant uint32, r Reason) uint64 {
+	if n.tsched != nil && n.tsched.rx[tenant] != nil {
+		return n.tsched.rx[tenant].drops[r]
 	}
 	return 0
 }
+
+// TenantFifoDrops returns ingress frames dropped at one tenant's FIFO share.
+func (n *NIC) TenantFifoDrops(tenant uint32) uint64 { return n.TenantDrops(tenant, RxFifo) }
 
 // TenantRxOccupancy sums RX-ring pressure over one tenant's connections:
 // occupied and capacity descriptors plus rings at or above their high

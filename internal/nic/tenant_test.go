@@ -215,3 +215,33 @@ func BenchmarkTenantDRR(b *testing.B) {
 	}
 	eng.Run()
 }
+
+// TestSetRxWindowResizesTenantShares: the tenant shares are fractions of the
+// FIFO depth, so a clamp (the health monitor's DMA quarantine, a fault burst)
+// must reach them. With the DMA engine stalled nothing leaves the FIFO: of 64
+// frames for one tenant exactly the clamp's worth are in flight and the rest
+// are FIFO drops on that tenant's account.
+func TestSetRxWindowResizesTenantShares(t *testing.T) {
+	n, eng := tenantWorld(t, map[uint32]int{1: 3, 2: 1}, 1, 2)
+	n.OnRxDeliver = func(c *Conn, _ sim.Time) { _, _ = c.RX.Pop() }
+	n.SetRxWindow(8)
+	n.StallDMA(sim.Millisecond)
+	for i := 0; i < 64; i++ {
+		rxNow(n, tenantUDP(5001))
+		if in := n.RxInflight(); in > 8 {
+			t.Fatalf("FIFO occupancy %d exceeds the clamp of 8", in)
+		}
+	}
+	if n.RxFifoDrop != 56 || n.TenantFifoDrops(1) != 56 || n.TenantFifoDrops(2) != 0 {
+		t.Fatalf("fifo drops: %d global, %d on tenant 1, %d on tenant 2; want 56, 56, 0",
+			n.RxFifoDrop, n.TenantFifoDrops(1), n.TenantFifoDrops(2))
+	}
+	n.SetRxWindow(128)
+	if st := n.TenantScheduler().Stats(); st[0].RxWindow != 96 || st[1].RxWindow != 32 {
+		t.Fatalf("shares after restoring the depth: %d and %d, want 96 and 32", st[0].RxWindow, st[1].RxWindow)
+	}
+	eng.Run()
+	if err := n.Balance(); err != nil {
+		t.Fatal(err)
+	}
+}

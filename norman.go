@@ -245,26 +245,20 @@ func (s *System) Run() Duration {
 			sv.Pause()
 		}
 	}
-	var t Duration
-	if s.w.Coord != nil {
-		t = sim.Duration(s.w.Coord.Run())
-	} else {
-		t = sim.Duration(s.w.Eng.Run())
+	if err := s.w.Drain(); err != nil {
+		panic(err) // the simulator lost a frame: no number it reports can be trusted
 	}
 	for _, p := range s.parts {
 		if sv, ok := p.(supervisor); ok {
 			sv.Resume()
 		}
 	}
-	return t
+	return sim.Duration(s.w.Now())
 }
 
 // RunFor executes events up to d of virtual time.
 func (s *System) RunFor(d Duration) Duration {
-	if s.w.Coord != nil {
-		return sim.Duration(s.w.Coord.RunUntil(s.w.Coord.Now().Add(d)))
-	}
-	return sim.Duration(s.w.Eng.RunUntil(s.w.Eng.Now().Add(d)))
+	return sim.Duration(s.w.RunUntil(s.w.Now().Add(d)))
 }
 
 // At schedules fn at an absolute virtual time.

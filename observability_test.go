@@ -1,8 +1,11 @@
 package norman_test
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"norman"
@@ -10,6 +13,7 @@ import (
 	"norman/internal/faults"
 	"norman/internal/health"
 	"norman/internal/mem"
+	"norman/internal/nic"
 	"norman/internal/overload"
 	"norman/internal/qos"
 	"norman/internal/sniff"
@@ -37,6 +41,60 @@ func TestObservabilityDocMatchesRegistry(t *testing.T) {
 	for _, m := range names {
 		if !reg.Has(m[1]) {
 			t.Errorf("OBSERVABILITY.md documents %s but no such metric is registered", m[1])
+		}
+	}
+}
+
+// TestObservabilityDocMatchesLedger is the same gate for the NIC's way out:
+// OBSERVABILITY.md's drop-reason rows must be the reason table's rows (name,
+// metric, help), every ledger series must be documented, and the span
+// inventory's nic, ring and wire rows must name every point internal/nic
+// emits — and, for the nic layer, nothing it no longer does.
+func TestObservabilityDocMatchesLedger(t *testing.T) {
+	raw, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	for r := nic.Reason(0); r < nic.NumReasons; r++ {
+		row := fmt.Sprintf("| `%s` | `norman_nic_%s` | %s |", r, r.Metric(), r.Help())
+		if !strings.Contains(doc, row) {
+			t.Errorf("OBSERVABILITY.md lacks the drop-reason row %q", row)
+		}
+	}
+	for _, name := range nic.LedgerSeries() {
+		if !strings.Contains(doc, "`norman_nic_"+name+"`") {
+			t.Errorf("OBSERVABILITY.md does not document ledger series norman_nic_%s", name)
+		}
+	}
+
+	documented := map[string]map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(nic|ring|wire)` \\| (.*) \\|$").FindAllStringSubmatch(doc, -1) {
+		documented[m[1]] = map[string]bool{}
+		for _, pt := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(m[2], -1) {
+			documented[m[1]][pt[1]] = true
+		}
+	}
+	emitted := map[string]bool{}
+	files, _ := filepath.Glob("internal/nic/*.go")
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		for _, m := range regexp.MustCompile(`trace\([^"\n]*"(nic|ring|wire)", "([a-z_]+)"`).FindAllStringSubmatch(string(src), -1) {
+			emitted[m[2]] = emitted[m[2]] || m[1] == "nic"
+			if !documented[m[1]][m[2]] {
+				t.Errorf("%s emits span %s/%s, which OBSERVABILITY.md's span inventory does not list", f, m[1], m[2])
+			}
+		}
+	}
+	for pt := range documented["nic"] {
+		if !emitted[pt] {
+			t.Errorf("OBSERVABILITY.md lists span nic/%s, which internal/nic no longer emits", pt)
 		}
 	}
 }

@@ -17,6 +17,15 @@ fi
 go build ./...
 go vet ./...
 
+# Ledger gate: a typed drop counter is bumped in internal/nic/ledger.go and
+# nowhere else, so no drop can skip the reason table, the tenant attribution,
+# the drop span or the release of what the frame held.
+if grep -nE '\.(Rx[A-Za-z]*Drop[A-Za-z]*|RxShed|Tx[A-Za-z]*Drop[A-Za-z]*)(\+\+| \+=)' \
+	$(ls internal/nic/*.go | grep -v -e _test.go -e /ledger.go); then
+	echo "drop counter incremented outside internal/nic/ledger.go (use NIC.drop)" >&2
+	exit 1
+fi
+
 # docs-lint: every package (internal/, cmd/, examples/, root) must carry a
 # package doc comment. Asked of the toolchain itself — go/doc's extraction,
 # via `go list -f {{.Doc}}` — so a comment the parser would not attach to
@@ -65,6 +74,9 @@ done <<'PASSES'
 7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/...
 # the supervision kernel, and the goldens its three users must reproduce byte for byte
 7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
+# the NIC's one way out: every exit balances the ledger, the fuzz corpus,
+# FIFO clamps reach tenant shares, every world's drain asserts Balance()
+7 Ledger|Balance|EveryExit|RxWindow ./internal/nic/... ./internal/arch/... ./internal/experiments/... .
 # the branch-free event heap and the LLC set record, fuzzed against the code
 # they replaced (seed corpora); RunUntil after Stop
 7 EngineOrder|LLCEquiv|StopRunUntil ./internal/sim/... ./internal/cache/...
@@ -201,6 +213,14 @@ grep -q "upgrade: generation" "$tmp/upgrade.out"
 grep -q "events: " "$tmp/upgrade.out"
 grep -q "canary: " "$tmp/upgrade.out"
 grep -q "handover: " "$tmp/upgrade.out"
+
+# Ledger smoke: -ledger filters the telemetry dump down to the conservation
+# law's terms; on a healthy daemon every reason row is there and the residual
+# reads 0.
+"$tmp/nnetstat" -socket "$tmp/rec.sock" -ledger | tee "$tmp/ledger.out"
+grep -q '^ledger_residual{[^}]*} 0$' "$tmp/ledger.out"
+grep -q '^rx_fifo_drop' "$tmp/ledger.out"
+grep -q '^tx_outage_drop' "$tmp/ledger.out"
 kill "$daemon_pid"
 
 # E12 shard-determinism smoke: the same sweep on 1 engine and on 8 lockstep
