@@ -19,9 +19,10 @@
 // -upgrade it reports the live-upgrade subsystem: lifecycle phase, pipeline
 // generation, cutover/commit/rollback counts, canary accounting, and the
 // pause-buffer and warm-transfer numbers of the last flip. With -ledger it
-// prints the NIC's conservation ledger out of the same telemetry dump: frames
-// in, every typed drop reason, the in-flight terms and the residual (0 unless
-// the NIC lost a frame silently).
+// prints the conservation ledgers out of the same telemetry dump: the NIC's
+// (frames in, every typed drop reason, the in-flight terms and the residual,
+// 0 unless the NIC lost a frame silently), then the host's above the ring
+// (every host drop reason and the terms of its law).
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"os"
 	"strings"
 
+	"norman/internal/arch"
 	"norman/internal/ctl"
 	"norman/internal/nic"
 )
@@ -46,7 +48,7 @@ func main() {
 	flowsFlag := flag.Bool("flows", false, "show the NIC flow-cache status (occupancy, hit/miss, per-tenant partitions)")
 	healthFlag := flag.Bool("health", false, "show the NIC hardware-health monitor (component states, quarantines, failovers)")
 	upgradeFlag := flag.Bool("upgrade", false, "show the live-upgrade subsystem (phase, generation, canary, rollbacks)")
-	ledgerFlag := flag.Bool("ledger", false, "show the NIC conservation ledger (drop reasons, in-flight terms, residual)")
+	ledgerFlag := flag.Bool("ledger", false, "show the NIC and host conservation ledgers (drop reasons, in-flight terms, residual)")
 	flag.Parse()
 
 	c, err := ctl.Dial(*socket)
@@ -238,13 +240,19 @@ func main() {
 		if err := c.Call(ctl.OpTelemetry, ctl.TelemetryArgs{Format: "prometheus"}, &data); err != nil {
 			fatal(err)
 		}
-		terms := map[string]bool{}
-		for _, s := range nic.LedgerSeries() {
-			terms["norman_nic_"+s] = true
-		}
-		for _, line := range strings.Split(data.Body, "\n") {
-			if terms[line[:strings.IndexAny(line+" ", "{ ")]] { // the series name ends at its labels or its value
-				fmt.Println(strings.TrimPrefix(line, "norman_nic_"))
+		// The NIC's rows (bare names), then the host's above the ring (host_…).
+		for _, layer := range []struct {
+			prefix string
+			series []string
+		}{{"norman_nic_", nic.LedgerSeries()}, {"norman_", arch.HostLedgerSeries()}} {
+			terms := map[string]bool{}
+			for _, s := range layer.series {
+				terms[layer.prefix+s] = true
+			}
+			for _, line := range strings.Split(data.Body, "\n") {
+				if terms[line[:strings.IndexAny(line+" ", "{ ")]] { // the series name ends at its labels or its value
+					fmt.Println(strings.TrimPrefix(line, layer.prefix))
+				}
 			}
 		}
 		return

@@ -18,7 +18,12 @@
 // Each architecture exposes the same Arch interface so the experiments can
 // sweep across them; operations an architecture cannot support return
 // ErrUnsupported (or filter.ErrNeedsProcessView), which is itself the E2
-// result.
+// result. They are two families over one base: direct (bypass, hypervisor,
+// kopi: applications own NIC rings) and soft (kernelstack, sidecar:
+// interposition in host software — one filter/qdisc/tap core, with only the
+// application↔core crossing left to each). Whatever the host drops above the
+// NIC's rings leaves through base.hostDrop and one reason table (exits.go),
+// and World.Drain returns the host's conservation law with the NIC's.
 package arch
 
 import (

@@ -177,25 +177,3 @@ func TestWorldCPUAccounting(t *testing.T) {
 		t.Fatalf("unmarked busy = %v", got)
 	}
 }
-
-// TestRingOverflowCountsAppDrops: flooding a connection faster than it
-// drains must surface as explicit drops, not lost accounting.
-func TestRingOverflowCountsAppDrops(t *testing.T) {
-	a := New("bypass", WorldConfig{RingSize: 8}).(*Bypass)
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
-	u := w.Kern.AddUser(1, "u")
-	proc := w.Kern.Spawn(u.UID, "p")
-	flow := w.Flow(1000, 7)
-	c, _ := a.Connect(proc, flow)
-	// Push a huge burst in one call: ring 8 deep, NIC cannot drain between.
-	pkts := make([]*packet.Packet, 64)
-	for i := range pkts {
-		pkts[i] = w.UDPTo(flow, 1460)
-	}
-	a.SendBatch(c, pkts)
-	w.Eng.Run()
-	if a.TxAppDrops == 0 {
-		t.Fatal("overflow must be counted as app drops")
-	}
-}

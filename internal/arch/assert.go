@@ -9,18 +9,6 @@ var (
 	_ Arch = (*KOPI)(nil)
 )
 
-// All returns a fresh instance of every architecture, each on its own world
-// built with the given config — the sweep the experiments iterate.
-func All(cfg WorldConfig) []Arch {
-	return []Arch{
-		NewKernelStack(NewWorld(cfg)),
-		NewBypass(NewWorld(cfg)),
-		NewSidecar(NewWorld(cfg)),
-		NewHypervisor(NewWorld(cfg)),
-		NewKOPI(NewWorld(cfg)),
-	}
-}
-
 // New constructs one architecture by name on a fresh world; unknown names
 // return nil.
 func New(name string, cfg WorldConfig) Arch {

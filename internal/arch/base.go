@@ -3,6 +3,7 @@ package arch
 import (
 	"norman/internal/filter"
 	"norman/internal/packet"
+	"norman/internal/qos"
 	"norman/internal/sim"
 )
 
@@ -12,12 +13,30 @@ type base struct {
 	deliver DeliverFunc
 	conns   map[uint64]*Conn // by kernel conn id
 
-	// Drops on the application TX path (ring full, no buffer).
+	pings   map[uint16]pendingPing // in-flight kernel pings by ICMP id
+	pingSeq uint16
+
+	// sched is the software qdisc above the NIC's TX ring: set only by the
+	// software dataplanes (soft.go), here because its backlog is a term of
+	// the host's conservation law. Ring architectures schedule on the NIC.
+	sched qos.Qdisc
+
+	// The host's conservation ledger (exits.go). TxAppDrops is the tx_ring
+	// reason's counter under the name its readers know.
 	TxAppDrops uint64
+	drops      [NumHostReasons]uint64
+	sent       uint64 // packets applications handed to Send/SendBatch
+	handed     uint64 // pushed into a NIC TX ring
+	popped     uint64 // popped from a NIC RX ring
+	delivered  uint64 // upcalled into an application
+	absorbed   uint64 // consumed by the host itself: ARP, echo, ping replies
 }
 
-func newBase(w *World) base {
-	return base{w: w, conns: map[uint64]*Conn{}}
+// init wires the bookkeeping into a world. Like direct.init it runs on the
+// struct's final heap location: the world and every hop keep the pointer.
+func (b *base) init(w *World) {
+	*b = base{w: w, conns: map[uint64]*Conn{}, pings: map[uint16]pendingPing{}}
+	w.host = b
 }
 
 // World implements Arch.
@@ -28,6 +47,7 @@ func (b *base) SetDeliver(fn DeliverFunc) { b.deliver = fn }
 
 // upcall hands a packet to the application.
 func (b *base) upcall(c *Conn, p *packet.Packet, at sim.Time) {
+	b.delivered++
 	c.Delivered++
 	c.LastDeliver = at
 	b.trace(p, at, "host", "rx_deliver", "")
@@ -109,65 +129,88 @@ func (b *base) deliverWoken(c *Conn, p *packet.Packet, wakeAt sim.Time, appCost 
 	h.core, h.cost = c.core, sim.Duration(b.w.Model.ContextSwitch)+appCost
 }
 
+// deliverTo hands p to c's application the way its receive mode asks.
+func (b *base) deliverTo(c *Conn, p *packet.Packet, at sim.Time, appCost sim.Duration) {
+	if c.Mode == RxBlock {
+		b.deliverWoken(c, p, at, appCost)
+	} else {
+		b.deliverPolled(c, p, at, appCost)
+	}
+}
+
+// DeliverWire implements Arch: frames off the wire enter the NIC.
+func (b *base) DeliverWire(p *packet.Packet) { b.w.NIC.DeliverFromWire(p) }
+
+// hostReply builds the host's own answer to a frame addressed to it — an ARP
+// reply or an ICMP echo reply, which applications never see on an
+// architecture whose kernel sees the frame — or nil.
+func (b *base) hostReply(p *packet.Packet) *packet.Packet {
+	w := b.w
+	switch {
+	case p.ARP != nil && p.ARP.Op == packet.ARPRequest && p.ARP.TargetIP == w.HostIP:
+		return packet.NewARPReply(w.HostMAC, w.HostIP, p.ARP.SenderHW, p.ARP.SenderIP)
+	case p.IsEchoRequestTo(w.HostIP):
+		return packet.EchoReplyTo(p)
+	}
+	return nil
+}
+
+// pingReply completes the kernel ping that p, an echo reply to the host,
+// answers; it reports whether p was one.
+func (b *base) pingReply(p *packet.Packet, now sim.Time) bool {
+	if p.ICMP == nil || p.ICMP.Type != packet.ICMPEchoReply || p.IP == nil || p.IP.Dst != b.w.HostIP {
+		return false
+	}
+	b.pingDone(p.ICMP.ID, now, true)
+	return true
+}
+
+// ping sends one kernel-originated ICMP echo through the NIC's management
+// path after cost on the kernel core; pingReply completes it.
+func (b *base) ping(dst packet.IPv4, payload int, cost sim.Duration, done func(sim.Duration, bool)) error {
+	w := b.w
+	now := w.Eng.Now()
+	b.pingSeq++
+	id := b.pingSeq
+	b.pings[id] = pendingPing{sent: now, done: done}
+	req := packet.NewICMPEcho(w.HostMAC, w.PeerMAC, w.HostIP, dst, packet.ICMPEchoRequest, id, 1, payload)
+	_, at := w.KernCore().Acquire(now, cost)
+	w.Eng.At(at, func() { w.NIC.InjectTx(req) })
+	w.Eng.After(pingTimeout, func() { b.pingDone(id, 0, false) })
+	return nil
+}
+
 // softFilterCost is the CPU time a software interposition layer spends
 // evaluating a chain: fixed protocol bookkeeping plus per-rule work.
 func softFilterCost(m interface{ Cycles(int) sim.Duration }, res filter.Result) sim.Duration {
 	return m.Cycles(15 * res.RulesEvaluated)
 }
 
-// pinger tracks in-flight kernel pings (icmp id -> completion).
-type pinger struct {
-	nextID  uint16
-	pending map[uint16]pendingPing
-}
-
+// pendingPing is one in-flight kernel ping.
 type pendingPing struct {
 	sent sim.Time
 	done func(sim.Duration, bool)
 }
 
-// start registers a new ping and returns its id.
-func (pg *pinger) start(now sim.Time, done func(sim.Duration, bool)) uint16 {
-	if pg.pending == nil {
-		pg.pending = map[uint16]pendingPing{}
-	}
-	pg.nextID++
-	pg.pending[pg.nextID] = pendingPing{sent: now, done: done}
-	return pg.nextID
-}
-
-// complete resolves a ping by id; duplicate replies are ignored.
-func (pg *pinger) complete(id uint16, now sim.Time) {
-	p, ok := pg.pending[id]
-	if !ok {
+// pingDone resolves ping id once, as answered at now or as timed out: a
+// duplicate reply, or the timeout after the reply, finds nothing pending.
+func (b *base) pingDone(id uint16, now sim.Time, ok bool) {
+	p, pending := b.pings[id]
+	if !pending {
 		return
 	}
-	delete(pg.pending, id)
-	if p.done != nil {
-		p.done(now.Sub(p.sent), true)
+	delete(b.pings, id)
+	var rtt sim.Duration
+	if ok {
+		rtt = now.Sub(p.sent)
 	}
-}
-
-// expire times out a ping by id.
-func (pg *pinger) expire(id uint16) {
-	p, ok := pg.pending[id]
-	if !ok {
-		return
-	}
-	delete(pg.pending, id)
 	if p.done != nil {
-		p.done(0, false)
+		p.done(rtt, ok)
 	}
 }
 
 // pingTimeout is how long the kernel waits for an echo reply.
 const pingTimeout = 100 * sim.Millisecond
-
-// connFor maps a kernel connection id to the architecture handle.
-func (b *base) connFor(id uint64) (*Conn, bool) {
-	c, ok := b.conns[id]
-	return c, ok
-}
 
 // register records a new handle and pins its process's app core on it.
 func (b *base) register(c *Conn) {

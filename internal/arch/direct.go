@@ -39,7 +39,7 @@ type direct struct {
 // final (heap) location of the struct: the NIC callbacks capture d, so a
 // copy after init would strand them on the old value.
 func (d *direct) init(w *World, trusted, processView bool) {
-	d.base = newBase(w)
+	d.base.init(w)
 	d.trusted = trusted
 	d.fw = filter.NewEngine(processView)
 	d.engine = core.Interposer{NIC: w.NIC, Kern: w.Kern, ProcessView: processView}
@@ -106,6 +106,7 @@ func (d *direct) Send(c *Conn, p *packet.Packet) {
 	if c.NC.TX.Empty() {
 		cost += sim.Duration(m.MMIOWrite)
 	}
+	d.sent++
 	d.traceStamp(p)
 	d.trace(p, now, "host", "syscall_send", "")
 	_, done := core.Acquire(now, cost)
@@ -116,10 +117,10 @@ func (d *direct) Send(c *Conn, p *packet.Packet) {
 // publish the descriptor and ring the doorbell.
 func (b *base) postTx(c *Conn, p *packet.Packet, now sim.Time) {
 	if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: now}); err != nil {
-		b.TxAppDrops++
-		b.trace(p, now, "ring", "tx_drop_full", "")
+		b.hostDrop(p, c.Info.ID, HostTxRing)
 		return
 	}
+	b.handed++
 	b.trace(p, now, "ring", "tx_enqueue", "")
 	b.w.NIC.DoorbellTx(c.NC)
 }
@@ -146,6 +147,7 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 			d.memTouch(d.w.NIC.BufAddr(c.NC, idx, false), hdr)
 	}
 	cost += sim.Duration(m.MMIOWrite) // one tail-pointer write for the burst
+	d.sent += uint64(len(pkts))
 	for _, p := range pkts {
 		d.traceStamp(p)
 		d.trace(p, now, "host", "syscall_send", "batched")
@@ -153,27 +155,25 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 	_, done := core.Acquire(now, cost)
 	batch := append([]*packet.Packet(nil), pkts...)
 	d.w.Eng.At(done, func() {
+		now := d.w.Eng.Now()
 		for _, p := range batch {
-			if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: d.w.Eng.Now()}); err != nil {
-				d.TxAppDrops++
-				d.trace(p, d.w.Eng.Now(), "ring", "tx_drop_full", "")
+			if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: now}); err != nil {
+				d.hostDrop(p, c.Info.ID, HostTxRing)
 				continue
 			}
-			d.trace(p, d.w.Eng.Now(), "ring", "tx_enqueue", "")
+			d.handed++
+			d.trace(p, now, "ring", "tx_enqueue", "")
 		}
 		d.w.NIC.DoorbellTx(c.NC)
 	})
 }
 
-// DeliverWire implements Arch.
-func (d *direct) DeliverWire(p *packet.Packet) { d.w.NIC.DeliverFromWire(p) }
-
 // onRxDeliver consumes packets landed in RX rings. Poll-mode connections
 // consume immediately (their poll loop is always running); block-mode
 // connections are drained by the notification wake path instead.
 func (d *direct) onRxDeliver(nc *nic.Conn, at sim.Time) {
-	c, ok := d.connFor(nc.ID)
-	if !ok || c.Mode != RxPoll {
+	c := d.conns[nc.ID]
+	if c == nil || c.Mode != RxPoll {
 		return
 	}
 	slotAddr := nc.RX.TailAddr()
@@ -181,6 +181,7 @@ func (d *direct) onRxDeliver(nc *nic.Conn, at sim.Time) {
 	if err != nil {
 		return
 	}
+	d.popped++
 	d.deliverPolled(c, desc.Pkt, at, d.appRxCost(c, desc.Pkt, slotAddr))
 }
 

@@ -21,8 +21,6 @@ type KOPI struct {
 	// LastProgramLoad is the control-plane latency of the most recent
 	// overlay (re)load — E4's online-update metric.
 	LastProgramLoad sim.Duration
-
-	pings pinger
 }
 
 // NewKOPI builds the architecture on a world.
@@ -44,26 +42,18 @@ func NewKOPI(w *World) *KOPI {
 // DeliverWire feeds inbound frames through the NIC, teaching the kernel ARP
 // cache along the way. ARP requests for the host's address are answered by
 // the kernel (which owns the NIC), after a slow-path trip — applications
-// need not (and cannot reliably) speak ARP themselves under KOPI.
+// need not (and cannot reliably) speak ARP themselves under KOPI — as are
+// echo requests; these frames never enter the NIC.
 func (a *KOPI) DeliverWire(p *packet.Packet) {
 	now := a.w.Eng.Now()
 	a.w.Kern.ARP().Observe(p, now, false)
-	if p.ARP != nil && p.ARP.Op == packet.ARPRequest && p.ARP.TargetIP == a.w.HostIP {
+	if reply := a.hostReply(p); reply != nil {
 		m := a.w.Model
 		_, done := a.w.KernCore().Acquire(now, sim.Duration(m.Interrupt)+m.Cycles(300))
-		reply := packet.NewARPReply(a.w.HostMAC, a.w.HostIP, p.ARP.SenderHW, p.ARP.SenderIP)
 		a.w.Eng.At(done, func() { a.w.NIC.InjectTx(reply) })
 		return
 	}
-	if p.IsEchoRequestTo(a.w.HostIP) {
-		m := a.w.Model
-		_, done := a.w.KernCore().Acquire(now, sim.Duration(m.Interrupt)+m.Cycles(300))
-		reply := packet.EchoReplyTo(p)
-		a.w.Eng.At(done, func() { a.w.NIC.InjectTx(reply) })
-		return
-	}
-	if p.ICMP != nil && p.ICMP.Type == packet.ICMPEchoReply && p.IP != nil && p.IP.Dst == a.w.HostIP {
-		a.pings.complete(p.ICMP.ID, now)
+	if a.pingReply(p, now) {
 		return
 	}
 	a.direct.DeliverWire(p)
@@ -137,8 +127,8 @@ func (a *KOPI) onNotify(nc *nic.Conn, kind mem.NotifyKind, at sim.Time) {
 	if kind != mem.NotifyRxReady {
 		return
 	}
-	c, ok := a.connFor(nc.ID)
-	if !ok || c.Mode != RxBlock {
+	c := a.conns[nc.ID]
+	if c == nil || c.Mode != RxBlock {
 		return
 	}
 	// Drain the process's notification queue (the monitor batches).
@@ -155,15 +145,7 @@ func (a *KOPI) onNotify(nc *nic.Conn, kind mem.NotifyKind, at sim.Time) {
 // Ping sends a kernel-originated ICMP echo through the NIC's management
 // path; the reply is intercepted on the kernel slow path.
 func (a *KOPI) Ping(dst packet.IPv4, payload int, done func(sim.Duration, bool)) error {
-	now := a.w.Eng.Now()
-	id := a.pings.start(now, done)
-	req := packet.NewICMPEcho(a.w.HostMAC, a.w.PeerMAC, a.w.HostIP, dst,
-		packet.ICMPEchoRequest, id, 1, payload)
-	m := a.w.Model
-	_, kdone := a.w.KernCore().Acquire(now, m.Cycles(300))
-	a.w.Eng.At(kdone, func() { a.w.NIC.InjectTx(req) })
-	a.w.Eng.After(pingTimeout, func() { a.pings.expire(id) })
-	return nil
+	return a.ping(dst, payload, a.w.Model.Cycles(300), done)
 }
 
 // SetRxCoalesce sets the notification coalescing window for a blocked
@@ -183,6 +165,7 @@ func (b *base) drainBlocked(c *Conn) {
 		if err != nil {
 			return
 		}
+		b.popped++
 		p := desc.Pkt
 		now := b.w.Eng.Now()
 		_, done := core.Acquire(now, b.appRxCost(c, p, slotAddr))

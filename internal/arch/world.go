@@ -48,6 +48,7 @@ type World struct {
 	kernCores []*sim.Server          // kernel / sidecar dataplane cores (softirq queues)
 	pollers   map[*sim.Server]bool   // cores pinned at 100% by poll loops
 	hopFree   *hop                   // free list of host-side event records (hop.go)
+	host      *base                  // the architecture built on this world: its host ledger (exits.go)
 }
 
 // WorldConfig parameterizes NewWorld; zero values take defaults.
@@ -149,14 +150,18 @@ func (w *World) RunUntil(t sim.Time) sim.Time {
 }
 
 // Drain runs the world until no event remains (in-flight DMA, deliveries,
-// echoes) and returns the NIC's conservation verdict, nic.NIC.Balance.
+// echoes) and returns the conservation verdict: nic.NIC.Balance for wire ↔
+// ring, then the architecture's host law (exits.go) for ring ↔ application.
 func (w *World) Drain() error {
 	if w.Coord != nil {
 		w.Coord.Run()
 	} else {
 		w.Eng.Run()
 	}
-	return w.NIC.Balance()
+	if err := w.NIC.Balance(); err != nil {
+		return err
+	}
+	return w.host.balance()
 }
 
 // EnableTracing attaches a packet-lifecycle tracer of the given span depth
@@ -242,6 +247,7 @@ func (w *World) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) 
 		}
 	}
 	w.NIC.RegisterMetrics(r, labels)
+	w.host.registerMetrics(r, labels)
 	if w.Tracer != nil {
 		w.Tracer.RegisterMetrics(r, labels)
 	}

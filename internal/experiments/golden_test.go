@@ -28,6 +28,28 @@ func TestSupervisedTablesGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "supervised_tables.golden"), b.String())
 }
 
+// TestArchTablesGolden does the same for the tables that sweep the dataplane
+// architectures themselves (E1, E2, E6, E7, E8 run all five; E4, E9, E10 run
+// the kernel stack beside KOPI), so a refactor of internal/arch that claims
+// "E1–E10 unchanged" is held to a file too.
+func TestArchTablesGolden(t *testing.T) {
+	t.Setenv("NORMAN_FAULT_SEED", "7")
+	var b strings.Builder
+	_, e1 := RunE1(0.25)
+	_, e2 := RunE2(0.5)
+	_, e4 := RunE4(0.5)
+	_, e6 := RunE6(0.4)
+	_, e7 := RunE7(0.4)
+	_, e8 := RunE8(0.5)
+	_, e9 := RunE9(0.05)
+	_, e10 := RunE10(0.12)
+	for _, tab := range []interface{ String() string }{e1, e2, e4, e6, e7, e8, e9, e10} {
+		b.WriteString(tab.String())
+		b.WriteString("\n")
+	}
+	checkGolden(t, filepath.Join("testdata", "arch_tables.golden"), b.String())
+}
+
 // checkGolden compares got with the committed file. A deliberate behaviour
 // change regenerates the file by deleting it and running the test once: a
 // missing golden is written from got and the run fails so the new file gets

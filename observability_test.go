@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"norman"
+	"norman/internal/arch"
 	"norman/internal/ctl"
 	"norman/internal/faults"
 	"norman/internal/health"
@@ -45,11 +46,12 @@ func TestObservabilityDocMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestObservabilityDocMatchesLedger is the same gate for the NIC's way out:
-// OBSERVABILITY.md's drop-reason rows must be the reason table's rows (name,
-// metric, help), every ledger series must be documented, and the span
-// inventory's nic, ring and wire rows must name every point internal/nic
-// emits — and, for the nic layer, nothing it no longer does.
+// TestObservabilityDocMatchesLedger is the same gate for the two ways out:
+// OBSERVABILITY.md's drop-reason rows must be the NIC's and the host's reason
+// tables' rows, every ledger series of either must be documented, and the
+// span inventory's host, nic, ring and wire rows must name every point
+// internal/nic and internal/arch emit — and, for the host and nic layers,
+// nothing they no longer do.
 func TestObservabilityDocMatchesLedger(t *testing.T) {
 	raw, err := os.ReadFile("OBSERVABILITY.md")
 	if err != nil {
@@ -62,22 +64,34 @@ func TestObservabilityDocMatchesLedger(t *testing.T) {
 			t.Errorf("OBSERVABILITY.md lacks the drop-reason row %q", row)
 		}
 	}
+	for r := arch.HostReason(0); r < arch.NumHostReasons; r++ {
+		row := fmt.Sprintf("| `%s` | %s |", r, r.Help())
+		if !strings.Contains(doc, row) {
+			t.Errorf("OBSERVABILITY.md lacks the host drop-reason row %q", row)
+		}
+	}
 	for _, name := range nic.LedgerSeries() {
 		if !strings.Contains(doc, "`norman_nic_"+name+"`") {
 			t.Errorf("OBSERVABILITY.md does not document ledger series norman_nic_%s", name)
 		}
 	}
+	for _, name := range arch.HostLedgerSeries() {
+		if !strings.Contains(doc, "`norman_"+name+"`") {
+			t.Errorf("OBSERVABILITY.md does not document host ledger series norman_%s", name)
+		}
+	}
 
 	documented := map[string]map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `(nic|ring|wire)` \\| (.*) \\|$").FindAllStringSubmatch(doc, -1) {
+	for _, m := range regexp.MustCompile("(?m)^\\| `(host|nic|ring|wire)` \\| (.*) \\|$").FindAllStringSubmatch(doc, -1) {
 		documented[m[1]] = map[string]bool{}
 		for _, pt := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(m[2], -1) {
 			documented[m[1]][pt[1]] = true
 		}
 	}
-	emitted := map[string]bool{}
+	emitted := map[string]map[string]bool{"host": {}, "nic": {}, "ring": {}, "wire": {}}
 	files, _ := filepath.Glob("internal/nic/*.go")
-	for _, f := range files {
+	archFiles, _ := filepath.Glob("internal/arch/*.go")
+	for _, f := range append(files, archFiles...) {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
@@ -85,16 +99,20 @@ func TestObservabilityDocMatchesLedger(t *testing.T) {
 		if strings.HasSuffix(f, "_test.go") {
 			continue
 		}
-		for _, m := range regexp.MustCompile(`trace\([^"\n]*"(nic|ring|wire)", "([a-z_]+)"`).FindAllStringSubmatch(string(src), -1) {
-			emitted[m[2]] = emitted[m[2]] || m[1] == "nic"
+		for _, m := range regexp.MustCompile(`trace\([^"\n]*"(host|nic|ring|wire)", "([a-z_]+)"`).FindAllStringSubmatch(string(src), -1) {
+			emitted[m[1]][m[2]] = true
 			if !documented[m[1]][m[2]] {
 				t.Errorf("%s emits span %s/%s, which OBSERVABILITY.md's span inventory does not list", f, m[1], m[2])
 			}
 		}
 	}
-	for pt := range documented["nic"] {
-		if !emitted[pt] {
-			t.Errorf("OBSERVABILITY.md lists span nic/%s, which internal/nic no longer emits", pt)
+	// The ring and wire rows also quote notes and reasons, so only the emitted
+	// → documented direction is checked for them.
+	for _, layer := range []string{"host", "nic"} {
+		for pt := range documented[layer] {
+			if !emitted[layer][pt] {
+				t.Errorf("OBSERVABILITY.md lists span %s/%s, which the code no longer emits", layer, pt)
+			}
 		}
 	}
 }

@@ -219,10 +219,17 @@ func TestJournalPersistsEpochAcrossIncarnations(t *testing.T) {
 // TestRecoverFromJournalColdStart models a normand SIGKILL + restart: the
 // journal survives on disk (here: encoded bytes), the new incarnation loads
 // it, marks the epoch, reinstalls policies, and reports the old
-// connections stale rather than resurrecting them.
+// connections stale rather than resurrecting them — on every architecture
+// whose kernel can hold a qdisc, wherever that architecture keeps it.
 func TestRecoverFromJournalColdStart(t *testing.T) {
+	for _, archName := range []norman.Architecture{norman.KOPI, norman.KernelStack, norman.Sidecar} {
+		t.Run(string(archName), func(t *testing.T) { coldStart(t, archName) })
+	}
+}
+
+func coldStart(t *testing.T, archName norman.Architecture) {
 	// First incarnation journals a rule, a qdisc and a connection.
-	sys1 := norman.New(norman.KOPI)
+	sys1 := norman.New(archName)
 	rec1 := sys1.EnableRecovery()
 	sys1.UseEchoPeer()
 	// Advance virtual time before mutating: the second incarnation's clock
@@ -240,6 +247,9 @@ func TestRecoverFromJournalColdStart(t *testing.T) {
 	if err := sys1.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 3}}, map[uint32]uint32{1000: 1}); err != nil {
 		t.Fatal(err)
 	}
+	if sys1.Qdisc() == nil {
+		t.Fatal("System.Qdisc() is nil right after a successful TCSet")
+	}
 	var persisted bytes.Buffer
 	if err := rec1.Journal().Encode(&persisted); err != nil {
 		t.Fatal(err)
@@ -250,7 +260,7 @@ func TestRecoverFromJournalColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := norman.New(norman.KOPI)
+	sys2 := norman.New(archName)
 	sys2.UseEchoPeer()
 	rep, err := sys2.RecoverFromJournal(entries)
 	if err != nil {
@@ -264,6 +274,9 @@ func TestRecoverFromJournalColdStart(t *testing.T) {
 	}
 	if !rep.InvariantsOK {
 		t.Fatalf("invariants: %+v", rep.Invariants)
+	}
+	if q := sys2.Qdisc(); q == nil || q.Name() != "wfq" {
+		t.Fatalf("qdisc after cold start = %v, want the journaled wfq", q)
 	}
 	rules := sys2.IPTablesList()
 	if len(rules) != 1 || rules[0].Rule.DstPort != 9999 {

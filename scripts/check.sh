@@ -26,6 +26,15 @@ if grep -nE '\.(Rx[A-Za-z]*Drop[A-Za-z]*|RxShed|Tx[A-Za-z]*Drop[A-Za-z]*)(\+\+| 
 	exit 1
 fi
 
+# The same gate for the host's way out above the ring: a host drop counter
+# (TxAppDrops, the reason array, or a pointer to either) moves in
+# internal/arch/exits.go and nowhere else.
+if grep -nE 'TxAppDrops(\+\+| \+=)|\.drops\[|hostCtr\(' \
+	$(ls internal/arch/*.go | grep -v -e _test.go -e /exits.go); then
+	echo "host drop counter touched outside internal/arch/exits.go (use base.hostDrop)" >&2
+	exit 1
+fi
+
 # docs-lint: every package (internal/, cmd/, examples/, root) must carry a
 # package doc comment. Asked of the toolchain itself — go/doc's extraction,
 # via `go list -f {{.Doc}}` — so a comment the parser would not attach to
@@ -77,6 +86,9 @@ done <<'PASSES'
 # the NIC's one way out: every exit balances the ledger, the fuzz corpus,
 # FIFO clamps reach tenant shares, every world's drain asserts Balance()
 7 Ledger|Balance|EveryExit|RxWindow ./internal/nic/... ./internal/arch/... ./internal/experiments/... .
+# the software dataplanes over one soft core: the E1–E10 golden, every host
+# exit balances the host law, the reconciler sees every architecture's qdisc
+7 ArchTables|HostExits|ColdStart ./internal/arch/... ./internal/experiments/... .
 # the branch-free event heap and the LLC set record, fuzzed against the code
 # they replaced (seed corpora); RunUntil after Stop
 7 EngineOrder|LLCEquiv|StopRunUntil ./internal/sim/... ./internal/cache/...
@@ -221,6 +233,37 @@ grep -q "handover: " "$tmp/upgrade.out"
 grep -q '^ledger_residual{[^}]*} 0$' "$tmp/ledger.out"
 grep -q '^rx_fifo_drop' "$tmp/ledger.out"
 grep -q '^tx_outage_drop' "$tmp/ledger.out"
+grep -q '^host_drops{[^}]*reason="rx_nosocket"' "$tmp/ledger.out"
+grep -q '^host_ledger_sent' "$tmp/ledger.out"
+kill "$daemon_pid"
+
+# The same cold start on the sidecar, whose qdisc lives in host software: the
+# reconciler must see it (soft.Qdisc) to reinstall it and report a clean diff.
+go build -o "$tmp/ntc" ./cmd/ntc
+"$tmp/normand" -arch sidecar -socket "$tmp/sc.sock" -journal "$tmp/sc.journal" &
+daemon_pid=$!
+i=0
+while [ ! -S "$tmp/sc.sock" ]; do
+	i=$((i + 1))
+	[ "$i" -le 100 ] || { echo "journaled sidecar normand never opened its socket" >&2; exit 1; }
+	sleep 0.1
+done
+"$tmp/ntc" -socket "$tmp/sc.sock" -qdisc wfq -class 1000=3
+kill -9 "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+rm -f "$tmp/sc.sock"
+"$tmp/normand" -arch sidecar -socket "$tmp/sc.sock" -journal "$tmp/sc.journal" >/dev/null &
+daemon_pid=$!
+i=0
+while [ ! -S "$tmp/sc.sock" ]; do
+	i=$((i + 1))
+	[ "$i" -le 100 ] || { echo "restarted sidecar normand never opened its socket" >&2; exit 1; }
+	sleep 0.1
+done
+"$tmp/nnetstat" -socket "$tmp/sc.sock" -recovery | tee "$tmp/sc.status"
+grep -q "diff clean" "$tmp/sc.status"
+grep -q "invariants ok" "$tmp/sc.status"
+"$tmp/ntc" -socket "$tmp/sc.sock" -show | grep -q "wfq (recovered from journal)"
 kill "$daemon_pid"
 
 # E12 shard-determinism smoke: the same sweep on 1 engine and on 8 lockstep
