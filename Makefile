@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race bench bench-engine baselines docs
+.PHONY: check build test race bench bench-engine bench-overlay baselines docs
 
 check:
 	./scripts/check.sh
@@ -27,6 +27,11 @@ race:
 # Engine hot-loop microbenchmarks (the allocs/op column must stay at 0).
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkTimer' -benchmem ./internal/sim/
+
+# One overlay Run per op on a match+meter+table program and on normbench's two
+# ACL chains (acl_per_flow is rx_slowpath's; allocs/op must stay at 0).
+bench-overlay:
+	$(GO) test -run xxx -bench 'BenchmarkVMRun' -benchmem ./internal/overlay/
 
 # Full experiment benchmark sweep (regenerates every table).
 bench:

@@ -60,7 +60,8 @@ const (
 // e14ACLSource is the cacheable ingress program: a 15-rule port blocklist
 // (none of which matches this experiment's traffic), a mark rewrite, and a
 // pass — ~35 interpreted cycles per slow-path packet, zero per hit. It uses
-// no meter/update/mirror/notify, so programCacheable admits it.
+// no meter/update/mirror/notify and reads only the flow's own fields, so the
+// NIC memoizes it (overlay.Machine.Cacheable).
 func e14ACLSource() string {
 	var b strings.Builder
 	b.WriteString("ldf r0, dst_port\n")

@@ -24,8 +24,10 @@ import (
 //
 //   - Only flow-invariant programs are cacheable: a program containing
 //     meter, update, mirror or notify instructions has per-packet side
-//     effects or rate-dependent state, so the NIC refuses to memoize it
-//     and every packet takes the slow path (programCacheable).
+//     effects or rate-dependent state, and one that loads len, tcp_flags,
+//     tos or time_ns decides on something that varies inside one 5-tuple,
+//     so the NIC refuses to memoize it and every packet takes the slow
+//     path (overlay.Machine.Cacheable).
 //   - Per-rule hit counters (count) freeze for cached packets — exactly the
 //     deviation real flow offload exhibits ("iptables -L -v" undercounts
 //     offloaded flows); the per-entry hit counters preserve the total.
@@ -559,23 +561,6 @@ func (f *FlowCache) Export() []FlowEntryExport {
 	}
 	sort.Slice(out, func(i, j int) bool { return flowLess(out[i].Key, out[j].Key) })
 	return out
-}
-
-// programCacheable reports whether an overlay program's per-packet decision
-// is safe to memoize by flow: meters are rate-dependent, updates mutate
-// shared table state, and mirror/notify are per-packet side effects — any of
-// them makes every packet a slow-path packet.
-func programCacheable(p *overlay.Program) bool {
-	if p == nil {
-		return false
-	}
-	for _, in := range p.Code {
-		switch in.Op {
-		case overlay.OpMeter, overlay.OpUpdate, overlay.OpMirror, overlay.OpNotify:
-			return false
-		}
-	}
-	return true
 }
 
 // EnableFlowCache installs a flow cache with at least `entries` slots

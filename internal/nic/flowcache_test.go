@@ -146,28 +146,78 @@ func TestFlowCacheLookupZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestProgramCacheable asks the question where the datapath does: what the
+// NIC decided about the chain it was handed.
 func TestProgramCacheable(t *testing.T) {
-	asm := func(src string) *overlay.Program {
+	n, _ := newNIC(1 << 20)
+	cacheable := func(src string) bool {
+		t.Helper()
 		p, err := overlay.Assemble("t", src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		if _, _, err := n.LoadProgram(Ingress, p); err != nil {
+			t.Fatal(err)
+		}
+		return n.IngressCacheable()
 	}
-	if !programCacheable(asm("ldf r0, dst_port\njne r0, 80, ok\ndrop\nok:\npass\n")) {
+	if !cacheable("ldf r0, dst_port\njne r0, 80, ok\ndrop\nok:\npass\n") {
 		t.Fatal("pure match/action program must be cacheable")
 	}
-	if !programCacheable(asm(".counter c\ncount c\npass\n")) {
+	if !cacheable(".counter c\ncount c\npass\n") {
 		t.Fatal("count-only program is cacheable (counters freeze, documented)")
 	}
-	if programCacheable(asm(".meter m 125000000 1500\nldf r1, len\nmeter r0, m, r1\npass\n")) {
+	if cacheable(".meter m 125000000 1500\nldf r1, conn\nmeter r0, m, r1\npass\n") {
 		t.Fatal("metered program is rate-dependent, never cacheable")
 	}
-	if programCacheable(asm("notify\npass\n")) {
+	if cacheable("notify\npass\n") {
 		t.Fatal("notify has per-packet side effects, never cacheable")
 	}
-	if programCacheable(nil) {
-		t.Fatal("nil program must not be cacheable")
+	// Fields that differ between two packets of one 5-tuple.
+	for _, f := range []string{"len", "tcp_flags", "tos", "time_ns"} {
+		if cacheable("ldf r0, " + f + "\njgt r0, 500, big\npass\nbig:\ndrop\n") {
+			t.Fatalf("a chain that reads %s decides per packet, never cacheable", f)
+		}
+	}
+	n.UnloadProgram(Ingress)
+	if n.IngressCacheable() {
+		t.Fatal("no program must not be cacheable")
+	}
+}
+
+// TestFlowCacheRefusesPerPacketFields sends two frames of one flow through a
+// length filter with the cache enabled: the first (small) passes, and its
+// verdict must not be served to the second (large) one.
+func TestFlowCacheRefusesPerPacketFields(t *testing.T) {
+	n, eng := newNIC(1 << 20)
+	if _, err := n.OpenConn(1, packet.Meta{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	n.SetDefaultConn(1)
+	if err := n.EnableFlowCache(64); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := overlay.Assemble("small-only", "ldf r0, len\njgt r0, 500, big\npass\nbig:\ndrop\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n.LoadProgram(Ingress, prog); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(payload int) *packet.Packet {
+		return packet.NewUDP(packet.MAC{1}, packet.MAC{2}, packet.MakeIP(10, 0, 0, 2),
+			packet.MakeIP(10, 0, 0, 1), 99, 81, payload)
+	}
+	n.DeliverFromWire(frame(100 - 42))
+	n.DeliverFromWire(frame(1000 - 42))
+	eng.Run()
+	c, _ := n.Conn(1)
+	if c.RxDelivered != 1 || n.RxDropVerdict != 1 {
+		t.Fatalf("delivered %d, verdict drops %d: the 1000 B frame rode the 100 B frame's verdict",
+			c.RxDelivered, n.RxDropVerdict)
+	}
+	if f := n.FlowCache(); f.Hits != 0 || f.Installs != 0 {
+		t.Fatalf("per-packet chain touched the cache: hits=%d installs=%d", f.Hits, f.Installs)
 	}
 }
 

@@ -59,7 +59,7 @@ func (n *NIC) install(dir Direction, p *overlay.Program) {
 		n.egress = m
 		return
 	}
-	n.ingress, n.ingressCacheable = m, p != nil && programCacheable(p)
+	n.ingress, n.ingressCacheable = m, m != nil && m.Cacheable()
 	n.fcFlush()
 }
 

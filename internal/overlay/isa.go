@@ -3,8 +3,15 @@
 // dataplane policy. Policies — filters, meters, marking, capture taps,
 // notification triggers — are expressed as small programs, assembled from
 // text, statically verified (forward-only jumps, so every program
-// terminates; registers provably initialized before use), and interpreted
-// with a per-instruction cycle cost charged at the NIC clock.
+// terminates; registers provably initialized before use), and run with a
+// per-instruction cycle cost charged at the NIC clock.
+//
+// What executes is a lowered form of the verified program, built once per
+// Machine (lower.go): operands and costs pre-decoded, runs of immediate
+// compares on one register fused into ladders, tables bound to fixed-capacity
+// open-addressed blocks. Lowering changes host time only — the modelled cycle
+// charge is still Inst.Cost() per source instruction executed, and the
+// instruction-at-a-time loop it replaced is the tests' differential oracle.
 //
 // Loading a new program is a runtime operation measured in microseconds,
 // versus a full "bitstream" reconfiguration measured in seconds; experiment
@@ -201,11 +208,15 @@ func (v Verdict) String() string {
 	return "pass"
 }
 
-// CycleBound returns the program's verified worst-case per-packet cycle
-// count. The verifier enforces forward-only control flow, so no instruction
-// executes more than once per packet and the instruction count is a sound
-// bound. The overload governor's AdmitProgram gates installation on it.
-func (p *Program) CycleBound() int { return len(p.Code) }
+// CycleBound returns the program's worst-case per-packet cycle charge: the
+// most expensive path through it, each instruction at its Cost(). The
+// verifier enforces forward-only control flow, so the paths are those of a
+// DAG and the lowering pass finds the maximum in one backward walk; no run
+// of the program can be charged more. A program that can loop (Verify
+// rejects it) has no bound and reports the largest int. The overload
+// governor's AdmitProgram gates installation on it; each call lowers the
+// program afresh, a control-plane cost paid once per admission.
+func (p *Program) CycleBound() int { return lower(p).bound }
 
 // SRAMBytes estimates the on-NIC memory the program's state consumes:
 // 16 bytes per exact-match table slot, 32 per meter, 8 per counter, plus

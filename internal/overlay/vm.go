@@ -80,7 +80,8 @@ func (m *meterState) conforms(now sim.Time, bytes uint64) bool {
 // on the NIC; swapping programs replaces the Machine.
 type Machine struct {
 	prog     *Program
-	tables   []map[uint64]uint64
+	low      *lowered // what Run executes; see lower.go
+	tables   []*table
 	meters   []meterState
 	counters []uint64
 
@@ -93,16 +94,17 @@ type Machine struct {
 	pendingTrap string
 }
 
-// NewMachine instantiates runtime state for a verified program.
+// NewMachine lowers a verified program and instantiates its runtime state.
 func NewMachine(p *Program) *Machine {
 	m := &Machine{
 		prog:     p,
-		tables:   make([]map[uint64]uint64, len(p.Tables)),
+		low:      lower(p),
+		tables:   make([]*table, len(p.Tables)),
 		meters:   make([]meterState, len(p.Meters)),
 		counters: make([]uint64, len(p.Counters)),
 	}
 	for i := range m.tables {
-		m.tables[i] = make(map[uint64]uint64, p.Tables[i].Capacity)
+		m.tables[i] = newTable(p.Tables[i].Capacity)
 	}
 	for i := range m.meters {
 		m.meters[i] = meterState{spec: p.Meters[i], tokens: p.Meters[i].Burst}
@@ -112,6 +114,13 @@ func NewMachine(p *Program) *Machine {
 
 // Program returns the loaded program.
 func (m *Machine) Program() *Program { return m.prog }
+
+// Cacheable reports whether the program's decision on a packet is a function
+// of the packet's flow alone, so the NIC may memoize it by flow. Meters are
+// rate-dependent, updates mutate shared table state, mirror/notify are
+// per-packet side effects, and len, tcp_flags, tos and time_ns vary between
+// packets of one 5-tuple: a program using any of them runs on every packet.
+func (m *Machine) Cacheable() bool { return !m.low.perPacket }
 
 // TableInsert populates a table from the control plane (how the kernel
 // injects firewall rules or connection state via MMIO, §4.4). It fails when
@@ -123,10 +132,14 @@ func (m *Machine) TableInsert(table string, key, val uint64) error {
 		return fmt.Errorf("overlay: no table %q", table)
 	}
 	t := m.tables[idx]
-	if _, exists := t[key]; !exists && len(t) >= m.prog.Tables[idx].Capacity {
-		return fmt.Errorf("%w: %s (cap %d)", ErrTableFull, table, m.prog.Tables[idx].Capacity)
+	switch i, found := t.probe(key); {
+	case found:
+		t.slots[i].val = val
+	case t.full():
+		return fmt.Errorf("%w: %s (cap %d)", ErrTableFull, table, t.capacity)
+	default:
+		t.insert(i, key, val)
 	}
-	t[key] = val
 	return nil
 }
 
@@ -136,7 +149,7 @@ func (m *Machine) TableDelete(table string, key uint64) error {
 	if idx < 0 {
 		return fmt.Errorf("overlay: no table %q", table)
 	}
-	delete(m.tables[idx], key)
+	m.tables[idx].del(key)
 	return nil
 }
 
@@ -146,7 +159,7 @@ func (m *Machine) TableLen(table string) int {
 	if idx < 0 {
 		return -1
 	}
-	return len(m.tables[idx])
+	return m.tables[idx].n
 }
 
 // ShareTable makes this machine's table an alias of another machine's
@@ -279,6 +292,10 @@ func loadField(p *packet.Packet, f Field, now sim.Time) uint64 {
 // indicate a verifier bug, bit-flipped program SRAM, or an injected fault)
 // surfaces as a Trap rather than a panic, so one bad program can never wedge
 // the whole dataplane — the caller decides how to degrade.
+//
+// Run steps through the lowered code (lower.go). The cycle charge is the
+// modelled one — each source instruction's Inst.Cost(), a compare ladder
+// charging one cycle per compare it reaches — whatever the host work is.
 func (m *Machine) Run(p *packet.Packet, env Env) (verdict Verdict, cost int, err error) {
 	if m.pendingTrap != "" {
 		reason := m.pendingTrap
@@ -289,7 +306,7 @@ func (m *Machine) Run(p *packet.Packet, env Env) (verdict Verdict, cost int, err
 	var regs [NumRegs]uint64
 	now := env.Now()
 	pc := 0
-	code := m.prog.Code
+	code, ladders := m.low.code, m.low.ladders
 	// Safety net for states the verifier is supposed to exclude (bad table
 	// index, register overflow in an unexpected place): convert any runtime
 	// panic below into a typed Trap so the run path never crashes callers.
@@ -308,100 +325,119 @@ func (m *Machine) Run(p *packet.Packet, env Env) (verdict Verdict, cost int, err
 		// By reference: where a stack copy and the code array agree modulo
 		// 4 KiB the copy's loads alias its stores and a run takes 3× as long.
 		in := &code[pc]
-		cost += in.Cost()
+		cost += int(in.cost)
 
-		operand := func() uint64 {
-			if in.Imm {
-				return in.Val
-			}
-			return regs[in.B]
-		}
-
-		switch in.Op {
-		case OpNop:
-		case OpLdf:
-			regs[in.A] = loadField(p, in.F, now)
-		case OpLdi:
-			regs[in.A] = in.Val
-		case OpMov:
-			regs[in.A] = regs[in.B]
-		case OpAdd:
-			regs[in.A] += operand()
-		case OpSub:
-			regs[in.A] -= operand()
-		case OpAnd:
-			regs[in.A] &= operand()
-		case OpOr:
-			regs[in.A] |= operand()
-		case OpXor:
-			regs[in.A] ^= operand()
-		case OpShl:
-			regs[in.A] <<= operand() & 63
-		case OpShr:
-			regs[in.A] >>= operand() & 63
-		case OpJmp:
-			pc = in.Target
+		switch in.kind {
+		case lNop:
+		case lLdf:
+			regs[in.a] = loadField(p, in.f, now)
+		case lLdi:
+			regs[in.a] = in.val
+		case lMov:
+			regs[in.a] = regs[in.b]
+		case lAdd:
+			regs[in.a] += in.val | regs[in.b]&in.mask
+		case lSub:
+			regs[in.a] -= in.val | regs[in.b]&in.mask
+		case lAnd:
+			regs[in.a] &= in.val | regs[in.b]&in.mask
+		case lOr:
+			regs[in.a] |= in.val | regs[in.b]&in.mask
+		case lXor:
+			regs[in.a] ^= in.val | regs[in.b]&in.mask
+		case lShl:
+			regs[in.a] <<= (in.val | regs[in.b]&in.mask) & 63
+		case lShr:
+			regs[in.a] >>= (in.val | regs[in.b]&in.mask) & 63
+		case lJmp:
+			pc = in.target
 			continue
-		case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge:
-			a, b := regs[in.A], operand()
-			take := false
-			switch in.Op {
-			case OpJeq:
-				take = a == b
-			case OpJne:
-				take = a != b
-			case OpJlt:
-				take = a < b
-			case OpJle:
-				take = a <= b
-			case OpJgt:
-				take = a > b
-			case OpJge:
-				take = a >= b
-			}
-			if take {
-				pc = in.Target
+		case lJeq:
+			if regs[in.a] == regs[in.b] {
+				pc = in.target
 				continue
 			}
-		case OpLookup:
-			v, ok := m.tables[in.Index][regs[in.B]]
+		case lJne:
+			if regs[in.a] != regs[in.b] {
+				pc = in.target
+				continue
+			}
+		case lJlt:
+			if regs[in.a] < regs[in.b] {
+				pc = in.target
+				continue
+			}
+		case lJle:
+			if regs[in.a] <= regs[in.b] {
+				pc = in.target
+				continue
+			}
+		case lJgt:
+			if regs[in.a] > regs[in.b] {
+				pc = in.target
+				continue
+			}
+		case lJge:
+			if regs[in.a] >= regs[in.b] {
+				pc = in.target
+				continue
+			}
+		case lCmp:
+			// The first compare of the ladder that holds is taken, and every
+			// compare reached — it and the ones before it — costs a cycle
+			// (the first is in.cost, charged above).
+			ld := ladders[in.idx]
+			a := regs[in.a]
+			i, n := 0, len(ld)
+			for i < n && !ld[i].has(a) {
+				i++
+			}
+			if i < n {
+				cost += i
+				pc = ld[i].target
+				continue
+			}
+			cost += n - 1
+			pc += n
+			continue
+		case lLookup:
+			v, ok := m.tables[in.idx].get(regs[in.b])
 			if !ok {
-				pc = in.Target
+				pc = in.target
 				continue
 			}
-			regs[in.A] = v
-		case OpUpdate:
-			t := m.tables[in.Index]
-			key := regs[in.A]
-			if _, exists := t[key]; exists || len(t) < m.prog.Tables[in.Index].Capacity {
-				t[key] = regs[in.B]
+			regs[in.a] = v
+		case lUpdate:
+			t := m.tables[in.idx]
+			key := regs[in.a]
+			if i, found := t.probe(key); found {
+				t.slots[i].val = regs[in.b]
+			} else if !t.full() {
+				t.insert(i, key, regs[in.b])
 			}
 			// A full table silently refuses dataplane inserts, as
 			// hardware match-action tables do.
-		case OpMeter:
-			if m.meters[in.Index].conforms(now, regs[in.B]) {
-				regs[in.A] = 1
+		case lMeter:
+			if m.meters[in.idx].conforms(now, regs[in.b]) {
+				regs[in.a] = 1
 			} else {
-				regs[in.A] = 0
+				regs[in.a] = 0
 			}
-		case OpSetf:
-			switch in.F {
-			case FMark:
-				p.Meta.Mark = uint32(regs[in.B])
-			case FClass:
-				p.Meta.Class = uint32(regs[in.B])
-			}
-		case OpCount:
-			m.counters[in.Index]++
-		case OpMirror:
+		case lSetMark:
+			p.Meta.Mark = uint32(regs[in.b])
+		case lSetClass:
+			p.Meta.Class = uint32(regs[in.b])
+		case lCount:
+			m.counters[in.idx]++
+		case lMirror:
 			env.Mirror(p)
-		case OpNotify:
+		case lNotify:
 			env.Notify(p)
-		case OpPass:
+		case lPass:
 			m.runs++
 			m.cycles += uint64(cost)
 			return VerdictPass, cost, nil
-		case OpDrop:
+		case lDrop:
 			m.runs++
 			m.cycles += uint64(cost)
 			return VerdictDrop, cost, nil

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -103,12 +104,21 @@ func TestStreamAllocsPerSegment(t *testing.T) {
 		pkts = s.Stats.SegmentsSent + r.AcksSent - before
 	}
 	advance() // past slow start: the window is open and the heap has grown
-	allocs := testing.AllocsPerRun(1, advance)
-	if s.Stats.Retransmits != 0 || s.Terminal() {
-		t.Fatalf("not a steady-state run: %v %+v", s, s.Stats)
-	}
-	if allocs != float64(pkts) {
-		t.Fatalf("%.0f allocations while building %d packets: the stream allocates beyond its packets", allocs, pkts)
+	// The runtime (a background GC worker, the race detector) now and then
+	// drops one allocation of its own into a span, so up to three spans are
+	// measured, each against its own packet count, and one exact span passes.
+	// An allocation the stream makes recurs in every span and still fails.
+	var spans []string
+	for exact := false; !exact; {
+		allocs := testing.AllocsPerRun(1, advance)
+		if s.Stats.Retransmits != 0 || s.Terminal() {
+			t.Fatalf("not a steady-state run: %v %+v", s, s.Stats)
+		}
+		exact = allocs == float64(pkts)
+		spans = append(spans, fmt.Sprintf("%.0f allocations / %d packets", allocs, pkts))
+		if !exact && len(spans) == 3 {
+			t.Fatalf("the stream allocates beyond its packets in every span: %v", spans)
+		}
 	}
 	// Segments and ACKs in flight at the two ends of the span differ by a
 	// few, so the packet count is 2 per acked segment to within the window.

@@ -254,7 +254,7 @@ func (m *Manager) CutOver(now sim.Time) (sim.Duration, error) {
 
 // warmTransfer re-installs the snapshot's flow-cache entries under the new
 // generation, re-validated by construction: installs only happen when the
-// live ingress chain is flow-memoizable (programCacheable, via the NIC's
+// live ingress chain is flow-memoizable (overlay.Machine.Cacheable, via the NIC's
 // install gate), and each entry passes through the cache's own ledgered
 // Install path — Installs − Evictions − Invalidations == Len() still holds.
 func (m *Manager) warmTransfer(now sim.Time) {

@@ -35,6 +35,14 @@ if grep -nE 'TxAppDrops(\+\+| \+=)|\.drops\[|hostCtr\(' \
 	exit 1
 fi
 
+# One executor: Machine.Run steps through lowered code with pre-decoded costs.
+# The instruction-at-a-time loop it replaced (Inst.Cost() summed per step) is
+# the differential oracle and lives in internal/overlay's test files only.
+if grep -nE '[+]= *[A-Za-z_.]+\.Cost\(\)' $(ls internal/overlay/*.go | grep -v _test.go); then
+	echo "Inst.Cost() summed per step in product code: the interpreter loop belongs in internal/overlay/*_test.go" >&2
+	exit 1
+fi
+
 # docs-lint: every package (internal/, cmd/, examples/, root) must carry a
 # package doc comment. Asked of the toolchain itself — go/doc's extraction,
 # via `go list -f {{.Doc}}` — so a comment the parser would not attach to
@@ -92,6 +100,9 @@ done <<'PASSES'
 # the branch-free event heap and the LLC set record, fuzzed against the code
 # they replaced (seed corpora); RunUntil after Stop
 7 EngineOrder|LLCEquiv|StopRunUntil ./internal/sim/... ./internal/cache/...
+# the lowered overlay executor fuzzed against the interpreter it replaced (seed
+# corpus), the cycle bound, flow-cache cacheability, the allocation pins
+7 OverlayLowering|CycleBound|Cacheable|RunZeroAlloc|StreamAllocs ./internal/overlay/... ./internal/nic/... ./internal/transport/...
 PASSES
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
