@@ -174,34 +174,40 @@ type QdiscSpec struct {
 // owning user id (the cgroup-style classification of the paper's QoS
 // scenario): ClassOfUID maps uid -> class; unmapped users get class 0.
 // With recovery enabled the full spec (including the uid->class map) is
-// journaled, so the reconciler can rebuild an identical scheduler.
+// journaled, so the reconciler can rebuild an identical scheduler. With the
+// overload governor enabled — before or after this call — the same class
+// weights drive ingress shedding: under saturation the NIC drops low-weight
+// classes first.
 func (s *System) TCSet(spec QdiscSpec, classOfUID map[uint32]uint32) error {
 	if err := s.gate(); err != nil {
 		return err
 	}
-	kind := spec.Kind
-	if kind == "" {
-		kind = "wfq" // applyQdisc's default; journal the resolved kind
-	}
-	e := s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &recovery.QdiscRecord{
-		Kind:       kind,
+	rec := &recovery.QdiscRecord{
+		Kind:       spec.Kind,
 		Weights:    spec.Weights,
 		ClassOfUID: classOfUID,
 		RateBps:    spec.RateBps,
 		BurstBytes: spec.BurstBytes,
 		Limit:      spec.Limit,
-	}})
-	if err := s.applyQdisc(spec, classOfUID); err != nil {
+	}
+	if rec.Kind == "" {
+		rec.Kind = "wfq" // the default; journal the resolved kind
+	}
+	e := s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: rec})
+	if err := s.applyQdisc(rec); err != nil {
 		s.abortRecord(e)
 		return err
 	}
+	s.qdisc, s.qdiscJournaled = rec, e.Seq != 0
 	s.commitNICConfig()
+	_ = s.resolve() // cannot newly fail here: see resolve
 	return nil
 }
 
 // applyQdisc is the raw (journal-free) install path; the reconciler replays
 // through it.
-func (s *System) applyQdisc(spec QdiscSpec, classOfUID map[uint32]uint32) error {
+func (s *System) applyQdisc(spec *recovery.QdiscRecord) error {
+	classOfUID := spec.ClassOfUID
 	var q qos.Qdisc
 	switch spec.Kind {
 	case "wfq", "":
@@ -231,17 +237,7 @@ func (s *System) applyQdisc(spec QdiscSpec, classOfUID map[uint32]uint32) error 
 		}
 		return classOfUID[p.Meta.UID]
 	}
-	if err := s.a.SetQdisc(q, classify); err != nil {
-		return err
-	}
-	// With the overload governor active, the same class weights that drive
-	// egress scheduling also drive ingress shedding: under saturation the NIC
-	// drops low-weight classes first. Installed here (the raw path) so the
-	// crash reconciler's qdisc replay re-arms shedding too.
-	if s.gov != nil && len(spec.Weights) > 0 {
-		s.gov.InstallShedding(func(uid uint32) uint32 { return classOfUID[uid] }, spec.Weights)
-	}
-	return nil
+	return s.a.SetQdisc(q, classify)
 }
 
 // Capture is a running tcpdump session.

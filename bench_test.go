@@ -134,7 +134,7 @@ func BenchmarkE12ShardedScale(b *testing.B) {
 
 func BenchmarkE13TenantIsolation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE13(benchScale, 1)
+		_, tbl := experiments.RunE13(benchScale)
 		if i == 0 {
 			fmt.Printf("\n%s\n", tbl)
 		}
@@ -143,7 +143,7 @@ func BenchmarkE13TenantIsolation(b *testing.B) {
 
 func BenchmarkE14FlowCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE14(benchScale, 1)
+		_, tbl := experiments.RunE14(benchScale)
 		if i == 0 {
 			fmt.Printf("\n%s\n", tbl)
 		}
@@ -152,7 +152,7 @@ func BenchmarkE14FlowCache(b *testing.B) {
 
 func BenchmarkE15Health(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE15(benchScale, 1)
+		_, tbl := experiments.RunE15(benchScale)
 		if i == 0 {
 			fmt.Printf("\n%s\n", tbl)
 		}
@@ -161,7 +161,7 @@ func BenchmarkE15Health(b *testing.B) {
 
 func BenchmarkE16Upgrade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE16(benchScale, 1)
+		_, tbl := experiments.RunE16(benchScale)
 		if i == 0 {
 			fmt.Printf("\n%s\n", tbl)
 		}

@@ -8,7 +8,7 @@
 //	kopibench -workers 4       # explicit worker count (implies -parallel)
 //	kopibench -e E3            # run one experiment
 //	kopibench -scale 0.3       # compress durations/sweeps for a quick pass
-//	kopibench -shards 8        # engine shards for E12–E16 (tables are shard-invariant)
+//	kopibench -shards 8        # engine shards for E12 (the table is shard-invariant)
 //	kopibench -json            # also write BENCH_E*.json + BENCH_ENGINE.json
 //	kopibench -outdir results  # where -json baselines land (default .)
 //	kopibench -list            # list experiments
@@ -73,17 +73,17 @@ var registry = map[string]struct {
 	"E12": {"sharded within-world engine: 10k-1M connections, shard-count-invariant tables",
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE12(s, e12Shards); return t }},
 	"E13": {"multi-tenant isolation: adversarial tenant vs victim p99, raw bypass vs governed KOPI",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE13(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE13(s); return t }},
 	"E14": {"flow-cache fast path: hit rate, interpreter cycles and tenant partitions vs a short-flow flood",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE14(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE14(s); return t }},
 	"E15": {"hardware fault tolerance: link flap, SRAM flip burst and trap storm vs health quarantine + slow-path failover, seeded by NORMAN_FAULT_SEED",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE15(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE15(s); return t }},
 	"E16": {"live upgrade vs bitstream respin: staged A/B cutover, canary-gated commit and automatic rollback under the E14 victim workload",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE16(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE16(s); return t }},
 }
 
-// e12Shards is the -shards flag: how many engine shards E12–E16 spread their
-// worlds over. The experiments' results are byte-identical at any value.
+// e12Shards is the -shards flag: how many engine shards E12 spreads its world
+// over. The table is byte-identical at any value.
 var e12Shards = 1
 
 // e9Telemetry is the observability sink E9 fills when -metrics-out is set
@@ -135,7 +135,7 @@ func main() {
 	outdir := flag.String("outdir", ".", "directory -json baselines are written to")
 	metricsOut := flag.String("metrics-out", "", "write the E9 run's telemetry registry (Prometheus text) to this file")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the experiment runs to this file")
-	shards := flag.Int("shards", 1, "engine shards for E12–E16 (results are invariant across shard counts)")
+	shards := flag.Int("shards", 1, "engine shards for E12 (the table is invariant across shard counts)")
 	flag.Parse()
 	e12Shards = *shards
 

@@ -1,28 +1,30 @@
 // Command nnetstat lists connections on a running normand with full
 // process attribution — the kernel-table join (flow ↔ pid/uid/command) that
-// off-host interposition layers cannot produce. With -metrics it instead
-// dumps the daemon's unified telemetry registry (Prometheus text by default,
-// JSON with -json), covering every layer from host syscalls to the NIC.
-// With -recovery it reports the crash-recovery subsystem: journal size,
-// control-plane up/down state, and the last reconciliation (diff clean or
-// not, invariants, repairs). With -pressure it reports the overload
-// governor: watchdog health state, admission budgets and rejections, and
-// shed/backpressure accounting. With -shards it reports the engine shard
-// coordinator: per-shard event counts, mailbox traffic and depths, and
-// barrier epoch/stall accounting. With -tenants it reports the multi-tenant
-// isolation machinery: per-tenant scheduler grants, scheduler queue waits,
-// DDIO partition hits and misses, and governor budgets and health. With
-// -flows it reports the NIC's exact-match flow cache: occupancy, hit/miss
-// and install/evict/invalidate accounting, and the per-tenant partition
-// rows. With -health it reports the NIC hardware-health monitor: aggregate
-// quarantine/failover/failback events and the per-component state rows. With
-// -upgrade it reports the live-upgrade subsystem: lifecycle phase, pipeline
-// generation, cutover/commit/rollback counts, canary accounting, and the
-// pause-buffer and warm-transfer numbers of the last flip. With -ledger it
-// prints the conservation ledgers out of the same telemetry dump: the NIC's
-// (frames in, every typed drop reason, the in-flight terms and the residual,
-// 0 unless the NIC lost a frame silently), then the host's above the ring
-// (every host drop reason and the terms of its law).
+// off-host interposition layers cannot produce. Each flag swaps that view for
+// one subsystem's status, decoded into the struct the subsystem itself
+// declares (DESIGN.md §13):
+//
+//	-metrics   the unified telemetry registry, every layer from host syscalls
+//	           to the NIC (Prometheus text; JSON with -json)
+//	-recovery  crash recovery: journal size, control plane up/down, the last
+//	           reconciliation (diff clean or not, invariants, repairs)
+//	-pressure  the overload governor's snapshot: watchdog state, admission
+//	           and every typed refusal (ddio, tenant, pressure, throttle,
+//	           program), ring budget, shedding/backpressure, and one budget
+//	           row per tenant
+//	-tenants   tenant isolation: per-tenant scheduler grants and queue waits,
+//	           DDIO partition hits and misses, governor budgets and health
+//	-flows     the NIC flow cache: occupancy, hit/miss, install/evict/
+//	           invalidate accounting, per-tenant partition rows
+//	-health    the hardware-health monitor: quarantine/failover/failback
+//	           events and the per-component state rows
+//	-upgrade   live upgrade: phase, pipeline generation, cutover/commit/
+//	           rollback counts, canary accounting, the last flip's pause-buffer
+//	           and warm-transfer numbers
+//	-ledger    the conservation ledgers out of the telemetry dump: the NIC's
+//	           (frames in, every typed drop reason, the in-flight terms and
+//	           the residual, 0 unless a frame was lost silently), then the
+//	           host's above the ring
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"os"
 	"strings"
 
+	"norman"
 	"norman/internal/arch"
 	"norman/internal/ctl"
 	"norman/internal/nic"
@@ -43,7 +46,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "with -metrics: render JSON instead of Prometheus text")
 	recoveryFlag := flag.Bool("recovery", false, "show the daemon's crash-recovery status (journal, last reconciliation)")
 	pressure := flag.Bool("pressure", false, "show the daemon's overload-governor status (watchdog state, admission, shedding)")
-	shardsFlag := flag.Bool("shards", false, "show the daemon's engine shard coordinator (per-shard events, mailboxes, barrier stalls)")
 	tenantsFlag := flag.Bool("tenants", false, "show the daemon's per-tenant isolation status (scheduler grants, DDIO partition, budgets)")
 	flowsFlag := flag.Bool("flows", false, "show the NIC flow-cache status (occupancy, hit/miss, per-tenant partitions)")
 	healthFlag := flag.Bool("health", false, "show the NIC hardware-health monitor (component states, quarantines, failovers)")
@@ -71,21 +73,28 @@ func main() {
 			sampling = "sampling"
 		}
 		fmt.Printf("watchdog: %s (%s, %d transitions)\n", data.State, sampling, data.Transitions)
-		fmt.Printf("admission: %d admitted, rejected %d ddio / %d tenant / %d pressure\n",
-			data.Admitted, data.RejectedDDIO, data.RejectedTenant, data.RejectedLoad)
-		budget := "unlimited"
-		if data.RingBudget > 0 {
-			budget = fmt.Sprintf("%d", data.RingBudget)
+		fmt.Printf("admission: %d admitted, rejected %d ddio / %d tenant / %d pressure / %d throttle / %d program\n",
+			data.Admitted, data.RejectedDDIO, data.RejectedTenant, data.RejectedLoad,
+			data.RejectedThrottle, data.RejectedProgram)
+		budget := func(n int) string { // 0 = no cache model, nothing to budget against
+			if n > 0 {
+				return fmt.Sprint(n)
+			}
+			return "unlimited"
 		}
 		fmt.Printf("ring budget: %d / %s bytes (occupancy %.2f, fifo %.2f)\n",
-			data.RingBytes, budget, data.Occupancy, data.FifoFrac)
+			data.RingBytes, budget(data.RingBudget), data.Occupancy, data.FifoFrac)
 		fmt.Printf("degradation: %d packets shed, %d backpressure signals\n",
 			data.ShedPackets, data.Signals)
+		for _, r := range data.Tenants {
+			fmt.Printf("  tenant %d (weight %d): %s, %d conns, ring %d / %s bytes, %d transitions\n",
+				r.Tenant, r.Weight, r.State, r.Conns, r.RingBytes, budget(r.RingBudget), r.Transitions)
+		}
 		return
 	}
 
 	if *flowsFlag {
-		var data ctl.FlowCacheData
+		var data norman.FlowCacheStatus
 		if err := c.Call(ctl.OpFlowCache, nil, &data); err != nil {
 			fatal(err)
 		}
@@ -114,7 +123,7 @@ func main() {
 	}
 
 	if *healthFlag {
-		var data ctl.HealthData
+		var data norman.HealthStatus
 		if err := c.Call(ctl.OpHealth, nil, &data); err != nil {
 			fatal(err)
 		}
@@ -137,7 +146,7 @@ func main() {
 	}
 
 	if *upgradeFlag {
-		var data ctl.UpgradeData
+		var data norman.UpgradeStatus
 		if err := c.Call(ctl.OpUpgradeStatus, nil, &data); err != nil {
 			fatal(err)
 		}
@@ -176,26 +185,6 @@ func main() {
 				r.Tenant, r.Weight, r.State, r.Conns, r.PipeGrants, r.DMAGrants, r.FifoDrops)
 			fmt.Printf("    waits: pipe %dns, dma %dns; ddio: %d ways, %d hits / %d misses; ring %d / %d bytes, %d transitions\n",
 				r.PipeWaitNs, r.DMAWaitNs, r.DDIOWays, r.DDIOHits, r.DDIOMisses, r.RingBytes, r.RingBudget, r.Transitions)
-		}
-		return
-	}
-
-	if *shardsFlag {
-		var data ctl.ShardsData
-		if err := c.Call(ctl.OpShards, nil, &data); err != nil {
-			fatal(err)
-		}
-		if !data.Sharded {
-			fmt.Println("engine: unsharded (1 engine)")
-		} else {
-			fmt.Printf("engine: %d shards over %d buckets, epoch %s\n",
-				data.Shards, data.Buckets, data.Epoch)
-			fmt.Printf("barrier: %d epochs, %d mailbox events delivered\n",
-				data.Epochs, data.Delivered)
-		}
-		for _, r := range data.Rows {
-			fmt.Printf("  shard %d: %d events, mail %d sent / %d recv / %d pending, %d stalls\n",
-				r.Shard, r.Events, r.MailSent, r.MailRecv, r.Pending, r.Stalls)
 		}
 		return
 	}

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	normand [-arch kopi|kernelstack|bypass|sidecar|hypervisor]
-//	        [-socket /tmp/normand.sock] [-flood] [-shards N]
+//	        [-socket /tmp/normand.sock] [-flood] [-journal FILE]
 package main
 
 import (
@@ -36,13 +36,14 @@ func main() {
 	flood := flag.Bool("flood", false, "include the buggy ARP-flooding daemon (the §2 debugging scenario)")
 	journalPath := flag.String("journal", "", "persist the control-plane intent journal to this file; an existing journal is replayed on start (SIGKILL recovery)")
 	journalCompact := flag.Int("journal-compact", 4096, "compact the journal on restart once it holds at least this many entries (0 disables)")
-	shards := flag.Int("shards", 1, "engine shards for the world (>1 runs the lockstep barrier coordinator; inspect with nnetstat -shards)")
 	flag.Parse()
 
-	sys := norman.New(norman.Architecture(*archName), norman.WithShards(*shards))
-	// Recovery before anything mutates: every dial and policy below lands
-	// in the intent journal, so a SIGKILL'd daemon restarted with the same
-	// -journal reconciles instead of starting blind.
+	sys := norman.New(norman.Architecture(*archName))
+	// The Enable* calls below wire to each other in any order (every one
+	// ends in System.resolve); what does matter is that they all come before
+	// the first dial. Recovery before anything mutates: every dial and policy
+	// below lands in the intent journal, so a SIGKILL'd daemon restarted with
+	// the same -journal reconciles instead of starting blind.
 	sys.EnableRecovery()
 	// Overload control before the demo dials, so they pass through admission
 	// like any tenant's would; the watchdog samples as ctl requests step
@@ -64,8 +65,8 @@ func main() {
 	// Hardware-health monitoring over the NIC: flow-cache checksum failures,
 	// trap storms, DMA stalls and link flaps quarantine the failing component
 	// and fail traffic over to the kernel slow path; nnetstat -health reads
-	// the component rows. Enabled after the flow cache so checksum
-	// verification covers it from the first packet.
+	// the component rows. With the monitor on, the flow cache verifies its
+	// entries' checksums from the first packet.
 	sys.EnableHealth(health.Config{}).Start(0)
 	// Live upgrades: staged A/B pipeline generations with canary-gated
 	// cutover and automatic rollback; nnetstat -upgrade reads the phase and

@@ -1,32 +1,22 @@
 package norman
 
-// FlowCacheTenantStatus is one tenant's slice of the flow cache: occupancy
-// against its partition quota plus its hit/install/evict/deny counters.
-type FlowCacheTenantStatus struct {
-	Tenant   uint32 `json:"tenant"`
-	Used     int    `json:"used"`
-	Quota    int    `json:"quota"`
-	Hits     uint64 `json:"hits"`
-	Installs uint64 `json:"installs"`
-	Evicts   uint64 `json:"evictions"`
-	Denied   uint64 `json:"denied"`
-}
+import "norman/internal/nic"
 
 // FlowCacheStatus is the NIC flow cache's merged view for ctl and nnetstat:
 // global lookup/install/evict accounting plus per-tenant partition rows when
 // tenant isolation partitions the cache.
 type FlowCacheStatus struct {
-	Enabled       bool                    `json:"enabled"`
-	Capacity      int                     `json:"capacity"`
-	Entries       int                     `json:"entries"`
-	Partitioned   bool                    `json:"partitioned"`
-	Hits          uint64                  `json:"hits"`
-	Misses        uint64                  `json:"misses"`
-	Installs      uint64                  `json:"installs"`
-	Evictions     uint64                  `json:"evictions"`
-	Invalidations uint64                  `json:"invalidations"`
-	Denied        uint64                  `json:"denied"`
-	Tenants       []FlowCacheTenantStatus `json:"tenants,omitempty"`
+	Enabled       bool                  `json:"enabled"`
+	Capacity      int                   `json:"capacity"`
+	Entries       int                   `json:"entries"`
+	Partitioned   bool                  `json:"partitioned"`
+	Hits          uint64                `json:"hits"`
+	Misses        uint64                `json:"misses"`
+	Installs      uint64                `json:"installs"`
+	Evictions     uint64                `json:"evictions"`
+	Invalidations uint64                `json:"invalidations"`
+	Denied        uint64                `json:"denied"`
+	Tenants       []nic.FlowTenantStats `json:"tenants,omitempty"`
 }
 
 // EnableFlowCache installs the NIC's exact-match flow cache with at least
@@ -36,20 +26,13 @@ type FlowCacheStatus struct {
 // runs the full chain (the kernel slow path) and installs the entry. When
 // tenant isolation is enabled — before or after this call — the cache's
 // capacity is partitioned by the same tenant weights, and eviction never
-// crosses a partition. Enable before EnableTelemetry so the flowcache.*
-// metric series register.
+// crosses a partition. Calling again replaces the cache with an empty one.
 func (s *System) EnableFlowCache(entries int) error {
 	if err := s.w.NIC.EnableFlowCache(entries); err != nil {
 		return err
 	}
-	if ts := s.w.NIC.TenantScheduler(); ts != nil {
-		return s.w.NIC.FlowCache().SetQuotas(ts.Weights())
-	}
-	return nil
+	return s.resolve()
 }
-
-// FlowCacheEnabled reports whether the NIC flow cache is installed.
-func (s *System) FlowCacheEnabled() bool { return s.w.NIC.FlowCache() != nil }
 
 // FlowCacheStatus snapshots the flow cache. Enabled=false (all else zero)
 // when no cache is installed.
@@ -58,7 +41,7 @@ func (s *System) FlowCacheStatus() FlowCacheStatus {
 	if fc == nil {
 		return FlowCacheStatus{}
 	}
-	st := FlowCacheStatus{
+	return FlowCacheStatus{
 		Enabled:       true,
 		Capacity:      fc.Capacity(),
 		Entries:       fc.Len(),
@@ -69,12 +52,6 @@ func (s *System) FlowCacheStatus() FlowCacheStatus {
 		Evictions:     fc.Evictions,
 		Invalidations: fc.Invalidations,
 		Denied:        fc.Denied,
+		Tenants:       fc.TenantStats(),
 	}
-	for _, ts := range fc.TenantStats() {
-		st.Tenants = append(st.Tenants, FlowCacheTenantStatus{
-			Tenant: ts.Tenant, Used: ts.Used, Quota: ts.Quota,
-			Hits: ts.Hits, Installs: ts.Installs, Evicts: ts.Evicts, Denied: ts.Denied,
-		})
-	}
-	return st
 }

@@ -6,10 +6,11 @@ import "norman/internal/health"
 // error/latency signals (trap-fallback rate, flow-cache checksum failures,
 // DMA stall time, link state) sampled with hysteresis; sustained degradation
 // quarantines the failing component and fails its traffic over to the kernel
-// interposition slow path, and a probation window restores it. Creating the
-// monitor turns on flow-cache checksum verification. Idempotent; returns the
-// monitor either way. Start it with Health().Start — like the overload
-// watchdog, its sampler is paused across Run's drain.
+// interposition slow path, and a probation window restores it. With the
+// monitor on, the flow cache (enabled before or after) verifies its entries'
+// checksums. Idempotent; returns the monitor either way. Start it with
+// Health().Start — like the overload watchdog, its sampler is paused across
+// Run's drain.
 func (s *System) EnableHealth(cfg health.Config) *health.Monitor {
 	if s.hm == nil {
 		s.hm = health.New(s.w.Eng, s.w.NIC, cfg)

@@ -107,27 +107,3 @@ func TestShardedWorldDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestWorldShardsConfig: the classic world gains a coordinator only when
-// asked for more than one shard, and its engine is shard 0's.
-func TestWorldShardsConfig(t *testing.T) {
-	w := arch.NewWorld(arch.WorldConfig{})
-	if w.Coord != nil {
-		t.Fatal("unsharded world has a coordinator")
-	}
-	ws := arch.NewWorld(arch.WorldConfig{Shards: 4})
-	if ws.Coord == nil || ws.Coord.Shards() != 4 {
-		t.Fatal("sharded world missing its coordinator")
-	}
-	if ws.Eng != ws.Coord.Engine(0) {
-		t.Fatal("sharded world's engine must be shard 0")
-	}
-	fired := make(chan uint64, 1)
-	ws.Eng.At(sim.Time(sim.Microsecond), func() { fired <- ws.Coord.ShardFired(0) })
-	ws.RunUntil(sim.Time(2 * sim.Microsecond))
-	select {
-	case <-fired:
-	default:
-		t.Fatal("event on shard 0 never ran under the coordinator")
-	}
-}

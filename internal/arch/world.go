@@ -17,12 +17,7 @@ import (
 // (cores, LLC, kernel control plane), one SmartNIC, and a wire whose far end
 // the experiment supplies.
 type World struct {
-	Eng *sim.Engine
-	// Coord is the shard coordinator, non-nil only when WorldConfig.Shards
-	// > 1: the architecture's own dataplane runs on shard 0 (Eng aliases
-	// Coord.Engine(0)) and callers drive virtual time through the
-	// coordinator's barrier loop instead of the engine directly.
-	Coord *sim.Sharded
+	Eng   *sim.Engine
 	Model timing.Model
 	LLC   *cache.LLC
 	Alloc *mem.Alloc
@@ -61,13 +56,6 @@ type WorldConfig struct {
 	// KernQueues is the number of kernel/softirq cores (multi-queue RSS on
 	// the kernel-stack architecture). 0 or 1 = single queue.
 	KernQueues int
-	// Shards > 1 runs the world under a shard coordinator: the classic
-	// dataplane stays on shard 0 and time advances through lockstep barrier
-	// epochs (DESIGN.md §8). 0 or 1 keeps the single-engine path untouched.
-	Shards int
-	// Epoch is the barrier epoch length when sharded; 0 defaults to the
-	// model's wire latency (the natural lookahead of the simulated link).
-	Epoch sim.Duration
 }
 
 // NewWorld builds a fresh world.
@@ -75,18 +63,7 @@ func NewWorld(cfg WorldConfig) *World {
 	if cfg.Model.CPUHz == 0 {
 		cfg.Model = timing.Default()
 	}
-	var coord *sim.Sharded
-	var eng *sim.Engine
-	if cfg.Shards > 1 {
-		epoch := cfg.Epoch
-		if epoch <= 0 {
-			epoch = cfg.Model.WireLatency
-		}
-		coord = sim.NewSharded(cfg.Shards, cfg.Shards, epoch)
-		eng = coord.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	var llc *cache.LLC
 	if !cfg.NoLLC {
 		llc = cache.New(cache.Config{
@@ -107,7 +84,6 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	w := &World{
 		Eng:       eng,
-		Coord:     coord,
 		Model:     cfg.Model,
 		LLC:       llc,
 		Alloc:     alloc,
@@ -133,31 +109,16 @@ func NewWorld(cfg WorldConfig) *World {
 }
 
 // Now returns the world's virtual time.
-func (w *World) Now() sim.Time {
-	if w.Coord != nil {
-		return w.Coord.Now()
-	}
-	return w.Eng.Now()
-}
+func (w *World) Now() sim.Time { return w.Eng.Now() }
 
-// RunUntil advances the world through virtual time t — in lockstep barrier
-// epochs when sharded.
-func (w *World) RunUntil(t sim.Time) sim.Time {
-	if w.Coord != nil {
-		return w.Coord.RunUntil(t)
-	}
-	return w.Eng.RunUntil(t)
-}
+// RunUntil advances the world through virtual time t.
+func (w *World) RunUntil(t sim.Time) sim.Time { return w.Eng.RunUntil(t) }
 
 // Drain runs the world until no event remains (in-flight DMA, deliveries,
 // echoes) and returns the conservation verdict: nic.NIC.Balance for wire ↔
 // ring, then the architecture's host law (exits.go) for ring ↔ application.
 func (w *World) Drain() error {
-	if w.Coord != nil {
-		w.Coord.Run()
-	} else {
-		w.Eng.Run()
-	}
+	w.Eng.Run()
 	if err := w.NIC.Balance(); err != nil {
 		return err
 	}
@@ -192,60 +153,6 @@ func (w *World) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) 
 		labels, func() float64 { return sim.Duration(w.Eng.Now()).Seconds() })
 	r.Gauge(telemetry.Desc{Layer: "mem", Name: "alloc_used_bytes", Help: "high-water mark of the simulated host physical allocator", Unit: "bytes"},
 		labels, func() float64 { return float64(w.Alloc.Used()) })
-
-	// Shard coordinator metrics. Registered unconditionally so the metric
-	// namespace never depends on the shard count: an unsharded world reports
-	// one shard, zero mailbox traffic and zero barrier activity.
-	r.Gauge(telemetry.Desc{Layer: "sim", Name: "shards", Help: "engine shards advancing this world (1 when unsharded)", Unit: "shards"},
-		labels, func() float64 {
-			if w.Coord == nil {
-				return 1
-			}
-			return float64(w.Coord.Shards())
-		})
-	sumShards := func(per func(i int) uint64) func() uint64 {
-		return func() uint64 {
-			if w.Coord == nil {
-				return 0
-			}
-			var n uint64
-			for i := 0; i < w.Coord.Shards(); i++ {
-				n += per(i)
-			}
-			return n
-		}
-	}
-	r.Counter(telemetry.Desc{Layer: "sim", Name: "mailbox_sent", Help: "cross-shard events staged into mailboxes", Unit: "events"},
-		labels, sumShards(func(i int) uint64 { return w.Coord.MailSent(i) }))
-	r.Counter(telemetry.Desc{Layer: "sim", Name: "mailbox_recv", Help: "cross-shard events delivered at barriers", Unit: "events"},
-		labels, sumShards(func(i int) uint64 { return w.Coord.MailRecv(i) }))
-	r.Counter(telemetry.Desc{Layer: "sim", Name: "barrier_epochs", Help: "lockstep barrier epochs completed by the shard coordinator", Unit: "epochs"},
-		labels, func() uint64 {
-			if w.Coord == nil {
-				return 0
-			}
-			return w.Coord.Epochs()
-		})
-	r.Counter(telemetry.Desc{Layer: "sim", Name: "barrier_stalls", Help: "shard-epochs spent idle while a sibling shard fired events", Unit: "epochs"},
-		labels, sumShards(func(i int) uint64 { return w.Coord.Stalls(i) }))
-	shard0 := telemetry.Labels{"shard": "0"}
-	for k, v := range labels {
-		shard0[k] = v
-	}
-	if w.Coord == nil {
-		r.Counter(telemetry.Desc{Layer: "sim", Name: "shard_events_fired", Help: "events executed per engine shard", Unit: "events"},
-			shard0, func() uint64 { return w.Eng.Fired() })
-	} else {
-		for i := 0; i < w.Coord.Shards(); i++ {
-			sl := telemetry.Labels{"shard": fmt.Sprint(i)}
-			for k, v := range labels {
-				sl[k] = v
-			}
-			shard := i
-			r.Counter(telemetry.Desc{Layer: "sim", Name: "shard_events_fired", Help: "events executed per engine shard", Unit: "events"},
-				sl, func() uint64 { return w.Coord.ShardFired(shard) })
-		}
-	}
 	w.NIC.RegisterMetrics(r, labels)
 	w.host.registerMetrics(r, labels)
 	if w.Tracer != nil {

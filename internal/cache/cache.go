@@ -346,14 +346,6 @@ func (c *LLC) TenantDMAStats() []TenantDMAStats {
 	return out
 }
 
-// TenantWays returns a tenant's partition share in ways (0 = unpartitioned).
-func (c *LLC) TenantWays(tenant uint32) int {
-	if r, ok := c.parts[tenant]; ok {
-		return r.n
-	}
-	return 0
-}
-
 // Touch performs sequential accesses covering n bytes starting at addr,
 // returning how many of the covered lines hit. dma selects the DMA path.
 func (c *LLC) Touch(addr uint64, n int, dma bool) (hits, lines int) {

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"norman"
+	"norman/internal/overload"
 	"norman/internal/wire"
 )
 
 // startServer brings up a daemon around a live KOPI system on a test socket.
-func startServer(t *testing.T, opts ...norman.Option) (*Client, *norman.System) {
+func startServer(t *testing.T) (*Client, *norman.System) {
 	t.Helper()
-	sys := norman.New(norman.KOPI, opts...)
+	sys := norman.New(norman.KOPI)
 	net := wire.NewNetwork(sys.Arch())
 	net.AddEndpoint(sys.World().PeerIP, sys.World().PeerMAC, wire.EchoUDP)
 	alice := sys.AddUser(1000, "alice")
@@ -337,63 +338,6 @@ func TestTelemetryDisabled(t *testing.T) {
 	}
 }
 
-// TestShardsOp pins the engine.shards op on an unsharded daemon: Sharded is
-// false but one synthetic row still reports the single engine's event count,
-// so nnetstat -shards never needs a second code path.
-func TestShardsOp(t *testing.T) {
-	c, _ := startServer(t)
-	var data ShardsData
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Sharded {
-		t.Fatal("unsharded daemon reported sharded")
-	}
-	if data.Shards != 1 || len(data.Rows) != 1 || data.Rows[0].Shard != 0 {
-		t.Fatalf("want one synthetic row for shard 0, got %+v", data)
-	}
-	var st StatusData
-	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 5}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Rows[0].Events == 0 {
-		t.Fatal("no events counted after advance")
-	}
-}
-
-// TestShardsOpSharded runs the daemon's world under the barrier coordinator
-// and checks the op reports the full per-shard snapshot.
-func TestShardsOpSharded(t *testing.T) {
-	c, _ := startServer(t, norman.WithShards(4))
-	var st StatusData
-	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 5}, &st); err != nil {
-		t.Fatal(err)
-	}
-	var data ShardsData
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if !data.Sharded || data.Shards != 4 || len(data.Rows) != 4 {
-		t.Fatalf("want 4 shards, got %+v", data)
-	}
-	if data.Epoch == "" || data.Epochs == 0 {
-		t.Fatalf("barrier accounting missing: %+v", data)
-	}
-	var events uint64
-	for i, r := range data.Rows {
-		if r.Shard != i {
-			t.Fatalf("row %d reports shard %d", i, r.Shard)
-		}
-		events += r.Events
-	}
-	if events == 0 {
-		t.Fatal("no events counted across shards after advance")
-	}
-}
-
 // TestTenantStatusOp pins the tenant.status op: a daemon without isolation
 // answers Enabled=false (graceful degradation, like overload.status), a
 // daemon with the scheduler installed reports one merged row per tenant in
@@ -430,5 +374,45 @@ func TestTenantStatusOp(t *testing.T) {
 	}
 	if data.Tenants[0].Weight != 3 || data.Tenants[1].Weight != 1 {
 		t.Fatalf("weights = %d/%d, want 3/1", data.Tenants[0].Weight, data.Tenants[1].Weight)
+	}
+}
+
+// TestOverloadStatusOp pins the overload.status op: a daemon without a
+// governor answers Enabled=false, and one with it serves the governor's own
+// snapshot whole — so a refusal at the program gate (E13's containment of an
+// overlay-heavy tenant) and the per-tenant budget rows, both of which the old
+// hand-kept wire struct dropped, reach the client.
+func TestOverloadStatusOp(t *testing.T) {
+	if !IdempotentOp(OpOverload) {
+		t.Fatal("overload.status must be idempotent: it is a read-only query")
+	}
+	c, sys := startServer(t)
+	var data OverloadData
+	if err := c.Call(OpOverload, nil, &data); err != nil {
+		t.Fatal(err)
+	}
+	if data.Enabled {
+		t.Fatalf("no governor must answer Enabled=false: %+v", data)
+	}
+
+	gov := sys.EnableOverload(overload.Config{MaxProgramCycles: 100})
+	if err := sys.EnableTenantIsolation(map[uint32]int{1: 3, 2: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gov.AdmitProgram(2, 101); err == nil {
+		t.Fatal("a 101-cycle program must be refused under a 100-cycle bound")
+	}
+	if err := c.Call(OpOverload, nil, &data); err != nil {
+		t.Fatal(err)
+	}
+	if !data.Enabled || data.State != "ok" {
+		t.Fatalf("governor on must answer Enabled=true, state ok: %+v", data)
+	}
+	if data.RejectedProgram != 1 {
+		t.Fatalf("rejected_program = %d at the client, want the 1 program-gate refusal", data.RejectedProgram)
+	}
+	if len(data.Tenants) != 2 || data.Tenants[0].Tenant != 1 || data.Tenants[0].Weight != 3 ||
+		data.Tenants[1].Tenant != 2 || data.Tenants[0].RingBudget <= data.Tenants[1].RingBudget {
+		t.Fatalf("want the two tenant budget rows, 3:1, ascending: %+v", data.Tenants)
 	}
 }

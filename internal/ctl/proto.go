@@ -7,6 +7,9 @@ package ctl
 
 import (
 	"encoding/json"
+
+	"norman"
+	"norman/internal/overload"
 )
 
 // DefaultSocket is where normand listens unless told otherwise.
@@ -45,7 +48,6 @@ const (
 	OpRecovery      = "recovery.status"
 	OpOverload      = "overload.status"
 	OpTenants       = "tenant.status"
-	OpShards        = "engine.shards"
 	OpFlowCache     = "flowcache.status"
 	OpHealth        = "health.status"
 	OpUpgradeStart  = "upgrade.start"
@@ -60,7 +62,7 @@ func IdempotentOp(op string) bool {
 	switch op {
 	case OpStatus, OpIPTablesList, OpTCShow, OpDumpFetch, OpDumpPcap,
 		OpNetstat, OpARP, OpTelemetry, OpTrace, OpRecovery, OpOverload,
-		OpTenants, OpShards, OpFlowCache, OpHealth, OpUpgradeStatus:
+		OpTenants, OpFlowCache, OpHealth, OpUpgradeStatus:
 		return true
 	}
 	return false
@@ -212,157 +214,24 @@ type RecoveryData struct {
 	RecoveryTime string   `json:"recovery_time,omitempty"`
 }
 
-// OverloadData is the overload governor's snapshot: watchdog health,
-// admission budgets and counters, and degradation accounting
-// (overload.status). Enabled reports whether the daemon runs a governor at
-// all — the remaining fields are zero when it does not.
+// The status ops answer with the struct the subsystem itself declares —
+// overload.Snapshot, norman.TenantStatus, norman.FlowCacheStatus,
+// norman.HealthStatus, norman.UpgradeStatus — so a counter added there reaches
+// nnetstat without a second declaration here to forget (DESIGN.md §13). Each
+// answers Enabled=false rather than an error when the daemon does not run the
+// subsystem, so the nnetstat views degrade gracefully. The two types below
+// exist only to add that flag where the subsystem's struct has none.
+
+// OverloadData answers overload.status: the governor's snapshot, whole.
 type OverloadData struct {
-	Enabled        bool    `json:"enabled"`
-	State          string  `json:"state,omitempty"`
-	Watching       bool    `json:"watching,omitempty"`
-	Transitions    uint64  `json:"transitions,omitempty"`
-	Admitted       uint64  `json:"admitted,omitempty"`
-	RejectedDDIO   uint64  `json:"rejected_ddio,omitempty"`
-	RejectedTenant uint64  `json:"rejected_tenant,omitempty"`
-	RejectedLoad   uint64  `json:"rejected_pressure,omitempty"`
-	RingBytes      int     `json:"ring_bytes,omitempty"`
-	RingBudget     int     `json:"ring_budget_bytes,omitempty"`
-	Occupancy      float64 `json:"occupancy_frac,omitempty"`
-	FifoFrac       float64 `json:"fifo_frac,omitempty"`
-	ShedPackets    uint64  `json:"shed_packets,omitempty"`
-	Signals        uint64  `json:"backpressure_signals,omitempty"`
+	Enabled bool `json:"enabled"`
+	overload.Snapshot
 }
 
-// TenantData answers tenant.status: one merged row per tenant combining the
-// NIC scheduler's grant counters, the LLC's DDIO partition accounting and
-// the governor's per-tenant budgets. Enabled reports whether the daemon runs
-// tenant isolation at all — a daemon without it answers Enabled=false and no
-// rows rather than erroring, so nnetstat -tenants degrades gracefully.
+// TenantData answers tenant.status: one merged row per tenant, ascending.
 type TenantData struct {
-	Enabled bool        `json:"enabled"`
-	Tenants []TenantRow `json:"tenants,omitempty"`
-}
-
-// TenantRow mirrors norman.TenantStatus field for field (proto stays free of
-// a norman import; the server converts).
-type TenantRow struct {
-	Tenant      uint32 `json:"tenant"`
-	Weight      int    `json:"weight"`
-	PipeGrants  uint64 `json:"pipe_grants"`
-	DMAGrants   uint64 `json:"dma_grants"`
-	PipeWaitNs  uint64 `json:"pipe_wait_ns"`
-	DMAWaitNs   uint64 `json:"dma_wait_ns"`
-	FifoDrops   uint64 `json:"fifo_drops"`
-	DDIOWays    int    `json:"ddio_ways"`
-	DDIOHits    uint64 `json:"ddio_hits"`
-	DDIOMisses  uint64 `json:"ddio_misses"`
-	Conns       int    `json:"conns"`
-	RingBytes   int    `json:"ring_bytes"`
-	RingBudget  int    `json:"ring_budget_bytes"`
-	State       string `json:"state"`
-	Transitions uint64 `json:"transitions"`
-}
-
-// FlowCacheData answers flowcache.status: the NIC flow cache's global
-// lookup/install/evict accounting plus one row per tenant partition. Enabled
-// reports whether the daemon runs a flow cache at all — a daemon without one
-// answers Enabled=false rather than erroring, so nnetstat -flows degrades
-// gracefully.
-type FlowCacheData struct {
-	Enabled       bool              `json:"enabled"`
-	Capacity      int               `json:"capacity,omitempty"`
-	Entries       int               `json:"entries,omitempty"`
-	Partitioned   bool              `json:"partitioned,omitempty"`
-	Hits          uint64            `json:"hits,omitempty"`
-	Misses        uint64            `json:"misses,omitempty"`
-	Installs      uint64            `json:"installs,omitempty"`
-	Evictions     uint64            `json:"evictions,omitempty"`
-	Invalidations uint64            `json:"invalidations,omitempty"`
-	Denied        uint64            `json:"denied,omitempty"`
-	Tenants       []FlowCacheTenRow `json:"tenants,omitempty"`
-}
-
-// FlowCacheTenRow is one tenant's partition row within FlowCacheData.
-type FlowCacheTenRow struct {
-	Tenant   uint32 `json:"tenant"`
-	Used     int    `json:"used"`
-	Quota    int    `json:"quota"`
-	Hits     uint64 `json:"hits"`
-	Installs uint64 `json:"installs"`
-	Evicts   uint64 `json:"evictions"`
-	Denied   uint64 `json:"denied"`
-}
-
-// HealthData answers health.status: the NIC hardware-health monitor's
-// aggregate event counters plus one row per monitored component. Enabled
-// reports whether the daemon runs the monitor at all — a daemon without one
-// answers Enabled=false rather than erroring, so nnetstat -health degrades
-// gracefully.
-type HealthData struct {
-	Enabled     bool        `json:"enabled"`
-	Watching    bool        `json:"watching,omitempty"`
-	Samples     uint64      `json:"samples,omitempty"`
-	Quarantines uint64      `json:"quarantines,omitempty"`
-	Failovers   uint64      `json:"failovers,omitempty"`
-	Failbacks   uint64      `json:"failbacks,omitempty"`
-	Probes      uint64      `json:"probes,omitempty"`
-	Components  []HealthRow `json:"components,omitempty"`
-}
-
-// HealthRow is one monitored component's row within HealthData.
-type HealthRow struct {
-	Component   string `json:"component"`
-	State       string `json:"state"`
-	Signals     uint64 `json:"signals"`
-	Quarantines uint64 `json:"quarantines"`
-	Failovers   uint64 `json:"failovers"`
-	Failbacks   uint64 `json:"failbacks"`
-}
-
-// UpgradeData answers upgrade.status (and upgrade.start, which replies with
-// the post-cutover snapshot): the live-upgrade subsystem's lifecycle phase,
-// pipeline generation and event counters. Enabled reports whether the daemon
-// runs the subsystem at all — a daemon without it answers Enabled=false
-// rather than erroring, so nnetstat -upgrade degrades gracefully.
-type UpgradeData struct {
-	Enabled        bool   `json:"enabled"`
-	Phase          string `json:"phase,omitempty"`
-	Generation     uint64 `json:"generation,omitempty"`
-	Watching       bool   `json:"watching,omitempty"`
-	Upgrades       uint64 `json:"upgrades,omitempty"`
-	Commits        uint64 `json:"commits,omitempty"`
-	Rollbacks      uint64 `json:"rollbacks,omitempty"`
-	CanarySamples  uint64 `json:"canary_samples,omitempty"`
-	CanaryBreaches uint64 `json:"canary_breaches,omitempty"`
-	WarmEntries    uint64 `json:"warm_entries,omitempty"`
-	Adoptions      uint64 `json:"adoptions,omitempty"`
-	PauseBuffered  uint64 `json:"pause_buffered,omitempty"`
-	PauseDrops     uint64 `json:"pause_drops,omitempty"`
-	LastRollback   string `json:"last_rollback,omitempty"`
-}
-
-// ShardsData is the engine shard coordinator's snapshot (engine.shards).
-// Sharded reports whether the daemon's world runs under a coordinator; an
-// unsharded daemon still answers with one synthetic row for its single
-// engine so tooling never needs two code paths.
-type ShardsData struct {
-	Sharded   bool       `json:"sharded"`
-	Shards    int        `json:"shards"`
-	Buckets   int        `json:"buckets,omitempty"`
-	Epoch     string     `json:"epoch,omitempty"`
-	Epochs    uint64     `json:"epochs,omitempty"`
-	Delivered uint64     `json:"mailbox_delivered,omitempty"`
-	Rows      []ShardRow `json:"rows,omitempty"`
-}
-
-// ShardRow is one shard's counters within ShardsData.
-type ShardRow struct {
-	Shard    int    `json:"shard"`
-	Events   uint64 `json:"events"`
-	MailSent uint64 `json:"mail_sent"`
-	MailRecv uint64 `json:"mail_recv"`
-	Pending  int    `json:"mail_pending"`
-	Stalls   uint64 `json:"stalls"`
+	Enabled bool                  `json:"enabled"`
+	Tenants []norman.TenantStatus `json:"tenants,omitempty"`
 }
 
 // Marshal is a helper for building requests.

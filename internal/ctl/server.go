@@ -210,24 +210,27 @@ func (s *Server) dispatch(req Request) (data json.RawMessage, err error) {
 	case OpRecovery:
 		return s.recoveryStatus()
 	case OpOverload:
-		return s.overloadStatus()
+		st := OverloadData{}
+		if gov := s.sys.Overload(); gov != nil {
+			st = OverloadData{Enabled: true, Snapshot: gov.Snapshot()}
+		}
+		return marshal(st)
 	case OpTenants:
-		return s.tenantStatus()
-	case OpShards:
-		return s.shardsStatus()
+		rows := s.sys.TenantsStatus() // nil when isolation is off
+		return marshal(TenantData{Enabled: rows != nil, Tenants: rows})
 	case OpFlowCache:
-		return s.flowcacheStatus()
+		return marshal(s.sys.FlowCacheStatus())
 	case OpHealth:
-		return s.healthStatus()
+		return marshal(s.sys.HealthStatus())
 	case OpUpgradeStart:
 		if err := s.sys.StartLiveUpgrade(); err != nil {
 			return nil, err
 		}
 		// Run the world past the cutover so the reply reflects the flip.
 		s.sys.RunFor(s.StepPerRequest)
-		return s.upgradeStatus()
+		return marshal(s.sys.UpgradeStatus())
 	case OpUpgradeStatus:
-		return s.upgradeStatus()
+		return marshal(s.sys.UpgradeStatus())
 	default:
 		return nil, fmt.Errorf("ctl: unknown op %q", req.Op)
 	}
@@ -462,182 +465,6 @@ func (s *Server) recoveryStatus() (json.RawMessage, error) {
 		data.InvariantsOK = rep.InvariantsOK
 		data.Clean = rep.Clean
 		data.RecoveryTime = rep.RecoveryTime.String()
-	}
-	return marshal(data)
-}
-
-// overloadStatus reports the overload governor's watchdog state, admission
-// budgets and degradation counters (overload.status). A daemon without a
-// governor answers Enabled=false rather than erroring, so nnetstat -pressure
-// degrades gracefully.
-func (s *Server) overloadStatus() (json.RawMessage, error) {
-	gov := s.sys.Overload()
-	if gov == nil {
-		return marshal(OverloadData{Enabled: false})
-	}
-	snap := gov.Snapshot()
-	return marshal(OverloadData{
-		Enabled:        true,
-		State:          snap.State,
-		Watching:       snap.Watching,
-		Transitions:    snap.Transitions,
-		Admitted:       snap.Admitted,
-		RejectedDDIO:   snap.RejectedDDIO,
-		RejectedTenant: snap.RejectedTenant,
-		RejectedLoad:   snap.RejectedLoad,
-		RingBytes:      snap.RingBytes,
-		RingBudget:     snap.RingBudget,
-		Occupancy:      snap.Occupancy,
-		FifoFrac:       snap.FifoFrac,
-		ShedPackets:    snap.ShedPackets,
-		Signals:        snap.Signals,
-	})
-}
-
-// tenantStatus reports the merged per-tenant isolation rows (tenant.status).
-// A daemon without tenant isolation answers Enabled=false rather than
-// erroring, so nnetstat -tenants degrades gracefully.
-func (s *Server) tenantStatus() (json.RawMessage, error) {
-	if !s.sys.TenantIsolationEnabled() {
-		return marshal(TenantData{Enabled: false})
-	}
-	rows := s.sys.TenantsStatus()
-	data := TenantData{Enabled: true, Tenants: make([]TenantRow, 0, len(rows))}
-	for _, r := range rows {
-		data.Tenants = append(data.Tenants, TenantRow{
-			Tenant:      r.Tenant,
-			Weight:      r.Weight,
-			PipeGrants:  r.PipeGrants,
-			DMAGrants:   r.DMAGrants,
-			PipeWaitNs:  r.PipeWaitNs,
-			DMAWaitNs:   r.DMAWaitNs,
-			FifoDrops:   r.FifoDrops,
-			DDIOWays:    r.DDIOWays,
-			DDIOHits:    r.DDIOHits,
-			DDIOMisses:  r.DDIOMisses,
-			Conns:       r.Conns,
-			RingBytes:   r.RingBytes,
-			RingBudget:  r.RingBudget,
-			State:       r.State,
-			Transitions: r.Transitions,
-		})
-	}
-	return marshal(data)
-}
-
-// flowcacheStatus reports the NIC flow cache's accounting and per-tenant
-// partition rows (flowcache.status). A daemon without a flow cache answers
-// Enabled=false rather than erroring, so nnetstat -flows degrades gracefully.
-func (s *Server) flowcacheStatus() (json.RawMessage, error) {
-	st := s.sys.FlowCacheStatus()
-	if !st.Enabled {
-		return marshal(FlowCacheData{Enabled: false})
-	}
-	data := FlowCacheData{
-		Enabled:       true,
-		Capacity:      st.Capacity,
-		Entries:       st.Entries,
-		Partitioned:   st.Partitioned,
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Installs:      st.Installs,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
-		Denied:        st.Denied,
-	}
-	for _, t := range st.Tenants {
-		data.Tenants = append(data.Tenants, FlowCacheTenRow{
-			Tenant: t.Tenant, Used: t.Used, Quota: t.Quota,
-			Hits: t.Hits, Installs: t.Installs, Evicts: t.Evicts, Denied: t.Denied,
-		})
-	}
-	return marshal(data)
-}
-
-// healthStatus reports the NIC hardware-health monitor's aggregate counters
-// and per-component state rows (health.status). A daemon without the monitor
-// answers Enabled=false rather than erroring, so nnetstat -health degrades
-// gracefully.
-func (s *Server) healthStatus() (json.RawMessage, error) {
-	st := s.sys.HealthStatus()
-	if !st.Enabled {
-		return marshal(HealthData{Enabled: false})
-	}
-	data := HealthData{
-		Enabled:     true,
-		Watching:    st.Watching,
-		Samples:     st.Samples,
-		Quarantines: st.Quarantines,
-		Failovers:   st.Failovers,
-		Failbacks:   st.Failbacks,
-		Probes:      st.Probes,
-	}
-	for _, c := range st.Components {
-		data.Components = append(data.Components, HealthRow{
-			Component:   c.Component,
-			State:       c.State,
-			Signals:     c.Signals,
-			Quarantines: c.Quarantines,
-			Failovers:   c.Failovers,
-			Failbacks:   c.Failbacks,
-		})
-	}
-	return marshal(data)
-}
-
-// upgradeStatus reports the live-upgrade subsystem's lifecycle phase,
-// generation and event counters (upgrade.status). A daemon without the
-// subsystem answers Enabled=false rather than erroring, so nnetstat -upgrade
-// degrades gracefully.
-func (s *Server) upgradeStatus() (json.RawMessage, error) {
-	st := s.sys.UpgradeStatus()
-	if !st.Enabled {
-		return marshal(UpgradeData{Enabled: false})
-	}
-	return marshal(UpgradeData{
-		Enabled:        true,
-		Phase:          st.Phase,
-		Generation:     st.Generation,
-		Watching:       st.Watching,
-		Upgrades:       st.Upgrades,
-		Commits:        st.Commits,
-		Rollbacks:      st.Rollbacks,
-		CanarySamples:  st.CanarySamples,
-		CanaryBreaches: st.CanaryBreaches,
-		WarmEntries:    st.WarmEntries,
-		Adoptions:      st.Adoptions,
-		PauseBuffered:  st.PauseBuffered,
-		PauseDrops:     st.PauseDrops,
-		LastRollback:   st.LastRollback,
-	})
-}
-
-// shardsStatus reports the engine shard coordinator's counters
-// (engine.shards). An unsharded daemon answers Sharded=false with one
-// synthetic row for its single engine rather than erroring, so
-// nnetstat -shards degrades gracefully.
-func (s *Server) shardsStatus() (json.RawMessage, error) {
-	st := s.sys.ShardStats()
-	data := ShardsData{
-		Sharded:   st.Sharded,
-		Shards:    st.Shards,
-		Buckets:   st.Buckets,
-		Epochs:    st.Epochs,
-		Delivered: st.Delivered,
-		Rows:      make([]ShardRow, len(st.Rows)),
-	}
-	if st.Sharded {
-		data.Epoch = st.Epoch.String()
-	}
-	for i, r := range st.Rows {
-		data.Rows[i] = ShardRow{
-			Shard:    r.Shard,
-			Events:   r.Events,
-			MailSent: r.MailSent,
-			MailRecv: r.MailRecv,
-			Pending:  r.Pending,
-			Stalls:   r.Stalls,
-		}
 	}
 	return marshal(data)
 }

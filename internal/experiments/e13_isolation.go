@@ -64,11 +64,9 @@ const (
 // RunE13 sweeps the adversary's connection count across the DDIO cliff and
 // measures the victim's delivery p99 and goodput in three worlds: the victim
 // alone (solo), both tenants on bare bypass (raw), and both tenants on KOPI
-// with tenant isolation (ctl). shards is an execution parameter only — it
-// picks the engine's shard layout (DESIGN.md §8) and is excluded from the
-// table by design; every cell is byte-identical at any shard or worker
-// width (TestE13Determinism enforces both).
-func RunE13(scale Scale, shards int) ([]E13Point, *stats.Table) {
+// with tenant isolation (ctl). Every cell is byte-identical at any worker
+// width (TestE13Determinism).
+func RunE13(scale Scale) ([]E13Point, *stats.Table) {
 	sweep := []int{256, 1024, 2048, 4096, 8192}
 	if scale < 0.5 {
 		sweep = []int{256, 2048, 8192}
@@ -79,12 +77,12 @@ func RunE13(scale Scale, shards int) ([]E13Point, *stats.Table) {
 		i, n := i, n
 		points[i].AdvConns = n
 		r.Go(func() {
-			res := e13Run(n, e13Solo, scale, shards)
+			res := e13Run(n, e13Solo, scale)
 			points[i].SoloP99 = res.vicP99
 			points[i].SoloVicGbps = res.vicGbps
 		})
 		r.Go(func() {
-			res := e13Run(n, e13Raw, scale, shards)
+			res := e13Run(n, e13Raw, scale)
 			points[i].RawVicGbps = res.vicGbps
 			points[i].RawAdvGbps = res.advGbps
 			points[i].RawVicP99 = res.vicP99
@@ -92,7 +90,7 @@ func RunE13(scale Scale, shards int) ([]E13Point, *stats.Table) {
 			points[i].RawSilent = res.silent
 		})
 		r.Go(func() {
-			res := e13Run(n, e13Ctl, scale, shards)
+			res := e13Run(n, e13Ctl, scale)
 			points[i].CtlVicGbps = res.vicGbps
 			points[i].CtlAdvGbps = res.advGbps
 			points[i].CtlVicP99 = res.vicP99
@@ -161,7 +159,7 @@ func e13AdversarySource() string {
 // e13Run offers victim + adversary inbound traffic on the E3/E11 cliff model
 // (8 MiB LLC, 2/11 DDIO ways, 16-slot rings) and reports the victim's
 // delivery tail, both tenants' goodput, and the zero-silent-loss ledger.
-func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
+func e13Run(advConns int, leg e13Leg, scale Scale) e13Result {
 	model := timing.Default()
 	model.DDIOWays = 2
 	model.LLCBytes = 8 << 20
@@ -169,7 +167,7 @@ func e13Run(advConns int, leg e13Leg, scale Scale, shards int) e13Result {
 	if leg != e13Raw {
 		name = "kopi"
 	}
-	tp := newTenantPair(name, model, shards)
+	tp := newTenantPair(name, model)
 	w := tp.w
 
 	var gov *overload.Governor

@@ -5,33 +5,23 @@ import (
 	"testing"
 )
 
-// TestE13Determinism pins the isolation table at any execution layout: the
+// TestE13Determinism pins the isolation table at any worker-pool width: the
 // tenant scheduler's grant rings, the DDIO partition, and the governor's
 // per-tenant health machines all run in virtual time with sorted iteration
-// everywhere, so the whole E13 table is byte-identical across worker-pool
-// widths and engine shard counts.
+// everywhere, so the whole E13 table is byte-identical across widths.
 func TestE13Determinism(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	seq, seqTable := RunE13(0.12, 1)
+	seq, seqTable := RunE13(0.12)
 
 	SetWorkers(8)
-	wide, wideTable := RunE13(0.12, 1)
+	wide, wideTable := RunE13(0.12)
 	if !reflect.DeepEqual(seq, wide) {
 		t.Fatalf("E13 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
 	}
 	if seqTable.String() != wideTable.String() {
 		t.Fatalf("E13 tables differ between 1 and 8 workers:\n%s\n%s",
 			seqTable.String(), wideTable.String())
-	}
-
-	sharded, shardedTable := RunE13(0.12, 4)
-	if !reflect.DeepEqual(seq, sharded) {
-		t.Fatalf("E13 rows differ between 1 and 4 engine shards:\n%+v\n%+v", seq, sharded)
-	}
-	if seqTable.String() != shardedTable.String() {
-		t.Fatalf("E13 tables differ between 1 and 4 engine shards:\n%s\n%s",
-			seqTable.String(), shardedTable.String())
 	}
 }
 
@@ -47,7 +37,7 @@ func TestE13Isolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity sweep (~10s): the sub-0.5 scales shorten runs into the warm-up transient")
 	}
-	points, _ := RunE13(0.6, 1)
+	points, _ := RunE13(0.6)
 
 	byConns := make(map[int]E13Point, len(points))
 	for _, p := range points {

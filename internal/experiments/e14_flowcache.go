@@ -78,9 +78,9 @@ func e14ACLSource() string {
 
 // RunE14 sweeps the flood's flow count and measures hit rates, interpreter
 // cycles per frame, eviction/denial churn and the victim's delivery tail in
-// the three worlds. shards is an execution parameter only; every cell is
-// byte-identical at any shard or worker width (TestE14Determinism).
-func RunE14(scale Scale, shards int) ([]E14Point, *stats.Table) {
+// the three worlds. Every cell is byte-identical at any worker width
+// (TestE14Determinism).
+func RunE14(scale Scale) ([]E14Point, *stats.Table) {
 	sweep := []int{64, 512, 2048, 8192}
 	if scale < 0.5 {
 		sweep = []int{64, 8192}
@@ -91,13 +91,13 @@ func RunE14(scale Scale, shards int) ([]E14Point, *stats.Table) {
 		i, n := i, n
 		points[i].FloodFlows = n
 		r.Go(func() {
-			res := e14Run(n, e14Off, scale, shards)
+			res := e14Run(n, e14Off, scale)
 			points[i].OffCycPkt = res.cycPkt
 			points[i].OffP99 = res.vicP99
 			points[i].OffSilent = res.silent
 		})
 		r.Go(func() {
-			res := e14Run(n, e14Shared, scale, shards)
+			res := e14Run(n, e14Shared, scale)
 			points[i].ShrHitPct = res.hitPct
 			points[i].ShrVicHitPct = res.vicHitPct
 			points[i].ShrCycPkt = res.cycPkt
@@ -107,7 +107,7 @@ func RunE14(scale Scale, shards int) ([]E14Point, *stats.Table) {
 			points[i].ShrLedger = res.ledger
 		})
 		r.Go(func() {
-			res := e14Run(n, e14Part, scale, shards)
+			res := e14Run(n, e14Part, scale)
 			points[i].PrtVicHitPct = res.vicHitPct
 			points[i].PrtDenied = res.denied
 			points[i].PrtP99 = res.vicP99
@@ -171,8 +171,8 @@ type e14Result struct {
 // a tenant-scheduled KOPI world and reports cache accounting, interpreter
 // cost and the victim's delivery tail. The tenant scheduler runs in every
 // leg so the only variable between worlds is the cache configuration.
-func e14Run(floodFlows int, leg e14Leg, scale Scale, shards int) e14Result {
-	tp := newTenantPair("kopi", timing.Default(), shards)
+func e14Run(floodFlows int, leg e14Leg, scale Scale) e14Result {
+	tp := newTenantPair("kopi", timing.Default())
 	w := tp.w
 	w.NIC.SetTenantScheduler(pairWeights())
 	tp.loadACL("e14-acl", leg != e14Off)

@@ -5,32 +5,23 @@ import (
 	"testing"
 )
 
-// TestE14Determinism pins the flow-cache table at any execution layout: the
+// TestE14Determinism pins the flow-cache table at any worker-pool width: the
 // cache's clock hands, partition quotas and per-tenant counters all advance
 // in virtual time with sorted iteration everywhere, so the whole E14 table
-// is byte-identical across worker-pool widths and engine shard counts.
+// is byte-identical across widths.
 func TestE14Determinism(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	seq, seqTable := RunE14(0.12, 1)
+	seq, seqTable := RunE14(0.12)
 
 	SetWorkers(8)
-	wide, wideTable := RunE14(0.12, 1)
+	wide, wideTable := RunE14(0.12)
 	if !reflect.DeepEqual(seq, wide) {
 		t.Fatalf("E14 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
 	}
 	if seqTable.String() != wideTable.String() {
 		t.Fatalf("E14 tables differ between 1 and 8 workers:\n%s\n%s",
 			seqTable.String(), wideTable.String())
-	}
-
-	sharded, shardedTable := RunE14(0.12, 4)
-	if !reflect.DeepEqual(seq, sharded) {
-		t.Fatalf("E14 rows differ between 1 and 4 engine shards:\n%+v\n%+v", seq, sharded)
-	}
-	if seqTable.String() != shardedTable.String() {
-		t.Fatalf("E14 tables differ between 1 and 4 engine shards:\n%s\n%s",
-			seqTable.String(), shardedTable.String())
 	}
 }
 
@@ -49,7 +40,7 @@ func TestE14FlowCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity sweep: the sub-0.5 scales shorten runs into the warm-up transient")
 	}
-	points, _ := RunE14(0.6, 1)
+	points, _ := RunE14(0.6)
 
 	byFlows := make(map[int]E14Point, len(points))
 	for _, p := range points {

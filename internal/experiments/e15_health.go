@@ -49,16 +49,15 @@ const (
 // payloads at 12.5 Gbps through the cacheable ACL) on kernelstack, bypass and
 // kopi while the fault schedule fires. Only kopi runs the health monitor —
 // that is the point: the monitor's failover target is the kernel
-// interposition slow path, which the other architectures do not have. shards
-// is execution-only; every cell is byte-identical at any shard or worker
-// width (TestE15Determinism).
-func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
+// interposition slow path, which the other architectures do not have. Every
+// cell is byte-identical at any worker width (TestE15Determinism).
+func RunE15(scale Scale) ([]E15Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E15Point, len(archs))
 	r := NewRunner()
 	for i, name := range archs {
 		i, name := i, name
-		r.Go(func() { points[i] = e15Run(name, scale, shards) })
+		r.Go(func() { points[i] = e15Run(name, scale) })
 	}
 	r.Wait()
 
@@ -76,8 +75,8 @@ func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
 
 // e15Run offers the victim workload on one architecture under the fault
 // schedule and reports delivery, corruption and health accounting.
-func e15Run(archName string, scale Scale, shards int) E15Point {
-	tp := newTenantPair(archName, timing.Default(), shards)
+func e15Run(archName string, scale Scale) E15Point {
+	tp := newTenantPair(archName, timing.Default())
 	w := tp.w
 
 	// The fast path exists on bypass and kopi; the kernel stack interprets

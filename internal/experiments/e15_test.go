@@ -5,36 +5,24 @@ import (
 	"testing"
 )
 
-// TestE15Determinism pins the hardware-fault table at any execution layout:
+// TestE15Determinism pins the hardware-fault table at any worker-pool width:
 // the fault schedule is virtual-time-scheduled from seeded labeled RNG
 // streams and the health monitor draws no randomness at all, so the whole
-// table is byte-identical across worker-pool widths and engine shard counts.
+// table is byte-identical across widths.
 func TestE15Determinism(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	seq, seqTable := RunE15(0.12, 1)
+	seq, seqTable := RunE15(0.12)
 
 	SetWorkers(8)
-	wide, wideTable := RunE15(0.12, 1)
+	wide, wideTable := RunE15(0.12)
 	if !reflect.DeepEqual(seq, wide) {
 		t.Fatalf("E15 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
 	}
 	if seqTable.String() != wideTable.String() {
 		t.Fatalf("E15 tables differ between 1 and 8 workers:\n%s\n%s",
 			seqTable.String(), wideTable.String())
-	}
-
-	for _, shards := range []int{2, 4, 8} {
-		sharded, shardedTable := RunE15(0.12, shards)
-		if !reflect.DeepEqual(seq, sharded) {
-			t.Fatalf("E15 rows differ between 1 and %d engine shards:\n%+v\n%+v",
-				shards, seq, sharded)
-		}
-		if seqTable.String() != shardedTable.String() {
-			t.Fatalf("E15 tables differ between 1 and %d engine shards:\n%s\n%s",
-				shards, seqTable.String(), shardedTable.String())
-		}
 	}
 }
 
@@ -52,7 +40,7 @@ func TestE15Determinism(t *testing.T) {
 //     pipeline is storming.
 func TestE15HealthFailover(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
-	points, _ := RunE15(0.25, 1)
+	points, _ := RunE15(0.25)
 
 	byArch := make(map[string]E15Point, len(points))
 	for _, p := range points {

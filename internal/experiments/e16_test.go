@@ -5,36 +5,24 @@ import (
 	"testing"
 )
 
-// TestE16Determinism pins the upgrade table at any execution layout: the
+// TestE16Determinism pins the upgrade table at any worker-pool width: the
 // upgrade schedule is virtual-time-scheduled, the canary draws no randomness,
 // and the pause buffer replays in arrival order, so the whole table is
-// byte-identical across worker-pool widths and engine shard counts.
+// byte-identical across widths.
 func TestE16Determinism(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	seq, seqTable := RunE16(0.12, 1)
+	seq, seqTable := RunE16(0.12)
 
 	SetWorkers(8)
-	wide, wideTable := RunE16(0.12, 1)
+	wide, wideTable := RunE16(0.12)
 	if !reflect.DeepEqual(seq, wide) {
 		t.Fatalf("E16 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
 	}
 	if seqTable.String() != wideTable.String() {
 		t.Fatalf("E16 tables differ between 1 and 8 workers:\n%s\n%s",
 			seqTable.String(), wideTable.String())
-	}
-
-	for _, shards := range []int{2, 4, 8} {
-		sharded, shardedTable := RunE16(0.12, shards)
-		if !reflect.DeepEqual(seq, sharded) {
-			t.Fatalf("E16 rows differ between 1 and %d engine shards:\n%+v\n%+v",
-				shards, seq, sharded)
-		}
-		if seqTable.String() != shardedTable.String() {
-			t.Fatalf("E16 tables differ between 1 and %d engine shards:\n%s\n%s",
-				shards, seqTable.String(), shardedTable.String())
-		}
 	}
 }
 
@@ -53,7 +41,7 @@ func TestE16Determinism(t *testing.T) {
 //     balances through the pause, the flip, the rollback and the blackout.
 func TestE16LiveUpgrade(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
-	points, _ := RunE16(0.25, 1)
+	points, _ := RunE16(0.25)
 
 	byArch := make(map[string]E16Point, len(points))
 	for _, p := range points {

@@ -72,15 +72,15 @@ func e16BadSource() string { return "drop\n" }
 // RunE16 drives the victim workload through the upgrade schedule on
 // kernelstack, bypass and kopi. Only kopi runs the upgrade manager — that is
 // the point: the kernel stack does not need one and raw bypass has no layer
-// that could even sequence a staged cutover. shards is execution-only; every
-// cell is byte-identical at any shard or worker width (TestE16Determinism).
-func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
+// that could even sequence a staged cutover. Every cell is byte-identical at
+// any worker width (TestE16Determinism).
+func RunE16(scale Scale) ([]E16Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E16Point, len(archs))
 	r := NewRunner()
 	for i, name := range archs {
 		i, name := i, name
-		r.Go(func() { points[i] = e16Run(name, scale, shards) })
+		r.Go(func() { points[i] = e16Run(name, scale) })
 	}
 	r.Wait()
 
@@ -98,8 +98,8 @@ func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
 
 // e16Run offers the victim workload on one architecture through the upgrade
 // schedule and reports delivery, outage, handover and rollback accounting.
-func e16Run(archName string, scale Scale, shards int) E16Point {
-	tp := newTenantPair(archName, timing.Default(), shards)
+func e16Run(archName string, scale Scale) E16Point {
+	tp := newTenantPair(archName, timing.Default())
 	w := tp.w
 
 	// The fast path exists on bypass and kopi, as in E15; the kernel stack

@@ -1,5 +1,5 @@
 // Package experiments contains one driver per experiment in the DESIGN.md
-// index (E1–E12). Each driver builds its worlds, runs the workload in virtual
+// index (E1–E16). Each driver builds its worlds, runs the workload in virtual
 // time, and returns both a typed result (asserted by tests and benches) and
 // a formatted table matching the claim it reproduces. cmd/kopibench and the
 // top-level bench targets are thin wrappers over these drivers. E9 doubles

@@ -11,16 +11,16 @@ import (
 // supervisor — E11 (overload governor), E13 (per-tenant governor), E15
 // (health monitor), E16 (upgrade canary) — against a committed rendering, at
 // the scale and fault seed their determinism tests use. The determinism tests
-// prove a table is the same at any worker or shard width *within* one build;
+// prove a table is the same at any worker width *within* one build;
 // this proves it is the same *across* builds, so a PR that claims "tables
 // unchanged" has a file to be byte-identical to.
 func TestSupervisedTablesGolden(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
 	var b strings.Builder
 	_, e11 := RunE11(0.12)
-	_, e13 := RunE13(0.12, 1)
-	_, e15 := RunE15(0.12, 1)
-	_, e16 := RunE16(0.12, 1)
+	_, e13 := RunE13(0.12)
+	_, e15 := RunE15(0.12)
+	_, e16 := RunE16(0.12)
 	for _, tab := range []interface{ String() string }{e11, e13, e15, e16} {
 		b.WriteString(tab.String())
 		b.WriteString("\n")

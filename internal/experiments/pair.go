@@ -50,8 +50,8 @@ type tenantPair struct {
 	delivered          uint64 // frames that reached an application
 }
 
-func newTenantPair(archName string, model timing.Model, shards int) *tenantPair {
-	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: pairRingSize, Shards: shards})
+func newTenantPair(archName string, model timing.Model) *tenantPair {
+	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: pairRingSize})
 	w := a.World()
 	w.Peer = func(*packet.Packet, sim.Time) {}
 	w.Kern.AddUser(pairVictimUID, "victim")

@@ -16,10 +16,10 @@
 //   - control-plane outages, exercised in wall-clock land through the
 //     Backoff schedule ctl.Client uses for its dial/request retries;
 //   - NIC hardware faults (PR 9): flow-cache SRAM bit flips that corrupt
-//     memoized verdicts, DMA-engine stalls, physical link flaps, overlay
-//     trap storms and bitstream-reload hangs — the component-level failure
-//     modes the internal/health monitor detects and quarantines, failing
-//     traffic over to the kernel interposition slow path.
+//     memoized verdicts, DMA-engine stalls, physical link flaps and overlay
+//     trap storms — the component-level failure modes the internal/health
+//     monitor detects and quarantines, failing traffic over to the kernel
+//     interposition slow path.
 //
 // Every decision comes from sim.RNG streams derived from Config.Seed plus a
 // per-direction label, so the same seed replays the same fault pattern
@@ -122,11 +122,10 @@ type Injector struct {
 	NICStateLosses uint64
 	// Hardware fault counters (one per scheduled class; see the Schedule*
 	// methods below).
-	SRAMFlips      uint64 // flow-cache entries actually corrupted
-	LinkFlaps      uint64
-	DMAStalls      uint64
-	TrapStorms     uint64
-	BitstreamHangs uint64
+	SRAMFlips  uint64 // flow-cache entries actually corrupted
+	LinkFlaps  uint64
+	DMAStalls  uint64
+	TrapStorms uint64
 }
 
 // New builds an injector over a world's engine, NIC and (optionally nil)
@@ -193,8 +192,6 @@ func (i *Injector) RegisterMetrics(r *telemetry.Registry, labels telemetry.Label
 		labels, func() uint64 { return i.DMAStalls })
 	r.Counter(telemetry.Desc{Layer: "faults", Name: "trap_storms", Help: "overlay trap storms injected", Unit: "storms"},
 		labels, func() uint64 { return i.TrapStorms })
-	r.Counter(telemetry.Desc{Layer: "faults", Name: "bitstream_hangs", Help: "bitstream-reload hangs injected", Unit: "hangs"},
-		labels, func() uint64 { return i.BitstreamHangs })
 }
 
 // AttachTx splices the Tx wire-fault model into the NIC's transmit hand-off,
@@ -424,16 +421,6 @@ func (i *Injector) ScheduleTrapStorm(dir nic.Direction, at sim.Time, count int, 
 	for t := 0; t < count; t++ {
 		i.ScheduleOverlayTrap(dir, at.Add(sim.Duration(t)*gap), reason)
 	}
-}
-
-// ScheduleBitstreamHang arms a bitstream-reload hang at virtual time at: the
-// dataplane reconfigures and stays down for d (0 = the paper's multi-second
-// default), clearing all loaded programs and dynamic state.
-func (i *Injector) ScheduleBitstreamHang(at sim.Time, d sim.Duration) {
-	i.eng.At(at, func() {
-		i.BitstreamHangs++
-		i.nic.ReloadBitstream(i.eng.Now(), d)
-	})
 }
 
 // Backoff computes the capped exponential backoff with deterministic jitter

@@ -47,9 +47,6 @@ func NewEngine(hasProcessView bool) *Engine {
 	}
 }
 
-// HasProcessView reports whether owner rules are installable.
-func (e *Engine) HasProcessView() bool { return e.hasProcessView }
-
 // Chain returns the chain for a hook.
 func (e *Engine) Chain(h Hook) *Chain { return e.chains[h] }
 

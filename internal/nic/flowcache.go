@@ -67,15 +67,16 @@ type flowEntry struct {
 
 // FlowTenantStats is one tenant's slice of the flow-cache accounting:
 // occupancy against its partition quota plus its hit/install/evict/deny
-// counters. Quota is 0 when the cache is unpartitioned.
+// counters. Quota is 0 when the cache is unpartitioned. The JSON form is what
+// flowcache.status serves and nnetstat -flows decodes.
 type FlowTenantStats struct {
-	Tenant   uint32
-	Used     int
-	Quota    int
-	Hits     uint64
-	Installs uint64
-	Evicts   uint64
-	Denied   uint64
+	Tenant   uint32 `json:"tenant"`
+	Used     int    `json:"used"`
+	Quota    int    `json:"quota"`
+	Hits     uint64 `json:"hits"`
+	Installs uint64 `json:"installs"`
+	Evicts   uint64 `json:"evictions"`
+	Denied   uint64 `json:"denied"`
 }
 
 // FlowCache is the bounded exact-match flow table. It is not safe for

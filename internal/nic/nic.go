@@ -571,6 +571,9 @@ func (n *NIC) RingSize() int { return n.ringSize }
 // frame and counts it in RxShed. Nil keeps the hot path a single branch.
 func (n *NIC) SetShedPolicy(f func(c *Conn, p *packet.Packet) bool) { n.shedPolicy = f }
 
+// Shedding reports whether an ingress shed policy is installed.
+func (n *NIC) Shedding() bool { return n.shedPolicy != nil }
+
 // SetLink raises or lowers the physical link. While down, ingress frames are
 // dropped at the MAC and counted in RxLinkDrop; egress is unaffected (the
 // wire server still serializes, modeling a local fault, not a cut cable).

@@ -308,6 +308,17 @@ func (g *Governor) ConfigureTenants(weights map[uint32]int) {
 	}
 }
 
+// Weights returns the tenant weights the budgets were last split by (empty
+// before ConfigureTenants), so a caller can tell whether a reconfiguration
+// would change anything before it resets the tenants' health machines.
+func (g *Governor) Weights() map[uint32]int {
+	out := make(map[uint32]int, len(g.tenants))
+	for id, tg := range g.tenants {
+		out[id] = tg.weight
+	}
+	return out
+}
+
 // SetTracer attaches a tracer; state transitions then emit "pressure" spans.
 func (g *Governor) SetTracer(t *telemetry.Tracer) { g.tracer = t }
 
@@ -595,15 +606,6 @@ func (g *Governor) TenantSnapshots() []TenantSnapshot {
 	return out
 }
 
-// TenantState returns one tenant's health state (StateOK when the tenant has
-// no private machine).
-func (g *Governor) TenantState(tenant uint32) State {
-	if tg, ok := g.tenants[tenant]; ok {
-		return tg.state
-	}
-	return StateOK
-}
-
 // Snapshot captures the current state for the control plane.
 func (g *Governor) Snapshot() Snapshot {
 	occ, fifo, _ := g.occupancy()
@@ -631,12 +633,6 @@ func (g *Governor) Snapshot() Snapshot {
 func (g *Governor) Rejected() uint64 {
 	return g.rejectedDDIO + g.rejectedTenant + g.rejectedLoad + g.rejectedThrottle + g.rejectedProgram
 }
-
-// RejectedThrottled returns admissions refused by per-tenant throttles.
-func (g *Governor) RejectedThrottled() uint64 { return g.rejectedThrottle }
-
-// RejectedPrograms returns overlay programs refused by the cycle-bound gate.
-func (g *Governor) RejectedPrograms() uint64 { return g.rejectedProgram }
 
 // ShedPackets returns frames dropped by the installed shed policy.
 func (g *Governor) ShedPackets() uint64 { return g.shedPkts }

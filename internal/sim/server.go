@@ -40,14 +40,6 @@ func (s *Server) Acquire(now Time, d Duration) (start, done Time) {
 	return start, done
 }
 
-// Delay returns how long work submitted now would wait before starting.
-func (s *Server) Delay(now Time) Duration {
-	if s.free <= now {
-		return 0
-	}
-	return s.free.Sub(now)
-}
-
 // FreeAt returns the earliest time new work could begin service.
 func (s *Server) FreeAt() Time { return s.free }
 

@@ -58,14 +58,12 @@ type crossEvent struct {
 // barrier accounting. The engine and outbox are touched only by the shard's
 // goroutine during an epoch and only by the coordinator between epochs.
 type shardState struct {
-	eng       *Engine
-	out       []crossEvent // staged sends, drained at the next barrier
-	epochEnd  Time         // exclusive bound of the epoch being run (lookahead floor)
-	mailSent  uint64
-	mailRecv  uint64
-	stalls    uint64 // epochs this shard sat idle at the barrier while others fired
-	firedPrev uint64
-	work      chan Time
+	eng      *Engine
+	out      []crossEvent // staged sends, drained at the next barrier
+	epochEnd Time         // exclusive bound of the epoch being run (lookahead floor)
+	mailSent uint64
+	mailRecv uint64
+	work     chan Time
 }
 
 // Sharded coordinates N engines advancing in lockstep epochs with a
@@ -123,12 +121,6 @@ func NewSharded(shards, buckets int, epoch Duration) *Sharded {
 
 // Shards returns the shard (engine) count.
 func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Buckets returns the size of the logical bucket space.
-func (s *Sharded) Buckets() int { return s.buckets }
-
-// Epoch returns the barrier quantum.
-func (s *Sharded) Epoch() Duration { return s.epoch }
 
 // ShardOf returns the shard that owns a bucket.
 func (s *Sharded) ShardOf(bucket int) int { return bucket % len(s.shards) }
@@ -234,7 +226,6 @@ func (s *Sharded) runLoop(bound Time, drain bool) {
 		s.runEpoch(end)
 		s.frontier = end
 		s.epochs++
-		s.countStalls()
 	}
 }
 
@@ -339,25 +330,6 @@ func (s *Sharded) nextEvent() (Time, bool) {
 	return min, ok
 }
 
-// countStalls charges a barrier stall to every shard that fired nothing in
-// an epoch where some other shard did — the load-imbalance signal nnetstat
-// -shards reports.
-func (s *Sharded) countStalls() {
-	any := false
-	for _, st := range s.shards {
-		if st.eng.nFired != st.firedPrev {
-			any = true
-			break
-		}
-	}
-	for _, st := range s.shards {
-		if any && st.eng.nFired == st.firedPrev {
-			st.stalls++
-		}
-		st.firedPrev = st.eng.nFired
-	}
-}
-
 // Fired returns the aggregate event count across all shards, including
 // batched sub-events credited with Engine.AddFired.
 func (s *Sharded) Fired() uint64 {
@@ -368,21 +340,11 @@ func (s *Sharded) Fired() uint64 {
 	return n
 }
 
-// ShardFired returns shard i's event count.
-func (s *Sharded) ShardFired(i int) uint64 { return s.shards[i].eng.Fired() }
-
 // MailSent returns the cumulative cross-shard events staged by shard i.
 func (s *Sharded) MailSent(i int) uint64 { return s.shards[i].mailSent }
 
 // MailRecv returns the cumulative cross-shard events delivered to shard i.
 func (s *Sharded) MailRecv(i int) uint64 { return s.shards[i].mailRecv }
-
-// MailPending returns shard i's currently staged (undelivered) mail depth.
-func (s *Sharded) MailPending(i int) int { return len(s.shards[i].out) }
-
-// Stalls returns how many epochs shard i sat idle at the barrier while
-// other shards fired events.
-func (s *Sharded) Stalls(i int) uint64 { return s.shards[i].stalls }
 
 // Epochs returns the number of barrier rounds completed.
 func (s *Sharded) Epochs() uint64 { return s.epochs }

@@ -8,10 +8,7 @@
 // nanosecond-scale dataplane costs.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time, in picoseconds since simulation start.
 //
@@ -45,9 +42,6 @@ func (t Time) After(u Time) bool { return t > u }
 
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts a virtual duration to a time.Duration (nanosecond resolution).
-func (d Duration) Std() time.Duration { return time.Duration(int64(d) / 1000) }
 
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }

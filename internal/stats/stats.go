@@ -147,10 +147,9 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return h.max
 }
 
-// P50, P99, P999 are convenience quantile accessors.
-func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
-func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
-func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }
+// P50 and P99 are convenience quantile accessors.
+func (h *Histogram) P50() sim.Duration { return h.Quantile(0.50) }
+func (h *Histogram) P99() sim.Duration { return h.Quantile(0.99) }
 
 // Reset clears all observations.
 func (h *Histogram) Reset() { *h = Histogram{} }

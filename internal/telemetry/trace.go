@@ -52,9 +52,6 @@ func NewTracer(depth int) *Tracer {
 	return &Tracer{depth: depth, spans: make(map[uint64][]Event)}
 }
 
-// Depth returns the configured span-buffer depth.
-func (t *Tracer) Depth() int { return t.depth }
-
 // StampID issues the next packet trace ID and reserves span space for it,
 // evicting the oldest tracked packet when the buffer is full. Callers stamp
 // it into packet.Meta.Trace at the packet's first interposition point.

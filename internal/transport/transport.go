@@ -443,9 +443,6 @@ func (s *Stream) updateRTT(sample sim.Duration) {
 // SRTT exposes the smoothed RTT estimate.
 func (s *Stream) SRTT() sim.Duration { return s.srtt }
 
-// Cwnd exposes the current congestion window in bytes.
-func (s *Stream) Cwnd() float64 { return s.cwnd }
-
 func (s *Stream) String() string {
 	return fmt.Sprintf("stream[una=%d nxt=%d cwnd=%.0f rto=%v]", s.sndUna, s.sndNxt, s.cwnd, s.rto)
 }

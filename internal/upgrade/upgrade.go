@@ -157,10 +157,6 @@ func (m *Manager) Phase() Phase { return m.phase }
 // Generation returns the NIC's live pipeline generation.
 func (m *Manager) Generation() uint64 { return m.n.Generation() }
 
-// PreSnapshot returns the handover snapshot taken at Stage time, nil outside
-// an upgrade attempt.
-func (m *Manager) PreSnapshot() *Snapshot { return m.pre }
-
 // LastRollbackReason reports why the most recent rollback fired, "" if none.
 func (m *Manager) LastRollbackReason() string { return m.lastReason }
 

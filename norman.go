@@ -29,6 +29,7 @@ package norman
 
 import (
 	"fmt"
+	"maps"
 
 	"norman/internal/arch"
 	"norman/internal/health"
@@ -91,12 +92,6 @@ func WithoutCacheModel() Option {
 	return func(c *config) { c.world.NoLLC = true }
 }
 
-// WithShards runs the world's engine as n lockstep shards under a barrier
-// coordinator (DESIGN.md §8). n ≤ 1 keeps the classic single engine.
-func WithShards(n int) Option {
-	return func(c *config) { c.world.Shards = n }
-}
-
 // User is a system user handle.
 type User struct {
 	UID  uint32
@@ -151,6 +146,13 @@ type System struct {
 	// the pause and resume around a drain, hence the order coinciding sampler
 	// ticks fire in.
 	parts [numParts]component
+
+	// What has been asked for that a subsystem enabled later must still pick
+	// up; resolve links it. Which subsystems are on is the pointers above, and
+	// the flow cache is the NIC's — neither is recorded twice.
+	tenants        map[uint32]int        // EnableTenantIsolation's weights, nil = off
+	qdisc          *recovery.QdiscRecord // the standing qdisc: the last TCSet or journal replay
+	qdiscJournaled bool                  // qdisc is in the intent journal
 }
 
 // The slots of System.parts.
@@ -176,21 +178,85 @@ type supervisor interface {
 	Resume()
 }
 
-// attach records a freshly built component in its slot and wires it to
-// whatever observability is already on; EnableTelemetry wires the components
-// attached before it.
+// attach records a freshly built component in its slot and resolves what it
+// links to.
 func (s *System) attach(slot int, c component) {
 	s.parts[slot] = c
-	s.wire(c)
+	_ = s.resolve() // cannot newly fail here: see resolve
 }
 
-// wire points a component at the world's tracer (nil before EnableTelemetry:
-// no spans) and registers its metrics once there is a registry.
-func (s *System) wire(c component) {
-	c.SetTracer(s.w.Tracer)
-	if s.reg != nil {
-		c.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
+// resolve makes every cross-link between what has been asked for so far, so
+// the order of the Enable* and TCSet calls never matters: each of them builds
+// its own subsystem, or records its ask, and ends here. The links are made in
+// one fixed order — recovery, tenants (onto the NIC, the LLC and the flow
+// cache), governor, health, live upgrade, telemetry — and only where absent
+// or changed: a live tenant scheduler, DDIO partition or set of governor
+// budgets is never rebuilt by an unrelated call, which would orphan the
+// shares, counters and health machines it holds (DESIGN.md §13). The one link
+// that can fail is the flow-cache partition (more tenants than entries): the
+// ask stays recorded and the error goes to EnableTenantIsolation or
+// EnableFlowCache, whichever completed the pair; every other caller drops it,
+// having added nothing that could make it fail.
+func (s *System) resolve() error {
+	n, fc := s.w.NIC, s.w.NIC.FlowCache()
+	// Recovery: a qdisc installed before the journal existed is intent too.
+	if s.rec != nil && s.qdisc != nil && !s.qdiscJournaled {
+		s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: s.qdisc})
+		s.qdiscJournaled = true
+		s.commitNICConfig()
 	}
+	// Tenants: the DDIO partition and the NIC scheduler move together, then
+	// the flow cache (built by EnableFlowCache, before or after) is
+	// partitioned by the same weights.
+	var err error
+	if s.tenants != nil {
+		ts := n.TenantScheduler()
+		changed := ts == nil || !maps.Equal(ts.Weights(), s.tenants)
+		if changed {
+			if shares, _ := s.ddioShares(s.tenants); shares != nil { // the split was checked when the ask was made
+				err = s.w.LLC.PartitionDDIO(shares)
+			}
+			n.SetTenantScheduler(s.tenants)
+		}
+		if fc != nil && err == nil && (changed || fc.Quotas() == nil) {
+			err = fc.SetQuotas(s.tenants)
+		}
+		// Governor: per-tenant budgets by the same weights.
+		if s.gov != nil && !maps.Equal(s.gov.Weights(), s.tenants) {
+			s.gov.ConfigureTenants(s.tenants)
+		}
+	}
+	// Governor: ingress shedding by the standing qdisc's class weights, so
+	// shedding and egress scheduling agree on who matters. The policy is a
+	// pure function of the spec, so reinstalling it loses nothing.
+	if q := s.qdisc; s.gov != nil && q != nil && len(q.Weights) > 0 {
+		s.gov.InstallShedding(func(uid uint32) uint32 { return q.ClassOfUID[uid] }, q.Weights)
+	}
+	// Health: checksum verification covers the flow cache from its first packet.
+	if s.hm != nil && fc != nil {
+		fc.SetVerify(true)
+	}
+	// Live upgrade: upgrade intent is journaled.
+	if s.up != nil && s.rec != nil {
+		s.up.SetRecovery(s.rec)
+	}
+	// Telemetry: the world registers what it has now (flow-cache and tenant
+	// series exist only once those do; the registry replaces duplicates) and
+	// every part traces through the world's tracer.
+	labels := telemetry.Labels{"arch": s.a.Name()}
+	if s.reg != nil {
+		s.w.RegisterMetrics(s.reg, labels)
+	}
+	for _, c := range s.parts {
+		if c == nil {
+			continue
+		}
+		c.SetTracer(s.w.Tracer)
+		if s.reg != nil {
+			c.RegisterMetrics(s.reg, labels)
+		}
+	}
+	return err
 }
 
 // installedRule remembers admin rule state for IPTablesList.
@@ -309,12 +375,7 @@ func (s *System) EnableTelemetry() *telemetry.Registry {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 		s.w.EnableTracing(0)
-		s.w.RegisterMetrics(s.reg, telemetry.Labels{"arch": s.a.Name()})
-		for _, c := range s.parts {
-			if c != nil {
-				s.wire(c)
-			}
-		}
+		_ = s.resolve() // cannot newly fail here: see resolve
 	}
 	return s.reg
 }
@@ -324,60 +385,6 @@ func (s *System) Telemetry() *telemetry.Registry { return s.reg }
 
 // Tracer returns the packet-lifecycle tracer, nil before EnableTelemetry.
 func (s *System) Tracer() *telemetry.Tracer { return s.w.Tracer }
-
-// ShardStat is one engine shard's counters in a ShardStats snapshot.
-type ShardStat struct {
-	Shard    int
-	Events   uint64
-	MailSent uint64
-	MailRecv uint64
-	Pending  int
-	Stalls   uint64
-}
-
-// ShardStats is the engine shard coordinator's snapshot. An unsharded
-// system reports Sharded=false with one synthetic row for its single
-// engine, so callers (the ctl server, nnetstat) never need two code paths.
-type ShardStats struct {
-	Sharded   bool
-	Shards    int
-	Buckets   int
-	Epoch     Duration
-	Epochs    uint64
-	Delivered uint64
-	Rows      []ShardStat
-}
-
-// ShardStats snapshots the shard coordinator's counters.
-func (s *System) ShardStats() ShardStats {
-	c := s.w.Coord
-	if c == nil {
-		return ShardStats{
-			Shards: 1,
-			Rows:   []ShardStat{{Shard: 0, Events: s.w.Eng.Fired()}},
-		}
-	}
-	st := ShardStats{
-		Sharded:   true,
-		Shards:    c.Shards(),
-		Buckets:   c.Buckets(),
-		Epoch:     c.Epoch(),
-		Epochs:    c.Epochs(),
-		Delivered: c.Delivered(),
-		Rows:      make([]ShardStat, c.Shards()),
-	}
-	for i := range st.Rows {
-		st.Rows[i] = ShardStat{
-			Shard:    i,
-			Events:   c.ShardFired(i),
-			MailSent: c.MailSent(i),
-			MailRecv: c.MailRecv(i),
-			Pending:  c.MailPending(i),
-			Stalls:   c.Stalls(i),
-		}
-	}
-	return st
-}
 
 // World exposes the underlying simulation world for advanced use (bench
 // harnesses, custom peers). Most callers never need it.

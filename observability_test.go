@@ -124,23 +124,18 @@ func TestObservabilityDocMatchesLedger(t *testing.T) {
 func populateFullRegistry(t *testing.T) *telemetry.Registry {
 	t.Helper()
 	sys := norman.New(norman.KOPI)
-	sys.EnableRecovery()                  // before EnableTelemetry so recovery.* metrics register
-	sys.EnableOverload(overload.Config{}) // likewise for overload.* metrics
-	// Tenant isolation before EnableTelemetry so the per-tenant gauges and
-	// the NIC scheduler's tenant counters register.
+	// Every subsystem on (in any order: each call ends in System.resolve), so
+	// the recovery.*, overload.*, per-tenant, flowcache.*, health.* and
+	// upgrade.* series all register.
+	sys.EnableRecovery()
+	sys.EnableOverload(overload.Config{})
 	if err := sys.EnableTenantIsolation(map[uint32]int{1: 3, 2: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Flow cache before EnableTelemetry so the flowcache.* series and the
-	// per-tenant partition counters register.
 	if err := sys.EnableFlowCache(256); err != nil {
 		t.Fatal(err)
 	}
-	// Health monitor before EnableTelemetry so the health.* series and the
-	// per-component state gauges register.
 	sys.EnableHealth(health.Config{})
-	// Live upgrade before EnableTelemetry so the upgrade.* counters and the
-	// generation/phase gauges register.
 	sys.EnableLiveUpgrade(upgrade.Config{})
 	reg := sys.EnableTelemetry()
 	w := sys.World()

@@ -8,9 +8,10 @@ var ErrAdmission = overload.ErrAdmission
 
 // EnableOverload attaches the overload governor: Dial admission consults its
 // budgets (DDIO ring share, per-tenant connection caps, watchdog
-// saturation), TCSet additionally installs the priority-aware ingress shed
-// policy, and the watchdog — once started with Overload().Start — drives
-// watermark backpressure to subscribed transport streams. Idempotent;
+// saturation), a weighted qdisc (TCSet, before or after this call) also
+// drives the priority-aware ingress shed policy, tenant isolation splits the
+// budgets per tenant, and the watchdog — once started with Overload().Start —
+// drives watermark backpressure to subscribed transport streams. Idempotent;
 // returns the governor either way.
 //
 // The watchdog samples on a virtual-time timer, so it keeps the engine

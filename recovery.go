@@ -16,8 +16,9 @@ var ErrControlPlaneDown = recovery.ErrControlPlaneDown
 // EnableRecovery attaches the crash-recovery subsystem: every control-plane
 // mutation (iptables, tc, dial/close) is journaled before it is applied,
 // CrashControlPlane/RestartControlPlane model outages, and the reconciler
-// repairs intended-vs-live divergence on restart. Idempotent; returns the
-// manager either way.
+// repairs intended-vs-live divergence on restart. A qdisc set before this
+// call is journaled now; rules and connections that predate it are not.
+// Idempotent; returns the manager either way.
 func (s *System) EnableRecovery() *recovery.Manager {
 	if s.rec == nil {
 		s.rec = recovery.NewManager()
@@ -166,16 +167,15 @@ func (ap sysApplier) ReinstallRules(rules []recovery.RuleRecord) error {
 	return nil
 }
 
-// ReinstallQdisc re-creates the intended scheduler.
+// ReinstallQdisc re-creates the intended scheduler; resolve re-arms the
+// shedding that follows from it.
 func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
-	spec := QdiscSpec{
-		Kind:       q.Kind,
-		Weights:    q.Weights,
-		RateBps:    q.RateBps,
-		BurstBytes: q.BurstBytes,
-		Limit:      q.Limit,
+	if err := ap.s.applyQdisc(&q); err != nil {
+		return err
 	}
-	return ap.s.applyQdisc(spec, q.ClassOfUID)
+	ap.s.qdisc, ap.s.qdiscJournaled = &q, true
+	_ = ap.s.resolve() // cannot newly fail here: see resolve
+	return nil
 }
 
 // RestoreConn re-inserts a lost kernel table row under its original id.

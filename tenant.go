@@ -32,41 +32,41 @@ type TenantStatus struct {
 // the whole dataplane: the NIC's pipeline and DMA engine are scheduled by
 // weighted deficit round-robin over the given tenants, the LLC's DDIO ways
 // are partitioned among them in proportion to weight (largest remainder,
-// at least one way each), and — if the overload governor is enabled — its
-// descriptor budget is split into per-tenant shares with private health
-// machines. Weights must be positive; calling again replaces the previous
-// configuration. The mapping from users to tenants is set with
-// AssignTenant; unassigned users are their own tenant (tenant id = uid).
+// at least one way each), and — when the overload governor or the flow cache
+// is enabled, before or after this call — the governor's descriptor budget
+// is split into per-tenant shares with private health machines and the
+// cache's capacity is partitioned, by the same weights. Weights must be
+// positive; calling again with different weights replaces the previous
+// configuration, with the same weights it changes nothing. The mapping from
+// users to tenants is set with AssignTenant; unassigned users are their own
+// tenant (tenant id = uid).
 func (s *System) EnableTenantIsolation(weights map[uint32]int) error {
 	if len(weights) == 0 {
 		return fmt.Errorf("norman: tenant isolation needs at least one tenant weight")
 	}
+	asked := make(map[uint32]int, len(weights))
 	for id, w := range weights {
 		if w <= 0 {
 			return fmt.Errorf("norman: tenant %d weight %d (must be positive)", id, w)
 		}
+		asked[id] = w
 	}
-	if s.w.LLC != nil {
-		if ways := s.w.LLC.DDIOWays(); ways > 0 {
-			shares, err := splitWays(weights, ways)
-			if err != nil {
-				return err
-			}
-			if err := s.w.LLC.PartitionDDIO(shares); err != nil {
-				return err
-			}
-		}
+	// Refused before it is recorded: an ask resolve could never install
+	// would fail every later call too.
+	if _, err := s.ddioShares(asked); err != nil {
+		return err
 	}
-	s.w.NIC.SetTenantScheduler(weights)
-	if fc := s.w.NIC.FlowCache(); fc != nil {
-		if err := fc.SetQuotas(weights); err != nil {
-			return err
-		}
+	s.tenants = asked
+	return s.resolve()
+}
+
+// ddioShares splits the LLC's DDIO ways among the tenants by weight; nil when
+// the world models no cache (or no DDIO region) and there is nothing to split.
+func (s *System) ddioShares(weights map[uint32]int) (map[uint32]int, error) {
+	if s.w.LLC == nil || s.w.LLC.DDIOWays() == 0 {
+		return nil, nil
 	}
-	if s.gov != nil {
-		s.gov.ConfigureTenants(weights)
-	}
-	return nil
+	return splitWays(weights, s.w.LLC.DDIOWays())
 }
 
 // AssignTenant maps a user to a tenant for isolation accounting. Every
@@ -75,12 +75,6 @@ func (s *System) EnableTenantIsolation(weights map[uint32]int) error {
 // its own tenant).
 func (s *System) AssignTenant(u *User, tenant uint32) {
 	s.w.Kern.AssignTenant(u.UID, tenant)
-}
-
-// TenantIsolationEnabled reports whether the NIC's tenant scheduler is
-// installed.
-func (s *System) TenantIsolationEnabled() bool {
-	return s.w.NIC.TenantScheduler() != nil
 }
 
 // TenantsStatus merges the scheduler, cache and governor views into one

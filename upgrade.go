@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"norman/internal/overlay"
-	"norman/internal/recovery"
 	"norman/internal/upgrade"
 )
 
@@ -13,7 +12,8 @@ import (
 // flip, a canary window with automatic rollback, and hot-restart adoption.
 // Policy state (filters, qos) is merged into the handover snapshot from the
 // control plane's own records, and upgrade intent is journaled when recovery
-// is enabled. Idempotent; returns the manager either way.
+// is enabled, before or after this call. Idempotent; returns the manager
+// either way.
 func (s *System) EnableLiveUpgrade(cfg upgrade.Config) *upgrade.Manager {
 	if s.up == nil {
 		s.up = upgrade.New(s.w.Eng, s.w.NIC, cfg)
@@ -21,15 +21,8 @@ func (s *System) EnableLiveUpgrade(cfg upgrade.Config) *upgrade.Manager {
 			for _, ir := range s.rules {
 				snap.Filters = append(snap.Filters, *ruleToRecord(ir.hook, ir.rule))
 			}
-			if s.rec != nil {
-				if in, err := recovery.Replay(s.rec.Journal().Entries()); err == nil {
-					snap.Qos = in.Qdisc
-				}
-			}
+			snap.Qos = s.qdisc
 		})
-		if s.rec != nil {
-			s.up.SetRecovery(s.rec)
-		}
 		s.attach(partCanary, s.up)
 	}
 	return s.up
