@@ -7,6 +7,7 @@ import (
 	"norman/internal/overlay"
 	"norman/internal/packet"
 	"norman/internal/sim"
+	"norman/internal/timing"
 )
 
 // rxChain is a flow-invariant ingress chain (the flow cache memoizes it);
@@ -115,5 +116,70 @@ func TestSendPathZeroAlloc(t *testing.T) {
 	}
 	if out := w.NIC.JobsOutstanding(); out != 0 {
 		t.Fatalf("%d datapath jobs outstanding on a drained engine", out)
+	}
+}
+
+// TestConnectCloseAllocs pins one Connect → Close cycle on KOPI at the seven
+// allocations it made before the NIC connection carried its host handle and
+// the steering table kept two entries per row (the kernel's record, the
+// handle, the NIC connection, its two rings and their slots): a connection
+// costs no more to open than it did, so tx_stream_churn's allocations per
+// frame do not move.
+func TestConnectCloseAllocs(t *testing.T) {
+	a := New("kopi", WorldConfig{})
+	w := a.World()
+	u := w.Kern.AddUser(7, "u")
+	proc := w.Kern.Spawn(u.UID, "p")
+	port := uint16(1000)
+	cycle := func() {
+		port++ // a fresh flow every time, as a churning client's would be
+		c, err := a.Connect(proc, w.Flow(port, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // grow the kernel's and the NIC's tables to steady state
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 7 {
+		t.Fatalf("Connect+Close allocates %.2f times, want 7", allocs)
+	}
+}
+
+// TestFrameCostsMatchModel is the host half of the price list's contract (the
+// NIC's half is in internal/nic): the remembered cycle and copy costs are
+// exactly the model's, for every argument inside the memo and past it, a
+// world's prices come from its own model, and remembering them allocates
+// nothing.
+func TestFrameCostsMatchModel(t *testing.T) {
+	slow := timing.Default()
+	slow.CPUHz, slow.CopyBW, slow.CopyFixed = 2.2e9, 9e9, 45*sim.Nanosecond
+	worlds := []*World{NewWorld(WorldConfig{}), NewWorld(WorldConfig{Model: slow})}
+	for pass := 0; pass < 2; pass++ {
+		for n := -1; n <= 9018; n++ {
+			for _, w := range worlds {
+				if got, want := w.cycles(n), w.Model.Cycles(n); got != want {
+					t.Fatalf("cycles(%d) = %v, want %v", n, got, want)
+				}
+				if got, want := w.copyCost(n), w.Model.Copy(n); got != want {
+					t.Fatalf("copyCost(%d) = %v, want %v", n, got, want)
+				}
+			}
+		}
+	}
+	if worlds[0].cycles(40) == worlds[1].cycles(40) || worlds[0].copyCost(64) == worlds[1].copyCost(64) {
+		t.Fatal("two worlds with different models share a price")
+	}
+	fresh := NewWorld(WorldConfig{})
+	if allocs := testing.AllocsPerRun(1, func() {
+		for n := 0; n < 200; n++ {
+			fresh.cycles(n)
+			fresh.copyCost(n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("filling the host price list allocates %.0f times, want 0", allocs)
 	}
 }

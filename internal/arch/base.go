@@ -5,6 +5,7 @@ import (
 	"norman/internal/packet"
 	"norman/internal/qos"
 	"norman/internal/sim"
+	"norman/internal/timing"
 )
 
 // base carries the bookkeeping every architecture shares.
@@ -83,13 +84,12 @@ func (b *base) trace(p *packet.Packet, at sim.Time, layer, point, note string) {
 // slotAddr must be the descriptor slot the packet occupied, captured before
 // the Pop advanced the tail.
 func (b *base) appRxCost(c *Conn, p *packet.Packet, slotAddr uint64) sim.Duration {
-	m := b.w.Model
-	cost := m.Cycles(40)
+	cost := b.w.cycles(40)
 	if c.NC != nil {
 		cost += b.memTouch(slotAddr, 64)
-		cost += sim.Duration(m.DRAMAccess) / 2 // header fetch, OoO-overlapped
+		cost += sim.Duration(b.w.Model.DRAMAccess) / 2 // header fetch, OoO-overlapped
 	} else {
-		cost += m.Copy(p.FrameLen())
+		cost += b.w.copyCost(p.FrameLen())
 	}
 	return cost
 }
@@ -97,17 +97,16 @@ func (b *base) appRxCost(c *Conn, p *packet.Packet, slotAddr uint64) sim.Duratio
 // memTouch charges a CPU access of n bytes at addr against the LLC: a
 // streaming copy cost plus a penalty scaled by the miss fraction.
 func (b *base) memTouch(addr uint64, n int) sim.Duration {
-	m := b.w.Model
-	baseCost := m.Copy(n)
+	baseCost := b.w.copyCost(n)
 	if b.w.LLC == nil {
 		return baseCost
 	}
 	hits, lines := b.w.LLC.Touch(addr, n, false)
-	if lines == 0 {
-		return baseCost
+	if hits == lines {
+		return baseCost // nothing missed (or nothing touched): no penalty to scale
 	}
 	missFrac := float64(lines-hits) / float64(lines)
-	return baseCost + sim.Duration(m.DRAMAccess).Scale(missFrac) + baseCost.Scale(0.5*missFrac)
+	return baseCost + sim.Duration(b.w.Model.DRAMAccess).Scale(missFrac) + baseCost.Scale(0.5*missFrac)
 }
 
 // deliverPolled models a poll-mode app noticing and consuming a packet: the
@@ -182,7 +181,7 @@ func (b *base) ping(dst packet.IPv4, payload int, cost sim.Duration, done func(s
 
 // softFilterCost is the CPU time a software interposition layer spends
 // evaluating a chain: fixed protocol bookkeeping plus per-rule work.
-func softFilterCost(m interface{ Cycles(int) sim.Duration }, res filter.Result) sim.Duration {
+func softFilterCost(m *timing.Model, res filter.Result) sim.Duration {
 	return m.Cycles(15 * res.RulesEvaluated)
 }
 

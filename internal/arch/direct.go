@@ -73,6 +73,7 @@ func (d *direct) Connect(proc *kernel.Process, flow packet.FlowKey) (*Conn, erro
 		return nil, fmt.Errorf("arch: steering: %w", err)
 	}
 	c := &Conn{Info: ci, NC: nc, Mode: RxPoll}
+	nc.Host = c
 	d.register(c)
 	d.w.MarkPoller(c.core)
 	return c, nil
@@ -81,6 +82,7 @@ func (d *direct) Connect(proc *kernel.Process, flow packet.FlowKey) (*Conn, erro
 // Close implements Arch.
 func (d *direct) Close(c *Conn) error {
 	d.unregister(c)
+	c.NC.Host = nil
 	if err := d.w.NIC.CloseConn(c.Info.ID); err != nil {
 		return err
 	}
@@ -93,18 +95,17 @@ func (d *direct) Close(c *Conn) error {
 // while a drain is in flight the NIC picks new descriptors up by itself, the
 // batching every kernel-bypass runtime relies on.
 func (d *direct) Send(c *Conn, p *packet.Packet) {
-	m := d.w.Model
 	core := c.core
 	now := d.w.Eng.Now()
 	hdr := p.FrameLen()
 	if hdr > 128 {
 		hdr = 128
 	}
-	cost := m.Cycles(60) +
+	cost := d.w.cycles(60) +
 		d.memTouch(c.NC.TX.HeadAddr(), 64) +
 		d.memTouch(d.w.NIC.BufAddr(c.NC, c.NC.TX.Head(), false), hdr)
 	if c.NC.TX.Empty() {
-		cost += sim.Duration(m.MMIOWrite)
+		cost += sim.Duration(d.w.Model.MMIOWrite)
 	}
 	d.sent++
 	d.traceStamp(p)
@@ -132,7 +133,6 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
-	m := d.w.Model
 	core := c.core
 	now := d.w.Eng.Now()
 	var cost sim.Duration
@@ -142,11 +142,11 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 			hdr = 128
 		}
 		idx := c.NC.TX.Head() + uint64(i)
-		cost += m.Cycles(60) +
+		cost += d.w.cycles(60) +
 			d.memTouch(c.NC.TX.SlotAddr(idx), 64) +
 			d.memTouch(d.w.NIC.BufAddr(c.NC, idx, false), hdr)
 	}
-	cost += sim.Duration(m.MMIOWrite) // one tail-pointer write for the burst
+	cost += sim.Duration(d.w.Model.MMIOWrite) // one tail-pointer write for the burst
 	d.sent += uint64(len(pkts))
 	for _, p := range pkts {
 		d.traceStamp(p)
@@ -172,7 +172,7 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 // consume immediately (their poll loop is always running); block-mode
 // connections are drained by the notification wake path instead.
 func (d *direct) onRxDeliver(nc *nic.Conn, at sim.Time) {
-	c := d.conns[nc.ID]
+	c, _ := nc.Host.(*Conn)
 	if c == nil || c.Mode != RxPoll {
 		return
 	}

@@ -67,7 +67,7 @@ func (a *KernelStack) Send(c *Conn, p *packet.Packet) {
 		return
 	}
 	// Transfer 1: user -> kernel.
-	m := a.w.Model
+	m := &a.w.Model
 	_, sysDone := c.core.Acquire(a.w.Eng.Now(), sim.Duration(m.Syscall)+m.Copy(p.FrameLen()))
 	a.w.Eng.At(sysDone, func() { a.kernelTx(c, p) })
 }
@@ -85,7 +85,7 @@ func (a *KernelStack) SendBatch(c *Conn, pkts []*packet.Packet) {
 		}
 		return
 	}
-	m := a.w.Model
+	m := &a.w.Model
 	cost := sim.Duration(m.Syscall)
 	for _, p := range pkts {
 		cost += m.Copy(p.FrameLen())
@@ -132,7 +132,7 @@ func (a *KernelStack) onRxDeliver(nc *nic.Conn, _ sim.Time) {
 		return
 	}
 	if c, kdone := a.ingress(p, a.w.KernCoreN(qi)); c != nil {
-		m := a.w.Model
+		m := &a.w.Model
 		a.deliverTo(c, p, kdone, sim.Duration(m.Syscall)+m.Copy(p.FrameLen()))
 	}
 }

@@ -48,7 +48,7 @@ func (a *KOPI) DeliverWire(p *packet.Packet) {
 	now := a.w.Eng.Now()
 	a.w.Kern.ARP().Observe(p, now, false)
 	if reply := a.hostReply(p); reply != nil {
-		m := a.w.Model
+		m := &a.w.Model
 		_, done := a.w.KernCore().Acquire(now, sim.Duration(m.Interrupt)+m.Cycles(300))
 		a.w.Eng.At(done, func() { a.w.NIC.InjectTx(reply) })
 		return
@@ -127,7 +127,7 @@ func (a *KOPI) onNotify(nc *nic.Conn, kind mem.NotifyKind, at sim.Time) {
 	if kind != mem.NotifyRxReady {
 		return
 	}
-	c := a.conns[nc.ID]
+	c, _ := nc.Host.(*Conn)
 	if c == nil || c.Mode != RxBlock {
 		return
 	}

@@ -154,7 +154,7 @@ func (a *Sidecar) onRxDeliver(nc *nic.Conn, _ sim.Time) {
 		// The dataplane core can signal the kernel scheduler, so a blocked
 		// receiver is woken.
 		_, _ = rings.toApp.Pop()
-		m := a.w.Model
+		m := &a.w.Model
 		a.deliverTo(c, p, a.w.Eng.Now(), m.Cycles(40)+m.CrossCore(64+p.FrameLen()))
 	})
 }

@@ -126,7 +126,7 @@ func (s *soft) egress(c *Conn, p *packet.Packet, core *sim.Server, extra sim.Dur
 	s.restamp(p, c.Info, now)
 	s.trace(p, now, "host", "syscall_send", "")
 	res := s.interpose(filter.HookOutput, p, now)
-	_, done := core.Acquire(now, s.fixed+extra+softFilterCost(s.w.Model, res))
+	_, done := core.Acquire(now, s.fixed+extra+softFilterCost(&s.w.Model, res))
 	if res.Action != filter.ActAccept {
 		s.hostDrop(p, c.Info.ID, HostTxFilter)
 		return done
@@ -195,7 +195,7 @@ func (s *soft) pumpTx() {
 // pushToNIC is the last transfer down: descriptor ring + doorbell on the
 // dataplane's NIC queue, charged to whichever core runs it.
 func (s *soft) pushToNIC(p *packet.Packet, core *sim.Server) {
-	m := s.w.Model
+	m := &s.w.Model
 	_, done := core.Acquire(s.w.Eng.Now(), m.Cycles(30)+sim.Duration(m.MMIOWrite))
 	s.w.Eng.At(done, func() {
 		if err := s.q.TX.Push(mem.Desc{Pkt: p, Produced: p.Meta.Enqueued}); err != nil {
@@ -236,7 +236,7 @@ func (s *soft) ingress(p *packet.Packet, core *sim.Server) (c *Conn, done sim.Ti
 		}
 	}
 	res := s.interpose(filter.HookInput, p, now)
-	_, done = core.Acquire(now, s.fixed+softFilterCost(s.w.Model, res))
+	_, done = core.Acquire(now, s.fixed+softFilterCost(&s.w.Model, res))
 	if res.Action != filter.ActAccept {
 		s.hostDrop(p, conn, HostRxFilter)
 	} else if reply := s.hostReply(p); reply != nil {

@@ -17,7 +17,10 @@ import (
 // (cores, LLC, kernel control plane), one SmartNIC, and a wire whose far end
 // the experiment supplies.
 type World struct {
-	Eng   *sim.Engine
+	Eng *sim.Engine
+	// Model is the world's cost model. It is read-only once NewWorld returns:
+	// the NIC and the kernel took their own copies there, and the host prices
+	// below remember what they computed from it.
 	Model timing.Model
 	LLC   *cache.LLC
 	Alloc *mem.Alloc
@@ -44,6 +47,13 @@ type World struct {
 	pollers   map[*sim.Server]bool   // cores pinned at 100% by poll loops
 	hopFree   *hop                   // free list of host-side event records (hop.go)
 	host      *base                  // the architecture built on this world: its host ledger (exits.go)
+
+	// The host's price list: Model.Cycles and Model.Copy of the small
+	// arguments every packet asks for (ring bookkeeping, a descriptor line, a
+	// header), each filled by the formula itself the first time. A zero slot
+	// is an unfilled one.
+	cyclePrices [64]sim.Duration
+	copyPrices  [129]sim.Duration
 }
 
 // WorldConfig parameterizes NewWorld; zero values take defaults.
@@ -106,6 +116,27 @@ func NewWorld(cfg WorldConfig) *World {
 		SRAMBudget: cfg.SRAMBudget,
 	})
 	return w
+}
+
+// priced returns cost(&w.Model, n), remembered in memo when n indexes it.
+func (w *World) priced(memo []sim.Duration, n int, cost func(*timing.Model, int) sim.Duration) sim.Duration {
+	if uint(n) >= uint(len(memo)) {
+		return cost(&w.Model, n)
+	}
+	if memo[n] == 0 {
+		memo[n] = cost(&w.Model, n)
+	}
+	return memo[n]
+}
+
+// cycles is Model.Cycles, remembered for small counts.
+func (w *World) cycles(n int) sim.Duration {
+	return w.priced(w.cyclePrices[:], n, (*timing.Model).Cycles)
+}
+
+// copyCost is Model.Copy, remembered for copies of up to two cache lines.
+func (w *World) copyCost(n int) sim.Duration {
+	return w.priced(w.copyPrices[:], n, (*timing.Model).Copy)
 }
 
 // Now returns the world's virtual time.

@@ -122,7 +122,7 @@ func e5Traffic(offered int, fallback bool, scale Scale) (agg, fast, slow float64
 			if _, ok := slowConns[k.Reverse()]; !ok {
 				return
 			}
-			m := w.Model
+			m := &w.Model
 			cost := sim.Duration(m.KernelStackFixed) + m.Copy(p.FrameLen())
 			_, done := w.KernCore().Acquire(w.Eng.Now(), cost)
 			w.Eng.At(done, func() {

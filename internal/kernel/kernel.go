@@ -293,9 +293,6 @@ func (k *Kernel) ARP() *ARPCache { return k.arp }
 // Engine returns the simulation engine (for components needing the clock).
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
-// Model returns the cost model.
-func (k *Kernel) Model() timing.Model { return k.model }
-
 // BlockRx marks a connection's owner blocked on receive and registers the
 // wake callback. The architecture's notification delivery (or software
 // dataplane) calls WakeRx when data arrives. Architectures without kernel

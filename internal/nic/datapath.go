@@ -9,19 +9,6 @@ import (
 	"norman/internal/sim"
 )
 
-// pipeOccupancy is the pipeline's per-frame occupancy: the datapath is twice
-// wire-width, so the pipeline itself never throttles below line rate; overlay
-// programs add latency but, being pipelined, no occupancy (§4.1's on-path
-// FPGA assumption — this is the charitable hardware model, and E1/E4 verify
-// the consequence that interposition costs latency, not throughput).
-func (n *NIC) pipeOccupancy(frameLen int) sim.Duration {
-	occ := sim.PerByte(frameLen, 2*n.model.WireBW)
-	if min := n.model.NICCycles(1); occ < min {
-		occ = min
-	}
-	return occ
-}
-
 // dmaCost returns the DMA engine occupancy for moving one descriptor plus
 // frameLen payload bytes between host memory and the NIC.
 //
@@ -37,7 +24,7 @@ func (n *NIC) pipeOccupancy(frameLen int) sim.Duration {
 // prefetchable ahead of need (the doorbell announces it), so misses cost
 // nothing extra.
 func (n *NIC) dmaCost(c *Conn, ring *mem.Ring, index uint64, frameLen int, rx bool) sim.Duration {
-	cost := n.model.DMA(64 + frameLen)
+	cost := n.price(frameLen).dma
 	if n.llc == nil {
 		return cost
 	}
@@ -162,7 +149,7 @@ func (n *NIC) drainTx(c *Conn) {
 		// Tenant-scheduled dataplane: the descriptor fetch queues on the
 		// tenant's DMA DRR ring instead of FIFO at the engine; the drain
 		// chain resumes when the grant is served (txFetched).
-		j.stage, j.est = stTxFetch, n.model.DMA(64+frame)
+		j.stage, j.est = stTxFetch, n.price(frame).dma
 		n.tsched.DMA.Request(j)
 		n.settle(j)
 		return
@@ -190,7 +177,7 @@ func (n *NIC) txArrive(j *job) {
 		return
 	}
 	stamp(j.c, j.p, j.prod)
-	occ := n.pipeOccupancy(j.frame)
+	occ := n.price(j.frame).pipe
 	if n.tsched != nil {
 		j.stage, j.est = stTxPipe, occ
 		n.tsched.Pipe.Request(j)
@@ -215,7 +202,7 @@ func (n *NIC) txPipe(j *job, done sim.Time) {
 			}
 			verdict, cycles = n.trapFallback(Egress, p, j)
 		}
-		cyc := n.model.NICCycles(cycles)
+		cyc := n.cycles(cycles)
 		lat += cyc
 		if n.tsched != nil {
 			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
@@ -322,7 +309,7 @@ func (n *NIC) pump() {
 func (n *NIC) transmit(j *job, c *Conn, now sim.Time) {
 	p := j.p
 	frame := p.FrameLen()
-	_, done := n.wireTx.Acquire(now, n.model.Wire(frame))
+	_, done := n.wireTx.Acquire(now, n.price(frame).wire)
 	n.TxFrames++
 	n.txAhead--
 	n.TxBytes += uint64(frame)
@@ -353,7 +340,7 @@ func (n *NIC) InjectTx(p *packet.Packet) {
 		n.settle(j)
 		return
 	}
-	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(p.FrameLen()))
+	_, pipeDone := n.pipeline.Acquire(now, n.price(p.FrameLen()).pipe)
 	j.arm(stTxInject, pipeDone.Add(sim.Duration(n.model.NICPipeline)))
 }
 
@@ -363,7 +350,7 @@ func (n *NIC) InjectTx(p *packet.Packet) {
 func (n *NIC) DeliverFromWire(p *packet.Packet) {
 	j := n.job(nil, p)
 	j.frame = p.FrameLen()
-	_, arrived := n.wireRx.Acquire(n.eng.Now(), n.model.Wire(j.frame))
+	_, arrived := n.wireRx.Acquire(n.eng.Now(), n.price(j.frame).wire)
 	j.arm(stRxWire, arrived)
 }
 
@@ -410,7 +397,8 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 		n.drop(j, RxFifo)
 		return
 	}
-	c := n.steer(p)
+	j.key, j.flow = p.Flow()
+	c := n.steer(j)
 	j.c = c
 	if sched {
 		if c != nil {
@@ -440,7 +428,7 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 	}
 	n.rxInflight++
 	j.held |= heldFifo
-	occ := n.pipeOccupancy(j.frame)
+	occ := n.price(j.frame).pipe
 	if sched {
 		if n.tap != nil {
 			n.tap.Offer(p, now)
@@ -472,10 +460,10 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 	if n.ingress != nil {
 		var cyc sim.Duration // latency the program (or its cached verdict) adds
 		verdict := overlay.VerdictPass
-		if e, hit := n.fcLookup(p, c); hit {
+		if e, hit := n.fcLookup(j); hit {
 			// Fast path: the memoized verdict and rewrite apply at
 			// single-lookup cost — no overlay interpretation.
-			cyc, verdict = n.model.NICCycles(1), e.verdict
+			cyc, verdict = n.cycles(1), e.verdict
 			p.Meta.Mark = e.mark
 			p.Meta.Class = e.class
 			if n.tracer != nil {
@@ -493,14 +481,14 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 				verdict, cycles = n.trapFallback(Ingress, p, j)
 			}
 			n.IngressProgCycles += uint64(cycles)
-			cyc = n.model.NICCycles(cycles)
+			cyc = n.cycles(cycles)
 			if n.fc != nil && n.ingressCacheable && c != nil {
-				cyc += n.model.NICCycles(1) // the probe that missed
+				cyc += n.cycles(1) // the probe that missed
 			}
 			if n.tracer != nil {
 				n.trace(p, now, "nic", "pipeline_ingress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 			}
-			n.fcInstall(p, c, verdict, trapped)
+			n.fcInstall(j, verdict, trapped)
 		}
 		lat += cyc
 		if n.tsched != nil {
@@ -539,33 +527,10 @@ func (n *NIC) rxStore(j *job) {
 	c := j.c
 	if n.tsched != nil {
 		j.index = c.RX.Head()
-		j.stage, j.est = stRxDMA, n.model.DMA(64+j.frame)
+		j.stage, j.est = stRxDMA, n.price(j.frame).dma
 		n.tsched.DMA.Request(j)
 		return
 	}
 	_, dmaDone := n.dma.Acquire(n.eng.Now(), n.dmaCost(c, c.RX, j.index, j.frame, true))
 	j.arm(stRxVisible, dmaDone.Add(n.model.DMALatency))
-}
-
-// steer resolves the destination connection for an inbound frame.
-func (n *NIC) steer(p *packet.Packet) *Conn {
-	if k, ok := p.Flow(); ok {
-		if c := n.steering[k]; c != nil {
-			return c
-		}
-		// Also try the destination-side normalized key (server side of a
-		// flow steered by local tuple).
-		if c := n.steering[k.Reverse()]; c != nil {
-			return c
-		}
-	}
-	if c := n.rssSteer(p); c != nil {
-		return c
-	}
-	if n.defaultConn != 0 {
-		if c, ok := n.conns[n.defaultConn]; ok {
-			return c
-		}
-	}
-	return nil
 }

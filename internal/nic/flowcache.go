@@ -314,9 +314,10 @@ func (f *FlowCache) Corrupt(slot int) bool {
 	return true
 }
 
-// bucket returns the slice of ways for a key's bucket plus the bucket index.
-func (f *FlowCache) bucket(k packet.FlowKey) (int, []flowEntry) {
-	b := int(flowHash(k) & f.mask)
+// bucket returns the slice of ways for the bucket a key's flowHash selects,
+// plus the bucket index.
+func (f *FlowCache) bucket(hash uint32) (int, []flowEntry) {
+	b := int(hash & f.mask)
 	return b, f.entries[b*flowCacheWays : (b+1)*flowCacheWays : (b+1)*flowCacheWays]
 }
 
@@ -324,7 +325,13 @@ func (f *FlowCache) bucket(k packet.FlowKey) (int, []flowEntry) {
 // advance and the entry is returned; the caller applies the memoized verdict
 // and rewrite. Zero allocations in either outcome.
 func (f *FlowCache) Lookup(k packet.FlowKey) (*flowEntry, bool) {
-	_, row := f.bucket(k)
+	return f.lookup(flowHash(k), k)
+}
+
+// lookup is Lookup for a caller that already holds hash = flowHash(k): the
+// datapath hashes a frame's key once for its probe and its install.
+func (f *FlowCache) lookup(hash uint32, k packet.FlowKey) (*flowEntry, bool) {
+	_, row := f.bucket(hash)
 	for i := range row {
 		e := &row[i]
 		if e.valid && e.key == k {
@@ -358,7 +365,12 @@ func (f *FlowCache) Lookup(k packet.FlowKey) (*flowEntry, bool) {
 // bucket) may only evict its own entries — if none share the bucket the
 // install is denied and counted, never satisfied at a neighbor's expense.
 func (f *FlowCache) Install(k packet.FlowKey, connID uint64, tenant uint32, verdict overlay.Verdict, mark, class uint32) bool {
-	b, row := f.bucket(k)
+	return f.install(flowHash(k), k, connID, tenant, verdict, mark, class)
+}
+
+// install is Install for a caller that already holds hash = flowHash(k).
+func (f *FlowCache) install(hash uint32, k packet.FlowKey, connID uint64, tenant uint32, verdict overlay.Verdict, mark, class uint32) bool {
+	b, row := f.bucket(hash)
 	st := f.tenantStats(tenant)
 	var free *flowEntry
 	for i := range row {
@@ -482,7 +494,7 @@ func (f *FlowCache) clockVictim(b int, row []flowEntry, tenant uint32, sameTenan
 // InvalidateKey removes the entry for one key (exact direction only; callers
 // invalidate the reverse key separately when steering covers both).
 func (f *FlowCache) InvalidateKey(k packet.FlowKey) bool {
-	_, row := f.bucket(k)
+	_, row := f.bucket(flowHash(k))
 	for i := range row {
 		e := &row[i]
 		if e.valid && e.key == k {
@@ -597,32 +609,38 @@ func (n *NIC) DisableFlowCache() {
 // FlowCache returns the installed cache, nil when disabled.
 func (n *NIC) FlowCache() *FlowCache { return n.fc }
 
-// fcLookup is the datapath's hit probe: enabled cache, cacheable ingress
-// program, steered connection and a parseable 5-tuple are all required —
-// anything else is a slow-path packet by construction.
-func (n *NIC) fcLookup(p *packet.Packet, c *Conn) (*flowEntry, bool) {
-	if n.fc == nil || n.fcBypass || !n.ingressCacheable || c == nil {
+// fcUsable says whether j's frame may touch the flow cache: enabled cache,
+// cacheable ingress program, steered connection and a parseable 5-tuple are
+// all required — anything else is a slow-path packet by construction.
+func (n *NIC) fcUsable(j *job) bool {
+	return n.fc != nil && !n.fcBypass && n.ingressCacheable && j.c != nil && j.flow
+}
+
+// flowHash returns flowHash(j.key), computed by the first caller.
+func (j *job) flowHash() uint32 {
+	if !j.hashed {
+		j.hash, j.hashed = flowHash(j.key), true
+	}
+	return j.hash
+}
+
+// fcLookup is the datapath's hit probe.
+func (n *NIC) fcLookup(j *job) (*flowEntry, bool) {
+	if !n.fcUsable(j) {
 		return nil, false
 	}
-	k, ok := p.Flow()
-	if !ok {
-		return nil, false
-	}
-	return n.fc.Lookup(k)
+	return n.fc.lookup(j.flowHash(), j.key)
 }
 
 // fcInstall memoizes a completed slow-path run. trapped runs never install:
 // the fallback swap already flushed the cache and the verdict came from a
 // different chain than the one now loaded.
-func (n *NIC) fcInstall(p *packet.Packet, c *Conn, verdict overlay.Verdict, trapped bool) {
-	if n.fc == nil || n.fcBypass || !n.ingressCacheable || c == nil || trapped {
+func (n *NIC) fcInstall(j *job, verdict overlay.Verdict, trapped bool) {
+	if !n.fcUsable(j) || trapped {
 		return
 	}
-	k, ok := p.Flow()
-	if !ok {
-		return
-	}
-	n.fc.Install(k, c.ID, p.Meta.Tenant, verdict, p.Meta.Mark, p.Meta.Class)
+	m := &j.p.Meta
+	n.fc.install(j.flowHash(), j.key, j.c.ID, m.Tenant, verdict, m.Mark, m.Class)
 }
 
 // fcInvalidateKey drops both directions of a steering key from the cache.

@@ -62,7 +62,18 @@ type job struct {
 	stage stage
 	armed bool  // held by an engine event or a DRR ring
 	held  uint8 // heldShare | heldFifo | heldTxSlot
-	next  *job  // free list
+
+	// The ingress frame's 5-tuple, extracted once at admission (rxAdmit):
+	// steering, RSS and the flow cache all read it here. flow is false for a
+	// frame that has none (ARP, ICMP) and for every job that is not an rx
+	// frame. hash is flowHash(key), worked out by the first flow-cache probe
+	// or install that needs it.
+	key    packet.FlowKey
+	flow   bool
+	hashed bool
+	hash   uint32
+
+	next *job // free list
 }
 
 // job takes a record off the free list for connection c and packet p.
@@ -74,6 +85,7 @@ func (n *NIC) job(c *Conn, p *packet.Packet) *job {
 		n.jobFree = j.next
 	}
 	j.c, j.p, j.stage = c, p, stHeld
+	j.flow, j.hashed = false, false // a recycled record carries no stale key
 	n.jobsOut++
 	return j
 }

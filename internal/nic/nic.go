@@ -56,19 +56,24 @@ type Conn struct {
 
 	NotifyRx bool
 	NotifyTx bool
-	Queue    *mem.NotifyQueue // owning process's notification queue
+	// The connection's one-bit states sit together so that they share a word.
+	notifyArmed bool // a coalesced notification callback is pending
+	txDraining  bool // a TX drain chain is in flight
+	txStalled   bool // drain paused on the NIC TX admission window
+	rlWaiting   bool // a paced drain is waiting for its token bucket
+
+	Queue *mem.NotifyQueue // owning process's notification queue
+	// Host is the host side's own handle for this connection, opaque to the
+	// NIC: whoever opened the connection sets it, and reads it back in
+	// OnRxDeliver and OnNotify instead of looking the connection up by id.
+	Host any
 	// NotifyCoalesce batches notification interrupts: at most one OnNotify
 	// callback per window (§4.3's interrupt moderation for low-activity
 	// queues). Zero means immediate delivery.
 	NotifyCoalesce sim.Duration
-	notifyArmed    bool
 	lastNotifyAt   sim.Time
 
-	bufBase  uint64 // host buffer region base address
-	bufBytes int    // total buffer region size (TX half + RX half)
-
-	txDraining bool // a TX drain chain is in flight
-	txStalled  bool // drain paused on the NIC TX admission window
+	bufBase uint64 // host buffer region base address: a TX half, then an RX half
 
 	// TSO (TCP segmentation offload, the classic fixed-function offload of
 	// §3): when non-zero, oversized TCP segments posted to this connection
@@ -80,11 +85,10 @@ type Conn struct {
 	// TX drain paces descriptor fetches against a token bucket, so a
 	// misbehaving sender is throttled before its traffic ever reaches the
 	// shared scheduler. Zero rate = unlimited.
-	rlRate    float64 // bytes per second
-	rlBurst   float64 // bucket depth in bytes
-	rlTokens  float64
-	rlLast    sim.Time
-	rlWaiting bool
+	rlRate   float64 // bytes per second
+	rlBurst  float64 // bucket depth in bytes
+	rlTokens float64
+	rlLast   sim.Time
 
 	RxDelivered uint64
 	RxDropped   uint64
@@ -97,20 +101,27 @@ type Conn struct {
 func (c *Conn) bufAddr(index uint64, rx bool, ringSize, bufBytes int) uint64 {
 	off := (index % uint64(ringSize)) * uint64(bufBytes)
 	if rx {
-		off += uint64(c.bufBytes) / 2
+		off += uint64(ringSize) * uint64(bufBytes)
 	}
 	return c.bufBase + off
 }
 
 // NIC is the simulated SmartNIC.
 type NIC struct {
-	eng   *sim.Engine
+	eng *sim.Engine
+	// model is the NIC's own copy of the cost model, taken at New and never
+	// written again: the price list below remembers what it computed from it.
 	model timing.Model
 	llc   *cache.LLC
 	alloc *mem.Alloc
 
 	ringSize int
 	bufBytes int
+
+	// The price list (price.go): per-frame-length and per-cycle-count costs,
+	// each filled by the model's own formula the first time it is asked for.
+	prices      [priceRows + 1]framePrice
+	cyclePrices [pricedCycles]sim.Duration
 
 	// Resource servers.
 	dma    *sim.Server // PCIe DMA engine
@@ -121,11 +132,11 @@ type NIC struct {
 	pipeline *sim.Server
 
 	conns       map[uint64]*Conn
-	steering    map[packet.FlowKey]*Conn // flow -> open connection
-	defaultConn uint64                   // conn id for unsteered traffic, 0 = none
+	steering    map[packet.FlowKey]steerRow // canonical flow -> open connections (steer.go)
+	defaultConn uint64                      // conn id for unsteered traffic, 0 = none
 
 	// RSS fallback steering (rss.go).
-	rssKey    [RSSKeySize]byte
+	rss       *rssTable // the key's hash table, set with the queues
 	rssQueues []uint64
 
 	// TX admission window: descriptors fetched from host rings but not yet
@@ -328,7 +339,7 @@ func New(cfg Config) *NIC {
 		wireRx:     sim.NewServer("nic.wirerx"),
 		pipeline:   sim.NewServer("nic.pipeline"),
 		conns:      make(map[uint64]*Conn),
-		steering:   make(map[packet.FlowKey]*Conn),
+		steering:   make(map[packet.FlowKey]steerRow),
 		sramBudget: cfg.SRAMBudget,
 		txWindow:   32,
 		rxWindow:   128,
@@ -360,13 +371,12 @@ func (n *NIC) OpenConn(id uint64, meta packet.Meta, queue *mem.NotifyQueue) (*Co
 	ringBytes := n.ringSize * 64
 	bufBytes := n.ringSize * n.bufBytes
 	c := &Conn{
-		ID:       id,
-		TX:       mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
-		RX:       mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
-		Meta:     meta,
-		Queue:    queue,
-		bufBase:  n.alloc.Take(2*bufBytes, 4096),
-		bufBytes: 2 * bufBytes,
+		ID:      id,
+		TX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
+		RX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
+		Meta:    meta,
+		Queue:   queue,
+		bufBase: n.alloc.Take(2*bufBytes, 4096),
 	}
 	// Default occupancy watermarks at 3/4 and 1/4 of capacity: the overload
 	// watchdog counts rings above high and clears pressure below low.
@@ -384,12 +394,7 @@ func (n *NIC) CloseConn(id uint64) error {
 		return ErrNoSuchConn
 	}
 	delete(n.conns, id)
-	for k, sc := range n.steering {
-		if sc == c {
-			delete(n.steering, k)
-			n.sramUsed -= 16
-		}
-	}
+	n.unsteerConn(c)
 	if n.fc != nil {
 		n.fc.InvalidateConn(id)
 	}
@@ -405,45 +410,6 @@ func (n *NIC) Conn(id uint64) (*Conn, bool) {
 
 // ConnCount returns the number of open connections.
 func (n *NIC) ConnCount() int { return len(n.conns) }
-
-// SteerFlow installs an exact-match steering entry (flow director). Each
-// entry consumes SRAM.
-func (n *NIC) SteerFlow(k packet.FlowKey, connID uint64) error {
-	c, ok := n.conns[connID]
-	if !ok {
-		return ErrNoSuchConn
-	}
-	if _, exists := n.steering[k]; !exists {
-		if n.sramUsed+16 > n.sramBudget {
-			return fmt.Errorf("%w: steering table", ErrSRAMExhausted)
-		}
-		n.sramUsed += 16
-	}
-	n.steering[k] = c
-	n.fcInvalidateKey(k)
-	return nil
-}
-
-// SteeredConn returns the connection id a flow is steered to, if any.
-func (n *NIC) SteeredConn(k packet.FlowKey) (uint64, bool) {
-	if c := n.steering[k]; c != nil {
-		return c.ID, true
-	}
-	return 0, false
-}
-
-// DropSteering removes one steering entry, releasing its SRAM. It models
-// NIC-resident state loss (an SRAM row lost across a partial reset) for
-// fault injection; the reconciler must detect and re-install the entry.
-func (n *NIC) DropSteering(k packet.FlowKey) bool {
-	if _, ok := n.steering[k]; !ok {
-		return false
-	}
-	delete(n.steering, k)
-	n.sramUsed -= 16
-	n.fcInvalidateKey(k)
-	return true
-}
 
 // SetDefaultConn routes unsteered traffic to the given connection (e.g. the
 // kernel-stack architecture's kernel-owned queue); 0 restores
@@ -487,9 +453,6 @@ func (n *NIC) trace(p *packet.Packet, at sim.Time, layer, point, note string) {
 func (n *NIC) SRAM() (used, budget int) {
 	return n.sramUsed + genSRAM(n.program(Ingress), n.program(Egress)), n.sramBudget
 }
-
-// Model returns the NIC's cost model.
-func (n *NIC) Model() timing.Model { return n.model }
 
 // SetTSO enables TCP segmentation offload on a connection with the given
 // wire MSS (0 disables). A fixed-function offload: useful, but note what it

@@ -26,7 +26,8 @@ var DefaultRSSKey = [RSSKeySize]byte{
 
 // Toeplitz computes the RSS hash of input under key: for each set bit of
 // the input (MSB first), XOR in the 32-bit window of the key starting at
-// that bit position.
+// that bit position. It is the definition, for inputs of any length; the
+// datapath hashes flows through the key's rssTable, which is tested against it.
 func Toeplitz(key [RSSKeySize]byte, input []byte) uint32 {
 	var result uint32
 	// The sliding 32-bit window over the key, starting at bit 0.
@@ -49,9 +50,53 @@ func Toeplitz(key [RSSKeySize]byte, input []byte) uint32 {
 	return result
 }
 
+// rssTable is the Toeplitz hash of the 12-byte IPv4 transport input under one
+// key, unrolled by input byte. The hash is linear over XOR, so it is the XOR
+// of each input byte's own contribution, and a byte at position i can only
+// contribute one of 256 values: row i holds them. Hashing a flow is then 12
+// table reads where the bit-serial form shifts and tests 96 times.
+type rssTable [12][256]uint32
+
+func newRSSTable(key [RSSKeySize]byte) *rssTable {
+	t := new(rssTable)
+	for i := range t {
+		// The 32-bit key window at bit 8i+b is the top half of these 64 key
+		// bits shifted left by b.
+		var bits uint64
+		for _, kb := range key[i : i+8] {
+			bits = bits<<8 | uint64(kb)
+		}
+		for v := 1; v < 256; v++ {
+			for b := 0; b < 8; b++ {
+				if v&(0x80>>b) != 0 {
+					t[i][v] ^= uint32(bits << b >> 32)
+				}
+			}
+		}
+	}
+	return t
+}
+
+// hash returns the RSS hash of k: src addr, dst addr, src port, dst port, all
+// network order.
+func (t *rssTable) hash(k packet.FlowKey) uint32 {
+	return t[0][byte(k.Src>>24)] ^ t[1][byte(k.Src>>16)] ^ t[2][byte(k.Src>>8)] ^ t[3][byte(k.Src)] ^
+		t[4][byte(k.Dst>>24)] ^ t[5][byte(k.Dst>>16)] ^ t[6][byte(k.Dst>>8)] ^ t[7][byte(k.Dst)] ^
+		t[8][byte(k.SrcPort>>8)] ^ t[9][byte(k.SrcPort)] ^
+		t[10][byte(k.DstPort>>8)] ^ t[11][byte(k.DstPort)]
+}
+
+// defaultRSSTable is DefaultRSSKey's table, shared by every NIC that keeps the
+// well-known key.
+var defaultRSSTable = newRSSTable(DefaultRSSKey)
+
 // RSSHash hashes an IPv4 transport flow (src addr, dst addr, src port, dst
-// port, all network order) — the "IPv4 with TCP/UDP" RSS input.
+// port, all network order) — the "IPv4 with TCP/UDP" RSS input. A one-off
+// hash under any other key than the default is not worth building a table for.
 func RSSHash(key [RSSKeySize]byte, k packet.FlowKey) uint32 {
+	if key == DefaultRSSKey {
+		return defaultRSSTable.hash(k)
+	}
 	var in [12]byte
 	in[0], in[1], in[2], in[3] = byte(k.Src>>24), byte(k.Src>>16), byte(k.Src>>8), byte(k.Src)
 	in[4], in[5], in[6], in[7] = byte(k.Dst>>24), byte(k.Dst>>16), byte(k.Dst>>8), byte(k.Dst)
@@ -75,18 +120,20 @@ func (n *NIC) SetRSS(key [RSSKeySize]byte, queues []uint64) error {
 		return fmt.Errorf("%w: rss indirection table", ErrSRAMExhausted)
 	}
 	n.sramUsed += delta
-	n.rssKey = key
+	n.rss = defaultRSSTable
+	if key != DefaultRSSKey {
+		n.rss = newRSSTable(key)
+	}
 	n.rssQueues = append([]uint64(nil), queues...)
 	return nil
 }
 
 // rssSteer resolves a connection via the RSS indirection table, or nil.
-func (n *NIC) rssSteer(p *packet.Packet) *Conn {
+func (n *NIC) rssSteer(j *job) *Conn {
 	if len(n.rssQueues) == 0 {
 		return nil
 	}
-	k, ok := p.Flow()
-	if !ok {
+	if !j.flow {
 		// Non-transport frames (e.g. ARP) land on queue 0, as hardware
 		// defaults do.
 		if c, ok := n.conns[n.rssQueues[0]]; ok {
@@ -94,7 +141,7 @@ func (n *NIC) rssSteer(p *packet.Packet) *Conn {
 		}
 		return nil
 	}
-	h := RSSHash(n.rssKey, k)
+	h := n.rss.hash(j.key)
 	if c, ok := n.conns[n.rssQueues[h%uint32(len(n.rssQueues))]]; ok {
 		return c
 	}

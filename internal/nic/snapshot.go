@@ -33,14 +33,11 @@ func (n *NIC) SnapshotConfig(now sim.Time) *ConfigSnapshot {
 	s := &ConfigSnapshot{
 		Scheduler:   n.sched,
 		Classifier:  n.classifier,
-		Steering:    make(map[packet.FlowKey]uint64, len(n.steering)),
+		Steering:    n.steeringEntries(),
 		DefaultConn: n.defaultConn,
 		TakenAt:     now,
 		Ingress:     n.program(Ingress),
 		Egress:      n.program(Egress),
-	}
-	for k, c := range n.steering {
-		s.Steering[k] = c.ID
 	}
 	return s
 }

@@ -333,8 +333,9 @@ func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
 		s.total += max(w, 1)
 	}
 	// Quanta: one weight unit buys one full frame per round on each resource.
-	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, n.pipeOccupancy(1514), s.pipeCost, s.pipeGrant)
-	s.DMA = newTenantDRR(n, n.dma, s.weights, n.model.DMA(64+1514), s.dmaCostOf, s.dmaGrant)
+	full := n.price(1514)
+	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, full.pipe, s.pipeCost, s.pipeGrant)
+	s.DMA = newTenantDRR(n, n.dma, s.weights, full.dma, s.dmaCostOf, s.dmaGrant)
 	for id := range s.weights { // shares need the total; rxQueue keeps rxOrder sorted
 		s.rxQueue(id)
 	}

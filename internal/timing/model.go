@@ -16,6 +16,11 @@ import "norman/internal/sim"
 
 // Model is the set of cost parameters for one simulated host + SmartNIC.
 // The zero value is unusable; start from Default().
+//
+// A Model is read-only after construction: set its fields before handing it to
+// a world, a NIC or a kernel, which keep their own copy and remember costs
+// they computed from it (DESIGN.md §8). Its methods take a pointer so that
+// pricing a packet never copies the struct; call them on the copy you hold.
 type Model struct {
 	// Host CPU.
 	CPUHz         float64      // host core clock, cycles/second
@@ -86,7 +91,7 @@ func Default() Model {
 }
 
 // Cycles converts a host-CPU cycle count to a duration.
-func (m Model) Cycles(n int) sim.Duration {
+func (m *Model) Cycles(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
@@ -94,7 +99,7 @@ func (m Model) Cycles(n int) sim.Duration {
 }
 
 // NICCycles converts an overlay-clock cycle count to a duration.
-func (m Model) NICCycles(n int) sim.Duration {
+func (m *Model) NICCycles(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
@@ -102,14 +107,14 @@ func (m Model) NICCycles(n int) sim.Duration {
 }
 
 // Copy returns the cost of a software copy of n bytes.
-func (m Model) Copy(n int) sim.Duration {
+func (m *Model) Copy(n int) sim.Duration {
 	return m.CopyFixed + sim.PerByte(n, m.CopyBW)
 }
 
 // CrossCore returns the cost of moving n bytes between cores through the
 // coherence fabric: one cacheline-transfer latency to start, then pipelined
 // line transfers at the coherence bandwidth.
-func (m Model) CrossCore(n int) sim.Duration {
+func (m *Model) CrossCore(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
@@ -118,18 +123,18 @@ func (m Model) CrossCore(n int) sim.Duration {
 
 // DMA returns the PCIe transfer time for n bytes (latency added separately
 // by callers that need it, since batching amortizes it).
-func (m Model) DMA(n int) sim.Duration {
+func (m *Model) DMA(n int) sim.Duration {
 	return sim.PerByte(n, m.PCIeBW)
 }
 
 // Wire returns the serialization time of an n-byte frame on the link.
-func (m Model) Wire(n int) sim.Duration {
+func (m *Model) Wire(n int) sim.Duration {
 	return sim.PerByte(n, m.WireBW)
 }
 
 // DDIOBytes returns the LLC capacity available to DMA traffic under the
 // DDIO way partition.
-func (m Model) DDIOBytes() int {
+func (m *Model) DDIOBytes() int {
 	if m.LLCWays <= 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"reflect"
 	"testing"
 
 	"norman/internal/sim"
@@ -74,5 +75,17 @@ func TestDDIOBytes(t *testing.T) {
 	m.LLCWays = 0
 	if m.DDIOBytes() != 0 {
 		t.Fatal("zero ways -> zero bytes")
+	}
+}
+
+// TestFrameCostMethodsNeverCopyModel: every method is declared on *Model, so
+// the value type's method set is empty and pricing a frame cannot copy the
+// struct (scripts/check.sh greps for the same thing).
+func TestFrameCostMethodsNeverCopyModel(t *testing.T) {
+	if n := reflect.TypeOf(Model{}).NumMethod(); n != 0 {
+		t.Fatalf("%d methods have a value receiver: each call copies the %d-byte Model", n, reflect.TypeOf(Model{}).Size())
+	}
+	if n := reflect.TypeOf(&Model{}).NumMethod(); n == 0 {
+		t.Fatal("*Model has no methods: the check above proves nothing")
 	}
 }

@@ -43,6 +43,20 @@ if grep -nE '[+]= *[A-Za-z_.]+\.Cost\(\)' $(ls internal/overlay/*.go | grep -v _
 	exit 1
 fi
 
+# One resolution and one price list per frame (DESIGN.md §8): the cost model is
+# never copied — every Model method takes a pointer — and an ingress frame's
+# 5-tuple is extracted exactly once in internal/nic, at admission; steering,
+# RSS and the flow cache read it from the job.
+if grep -nE '^func \([a-z]+ Model\)' internal/timing/model.go; then
+	echo "value-receiver method on timing.Model: every call would copy the struct (use *Model)" >&2
+	exit 1
+fi
+flows=$(cat $(ls internal/nic/*.go | grep -v _test.go) | grep -c '\.Flow()')
+if [ "$flows" -ne 1 ]; then
+	echo "internal/nic extracts a frame's 5-tuple in $flows places, want 1 (rxAdmit; read job.key elsewhere)" >&2
+	exit 1
+fi
+
 # One status struct per subsystem: the overload, tenant, flow-cache, health and
 # upgrade status ops serve the struct the subsystem declares (DESIGN.md §13),
 # so internal/ctl/proto.go may wrap one in an Enabled flag and declare nothing
@@ -118,6 +132,10 @@ done <<'PASSES'
 # the control plane says each thing once: any Enable*/TCSet order boots the
 # same system, and the status ops serve the subsystems' own structs
 7 EnableOrder|StatusWire . ./internal/ctl/...
+# one resolution and one price list per frame: the steering table fuzzed against
+# the two-probe map it replaced (seed corpus), connection churn leaves no rows,
+# remembered costs equal the model's formulas, the RSS table equals Toeplitz
+7 Steering|FrameCost|Toeplitz ./internal/nic/... ./internal/timing/... ./internal/arch/...
 PASSES
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
