@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race bench bench-engine bench-overlay baselines docs
+.PHONY: check build test race bench bench-engine bench-overlay docs
 
 check:
 	./scripts/check.sh
@@ -36,8 +36,3 @@ bench-overlay:
 # Full experiment benchmark sweep (regenerates every table).
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# Regenerate the BENCH_E*.json / BENCH_ENGINE.json perf baselines at full
-# scale with the parallel harness.
-baselines:
-	$(GO) run ./cmd/kopibench -parallel -json -outdir .

@@ -145,17 +145,11 @@ func (n *NIC) drainTx(c *Conn) {
 	n.txAccept(1)
 	n.txInflight++
 	j.held |= heldTxSlot
-	if n.tsched != nil {
-		// Tenant-scheduled dataplane: the descriptor fetch queues on the
-		// tenant's DMA DRR ring instead of FIFO at the engine; the drain
-		// chain resumes when the grant is served (txFetched).
-		j.stage, j.est = stTxFetch, n.price(frame).dma
-		n.tsched.DMA.Request(j)
-		n.settle(j)
-		return
-	}
-	_, fetchDone := n.dma.Acquire(now, n.dmaCost(c, c.TX, index, frame, false))
-	n.txFetched(j, fetchDone)
+	// The descriptor fetch waits its turn at the DMA stage; the drain chain
+	// resumes when the grant is served (txFetched).
+	j.stage, j.est = stTxFetch, n.price(frame).dma
+	n.tsched.DMA.Request(j)
+	n.settle(j)
 }
 
 // txFetched continues a descriptor fetch that owns the DMA engine until
@@ -168,29 +162,21 @@ func (n *NIC) txFetched(j *job, done sim.Time) {
 }
 
 // txArrive is the egress continuation once a fetched descriptor's payload has
-// crossed PCIe: outage check, metadata stamp, then the pipeline — directly on
-// the unscheduled path, via the tenant pipeline DRR on the scheduled one.
+// crossed PCIe: outage check, metadata stamp, then the pipeline stage.
 func (n *NIC) txArrive(j *job) {
-	now := n.eng.Now()
-	if n.Down(now) {
+	if n.Down(n.eng.Now()) {
 		n.drop(j, TxOutage)
 		return
 	}
 	stamp(j.c, j.p, j.prod)
-	occ := n.price(j.frame).pipe
-	if n.tsched != nil {
-		j.stage, j.est = stTxPipe, occ
-		n.tsched.Pipe.Request(j)
-		return
-	}
-	_, pipeDone := n.pipeline.Acquire(now, occ)
-	n.txPipe(j, pipeDone)
+	j.stage, j.est = stTxPipe, n.price(j.frame).pipe
+	n.tsched.Pipe.Request(j)
 }
 
 // txPipe runs the egress pipeline on a frame that owns the pipeline slot
-// ending at done: the overlay runs now (on the scheduled dataplane its cycles
-// are billed to the owning tenant), and the frame leaves once the occupancy
-// plus program latency has elapsed.
+// ending at done: the overlay runs now (its cycles are billed to the owning
+// tenant), and the frame leaves once the occupancy plus program latency has
+// elapsed.
 func (n *NIC) txPipe(j *job, done sim.Time) {
 	p, now := j.p, n.eng.Now()
 	lat := sim.Duration(n.model.NICPipeline)
@@ -204,9 +190,7 @@ func (n *NIC) txPipe(j *job, done sim.Time) {
 		}
 		cyc := n.cycles(cycles)
 		lat += cyc
-		if n.tsched != nil {
-			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
-		}
+		n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
 		if n.tracer != nil {
 			n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 		}
@@ -261,8 +245,7 @@ func (n *NIC) sendToWire(j *job) {
 	// The scheduler (with its own per-class bounds) takes over buffering;
 	// the staging slot frees as soon as the packet is classified into it.
 	if !n.sched.Enqueue(p, now) {
-		n.txRefused++
-		n.txAhead--
+		n.txRefuse(1)
 	}
 	n.release(j)
 	n.pumpWire()
@@ -292,6 +275,9 @@ func (n *NIC) pumpWire() {
 // wire. The qdisc holds bare packets, so the owning connection is looked up.
 func (n *NIC) pump() {
 	n.schedPump = false
+	if n.sched == nil {
+		return // removed (SetScheduler) with this dequeue pending
+	}
 	now := n.eng.Now()
 	if p, ok := n.sched.Dequeue(now); ok {
 		n.transmit(n.job(nil, p), n.conns[p.Meta.ConnID], now)
@@ -381,39 +367,34 @@ func (n *NIC) rxFrame(j *job) {
 
 // rxAdmit is ingress admission past the MAC and pause gate: both the live
 // wire path (rxFrame) and the pause-buffer replay (ResumeRx) enter here, so
-// a replayed frame takes exactly the path it would have taken live — FIFO
-// accounting, shed policy, outage check, pipeline, DMA. The destination
-// connection is resolved here, once, and rides in the job from then on.
-//
-// The two dataplanes differ only in order. Unscheduled, the frame must win a
-// slot of the one shared FIFO before anything else is decided, and is stamped
-// last, so shed policy and the outage slow path see it as it came off the
-// wire. Tenant-scheduled, steer and stamp come first — tenant attribution
-// decides whose FIFO share the frame occupies.
+// a replayed frame takes exactly the path it would have taken live. There is
+// one order: steer (the destination connection is resolved here, once, and
+// rides in the job from then on), stamp — tenant attribution decides whose
+// FIFO share the frame occupies, and shed policy, the outage slow path, the
+// tap and the overlay all see the connection's context — FIFO admission, shed,
+// outage, tap, pipeline stage.
 func (n *NIC) rxAdmit(j *job, now sim.Time) {
 	p := j.p
-	sched := n.tsched != nil
-	if !sched && n.rxInflight >= n.rxWindow {
-		n.drop(j, RxFifo)
-		return
-	}
 	j.key, j.flow = p.Flow()
 	c := n.steer(j)
 	j.c = c
-	if sched {
-		if c != nil {
-			stamp(c, p, now)
-		}
-		if !n.tsched.rxAdmit(p.Meta.Tenant) {
-			n.drop(j, RxFifo)
-			return
-		}
-		j.held |= heldShare
+	if c != nil {
+		stamp(c, p, now)
 	}
+	sh := n.tsched.share(p.Meta.Tenant)
+	if sh.inflight >= sh.window {
+		n.drop(j, RxFifo)
+		return
+	}
+	sh.inflight++
+	n.rxInflight++
+	j.share = sh
+	j.held |= heldFifo
 	// Priority-aware shedding: under sustained pressure the installed policy
-	// drops low-class ingress here, before the frame can occupy a FIFO slot
-	// or touch the DMA engine — the point is to stop cold descriptors from
-	// thrashing the DDIO ways, so the shed must happen upstream of both.
+	// drops low-class ingress here, before the frame can touch the pipeline or
+	// the DMA engine — the point is to stop cold descriptors from thrashing
+	// the DDIO ways, so the shed must happen upstream of both. (The FIFO slot
+	// it took a moment ago comes back inside this event.)
 	if n.shedPolicy != nil && c != nil && n.shedPolicy(c, p) {
 		n.drop(j, RxShed)
 		return
@@ -426,34 +407,18 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 		}
 		return
 	}
-	n.rxInflight++
-	j.held |= heldFifo
-	occ := n.price(j.frame).pipe
-	if sched {
-		if n.tap != nil {
-			n.tap.Offer(p, now)
-		}
-		j.stage, j.est = stRxPipe, occ
-		n.tsched.Pipe.Request(j)
-		return
-	}
-	_, pipeDone := n.pipeline.Acquire(now, occ)
-	// Stamp before the overlay runs — its uid/pid/cmd fields come from the
-	// connection context.
-	if c != nil {
-		stamp(c, p, now)
-	}
 	if n.tap != nil {
 		n.tap.Offer(p, now)
 	}
-	n.rxPipe(j, pipeDone)
+	j.stage, j.est = stRxPipe, n.price(j.frame).pipe
+	n.tsched.Pipe.Request(j)
 }
 
 // rxPipe runs the ingress pipeline on a frame that owns the pipeline slot
-// ending at done: flow-cache hit or overlay interpretation now (on the
-// scheduled dataplane the cycles are billed to the owning tenant), then the
-// frame leaves for the DMA engine — or the slow path, unsteered — once the
-// occupancy plus program latency has elapsed.
+// ending at done: flow-cache hit or overlay interpretation now (the cycles are
+// billed to the owning tenant), then the frame leaves for the DMA stage — or
+// the slow path, unsteered — once the occupancy plus program latency has
+// elapsed.
 func (n *NIC) rxPipe(j *job, done sim.Time) {
 	c, p, now := j.c, j.p, n.eng.Now()
 	lat := sim.Duration(n.model.NICPipeline)
@@ -491,9 +456,7 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 			n.fcInstall(j, verdict, trapped)
 		}
 		lat += cyc
-		if n.tsched != nil {
-			n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
-		}
+		n.tsched.Pipe.Charge(p.Meta.Tenant, cyc)
 		if verdict == overlay.VerdictDrop {
 			n.drop(j, RxVerdict)
 			return
@@ -509,28 +472,12 @@ func (n *NIC) rxPipe(j *job, done sim.Time) {
 		}
 		return
 	}
-	if n.tsched == nil {
-		// The ring slot is claimed at admission and the store starts when
-		// the FIFO-served DMA engine frees up; the scheduled dataplane does
-		// both when the frame reaches the tenant's DMA ring (rxStore).
-		j.index = c.RX.Head()
-		if free := n.dma.FreeAt(); free > at {
-			at = free
-		}
-	}
-	j.arm(stRxStore, at)
+	j.arm(stRxStore, n.tsched.DMA.book(j, at))
 }
 
 // rxStore DMAs a frame that has left the pipeline into its connection's RX
-// ring: straight onto the DMA engine, or onto the tenant's DMA DRR ring.
+// ring, through the DMA stage.
 func (n *NIC) rxStore(j *job) {
-	c := j.c
-	if n.tsched != nil {
-		j.index = c.RX.Head()
-		j.stage, j.est = stRxDMA, n.price(j.frame).dma
-		n.tsched.DMA.Request(j)
-		return
-	}
-	_, dmaDone := n.dma.Acquire(n.eng.Now(), n.dmaCost(c, c.RX, j.index, j.frame, true))
-	j.arm(stRxVisible, dmaDone.Add(n.model.DMALatency))
+	j.stage, j.est = stRxDMA, n.price(j.frame).dma
+	n.tsched.DMA.Request(j)
 }

@@ -6,8 +6,8 @@ import (
 	"norman/internal/sim"
 )
 
-// stage names what a job is waiting for: the engine event (or tenant DRR
-// grant) that resumes it, and therefore the datapath step Fire runs next.
+// stage names what a job is waiting for: the engine event (or Stage grant)
+// that resumes it, and therefore the datapath step that runs next.
 type stage uint8
 
 const (
@@ -15,17 +15,17 @@ const (
 	stHeld              // taken, not yet waiting on anything
 
 	stRxWire    // last bit on the wire → rxFrame
-	stRxPipe    // queued on the tenant pipeline DRR → rxPipe
-	stRxStore   // pipeline latency elapsed → rxStore (DMA engine, or its DRR)
-	stRxDMA     // queued on the tenant DMA DRR → PCIe flight
+	stRxPipe    // submitted to the pipeline stage → rxPipe
+	stRxStore   // pipeline latency elapsed → rxStore (the DMA stage)
+	stRxDMA     // submitted to the DMA stage → PCIe flight
 	stRxVisible // completion crossed PCIe → rxComplete
 	stRxSlow    // unsteered frame leaves the pipeline → SlowPath
 
 	stTxDrain  // fetch engine free → c's next descriptor
 	stTxPaced  // c's token bucket refilled → resume its drain
-	stTxFetch  // queued on the tenant DMA DRR → txFetched
+	stTxFetch  // submitted to the DMA stage → txFetched
 	stTxArrive // payload crossed PCIe → txArrive
-	stTxPipe   // queued on the tenant pipeline DRR → txPipe
+	stTxPipe   // submitted to the pipeline stage → txPipe
 	stTxEmit   // pipeline latency elapsed → txEmit
 	stTxInject // control-plane frame leaves the pipeline → transmit
 	stTxWire   // serialized → release the staging slot if still held, OnTransmit
@@ -40,7 +40,7 @@ const (
 // run — where the datapath used to build a closure (or box an env) per hop.
 //
 // Ownership: NIC.job takes one off the NIC's intrusive free list; arm (an
-// engine event) or TenantDRR.Request (a ring slot) holds it; whoever resumes
+// engine event) or Stage.Request (a DRR ring slot) holds it; whoever resumes
 // it — Fire, the DRR pump — runs one step and settles it: a step that armed
 // the job again keeps it, any other return (delivered, dropped, handed on)
 // frees it. Code that takes a job outside Fire settles it itself. held is what
@@ -57,11 +57,12 @@ type job struct {
 	index uint64       // ring slot (DMA stages)
 	frame int          // wire frame length
 	prod  sim.Time     // TX descriptor Produced stamp
-	est   sim.Duration // tenant DRR: estimated server occupancy
+	est   sim.Duration // stage request: estimated server occupancy
 	enq   sim.Time     // tenant DRR: when the request was queued
+	share *tenantRx    // the FIFO share row an admitted rx frame occupies (heldFifo)
 	stage stage
 	armed bool  // held by an engine event or a DRR ring
-	held  uint8 // heldShare | heldFifo | heldTxSlot
+	held  uint8 // heldFifo | heldTxSlot
 
 	// The ingress frame's 5-tuple, extracted once at admission (rxAdmit):
 	// steering, RSS and the flow cache all read it here. flow is false for a

@@ -11,14 +11,23 @@ import (
 	"norman/internal/telemetry"
 )
 
+// disciplines is the one table every test that must hold under both service
+// disciplines ranges over: the FIFO a NIC is born with (no weights) and
+// weighted DRR with per-tenant FIFO shares.
+var disciplines = []struct {
+	name    string
+	weights map[uint32]int
+}{
+	{"fifo", nil},
+	{"tenant_drr", map[uint32]int{1: 3, 2: 1}},
+}
+
 // jobWorld is a NIC with one steered connection (id 1, tenant 1) receiving
-// udpTo(80)'s flow, on the unscheduled or the tenant-scheduled dataplane.
-func jobWorld(t *testing.T, sched bool) (*NIC, *sim.Engine, *Conn) {
+// udpTo(80)'s flow, under the discipline the weights select.
+func jobWorld(t *testing.T, weights map[uint32]int) (*NIC, *sim.Engine, *Conn) {
 	t.Helper()
 	n, eng := newNIC(1 << 20)
-	if sched {
-		n.SetTenantScheduler(map[uint32]int{1: 3, 2: 1})
-	}
+	n.SetTenantScheduler(weights)
 	c, err := n.OpenConn(1, packet.Meta{UID: 1, Tenant: 1, TrustedMeta: true}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,30 +78,37 @@ func traced(n *NIC, p *packet.Packet) *packet.Packet {
 	return p
 }
 
-// dropSpans counts the recorded nic/drop spans by their reason= field.
-func dropSpans(tr *telemetry.Tracer) map[string]uint64 {
-	got := map[string]uint64{}
+// dropSpans counts the recorded nic/drop spans by their reason= field, and
+// those of them that name connection 1.
+func dropSpans(tr *telemetry.Tracer) (got, conn1 map[string]uint64) {
+	got, conn1 = map[string]uint64{}, map[string]uint64{}
 	for _, id := range tr.IDs() {
 		for _, ev := range tr.Trace(id) {
 			if ev.Layer == "nic" && ev.Point == "drop" {
-				reason, _, _ := strings.Cut(strings.TrimPrefix(ev.Note, "reason="), " ")
+				reason, who, _ := strings.Cut(strings.TrimPrefix(ev.Note, "reason="), " ")
 				got[reason]++
+				if strings.HasPrefix(who, "conn=1 ") {
+					conn1[reason]++
+				}
 			}
 		}
 	}
-	return got
+	return got, conn1
 }
 
 const dropPort80 = "ldf r0, dst_port\njeq r0, 80, bad\npass\nbad:\ndrop\n"
 
 // TestJobsReturnOnEveryExit drives one frame (or a few) down every exit of the
-// datapath, on both dataplanes, and checks each time that the exit was the one
-// intended (its typed counter moved), that the frame's job record came back —
-// a leaked record is a frame the NIC still thinks is in flight, a record freed
-// twice or freed holding a slot panics in settle — that the ledger balances,
-// and that every drop left one nic/drop span naming its reason and was charged
-// to a tenant when the scheduler keeps tenant rows. The cases are keyed by the
-// reason table: a Reason no case exercises fails the test.
+// datapath, under both disciplines, and checks each time that the exit was the
+// one intended (its typed counter moved), that the frame's job record came
+// back — a leaked record is a frame the NIC still thinks is in flight, a
+// record freed twice or freed holding a slot panics in settle — that the
+// ledger balances, and that every drop left one nic/drop span naming its
+// reason — and, from admission on, the steered connection: there is one
+// admission order, so a FIFO drop knows whose frame it was under either
+// discipline — and was charged to a tenant when the share table keeps tenant
+// rows. The cases are keyed by the reason table: a Reason no case exercises
+// fails the test.
 func TestJobsReturnOnEveryExit(t *testing.T) {
 	const noDrop = NumReasons // a delivery, punt or transmit exit
 	exits := []struct {
@@ -284,16 +300,16 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			return n.TxFrames, 4
 		}},
 	}
+	// Exits whose frame never reached steering, matched no connection, or was
+	// injected without one: their drop spans say conn=0.
+	unsteered := map[string]bool{"link_down": true, "pause_replay_across_flip": true,
+		"outage_empties_pause_buffer": true, "no_steer_drop": true, "tx_inject_outage": true}
 	covered := map[Reason]bool{}
 	for _, ex := range exits {
 		covered[ex.reason] = true
-		for _, sched := range []bool{false, true} {
-			name := ex.name + "/fifo"
-			if sched {
-				name = ex.name + "/tenant_drr"
-			}
-			t.Run(name, func(t *testing.T) {
-				n, eng, c := jobWorld(t, sched)
+		for _, d := range disciplines {
+			t.Run(ex.name+"/"+d.name, func(t *testing.T) {
+				n, eng, c := jobWorld(t, d.weights)
 				tr := telemetry.NewTracer(512)
 				n.SetTracer(tr)
 				if got, want := ex.run(t, n, eng, c); got != want {
@@ -302,15 +318,22 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 				if err := n.Balance(); err != nil {
 					t.Fatal(err)
 				}
-				spans := dropSpans(tr)
+				spans, conn1 := dropSpans(tr)
 				for r := Reason(0); r < NumReasons; r++ {
+					named := spans[r.String()]
+					if unsteered[ex.name] {
+						named = 0
+					}
+					if conn1[r.String()] != named {
+						t.Errorf("%d of %d %q drop spans name conn=1, want %d", conn1[r.String()], spans[r.String()], r, named)
+					}
 					if (n.Dropped(r) > 0) != (r == ex.reason) {
 						t.Errorf("%d frames dropped under %q on the %q exit", n.Dropped(r), r, ex.name)
 					}
 					if spans[r.String()] != n.Dropped(r) {
 						t.Errorf("%d drop spans carry reason=%s, the counter reads %d", spans[r.String()], r, n.Dropped(r))
 					}
-					if charged := n.TenantDrops(0, r) + n.TenantDrops(1, r) + n.TenantDrops(2, r); sched && charged != n.Dropped(r) {
+					if charged := n.TenantDrops(0, r) + n.TenantDrops(1, r) + n.TenantDrops(2, r); d.weights != nil && charged != n.Dropped(r) {
 						t.Errorf("%d of %d %q drops charged to a tenant", charged, n.Dropped(r), r)
 					}
 				}
@@ -326,14 +349,15 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 
 // TestTxPathZeroAlloc pins DoorbellTx → descriptor fetch → egress chain →
 // wire at zero allocations per pre-built frame: straight to the wire, through
-// a qdisc, and on the tenant-scheduled dataplane.
+// a qdisc, and under weighted DRR.
 func TestTxPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		qdisc, sched bool
-	}{{"wire", false, false}, {"qdisc", true, false}, {"tenant_drr", false, true}} {
+		name       string
+		qdisc      bool
+		discipline int
+	}{{"wire", false, 0}, {"qdisc", true, 0}, {"tenant_drr", false, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			n, eng, c := jobWorld(t, tc.sched)
+			n, eng, c := jobWorld(t, disciplines[tc.discipline].weights)
 			if tc.qdisc {
 				n.SetScheduler(qos.NewWFQ(64))
 			}
@@ -364,8 +388,8 @@ func TestTxPathZeroAlloc(t *testing.T) {
 // the overlay.Env, so a run boxes nothing. (The arch package pins the same
 // path through the poll-mode upcall.)
 func TestRxPathZeroAllocNIC(t *testing.T) {
-	for _, sched := range []bool{false, true} {
-		n, eng, _ := jobWorld(t, sched)
+	for _, d := range disciplines {
+		n, eng, _ := jobWorld(t, d.weights)
 		load(t, n, Ingress, ".table seen 16\nldf r3, src_port\nldi r4, 1\nupdate seen, r3, r4\nmirror\npass\n")
 		n.OnRxDeliver = func(c *Conn, _ sim.Time) { _, _ = c.RX.Pop() }
 		p := udpTo(80)
@@ -377,7 +401,7 @@ func TestRxPathZeroAllocNIC(t *testing.T) {
 		}
 		burst()
 		if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
-			t.Fatalf("sched=%v: receive path allocates %.2f per 8-frame burst, want 0", sched, allocs)
+			t.Fatalf("%s: receive path allocates %.2f per 8-frame burst, want 0", d.name, allocs)
 		}
 		if n.IngressProgCycles == 0 {
 			t.Fatal("the chain never ran")

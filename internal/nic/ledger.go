@@ -80,8 +80,7 @@ func (n *NIC) dropped(tx bool) (sum uint64) {
 // What a job holds of the NIC's bounded resources. Each bit is set where the
 // resource is taken and cleared only by release.
 const (
-	heldShare  uint8 = 1 << iota // a slot of the tenant's ingress FIFO share
-	heldFifo                     // a slot of the ingress FIFO (rxInflight)
+	heldFifo   uint8 = 1 << iota // a slot of the ingress FIFO: rxInflight and the share row job.share
 	heldTxSlot                   // a slot of the tx staging buffer (txInflight)
 )
 
@@ -91,6 +90,12 @@ func (n *NIC) txAccept(k int) {
 	n.txAhead += k
 }
 
+// txRefuse takes k accepted frames back off it under the qdisc-refused term.
+func (n *NIC) txRefuse(k int) {
+	n.txRefused += uint64(k)
+	n.txAhead -= k
+}
+
 // release returns everything j holds. A stalled tx queue resumes inside it,
 // at the instant the staging slot frees.
 func (n *NIC) release(j *job) {
@@ -98,9 +103,8 @@ func (n *NIC) release(j *job) {
 	j.held = 0
 	if h&heldFifo != 0 {
 		n.rxInflight--
-	}
-	if h&heldShare != 0 {
-		n.tsched.rxLeave(j.p.Meta.Tenant)
+		j.share.inflight--
+		j.share = nil
 	}
 	if h&heldTxSlot != 0 {
 		n.txSlotFree()
@@ -126,18 +130,16 @@ func (n *NIC) txSlotFree() {
 	}
 }
 
-// drop ends j's frame under reason r: count it, charge it to the frame's
-// tenant when the scheduler keeps tenant rows, trace it, release what the job
-// held. The caller returns without arming j.
+// drop ends j's frame under reason r: count it, charge it to the frame's row
+// of the share table, trace it, release what the job held. The caller returns
+// without arming j.
 func (n *NIC) drop(j *job, r Reason) {
 	*reasons[r].ctr(n)++
 	if r.Tx() {
 		n.txAhead--
 	}
 	p := j.p
-	if n.tsched != nil {
-		n.tsched.rxQueue(p.Meta.Tenant).drops[r]++
-	}
+	n.tsched.share(p.Meta.Tenant).drops[r]++
 	if n.tracer != nil && p.Meta.Trace != 0 {
 		conn := uint64(0)
 		if j.c != nil {
@@ -230,14 +232,9 @@ func (n *NIC) Balance() error {
 		return fmt.Errorf("nic: ledger residual rx=%d tx=%d (rx_wire=%d tx_frames=%d rx_drops=%d tx_drops=%d)",
 			rx, tx, n.RxWire, n.TxFrames, n.dropped(false), n.dropped(true))
 	}
-	queued, shares := 0, 0
+	queued, shares := 0, n.tsched.inflight()
 	if n.sched != nil {
 		queued = n.sched.Len()
-	}
-	if n.tsched != nil {
-		for _, r := range n.tsched.rx {
-			shares += r.inflight
-		}
 	}
 	if n.jobsOut == 0 && (n.rxInflight != 0 || shares != 0 || n.txInflight != 0 || len(n.txStalled) != 0 || n.txAhead != queued) {
 		return fmt.Errorf("nic: idle datapath holds rx_inflight=%d tenant_shares=%d tx_inflight=%d stalled=%d tx_ahead=%d (qdisc backlog %d)",

@@ -212,9 +212,10 @@ type NIC struct {
 	schedPump  bool
 	classifier func(*packet.Packet) uint32 // egress class assignment; nil = Meta.Class as-is
 
-	// tsched, when non-nil, schedules the pipeline and DMA servers across
-	// tenants by weighted deficit round robin and partitions the ingress
-	// FIFO per tenant (tenant.go). Nil keeps the historical FIFO dataplane.
+	// tsched is the service discipline (tenant.go): the pipeline and DMA
+	// stages every frame is submitted to and the ingress FIFO's share table —
+	// plain FIFO until SetTenantScheduler installs weights, weighted DRR and
+	// per-tenant shares after. Never nil.
 	tsched *TenantSched
 
 	// shedPolicy, when non-nil, is consulted for every steerable ingress
@@ -327,7 +328,7 @@ func New(cfg Config) *NIC {
 	if cfg.Alloc == nil {
 		cfg.Alloc = mem.NewAlloc()
 	}
-	return &NIC{
+	n := &NIC{
 		eng:        cfg.Engine,
 		model:      cfg.Model,
 		llc:        cfg.LLC,
@@ -345,6 +346,8 @@ func New(cfg Config) *NIC {
 		rxWindow:   128,
 		linkUp:     true,
 	}
+	n.tsched = newTenantSched(n, nil)
+	return n
 }
 
 // connSRAM is the on-NIC footprint of one connection: head/tail shadow
@@ -416,8 +419,16 @@ func (n *NIC) ConnCount() int { return len(n.conns) }
 // drop/slow-path behavior.
 func (n *NIC) SetDefaultConn(id uint64) { n.defaultConn = id }
 
-// SetScheduler installs the egress qdisc (nil = plain FIFO at the wire).
-func (n *NIC) SetScheduler(q qos.Qdisc) { n.sched = q }
+// SetScheduler installs the egress qdisc (nil = plain FIFO at the wire). A
+// qdisc that is replaced takes its backlog with it: the frames are counted
+// under tx_qdisc_refused (count only — the Qdisc interface cannot hand them
+// back for a span) and leave tx_ahead, as the host's replaced qdisc does.
+func (n *NIC) SetScheduler(q qos.Qdisc) {
+	if old := n.sched; old != nil && old != q {
+		n.txRefuse(old.Len())
+	}
+	n.sched = q
+}
 
 // Scheduler returns the installed egress qdisc.
 func (n *NIC) Scheduler() qos.Qdisc { return n.sched }
@@ -508,17 +519,10 @@ func (n *NIC) RxWindow() int { return n.rxWindow }
 // SetRxWindow resizes the ingress FIFO depth. The fault-injection layer uses
 // it to model transient ring-overflow pressure (a misbehaving bus master or
 // PCIe credit stall shrinking effective buffering); values < 1 clamp to 1.
-// The tenant scheduler's FIFO shares are fractions of this depth and follow it.
+// The share table's rows are fractions of this depth and follow it.
 func (n *NIC) SetRxWindow(depth int) {
-	if depth < 1 {
-		depth = 1
-	}
-	n.rxWindow = depth
-	if n.tsched != nil {
-		for id, r := range n.tsched.rx {
-			r.window = n.tsched.rxShare(id)
-		}
-	}
+	n.rxWindow = max(depth, 1)
+	n.tsched.resize()
 }
 
 // RxInflight returns the current ingress FIFO occupancy (frames between the

@@ -73,7 +73,7 @@ func (n *NIC) RestoreConfig(s *ConfigSnapshot) (sim.Duration, error) {
 			firstErr = fmt.Errorf("nic: restore %v program: %w", dir, err)
 		}
 	}
-	n.sched = s.Scheduler
+	n.SetScheduler(s.Scheduler)
 	n.classifier = s.Classifier
 	n.defaultConn = s.DefaultConn
 
@@ -83,7 +83,7 @@ func (n *NIC) RestoreConfig(s *ConfigSnapshot) (sim.Duration, error) {
 	for k := range s.Steering {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return flowLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return FlowLess(keys[i], keys[j]) })
 	for _, k := range keys {
 		id := s.Steering[k]
 		if _, ok := n.conns[id]; !ok {
@@ -99,8 +99,9 @@ func (n *NIC) RestoreConfig(s *ConfigSnapshot) (sim.Duration, error) {
 	return total, firstErr
 }
 
-// flowLess orders flow keys lexicographically for deterministic restores.
-func flowLess(a, b packet.FlowKey) bool {
+// FlowLess orders flow keys lexicographically: the one order every
+// deterministic walk of a flow-keyed map uses (restores, exports, snapshots).
+func FlowLess(a, b packet.FlowKey) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}

@@ -78,10 +78,8 @@ func (n *NIC) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) {
 	}
 
 	// Per-tenant scheduler accounting, one labeled series per tenant known
-	// to the scheduler at registration, in sorted tenant order.
-	if n.tsched == nil {
-		return
-	}
+	// to the scheduler at registration (none without weights), in sorted
+	// tenant order.
 	for _, st := range n.tsched.Stats() {
 		id := st.Tenant
 		tl := telemetry.Labels{"tenant": fmt.Sprint(id)} // the registry copies the label set

@@ -6,25 +6,30 @@ import (
 	"norman/internal/sim"
 )
 
-// This file is the NIC's tenant performance-isolation layer (OSMOSIS-shaped):
-// weighted deficit-round-robin scheduling of the two serial NIC-internal
-// resources — the overlay pipeline and the PCIe DMA engine — plus per-tenant
-// ingress FIFO accounting. Admission control (the overload governor) decides
-// *whether* a tenant gets resources; this layer decides *in what order* the
-// resources serve the tenants that were admitted, which is what keeps an
-// adversarial neighbor's backlog out of a latency-sensitive tenant's way.
-//
-// The scheduler is strictly opt-in: with no scheduler installed every request
-// acquires its server directly, preserving the historical FIFO dataplane
-// byte-for-byte (E1–E12 tables do not move).
+// This file is the service discipline of the NIC's shared resources
+// (OSMOSIS-shaped). The two serial NIC-internal resources — the overlay
+// pipeline and the PCIe DMA engine — are each a Stage, a server plus the
+// discipline that orders who it serves, and the ingress FIFO is a table of
+// shares; the datapath submits every frame to the stages and admits every
+// frame against the table, in one order. Which discipline is installed is
+// decided here and nowhere else, from what the stage can see: with no tenant
+// weights a stage is the analytic FIFO its server already is and the FIFO is
+// one share everybody is in; with weights a stage runs weighted deficit round
+// robin over per-tenant rings and the FIFO is carved into per-tenant shares,
+// which is what keeps an adversarial neighbor's backlog out of a
+// latency-sensitive tenant's way. Admission control (the overload governor)
+// decides *whether* a tenant gets resources; this layer decides *in what
+// order*. Both disciplines stay because each was measured better somewhere
+// (DESIGN.md §9): DRR's pump costs two events per frame the FIFO never
+// schedules, and the FIFO cannot isolate.
 
-// A queued request for a scheduled resource is the frame's own datapath job
-// (job.go): per-tenant queues are rings of job pointers, so steady-state
-// scheduling allocates nothing. The job's stage says which continuation the
-// grant resumes; est is the *estimated* server occupancy used for deficit
-// accounting at selection time — the actual cost (which may include a DDIO
-// descriptor miss the scheduler cannot predict) is billed as a correction
-// when the request is served.
+// A queued request for a stage is the frame's own datapath job (job.go):
+// per-tenant queues are rings of job pointers, so steady-state scheduling
+// allocates nothing. The job's stage says which resource it wants and which
+// continuation the grant resumes; est is the *estimated* server occupancy
+// used for deficit accounting at selection time — the actual cost (which may
+// include a DDIO descriptor miss the scheduler cannot predict) is billed as a
+// correction when the request is served.
 
 // tenantID attributes a request: the steered connection's tenant, or whatever
 // the packet already carries (0, the unattributed tenant, for unsteered
@@ -77,20 +82,23 @@ func (q *tenantQ) pop() *job {
 	return g
 }
 
-// TenantDRR schedules one serial sim.Server across tenants by deficit round
-// robin — the same discipline as the qos egress DRR, rebuilt over job rings
-// so the per-packet hot path (Request → select → serve) allocates nothing.
-// Each round a backlogged tenant's deficit grows by weight × the cost of one
-// full frame on this resource; it is served while the deficit covers the head
-// grant's estimate. Overlay cycles and miss penalties the estimate missed are
-// billed post-hoc with Charge, so a tenant that runs expensive programs pays
-// for them in its own schedule, not its neighbors'.
-type TenantDRR struct {
+// Stage is one serial NIC resource — a sim.Server — and the discipline that
+// orders who it serves. With no tenant weights (qs == nil) that is the server's
+// own FIFO: Request acquires it and resumes the datapath on the spot — no
+// queue, no event, no accounting. With weights it is deficit round robin —
+// the same discipline as the qos egress DRR, rebuilt over job rings so the
+// per-packet hot path (Request → select → serve) allocates nothing. Each round
+// a backlogged tenant's deficit grows by weight × the cost of one full frame
+// on this resource; it is served while the deficit covers the head grant's
+// estimate. Overlay cycles and miss penalties the estimate missed are billed
+// post-hoc with Charge, so a tenant that runs expensive programs pays for
+// them in its own schedule, not its neighbors'.
+type Stage struct {
 	nic *NIC
 	srv *sim.Server
 
-	qs    map[uint32]*tenantQ
-	order []uint32 // sorted tenant ids, for deterministic accessors
+	qs    map[uint32]*tenantQ // nil: no tenant has a weight, the server's FIFO is the discipline
+	order []uint32            // sorted tenant ids, for deterministic accessors
 
 	active     []uint32 // round-robin ring of backlogged tenant ids
 	activeHead int
@@ -102,37 +110,24 @@ type TenantDRR struct {
 
 	base      sim.Duration // one weight unit's per-round refill
 	defWeight int
-
-	// cost returns a request's actual server occupancy (it may touch the LLC,
-	// so it runs exactly once, at serve time). deliver resumes the datapath
-	// once the server slot ending at done is owned; a job it does not arm
-	// again is freed.
-	cost    func(g *job) sim.Duration
-	deliver func(g *job, done sim.Time)
 }
 
-func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Duration,
-	cost func(*job) sim.Duration, deliver func(*job, sim.Time)) *TenantDRR {
+func newStage(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Duration) *Stage {
 	if base < 1 {
 		base = 1
 	}
-	d := &TenantDRR{
-		nic:       n,
-		srv:       srv,
-		qs:        make(map[uint32]*tenantQ, len(weights)),
-		base:      base,
-		defWeight: 1,
-		cost:      cost,
-		deliver:   deliver,
-	}
+	d := &Stage{nic: n, srv: srv, base: base, defWeight: 1}
 	d.pumpFn = d.pump
+	if len(weights) > 0 {
+		d.qs = make(map[uint32]*tenantQ, len(weights))
+	}
 	for id, w := range weights { // addQueue keeps order sorted whatever the map's order
 		d.addQueue(id, w)
 	}
 	return d
 }
 
-func (d *TenantDRR) addQueue(tenant uint32, weight int) *tenantQ {
+func (d *Stage) addQueue(tenant uint32, weight int) *tenantQ {
 	if weight < 1 {
 		weight = 1
 	}
@@ -146,22 +141,32 @@ func (d *TenantDRR) addQueue(tenant uint32, weight int) *tenantQ {
 }
 
 // queue returns (creating with the default weight if needed) a tenant's state.
-func (d *TenantDRR) queue(tenant uint32) *tenantQ {
+func (d *Stage) queue(tenant uint32) *tenantQ {
 	if q, ok := d.qs[tenant]; ok {
 		return q
 	}
 	return d.addQueue(tenant, d.defWeight)
 }
 
-// Request submits one resource request. When the resource is idle and no one
-// is backlogged the grant is served immediately — an uncontended tenant sees
-// exactly the unscheduled latency, and (as in classic DRR) uncontended serves
-// do not touch deficits. Otherwise the request queues on its tenant ring and
-// the round-robin pump orders it against the other tenants' backlogs. The
-// caller settles g: a queued request is armed (the ring holds it), one served
-// on the spot is whatever deliver left it.
-func (d *TenantDRR) Request(g *job) {
+// Request submits g to the stage; g.stage names the step the grant resumes and
+// g.est the occupancy it expects. Under the FIFO discipline that is the whole
+// of it: acquire the server, continue. Under DRR, when the resource is idle
+// and no one is backlogged the grant is served immediately — an uncontended
+// tenant sees exactly the FIFO latency, and (as in classic DRR) uncontended
+// serves do not touch deficits. Otherwise the request queues on its tenant
+// ring and the round-robin pump orders it against the other tenants'
+// backlogs. The caller settles g: a queued request is armed (the ring holds
+// it), one served on the spot is whatever its step left it.
+func (d *Stage) Request(g *job) {
 	now := d.nic.eng.Now()
+	if d.qs == nil {
+		_, done := d.srv.Acquire(now, d.cost(g))
+		d.grant(g, done)
+		return
+	}
+	if g.stage == stRxDMA {
+		g.index = g.c.RX.Head() // DRR claims the ring slot on joining the queue (see book)
+	}
 	g.enq = now
 	q := d.queue(g.tenantID())
 	if d.backlog == 0 && !d.srv.FreeAt().After(now) {
@@ -179,30 +184,76 @@ func (d *TenantDRR) Request(g *job) {
 }
 
 // Charge bills extra server-adjacent work (overlay cycles, miss penalties) to
-// a tenant's deficit. It only bites while the tenant is backlogged — deficits
-// reset when a queue drains — which is the right scope: uncontended work
-// delays nobody.
-func (d *TenantDRR) Charge(tenant uint32, dur sim.Duration) {
-	if dur <= 0 {
+// a tenant's deficit; the FIFO discipline keeps none. It only bites while the
+// tenant is backlogged — deficits reset when a queue drains — which is the
+// right scope: uncontended work delays nobody.
+func (d *Stage) Charge(tenant uint32, dur sim.Duration) {
+	if d.qs == nil || dur <= 0 {
 		return
 	}
 	d.queue(tenant).deficit -= int64(dur)
 }
 
+// book is the DMA stage's one discipline-specific step outside Request: a
+// steered rx frame leaves the pipeline at at and returns when its store may
+// be requested. The FIFO discipline claims the RX ring slot now and holds the
+// frame until the engine frees up; DRR claims on joining the tenant's ring and
+// waits there. When the slot is claimed is pinned by 22 table lines across six
+// experiments (DESIGN.md §9), so it stays with the discipline.
+func (d *Stage) book(g *job, at sim.Time) sim.Time {
+	if d.qs != nil {
+		return at
+	}
+	g.index = g.c.RX.Head()
+	return max(at, d.srv.FreeAt())
+}
+
+// cost is g's actual server occupancy. The pipeline's is frame-length-
+// determined, so the estimate is exact; the DMA engine's is decided here, at
+// serve time and exactly once, because it touches the LLC — this is where the
+// descriptor's DDIO fate (per-tenant partition included) is settled.
+func (d *Stage) cost(g *job) sim.Duration {
+	switch g.stage {
+	case stTxFetch:
+		return d.nic.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
+	case stRxDMA:
+		return d.nic.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
+	}
+	return g.est
+}
+
+// grant resumes g's datapath now that it owns the server until done. A TX
+// fetch continues the connection's drain chain and delivers the frame to the
+// egress pipeline after the PCIe flight; an RX store becomes host-visible
+// after the same flight. A job its step does not arm again is freed.
+func (d *Stage) grant(g *job, done sim.Time) {
+	n := d.nic
+	switch g.stage {
+	case stRxPipe:
+		n.rxPipe(g, done)
+	case stTxPipe:
+		n.txPipe(g, done)
+	case stTxFetch:
+		n.txFetched(g, done)
+	case stRxDMA:
+		g.arm(stRxVisible, done.Add(n.model.DMALatency))
+	}
+}
+
 // serve grants g the server now and resumes its datapath, returning what the
 // grant actually cost and when it ends.
-func (d *TenantDRR) serve(q *tenantQ, g *job, now sim.Time) (sim.Duration, sim.Time) {
+func (d *Stage) serve(q *tenantQ, g *job, now sim.Time) (sim.Duration, sim.Time) {
 	cost := d.cost(g)
 	_, done := d.srv.Acquire(now, cost)
 	q.grants++
 	q.work += cost
 	q.wait += now.Sub(g.enq)
-	d.deliver(g, done)
+	d.grant(g, done)
 	return cost, done
 }
 
 // schedule keeps exactly one pending pump event against the server.
-func (d *TenantDRR) schedule(at sim.Time) {
+func (d *Stage) schedule(at sim.Time) {
 	if d.pumping {
 		return
 	}
@@ -213,7 +264,7 @@ func (d *TenantDRR) schedule(at sim.Time) {
 	d.nic.eng.At(at, d.pumpFn)
 }
 
-func (d *TenantDRR) pump() {
+func (d *Stage) pump() {
 	d.pumping = false
 	now := d.nic.eng.Now()
 	if free := d.srv.FreeAt(); free.After(now) {
@@ -244,7 +295,7 @@ func (d *TenantDRR) pump() {
 // the head tenant's deficit cannot cover its head grant, and pop the first
 // affordable grant. Queues that drain leave the round with their deficit
 // reset.
-func (d *TenantDRR) next() (*job, *tenantQ, bool) {
+func (d *Stage) next() (*job, *tenantQ, bool) {
 	for d.activeN > 0 {
 		q := d.qs[d.active[d.activeHead]]
 		if q.n == 0 {
@@ -272,7 +323,7 @@ func (d *TenantDRR) next() (*job, *tenantQ, bool) {
 	return nil, nil, false
 }
 
-func (d *TenantDRR) activePush(id uint32) {
+func (d *Stage) activePush(id uint32) {
 	if d.activeN == len(d.active) {
 		grown := make([]uint32, max(8, 2*len(d.active)))
 		for i := 0; i < d.activeN; i++ {
@@ -285,39 +336,43 @@ func (d *TenantDRR) activePush(id uint32) {
 	d.activeN++
 }
 
-func (d *TenantDRR) activePop() uint32 {
+func (d *Stage) activePop() uint32 {
 	id := d.active[d.activeHead]
 	d.activeHead = (d.activeHead + 1) % len(d.active)
 	d.activeN--
 	return id
 }
 
-func (d *TenantDRR) activeRotate() { d.activePush(d.activePop()) }
+func (d *Stage) activeRotate() { d.activePush(d.activePop()) }
 
 // Backlog returns the total queued grants across tenants.
-func (d *TenantDRR) Backlog() int { return d.backlog }
+func (d *Stage) Backlog() int { return d.backlog }
 
-// tenantRx is one tenant's share of the ingress FIFO, plus the drops charged
-// to it by reason (ledger.go). Partitioning the FIFO is what stops a
-// backlogged neighbor's frames from camping every slot: each tenant overflows
-// its own share and the MAC drops *its* excess, not the victim's.
+// tenantRx is one share of the ingress FIFO, plus the drops charged to it by
+// reason (ledger.go). Partitioning the FIFO is what stops a backlogged
+// neighbor's frames from camping every slot: each tenant overflows its own
+// share and the MAC drops *its* excess, not the victim's.
 type tenantRx struct {
 	inflight int
 	window   int
 	drops    [NumReasons]uint64
 }
 
-// TenantSched bundles the two per-resource schedulers and the per-tenant
-// ingress FIFO accounting. Install with NIC.SetTenantScheduler before traffic
-// flows (it is a control-plane configuration, like steering or programs).
+// TenantSched is the NIC's service discipline: the two stages and the ingress
+// FIFO's share table. A NIC always has one; NIC.SetTenantScheduler replaces it
+// whole (a control-plane configuration, like steering or programs — do it
+// before traffic flows). With no weights the stages are FIFO and every frame
+// occupies the one catch-all share, all, which is the whole FIFO; with weights
+// each tenant has its own row and all stays empty.
 type TenantSched struct {
 	n    *NIC
-	Pipe *TenantDRR
-	DMA  *TenantDRR
+	Pipe *Stage
+	DMA  *Stage
 
 	weights map[uint32]int
 	total   int
 
+	all     tenantRx
 	rx      map[uint32]*tenantRx
 	rxOrder []uint32
 }
@@ -327,6 +382,7 @@ func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
 		n:       n,
 		weights: make(map[uint32]int, len(weights)),
 		rx:      make(map[uint32]*tenantRx, len(weights)),
+		all:     tenantRx{window: n.rxWindow},
 	}
 	for id, w := range weights {
 		s.weights[id] = max(w, 1)
@@ -334,12 +390,39 @@ func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
 	}
 	// Quanta: one weight unit buys one full frame per round on each resource.
 	full := n.price(1514)
-	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, full.pipe, s.pipeCost, s.pipeGrant)
-	s.DMA = newTenantDRR(n, n.dma, s.weights, full.dma, s.dmaCostOf, s.dmaGrant)
+	s.Pipe = newStage(n, n.pipeline, s.weights, full.pipe)
+	s.DMA = newStage(n, n.dma, s.weights, full.dma)
 	for id := range s.weights { // shares need the total; rxQueue keeps rxOrder sorted
 		s.rxQueue(id)
 	}
 	return s
+}
+
+// share returns the row of the table a tenant's frames occupy and its drops
+// are charged to: the catch-all while no tenant has a weight, the tenant's
+// own (created on first sight) once the FIFO is carved up.
+func (s *TenantSched) share(tenant uint32) *tenantRx {
+	if s.total == 0 {
+		return &s.all
+	}
+	return s.rxQueue(tenant)
+}
+
+// resize refits every share to the FIFO depth they are fractions of.
+func (s *TenantSched) resize() {
+	s.all.window = s.n.rxWindow
+	for id, r := range s.rx {
+		r.window = s.rxShare(id)
+	}
+}
+
+// inflight sums the FIFO slots the table has out: RxInflight() by another route.
+func (s *TenantSched) inflight() int {
+	sum := s.all.inflight
+	for _, r := range s.rx {
+		sum += r.inflight
+	}
+	return sum
 }
 
 // rxShare sizes a tenant's FIFO share from the current FIFO depth:
@@ -366,59 +449,6 @@ func (s *TenantSched) rxQueue(tenant uint32) *tenantRx {
 	copy(s.rxOrder[i+1:], s.rxOrder[i:])
 	s.rxOrder[i] = tenant
 	return r
-}
-
-// pipeCost: the pipeline's occupancy is frame-length-determined, so the
-// estimate is exact.
-func (s *TenantSched) pipeCost(g *job) sim.Duration { return g.est }
-
-// dmaCostOf computes the DMA engine occupancy at serve time — this is where
-// the descriptor's DDIO fate (per-tenant partition included) is decided.
-func (s *TenantSched) dmaCostOf(g *job) sim.Duration {
-	if g.stage == stTxFetch {
-		return s.n.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
-	}
-	return s.n.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
-}
-
-// dmaGrant resumes the datapath after a DMA grant: TX fetches continue the
-// connection's drain chain and deliver the frame to the egress pipeline after
-// the PCIe flight; RX stores become host-visible after the same flight.
-func (s *TenantSched) dmaGrant(g *job, done sim.Time) {
-	if g.stage == stTxFetch {
-		s.n.txFetched(g, done)
-		return
-	}
-	g.arm(stRxVisible, done.Add(s.n.model.DMALatency))
-}
-
-// pipeGrant resumes the datapath after a pipeline grant: the same pipeline
-// step the unscheduled dataplane runs when it acquires the server directly.
-func (s *TenantSched) pipeGrant(g *job, done sim.Time) {
-	if g.stage == stTxPipe {
-		s.n.txPipe(g, done)
-		return
-	}
-	s.n.rxPipe(g, done)
-}
-
-// rxAdmit charges one ingress FIFO slot to a tenant; false means the tenant's
-// share is full and the frame must be dropped (an RxFifo drop).
-func (s *TenantSched) rxAdmit(tenant uint32) bool {
-	r := s.rxQueue(tenant)
-	if r.inflight >= r.window {
-		return false
-	}
-	r.inflight++
-	return true
-}
-
-func (s *TenantSched) rxLeave(tenant uint32) {
-	r := s.rx[tenant]
-	if r == nil || r.inflight == 0 {
-		panic("nic: tenant FIFO share released but not held")
-	}
-	r.inflight--
 }
 
 // TenantSchedStats is one tenant's scheduler accounting across both scheduled
@@ -480,20 +510,20 @@ func (s *TenantSched) Stats() []TenantSchedStats {
 }
 
 // SetTenantScheduler installs weighted DRR scheduling of the NIC pipeline and
-// DMA engine across tenants (weights sum to the total share; higher = more).
-// nil or empty weights uninstall the scheduler, restoring the historical FIFO
-// dataplane. Install at configuration time, before traffic flows.
-func (n *NIC) SetTenantScheduler(weights map[uint32]int) {
-	if len(weights) == 0 {
-		n.tsched = nil
-		return
-	}
-	n.tsched = newTenantSched(n, weights)
-}
+// DMA engine across tenants (weights sum to the total share; higher = more),
+// with the ingress FIFO carved up by the same weights. nil or empty weights
+// restore the FIFO discipline. Install at configuration time, before traffic
+// flows.
+func (n *NIC) SetTenantScheduler(weights map[uint32]int) { n.tsched = newTenantSched(n, weights) }
 
-// TenantScheduler returns the installed tenant scheduler, nil when the
-// dataplane is unscheduled.
-func (n *NIC) TenantScheduler() *TenantSched { return n.tsched }
+// TenantScheduler returns the tenant scheduler, nil when no weights are
+// installed.
+func (n *NIC) TenantScheduler() *TenantSched {
+	if n.tsched.total == 0 {
+		return nil
+	}
+	return n.tsched
+}
 
 // Weights returns a copy of the scheduler's tenant weights (the flow cache
 // partitions its capacity by the same shares).
@@ -506,10 +536,10 @@ func (s *TenantSched) Weights() map[uint32]int {
 }
 
 // TenantDrops returns the frames dropped under one reason on one tenant's
-// account (0 when no scheduler is installed — unscheduled drops are global).
+// account (0 when no weights are installed — FIFO-discipline drops are global).
 func (n *NIC) TenantDrops(tenant uint32, r Reason) uint64 {
-	if n.tsched != nil && n.tsched.rx[tenant] != nil {
-		return n.tsched.rx[tenant].drops[r]
+	if row := n.tsched.rx[tenant]; row != nil {
+		return row.drops[r]
 	}
 	return 0
 }

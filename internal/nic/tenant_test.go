@@ -3,6 +3,7 @@ package nic
 import (
 	"testing"
 
+	"norman/internal/mem"
 	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/timing"
@@ -23,9 +24,10 @@ func rxNow(n *NIC, p *packet.Packet) {
 	j.Fire()
 }
 
-// request submits one bare scheduling request for c and settles it, as every
-// datapath caller of TenantDRR.Request does.
-func request(n *NIC, d *TenantDRR, c *Conn, est sim.Duration) {
+// request submits one bare scheduling request for c — a job in no datapath
+// stage, so it costs its estimate and its grant resumes nothing — and settles
+// it, as every datapath caller of Stage.Request does.
+func request(n *NIC, d *Stage, c *Conn, est sim.Duration) {
 	j := n.job(c, nil)
 	j.est = est
 	d.Request(j)
@@ -105,23 +107,75 @@ func TestTenantDRRWorkConserving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var served uint64
 	srv := sim.NewServer("wc.pipe")
-	d := newTenantDRR(n, srv, map[uint32]int{1: 1, 2: 7},
-		100*sim.Nanosecond,
-		func(*job) sim.Duration { return 10 * sim.Nanosecond },
-		func(*job, sim.Time) { served++ })
+	d := newStage(n, srv, map[uint32]int{1: 1, 2: 7}, 100*sim.Nanosecond)
 	eng.At(0, func() {
 		for i := 0; i < 1000; i++ {
 			request(n, d, ca, 10*sim.Nanosecond)
 		}
 	})
 	eng.Run()
-	if served != 1000 {
+	if served := d.qs[1].grants; served != 1000 {
 		t.Fatalf("served %d of 1000", served)
 	}
 	if want := sim.Time(1000 * 10 * sim.Nanosecond); srv.FreeAt() != want {
 		t.Fatalf("server busy until %v, want %v — it idled while tenant 1 was backlogged", srv.FreeAt(), want)
+	}
+}
+
+// TestStageFIFOIsTheBareServer: with no weights a stage is its server and
+// nothing more. A request acquires the server and continues on the spot — no
+// queue, no event, no tenant row — Charge keeps no account, and
+// TenantScheduler() reports that no scheduler is installed.
+func TestStageFIFOIsTheBareServer(t *testing.T) {
+	n, eng := newNIC(1 << 20)
+	c, err := n.OpenConn(1, packet.Meta{Tenant: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.TenantScheduler() != nil {
+		t.Fatal("a NIC without weights reports a tenant scheduler")
+	}
+	for _, d := range []*Stage{n.tsched.Pipe, n.tsched.DMA} {
+		for i := 0; i < 100; i++ {
+			request(n, d, c, 10*sim.Nanosecond)
+			d.Charge(1, 5*sim.Nanosecond)
+		}
+		if want := sim.Time(100 * 10 * sim.Nanosecond); d.srv.FreeAt() != want {
+			t.Fatalf("server busy until %v, want %v", d.srv.FreeAt(), want)
+		}
+		if d.Backlog() != 0 || d.qs != nil {
+			t.Fatalf("the FIFO discipline queued: backlog %d, %d tenant rows", d.Backlog(), len(d.qs))
+		}
+	}
+	if eng.Pending() != 0 || n.JobsOutstanding() != 0 {
+		t.Fatalf("%d events scheduled and %d jobs held for 200 FIFO requests", eng.Pending(), n.JobsOutstanding())
+	}
+	if st := n.tsched.Stats(); len(st) != 0 {
+		t.Fatalf("the FIFO discipline keeps tenant rows: %+v", st)
+	}
+}
+
+// TestStageBooksTheRingSlotByDiscipline pins the one thing the disciplines do
+// at different times (22 table lines hold it there): FIFO claims the RX ring
+// slot, and clamps to the engine's free time, when the frame leaves the
+// pipeline; DRR claims it when the request joins the DMA stage.
+func TestStageBooksTheRingSlotByDiscipline(t *testing.T) {
+	for _, d := range disciplines {
+		n, eng, c := jobWorld(t, d.weights)
+		n.StallDMA(5 * sim.Microsecond)
+		_ = c.RX.Push(mem.Desc{}) // head moves to 1
+		j := n.job(c, udpTo(80))
+		j.index = 99
+		at := n.tsched.DMA.book(j, eng.Now().Add(sim.Microsecond))
+		fifo := d.weights == nil
+		if claimed := j.index == 1; claimed != fifo {
+			t.Errorf("%s: ring slot claimed on leaving the pipeline = %v", d.name, claimed)
+		}
+		if clamped := at == sim.Time(5*sim.Microsecond); clamped != fifo {
+			t.Errorf("%s: store held to the engine's free time = %v (at %v)", d.name, clamped, at)
+		}
+		n.settle(j)
 	}
 }
 
@@ -169,11 +223,7 @@ func TestTenantDRRZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var served uint64
-	d := newTenantDRR(n, sim.NewServer("test.pipe"), map[uint32]int{1: 3, 2: 1},
-		100*sim.Nanosecond,
-		func(*job) sim.Duration { return 10 * sim.Nanosecond },
-		func(*job, sim.Time) { served++ })
+	d := newStage(n, sim.NewServer("test.pipe"), map[uint32]int{1: 3, 2: 1}, 100*sim.Nanosecond)
 	load := func() {
 		for i := 0; i < 64; i++ {
 			request(n, d, ca, 10*sim.Nanosecond)
@@ -188,7 +238,7 @@ func TestTenantDRRZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, load); allocs != 0 {
 		t.Fatalf("scheduling hot path allocates %.2f/op", allocs)
 	}
-	if served != 128*102 {
+	if served := d.qs[1].grants + d.qs[2].grants; served != 128*102 {
 		t.Fatalf("served %d grants, want %d", served, 128*102)
 	}
 }
@@ -200,10 +250,7 @@ func BenchmarkTenantDRR(b *testing.B) {
 	n := New(Config{Engine: eng, Model: timing.Default(), SRAMBudget: 1 << 20, RingSize: 8})
 	ca, _ := n.OpenConn(1, packet.Meta{Tenant: 1}, nil)
 	cb, _ := n.OpenConn(2, packet.Meta{Tenant: 2}, nil)
-	d := newTenantDRR(n, sim.NewServer("bench.pipe"), map[uint32]int{1: 3, 2: 1},
-		100*sim.Nanosecond,
-		func(*job) sim.Duration { return 10 * sim.Nanosecond },
-		func(*job, sim.Time) {})
+	d := newStage(n, sim.NewServer("bench.pipe"), map[uint32]int{1: 3, 2: 1}, 100*sim.Nanosecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,32 +263,47 @@ func BenchmarkTenantDRR(b *testing.B) {
 	eng.Run()
 }
 
-// TestSetRxWindowResizesTenantShares: the tenant shares are fractions of the
-// FIFO depth, so a clamp (the health monitor's DMA quarantine, a fault burst)
-// must reach them. With the DMA engine stalled nothing leaves the FIFO: of 64
+// TestSetRxWindowResizesTenantShares: every row of the share table is a
+// fraction of the FIFO depth, so a clamp (the health monitor's DMA quarantine,
+// a fault burst) must reach it — the tenants' rows under DRR, the catch-all
+// row under FIFO. With the DMA engine stalled nothing leaves the FIFO: of 64
 // frames for one tenant exactly the clamp's worth are in flight and the rest
-// are FIFO drops on that tenant's account.
+// are FIFO drops, on that tenant's account where tenants have accounts.
 func TestSetRxWindowResizesTenantShares(t *testing.T) {
-	n, eng := tenantWorld(t, map[uint32]int{1: 3, 2: 1}, 1, 2)
-	n.OnRxDeliver = func(c *Conn, _ sim.Time) { _, _ = c.RX.Pop() }
-	n.SetRxWindow(8)
-	n.StallDMA(sim.Millisecond)
-	for i := 0; i < 64; i++ {
-		rxNow(n, tenantUDP(5001))
-		if in := n.RxInflight(); in > 8 {
-			t.Fatalf("FIFO occupancy %d exceeds the clamp of 8", in)
-		}
-	}
-	if n.RxFifoDrop != 56 || n.TenantFifoDrops(1) != 56 || n.TenantFifoDrops(2) != 0 {
-		t.Fatalf("fifo drops: %d global, %d on tenant 1, %d on tenant 2; want 56, 56, 0",
-			n.RxFifoDrop, n.TenantFifoDrops(1), n.TenantFifoDrops(2))
-	}
-	n.SetRxWindow(128)
-	if st := n.TenantScheduler().Stats(); st[0].RxWindow != 96 || st[1].RxWindow != 32 {
-		t.Fatalf("shares after restoring the depth: %d and %d, want 96 and 32", st[0].RxWindow, st[1].RxWindow)
-	}
-	eng.Run()
-	if err := n.Balance(); err != nil {
-		t.Fatal(err)
+	for _, d := range disciplines {
+		t.Run(d.name, func(t *testing.T) {
+			n, eng := tenantWorld(t, d.weights, 1, 2)
+			n.OnRxDeliver = func(c *Conn, _ sim.Time) { _, _ = c.RX.Pop() }
+			n.SetRxWindow(8)
+			n.StallDMA(sim.Millisecond)
+			for i := 0; i < 64; i++ {
+				rxNow(n, tenantUDP(5001))
+				if in := n.RxInflight(); in > 8 {
+					t.Fatalf("FIFO occupancy %d exceeds the clamp of 8", in)
+				}
+			}
+			if n.RxFifoDrop != 56 || n.tsched.share(1).drops[RxFifo] != 56 || n.tsched.share(1).inflight != 8 {
+				t.Fatalf("%d fifo drops, %d of them and %d frames in flight on tenant 1's row; want 56, 56, 8",
+					n.RxFifoDrop, n.tsched.share(1).drops[RxFifo], n.tsched.share(1).inflight)
+			}
+			n.SetRxWindow(128)
+			if d.weights == nil {
+				if n.TenantFifoDrops(1) != 0 || n.tsched.all.window != 128 {
+					t.Fatalf("FIFO discipline: %d drops on a tenant account, catch-all share %d; want 0 and 128",
+						n.TenantFifoDrops(1), n.tsched.all.window)
+				}
+			} else {
+				if n.TenantFifoDrops(1) != 56 || n.TenantFifoDrops(2) != 0 {
+					t.Fatalf("fifo drops: %d on tenant 1, %d on tenant 2; want 56, 0", n.TenantFifoDrops(1), n.TenantFifoDrops(2))
+				}
+				if st := n.TenantScheduler().Stats(); st[0].RxWindow != 96 || st[1].RxWindow != 32 {
+					t.Fatalf("shares after restoring the depth: %d and %d, want 96 and 32", st[0].RxWindow, st[1].RxWindow)
+				}
+			}
+			eng.Run()
+			if err := n.Balance(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

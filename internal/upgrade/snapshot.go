@@ -146,7 +146,7 @@ func takeSnapshot(n *nic.NIC, now sim.Time) *Snapshot {
 	for k := range cfg.Steering {
 		keys = append(keys, k)
 	}
-	sortFlowKeys(keys)
+	sort.Slice(keys, func(i, j int) bool { return nic.FlowLess(keys[i], keys[j]) })
 	for _, k := range keys {
 		s.Steering = append(s.Steering, SteerEntry{Flow: k, Conn: cfg.Steering[k]})
 	}
@@ -163,25 +163,4 @@ func takeSnapshot(n *nic.NIC, now sim.Time) *Snapshot {
 		s.Cache = fc.Export()
 	}
 	return s
-}
-
-// sortFlowKeys orders keys lexicographically (the same order the NIC's
-// deterministic restore uses).
-func sortFlowKeys(keys []packet.FlowKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.SrcPort != b.SrcPort {
-			return a.SrcPort < b.SrcPort
-		}
-		if a.DstPort != b.DstPort {
-			return a.DstPort < b.DstPort
-		}
-		return a.Proto < b.Proto
-	})
 }

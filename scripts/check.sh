@@ -57,6 +57,21 @@ if [ "$flows" -ne 1 ]; then
 	exit 1
 fi
 
+# One datapath, two disciplines (DESIGN.md §9): the datapath submits every frame
+# to the pipeline and DMA stages and admits it against the FIFO's share table;
+# which discipline serves it — the server's own FIFO, or weighted DRR with
+# per-tenant shares — is asked in internal/nic/tenant.go and nowhere else.
+discipline='tsched *[!=]= *nil|TenantScheduler\(\) *[!=]= *nil|\.qs *[!=]= *nil|\.total *[!=]= *0'
+if grep -nE "$discipline" $(ls internal/nic/*.go | grep -v -e _test.go -e /tenant.go); then
+	echo "internal/nic asks which service discipline is installed outside tenant.go (submit to the stage; want 0 such tests)" >&2
+	exit 1
+fi
+asked=$(grep -cE "$discipline" internal/nic/tenant.go)
+if [ "$asked" -ne 5 ]; then
+	echo "internal/nic/tenant.go asks which discipline is installed in $asked places, want 5: one per stage operation (Stage.Request, Stage.Charge, Stage.book), the share table's lookup (TenantSched.share) and the NIC.TenantScheduler accessor" >&2
+	exit 1
+fi
+
 # One status struct per subsystem: the overload, tenant, flow-cache, health and
 # upgrade status ops serve the struct the subsystem declares (DESIGN.md §13),
 # so internal/ctl/proto.go may wrap one in an Enabled flag and declare nothing
@@ -132,11 +147,21 @@ done <<'PASSES'
 # the control plane says each thing once: any Enable*/TCSet order boots the
 # same system, and the status ops serve the subsystems' own structs
 7 EnableOrder|StatusWire . ./internal/ctl/...
+# a stage is a server plus a discipline: FIFO is the bare server, the ring-slot
+# claim stays with the discipline, a swapped qdisc's backlog is counted
+7 Stage|Discipline|QdiscSwap ./internal/nic/...
 # one resolution and one price list per frame: the steering table fuzzed against
 # the two-probe map it replaced (seed corpus), connection churn leaves no rows,
 # remembered costs equal the model's formulas, the RSS table equals Toeplitz
 7 Steering|FrameCost|Toeplitz ./internal/nic/... ./internal/timing/... ./internal/arch/...
 PASSES
+
+# Every example runs once. System.Run panics unless the NIC's ledger and the
+# host law balance after the drain, so each one is a ledger check — but only
+# if something executes it; building them proves nothing.
+for dir in examples/*/; do
+	go run "./$dir" >/dev/null
+done
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
 # socket, and validate the exported file carries the classic little-endian
