@@ -114,7 +114,8 @@ func (c *Conn) SendRaw(p *packet.Packet) {
 	c.sys.a.Send(c.c, p)
 }
 
-// OnReceive installs the delivery handler for this connection.
+// OnReceive installs the delivery handler for this connection. The handler
+// goes with the connection: Close releases it.
 func (c *Conn) OnReceive(fn func(Delivery)) {
 	c.sys.mux.Handle(c.c, func(_ *arch.Conn, p *packet.Packet, at sim.Time) {
 		d := Delivery{Payload: p.PayloadLen, At: sim.Duration(at)}

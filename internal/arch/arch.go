@@ -98,6 +98,10 @@ type Conn struct {
 	Delivered uint64
 	// LastDeliver is the virtual time of the most recent delivery.
 	LastDeliver sim.Time
+	// Deliver, when set, receives this connection's packets instead of the
+	// architecture-wide DeliverFunc (host.Mux.Handle sets it). It lives and
+	// dies with the handle: nothing keyed by connection id outlives Close.
+	Deliver DeliverFunc
 
 	// core is the app core of the owning process, resolved once when the
 	// connection is registered: World.Core is a create-on-miss map lookup and

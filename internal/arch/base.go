@@ -46,13 +46,16 @@ func (b *base) World() *World { return b.w }
 // SetDeliver implements Arch.
 func (b *base) SetDeliver(fn DeliverFunc) { b.deliver = fn }
 
-// upcall hands a packet to the application.
+// upcall hands a packet to the application: the connection's own handler,
+// else the architecture-wide one.
 func (b *base) upcall(c *Conn, p *packet.Packet, at sim.Time) {
 	b.delivered++
 	c.Delivered++
 	c.LastDeliver = at
 	b.trace(p, at, "host", "rx_deliver", "")
-	if b.deliver != nil {
+	if c.Deliver != nil {
+		c.Deliver(c, p, at)
+	} else if b.deliver != nil {
 		b.deliver(c, p, at)
 	}
 }
@@ -217,5 +220,10 @@ func (b *base) register(c *Conn) {
 	b.conns[c.Info.ID] = c
 }
 
-// unregister removes a handle.
-func (b *base) unregister(c *Conn) { delete(b.conns, c.Info.ID) }
+// unregister removes a handle and drops its delivery handler: a frame still
+// on its way up goes to the architecture-wide DeliverFunc, and the handler —
+// which usually points back at the handle — is garbage with it.
+func (b *base) unregister(c *Conn) {
+	delete(b.conns, c.Info.ID)
+	c.Deliver = nil
+}

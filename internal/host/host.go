@@ -16,33 +16,24 @@ import (
 // Handler consumes packets delivered to one connection.
 type Handler func(c *arch.Conn, p *packet.Packet, at sim.Time)
 
-// Mux fans the architecture's single delivery upcall out to per-connection
-// handlers.
-type Mux struct {
-	handlers map[uint64]Handler
-	fallback Handler
-}
+// Mux fans an architecture's deliveries out to per-connection handlers. A
+// handler rides on its connection (arch.Conn.Deliver), so it is garbage
+// with the closed handle; the mux keeps only the fallback, installed as the
+// architecture's deliver function.
+type Mux struct{ a arch.Arch }
 
-// NewMux installs a mux as the architecture's deliver function.
+// NewMux takes over the architecture's deliver function: a connection
+// without a handler gets the fallback, or nothing.
 func NewMux(a arch.Arch) *Mux {
-	m := &Mux{handlers: map[uint64]Handler{}}
-	a.SetDeliver(func(c *arch.Conn, p *packet.Packet, at sim.Time) {
-		if h, ok := m.handlers[c.Info.ID]; ok {
-			h(c, p, at)
-			return
-		}
-		if m.fallback != nil {
-			m.fallback(c, p, at)
-		}
-	})
-	return m
+	a.SetDeliver(nil)
+	return &Mux{a: a}
 }
 
-// Handle registers a connection's handler.
-func (m *Mux) Handle(c *arch.Conn, h Handler) { m.handlers[c.Info.ID] = h }
+// Handle installs h as c's delivery handler; closing c drops it.
+func (m *Mux) Handle(c *arch.Conn, h Handler) { c.Deliver = arch.DeliverFunc(h) }
 
 // Fallback registers a handler for connections without one.
-func (m *Mux) Fallback(h Handler) { m.fallback = h }
+func (m *Mux) Fallback(h Handler) { m.a.SetDeliver(arch.DeliverFunc(h)) }
 
 // Sender emits packets on a connection open-loop.
 type Sender struct {

@@ -1,7 +1,10 @@
 package host
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"norman/internal/arch"
 	"norman/internal/packet"
@@ -47,6 +50,44 @@ func TestMuxRoutesPerConnection(t *testing.T) {
 	if fallback != 1 {
 		t.Fatalf("fallback for unhandled conn: %d", fallback)
 	}
+}
+
+// TestMuxChurnLeavesNothingBehind: a handler rides on its connection and
+// Close drops it, so 512 Connect → Handle → Close cycles leave the mux
+// holding nothing — every handler's captured sentinel is collected.
+func TestMuxChurnLeavesNothingBehind(t *testing.T) {
+	const n = 512
+	a := arch.New("kopi", arch.WorldConfig{})
+	w := a.World()
+	proc := w.Kern.Spawn(w.Kern.AddUser(1, "a").UID, "app")
+	m := NewMux(a)
+	var collected atomic.Int64
+	cycle := func(i int) { // its own frame, so no local outlives the cycle
+		c, err := a.Connect(proc, w.Flow(uint16(1000+i), 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sentinel := new([2]int) // 16 B, so not a tiny allocation (whose finalizer may never run)
+		runtime.SetFinalizer(sentinel, func(*[2]int) { collected.Add(1) })
+		m.Handle(c, func(*arch.Conn, *packet.Packet, sim.Time) { sentinel[0]++ })
+		if err := a.Close(c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Deliver != nil {
+			t.Fatal("Close left the connection's handler installed")
+		}
+	}
+	for i := 0; i < n; i++ {
+		cycle(i)
+	}
+	for i := 0; i < 50 && collected.Load() < n; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Fatalf("%d of %d closed connections' handlers collected", got, n)
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestSenderOffersConfiguredRate(t *testing.T) {

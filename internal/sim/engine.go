@@ -95,6 +95,13 @@ type Engine struct {
 	stopped bool
 	nFired  uint64
 	flushed uint64 // portion of nFired already added to firedTotal
+
+	// horizon is the furthest deadline any Timer was ever armed for; a
+	// drained Run ends there at the earliest (timer.go).
+	horizon Time
+	// dead counts queued events of disarmed timers; purge drops them once
+	// they are half as many as the live ones.
+	dead int
 }
 
 // firedTotal aggregates events fired across all engines, flushed in batches
@@ -161,16 +168,15 @@ func (e *Engine) pop() event {
 	last := event{e.keys[tail], e.hs[tail]}
 	e.keys[tail], e.hs[tail] = sentinelKey, nil
 	if e.n > 0 {
-		e.siftDown(last)
+		e.siftDown(heapRoot, last)
 	}
 	return top
 }
 
-// siftDown places ev, notionally at the root, into its heap position.
-func (e *Engine) siftDown(ev event) {
+// siftDown places ev, notionally at node i, into its position in i's subtree.
+func (e *Engine) siftDown(i int, ev event) {
 	keys, hs := e.keys, e.hs
 	end := heapRoot + e.n
-	i := heapRoot
 	for {
 		first := heapArity * (i - 2)
 		if first >= end {
@@ -188,6 +194,31 @@ func (e *Engine) siftDown(ev event) {
 		i = m
 	}
 	keys[i], hs[i] = ev.key, ev.h
+}
+
+// purge drops every queued event of a timer that is disarmed now — a timer
+// re-armed since its Stop keeps its covers — and rebuilds the heap in place
+// bottom-up. Only no-op events leave, and queued keys are distinct, so the
+// order of everything else is untouched.
+func (e *Engine) purge() {
+	keys, hs := e.keys, e.hs
+	end := heapRoot + e.n
+	j := heapRoot
+	for i := heapRoot; i < end; i++ {
+		if t, ok := hs[i].(*Timer); ok && t.deadline.seq == 0 {
+			t.queued = t.queued[:0]
+			continue
+		}
+		keys[j], hs[j] = keys[i], hs[i]
+		j++
+	}
+	for i := j; i < end; i++ {
+		keys[i], hs[i] = sentinelKey, nil
+	}
+	e.n, e.dead = j-heapRoot, 0
+	for i := (j-1)/heapArity + 2; i >= heapRoot; i-- { // from the last event's parent
+		e.siftDown(i, event{keys[i], hs[i]})
+	}
 }
 
 // AtHandler schedules h.Fire to run at absolute time t. Scheduling in the
@@ -243,10 +274,15 @@ func (e *Engine) flushFired() {
 }
 
 // Run executes events until the queue drains or Stop is called, and returns
-// the final virtual time.
+// the final virtual time. A drained run ends no earlier than the horizon, the
+// furthest deadline a Timer was ever armed for, exactly where it ended when
+// every cancelled timeout stayed queued until its time.
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for !e.stopped && e.Step() {
+	}
+	if !e.stopped && e.now < e.horizon {
+		e.now = e.horizon
 	}
 	e.flushFired()
 	return e.now
@@ -275,7 +311,8 @@ func (e *Engine) due(deadline Time) bool {
 	return ok && at <= deadline
 }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events, counting disarmed timers'
+// events the engine has not purged yet.
 func (e *Engine) Pending() int { return e.n }
 
 // NextAt returns the time of the earliest pending event, if any. The shard

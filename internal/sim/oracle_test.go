@@ -7,9 +7,11 @@ import "fmt"
 // child scan bounded by the heap length. push, pop, siftDown and less are
 // moved here verbatim as the oracle FuzzEngineOrder holds Engine to; the
 // scheduling and run methods around them are the few lines that define the
-// engine's contract (RunUntil with its Stop rule), and refTimer is Timer bound
-// to this engine, so a schedule that arms timers pushes the same reserved
-// (at, seq) keys into both heaps.
+// engine's contract (RunUntil with its Stop rule), and refTimer is Timer as it
+// was before the purge and the engine horizon, bound to this engine: a
+// disarmed timer's events stay queued until they fire as no-ops, and the last
+// one parks a final no-op at the timer's own horizon. A schedule that arms
+// timers reserves the same (at, seq) keys on both engines.
 type refEngine struct {
 	now     Time
 	seq     uint64
@@ -113,6 +115,13 @@ func (e *refEngine) Step() bool {
 	e.now = ev.at
 	ev.h.Fire()
 	return true
+}
+
+func (e *refEngine) Run() Time {
+	e.stopped = false
+	for !e.stopped && e.Step() {
+	}
+	return e.now
 }
 
 func (e *refEngine) NextAt() (Time, bool) {

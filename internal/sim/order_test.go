@@ -12,6 +12,7 @@ type orderEngine interface {
 	At(Time, func())
 	After(Duration, func())
 	Step() bool
+	Run() Time
 	RunUntil(Time) Time
 	Stop()
 	Pending() int
@@ -31,12 +32,35 @@ const (
 	orderMaxBurst = 30000 // events over all bursts
 )
 
-// orderPlay interprets prog, two bytes (opcode, operand) at a time, on e and
-// returns everything observable: (label, Now) at every fire, and (Now,
-// Pending, NextAt) after every operation.
-func orderPlay(prog []byte, e orderEngine, mk func(fn func()) rearmer) []int64 {
-	var obs []int64
-	fired := func(label int) { obs = append(obs, int64(label), int64(e.Now())) }
+// orderObs is what a program observes: in trace, (label, Now) at every fire
+// and Now after every operation; in queue, Pending and NextAt (-1 for none)
+// after every operation.
+type orderObs struct {
+	trace, queue []int64
+}
+
+// orderPlay interprets prog, two bytes (opcode, operand) at a time, on e.
+func orderPlay(prog []byte, e orderEngine, mk func(fn func()) rearmer) orderObs {
+	var obs orderObs
+	plainFired := 0
+	fired := func(label int) {
+		if label > 0 {
+			plainFired++
+		}
+		obs.trace = append(obs.trace, int64(label), int64(e.Now()))
+	}
+	// step fires the next callback, one Step at a time: a Step that pops a
+	// disarmed timer's event observes nothing, and the engine may have purged
+	// it. With nothing left it drains as Run does and reports false.
+	step := func() bool {
+		for before := len(obs.trace); len(obs.trace) == before; {
+			if !e.Step() {
+				e.Run()
+				return false
+			}
+		}
+		return true
+	}
 	label := 0
 	plain := func() func() {
 		label++
@@ -76,13 +100,15 @@ func orderPlay(prog []byte, e orderEngine, mk func(fn func()) rearmer) []int64 {
 		case 5:
 			timers[arg%4].Stop()
 		case 6:
-			for n := int(arg % 8); n >= 0; n-- {
-				e.Step()
+			for n := int(arg % 8); n >= 0 && step(); n-- {
 			}
-		case 7:
-			e.RunUntil(at)
-		case 8: // a burst, for depth
-			for n := 4 * int(arg); n > 0 && burst > 0 && e.Pending() < orderMaxDepth; n-- {
+		case 7: // resumed after every Stop: where a stopped RunUntil leaves the
+			// clock depends on what is still queued, dead timer events included
+			for e.RunUntil(at) < at {
+			}
+		case 8: // a burst, for depth (bounded by the program's own count, which
+			// unlike Pending is the same on both engines)
+			for n := 4 * int(arg); n > 0 && burst > 0 && label-plainFired < orderMaxDepth; n-- {
 				e.At(e.Now().Add(orderDeltas[(n+int(arg))%16]), plain())
 				burst--
 			}
@@ -90,19 +116,27 @@ func orderPlay(prog []byte, e orderEngine, mk func(fn func()) rearmer) []int64 {
 			stopper := plain()
 			e.At(at, func() { stopper(); e.Stop() })
 		}
-		next, _ := e.NextAt()
-		obs = append(obs, int64(e.Now()), int64(e.Pending()), int64(next))
+		next, ok := e.NextAt()
+		if !ok {
+			next = -1
+		}
+		obs.trace = append(obs.trace, int64(e.Now()))
+		obs.queue = append(obs.queue, int64(e.Pending()), int64(next))
 	}
-	for e.Step() {
+	for step() {
 	}
-	return append(obs, int64(e.Now()), int64(e.Pending()))
+	obs.trace = append(obs.trace, int64(e.Now()))
+	return obs
 }
 
-// FuzzEngineOrder holds the branch-free heap to the heap it replaced: over
+// FuzzEngineOrder holds the engine to the heap and timer it replaced: over
 // random interleavings of At, After, AtHandler, Timer.Reset, Timer.Stop, Step
 // and RunUntil (with events that stop it), at depths from 0 to 5000 and with
-// most events tied on their instant, the fired order, the clock at each fire,
-// Pending and NextAt are the same.
+// most events tied on their instant, the fired order, the clock at each fire
+// and after every operation, and the drained clock are the same. The oracle
+// keeps every disarmed timer's events until they fire and parks one more at
+// each timer's horizon; the engine purges the first and keeps one horizon, so
+// it never queues more, and its earliest event is never earlier.
 func FuzzEngineOrder(f *testing.F) {
 	g := rand.New(rand.NewSource(15))
 	for seed := 0; seed < 12; seed++ {
@@ -123,13 +157,20 @@ func FuzzEngineOrder(f *testing.F) {
 		got := orderPlay(prog, eng, func(fn func()) rearmer { return eng.NewTimer(fn) })
 		ref := &refEngine{}
 		want := orderPlay(prog, ref, func(fn func()) rearmer { return &refTimer{e: ref, fn: fn} })
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("observation %d of %d: engine %d, reference %d", i, len(want), got[i], want[i])
+		for i := 0; i < len(got.trace) && i < len(want.trace); i++ {
+			if got.trace[i] != want.trace[i] {
+				t.Fatalf("observation %d of %d: engine %d, reference %d", i, len(want.trace), got.trace[i], want.trace[i])
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("engine made %d observations, reference %d", len(got), len(want))
+		if len(got.trace) != len(want.trace) {
+			t.Fatalf("engine made %d observations, reference %d", len(got.trace), len(want.trace))
+		}
+		for i := 0; i < len(want.queue); i += 2 {
+			pending, next := got.queue[i], got.queue[i+1]
+			if refPending, refNext := want.queue[i], want.queue[i+1]; pending > refPending || next >= 0 && next < refNext {
+				t.Fatalf("after operation %d: engine holds %d events, earliest at %d; reference %d, earliest at %d",
+					i/2, pending, next, refPending, refNext)
+			}
 		}
 		// The sentinel invariant, after whatever depth the program reached.
 		for i, k := range eng.keys {

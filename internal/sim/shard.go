@@ -175,14 +175,17 @@ func (s *Sharded) RunUntil(deadline Time) Time {
 
 // Run executes epochs until every shard's queue drains and no mail is
 // staged (or Stop is called), then returns the final virtual time: the
-// latest engine clock, matching Engine.Run's convention.
+// latest engine clock or, when drained, timer horizon — Engine.Run's
+// convention.
 func (s *Sharded) Run() Time {
-	const horizon = Time(1) << 62
-	s.runLoop(horizon, true)
+	const bound = Time(1) << 62
+	s.runLoop(bound, true)
+	stopped := s.stopReq.Load()
 	var end Time
 	for _, st := range s.shards {
-		if st.eng.now > end {
-			end = st.eng.now
+		end = max(end, st.eng.now)
+		if !stopped {
+			end = max(end, st.eng.horizon)
 		}
 	}
 	if end > s.last {

@@ -23,24 +23,24 @@ type stamp struct {
 // is the logical deadline. Heap order is exactly (at, seq), so the callback
 // fires at the instant and in the position the closure of a plain After(d,
 // fn) would have: replacing a push-per-arm timeout with a Timer reorders
-// nothing, and the engine's event loop does not know timers exist.
+// nothing.
 //
 // When the deadline moves earlier than the cover, a new cover is pushed and
-// the old one stays queued behind it as an orphan; it fires as a no-op, or
-// covers a later deadline. The heap grows with the number of times the
-// deadline moved earlier, not with the number of resets.
+// the old one stays queued behind it; it covers a later deadline, or fires as
+// a no-op. The heap grows with the number of times the deadline moved
+// earlier, not with the number of resets.
 //
-// The timer also keeps its horizon, the furthest deadline ever armed, and
-// once it has no live deadline and no queued event left parks one last no-op
-// there. A push-per-arm timeout leaves every cancelled event in the heap, so
-// the clock Run returns includes the furthest deadline ever armed; the parked
-// event keeps that drained clock the same.
+// A disarmed timer's queued events are dead: they can only fire as no-ops.
+// The engine counts them and, once they are half as many as the live events,
+// purges them (engine.go); a timer re-armed before the purge keeps its
+// covers. What a push-per-arm timeout's cancelled events did for the clock —
+// a drained Run walked to the furthest deadline ever armed — the engine's
+// horizon does instead.
 type Timer struct {
 	e  *Engine
 	fn func()
 
 	deadline stamp // logical deadline; seq 0 = disarmed
-	horizon  stamp
 
 	// queued mirrors the timer's events in the engine heap, each strictly
 	// earlier than the one below it, so the last entry is the cover and is
@@ -63,19 +63,37 @@ func (t *Timer) Reset(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, e.now))
 	}
+	if t.deadline.seq == 0 {
+		e.dead -= len(t.queued) // its unpurged events are covers again
+	}
 	e.seq++
 	t.deadline = stamp{at, e.seq}
-	if at >= t.horizon.at {
-		t.horizon = t.deadline
+	if at > e.horizon {
+		e.horizon = at
 	}
 	t.cover(t.deadline)
 }
 
 // Stop disarms the timer. The callback does not run until the next Reset.
-func (t *Timer) Stop() { t.deadline.seq = 0 }
+func (t *Timer) Stop() {
+	if t.deadline.seq != 0 {
+		t.disarm()
+	}
+}
 
 // Armed reports whether a deadline is set and has not yet expired.
 func (t *Timer) Armed() bool { return t.deadline.seq != 0 }
+
+// disarm clears the deadline, which makes every queued event dead, and has
+// the engine purge once the dead are half as many as the live.
+func (t *Timer) disarm() {
+	e := t.e
+	t.deadline.seq = 0
+	e.dead += len(t.queued)
+	if e.dead > 0 && 3*e.dead >= e.n {
+		e.purge()
+	}
+}
 
 // cover makes sure one of the timer's queued events fires at or before s,
 // pushing s itself when none does.
@@ -91,16 +109,16 @@ func (t *Timer) Fire() {
 	n := len(t.queued) - 1
 	fired := t.queued[n]
 	t.queued = t.queued[:n]
-	if fired.seq == t.deadline.seq {
-		t.deadline.seq = 0
-		t.fn()
+	if t.deadline.seq == 0 {
+		t.e.dead--
+		return
 	}
-	// Wake again for the live deadline; with none left, once at the horizon.
-	next := t.deadline
-	if next.seq == 0 {
-		if next = t.horizon; next.at <= t.e.now {
+	if fired.seq == t.deadline.seq {
+		t.disarm()
+		t.fn()
+		if t.deadline.seq == 0 {
 			return
 		}
 	}
-	t.cover(next)
+	t.cover(t.deadline) // woke early, or re-armed by fn
 }

@@ -332,6 +332,98 @@ func TestTimerZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTimerPurge: stopped timers' events leave the heap once they are half as
+// many as the live ones, a timer re-armed after Stop keeps its covers, the drained
+// clock is still the furthest deadline ever armed — on one engine and on a
+// shard — and a purge in place allocates nothing.
+func TestTimerPurge(t *testing.T) {
+	const n = 10000
+	e := NewEngine()
+	ref := NewEngine() // the push-per-arm timeout, for the drained clock
+	timers := make([]*Timer, n)
+	refs := make([]*genTimer, n)
+	for i := range timers {
+		timers[i] = e.NewTimer(func() { t.Error("a stopped timer fired") })
+		refs[i] = &genTimer{e: ref, fn: func() {}}
+	}
+	live := func() int {
+		k := 0
+		for _, tm := range timers {
+			if tm.Armed() {
+				k += len(tm.queued)
+			}
+		}
+		return k
+	}
+	arm := func(check bool) {
+		start := e.Now()
+		for _, d := range []Duration{10 * Millisecond, Millisecond} {
+			for i, tm := range timers {
+				tm.Reset(start.Add(d))
+				if check {
+					refs[i].Reset(start.Add(d))
+				}
+			}
+		}
+	}
+	stop := func(check bool) {
+		for i, tm := range timers {
+			tm.Stop()
+			if check {
+				refs[i].Stop()
+				if p, l := e.Pending(), live(); i%97 == 0 && p > 2*l+64 {
+					t.Fatalf("%d of %d timers stopped: %d events pending for %d live", i+1, n, p, l)
+				}
+			}
+		}
+	}
+	arm(true)
+	stop(true)
+	if p := e.Pending(); p > 64 {
+		t.Fatalf("every timer stopped, %d events still pending", p)
+	}
+	if got, want := e.Run(), ref.Run(); got != want || got != Time(10*Millisecond) {
+		t.Fatalf("drained at %v, push-per-arm timeouts at %v, want %v", got, want, 10*Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { arm(false); stop(false); e.Run() }); allocs != 0 {
+		t.Fatalf("arm, re-arm, stop and purge %d timers: %.0f allocations, want 0", n, allocs)
+	}
+
+	// A timer re-armed after Stop keeps the cover it had: the purge judges
+	// deadness when it runs, not when the timer stopped.
+	fired := Time(0)
+	keep := e.NewTimer(func() { fired = e.Now() })
+	base := e.Now()
+	arm(false)
+	keep.Reset(base.Add(Millisecond))
+	keep.Stop()
+	keep.Reset(base.Add(2 * Millisecond)) // covered by the 1 ms event: no push
+	stop(false)
+	if len(keep.queued) != 1 || keep.queued[0].at != base.Add(Millisecond) {
+		t.Fatalf("re-armed timer holds %d covers after the purge, want its 1", len(keep.queued))
+	}
+	e.Run()
+	if fired != base.Add(2*Millisecond) {
+		t.Fatalf("re-armed timer fired at %v, want %v", fired, base.Add(2*Millisecond))
+	}
+
+	// A shard's horizon is part of Sharded.Run's drained clock, though the
+	// purge leaves nothing queued at it.
+	s := NewSharded(2, 2, Microsecond)
+	for i := 0; i < 10; i++ {
+		s.Engine(0).At(Time(i)*Time(100*Nanosecond), func() {})
+	}
+	tm := s.Engine(1).NewTimer(func() {})
+	tm.Reset(Time(10 * Millisecond))
+	tm.Stop()
+	if p := s.Engine(1).Pending(); p != 0 {
+		t.Fatalf("stopped timer left %d events on its shard", p)
+	}
+	if end := s.Run(); end != Time(10*Millisecond) {
+		t.Fatalf("sharded run drained at %v, want the shard's horizon %v", end, 10*Millisecond)
+	}
+}
+
 // TestTimerPendingBound: the heap grows with the number of times the
 // deadline moved earlier, not with the number of resets.
 func TestTimerPendingBound(t *testing.T) {

@@ -3,7 +3,10 @@ package transport
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"norman/internal/arch"
 	"norman/internal/host"
@@ -56,7 +59,7 @@ func (f *fleet) start() {
 // TestStreamTimerDrainedClock pins the clock Run returns for a fixed lossless
 // two-stream scenario. Both transfers finish within the first millisecond,
 // but each stream's first RTO was armed InitialRTO (10 ms) out and the engine
-// still walks to it: the timer's horizon (sim.Timer) keeps the drained clock
+// still walks to it: the engine's timer horizon (sim.Engine) keeps the drained clock
 // where the push-per-arm RTO left it, because normbench's model fingerprint
 // hashes CPU-busy time up to that clock. Whoever lets a finished stream
 // release the clock changes this number on purpose, in a PR that also
@@ -81,6 +84,79 @@ func TestStreamTimerDrainedClock(t *testing.T) {
 	if last >= sim.Time(sim.Millisecond) {
 		t.Fatalf("last stream finished at %v: the scenario no longer leaves dead air before the horizon", last)
 	}
+}
+
+// TestChurnLeavesNothingBehind: a closed connection and its finished stream
+// are garbage. Eight clients run 512 Connect → New → Start → Close cycles
+// through one mux, each closing from its stream's Done and opening the next;
+// once the engine drains, a GC finalizes every stream, *arch.Conn and
+// *nic.Conn — none held by the mux, the world or a stopped RTO timer. A
+// *Stream cannot carry a finalizer itself (it and its RTO timer point at each
+// other, and the runtime never finalizes an object in a cycle), so the
+// stream's is on a sentinel only its Config reaches.
+func TestChurnLeavesNothingBehind(t *testing.T) {
+	const cycles, clients = 512, 8
+	a := arch.New("kopi", arch.WorldConfig{})
+	w := a.World()
+	mux := host.NewMux(a)
+	u := w.Kern.AddUser(1, "u")
+	proc := w.Kern.Spawn(u.UID, "churn")
+	resps := map[uint16]*Responder{}
+	w.Peer = func(p *packet.Packet, at sim.Time) {
+		if p.TCP != nil && resps[p.TCP.DstPort] != nil {
+			resps[p.TCP.DstPort].Recv(p, at)
+		}
+	}
+	var finalized atomic.Int64
+	count := func(any) { finalized.Add(1) }
+	started, done := 0, 0
+	var open func()
+	open = func() {
+		i := started
+		started++
+		flow := packet.FlowKey{Src: w.HostIP, Dst: w.PeerIP, SrcPort: uint16(10000 + i), DstPort: uint16(30000 + i), Proto: packet.ProtoTCP}
+		conn, err := a.Connect(proc, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps[flow.DstPort] = NewResponder(a, flow.DstPort, int64(i))
+		held := new([2]int) // only the stream's Config reaches it; 16 B, so not a tiny allocation
+		s := New(a, conn, flow, mux, Config{TotalBytes: 16 << 10, Done: func(sim.Time) {
+			runtime.KeepAlive(held)
+			done++
+			delete(resps, flow.DstPort)
+			if err := a.Close(conn); err != nil {
+				t.Fatal(err)
+			}
+			if started < cycles {
+				open()
+			}
+		}})
+		runtime.SetFinalizer(held, count)
+		runtime.SetFinalizer(conn, count)
+		runtime.SetFinalizer(conn.NC, count)
+		s.Start()
+	}
+	w.Eng.At(0, func() {
+		for c := 0; c < clients; c++ {
+			open()
+		}
+	})
+	w.Eng.Run()
+	if done != cycles {
+		t.Fatalf("%d of %d transfers completed", done, cycles)
+	}
+	// A finalizer keeps what its object points at reachable until it has run,
+	// so a NIC connection is collected a cycle after its handle.
+	const want = 3 * cycles
+	for i := 0; i < 50 && finalized.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got != want {
+		t.Fatalf("%d of %d streams, connections and NIC connections collected after Close and drain", got, want)
+	}
+	runtime.KeepAlive(mux)
 }
 
 // TestStreamAllocsPerSegment pins the steady-state cost of an open-window

@@ -131,7 +131,8 @@ type Stream struct {
 }
 
 // New creates a stream sending cfg.TotalBytes over conn, registering its ACK
-// handler on the mux. Call Start to begin.
+// handler on the mux — that is, on conn itself, so a closed connection takes
+// the stream with it. Call Start to begin.
 func New(a arch.Arch, conn *arch.Conn, flow packet.FlowKey, mux *host.Mux, cfg Config) *Stream {
 	if cfg.Window == 0 {
 		cfg.Window = 256 << 10
@@ -167,11 +168,12 @@ func (s *Stream) Aborted() bool { return s.aborted }
 
 // Terminal reports whether the stream has reached a terminal state: either
 // completed (Done) or aborted (Err non-nil). A terminal stream sends nothing
-// and runs no further callback — the no-livelock guarantee E9 measures — but
-// its stopped RTO timer still holds the engine's clock until the furthest
-// deadline it was ever armed for (the sim.Timer horizon: up to InitialRTO
-// after Start for a transfer shorter than that). The drained clock is
-// model-visible, so TestStreamTimerDrainedClock pins it.
+// and runs no further callback — the no-livelock guarantee E9 measures — and
+// its stopped RTO timer's queued events are dead, purged by the engine. The
+// engine's drained clock still reaches the furthest deadline the timer was
+// ever armed for (sim.Engine's horizon: up to InitialRTO after Start for a
+// transfer shorter than that); it is model-visible, so
+// TestStreamTimerDrainedClock pins it.
 func (s *Stream) Terminal() bool { return s.done || s.aborted }
 
 // Err returns the terminal error of an aborted stream (wrapping ErrAborted),

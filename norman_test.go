@@ -1,8 +1,11 @@
 package norman_test
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"norman"
 )
@@ -46,6 +49,41 @@ func TestQuickstartFlow(t *testing.T) {
 	if len(sys.Netstat()) != 0 {
 		t.Fatal("netstat after close should be empty")
 	}
+}
+
+// TestDialCloseLeavesNothingBehind: a closed connection's OnReceive closure is
+// garbage. Each of 2000 Dial → OnReceive → Close cycles captures a sentinel
+// in its closure; after a GC every sentinel's finalizer has run, so nothing
+// in the System kept a handler past its Close.
+func TestDialCloseLeavesNothingBehind(t *testing.T) {
+	const n = 2000
+	sys := norman.New(norman.KOPI)
+	sys.UseSinkPeer()
+	app := sys.Spawn(sys.AddUser(1, "u"), "app")
+	var collected atomic.Int64
+	cycle := func(i int) { // its own frame, so no local outlives the cycle
+		conn, err := sys.Dial(app, uint16(20000+i), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sentinel := new([2]int) // 16 B, so not a tiny allocation (whose finalizer may never run)
+		runtime.SetFinalizer(sentinel, func(*[2]int) { collected.Add(1) })
+		conn.OnReceive(func(norman.Delivery) { sentinel[0]++ })
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		cycle(i)
+	}
+	for i := 0; i < 50 && collected.Load() < n; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Fatalf("%d of %d closed connections' receive handlers collected", got, n)
+	}
+	runtime.KeepAlive(sys)
 }
 
 func TestDialConflictsAndErrors(t *testing.T) {

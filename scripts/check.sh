@@ -57,6 +57,14 @@ if [ "$flows" -ne 1 ]; then
 	exit 1
 fi
 
+# A delivery handler rides on its connection (arch.Conn.Deliver) and goes with
+# it at Close: internal/host keeps no table keyed by connection id, which is
+# how every closed connection of a churning run used to stay on the heap.
+if grep -n 'map\[uint64\]' $(ls internal/host/*.go | grep -v _test.go); then
+	echo "internal/host declares a map keyed by connection id (set arch.Conn.Deliver instead)" >&2
+	exit 1
+fi
+
 # One datapath, two disciplines (DESIGN.md §9): the datapath submits every frame
 # to the pipeline and DMA stages and admits it against the FIFO's share table;
 # which discipline serves it — the server's own FIFO, or weighted DRR with
@@ -128,8 +136,9 @@ done <<'PASSES'
 # E12: the barrier coordinator's merge order at any shard count (DESIGN.md §8)
 - E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
 # datapath job records: every early exit returns its record, hot paths allocate
-# nothing; the engine timer's order identity and the stream that re-arms it
-7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/...
+# nothing; the engine timer's order identity and the stream that re-arms it;
+# stopped timers are purged and closed connections leave nothing behind
+7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder|Churn|Purge|LeavesNothing ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/... ./internal/host/... .
 # the supervision kernel, and the goldens its three users must reproduce byte for byte
 7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
 # the NIC's one way out: every exit balances the ledger, the fuzz corpus,
