@@ -12,19 +12,10 @@ import (
 	"norman/internal/sniff"
 )
 
-// Rule is a firewall rule in administrator-facing form. Zero fields are
-// wildcards. Owner fields require an architecture with a process view.
-type Rule struct {
-	Proto    string // "udp", "tcp", "" = any
-	SrcNet   string // "10.0.0.0/8", "" = any
-	DstNet   string
-	SrcPort  uint16 // 0 = any
-	DstPort  uint16
-	OwnerUID *uint32
-	OwnerCmd string
-	Action   string // "accept", "drop", "count", "log", "mark"
-	Mark     uint32
-}
+// Rule is a firewall rule in administrator-facing form: the rule payload the
+// recovery journal records. Zero fields are wildcards. Owner fields require
+// an architecture with a process view.
+type Rule = recovery.Rule
 
 // Hook names.
 const (
@@ -35,7 +26,8 @@ const (
 // UID returns a pointer-typed uid for Rule.OwnerUID.
 func UID(u uint32) *uint32 { return &u }
 
-func (r Rule) compile() (*filter.Rule, error) {
+// compile lowers an admin rule to the filter engine's form.
+func compile(r Rule) (*filter.Rule, error) {
 	out := &filter.Rule{OwnerUID: r.OwnerUID, OwnerCmd: r.OwnerCmd, MarkVal: r.Mark}
 	switch r.Proto {
 	case "udp":
@@ -98,24 +90,25 @@ func (s *System) IPTablesAppend(hook string, r Rule) error {
 	if err := s.gate(); err != nil {
 		return err
 	}
-	e := s.record(recovery.Entry{Op: recovery.OpRuleAppend, Rule: ruleToRecord(hook, r)})
-	if err := s.applyRule(hook, r); err != nil {
+	rr := recovery.RuleRecord{Hook: hook, Rule: r}
+	e := s.record(recovery.Entry{Op: recovery.OpRuleAppend, Rule: &rr})
+	if err := s.applyRule(rr); err != nil {
 		s.abortRecord(e)
 		return err
 	}
-	s.rules = append(s.rules, installedRule{hook: hook, rule: r})
+	s.policy.Apply(e)
 	s.commitNICConfig()
 	return nil
 }
 
 // applyRule is the raw (journal-free) install path; the reconciler replays
 // through it.
-func (s *System) applyRule(hook string, r Rule) error {
-	fr, err := r.compile()
+func (s *System) applyRule(rr recovery.RuleRecord) error {
+	fr, err := compile(rr.Rule)
 	if err != nil {
 		return err
 	}
-	return s.a.InstallRule(hookOf(hook), fr)
+	return s.a.InstallRule(hookOf(rr.Hook), fr)
 }
 
 // IPTablesFlush removes all rules.
@@ -128,7 +121,7 @@ func (s *System) IPTablesFlush() error {
 		s.abortRecord(e)
 		return err
 	}
-	s.rules = nil
+	s.policy.Apply(e)
 	s.commitNICConfig()
 	return nil
 }
@@ -143,17 +136,13 @@ type RuleStatus struct {
 // IPTablesList returns the installed rules with hit counters where the
 // architecture tracks them.
 func (s *System) IPTablesList() []RuleStatus {
-	out := make([]RuleStatus, 0, len(s.rules))
+	out := make([]RuleStatus, 0, len(s.policy.Rules))
 	perHook := map[string]int{}
-	for _, ir := range s.rules {
-		idx := perHook[ir.hook]
-		perHook[ir.hook]++
-		h := filter.HookOutput
-		if ir.hook == Input {
-			h = filter.HookInput
-		}
-		hits, _ := s.a.RuleHits(h, idx)
-		out = append(out, RuleStatus{Hook: ir.hook, Rule: ir.rule, Hits: hits})
+	for _, rr := range s.policy.Rules {
+		idx := perHook[rr.Hook]
+		perHook[rr.Hook]++
+		hits, _ := s.a.RuleHits(hookOf(rr.Hook), idx)
+		out = append(out, RuleStatus{Hook: rr.Hook, Rule: rr.Rule, Hits: hits})
 	}
 	return out
 }
@@ -198,7 +187,7 @@ func (s *System) TCSet(spec QdiscSpec, classOfUID map[uint32]uint32) error {
 		s.abortRecord(e)
 		return err
 	}
-	s.qdisc, s.qdiscJournaled = rec, e.Seq != 0
+	s.policy.Apply(e)
 	s.commitNICConfig()
 	_ = s.resolve() // cannot newly fail here: see resolve
 	return nil

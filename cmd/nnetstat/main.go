@@ -38,6 +38,7 @@ import (
 	"norman/internal/arch"
 	"norman/internal/ctl"
 	"norman/internal/nic"
+	"norman/internal/recovery"
 )
 
 func main() {
@@ -190,7 +191,7 @@ func main() {
 	}
 
 	if *recoveryFlag {
-		var data ctl.RecoveryData
+		var data recovery.Status
 		if err := c.Call(ctl.OpRecovery, nil, &data); err != nil {
 			fatal(err)
 		}
@@ -201,25 +202,26 @@ func main() {
 		fmt.Printf("control plane: %s\n", state)
 		fmt.Printf("journal: %d entries, %d crashes, %d restarts, %d mutations rejected while down\n",
 			data.JournalEntries, data.Crashes, data.Restarts, data.RejectedWhileDown)
-		if !data.HasReport {
+		rep := data.Last
+		if rep == nil {
 			fmt.Println("reconciliation: never run")
 			return
 		}
 		diff := "diff clean"
-		if !data.Clean {
-			diff = fmt.Sprintf("diff NOT clean (%d divergences)", len(data.Divergences))
+		if !rep.Clean {
+			diff = fmt.Sprintf("diff NOT clean (%d divergences)", len(rep.Divergences))
 		}
 		inv := "invariants ok"
-		if !data.InvariantsOK {
+		if !rep.InvariantsOK {
 			inv = "invariants FAILED"
 		}
 		fmt.Printf("reconciliation: %s, %s, %d entries replayed, %d rules, %d conns, %d stale, recovery took %s\n",
-			diff, inv, data.Replayed, data.Rules, data.Conns, data.Stale, data.RecoveryTime)
-		for _, d := range data.Divergences {
+			diff, inv, rep.Entries, rep.Rules, rep.Conns, rep.Stale, rep.RecoveryTime)
+		for _, d := range rep.Divergences {
 			fmt.Printf("  divergence: %s\n", d)
 		}
-		for _, a := range data.Actions {
-			fmt.Printf("  repair: %s\n", a)
+		for _, a := range rep.Actions {
+			fmt.Printf("  repair: %s: %s\n", a.Kind, a.Detail)
 		}
 		return
 	}

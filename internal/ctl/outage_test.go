@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"norman"
+	"norman/internal/recovery"
 )
 
 // TestDialWithRetriesThroughOutage: the daemon comes up only after the
@@ -224,11 +225,11 @@ func TestRecoveryStatusOp(t *testing.T) {
 	}
 	defer c.Close()
 
-	var data RecoveryData
+	var data recovery.Status
 	if err := c.Call(OpRecovery, nil, &data); err != nil {
 		t.Fatal(err)
 	}
-	if data.Down || data.HasReport {
+	if data.Down || data.Last != nil {
 		t.Fatalf("fresh daemon recovery status = %+v", data)
 	}
 	if err := c.Call(OpIPTablesAdd, RuleArgs{Hook: "OUTPUT", DstPort: 9999, Action: "drop"}, nil); err != nil {

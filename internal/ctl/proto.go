@@ -192,35 +192,15 @@ type TraceData struct {
 	Rendered  string   `json:"rendered"`
 }
 
-// RecoveryData summarizes the daemon's crash-recovery state: the journal,
-// the control plane's up/down status, and the last reconciliation report
-// (recovery.status).
-type RecoveryData struct {
-	Down              bool   `json:"down"`
-	JournalEntries    int    `json:"journal_entries"`
-	Crashes           uint64 `json:"crashes"`
-	Restarts          uint64 `json:"restarts"`
-	RejectedWhileDown uint64 `json:"rejected_while_down"`
-
-	HasReport    bool     `json:"has_report"`
-	Replayed     int      `json:"replayed,omitempty"`
-	Rules        int      `json:"rules,omitempty"`
-	Conns        int      `json:"conns,omitempty"`
-	Stale        int      `json:"stale,omitempty"`
-	Divergences  []string `json:"divergences,omitempty"`
-	Actions      []string `json:"actions,omitempty"`
-	InvariantsOK bool     `json:"invariants_ok"`
-	Clean        bool     `json:"clean"`
-	RecoveryTime string   `json:"recovery_time,omitempty"`
-}
-
 // The status ops answer with the struct the subsystem itself declares —
 // overload.Snapshot, norman.TenantStatus, norman.FlowCacheStatus,
-// norman.HealthStatus, norman.UpgradeStatus — so a counter added there reaches
-// nnetstat without a second declaration here to forget (DESIGN.md §13). Each
-// answers Enabled=false rather than an error when the daemon does not run the
-// subsystem, so the nnetstat views degrade gracefully. The two types below
-// exist only to add that flag where the subsystem's struct has none.
+// norman.HealthStatus, norman.UpgradeStatus, recovery.Status — so a counter
+// added there reaches nnetstat without a second declaration here to forget
+// (DESIGN.md §13). Each answers Enabled=false rather than an error when the
+// daemon does not run the subsystem, so the nnetstat views degrade
+// gracefully; recovery.status, whose reply has no such flag, answers an
+// error instead. The two types below exist only to add that flag where the
+// subsystem's struct has none.
 
 // OverloadData answers overload.status: the governor's snapshot, whole.
 type OverloadData struct {

@@ -208,7 +208,11 @@ func (s *Server) dispatch(req Request) (data json.RawMessage, err error) {
 		}
 		return s.traceGet(a)
 	case OpRecovery:
-		return s.recoveryStatus()
+		rec := s.sys.Recovery()
+		if rec == nil {
+			return nil, fmt.Errorf("ctl: recovery not enabled on this daemon")
+		}
+		return marshal(rec.Status())
 	case OpOverload:
 		st := OverloadData{}
 		if gov := s.sys.Overload(); gov != nil {
@@ -436,37 +440,6 @@ func (s *Server) traceGet(a TraceArgs) (json.RawMessage, error) {
 		a.ID = ids[len(ids)-1]
 	}
 	return marshal(TraceData{ID: a.ID, Available: ids, Rendered: tr.Format(a.ID)})
-}
-
-// recoveryStatus reports the journal, outage state and last reconciliation
-// (recovery.status).
-func (s *Server) recoveryStatus() (json.RawMessage, error) {
-	rec := s.sys.Recovery()
-	if rec == nil {
-		return nil, fmt.Errorf("ctl: recovery not enabled on this daemon")
-	}
-	data := RecoveryData{
-		Down:              rec.Down(),
-		JournalEntries:    rec.Journal().Len(),
-		Crashes:           rec.Crashes,
-		Restarts:          rec.Restarts,
-		RejectedWhileDown: rec.RejectedWhileDown,
-	}
-	if rep := rec.LastReport(); rep != nil {
-		data.HasReport = true
-		data.Replayed = rep.Entries
-		data.Rules = rep.Rules
-		data.Conns = rep.Conns
-		data.Stale = rep.Stale
-		data.Divergences = rep.Divergences
-		for _, a := range rep.Actions {
-			data.Actions = append(data.Actions, a.Kind+": "+a.Detail)
-		}
-		data.InvariantsOK = rep.InvariantsOK
-		data.Clean = rep.Clean
-		data.RecoveryTime = rep.RecoveryTime.String()
-	}
-	return marshal(data)
 }
 
 // RegisterMetrics exposes the control plane's own request accounting on a

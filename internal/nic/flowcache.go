@@ -556,7 +556,7 @@ type FlowEntryExport struct {
 	Verdict overlay.Verdict `json:"verdict"`
 }
 
-// Export snapshots the live entries in deterministic (FlowLess) key order.
+// Export snapshots the live entries in deterministic (flowLess) key order.
 // Tainted entries and entries whose checksum no longer matches their decision
 // fields are skipped — corrupted state must never be warm-transferred into a
 // new generation's cache.
@@ -572,7 +572,7 @@ func (f *FlowCache) Export() []FlowEntryExport {
 			Mark: e.mark, Class: e.class, Verdict: e.verdict,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return FlowLess(out[i].Key, out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return flowLess(out[i].Key, out[j].Key) })
 	return out
 }
 

@@ -25,12 +25,12 @@ type ConfigSnapshot struct {
 	TakenAt     sim.Time
 }
 
-// SnapshotConfig captures the NIC's current control-plane-visible
+// snapshotConfig captures the NIC's current control-plane-visible
 // configuration. The steering table is copied; programs, scheduler and
 // classifier are shared references (they are immutable or owned by the
 // control plane).
-func (n *NIC) SnapshotConfig(now sim.Time) *ConfigSnapshot {
-	s := &ConfigSnapshot{
+func (n *NIC) snapshotConfig(now sim.Time) *ConfigSnapshot {
+	return &ConfigSnapshot{
 		Scheduler:   n.sched,
 		Classifier:  n.classifier,
 		Steering:    n.steeringEntries(),
@@ -39,13 +39,12 @@ func (n *NIC) SnapshotConfig(now sim.Time) *ConfigSnapshot {
 		Ingress:     n.program(Ingress),
 		Egress:      n.program(Egress),
 	}
-	return s
 }
 
 // CommitConfig marks the current configuration known-good. The control
 // plane calls it after each successful mutation, so the snapshot always
 // reflects the last state that was demonstrably installed and running.
-func (n *NIC) CommitConfig(now sim.Time) { n.lastGoodCfg = n.SnapshotConfig(now) }
+func (n *NIC) CommitConfig(now sim.Time) { n.lastGoodCfg = n.snapshotConfig(now) }
 
 // LastGoodConfig returns the most recent committed snapshot, nil if the
 // control plane never committed one.
@@ -83,7 +82,7 @@ func (n *NIC) RestoreConfig(s *ConfigSnapshot) (sim.Duration, error) {
 	for k := range s.Steering {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return FlowLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return flowLess(keys[i], keys[j]) })
 	for _, k := range keys {
 		id := s.Steering[k]
 		if _, ok := n.conns[id]; !ok {
@@ -99,9 +98,9 @@ func (n *NIC) RestoreConfig(s *ConfigSnapshot) (sim.Duration, error) {
 	return total, firstErr
 }
 
-// FlowLess orders flow keys lexicographically: the one order every
+// flowLess orders flow keys lexicographically: the one order every
 // deterministic walk of a flow-keyed map uses (restores, exports, snapshots).
-func FlowLess(a, b packet.FlowKey) bool {
+func flowLess(a, b packet.FlowKey) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}

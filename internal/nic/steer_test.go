@@ -193,7 +193,7 @@ func FuzzSteering(f *testing.F) {
 			if used, _ := n.SRAM(); used != o.sramUsed {
 				t.Fatalf("after op %d: %d bytes of SRAM in use, want %d", i/2, used, o.sramUsed)
 			}
-			if got, want := n.SnapshotConfig(0).Steering, o.snapshot(); !reflect.DeepEqual(got, want) {
+			if got, want := n.snapshotConfig(0).Steering, o.snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after op %d: snapshot %v, want %v", i/2, got, want)
 			}
 		}

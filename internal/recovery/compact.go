@@ -3,12 +3,11 @@ package recovery
 import (
 	"fmt"
 	"os"
-	"sort"
 )
 
 // Compact folds a journal into the minimal entry sequence that replays to
-// the same reconciled intent: the surviving rule list in order, the final
-// qdisc configuration, and one open/bind pair per live bound connection.
+// the same reconciled intent: the replayed Policy (its rule list in order,
+// then its qdisc), and one open/bind pair per live bound connection.
 // Aborted pairs, flushed rules, superseded qdiscs, closed connections,
 // incomplete setups and pre-epoch (stale) connections are dropped — they
 // contribute nothing to intent, only to journal length. The result passes
@@ -26,23 +25,14 @@ func Compact(entries []Entry) ([]Entry, error) {
 		e.Seq = seq
 		out = append(out, e)
 	}
-	for _, r := range in.Rules {
-		rr := r
-		next(Entry{Op: OpRuleAppend, Rule: &rr})
+	for i := range in.Rules {
+		next(Entry{Op: OpRuleAppend, Rule: &in.Rules[i]})
 	}
 	if in.Qdisc != nil {
-		q := *in.Qdisc
-		next(Entry{Op: OpQdiscSet, Qdisc: &q})
+		next(Entry{Op: OpQdiscSet, Qdisc: in.Qdisc})
 	}
-	ids := make([]uint64, 0, len(in.Conns))
-	for id := range in.Conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c := in.Conns[id]
-		rec := c.Rec
-		next(Entry{Op: OpConnOpen, Conn: &rec})
+	for _, id := range in.sortedConnIDs() {
+		next(Entry{Op: OpConnOpen, Conn: &in.Conns[id].Rec})
 		next(Entry{Op: OpConnBind, Ref: seq, ConnID: id})
 	}
 	return out, nil

@@ -29,13 +29,13 @@ func compactFixture() []Entry {
 	j.Append(Entry{At: 0, Op: OpEpoch})
 
 	// Rules: two survive, two are flushed away, one is aborted.
-	j.Append(Entry{At: at(2), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", DstPort: 22, Action: "drop"}})
-	j.Append(Entry{At: at(3), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "OUTPUT", DstPort: 23, Action: "drop"}})
+	j.Append(Entry{At: at(2), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", Rule: Rule{DstPort: 22, Action: "drop"}}})
+	j.Append(Entry{At: at(3), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "OUTPUT", Rule: Rule{DstPort: 23, Action: "drop"}}})
 	j.Append(Entry{At: at(4), Op: OpRuleFlush})
-	j.Append(Entry{At: at(5), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", DstPort: 80, Action: "accept"}})
-	bad := j.Append(Entry{At: at(6), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", DstPort: 81, Action: "drop"}})
+	j.Append(Entry{At: at(5), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", Rule: Rule{DstPort: 80, Action: "accept"}}})
+	bad := j.Append(Entry{At: at(6), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", Rule: Rule{DstPort: 81, Action: "drop"}}})
 	j.Append(Entry{At: at(6), Op: OpAbort, Ref: bad.Seq})
-	j.Append(Entry{At: at(7), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "OUTPUT", SrcPort: 443, Action: "accept"}})
+	j.Append(Entry{At: at(7), Op: OpRuleAppend, Rule: &RuleRecord{Hook: "OUTPUT", Rule: Rule{SrcPort: 443, Action: "accept"}}})
 
 	// Qdiscs: the second wins.
 	j.Append(Entry{At: at(8), Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "pfifo", Limit: 64}})

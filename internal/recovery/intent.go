@@ -5,6 +5,41 @@ import (
 	"sort"
 )
 
+// Policy is what the control plane asked the dataplane to enforce: the
+// ordered rule list and the egress scheduler. Replay folds it from the
+// journal, Compact re-emits it, and the facade keeps the same value for the
+// live control plane, each through Apply.
+type Policy struct {
+	Rules []RuleRecord
+	Qdisc *QdiscRecord
+}
+
+// Apply folds one journal entry into the policy: an append adds its rule, a
+// flush clears the list, and a qdisc.set replaces the scheduler. Every other
+// op leaves the policy as it is.
+func (p *Policy) Apply(e Entry) {
+	switch e.Op {
+	case OpRuleAppend:
+		p.Rules = append(p.Rules, *e.Rule)
+	case OpRuleFlush:
+		p.Rules = nil
+	case OpQdiscSet:
+		q := *e.Qdisc
+		p.Qdisc = &q
+	}
+}
+
+// RulesFor returns the rules on one hook, in order.
+func (p *Policy) RulesFor(hook string) []RuleRecord {
+	var out []RuleRecord
+	for _, r := range p.Rules {
+		if r.Hook == hook {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // IntentConn is one connection as the journal intends it.
 type IntentConn struct {
 	Rec     ConnRecord
@@ -14,12 +49,10 @@ type IntentConn struct {
 }
 
 // Intent is the state the control plane is supposed to be in, rebuilt by
-// replaying the journal: the ordered rule list, the egress scheduler, and
-// the set of live connections. It is the left-hand side of the reconciler's
-// diff.
+// replaying the journal: the policy plus the set of live connections. It is
+// the left-hand side of the reconciler's diff.
 type Intent struct {
-	Rules []RuleRecord
-	Qdisc *QdiscRecord
+	Policy
 	// Conns maps kernel connection id -> intended connection (bound, open,
 	// current incarnation).
 	Conns map[uint64]*IntentConn
@@ -31,20 +64,9 @@ type Intent struct {
 	Stale []*IntentConn
 }
 
-// RulesFor returns the intended rules on one hook, in order.
-func (in *Intent) RulesFor(hook string) []RuleRecord {
-	var out []RuleRecord
-	for _, r := range in.Rules {
-		if r.Hook == hook {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Replay folds the journal into an Intent. Aborted entries are skipped, a
-// flush clears the rule list, a later qdisc.set wins, and an epoch marks
-// every connection opened before it stale.
+// Replay folds the journal into an Intent. Aborted entries are skipped, the
+// policy entries go through Policy.Apply, and an epoch marks every
+// connection opened before it stale.
 func Replay(entries []Entry) (*Intent, error) {
 	aborted := make(map[uint64]bool)
 	for _, e := range entries {
@@ -59,6 +81,7 @@ func Replay(entries []Entry) (*Intent, error) {
 		if aborted[e.Seq] {
 			continue
 		}
+		in.Apply(e)
 		switch e.Op {
 		case OpEpoch:
 			for id, c := range in.Conns {
@@ -72,13 +95,6 @@ func Replay(entries []Entry) (*Intent, error) {
 				delete(pending, seq)
 			}
 			sortByOpenSeq(in.Stale)
-		case OpRuleAppend:
-			in.Rules = append(in.Rules, *e.Rule)
-		case OpRuleFlush:
-			in.Rules = nil
-		case OpQdiscSet:
-			q := *e.Qdisc
-			in.Qdisc = &q
 		case OpConnOpen:
 			pending[e.Seq] = &IntentConn{Rec: *e.Conn, OpenSeq: e.Seq}
 		case OpConnBind:
@@ -91,8 +107,6 @@ func Replay(entries []Entry) (*Intent, error) {
 			in.Conns[e.ConnID] = c
 		case OpConnClose:
 			delete(in.Conns, e.ConnID)
-		case OpAbort:
-			// handled by the precollected set
 		}
 	}
 	for _, c := range pending {
@@ -106,4 +120,14 @@ func Replay(entries []Entry) (*Intent, error) {
 
 func sortByOpenSeq(cs []*IntentConn) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].OpenSeq < cs[j].OpenSeq })
+}
+
+// sortedConnIDs returns the intended live connection ids in ascending order.
+func (in *Intent) sortedConnIDs() []uint64 {
+	ids := make([]uint64, 0, len(in.Conns))
+	for id := range in.Conns {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

@@ -1,14 +1,5 @@
 package recovery
 
-import (
-	"fmt"
-	"sort"
-
-	"norman/internal/nic"
-	"norman/internal/overlay"
-	"norman/internal/qos"
-)
-
 // InvariantResult is one post-reconciliation check.
 type InvariantResult struct {
 	Name   string `json:"name"`
@@ -16,115 +7,38 @@ type InvariantResult struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// CheckInvariants proves (or disproves) the reconciled state:
+// checkInvariants proves (or disproves) the reconciled state from the
+// post-repair re-diff, so an invariant and the diff can never disagree:
 //
 //   - journal_consistent — the journal itself verifies (monotonic seq/time,
 //     well-formed payloads); a torn record fails here.
 //   - conn_rings — every intended live connection exists in the kernel
 //     table and, on ring-per-conn architectures, owns a NIC ring with its
-//     flow steered to it.
+//     flow steered to it (no conn.* divergence left).
 //   - chains_verify — every loaded NIC pipeline program passes the static
-//     verifier (the same gate install-time uses).
-//   - qos_weights — intended weights are all positive, the live scheduler
-//     matches the intended kind, and a live WFQ's weights sum to the
-//     intended sum.
-func CheckInvariants(j *Journal, in *Intent, live Live) []InvariantResult {
-	var out []InvariantResult
-	add := func(name string, err error) {
-		r := InvariantResult{Name: name, OK: err == nil}
-		if err != nil {
-			r.Detail = err.Error()
+//     verifier and every intended chain is loaded (no nic.program left).
+//   - qos_weights — the live scheduler is the intended kind with every
+//     intended WFQ class weight (no qdisc divergence left).
+func checkInvariants(j *Journal, after []divergence) []InvariantResult {
+	out := []InvariantResult{{Name: "journal_consistent", OK: true}, {Name: "conn_rings", OK: true},
+		{Name: "chains_verify", OK: true}, {Name: "qos_weights", OK: true}}
+	fail := func(i int, detail string) {
+		if out[i].OK {
+			out[i].OK, out[i].Detail = false, detail
 		}
-		out = append(out, r)
 	}
-
-	add("journal_consistent", j.Verify())
-	add("conn_rings", checkConnRings(in, live))
-	add("chains_verify", checkChains(live))
-	add("qos_weights", checkQoSWeights(in, live))
+	if err := j.Verify(); err != nil {
+		fail(0, err.Error())
+	}
+	for _, d := range after {
+		switch d.kind {
+		case "conn.kernel", "conn.ring", "conn.steer":
+			fail(1, d.detail)
+		case "nic.program":
+			fail(2, d.detail)
+		case "qdisc":
+			fail(3, d.detail)
+		}
+	}
 	return out
-}
-
-func checkConnRings(in *Intent, live Live) error {
-	ids := make([]uint64, 0, len(in.Conns))
-	for id := range in.Conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c := in.Conns[id]
-		if live.Kern != nil {
-			if _, ok := live.Kern.Conn(id); !ok {
-				return fmt.Errorf("conn %d not in kernel table", id)
-			}
-		}
-		if !live.RingPerConn || live.NIC == nil {
-			continue
-		}
-		if _, ok := live.NIC.Conn(id); !ok {
-			return fmt.Errorf("conn %d has no NIC ring", id)
-		}
-		if steered, ok := live.NIC.SteeredConn(c.Rec.Flow); !ok || steered != id {
-			return fmt.Errorf("conn %d flow not steered to its ring", id)
-		}
-	}
-	return nil
-}
-
-func checkChains(live Live) error {
-	if live.NIC == nil {
-		return nil
-	}
-	for dir := nic.Ingress; dir <= nic.Egress; dir++ {
-		m := live.NIC.Machine(dir)
-		if m == nil {
-			continue
-		}
-		if err := overlay.Verify(m.Program()); err != nil {
-			return fmt.Errorf("%v chain: %w", dir, err)
-		}
-	}
-	return nil
-}
-
-func checkQoSWeights(in *Intent, live Live) error {
-	if in.Qdisc == nil {
-		return nil
-	}
-	// Per-class exact comparison in sorted order: summing floats would be
-	// map-iteration-order dependent, which can differ run to run and would
-	// undermine the byte-identical determinism E10 claims.
-	classes := make([]uint32, 0, len(in.Qdisc.Weights))
-	for class := range in.Qdisc.Weights {
-		classes = append(classes, class)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	for _, class := range classes {
-		if w := in.Qdisc.Weights[class]; w <= 0 {
-			return fmt.Errorf("intended weight for class %d is %v, want > 0", class, w)
-		}
-	}
-	var q qos.Qdisc
-	if live.Qdisc != nil {
-		q = live.Qdisc()
-	}
-	if q == nil {
-		return fmt.Errorf("intended qdisc %s, none live", in.Qdisc.Kind)
-	}
-	if q.Name() != in.Qdisc.Kind {
-		return fmt.Errorf("intended qdisc %s, live %s", in.Qdisc.Kind, q.Name())
-	}
-	if wfq, ok := q.(*qos.WFQ); ok {
-		liveW := wfq.Weights()
-		for _, class := range classes {
-			got, ok := liveW[class]
-			if !ok {
-				return fmt.Errorf("wfq missing intended class %d", class)
-			}
-			if want := in.Qdisc.Weights[class]; got != want {
-				return fmt.Errorf("wfq class %d weight %v, intended %v", class, got, want)
-			}
-		}
-	}
-	return nil
 }

@@ -46,19 +46,26 @@ const (
 	OpUpgrade Op = "upgrade.gen"
 )
 
-// RuleRecord is the journal form of one firewall rule, mirroring the
-// administrator-facing norman.Rule plus its hook.
-type RuleRecord struct {
-	Hook     string  `json:"hook"` // INPUT / OUTPUT
-	Proto    string  `json:"proto,omitempty"`
-	SrcNet   string  `json:"src,omitempty"`
+// Rule is a firewall rule in administrator-facing form (norman.Rule names
+// this type). Zero fields are wildcards. Owner fields require an
+// architecture with a process view.
+type Rule struct {
+	Proto    string  `json:"proto,omitempty"` // "udp", "tcp", "" = any
+	SrcNet   string  `json:"src,omitempty"`   // "10.0.0.0/8", "" = any
 	DstNet   string  `json:"dst,omitempty"`
-	SrcPort  uint16  `json:"sport,omitempty"`
+	SrcPort  uint16  `json:"sport,omitempty"` // 0 = any
 	DstPort  uint16  `json:"dport,omitempty"`
 	OwnerUID *uint32 `json:"uid_owner,omitempty"`
 	OwnerCmd string  `json:"cmd_owner,omitempty"`
-	Action   string  `json:"action,omitempty"`
+	Action   string  `json:"action,omitempty"` // "accept", "drop", "count", "log", "mark"
 	Mark     uint32  `json:"mark,omitempty"`
+}
+
+// RuleRecord is the journal form of one firewall rule: the rule and its
+// hook, encoded as one flat object.
+type RuleRecord struct {
+	Hook string `json:"hook"` // INPUT / OUTPUT
+	Rule
 }
 
 // QdiscRecord is the journal form of one egress scheduler configuration.

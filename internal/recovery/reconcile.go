@@ -77,14 +77,13 @@ type divergence struct {
 	kind   string // rules | qdisc | nic.program | conn.kernel | conn.ring | conn.steer
 	detail string
 	conn   *IntentConn // set for conn.* kinds
-	dir    nic.Direction
 }
 
 // Restart brings the control plane back: replays the journal into intent,
 // diffs against live state, repairs divergence through the applier
 // (preferring the NIC's whole-config last-good snapshot when NIC state is
 // what diverged), re-diffs to prove convergence, and runs the invariant
-// checker. The returned report is also retained for LastReport.
+// checker. The returned report is also retained as Status().Last.
 func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) {
 	// Only this outage's rejections: the lifetime counter minus its value
 	// when the outage began (zero on a cold-start Restart with no Crash).
@@ -120,8 +119,9 @@ func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) 
 	rep.Actions = m.repair(now, in, live, ap, divs)
 	m.RepairsApplied += uint64(len(rep.Actions))
 
-	rep.Clean = len(diff(in, live)) == 0
-	rep.Invariants = CheckInvariants(m.journal, in, live)
+	after := diff(in, live)
+	rep.Clean = len(after) == 0
+	rep.Invariants = checkInvariants(m.journal, after)
 	rep.InvariantsOK = true
 	for _, iv := range rep.Invariants {
 		if !iv.OK {
@@ -139,9 +139,14 @@ func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) 
 }
 
 // diff computes intended-vs-live divergences in deterministic order:
-// rules, qdisc, NIC programs, then connections sorted by id.
+// rules, qdisc (kind, then each intended WFQ weight), NIC programs, then
+// connections sorted by id. It is the reconciler's one comparison: repair
+// acts on it and the invariants read the post-repair re-diff.
 func diff(in *Intent, live Live) []divergence {
 	var out []divergence
+	add := func(kind string, c *IntentConn, format string, args ...any) {
+		out = append(out, divergence{kind: kind, conn: c, detail: fmt.Sprintf(format, args...)})
+	}
 
 	for _, hook := range []string{"INPUT", "OUTPUT"} {
 		want := len(in.RulesFor(hook))
@@ -150,7 +155,7 @@ func diff(in *Intent, live Live) []divergence {
 			got = live.RuleCount(hook)
 		}
 		if want != got {
-			out = append(out, divergence{kind: "rules", detail: fmt.Sprintf("%s: intended %d, live %d", hook, want, got)})
+			add("rules", nil, "%s: intended %d, live %d", hook, want, got)
 		}
 	}
 
@@ -161,41 +166,53 @@ func diff(in *Intent, live Live) []divergence {
 		}
 		switch {
 		case q == nil:
-			out = append(out, divergence{kind: "qdisc", detail: fmt.Sprintf("intended %s, live none", in.Qdisc.Kind)})
+			add("qdisc", nil, "intended %s, live none", in.Qdisc.Kind)
 		case q.Name() != in.Qdisc.Kind:
-			out = append(out, divergence{kind: "qdisc", detail: fmt.Sprintf("intended %s, live %s", in.Qdisc.Kind, q.Name())})
+			add("qdisc", nil, "intended %s, live %s", in.Qdisc.Kind, q.Name())
+		default:
+			if wfq, ok := q.(*qos.WFQ); ok {
+				// Per class in ascending order, so the report never depends
+				// on map iteration order.
+				want := in.Qdisc.Weights
+				classes := make([]uint32, 0, len(want))
+				for class := range want {
+					classes = append(classes, class)
+				}
+				sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+				have := wfq.Weights()
+				for _, class := range classes {
+					if got, ok := have[class]; !ok || got != want[class] {
+						add("qdisc", nil, "wfq class %d weight %v, intended %v", class, got, want[class])
+						break
+					}
+				}
+			}
 		}
 	}
 
-	if live.RingPerConn && live.NIC != nil {
-		// On NIC-resident-policy architectures the intended rules compile
+	if live.NIC != nil {
+		// Every loaded chain must pass the install-time verifier. On
+		// NIC-resident-policy architectures the intended rules also compile
 		// into pipeline chains: INPUT guards ingress, OUTPUT guards egress.
 		hooks := [2]string{nic.Ingress: "INPUT", nic.Egress: "OUTPUT"}
 		for dir := nic.Ingress; dir <= nic.Egress; dir++ {
-			if len(in.RulesFor(hooks[dir])) == 0 {
-				continue
-			}
 			mach := live.NIC.Machine(dir)
-			if mach == nil {
-				out = append(out, divergence{kind: "nic.program", dir: dir, detail: fmt.Sprintf("%s chain intended, none loaded", hooks[dir])})
-				continue
-			}
-			if err := overlay.Verify(mach.Program()); err != nil {
-				out = append(out, divergence{kind: "nic.program", dir: dir, detail: fmt.Sprintf("%s chain fails verification: %v", hooks[dir], err)})
+			switch {
+			case mach != nil:
+				if err := overlay.Verify(mach.Program()); err != nil {
+					add("nic.program", nil, "%s chain fails verification: %v", hooks[dir], err)
+				}
+			case live.RingPerConn && len(in.RulesFor(hooks[dir])) > 0:
+				add("nic.program", nil, "%s chain intended, none loaded", hooks[dir])
 			}
 		}
 	}
 
-	ids := make([]uint64, 0, len(in.Conns))
-	for id := range in.Conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range in.sortedConnIDs() {
 		c := in.Conns[id]
 		if live.Kern != nil {
 			if _, ok := live.Kern.Conn(id); !ok {
-				out = append(out, divergence{kind: "conn.kernel", conn: c, detail: fmt.Sprintf("conn %d missing from kernel table", id)})
+				add("conn.kernel", c, "conn %d missing from kernel table", id)
 				continue
 			}
 		}
@@ -203,11 +220,11 @@ func diff(in *Intent, live Live) []divergence {
 			if _, ok := live.NIC.Conn(id); !ok {
 				// The ring memory is application-owned; with the rings gone
 				// there is nothing the control plane can restore.
-				out = append(out, divergence{kind: "conn.ring", conn: c, detail: fmt.Sprintf("conn %d has no NIC ring", id)})
+				add("conn.ring", c, "conn %d has no NIC ring", id)
 				continue
 			}
 			if steered, ok := live.NIC.SteeredConn(c.Rec.Flow); !ok || steered != id {
-				out = append(out, divergence{kind: "conn.steer", conn: c, detail: fmt.Sprintf("conn %d flow not steered to its ring", id)})
+				add("conn.steer", c, "conn %d flow not steered to its ring", id)
 			}
 		}
 	}

@@ -44,42 +44,56 @@ type Manager struct {
 	tracer  *telemetry.Tracer
 	traceID uint64 // span id of the current crash→recovery cycle
 
-	registered bool
-
 	// rejectedAtCrash snapshots RejectedWhileDown when the current outage
 	// began, so Restart can report the rejections of *this* outage rather
 	// than the lifetime total.
 	rejectedAtCrash uint64
 
-	// Counters, exposed as the telemetry registry's recovery layer.
-	Crashes           uint64
-	Restarts          uint64
-	RejectedWhileDown uint64
-	ReplayedEntries   uint64
-	DivergencesFound  uint64
-	RepairsApplied    uint64
-	StaleConns        uint64
-	InvariantFailures uint64
-
-	// LastRecovery is the virtual time the most recent reconciliation
-	// consumed (see Report.RecoveryTime).
-	LastRecovery sim.Duration
+	Counters
 
 	lastReport *Report
 }
 
+// Counters are the manager's lifetime tallies, exposed as the telemetry
+// registry's recovery layer and in Status.
+type Counters struct {
+	Crashes           uint64 `json:"crashes"`
+	Restarts          uint64 `json:"restarts"`
+	RejectedWhileDown uint64 `json:"rejected_while_down"`
+	ReplayedEntries   uint64 `json:"replayed_entries"`
+	DivergencesFound  uint64 `json:"divergences"`
+	RepairsApplied    uint64 `json:"repairs"`
+	StaleConns        uint64 `json:"stale_conns"`
+	InvariantFailures uint64 `json:"invariant_failures"`
+
+	// LastRecovery is the virtual time the most recent reconciliation
+	// consumed (see Report.RecoveryTime).
+	LastRecovery sim.Duration `json:"last_recovery_ps"`
+}
+
+// Status is the recovery subsystem's state as the recovery.status op serves
+// it: whether the control plane is down, the journal length, the counters,
+// and the last reconciliation report (nil before the first restart).
+type Status struct {
+	Down           bool `json:"down"`
+	JournalEntries int  `json:"journal_entries"`
+	Counters
+	Last *Report `json:"last,omitempty"`
+}
+
 // NewManager returns a manager with an empty journal.
 func NewManager() *Manager { return &Manager{journal: NewJournal()} }
+
+// Status snapshots the manager.
+func (m *Manager) Status() Status {
+	return Status{Down: m.down, JournalEntries: m.journal.Len(), Counters: m.Counters, Last: m.lastReport}
+}
 
 // Journal returns the intent journal.
 func (m *Manager) Journal() *Journal { return m.journal }
 
 // Down reports whether the control plane is currently crashed.
 func (m *Manager) Down() bool { return m.down }
-
-// LastReport returns the most recent reconciliation report, nil before the
-// first restart.
-func (m *Manager) LastReport() *Report { return m.lastReport }
 
 // SetTracer attaches the packet-lifecycle tracer; crash, replay, repair and
 // invariant events become spans under one id per crash→recovery cycle, so
@@ -145,13 +159,9 @@ func (m *Manager) MarkEpoch(now sim.Time) {
 }
 
 // RegisterMetrics exposes the manager's counters as the registry's recovery
-// layer. Idempotent per manager: a second call is a no-op so enabling
-// telemetry and recovery in either order cannot double-register.
+// layer. Registering again replaces the series (the registry drops
+// duplicates), so enabling telemetry and recovery in either order is safe.
 func (m *Manager) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) {
-	if m.registered {
-		return
-	}
-	m.registered = true
 	r.Counter(telemetry.Desc{Layer: "recovery", Name: "crashes", Help: "control-plane crashes modeled", Unit: "crashes"},
 		labels, func() uint64 { return m.Crashes })
 	r.Counter(telemetry.Desc{Layer: "recovery", Name: "restarts", Help: "control-plane restarts reconciled", Unit: "restarts"},

@@ -1,3 +1,13 @@
+// Package upgrade is Norman's live-upgrade subsystem: planned maintenance of
+// the interposition dataplane — policy, overlay-program and bitstream
+// upgrades — made hitless under KOPI (DESIGN.md §12). It drives the NIC's A/B
+// pipeline generations (stage → verify → pause-and-flip → canary →
+// commit/rollback), carries the warm flow-cache entries across the flip, and
+// watches the canary window with the same counter-delta sampling discipline
+// as the health monitor, rolling back automatically on breach.
+// ReloadBitstream — a seconds-long blackout, §4.4's open challenge — is the
+// outage this package exists to avoid; raw bypass has no layer that could
+// even sequence the cutover, which is the comparison E16 draws.
 package upgrade
 
 import (
@@ -101,16 +111,12 @@ type Manager struct {
 	tracer *telemetry.Tracer
 	rec    *recovery.Manager
 
-	// stateSource, when set, merges control-plane-owned policy state (qos,
-	// filters) into the pre-upgrade snapshot; the NIC half is taken directly.
-	stateSource func(*Snapshot)
-
 	phase Phase
-	// pre is the state snapshot taken at Stage time — the handover record the
-	// cutover warm-transfers from and a rollback warm-restores from.
-	pre *Snapshot
+	// pre is the handover taken at Stage time, nil outside an upgrade: what
+	// the cutover warm-transfers from and a rollback warm-restores from.
+	pre *handover
 	// stagedIng remembers the staged ingress chain: warm transfer across the
-	// cutover is only sound when it is the very chain the snapshot's entries
+	// cutover is only sound when it is the very chain the handover's entries
 	// were computed under (a same-policy flip, e.g. a bitstream respin).
 	stagedIng *overlay.Program
 	// The canary: its sampler, when its window closes, the breach run, and the
@@ -132,6 +138,13 @@ type Manager struct {
 	Adoptions      uint64 // daemon hot-restarts that re-adopted the live generation
 }
 
+// handover is what one generation hands the next across the flip: the
+// ingress chain live at Stage and the flow-cache entries computed under it.
+type handover struct {
+	ingress *overlay.Program
+	cache   []nic.FlowEntryExport
+}
+
 // New builds a manager over a world's engine and NIC.
 func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Manager {
 	m := &Manager{eng: eng, n: n, cfg: cfg}
@@ -146,10 +159,6 @@ func (m *Manager) SetTracer(tr *telemetry.Tracer) { m.tracer = tr }
 // SetRecovery attaches the recovery manager so upgrade intent is journaled
 // write-ahead like every other control-plane mutation.
 func (m *Manager) SetRecovery(rec *recovery.Manager) { m.rec = rec }
-
-// SetStateSource installs the callback that merges control-plane policy
-// state (qos, filters) into the pre-upgrade snapshot.
-func (m *Manager) SetStateSource(fn func(*Snapshot)) { m.stateSource = fn }
 
 // Phase returns the lifecycle phase.
 func (m *Manager) Phase() Phase { return m.phase }
@@ -168,17 +177,21 @@ func (m *Manager) span(now sim.Time, point, note string) {
 	m.tracer.Record(m.tracer.StampID(), now, "upgrade", point, note)
 }
 
-// Stage freezes the handover snapshot, verifies the new generation's chains
-// and stages them into the NIC's shadow bank, charged against the SRAM
-// budget. The intent is journaled write-ahead (OpUpgrade, Ref = target
-// generation) when recovery is attached.
+// Stage takes the handover (the live ingress chain and the flow-cache
+// entries), verifies the new generation's chains and stages them into the
+// NIC's shadow bank, charged against the SRAM budget. The intent is
+// journaled write-ahead (OpUpgrade, Ref = target generation) when recovery
+// is attached.
 func (m *Manager) Stage(now sim.Time, ing, eg *overlay.Program) error {
 	if m.phase == Staged || m.phase == Canary {
 		return fmt.Errorf("%w: phase %v", ErrBusy, m.phase)
 	}
-	pre := takeSnapshot(m.n, now)
-	if m.stateSource != nil {
-		m.stateSource(pre)
+	pre := &handover{}
+	if mach := m.n.Machine(nic.Ingress); mach != nil {
+		pre.ingress = mach.Program()
+	}
+	if fc := m.n.FlowCache(); fc != nil {
+		pre.cache = fc.Export()
 	}
 	if err := m.n.StageGeneration(now, ing, eg); err != nil {
 		return err
@@ -228,8 +241,8 @@ func (m *Manager) CutOver(now sim.Time) (sim.Duration, error) {
 	m.span(now, "cutover", fmt.Sprintf("gen=%d pause=%v", m.n.Generation(), load))
 
 	// The flip costs MMIO time: hold the pause for exactly that long, then
-	// warm the new generation's cache from the handover snapshot and replay
-	// the buffered frames — they see the new chain, losing only latency.
+	// warm the new generation's cache from the handover and replay the
+	// buffered frames — they see the new chain, losing only latency.
 	m.eng.At(now.Add(load), func() {
 		resumeAt := m.eng.Now()
 		// A cached verdict is only valid under the chain that computed it:
@@ -237,7 +250,7 @@ func (m *Manager) CutOver(now sim.Time) (sim.Duration, error) {
 		// same ingress chain the entries were built under (a same-policy
 		// upgrade). A policy change starts cold by design — the slow path
 		// recomputes and refills.
-		if m.pre != nil && m.stagedIng == m.pre.Ingress {
+		if m.pre != nil && m.stagedIng == m.pre.ingress {
 			m.warmTransfer(resumeAt)
 		}
 		if err := m.n.ResumeRx(); err == nil {
@@ -248,13 +261,13 @@ func (m *Manager) CutOver(now sim.Time) (sim.Duration, error) {
 	return load, nil
 }
 
-// warmTransfer re-installs the snapshot's flow-cache entries under the new
+// warmTransfer re-installs the handover's flow-cache entries under the new
 // generation, re-validated by construction: installs only happen when the
 // live ingress chain is flow-memoizable (overlay.Machine.Cacheable, via the NIC's
 // install gate), and each entry passes through the cache's own ledgered
 // Install path — Installs − Evictions − Invalidations == Len() still holds.
 func (m *Manager) warmTransfer(now sim.Time) {
-	if m.pre == nil || len(m.pre.Cache) == 0 {
+	if m.pre == nil || len(m.pre.cache) == 0 {
 		return
 	}
 	fc := m.n.FlowCache()
@@ -262,13 +275,13 @@ func (m *Manager) warmTransfer(now sim.Time) {
 		return
 	}
 	warmed := 0
-	for _, e := range m.pre.Cache {
+	for _, e := range m.pre.cache {
 		if fc.Install(e.Key, e.ConnID, e.Tenant, e.Verdict, e.Mark, e.Class) {
 			warmed++
 		}
 	}
 	m.WarmEntries += uint64(warmed)
-	m.span(now, "warm_transfer", fmt.Sprintf("entries=%d of %d", warmed, len(m.pre.Cache)))
+	m.span(now, "warm_transfer", fmt.Sprintf("entries=%d of %d", warmed, len(m.pre.cache)))
 }
 
 // startCanary arms the post-cutover watch: counter-delta samples of pipeline

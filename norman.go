@@ -132,15 +132,14 @@ const (
 
 // System is one simulated host on one architecture.
 type System struct {
-	a     arch.Arch
-	w     *arch.World
-	mux   *host.Mux
-	rules []installedRule
-	reg   *telemetry.Registry
-	rec   *recovery.Manager
-	gov   *overload.Governor
-	hm    *health.Monitor
-	up    *upgrade.Manager
+	a   arch.Arch
+	w   *arch.World
+	mux *host.Mux
+	reg *telemetry.Registry
+	rec *recovery.Manager
+	gov *overload.Governor
+	hm  *health.Monitor
+	up  *upgrade.Manager
 	// parts lists the attached subsystems in the one order everything that
 	// walks them uses: telemetry wiring, and — for the supervisors among them —
 	// the pause and resume around a drain, hence the order coinciding sampler
@@ -150,9 +149,12 @@ type System struct {
 	// What has been asked for that a subsystem enabled later must still pick
 	// up; resolve links it. Which subsystems are on is the pointers above, and
 	// the flow cache is the NIC's — neither is recorded twice.
-	tenants        map[uint32]int        // EnableTenantIsolation's weights, nil = off
-	qdisc          *recovery.QdiscRecord // the standing qdisc: the last TCSet or journal replay
-	qdiscJournaled bool                  // qdisc is in the intent journal
+	tenants map[uint32]int // EnableTenantIsolation's weights, nil = off
+	// policy is the control plane's rules and standing qdisc, folded by
+	// recovery.Policy.Apply from each verb that succeeded — the same fold
+	// replay runs over the journal. A crash forgets the rules; a restart
+	// reinstalls them from the journal.
+	policy recovery.Policy
 }
 
 // The slots of System.parts.
@@ -188,8 +190,8 @@ func (s *System) attach(slot int, c component) {
 // resolve makes every cross-link between what has been asked for so far, so
 // the order of the Enable* and TCSet calls never matters: each of them builds
 // its own subsystem, or records its ask, and ends here. The links are made in
-// one fixed order — recovery, tenants (onto the NIC, the LLC and the flow
-// cache), governor, health, live upgrade, telemetry — and only where absent
+// one fixed order — tenants (onto the NIC, the LLC and the flow cache),
+// governor, health, live upgrade, telemetry — and only where absent
 // or changed: a live tenant scheduler, DDIO partition or set of governor
 // budgets is never rebuilt by an unrelated call, which would orphan the
 // shares, counters and health machines it holds (DESIGN.md §13). The one link
@@ -199,12 +201,6 @@ func (s *System) attach(slot int, c component) {
 // having added nothing that could make it fail.
 func (s *System) resolve() error {
 	n, fc := s.w.NIC, s.w.NIC.FlowCache()
-	// Recovery: a qdisc installed before the journal existed is intent too.
-	if s.rec != nil && s.qdisc != nil && !s.qdiscJournaled {
-		s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: s.qdisc})
-		s.qdiscJournaled = true
-		s.commitNICConfig()
-	}
 	// Tenants: the DDIO partition and the NIC scheduler move together, then
 	// the flow cache (built by EnableFlowCache, before or after) is
 	// partitioned by the same weights.
@@ -229,7 +225,7 @@ func (s *System) resolve() error {
 	// Governor: ingress shedding by the standing qdisc's class weights, so
 	// shedding and egress scheduling agree on who matters. The policy is a
 	// pure function of the spec, so reinstalling it loses nothing.
-	if q := s.qdisc; s.gov != nil && q != nil && len(q.Weights) > 0 {
+	if q := s.policy.Qdisc; s.gov != nil && q != nil && len(q.Weights) > 0 {
 		s.gov.InstallShedding(func(uid uint32) uint32 { return q.ClassOfUID[uid] }, q.Weights)
 	}
 	// Health: checksum verification covers the flow cache from its first packet.
@@ -257,12 +253,6 @@ func (s *System) resolve() error {
 		}
 	}
 	return err
-}
-
-// installedRule remembers admin rule state for IPTablesList.
-type installedRule struct {
-	hook string
-	rule Rule
 }
 
 // New builds a System on the given architecture.

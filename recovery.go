@@ -22,6 +22,10 @@ var ErrControlPlaneDown = recovery.ErrControlPlaneDown
 func (s *System) EnableRecovery() *recovery.Manager {
 	if s.rec == nil {
 		s.rec = recovery.NewManager()
+		if s.policy.Qdisc != nil {
+			s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: s.policy.Qdisc})
+			s.commitNICConfig()
+		}
 		s.attach(partRecovery, s.rec)
 	}
 	return s.rec
@@ -44,7 +48,7 @@ func (s *System) CrashControlPlane() error {
 		return fmt.Errorf("norman: %s: %w", s.a.Name(), arch.ErrUnsupported)
 	}
 	s.rec.Crash(s.w.Eng.Now())
-	s.rules = nil
+	s.policy.Rules = nil
 	cr.CrashControlPlane()
 	// A control plane dying mid-canary cannot supervise the new generation:
 	// the upgrade manager reverts the dataplane to the proven one.
@@ -156,13 +160,12 @@ func (ap sysApplier) ReinstallRules(rules []recovery.RuleRecord) error {
 	if err := s.a.FlushRules(); err != nil {
 		return err
 	}
-	s.rules = nil
+	s.policy.Rules = nil
 	for _, rr := range rules {
-		r := recordToRule(rr)
-		if err := s.applyRule(rr.Hook, r); err != nil {
+		if err := s.applyRule(rr); err != nil {
 			return err
 		}
-		s.rules = append(s.rules, installedRule{hook: rr.Hook, rule: r})
+		s.policy.Rules = append(s.policy.Rules, rr)
 	}
 	return nil
 }
@@ -173,7 +176,7 @@ func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
 	if err := ap.s.applyQdisc(&q); err != nil {
 		return err
 	}
-	ap.s.qdisc, ap.s.qdiscJournaled = &q, true
+	ap.s.policy.Qdisc = &q
 	_ = ap.s.resolve() // cannot newly fail here: see resolve
 	return nil
 }
@@ -189,37 +192,6 @@ func (ap sysApplier) RepairSteering(rec recovery.ConnRecord, id uint64) error {
 	return ap.s.w.NIC.SteerFlow(rec.Flow, id)
 }
 
-// ruleToRecord converts an admin rule to its journal form.
-func ruleToRecord(hook string, r Rule) *recovery.RuleRecord {
-	return &recovery.RuleRecord{
-		Hook:     hook,
-		Proto:    r.Proto,
-		SrcNet:   r.SrcNet,
-		DstNet:   r.DstNet,
-		SrcPort:  r.SrcPort,
-		DstPort:  r.DstPort,
-		OwnerUID: r.OwnerUID,
-		OwnerCmd: r.OwnerCmd,
-		Action:   r.Action,
-		Mark:     r.Mark,
-	}
-}
-
-// recordToRule converts a journal record back to the admin form.
-func recordToRule(rr recovery.RuleRecord) Rule {
-	return Rule{
-		Proto:    rr.Proto,
-		SrcNet:   rr.SrcNet,
-		DstNet:   rr.DstNet,
-		SrcPort:  rr.SrcPort,
-		DstPort:  rr.DstPort,
-		OwnerUID: rr.OwnerUID,
-		OwnerCmd: rr.OwnerCmd,
-		Action:   rr.Action,
-		Mark:     rr.Mark,
-	}
-}
-
 // gate rejects the mutation when the control plane is down; a nil manager
 // (recovery not enabled) never gates.
 func (s *System) gate() error {
@@ -229,11 +201,12 @@ func (s *System) gate() error {
 	return s.rec.Gate()
 }
 
-// record journals a mutation when recovery is enabled. The zero Entry seq
-// means "not journaled".
+// record journals a mutation when recovery is enabled and returns the
+// entry, which a successful verb then folds into s.policy. Seq 0 means "not
+// journaled".
 func (s *System) record(e recovery.Entry) recovery.Entry {
 	if s.rec == nil {
-		return recovery.Entry{}
+		return e
 	}
 	return s.rec.Record(s.w.Eng.Now(), e)
 }

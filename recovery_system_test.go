@@ -3,9 +3,13 @@ package norman_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"norman"
+	"norman/internal/qos"
 	"norman/internal/recovery"
 	"norman/internal/sim"
 )
@@ -294,5 +298,133 @@ func coldStart(t *testing.T, archName norman.Architecture) {
 	sys2.Run()
 	if got != 0 {
 		t.Fatal("recovered drop rule did not filter")
+	}
+}
+
+// TestRestartRepairsWeightDivergence: a live WFQ whose class weights drifted
+// from the journal during an outage is a qdisc divergence the restart
+// repairs, not a failed invariant left standing. On kopi the NIC keeps
+// running the scheduler through the crash, so the drift is a weight; the
+// kernel stack's crash takes its scheduler with it, so there the divergence
+// is the whole qdisc.
+func TestRestartRepairsWeightDivergence(t *testing.T) {
+	for _, tc := range []struct {
+		arch   norman.Architecture
+		tamper bool
+		want   string
+	}{
+		{norman.KOPI, true, "qdisc: wfq class 1 weight 1, intended 4"},
+		{norman.KernelStack, false, "qdisc: intended wfq, live none"},
+	} {
+		t.Run(string(tc.arch), func(t *testing.T) {
+			sys := norman.New(tc.arch)
+			sys.EnableRecovery()
+			sys.UseEchoPeer()
+			if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4, 2: 1}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CrashControlPlane(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.tamper {
+				sys.Qdisc().(*qos.WFQ).SetWeight(1, 1)
+			}
+			rep, err := sys.RestartControlPlane()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Divergences) != 1 || rep.Divergences[0] != tc.want {
+				t.Fatalf("divergences = %q, want [%q]", rep.Divergences, tc.want)
+			}
+			if len(rep.Actions) != 1 || rep.Actions[0].Kind != "qdisc.reinstall" {
+				t.Fatalf("actions = %+v, want one qdisc.reinstall", rep.Actions)
+			}
+			if !rep.Clean || !rep.InvariantsOK {
+				t.Fatalf("clean=%v invariants=%+v", rep.Clean, rep.Invariants)
+			}
+			if w := sys.Qdisc().(*qos.WFQ).Weights(); w[1] != 4 || w[2] != 1 {
+				t.Fatalf("live weights after repair = %v, want {1:4 2:1}", w)
+			}
+		})
+	}
+}
+
+// TestPolicyIsTheJournalFold: the facade's record of what the control plane
+// asked for is the journal's fold. Seeded sequences of appends (some abort:
+// an unknown proto or action, any rule on bypass), flushes, qdisc sets (an
+// unknown kind aborts) and crash/restart cycles run on kopi and bypass; after
+// every step IPTablesList and System.Qdisc equal Replay(journal).Policy,
+// except that the rules read empty while the control plane is down.
+func TestPolicyIsTheJournalFold(t *testing.T) {
+	protos := []string{"", "udp", "tcp", "sctp"}
+	actions := []string{"accept", "drop", "count", "mark", "bogus"}
+	kinds := []string{"wfq", "drr", "pfifo", "tbf", "cbq"}
+	for _, archName := range []norman.Architecture{norman.KOPI, norman.Bypass} {
+		for seed := int64(1); seed <= 8; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			sys := norman.New(archName)
+			rec := sys.EnableRecovery()
+			sys.UseEchoPeer()
+			down := false
+			for step := 0; step < 40; step++ {
+				// Aborted and refused verbs are part of the sequence: errors are
+				// expected and the journal fold must account for them.
+				switch op := r.Intn(10); {
+				case op < 5:
+					rule := norman.Rule{Proto: protos[r.Intn(len(protos))], DstPort: uint16(r.Intn(3) * 1000),
+						Action: actions[r.Intn(len(actions))], Mark: uint32(r.Intn(2))}
+					if r.Intn(3) == 0 {
+						rule.OwnerUID, rule.OwnerCmd = norman.UID(uint32(1000+r.Intn(2))), "svc"
+					}
+					hook := []string{norman.Input, norman.Output}[r.Intn(2)]
+					_ = sys.IPTablesAppend(hook, rule)
+				case op < 6:
+					_ = sys.IPTablesFlush()
+				case op < 8:
+					spec := norman.QdiscSpec{Kind: kinds[r.Intn(len(kinds))], Limit: 64, RateBps: 1e9, BurstBytes: 3000,
+						Weights: map[uint32]float64{1: float64(1 + r.Intn(8)), 2: float64(1 + r.Intn(8))}}
+					_ = sys.TCSet(spec, map[uint32]uint32{1000: 1, 1001: 2})
+				case down:
+					if _, err := sys.RestartControlPlane(); err != nil {
+						t.Fatal(err)
+					}
+					down = false
+				default:
+					if err := sys.CrashControlPlane(); err != nil {
+						t.Fatal(err)
+					}
+					down = true
+				}
+				in, err := recovery.Replay(rec.Journal().Entries())
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s seed %d step %d", archName, seed, step)
+				want := []recovery.RuleRecord{}
+				if !down {
+					want = append(want, in.Rules...)
+				}
+				got := []recovery.RuleRecord{}
+				for _, rs := range sys.IPTablesList() {
+					got = append(got, recovery.RuleRecord{Hook: rs.Hook, Rule: rs.Rule})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: IPTablesList = %+v, journal fold = %+v", where, got, want)
+				}
+				q := sys.Qdisc()
+				switch {
+				case in.Qdisc == nil:
+					if q != nil {
+						t.Fatalf("%s: live qdisc %s, journal fold none", where, q.Name())
+					}
+				case q == nil || q.Name() != in.Qdisc.Kind:
+					t.Fatalf("%s: live qdisc %v, journal fold %s", where, q, in.Qdisc.Kind)
+				default:
+					if wfq, ok := q.(*qos.WFQ); ok && !reflect.DeepEqual(wfq.Weights(), in.Qdisc.Weights) {
+						t.Fatalf("%s: live weights %v, journal fold %v", where, wfq.Weights(), in.Qdisc.Weights)
+					}
+				}
+			}
+		}
 	}
 }

@@ -80,11 +80,23 @@ if [ "$asked" -ne 5 ]; then
 	exit 1
 fi
 
-# One status struct per subsystem: the overload, tenant, flow-cache, health and
-# upgrade status ops serve the struct the subsystem declares (DESIGN.md §13),
+# One record of what the control plane asked for (DESIGN.md §7): the policy ops
+# (rule.append, rule.flush, qdisc.set) are folded by recovery.Policy.Apply —
+# journal replay, compaction and the facade's own record all go through it —
+# and no other non-test switch names one, bar Journal.Verify's payload check.
+if awk 'FNR == 1 { fn = "" }
+	/^func / { fn = $0 }
+	/case .*Op(RuleAppend|RuleFlush|QdiscSet)([^A-Za-z]|$)/ && fn !~ /^func \((j \*Journal\) Verify|p \*Policy\) Apply)\(/ { print FILENAME ": " fn; bad = 1 }
+	END { exit !bad }' $(find . -name '*.go' ! -name '*_test.go'); then
+	echo "a switch outside recovery.Policy.Apply folds policy journal ops (fold through Policy.Apply)" >&2
+	exit 1
+fi
+
+# One status struct per subsystem: the overload, tenant, flow-cache, health,
+# upgrade and recovery status ops serve the struct the subsystem declares (DESIGN.md §13),
 # so internal/ctl/proto.go may wrap one in an Enabled flag and declare nothing
 # more — a field-for-field mirror there is what dropped counters three times.
-if awk '/^type (Overload|Tenant|FlowCache|Health|Upgrade)[A-Za-z]*(Data|Row) struct/ { name = $2; fields = 0; inside = 1; next }
+if awk '/^type (Overload|Tenant|FlowCache|Health|Upgrade|Recovery)[A-Za-z]*(Data|Row) struct/ { name = $2; fields = 0; inside = 1; next }
 	inside && /^}/ { if (fields > 2) { print name ": " fields " fields"; bad = 1 }; inside = 0 }
 	inside && NF && $1 !~ /^\/\// { fields++ }
 	END { exit !bad }' internal/ctl/proto.go; then
@@ -131,8 +143,9 @@ done <<'PASSES'
 7 E14|FlowCache ./internal/experiments/... ./internal/nic/... ./internal/ctl/... .
 # E15: checksum detection, quarantine, slow-path failover, probation failback
 7 E15|Health|Chaos ./internal/experiments/... ./internal/health/... ./internal/faults/... ./internal/nic/... .
-# E16: staged A/B cutover, pause buffering, canary rollback, snapshot codec
-7 E16|Upgrade|Snapshot|Compact|Generation|Pause|Outage ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
+# E16: staged A/B cutover, pause buffering, canary rollback; the journal's
+# wire format, its one policy fold, and a repaired weight divergence
+7 E16|Upgrade|Compact|Generation|Pause|Outage|WeightDivergence|WireCompat|JournalFold ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
 # E12: the barrier coordinator's merge order at any shard count (DESIGN.md §8)
 - E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
 # datapath job records: every early exit returns its record, hot paths allocate

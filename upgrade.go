@@ -3,26 +3,20 @@ package norman
 import (
 	"fmt"
 
+	"norman/internal/nic"
 	"norman/internal/overlay"
 	"norman/internal/upgrade"
 )
 
 // EnableLiveUpgrade attaches the live-upgrade subsystem (DESIGN.md §12):
-// staged A/B pipeline generations on the NIC, state handover across the epoch
-// flip, a canary window with automatic rollback, and hot-restart adoption.
-// Policy state (filters, qos) is merged into the handover snapshot from the
-// control plane's own records, and upgrade intent is journaled when recovery
-// is enabled, before or after this call. Idempotent; returns the manager
-// either way.
+// staged A/B pipeline generations on the NIC, warm flow-cache handover
+// across the epoch flip, a canary window with automatic rollback, and
+// hot-restart adoption. Upgrade intent is journaled when recovery is
+// enabled, before or after this call. Idempotent; returns the manager either
+// way.
 func (s *System) EnableLiveUpgrade(cfg upgrade.Config) *upgrade.Manager {
 	if s.up == nil {
 		s.up = upgrade.New(s.w.Eng, s.w.NIC, cfg)
-		s.up.SetStateSource(func(snap *upgrade.Snapshot) {
-			for _, ir := range s.rules {
-				snap.Filters = append(snap.Filters, *ruleToRecord(ir.hook, ir.rule))
-			}
-			snap.Qos = s.qdisc
-		})
 		s.attach(partCanary, s.up)
 	}
 	return s.up
@@ -31,7 +25,7 @@ func (s *System) EnableLiveUpgrade(cfg upgrade.Config) *upgrade.Manager {
 // Upgrade returns the live-upgrade manager, nil before EnableLiveUpgrade.
 func (s *System) Upgrade() *upgrade.Manager { return s.up }
 
-// StageUpgrade freezes the handover snapshot and stages a new overlay
+// StageUpgrade takes the handover and stages a new overlay
 // generation (ingress, egress — either may be nil to carry the hook empty)
 // into the NIC's shadow bank. Mutations gate on the control plane being up,
 // like every other admin verb.
@@ -75,8 +69,13 @@ func (s *System) StartLiveUpgrade() error {
 		return err
 	}
 	up := s.EnableLiveUpgrade(upgrade.Config{})
-	cfg := s.w.NIC.SnapshotConfig(s.w.Eng.Now())
-	if err := up.Stage(s.w.Eng.Now(), cfg.Ingress, cfg.Egress); err != nil {
+	var progs [2]*overlay.Program
+	for dir := nic.Ingress; dir <= nic.Egress; dir++ {
+		if m := s.w.NIC.Machine(dir); m != nil {
+			progs[dir] = m.Program()
+		}
+	}
+	if err := up.Stage(s.w.Eng.Now(), progs[nic.Ingress], progs[nic.Egress]); err != nil {
 		return err
 	}
 	_, err := up.CutOver(s.w.Eng.Now())
