@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"norman"
-	"norman/internal/core"
 	"norman/internal/nic"
 	"norman/internal/overlay"
 )
@@ -32,7 +31,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	mirror, err := overlay.Assemble("sample8", core.SamplingMirrorProgram(3))
+	mirror, err := overlay.Assemble("sample8", samplingMirrorProgram(3))
 	if err != nil {
 		panic(err)
 	}
@@ -58,7 +57,7 @@ func main() {
 		sink.Packets, matched-sink.Packets)
 
 	// Phase 2: hot-swap to a meter that rate-limits port 7777 hard.
-	meter, err := overlay.Assemble("meter7777", core.PortMeterProgram(7777, 20e3, 300))
+	meter, err := overlay.Assemble("meter7777", portMeterProgram(7777, 20e3, 300))
 	if err != nil {
 		panic(err)
 	}
@@ -78,4 +77,44 @@ func main() {
 	m := w.NIC.Machine(nic.Egress)
 	fmt.Printf("phase 2: sent 64, wire delivered %d, meter shed %d\n",
 		delivered, m.Counter("shed"))
+}
+
+// samplingMirrorProgram mirrors one in every 2^logN packets to the capture
+// tap — bounded-overhead always-on telemetry.
+func samplingMirrorProgram(logN uint) string {
+	return fmt.Sprintf(`
+.table tick 1
+ldi r0, 0
+lookup r1, tick, r0, first
+jmp have
+first:
+ldi r1, 0
+have:
+ldi r2, 1
+add r1, r2
+update tick, r0, r1
+and r1, %d
+jne r1, 0, out
+mirror
+out:
+pass
+`, (1<<logN)-1)
+}
+
+// portMeterProgram rate-limits traffic to one destination port with a
+// token-bucket meter and counts what it sheds.
+func portMeterProgram(port uint16, rateBps, burstBytes float64) string {
+	return fmt.Sprintf(`
+.meter lim %g %g
+.counter shed
+ldf r0, dst_port
+jne r0, %d, out
+ldf r1, len
+meter r2, lim, r1
+jeq r2, 1, out
+count shed
+drop
+out:
+pass
+`, rateBps, burstBytes, port)
 }

@@ -177,3 +177,47 @@ func TestWorldCPUAccounting(t *testing.T) {
 		t.Fatalf("unmarked busy = %v", got)
 	}
 }
+
+// TestKernelStackStatefulRules: the software counterpart — a default-deny
+// INPUT chain with an ESTABLISHED exception, enforced by the in-kernel
+// conntrack on the kernelstack architecture.
+func TestKernelStackStatefulRules(t *testing.T) {
+	a := New("kernelstack", WorldConfig{}).(*KernelStack)
+	w := a.World()
+	w.Peer = func(*packet.Packet, sim.Time) {}
+
+	u := w.Kern.AddUser(1, "u")
+	proc := w.Kern.Spawn(u.UID, "p")
+	flow := w.Flow(1000, 7)
+	c, err := a.Connect(proc, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	established := filter.StateEstablished
+	if err := a.InstallRule(filter.HookInput, &filter.Rule{
+		State: &established, Action: filter.ActAccept,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.InstallRule(filter.HookInput, &filter.Rule{Action: filter.ActDrop}); err != nil {
+		t.Fatal(err)
+	}
+
+	delivered := 0
+	a.SetDeliver(func(*Conn, *packet.Packet, sim.Time) { delivered++ })
+
+	// Unsolicited inbound: dropped by the default-deny.
+	a.DeliverWire(w.UDPFrom(flow, 64))
+	w.Eng.Run()
+	if delivered != 0 {
+		t.Fatal("unsolicited inbound must be dropped")
+	}
+	// After we talk first, the reply direction is established.
+	a.Send(c, w.UDPTo(flow, 64))
+	w.Eng.Run()
+	a.DeliverWire(w.UDPFrom(flow, 64))
+	w.Eng.Run()
+	if delivered != 1 {
+		t.Fatalf("established reply should be delivered: %d", delivered)
+	}
+}

@@ -20,7 +20,7 @@ type Bypass struct {
 // NewBypass builds the architecture on a world.
 func NewBypass(w *World) *Bypass {
 	a := &Bypass{}
-	a.init(w, false, false)
+	a.init(w, false)
 	return a
 }
 

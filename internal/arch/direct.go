@@ -3,7 +3,6 @@ package arch
 import (
 	"fmt"
 
-	"norman/internal/core"
 	"norman/internal/filter"
 	"norman/internal/kernel"
 	"norman/internal/mem"
@@ -19,14 +18,14 @@ import (
 // transfer per packet, MMIO doorbells, poll-mode receive by default.
 type direct struct {
 	base
-	trusted bool // kernel programs trusted process metadata into the NIC
+	// trusted marks KOPI: the kernel programs trusted process metadata into
+	// the NIC, and its control plane compiles rules with the kernel's process
+	// view. The hypervisor compiles the same chains without either — the
+	// paper's comparison.
+	trusted bool
 
-	// Firewall source of truth; the engine compiles it to overlay programs.
+	// Firewall source of truth, compiled to overlay programs on the NIC.
 	fw *filter.Engine
-	// engine is the KOPI interposition engine (internal/core) — the
-	// kernel↔NIC configuration protocol. The hypervisor uses the same
-	// engine without a process view, which is the paper's comparison.
-	engine core.Interposer
 
 	// cpDown marks the control plane crashed. The dataplane is untouched:
 	// applications own their rings and the NIC executes whatever was last
@@ -38,11 +37,10 @@ type direct struct {
 // init wires the direct machinery into a world. It must be called on the
 // final (heap) location of the struct: the NIC callbacks capture d, so a
 // copy after init would strand them on the old value.
-func (d *direct) init(w *World, trusted, processView bool) {
+func (d *direct) init(w *World, trusted bool) {
 	d.base.init(w)
 	d.trusted = trusted
-	d.fw = filter.NewEngine(processView)
-	d.engine = core.Interposer{NIC: w.NIC, Kern: w.Kern, ProcessView: processView}
+	d.fw = filter.NewEngine(trusted)
 	w.NIC.OnRxDeliver = d.onRxDeliver
 	w.NIC.OnTransmit = w.SendOnWire
 }
@@ -201,7 +199,7 @@ func (d *direct) SetRxMode(c *Conn, mode RxMode) error {
 // NIC changes — rings, steering, programs and scheduler keep running.
 func (d *direct) CrashControlPlane() {
 	d.cpDown = true
-	d.fw = filter.NewEngine(d.engine.ProcessView)
+	d.fw = filter.NewEngine(d.trusted)
 }
 
 // RestartControlPlane implements ControlPlaneCrasher. The revived control
@@ -216,21 +214,65 @@ func (d *direct) ControlPlaneDown() bool { return d.cpDown }
 // against journaled intent.
 func (d *direct) Filter() *filter.Engine { return d.fw }
 
-// reloadPrograms recompiles both firewall chains onto the NIC pipelines via
-// the KOPI engine, returning the control-plane load latency.
+// internCmd returns the command-interning function owner-rule compilation
+// needs, or nil without a process view.
+func (d *direct) internCmd() func(string) uint64 {
+	if !d.trusted {
+		return nil
+	}
+	return func(cmd string) uint64 { return uint64(d.w.Kern.CommandID(cmd)) }
+}
+
+// reloadPrograms compiles both firewall chains onto the NIC pipelines (§4.4's
+// runtime configuration path: iptables → kernel → overlay program). Chains
+// that are empty with ACCEPT policy unload their pipeline's program. The
+// returned duration is the control-plane load latency (MMIO writes).
 func (d *direct) reloadPrograms() (sim.Duration, error) {
-	return d.engine.DeployChains(d.fw)
+	var total sim.Duration
+	for _, h := range []filter.Hook{filter.HookInput, filter.HookOutput} {
+		dir, ch := hookDir(h), d.fw.Chain(h)
+		if len(ch.Rules) == 0 && ch.Policy == filter.ActAccept {
+			d.w.NIC.UnloadProgram(dir)
+			continue
+		}
+		prog, err := filter.CompileOverlay(fmt.Sprintf("fw-%s", h), ch, d.internCmd())
+		if err != nil {
+			return total, err
+		}
+		_, load, err := d.w.NIC.LoadProgram(dir, prog)
+		if err != nil {
+			return total, err
+		}
+		total += load
+	}
+	return total, nil
+}
+
+// hookDir is the NIC pipeline a hook's chain runs on.
+func hookDir(h filter.Hook) nic.Direction {
+	if h == filter.HookOutput {
+		return nic.Egress
+	}
+	return nic.Ingress
 }
 
 // RuleHits reads the idx'th rule's hit counter from the compiled overlay
-// program on the hook's pipeline.
+// program on the hook's pipeline (the `iptables -L -v` column, served from
+// the NIC).
 func (d *direct) RuleHits(h filter.Hook, idx int) (uint64, bool) {
-	return d.engine.RuleHits(d.fw, h, idx)
+	m := d.w.NIC.Machine(hookDir(h))
+	if m == nil || idx < 0 || idx >= len(d.fw.Chain(h).Rules) {
+		return 0, false
+	}
+	return m.Counter(fmt.Sprintf("hit%d", idx)), true
 }
 
-// SetQdisc installs an egress scheduler on the NIC.
+// SetQdisc installs the egress qdisc and its classifier on the NIC. The
+// classifier sees the packet with whatever metadata the NIC stamped —
+// trusted process attribution under KOPI, nothing useful without it.
 func (d *direct) SetQdisc(q qos.Qdisc, classify func(*packet.Packet) uint32) error {
-	d.engine.SetScheduler(q, classify)
+	d.w.NIC.SetScheduler(q)
+	d.w.NIC.SetClassifier(classify)
 	return nil
 }
 
@@ -242,5 +284,7 @@ func (d *direct) Ping(dst packet.IPv4, payload int, done func(sim.Duration, bool
 
 // attachNICTap installs a tap on the NIC pipeline.
 func (d *direct) attachNICTap(e *sniff.Expr) (*sniff.Tap, error) {
-	return d.engine.AttachTap(e), nil
+	t := sniff.NewTap(e, 0)
+	d.w.NIC.SetTap(t)
+	return t, nil
 }

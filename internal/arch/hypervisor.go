@@ -18,7 +18,7 @@ type Hypervisor struct {
 // NewHypervisor builds the architecture on a world.
 func NewHypervisor(w *World) *Hypervisor {
 	a := &Hypervisor{}
-	a.init(w, false, false)
+	a.init(w, false)
 	return a
 }
 

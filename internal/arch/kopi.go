@@ -26,7 +26,7 @@ type KOPI struct {
 // NewKOPI builds the architecture on a world.
 func NewKOPI(w *World) *KOPI {
 	a := &KOPI{}
-	a.init(w, true, true)
+	a.init(w, true)
 	w.NIC.OnNotify = a.onNotify
 	// The kernel configured the NIC, so the NIC reports dataplane ARP
 	// traffic back to the kernel ARP cache — restoring the global view the

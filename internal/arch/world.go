@@ -97,7 +97,7 @@ func NewWorld(cfg WorldConfig) *World {
 		Model:     cfg.Model,
 		LLC:       llc,
 		Alloc:     alloc,
-		Kern:      kernel.New(eng, cfg.Model),
+		Kern:      kernel.New(eng),
 		HostMAC:   packet.MAC{0x02, 0, 0, 0, 0, 1},
 		HostIP:    packet.MakeIP(10, 0, 0, 1),
 		PeerMAC:   packet.MAC{0x02, 0, 0, 0, 0, 2},

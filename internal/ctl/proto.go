@@ -134,7 +134,6 @@ type NetstatData struct {
 	UID     uint32 `json:"uid"`
 	Command string `json:"command"`
 	Opened  string `json:"opened"`
-	Blocked bool   `json:"blocked"`
 }
 
 // ARPData is one ARP cache row plus request accounting.

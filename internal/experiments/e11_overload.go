@@ -49,10 +49,6 @@ type E11Point struct {
 // connections.
 const e11RingSize = 16
 
-// e11Share is the governor's DDIO share for the experiment: 85% of the DDIO
-// capacity may hold ring descriptor lines, leaving headroom for payload DMA.
-const e11Share = 0.85
-
 // RunE11 sweeps connection counts across the DDIO cliff with a 1:7
 // high:low priority mix and measures what overload control buys: the
 // uncontrolled bypass world collapses for both classes past the cliff, while
@@ -150,7 +146,7 @@ func e11Run(n int, governed bool, scale Scale) e11Result {
 
 	var gov *overload.Governor
 	if governed {
-		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{DDIOShare: e11Share})
+		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{})
 		// Reuse the qos scheduler's class weights verbatim: class 1 (high)
 		// weight 8, class 2 (low) weight 1 — the same numbers an egress WFQ
 		// would schedule by decide who is shed first on ingress.

@@ -55,8 +55,7 @@ type E13Point struct {
 // 85 Gbps. With the victim's 12.5 Gbps they stay under the 100 Gbps wire, so
 // any victim latency growth comes from NIC resources, not link queueing.
 const (
-	e13Share      = 0.85 // governor DDIO share, as in E11
-	e13ProgCycles = 64   // governor per-packet overlay cycle bound
+	e13ProgCycles = 64 // governor per-packet overlay cycle bound
 	e13AdvPayload = 1460
 	e13AdvGbps    = 85
 )
@@ -180,7 +179,6 @@ func e13Run(advConns int, leg e13Leg, scale Scale) e13Result {
 			panic(fmt.Sprintf("e13: partition: %v", err))
 		}
 		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{
-			DDIOShare:        e13Share,
 			TenantWeights:    pairWeights(),
 			MaxProgramCycles: e13ProgCycles,
 		})

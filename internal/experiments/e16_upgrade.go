@@ -115,12 +115,9 @@ func e16Run(archName string, scale Scale) E16Point {
 	var mgr *upgrade.Manager
 	if archName == "kopi" {
 		// A canary window of dur/32 resolves upgrade one well before t2 at
-		// any scale; 5 µs sampling matches the health monitor's cadence and
-		// gives the drop-rate budget several samples inside the window.
-		mgr = upgrade.New(w.Eng, w.NIC, upgrade.Config{
-			CanaryWindow: dur / 32,
-			SampleEvery:  5 * sim.Microsecond,
-		})
+		// any scale; the canary's 5 µs sampling gives the drop-rate budget
+		// several samples inside the window.
+		mgr = upgrade.New(w.Eng, w.NIC, upgrade.Config{CanaryWindow: dur / 32})
 	}
 
 	switch archName {

@@ -4,19 +4,15 @@ import (
 	"norman/internal/packet"
 )
 
-// Classifier is the lookup structure behind a chain. The linear classifier
-// is the reference semantics (first match wins, in order); the compiled
-// classifier is an exact-match fast path for the common case where most
-// rules pin protocol and destination port, falling back to the linear scan
-// for everything else. E8's ablation compares the two as rule counts grow —
-// the shape matters because on-NIC match-action tables are exact-match
+// Two lookup structures behind a chain. The linear classifier is the
+// reference semantics (first match wins, in order); the compiled classifier
+// is an exact-match fast path for the common case where most rules pin
+// protocol and destination port, falling back to the linear scan for
+// everything else. E8's ablation compares the two as rule counts grow — the
+// shape matters because on-NIC match-action tables are exact-match
 // hardware, and the compiled path models what the KOPI overlay actually
-// executes.
-type Classifier interface {
-	// Classify returns the first matching terminal rule (or nil for
-	// policy) and the number of rules effectively examined.
-	Classify(p *packet.Packet) (*Rule, int)
-}
+// executes. Each Classify returns the first matching terminal rule (or nil
+// for policy) and the number of rules effectively examined.
 
 // LinearClassifier scans rules in order.
 type LinearClassifier struct {

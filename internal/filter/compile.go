@@ -29,9 +29,9 @@ func CompileOverlay(name string, c *Chain, internCmd func(string) uint64) (*over
 
 	for i, r := range c.Rules {
 		if r.State != nil {
-			// Conntrack-state rules need the NIC's shared-table stateful
-			// firewall (core.EnableStatefulFirewall), not chain compilation.
-			return nil, fmt.Errorf("filter: rule %d uses -m state; state matching on the NIC uses the stateful firewall programs", i)
+			// Conntrack state lives in the software dataplanes' engine; the
+			// NIC pipeline has no per-flow state to match it against.
+			return nil, fmt.Errorf("filter: rule %d uses -m state, which only the software dataplanes' conntrack can match", i)
 		}
 		next := fmt.Sprintf("rule%d", i+1)
 		fmt.Fprintf(&b, "# %s\n", r)

@@ -37,8 +37,7 @@ type connEntry struct {
 }
 
 // Conntrack is a flow-state tracker with idle expiry. It gives the filter
-// stateful semantics (match ESTABLISHED) and gives NAT its translation
-// anchor.
+// stateful semantics (match ESTABLISHED).
 type Conntrack struct {
 	entries map[packet.FlowKey]*connEntry
 	maxSize int
@@ -135,106 +134,3 @@ func (ct *Conntrack) Len() int { return len(ct.entries) }
 
 // Counters returns cumulative insert/evict totals.
 func (ct *Conntrack) Counters() (inserted, evicted uint64) { return ct.inserted, ct.evicted }
-
-// NATRule rewrites the source of flows matching a prefix to a public
-// address, allocating a distinct source port per flow (classic SNAT).
-type NATRule struct {
-	Match    Prefix      // internal source prefix to translate
-	Public   packet.IPv4 // translated source address
-	PortBase uint16      // first port of the translation pool
-	PoolSize uint16      // number of ports in the pool
-}
-
-// NAT is a source-NAT engine layered on flow keys.
-type NAT struct {
-	rule     NATRule
-	forward  map[packet.FlowKey]uint16 // original flow -> allocated port
-	reverse  map[uint16]packet.FlowKey // allocated port -> original flow
-	nextPort uint16
-	full     uint64
-}
-
-// NewNAT creates an engine for one SNAT rule.
-func NewNAT(rule NATRule) *NAT {
-	return &NAT{
-		rule:    rule,
-		forward: make(map[packet.FlowKey]uint16),
-		reverse: make(map[uint16]packet.FlowKey),
-	}
-}
-
-// TranslateOut rewrites an outbound packet's source if it matches the rule;
-// reports whether translation occurred. Returns false when the port pool is
-// exhausted (the packet should then be dropped, and the exhaustion counter
-// increments).
-func (n *NAT) TranslateOut(p *packet.Packet) bool {
-	if p.IP == nil || !n.rule.Match.Contains(p.IP.Src) {
-		return false
-	}
-	k, ok := p.Flow()
-	if !ok {
-		return false
-	}
-	port, have := n.forward[k]
-	if !have {
-		if len(n.forward) >= int(n.rule.PoolSize) {
-			n.full++
-			return false
-		}
-		for {
-			port = n.rule.PortBase + n.nextPort%n.rule.PoolSize
-			n.nextPort++
-			if _, taken := n.reverse[port]; !taken {
-				break
-			}
-		}
-		n.forward[k] = port
-		n.reverse[port] = k
-	}
-	p.IP.Src = n.rule.Public
-	setSrcPort(p, port)
-	return true
-}
-
-// TranslateIn rewrites an inbound packet addressed to the public address
-// back to the original internal flow; reports whether translation occurred.
-func (n *NAT) TranslateIn(p *packet.Packet) bool {
-	if p.IP == nil || p.IP.Dst != n.rule.Public {
-		return false
-	}
-	_, dp, ok := ports(p)
-	if !ok {
-		return false
-	}
-	orig, have := n.reverse[dp]
-	if !have {
-		return false
-	}
-	p.IP.Dst = orig.Src
-	setDstPort(p, orig.SrcPort)
-	return true
-}
-
-// Exhausted returns how many flows failed translation for lack of ports.
-func (n *NAT) Exhausted() uint64 { return n.full }
-
-// Flows returns the number of active translations.
-func (n *NAT) Flows() int { return len(n.forward) }
-
-func setSrcPort(p *packet.Packet, port uint16) {
-	if p.UDP != nil {
-		p.UDP.SrcPort = port
-	}
-	if p.TCP != nil {
-		p.TCP.SrcPort = port
-	}
-}
-
-func setDstPort(p *packet.Packet, port uint16) {
-	if p.UDP != nil {
-		p.UDP.DstPort = port
-	}
-	if p.TCP != nil {
-		p.TCP.DstPort = port
-	}
-}

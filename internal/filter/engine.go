@@ -60,31 +60,6 @@ func (e *Engine) Append(h Hook, r *Rule) error {
 	return nil
 }
 
-// Insert adds a rule at position i (0 = first).
-func (e *Engine) Insert(h Hook, i int, r *Rule) error {
-	if r.NeedsOwner() && !e.hasProcessView {
-		return fmt.Errorf("%w: %s", ErrNeedsProcessView, r)
-	}
-	c := e.chains[h]
-	if i < 0 || i > len(c.Rules) {
-		return fmt.Errorf("filter: insert index %d out of range [0,%d]", i, len(c.Rules))
-	}
-	c.Rules = append(c.Rules, nil)
-	copy(c.Rules[i+1:], c.Rules[i:])
-	c.Rules[i] = r
-	return nil
-}
-
-// Delete removes the rule at position i.
-func (e *Engine) Delete(h Hook, i int) error {
-	c := e.chains[h]
-	if i < 0 || i >= len(c.Rules) {
-		return fmt.Errorf("filter: delete index %d out of range [0,%d)", i, len(c.Rules))
-	}
-	c.Rules = append(c.Rules[:i], c.Rules[i+1:]...)
-	return nil
-}
-
 // Flush removes every rule from a hook's chain.
 func (e *Engine) Flush(h Hook) { e.chains[h].Rules = nil }
 

@@ -1,8 +1,8 @@
 // Package filter is the reproduction's net/netfilter equivalent: chains of
 // match/action rules including the owner matches (uid-owner, cmd-owner) that
 // the paper's port-partitioning scenario (§2) depends on, a connection
-// tracker, source NAT, and two classifier implementations (linear scan and a
-// compiled exact-match fast path) for the E8 ablation.
+// tracker, and two classifier implementations (linear scan and a compiled
+// exact-match fast path) for the E8 ablation.
 //
 // Owner matches are only meaningful where packets carry *trusted* process
 // metadata — stamped by the kernel connection table or the KOPI NIC. An
@@ -220,9 +220,6 @@ func (r *Rule) String() string {
 	parts = append(parts, "-j "+r.Action.String())
 	return strings.Join(parts, " ")
 }
-
-// State returns a pointer-typed conntrack-state matcher.
-func State(s ConnState) *ConnState { return &s }
 
 // Helper constructors for pointer-typed matchers.
 

@@ -151,34 +151,6 @@ func (p *Probe) send() {
 	p.Arch.Send(p.Conn, w.UDPTo(p.Flow, p.Payload))
 }
 
-// Counter tallies per-connection delivery for throughput measurements.
-type Counter struct {
-	Packets uint64
-	Bytes   uint64
-	First   sim.Time
-	Last    sim.Time
-}
-
-// Attach registers the counter on a connection.
-func (ctr *Counter) Attach(m *Mux, c *arch.Conn) {
-	m.Handle(c, func(_ *arch.Conn, p *packet.Packet, at sim.Time) {
-		if ctr.Packets == 0 {
-			ctr.First = at
-		}
-		ctr.Packets++
-		ctr.Bytes += uint64(p.FrameLen())
-		ctr.Last = at
-	})
-}
-
-// Gbps returns the counter's achieved goodput over the observed interval.
-func (ctr *Counter) Gbps() float64 {
-	if ctr.Packets < 2 {
-		return 0
-	}
-	return stats.Throughput(ctr.Bytes, ctr.Last.Sub(ctr.First))
-}
-
 // EchoPeer returns a wire peer that echoes UDP packets back to the host
 // after one return-propagation delay (the link is symmetric).
 func EchoPeer(a arch.Arch) func(*packet.Packet, sim.Time) {

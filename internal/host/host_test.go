@@ -162,11 +162,9 @@ func TestInboundGenRoundRobin(t *testing.T) {
 		conns = append(conns, c)
 	}
 	m := NewMux(a)
-	counts := map[uint64]*Counter{}
+	counts := map[uint64]int{}
 	for _, c := range conns {
-		ctr := &Counter{}
-		ctr.Attach(m, c)
-		counts[c.Info.ID] = ctr
+		m.Handle(c, func(c *arch.Conn, _ *packet.Packet, _ sim.Time) { counts[c.Info.ID]++ })
 	}
 	g := &InboundGen{Arch: a, Flows: flows, Payload: 100,
 		Interval: 10 * sim.Microsecond, Until: sim.Time(901 * sim.Microsecond)}
@@ -175,9 +173,12 @@ func TestInboundGenRoundRobin(t *testing.T) {
 	if g.Sent != 91 {
 		t.Fatalf("sent = %d", g.Sent)
 	}
-	for id, ctr := range counts {
-		if ctr.Packets < 30 || ctr.Packets > 31 {
-			t.Fatalf("conn %d got %d packets, want ~30 (round robin)", id, ctr.Packets)
+	if len(counts) != len(conns) {
+		t.Fatalf("%d of %d conns received anything", len(counts), len(conns))
+	}
+	for id, n := range counts {
+		if n < 30 || n > 31 {
+			t.Fatalf("conn %d got %d packets, want ~30 (round robin)", id, n)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package kernel is Norman's in-kernel control plane (§4.2/§4.4): the
 // process and user tables that give interposition its process view, the
 // connection table that allocates per-connection rings and programs NIC
-// steering, command-name interning for NIC-side cmd-owner matching, the ARP
-// cache, and the wait/wake machinery that restores blocking I/O on top of
-// kernel bypass (§4.3).
+// steering, command-name interning for NIC-side cmd-owner matching, and the
+// ARP cache.
 //
 // The kernel never touches the dataplane: its job is to configure whatever
-// interposition point the architecture provides and to monitor notification
-// queues. That is the paper's division of labor.
+// interposition point the architecture provides. Blocking I/O on top of
+// kernel bypass (§4.3) is the architecture's: the KOPI dataplane wakes a
+// blocked thread from its notification queue (internal/arch). That is the
+// paper's division of labor.
 package kernel
 
 import (
@@ -18,7 +19,6 @@ import (
 	"norman/internal/mem"
 	"norman/internal/packet"
 	"norman/internal/sim"
-	"norman/internal/timing"
 )
 
 // Errors.
@@ -26,7 +26,6 @@ var (
 	ErrNoSuchProcess = errors.New("kernel: no such process")
 	ErrNoSuchConn    = errors.New("kernel: no such connection")
 	ErrPortInUse     = errors.New("kernel: local port in use")
-	ErrNotPermitted  = errors.New("kernel: operation not permitted")
 )
 
 // User is a system user.
@@ -56,16 +55,11 @@ type ConnInfo struct {
 	Command string
 	Flow    packet.FlowKey
 	Opened  sim.Time
-
-	// Blocking state.
-	blockedRx bool
-	waker     func(at sim.Time)
 }
 
 // Kernel is the control plane.
 type Kernel struct {
-	eng   *sim.Engine
-	model timing.Model
+	eng *sim.Engine
 
 	users   map[uint32]*User
 	procs   map[uint32]*Process
@@ -84,16 +78,12 @@ type Kernel struct {
 	tenants map[uint32]uint32
 
 	arp *ARPCache
-
-	// Wakes performed (context switches the control plane triggered).
-	Wakes uint64
 }
 
 // New creates a kernel with an empty process table and user 0 (root).
-func New(eng *sim.Engine, model timing.Model) *Kernel {
+func New(eng *sim.Engine) *Kernel {
 	k := &Kernel{
 		eng:     eng,
-		model:   model,
 		users:   map[uint32]*User{0: {UID: 0, Name: "root"}},
 		procs:   map[uint32]*Process{},
 		conns:   map[uint64]*ConnInfo{},
@@ -289,35 +279,3 @@ func (k *Kernel) Meta(ci *ConnInfo) packet.Meta {
 
 // ARP returns the kernel ARP cache.
 func (k *Kernel) ARP() *ARPCache { return k.arp }
-
-// Engine returns the simulation engine (for components needing the clock).
-func (k *Kernel) Engine() *sim.Engine { return k.eng }
-
-// BlockRx marks a connection's owner blocked on receive and registers the
-// wake callback. The architecture's notification delivery (or software
-// dataplane) calls WakeRx when data arrives. Architectures without kernel
-// visibility into arrivals cannot implement this — they return
-// ErrNotPermitted from their blocking API instead, reproducing the paper's
-// process-scheduling scenario.
-func (k *Kernel) BlockRx(ci *ConnInfo, waker func(at sim.Time)) {
-	ci.blockedRx = true
-	ci.waker = waker
-}
-
-// WakeRx wakes a blocked receiver, charging the wake path: the kernel
-// monitor notices the notification and performs a context switch.
-func (k *Kernel) WakeRx(ci *ConnInfo) bool {
-	if !ci.blockedRx || ci.waker == nil {
-		return false
-	}
-	ci.blockedRx = false
-	waker := ci.waker
-	ci.waker = nil
-	k.Wakes++
-	at := k.eng.Now().Add(sim.Duration(k.model.ContextSwitch))
-	k.eng.At(at, func() { waker(k.eng.Now()) })
-	return true
-}
-
-// BlockedRx reports whether the connection's owner is blocked on receive.
-func (ci *ConnInfo) BlockedRx() bool { return ci.blockedRx }

@@ -6,12 +6,11 @@ import (
 
 	"norman/internal/packet"
 	"norman/internal/sim"
-	"norman/internal/timing"
 )
 
 func newKernel() (*Kernel, *sim.Engine) {
 	eng := sim.NewEngine()
-	return New(eng, timing.Default()), eng
+	return New(eng), eng
 }
 
 func TestSpawnAndProcessTable(t *testing.T) {
@@ -78,34 +77,6 @@ func TestMetaIsTrustedAndComplete(t *testing.T) {
 	}
 	if k.CommandID("backup") == k.CommandID("other") {
 		t.Fatal("distinct commands get distinct ids")
-	}
-}
-
-func TestBlockWake(t *testing.T) {
-	k, eng := newKernel()
-	p := k.Spawn(1, "w")
-	ci, _ := k.RegisterConn(p, packet.FlowKey{SrcPort: 9})
-
-	var wokeAt sim.Time
-	k.BlockRx(ci, func(at sim.Time) { wokeAt = at })
-	if !ci.BlockedRx() {
-		t.Fatal("should be blocked")
-	}
-	eng.At(sim.Time(10*sim.Microsecond), func() {
-		if !k.WakeRx(ci) {
-			t.Error("wake should succeed")
-		}
-		if k.WakeRx(ci) {
-			t.Error("double wake must be a no-op")
-		}
-	})
-	eng.Run()
-	want := sim.Time(10*sim.Microsecond) + sim.Time(timing.Default().ContextSwitch)
-	if wokeAt != want {
-		t.Fatalf("woke at %v, want %v (context switch charged)", wokeAt, want)
-	}
-	if k.Wakes != 1 {
-		t.Fatalf("wakes = %d", k.Wakes)
 	}
 }
 

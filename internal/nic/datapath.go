@@ -142,7 +142,7 @@ func (n *NIC) drainTx(c *Conn) {
 
 	j := n.job(c, p)
 	j.index, j.frame, j.prod = index, frame, d.Produced
-	n.txAccept(1)
+	n.txAccept()
 	n.txInflight++
 	j.held |= heldTxSlot
 	// The descriptor fetch waits its turn at the DMA stage; the drain chain
@@ -200,35 +200,6 @@ func (n *NIC) txPipe(j *job, done sim.Time) {
 		}
 	}
 	j.arm(stTxEmit, done.Add(lat))
-}
-
-// txEmit hands a pipeline-approved frame onward: TSO segmentation when
-// configured, otherwise straight to the scheduler/wire.
-func (n *NIC) txEmit(j *job) {
-	c, p := j.c, j.p
-	// TSO: the pipeline cuts oversized TCP segments to wire MSS.
-	if c.tsoMSS > 0 && p.TCP != nil && p.PayloadLen > c.tsoMSS {
-		// The super-segment holds one staging slot but produces several
-		// wire frames, each of which releases one slot on its way out
-		// (directly or via the scheduler hand-off): charge the difference
-		// and pass one slot to every segment's own job.
-		nSegs := (p.PayloadLen + c.tsoMSS - 1) / c.tsoMSS
-		n.txAccept(nSegs - 1)
-		n.txInflight += nSegs - 1
-		j.held &^= heldTxSlot
-		for off := 0; off < p.PayloadLen; off += c.tsoMSS {
-			seg := p.Clone()
-			seg.TCP.Seq = p.TCP.Seq + uint32(off)
-			seg.PayloadLen = min(c.tsoMSS, p.PayloadLen-off)
-			seg.Payload = nil
-			sj := n.job(c, seg)
-			sj.held |= heldTxSlot
-			n.sendToWire(sj)
-			n.settle(sj)
-		}
-		return
-	}
-	n.sendToWire(j)
 }
 
 // sendToWire hands a pipeline-approved frame to the scheduler (or straight
@@ -320,7 +291,7 @@ func (n *NIC) transmit(j *job, c *Conn, now sim.Time) {
 func (n *NIC) InjectTx(p *packet.Packet) {
 	now := n.eng.Now()
 	j := n.job(nil, p)
-	n.txAccept(1)
+	n.txAccept()
 	if n.Down(now) {
 		n.drop(j, TxOutage)
 		n.settle(j)

@@ -154,9 +154,8 @@ func (f *FlowCache) Capacity() int { return f.buckets * flowCacheWays }
 func (f *FlowCache) Len() int { return f.used }
 
 // SetQuotas partitions the cache's capacity among tenants in proportion to
-// their weights (largest remainder, at least one entry each; ties broken by
-// ascending tenant id). nil clears the partition. Existing entries are kept;
-// quotas bind on the next install.
+// their weights (SplitByWeight: at least one entry each). nil clears the
+// partition. Existing entries are kept; quotas bind on the next install.
 func (f *FlowCache) SetQuotas(weights map[uint32]int) error {
 	if len(weights) == 0 {
 		f.quotas = nil
@@ -166,31 +165,39 @@ func (f *FlowCache) SetQuotas(weights map[uint32]int) error {
 	if len(weights) > cap {
 		return fmt.Errorf("nic: %d tenants cannot partition a %d-entry flow cache", len(weights), cap)
 	}
+	f.quotas = SplitByWeight(weights, cap)
+	for id, q := range f.quotas {
+		f.tenantStats(id).Quota = q
+	}
+	return nil
+}
+
+// SplitByWeight divides slots among ids in proportion to their weights
+// (a weight below 1 counts as 1): every id gets one slot, and the other
+// slots − len(weights) go by largest remainder of extra×w/total, ties broken
+// by ascending id so the split is deterministic. The caller guarantees
+// len(weights) ≤ slots. It partitions the flow cache (SetQuotas) and the
+// LLC's DDIO ways.
+func SplitByWeight(weights map[uint32]int, slots int) map[uint32]int {
 	ids := make([]uint32, 0, len(weights))
 	total := 0
 	for id, w := range weights {
-		if w < 1 {
-			w = 1
-		}
 		ids = append(ids, id)
-		total += w
+		total += max(w, 1)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	extra := cap - len(weights)
+	extra := slots - len(weights)
 	type frac struct {
 		id  uint32
 		rem int
 	}
 	fr := make([]frac, 0, len(ids))
-	quotas := make(map[uint32]int, len(ids))
+	shares := make(map[uint32]int, len(ids))
 	used := 0
 	for _, id := range ids {
-		w := weights[id]
-		if w < 1 {
-			w = 1
-		}
+		w := max(weights[id], 1)
 		e := extra * w / total
-		quotas[id] = 1 + e
+		shares[id] = 1 + e
 		used += 1 + e
 		fr = append(fr, frac{id: id, rem: extra * w % total})
 	}
@@ -200,15 +207,11 @@ func (f *FlowCache) SetQuotas(weights map[uint32]int) error {
 		}
 		return fr[i].id < fr[j].id
 	})
-	for i := 0; used < cap && i < len(fr); i++ {
-		quotas[fr[i].id]++
+	for i := 0; used < slots && i < len(fr); i++ {
+		shares[fr[i].id]++
 		used++
 	}
-	f.quotas = quotas
-	for id, q := range quotas {
-		f.tenantStats(id).Quota = q
-	}
-	return nil
+	return shares
 }
 
 // Quotas returns the per-tenant partition, nil when unpartitioned.

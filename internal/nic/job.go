@@ -26,7 +26,7 @@ const (
 	stTxFetch  // submitted to the DMA stage → txFetched
 	stTxArrive // payload crossed PCIe → txArrive
 	stTxPipe   // submitted to the pipeline stage → txPipe
-	stTxEmit   // pipeline latency elapsed → txEmit
+	stTxEmit   // pipeline latency elapsed → sendToWire
 	stTxInject // control-plane frame leaves the pipeline → transmit
 	stTxWire   // serialized → release the staging slot if still held, OnTransmit
 
@@ -139,7 +139,7 @@ func (j *job) Fire() {
 	case stTxArrive:
 		n.txArrive(j)
 	case stTxEmit:
-		n.txEmit(j)
+		n.sendToWire(j)
 	case stTxInject:
 		n.transmit(j, n.conns[j.p.Meta.ConnID], n.eng.Now())
 	case stTxWire:

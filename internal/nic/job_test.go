@@ -277,19 +277,6 @@ func TestJobsReturnOnEveryExit(t *testing.T) {
 			}
 			return n.TxFrames, 40
 		}},
-		{"tx_tso_and_qdisc", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
-			n.SetScheduler(qos.NewPFIFO(64))
-			if err := n.SetTSO(1, 1000); err != nil {
-				t.Fatal(err)
-			}
-			big := traced(n, packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 4500))
-			if err := c.TX.Push(mem.Desc{Pkt: big}); err != nil {
-				t.Fatal(err)
-			}
-			n.DoorbellTx(c)
-			drained(t, n, eng)
-			return n.TxFrames, 5
-		}},
 		{"tx_paced_and_inject", noDrop, func(t *testing.T, n *NIC, eng *sim.Engine, c *Conn) (uint64, uint64) {
 			if err := n.SetConnRate(1, 1e6, 1514); err != nil {
 				t.Fatal(err)

@@ -84,10 +84,10 @@ const (
 	heldTxSlot                   // a slot of the tx staging buffer (txInflight)
 )
 
-// txAccept puts k more frames on the tx side of the ledger.
-func (n *NIC) txAccept(k int) {
-	n.txAccepted += uint64(k)
-	n.txAhead += k
+// txAccept puts one more frame on the tx side of the ledger.
+func (n *NIC) txAccept() {
+	n.txAccepted++
+	n.txAhead++
 }
 
 // txRefuse takes k accepted frames back off it under the qdisc-refused term.
@@ -196,7 +196,7 @@ var ledgerTerms = []struct {
 	{"rx_punted", "unsteered frames handed to the software slow path", func(n *NIC) uint64 { return n.rxPunted }},
 	{"rx_paused", "frames waiting in the cutover pause buffer", func(n *NIC) uint64 { return uint64(len(n.rxPauseBuf)) }},
 	{"rx_inflight", "frames holding an ingress FIFO slot (pipeline, DMA)", func(n *NIC) uint64 { return uint64(n.rxInflight) }},
-	{"tx_accepted", "frames taken for transmit: fetched descriptors, extra TSO segments, control-plane injects", func(n *NIC) uint64 { return n.txAccepted }},
+	{"tx_accepted", "frames taken for transmit: fetched descriptors and control-plane injects", func(n *NIC) uint64 { return n.txAccepted }},
 	{"tx_qdisc_refused", "frames the egress qdisc refused at enqueue (its own per-class bound)", func(n *NIC) uint64 { return n.txRefused }},
 	{"tx_ahead", "accepted frames not yet on the wire: in the egress pipeline or queued in the qdisc", func(n *NIC) uint64 { return uint64(n.txAhead) }},
 }

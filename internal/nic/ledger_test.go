@@ -65,7 +65,6 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 			_, _ = c.RX.Pop()
 		}
 	}
-	_ = n.SetTSO(1, 600)
 	linkUp, shedding := true, false
 
 	for i, op := range ops[1:] {
@@ -79,7 +78,7 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 			for k := 0; k <= arg&3 && !c.TX.Full(); k++ {
 				p := udpTo(80)
 				if arg&4 != 0 {
-					p = packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 1500)
+					p = packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 600)
 				}
 				_ = c.TX.Push(mem.Desc{Pkt: p})
 			}
@@ -129,7 +128,6 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 				k, _ := udpTo(80).Flow()
 				c, _ = n.OpenConn(1, packet.Meta{UID: 1, Tenant: 1, TrustedMeta: true}, nil)
 				_ = n.SteerFlow(k, 1)
-				_ = n.SetTSO(1, 600)
 			}
 		case 13:
 			eng.RunUntil(eng.Now().Add(sim.Duration(1+arg) * 200 * sim.Nanosecond))

@@ -75,12 +75,6 @@ type Conn struct {
 
 	bufBase uint64 // host buffer region base address: a TX half, then an RX half
 
-	// TSO (TCP segmentation offload, the classic fixed-function offload of
-	// §3): when non-zero, oversized TCP segments posted to this connection
-	// are cut into tsoMSS-sized wire segments by the NIC — one descriptor,
-	// one DMA, one doorbell for up to 64KB of payload.
-	tsoMSS int
-
 	// Per-connection egress rate limit (SENIC/PicNIC-style offload): the
 	// TX drain paces descriptor fetches against a token bucket, so a
 	// misbehaving sender is throttled before its traffic ever reaches the
@@ -463,21 +457,6 @@ func (n *NIC) trace(p *packet.Packet, at sim.Time, layer, point, note string) {
 // SRAM returns used and budget bytes, including loaded programs.
 func (n *NIC) SRAM() (used, budget int) {
 	return n.sramUsed + genSRAM(n.program(Ingress), n.program(Egress)), n.sramBudget
-}
-
-// SetTSO enables TCP segmentation offload on a connection with the given
-// wire MSS (0 disables). A fixed-function offload: useful, but note what it
-// cannot do — evolve (§3's argument for programmability).
-func (n *NIC) SetTSO(id uint64, mss int) error {
-	c, ok := n.conns[id]
-	if !ok {
-		return ErrNoSuchConn
-	}
-	if mss < 0 {
-		mss = 0
-	}
-	c.tsoMSS = mss
-	return nil
 }
 
 // SetConnRate installs (or clears, with rate<=0) a per-connection egress

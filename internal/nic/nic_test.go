@@ -358,51 +358,3 @@ func TestPerConnRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTSOSplitsSegments(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(Config{Engine: eng, Model: timing.Default(), RingSize: 32, BufBytes: 65536})
-	c, _ := n.OpenConn(1, packet.Meta{}, nil)
-	if err := n.SetTSO(1, 1400); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetTSO(9, 1400); !errors.Is(err, ErrNoSuchConn) {
-		t.Fatal("unknown conn")
-	}
-
-	var frames []int
-	var seqs []uint32
-	n.OnTransmit = func(p *packet.Packet, _ sim.Time) {
-		frames = append(frames, p.PayloadLen)
-		seqs = append(seqs, p.TCP.Seq)
-	}
-	// One 10000-byte super-segment.
-	super := packet.NewTCP(packet.MAC{}, packet.MAC{}, 1, 2, 10, 20, packet.TCPPsh, 10000)
-	super.TCP.Seq = 5000
-	if err := c.TX.Push(mem.Desc{Pkt: super}); err != nil {
-		t.Fatal(err)
-	}
-	n.DoorbellTx(c)
-	eng.Run()
-
-	if len(frames) != 8 { // ceil(10000/1400)
-		t.Fatalf("segments = %d, want 8", len(frames))
-	}
-	total := 0
-	for i, f := range frames {
-		total += f
-		if f > 1400 {
-			t.Fatalf("segment %d oversize: %d", i, f)
-		}
-		if seqs[i] != 5000+uint32(i*1400) {
-			t.Fatalf("segment %d seq %d", i, seqs[i])
-		}
-	}
-	if total != 10000 {
-		t.Fatalf("bytes conserved: %d", total)
-	}
-	// Staging-slot accounting balanced (no leak, no deficit).
-	if n.txInflight != 0 {
-		t.Fatalf("txInflight = %d after drain", n.txInflight)
-	}
-}

@@ -24,9 +24,9 @@ const (
 	// priceRows direct-mapped rows hold the handful of frame lengths a
 	// workload uses; two lengths that share a row only re-run the formulas.
 	priceRows = 8
-	// pricedFrameMax is the longest frame the rows take (a jumbo frame). A TSO
-	// super-segment is priced in the one row past them, so a sender's 64 KB
-	// descriptors do not evict the lengths every wire frame asks for.
+	// pricedFrameMax is the longest frame the rows take (a jumbo frame). A
+	// longer descriptor is priced in the one row past them, so it does not
+	// evict the lengths every wire frame asks for.
 	pricedFrameMax = 9216
 	// pricedCycles bounds the memoized cycle counts: a chain's run costs tens
 	// of cycles, and anything longer takes the formula.

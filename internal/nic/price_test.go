@@ -21,7 +21,7 @@ func slowLink() timing.Model {
 
 // TestFrameCostsMatchModel holds the NIC's price list to the formulas it
 // stands for, bit for bit: for every frame length up to a jumbo frame and for
-// a TSO super-segment, read in an order that makes rows collide and refill,
+// a longer descriptor, read in an order that makes rows collide and refill,
 // the remembered wire, pipeline-occupancy and DMA costs — and the cost of
 // every cycle count — are exactly what the model computes. A NIC's prices come
 // from its own model, and remembering them allocates nothing.

@@ -1,8 +1,8 @@
 package overlay
 
 // What the external test package (lowering_test.go, which must import
-// internal/core and internal/filter for its corpus and so cannot live in
-// package overlay) needs of this package's test-only code.
+// internal/filter for its corpus and so cannot live in package overlay)
+// needs of this package's test-only code.
 
 type RefMachine = refMachine
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"norman/internal/core"
 	"norman/internal/filter"
 	"norman/internal/overlay"
 	"norman/internal/packet"
@@ -49,21 +48,96 @@ func corpus(tb testing.TB) []corpusEntry {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ingress := mustAssemble(tb, "stateful-ingress", core.StatefulIngressProgram(4))
-	sampler := mustAssemble(tb, "sampler", core.SamplingMirrorProgram(1))
-	chained, err := overlay.Chain("ingress+sampler", ingress, sampler)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	return []corpusEntry{
-		{"stateful-egress", mustAssemble(tb, "stateful-egress", core.StatefulEgressProgram(4))},
-		{"stateful-ingress", ingress},
-		{"sampler", sampler},
-		{"port-meter", mustAssemble(tb, "port-meter", core.PortMeterProgram(5432, 1e6, 3000))},
+		// Per-connection state: egress records a connection, ingress
+		// admits only recorded ones.
+		{"stateful-egress", mustAssemble(tb, "stateful-egress", `
+.table estab 4
+ldf r0, conn
+jeq r0, 0, out
+ldi r1, 1
+update estab, r0, r1
+out:
+pass
+`)},
+		{"stateful-ingress", mustAssemble(tb, "stateful-ingress", `
+.table estab 4
+.counter rejected
+ldf r0, conn
+jeq r0, 0, out
+lookup r1, estab, r0, miss
+pass
+miss:
+count rejected
+drop
+out:
+pass
+`)},
+		// A 1-in-2 sampling mirror: a one-entry table as a packet counter.
+		{"sampler", mustAssemble(tb, "sampler", `
+.table tick 1
+ldi r0, 0
+lookup r1, tick, r0, first
+jmp have
+first:
+ldi r1, 0
+have:
+ldi r2, 1
+add r1, r2
+update tick, r0, r1
+and r1, 1
+jne r1, 0, out
+mirror
+out:
+pass
+`)},
+		{"port-meter", mustAssemble(tb, "port-meter", `
+.meter lim 1e+06 3000
+.counter shed
+ldf r0, dst_port
+jne r0, 5432, out
+ldf r1, len
+meter r2, lim, r1
+jeq r2, 1, out
+count shed
+drop
+out:
+pass
+`)},
 		{"compiled-rules", compiled},
 		{"acl", mustAssemble(tb, "acl", overlay.ACLSource(false))},
 		{"acl-per-flow", mustAssemble(tb, "acl-per-flow", overlay.ACLSource(true))},
-		{"chain", chained},
+		// Two stages concatenated: the ingress check's passes jump into
+		// the sampler, and its drop stays final.
+		{"chain", mustAssemble(tb, "chain", `
+.table estab 4
+.table tick 1
+.counter rejected
+ldf r0, conn
+jeq r0, 0, out
+lookup r1, estab, r0, miss
+jmp sample
+miss:
+count rejected
+drop
+out:
+jmp sample
+sample:
+ldi r0, 0
+lookup r1, tick, r0, first
+jmp have
+first:
+ldi r1, 0
+have:
+ldi r2, 1
+add r1, r2
+update tick, r0, r1
+and r1, 1
+jne r1, 0, done
+mirror
+done:
+pass
+`)},
 		// The first of two equal immediates wins, and its target differs.
 		{"ladder-duplicates", mustAssemble(tb, "ladder-duplicates", `
 .counter first
@@ -157,19 +231,6 @@ func mirrorChain(tb testing.TB) *overlay.Program {
 	return mustAssemble(tb, "mirror-chain", strings.Repeat("mirror\n", 59)+"pass\n")
 }
 
-// machine is what the driver needs of both executors.
-type machine interface {
-	Run(*packet.Packet, overlay.Env) (overlay.Verdict, int, error)
-	TableInsert(string, uint64, uint64) error
-	TableDelete(string, uint64) error
-	TableLen(string) int
-	TableContents(int) map[uint64]uint64
-	Counter(string) uint64
-	Stats() (uint64, uint64)
-	Traps() uint64
-	InjectTrap(string)
-}
-
 // tapeEnv records what a run did to the world outside the machine.
 type tapeEnv struct {
 	now  sim.Time
@@ -205,15 +266,13 @@ var (
 	scriptUIDs  = []uint32{0, 1000, 1001, 7}
 )
 
-// drive plays a script against two lowered machines and two oracle machines
-// of p (a pair each, so ShareTable has something to alias) and fails on the
-// first difference in anything a caller can observe. The script is bytes: an
+// drive plays a script against a lowered machine and an oracle machine of p
+// and fails on the first difference in anything a caller can observe. The script is bytes: an
 // opcode, then that opcode's operands, until it runs out. It also holds every
 // run to the program's cycle bound.
 func drive(t *testing.T, p *overlay.Program, script []byte) {
 	t.Helper()
-	low := [2]machine{overlay.NewMachine(p), overlay.NewMachine(p)}
-	ref := [2]machine{overlay.NewRefMachine(p), overlay.NewRefMachine(p)}
+	low, ref := overlay.NewMachine(p), overlay.NewRefMachine(p)
 	lowEnv, refEnv := &tapeEnv{}, &tapeEnv{}
 	bound := p.CycleBound()
 
@@ -248,18 +307,16 @@ func drive(t *testing.T, p *overlay.Program, script []byte) {
 	}
 
 	for step := 0; len(script) > 0 && step < 256; step++ {
-		op := next()
-		side := int(op>>3) & 1
-		switch op % 8 {
-		default: // a packet through one machine of each pair
+		switch next() % 8 {
+		default: // a packet through both machines
 			lp := buildPacket(next)
 			rp := lp.Clone()
 			advance := sim.Duration(next()) * 37 * sim.Microsecond
 			lowEnv.now = lowEnv.now.Add(advance)
 			refEnv.now = refEnv.now.Add(advance)
 
-			lv, lc, lerr := low[side].Run(lp, lowEnv)
-			rv, rc, rerr := ref[side].Run(rp, refEnv)
+			lv, lc, lerr := low.Run(lp, lowEnv)
+			rv, rc, rerr := ref.Run(rp, refEnv)
 			if lv != rv || lc != rc {
 				t.Fatalf("step %d: verdict/cycles: lowered %v/%d, oracle %v/%d", step, lv, lc, rv, rc)
 			}
@@ -275,44 +332,36 @@ func drive(t *testing.T, p *overlay.Program, script []byte) {
 			}
 		case 4:
 			name, k, v := tableName(), key(), uint64(next())
-			sameErr(step, "TableInsert", low[side].TableInsert(name, k, v), ref[side].TableInsert(name, k, v))
+			sameErr(step, "TableInsert", low.TableInsert(name, k, v), ref.TableInsert(name, k, v))
 		case 5:
 			name, k := tableName(), key()
-			sameErr(step, "TableDelete", low[side].TableDelete(name, k), ref[side].TableDelete(name, k))
+			sameErr(step, "TableDelete", low.TableDelete(name, k), ref.TableDelete(name, k))
 		case 6:
 			reason := fmt.Sprintf("fault %d", next()%3)
-			low[side].InjectTrap(reason)
-			ref[side].InjectTrap(reason)
-		case 7:
-			name := tableName()
-			sameErr(step, "ShareTable",
-				low[1].(*overlay.Machine).ShareTable(name, low[0].(*overlay.Machine), name),
-				ref[1].(*overlay.RefMachine).ShareTable(name, ref[0].(*overlay.RefMachine), name))
+			low.InjectTrap(reason)
+			ref.InjectTrap(reason)
 		}
 
 		if !reflect.DeepEqual(lowEnv.tape, refEnv.tape) {
 			t.Fatalf("step %d: mirror/notify: lowered %v, oracle %v", step, lowEnv.tape, refEnv.tape)
 		}
-		for s := range low {
-			l, r := low[s], ref[s]
-			lr, lcy := l.Stats()
-			rr, rcy := r.Stats()
-			if lr != rr || lcy != rcy || l.Traps() != r.Traps() {
-				t.Fatalf("step %d: machine %d stats: lowered %d/%d/%d, oracle %d/%d/%d",
-					step, s, lr, lcy, l.Traps(), rr, rcy, r.Traps())
+		lr, lcy := low.Stats()
+		rr, rcy := ref.Stats()
+		if lr != rr || lcy != rcy || low.Traps() != ref.Traps() {
+			t.Fatalf("step %d: stats: lowered %d/%d/%d, oracle %d/%d/%d",
+				step, lr, lcy, low.Traps(), rr, rcy, ref.Traps())
+		}
+		for i, ts := range p.Tables {
+			if low.TableLen(ts.Name) != ref.TableLen(ts.Name) ||
+				!reflect.DeepEqual(low.TableContents(i), ref.TableContents(i)) {
+				t.Fatalf("step %d: table %d: lowered %v, oracle %v",
+					step, i, low.TableContents(i), ref.TableContents(i))
 			}
-			for i, ts := range p.Tables {
-				if l.TableLen(ts.Name) != r.TableLen(ts.Name) ||
-					!reflect.DeepEqual(l.TableContents(i), r.TableContents(i)) {
-					t.Fatalf("step %d: machine %d table %d: lowered %v, oracle %v",
-						step, s, i, l.TableContents(i), r.TableContents(i))
-				}
-			}
-			for _, c := range p.Counters {
-				if l.Counter(c.Name) != r.Counter(c.Name) {
-					t.Fatalf("step %d: machine %d counter %s: lowered %d, oracle %d",
-						step, s, c.Name, l.Counter(c.Name), r.Counter(c.Name))
-				}
+		}
+		for _, c := range p.Counters {
+			if low.Counter(c.Name) != ref.Counter(c.Name) {
+				t.Fatalf("step %d: counter %s: lowered %d, oracle %d",
+					step, c.Name, low.Counter(c.Name), ref.Counter(c.Name))
 			}
 		}
 	}
@@ -364,37 +413,36 @@ func buildPacket(next func() byte) *packet.Packet {
 // seedScripts are the scripts every corpus program runs under plain `go
 // test`. The first fills table 0 past a capacity of four from both planes
 // (keys 0 and 5 share a home slot, so deleting 0 must pull 5 back through the
-// probe chain), aliases the pair's tables and arms a trap on each machine,
-// with packets of every kind in between; the second is long and random.
+// probe chain) and arms a trap, with packets of every kind in between; the
+// second is long and random.
 func seedScripts() [][]byte {
 	var fill []byte
-	pkt := func(side, kind, sport, dport, length, meta byte) {
-		fill = append(fill, side<<3, kind, 0, 1, sport, dport, length, meta, 3)
+	pkt := func(kind, sport, dport, length, meta byte) {
+		fill = append(fill, 0, kind, 0, 1, sport, dport, length, meta, 3)
 	}
 	insert := func(key, val byte) { fill = append(fill, 4, 0, key<<1, val) }
 	remove := func(key byte) { fill = append(fill, 5, 0, key<<1) }
-	conns := func(side byte) {
+	conns := func() {
 		for conn := byte(0); conn < 4; conn++ {
-			pkt(side, 0, 3, 10, 20, conn<<6|1)
-			pkt(side, 2|0x12<<2, 3, 2, 200, conn<<6)
+			pkt(0, 3, 10, 20, conn<<6|1)
+			pkt(2|0x12<<2, 3, 2, 200, conn<<6)
 		}
 	}
 	for i, key := range []byte{0, 5, 1, 2, 3, 4} { // the last two are refused
 		insert(key, 10+byte(i))
 	}
 	insert(5, 99) // a full table still overwrites
-	conns(0)      // conn 3 is not in the table and cannot enter it
+	conns()       // conn 3 is not in the table and cannot enter it
 	remove(0)
 	insert(5, 55) // found again behind the slot 0 left
 	remove(1)
-	conns(0) // now conn 3 fits
+	conns() // now conn 3 fits
 	insert(7, 70)
-	fill = append(fill, 7, 0) // machine 1's table becomes machine 0's
-	conns(1)
-	pkt(0, 3, 0, 0, 0, 0)                // ARP
-	fill = append(fill, 6, 1, 6|1<<3, 2) // a trap armed on each machine
+	conns()
+	pkt(3, 0, 0, 0, 0)        // ARP
+	fill = append(fill, 6, 1) // a trap armed
 	for i := byte(0); i < 17; i++ {
-		pkt(i&1, i, i, 16-i, i*15, i*37)
+		pkt(i, i, 16-i, i*15, i*37)
 	}
 
 	random := make([]byte, 1536)
@@ -404,7 +452,7 @@ func seedScripts() [][]byte {
 
 // FuzzOverlayLowering holds Machine.Run — the lowered executor — to the
 // instruction-at-a-time loop it replaced (oracle_test.go), on a sequence of
-// packets with control-plane table edits, table sharing and injected traps in
+// packets with control-plane table edits and injected traps in
 // between. sel picks a corpus program; 0 (or past the end) decodes prog the
 // way FuzzVerify does. Programs Verify rejects run too, for trap parity, as
 // long as no jump goes backward (the oracle would not return).

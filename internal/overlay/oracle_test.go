@@ -87,26 +87,6 @@ func (m *refMachine) TableLen(table string) int {
 	return len(m.tables[idx])
 }
 
-// ShareTable makes this machine's table an alias of another machine's
-// table: both see the same entries. This models how ingress and egress
-// pipeline stages on a real SmartNIC reference the same SRAM block — the
-// mechanism a stateful firewall needs (outbound traffic inserts connection
-// state that inbound checks). The two declarations must have equal
-// capacity, since they model one physical table.
-func (m *refMachine) ShareTable(name string, other *refMachine, otherName string) error {
-	i := m.tableIndex(name)
-	j := other.tableIndex(otherName)
-	if i < 0 || j < 0 {
-		return fmt.Errorf("overlay: no such table %q/%q", name, otherName)
-	}
-	if m.prog.Tables[i].Capacity != other.prog.Tables[j].Capacity {
-		return fmt.Errorf("overlay: shared tables must have equal capacity (%d vs %d)",
-			m.prog.Tables[i].Capacity, other.prog.Tables[j].Capacity)
-	}
-	m.tables[i] = other.tables[j]
-	return nil
-}
-
 func (m *refMachine) tableIndex(name string) int {
 	for i, t := range m.prog.Tables {
 		if t.Name == name {

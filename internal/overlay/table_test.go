@@ -7,9 +7,8 @@ import (
 )
 
 // TestTableFullRefusesNewKeysButOverwrites: the declared capacity is a hard
-// budget for both planes — E5's exhaustion and the stateful firewall's
-// silent loss of return traffic depend on it — and a full table still takes
-// writes to keys it holds.
+// budget for both planes — E5's exhaustion depends on it — and a full table
+// still takes writes to keys it holds.
 func TestTableFullRefusesNewKeysButOverwrites(t *testing.T) {
 	m := NewMachine(mustAssemble(t, `
 .table t 3
@@ -128,49 +127,5 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 	if len(tab.slots) != 256 {
 		t.Fatalf("a 100-entry table grew to %d slots, want 256", len(tab.slots))
-	}
-}
-
-// TestShareTableVisibleBothWays: after ShareTable the two machines hold one
-// table — the ingress/egress arrangement of core.EnableStatefulFirewall —
-// whichever side or plane writes.
-func TestShareTableVisibleBothWays(t *testing.T) {
-	eg := NewMachine(mustAssemble(t, ".table estab 4\nldf r0, conn\nldi r1, 1\nupdate estab, r0, r1\npass\n"))
-	in := NewMachine(mustAssemble(t, ".table seen 4\nldf r0, conn\nlookup r1, seen, r0, miss\npass\nmiss:\ndrop\n"))
-	if err := in.ShareTable("seen", eg, "estab"); err != nil {
-		t.Fatal(err)
-	}
-	verdict := func(m *Machine, conn uint64) Verdict {
-		p := udp(1, 2, 0)
-		p.Meta.ConnID = conn
-		v, _, err := m.Run(p, NopEnv{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	if verdict(in, 7) != VerdictDrop {
-		t.Fatal("conn 7 admitted before the egress side recorded it")
-	}
-	verdict(eg, 7) // dataplane write on one machine …
-	if verdict(in, 7) != VerdictPass || in.TableLen("seen") != 1 {
-		t.Fatal("egress update not visible to ingress")
-	}
-	if err := in.TableInsert("seen", 8, 1); err != nil { // … control-plane write on the other
-		t.Fatal(err)
-	}
-	if eg.TableLen("estab") != 2 {
-		t.Fatal("ingress insert not visible to egress")
-	}
-	if err := eg.TableDelete("estab", 7); err != nil {
-		t.Fatal(err)
-	}
-	if verdict(in, 7) != VerdictDrop || in.TableLen("seen") != 1 {
-		t.Fatal("egress delete not visible to ingress")
-	}
-	for k := uint64(20); eg.TableInsert("estab", k, 1) == nil; k++ {
-	}
-	if err := in.TableInsert("seen", 99, 1); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("shared table filled through one side accepts through the other: %v", err)
 	}
 }

@@ -112,18 +112,18 @@ func (s State) String() string {
 
 // The watermarks: the ring/FIFO occupancy fraction that raises pressure, and
 // the fraction it must fall back under before pressure releases. Readings in
-// the dead band between them hold the current state.
+// the dead band between them hold the current state. ddioShare is the
+// fraction of the LLC's DDIO capacity that admitted connections' RX
+// descriptor footprints may claim, leaving headroom for payload lines and
+// the host's own DMA traffic.
 const (
 	highWatermark = 0.75
 	lowWatermark  = 0.25
+	ddioShare     = 0.85
 )
 
 // Config parameterizes a Governor. Zero values pick the defaults noted.
 type Config struct {
-	// DDIOShare is the fraction of the LLC's DDIO capacity that admitted
-	// connections' RX descriptor footprints may claim. 0 = 0.85 (leave
-	// headroom for payload lines and the host's own DMA traffic).
-	DDIOShare float64
 	// MaxConnsPerTenant caps simultaneously open connections per UID.
 	// 0 = unlimited.
 	MaxConnsPerTenant int
@@ -146,13 +146,6 @@ type Config struct {
 	// MaxProgramCycles caps the verified worst-case per-packet cycle bound
 	// of overlay programs tenants may install (AdmitProgram). 0 = unlimited.
 	MaxProgramCycles int
-}
-
-func (c Config) ddioShare() float64 {
-	if c.DDIOShare <= 0 {
-		return 0.85
-	}
-	return c.DDIOShare
 }
 
 func (c Config) sampleEvery() sim.Duration {
@@ -266,7 +259,7 @@ func NewGovernor(eng *sim.Engine, n *nic.NIC, llc *cache.LLC, cfg Config) *Gover
 	}
 	g.Sampler = supervise.NewSampler(eng, cfg.sampleEvery(), g.sample)
 	if llc != nil {
-		g.ringBudget = int(cfg.ddioShare() * float64(llc.DDIOBytes()))
+		g.ringBudget = int(ddioShare * float64(llc.DDIOBytes()))
 	}
 	if len(cfg.TenantWeights) > 0 {
 		g.ConfigureTenants(cfg.TenantWeights)

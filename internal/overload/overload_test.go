@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"norman/internal/arch"
+	"norman/internal/cache"
 	"norman/internal/mem"
 	"norman/internal/sim"
 )
@@ -21,12 +22,14 @@ func newWorld(t *testing.T) (arch.Arch, *arch.World) {
 // wrap ErrAdmission, carry the exhausted Resource, and charge nothing.
 func TestAdmissionBudgets(t *testing.T) {
 	_, w := newWorld(t)
-	// Budget exactly three connections' worth of descriptor lines.
-	share := float64(3*16*64) / float64(w.LLC.DDIOBytes())
-	g := NewGovernor(w.Eng, w.NIC, w.LLC, Config{DDIOShare: share, MaxConnsPerTenant: 2})
+	// A 4 KiB DDIO region: the 0.85 share budgets 3481 bytes, room for three
+	// connections' 16 descriptor lines (1024 bytes each) and not a fourth.
+	llc := cache.New(cache.Config{TotalBytes: 8192, Ways: 2, DDIOWays: 1})
+	g := NewGovernor(w.Eng, w.NIC, llc, Config{MaxConnsPerTenant: 2})
+	const conn, wantBudget = 16 * 64, 3481
 
-	if used, budget := g.RingBudget(); used != 0 || budget != 3*16*64 {
-		t.Fatalf("budget = %d/%d, want 0/%d", used, budget, 3*16*64)
+	if used, budget := g.RingBudget(); used != 0 || budget != wantBudget {
+		t.Fatalf("budget = %d/%d, want 0/%d", used, budget, wantBudget)
 	}
 	// Tenant 1 fills its cap.
 	if err := g.AdmitConn(1); err != nil {
@@ -52,8 +55,8 @@ func TestAdmissionBudgets(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Resource != ResourceRingDDIO {
 		t.Fatalf("over-budget admit = %v, want ring_ddio rejection", err)
 	}
-	if used, budget := g.RingBudget(); used != budget {
-		t.Fatalf("rejections must not charge: used %d budget %d", used, budget)
+	if used, _ := g.RingBudget(); used != 3*conn {
+		t.Fatalf("rejections must not charge: used %d, want %d", used, 3*conn)
 	}
 	// Release frees both the tenant slot and the ring bytes.
 	g.ReleaseConn(1)
@@ -290,7 +293,6 @@ func TestShedPolicy(t *testing.T) {
 func TestTenantSnapshotOrder(t *testing.T) {
 	_, w := newWorld(t)
 	g := NewGovernor(w.Eng, w.NIC, w.LLC, Config{
-		DDIOShare:     0.5,
 		TenantWeights: map[uint32]int{9: 1, 3: 7, 27: 2, 1: 4},
 	})
 	// Tenants 14 and 5 hold connections without being configured: they must

@@ -45,10 +45,10 @@ func TestConstructorAllocs(t *testing.T) {
 }
 
 // TestCloneOwnsItsHeaders is the aliasing half of single-allocation packets:
-// a clone's header pointers must aim at the clone's own storage, so NAT-style
-// rewrites and the sequence numbers TSO stamps on sibling segments never show
-// through the origin or each other — whether the origin's headers were inline
-// (NewTCP) or separately allocated (a literal, Unmarshal).
+// a clone's header pointers must aim at the clone's own storage, so header
+// rewrites on sibling copies never show through the origin or each other —
+// whether the origin's headers were inline (NewTCP) or separately allocated
+// (a literal, Unmarshal).
 func TestCloneOwnsItsHeaders(t *testing.T) {
 	inline := NewTCP(MAC{1}, MAC{2}, 10, 20, 30, 40, TCPAck, 3000)
 	inline.TCP.Seq = 1000
@@ -60,16 +60,16 @@ func TestCloneOwnsItsHeaders(t *testing.T) {
 			if s.IP != &s.ip || (s.TCP != nil && s.TCP != &s.tcp) || (s.UDP != nil && s.UDP != &s.udp) {
 				t.Fatalf("%s: segment %d's headers are not its own storage", name, i)
 			}
-			s.IP.Src, s.IP.Dst = IPv4(100+i), IPv4(200+i) // NAT rewrite
+			s.IP.Src, s.IP.Dst = IPv4(100+i), IPv4(200+i)
 			if s.TCP != nil {
-				s.TCP.Seq += uint32(1000 * (i + 1)) // TSO offset
+				s.TCP.Seq += uint32(1000 * (i + 1))
 				s.TCP.SrcPort = uint16(i)
 			} else {
 				s.UDP.SrcPort = uint16(i)
 			}
 		}
 		if origin.IP.Src != 10 || origin.IP.Dst != 20 {
-			t.Fatalf("%s: a clone's NAT rewrite shows through the origin: %v->%v", name, origin.IP.Src, origin.IP.Dst)
+			t.Fatalf("%s: a clone's IP rewrite shows through the origin: %v->%v", name, origin.IP.Src, origin.IP.Dst)
 		}
 		if origin.TCP != nil && (origin.TCP.Seq != 1000 || origin.TCP.SrcPort != 30) {
 			t.Fatalf("%s: a clone's TCP rewrite shows through the origin: %+v", name, *origin.TCP)

@@ -143,8 +143,8 @@ type Meta struct {
 	Enqueued sim.Time // when the app produced / NIC received the packet
 	// Trace is the packet-lifecycle trace ID assigned at the packet's first
 	// interposition point when tracing is enabled (telemetry.Tracer), 0
-	// otherwise. Clones keep the ID, so a duplicated or TSO-segmented frame
-	// shows up inside its origin packet's journey.
+	// otherwise. Clones keep the ID, so a duplicated or mirrored frame shows
+	// up inside its origin packet's journey.
 	Trace uint64
 	// TrustedMeta distinguishes metadata stamped by a privileged layer
 	// (kernel connection table, KOPI NIC) from metadata merely claimed by

@@ -186,7 +186,7 @@ func testWorld(t *testing.T) (*nic.NIC, *kernel.Kernel) {
 	t.Helper()
 	eng := sim.NewEngine()
 	n := nic.New(nic.Config{Engine: eng, Model: timing.Default(), RingSize: 8, SRAMBudget: 1 << 20})
-	k := kernel.New(eng, timing.Default())
+	k := kernel.New(eng)
 	return n, k
 }
 

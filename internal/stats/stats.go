@@ -1,44 +1,15 @@
 // Package stats provides the measurement primitives used by every
-// experiment: counters, rate gauges, and logarithmic latency histograms with
-// percentile queries, plus plain-text table rendering so benches print the
+// experiment: logarithmic latency histograms with percentile queries, a
+// throughput conversion, and plain-text table rendering so benches print the
 // same row/column layout the experiment index in DESIGN.md promises.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"norman/internal/sim"
 )
-
-// Counter is a monotonically increasing event count. It deliberately has no
-// Reset: monotonicity is the property telemetry renderers and rate
-// calculations rely on (a Prometheus counter that goes backwards corrupts
-// every rate() over it). Measurement loops that want per-interval counts
-// should use ResettableCounter and say so.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// ResettableCounter is a Counter that a measurement loop may zero between
-// intervals. It is a distinct type so a reset-capable count can never be
-// registered where a monotonic Counter is documented.
-type ResettableCounter struct {
-	Counter
-}
-
-// Reset zeroes the counter.
-func (c *ResettableCounter) Reset() { c.n = 0 }
 
 // Histogram records durations in logarithmic buckets (about 4.6% relative
 // resolution) between 1 ns and ~18 s, with exact tracking of count, sum, min
@@ -162,14 +133,6 @@ func Throughput(bytes uint64, elapsed sim.Duration) float64 {
 	return float64(bytes) * 8 / elapsed.Seconds() / 1e9
 }
 
-// Rate converts an event count over an interval into events/second.
-func Rate(events uint64, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(events) / elapsed.Seconds()
-}
-
 // Table accumulates rows and renders them with aligned columns; every
 // experiment driver prints its results through a Table so the bench output
 // matches the per-experiment index in DESIGN.md.
@@ -265,16 +228,4 @@ func dashes(n int) string {
 		b[i] = '-'
 	}
 	return string(b)
-}
-
-// Summary computes exact quantiles over a small sample slice (used by tests
-// to cross-check Histogram interpolation).
-func Summary(samples []sim.Duration, q float64) sim.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]sim.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
 }

@@ -45,11 +45,7 @@ type Config struct {
 	Window     uint32       // receiver window in bytes (0 = 256 KiB)
 	InitialRTO sim.Duration // 0 = 10 ms
 	MaxRTO     sim.Duration // 0 = 500 ms
-	// SuperSegment posts segments of this size to the NIC (TSO: the NIC
-	// cuts them to wire MSS). 0 = plain MSS segments. The connection must
-	// have TSO enabled (nic.SetTSO) or the wire will carry jumbo frames.
-	SuperSegment uint32
-	Done         func(at sim.Time)
+	Done       func(at sim.Time)
 
 	// MaxRetries bounds consecutive RTO expiries on the same sndUna before
 	// the stream aborts with ErrAborted. 0 = DefaultMaxRetries; negative =
@@ -213,9 +209,6 @@ func (s *Stream) now() sim.Time { return s.a.World().Eng.Now() }
 // segment builds the TCP data segment starting at seq.
 func (s *Stream) segment(seq uint32) *packet.Packet {
 	n := uint32(MSS)
-	if s.cfg.SuperSegment > n {
-		n = s.cfg.SuperSegment
-	}
 	if rem := s.cfg.TotalBytes - seq; rem < n {
 		n = rem
 	}

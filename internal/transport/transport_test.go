@@ -151,51 +151,3 @@ func TestResponderReassemblesOutOfOrder(t *testing.T) {
 	}
 	_ = seg
 }
-
-// TestTSOReducesPerSegmentCost: with the NIC cutting 28KB super-segments to
-// wire MSS, the application posts ~20x fewer descriptors for the same
-// transfer, the receiver still sees in-order MSS-sized segments, and
-// goodput improves (less per-descriptor host work in the transfer's
-// critical path).
-func TestTSOReducesPerSegmentCost(t *testing.T) {
-	run := func(super uint32) (*Stream, *Responder) {
-		a := arch.New("kopi", arch.WorldConfig{RingSize: 64, BufBytes: 32768})
-		w := a.World()
-		resp := NewResponder(a, 5001, 42)
-		w.Peer = resp.Recv
-		u := w.Kern.AddUser(1, "u")
-		proc := w.Kern.Spawn(u.UID, "sender")
-		flow := packet.FlowKey{Src: w.HostIP, Dst: w.PeerIP, SrcPort: 4001, DstPort: 5001, Proto: packet.ProtoTCP}
-		conn, err := a.Connect(proc, flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if super > 0 {
-			if err := w.NIC.SetTSO(conn.Info.ID, MSS); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mux := host.NewMux(a)
-		s := New(a, conn, flow, mux, Config{TotalBytes: 2 << 20, SuperSegment: super})
-		s.Start()
-		w.Eng.RunUntil(sim.Time(5 * sim.Second))
-		return s, resp
-	}
-
-	plain, plainResp := run(0)
-	tso, tsoResp := run(28 * 1024)
-	if !plain.Done() || !tso.Done() {
-		t.Fatalf("transfers incomplete: plain=%v tso=%v", plain.Done(), tso.Done())
-	}
-	if plainResp.Received != 2<<20 || tsoResp.Received != 2<<20 {
-		t.Fatal("bytes lost")
-	}
-	if tso.Stats.SegmentsSent*10 > plain.Stats.SegmentsSent {
-		t.Fatalf("TSO should cut app segments ~20x: %d vs %d",
-			tso.Stats.SegmentsSent, plain.Stats.SegmentsSent)
-	}
-	if tso.Stats.Goodput() <= plain.Stats.Goodput() {
-		t.Fatalf("TSO should improve goodput: %.2f vs %.2f",
-			tso.Stats.Goodput(), plain.Stats.Goodput())
-	}
-}

@@ -65,12 +65,14 @@ var (
 
 // The canary's verdict rule and the cutover's pause bound. The pause buffer
 // covers the MMIO activation cost with an order of magnitude to spare
-// (overflow is the typed RxPauseDrop class). A freshly cut-over generation
+// (overflow is the typed RxPauseDrop class). The canary samples every
+// sampleEvery, the health monitor's cadence. A freshly cut-over generation
 // that traps, drops or corrupts *at all* in a sample is breaching, and
 // breachAfter consecutive breaching samples roll it back — one-off blips
 // survive, sustained regressions do not.
 const (
 	pauseFrames          = nic.DefaultPauseFrames
+	sampleEvery          = 5 * sim.Microsecond
 	breachAfter          = 2
 	maxTrapsPerSample    = 0
 	maxDropsPerSample    = 0
@@ -82,9 +84,6 @@ type Config struct {
 	// CanaryWindow is how long the old generation is retained after cutover
 	// while the new one proves itself (default 200 µs).
 	CanaryWindow sim.Duration
-	// SampleEvery is the canary sampling period (default 5 µs, matching the
-	// health monitor's cadence).
-	SampleEvery sim.Duration
 }
 
 func (c Config) canaryWindow() sim.Duration {
@@ -92,13 +91,6 @@ func (c Config) canaryWindow() sim.Duration {
 		return c.CanaryWindow
 	}
 	return 200 * sim.Microsecond
-}
-
-func (c Config) sampleEvery() sim.Duration {
-	if c.SampleEvery > 0 {
-		return c.SampleEvery
-	}
-	return 5 * sim.Microsecond
 }
 
 // Manager sequences live upgrades of one NIC's interposition layer. Like the
@@ -148,7 +140,7 @@ type handover struct {
 // New builds a manager over a world's engine and NIC.
 func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Manager {
 	m := &Manager{eng: eng, n: n, cfg: cfg}
-	m.canary = supervise.NewSampler(eng, cfg.sampleEvery(), m.sample)
+	m.canary = supervise.NewSampler(eng, sampleEvery, m.sample)
 	return m
 }
 

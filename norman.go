@@ -37,6 +37,7 @@ import (
 	"norman/internal/kernel"
 	"norman/internal/overload"
 	"norman/internal/packet"
+	"norman/internal/qos"
 	"norman/internal/recovery"
 	"norman/internal/sim"
 	"norman/internal/telemetry"
@@ -237,11 +238,13 @@ func (s *System) resolve() error {
 		s.up.SetRecovery(s.rec)
 	}
 	// Telemetry: the world registers what it has now (flow-cache and tenant
-	// series exist only once those do; the registry replaces duplicates) and
-	// every part traces through the world's tracer.
+	// series exist only once those do; the registry replaces duplicates), the
+	// standing qdisc's series read whichever scheduler is live at render time,
+	// and every part traces through the world's tracer.
 	labels := telemetry.Labels{"arch": s.a.Name()}
 	if s.reg != nil {
 		s.w.RegisterMetrics(s.reg, labels)
+		qos.RegisterMetrics(s.reg, labels, s.Qdisc)
 	}
 	for _, c := range s.parts {
 		if c == nil {
@@ -359,8 +362,9 @@ func (s *System) InjectInbound(c *Conn, payload int) {
 
 // EnableTelemetry attaches the unified observability layer: a labeled
 // metrics registry covering every layer of the world (host, sim, mem, nic,
-// trace) and a packet-lifecycle tracer whose span depth comes from
-// NORMAN_TRACE_DEPTH. Idempotent; returns the registry either way.
+// trace) and the standing qdisc (qos), and a packet-lifecycle tracer whose
+// span depth comes from NORMAN_TRACE_DEPTH. Idempotent; returns the registry
+// either way.
 func (s *System) EnableTelemetry() *telemetry.Registry {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()

@@ -13,10 +13,8 @@ import (
 	"norman/internal/ctl"
 	"norman/internal/faults"
 	"norman/internal/health"
-	"norman/internal/mem"
 	"norman/internal/nic"
 	"norman/internal/overload"
-	"norman/internal/qos"
 	"norman/internal/sniff"
 	"norman/internal/telemetry"
 	"norman/internal/transport"
@@ -118,8 +116,8 @@ func TestObservabilityDocMatchesLedger(t *testing.T) {
 }
 
 // populateFullRegistry builds one registry carrying every layer the repo
-// exports: the world's own metrics (host, sim, nic, mem, trace) via
-// EnableTelemetry, plus ctl, qos, mem rings/queues, sniff, transport and
+// exports: the world's own metrics (host, sim, nic, mem, trace) and the
+// standing qdisc's (qos) via EnableTelemetry, plus ctl, sniff, transport and
 // faults registered the way the daemon and the E9 collector register them.
 func populateFullRegistry(t *testing.T) *telemetry.Registry {
 	t.Helper()
@@ -141,12 +139,49 @@ func populateFullRegistry(t *testing.T) *telemetry.Registry {
 	w := sys.World()
 
 	ctl.NewServer(sys).RegisterMetrics(reg, nil)
-	qos.RegisterMetrics(reg, nil, qos.NewPFIFO(64))
-	mem.NewRing(16, 0).RegisterMetrics(reg, nil, "test")
-	mem.NewNotifyQueue(16).RegisterMetrics(reg, nil)
 	sniff.NewTap(nil, 16).RegisterMetrics(reg, nil)
 	transport.RegisterStreamMetrics(reg, nil, func() []*transport.Stream { return nil })
 	transport.NewResponder(sys.Arch(), 9, 1).RegisterResponderMetrics(reg, nil)
 	faults.New(w.Eng, w.NIC, w.LLC, faults.Config{}).RegisterMetrics(reg, nil)
 	return reg
+}
+
+// TestQdiscSeriesExported: the standing qdisc's qos series are on the
+// facade's registry, on a ring dataplane and on a software one, and they read
+// the scheduler live at render time — the one TCSet installed, then its
+// replacement.
+func TestQdiscSeriesExported(t *testing.T) {
+	for _, a := range []norman.Architecture{norman.KOPI, norman.KernelStack} {
+		sys := norman.New(a)
+		sys.UseSinkPeer()
+		reg := sys.EnableTelemetry()
+		if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{0: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := sys.Dial(sys.Spawn(sys.AddUser(1000, "u"), "app"), 4000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			conn.Send(100)
+		}
+		sys.Run()
+		sample := func(name string) string {
+			m := regexp.MustCompile(`(?m)^` + name + `\{arch="` + string(a) + `"\} (\S+)$`).FindStringSubmatch(reg.RenderPrometheus())
+			if m == nil {
+				t.Fatalf("%s: the dump carries no %s", a, name)
+			}
+			return m[1]
+		}
+		sample("norman_qos_queue_depth")
+		if got := sample("norman_qos_enq_packets"); got != "5" {
+			t.Errorf("%s: norman_qos_enq_packets = %s, want the 5 frames sent", a, got)
+		}
+		if err := sys.TCSet(norman.QdiscSpec{Kind: "pfifo"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := sample("norman_qos_enq_packets"); got != "0" {
+			t.Errorf("%s: after the swap norman_qos_enq_packets = %s, want the new qdisc's 0", a, got)
+		}
+	}
 }

@@ -115,6 +115,16 @@ if [ -n "$undocumented" ]; then
 	exit 1
 fi
 
+# Every capability has a caller: each internal package is a dependency of an
+# entry point — the facade, a command, an example, the benchmark or the
+# experiment drivers — not only of its own tests. (The root test
+# TestEveryExportHasACaller holds every exported func and type to the same.)
+unreached=$(go list ./internal/... | grep -vxF "$(go list -deps . ./cmd/... ./examples/... ./bench/... ./internal/experiments)" || true)
+if [ -n "$unreached" ]; then
+	echo "internal packages no entry point imports:" "$unreached" >&2
+	exit 1
+fi
+
 go test ./...
 # Race passes. The pool defaults to GOMAXPROCS workers; NORMAN_WORKERS=8
 # forces a wide pool so the detector sees real interleavings even on small

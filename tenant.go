@@ -3,6 +3,8 @@ package norman
 import (
 	"fmt"
 	"sort"
+
+	"norman/internal/nic"
 )
 
 // TenantStatus is one tenant's combined isolation state: scheduler grants,
@@ -134,44 +136,11 @@ func (s *System) TenantsStatus() []TenantStatus {
 }
 
 // splitWays divides `ways` cache ways among tenants in proportion to their
-// weights: every tenant gets at least one way, the rest go by largest
-// remainder (ties broken by ascending tenant id, so the split is
-// deterministic). Errors when there are more tenants than ways.
+// weights (nic.SplitByWeight: at least one way each). Errors when there are
+// more tenants than ways.
 func splitWays(weights map[uint32]int, ways int) (map[uint32]int, error) {
-	n := len(weights)
-	if n > ways {
+	if n := len(weights); n > ways {
 		return nil, fmt.Errorf("norman: %d tenants cannot each hold a way of a %d-way DDIO region", n, ways)
 	}
-	ids := make([]uint32, 0, n)
-	total := 0
-	for id, w := range weights {
-		ids = append(ids, id)
-		total += w
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	extra := ways - n
-	type frac struct {
-		id  uint32
-		rem int
-	}
-	shares := make(map[uint32]int, n)
-	fr := make([]frac, 0, n)
-	used := 0
-	for _, id := range ids {
-		e := extra * weights[id] / total
-		shares[id] = 1 + e
-		used += 1 + e
-		fr = append(fr, frac{id: id, rem: extra * weights[id] % total})
-	}
-	sort.SliceStable(fr, func(i, j int) bool {
-		if fr[i].rem != fr[j].rem {
-			return fr[i].rem > fr[j].rem
-		}
-		return fr[i].id < fr[j].id
-	})
-	for i := 0; used < ways && i < len(fr); i++ {
-		shares[fr[i].id]++
-		used++
-	}
-	return shares, nil
+	return nic.SplitByWeight(weights, ways), nil
 }
