@@ -347,19 +347,25 @@ func (c *LLC) TenantDMAStats() []TenantDMAStats {
 }
 
 // Touch performs sequential accesses covering n bytes starting at addr,
-// returning how many of the covered lines hit. dma selects the DMA path.
+// returning how many of the covered lines hit. dma selects the DMA path. It
+// walks the covered lines by their first byte; a power-of-two line size
+// finds that byte with a mask where the general case divides.
 func (c *LLC) Touch(addr uint64, n int, dma bool) (hits, lines int) {
 	if n <= 0 {
 		return 0, 0
 	}
-	first := addr / uint64(c.lineSz)
-	last := (addr + uint64(n) - 1) / uint64(c.lineSz)
-	for l := first; l <= last; l++ {
+	sz, end := uint64(c.lineSz), addr+uint64(n)-1
+	if c.lineShift >= 0 {
+		addr, end = addr&^(sz-1), end&^(sz-1)
+	} else {
+		addr, end = addr/sz*sz, end/sz*sz
+	}
+	for a := addr; a <= end; a += sz {
 		var h bool
 		if dma {
-			h = c.DMAAccess(l * uint64(c.lineSz))
+			h = c.DMAAccess(a)
 		} else {
-			h = c.CPUAccess(l * uint64(c.lineSz))
+			h = c.CPUAccess(a)
 		}
 		if h {
 			hits++

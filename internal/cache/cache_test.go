@@ -86,6 +86,37 @@ func TestTouchCountsLines(t *testing.T) {
 	}
 }
 
+// TestTouchLineSizes: Touch covers the same lines whether the line size is a
+// power of two (masked) or not (divided), and leaves exactly those cached.
+func TestTouchLineSizes(t *testing.T) {
+	for _, tc := range []struct {
+		line        int
+		addr        uint64
+		n           int
+		lines       int
+		first, past uint64 // first byte of the first line, first byte past the last
+	}{
+		{64, 100, 50, 2, 64, 192},
+		{64, 128, 64, 1, 128, 192},
+		{48, 100, 50, 2, 96, 192},
+		{48, 96, 1, 1, 96, 144},
+		{48, 95, 2, 2, 48, 144},
+	} {
+		c := New(Config{TotalBytes: 64 * tc.line, Ways: 16, DDIOWays: 2, LineBytes: tc.line})
+		if hits, lines := c.Touch(tc.addr, tc.n, false); hits != 0 || lines != tc.lines {
+			t.Fatalf("%d-byte lines, Touch(%d, %d): %d hits over %d lines, want 0 over %d", tc.line, tc.addr, tc.n, hits, lines, tc.lines)
+		}
+		for _, probe := range []struct {
+			addr uint64
+			hit  bool
+		}{{tc.first - 1, false}, {tc.first, true}, {tc.past - 1, true}, {tc.past, false}} {
+			if got := c.CPUAccess(probe.addr); got != probe.hit {
+				t.Errorf("%d-byte lines, after Touch(%d, %d): byte %d hit=%v, want %v", tc.line, tc.addr, tc.n, probe.addr, got, probe.hit)
+			}
+		}
+	}
+}
+
 func TestDDIOBytes(t *testing.T) {
 	c := small()
 	if got := c.DDIOBytes(); got != 16<<10/2 {

@@ -47,10 +47,13 @@ func BenchmarkTimerReset(b *testing.B) {
 
 // churnHorizons are the delays a datapath event schedules its successor at
 // (timing.Default's LLC hit, poll iteration, cacheline transfer, MMIO write,
-// DMA latency, NIC pipeline, wire latency) plus a far retransmission timeout.
+// DMA latency, NIC pipeline, wire latency), the 5–10 µs a transmit chain
+// schedules a frame's wire arrival and its peer's ACK at, plus a far
+// retransmission timeout.
 var churnHorizons = [...]Duration{
 	15 * Nanosecond, 20 * Nanosecond, 60 * Nanosecond, 100 * Nanosecond,
-	450 * Nanosecond, 500 * Nanosecond, 2 * Microsecond, 10 * Millisecond,
+	450 * Nanosecond, 500 * Nanosecond, 2 * Microsecond, 5 * Microsecond,
+	10 * Microsecond, 10 * Millisecond,
 }
 
 // churn is the steady-depth load: every fired event schedules one successor,
@@ -66,13 +69,13 @@ func (c *churn) Fire() {
 	c.e.AtHandler(c.e.Now().Add(c.horizons[c.next%len(c.horizons)]), c)
 }
 
-// BenchmarkEngineHeapChurn measures one pop plus one push at a steady heap
-// depth — 10 is what the rx workloads hold, 1000 what tx_stream_churn holds —
-// with horizons mixed the way a datapath mixes them, so which sibling fires
-// first is not predictable the way BenchmarkEngineEventThroughput's one-event
-// heap is.
+// BenchmarkEngineHeapChurn measures one pop plus one push at a steady depth —
+// 10 is what the rx workloads hold, 300 what tx_stream_churn holds, 1000 a
+// deeper queue — with horizons mixed the way a datapath mixes them, so which
+// event fires first is not predictable the way BenchmarkEngineEventThroughput's
+// one-event queue is.
 func BenchmarkEngineHeapChurn(b *testing.B) {
-	for _, depth := range []int{10, 1000} {
+	for _, depth := range []int{10, 300, 1000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			c := &churn{e: NewEngine()}
 			g := NewRNG(1, "bench")

@@ -144,14 +144,19 @@ func TestFiredTotal(t *testing.T) {
 
 // TestHeapSiblingsShareALine pins the host layout the heap's index scheme
 // exists for: at every capacity the key array starts on a 64-byte boundary,
-// so each aligned group of four 16-byte sibling keys is one host line.
+// so each aligned group of four 16-byte sibling keys is one host line. The
+// events are scheduled beyond the band, so every one of them grows the heap.
 func TestHeapSiblingsShareALine(t *testing.T) {
 	if size := unsafe.Sizeof(key{}); size != 16 {
 		t.Fatalf("key is %d bytes, want 16", size)
 	}
 	e := NewEngine()
+	beyond := Time(bandSlots << bandShift)
 	for n := 1; n <= 1<<14; n++ {
-		e.At(Time(n), func() {})
+		e.At(beyond+Time(n), func() {})
+		if e.Pending() != e.n {
+			t.Fatalf("event %d landed in the band", n)
+		}
 		if base := uintptr(unsafe.Pointer(&e.keys[0])); base%64 != 0 || len(e.keys)%heapArity != 0 {
 			t.Fatalf("at %d events the key array is %d long at %#x: sibling groups straddle host lines", n, len(e.keys), base)
 		}

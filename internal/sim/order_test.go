@@ -21,8 +21,58 @@ type orderEngine interface {
 
 // orderDeltas are the horizons a program schedules at: mostly tiny, so many
 // events share an instant and seq decides, with a few far ones that sit deep
-// in the heap while the near ones churn above them.
-var orderDeltas = [16]Duration{0, 0, 0, 1, 1, 2, 3, 5, 10, 10, 100, 1000, 5000, 1e6, 1e6 + 1, 1e9}
+// in the heap while the near ones churn above them, and three whole numbers
+// of band slots that land exactly on the band's last slot (span−1), the
+// heap's first (span) and the one after it (span+1), wherever the clock sits
+// inside its own slot.
+var orderDeltas = [16]Duration{0, 0, 0, 1, 1, 2, 3, 5, 10, 100, 5000, 1e6,
+	(bandSlots - 1) << bandShift, bandSlots << bandShift, (bandSlots + 1) << bandShift, 1e9}
+
+// Indexes into orderDeltas, for the hand-written seeds.
+const (
+	dTie     = 0  // 0: the instant of the operation
+	dOne     = 3  // 1 ps
+	dHundred = 9  // 100 ps
+	dNear    = 10 // 5000 ps, inside one band slot
+	dMicro   = 11 // 1 µs, a few dozen band slots out
+	dLast    = 12 // span−1 slots: the band's last slot
+	dSpan    = 13 // span slots: the heap's first
+	dPast    = 14 // span+1 slots
+	dFar     = 15 // 1 ms, deep in the heap
+)
+
+// orderSeeds are programs aimed at the band's edges, as (opcode, operand)
+// pairs; each ends by stepping everything out.
+var orderSeeds = [][]byte{
+	// Deltas at span−1, span and span+1 slots, with the clock at three
+	// offsets inside its slot.
+	{0, dLast, 0, dSpan, 0, dPast, 7, dNear, 0, dLast, 0, dSpan, 0, dPast, 7, dHundred,
+		0, dPast, 0, dSpan, 0, dLast, 6, 7, 6, 7, 6, 7},
+	// Slot-index wrap-around: each RunUntil moves the clock span−1 slots, so
+	// the ring index of the band's last slot walks all the way round, while
+	// heap events a slot beyond the band come due among band events.
+	{0, dLast, 0, dPast, 7, dLast, 0, dLast, 0, dMicro, 0, dPast, 7, dLast, 0, dLast, 0, dSpan,
+		7, dLast, 0, dLast, 0, dOne, 7, dLast, 0, dLast, 0, dPast, 7, dLast, 6, 7, 6, 7},
+	// A heap event due before a later band event: pop must compare the
+	// band's head with the heap's root.
+	{0, dPast, 7, dLast, 0, dLast, 0, dOne, 6, 7, 0, dSpan, 7, dMicro, 0, dLast, 6, 7},
+	// Two events in one slot that differ only by seq, among other ties; and
+	// a timer whose reserved (at, seq) is pushed when its early cover fires,
+	// behind a plain event at the same instant with a later seq, so the slot
+	// is ordered by seq, not by arrival.
+	{0, dTie, 0, dTie, 2, dTie, 0, dOne, 0, dOne, 0, dHundred, 0, dHundred,
+		4, 0<<4 | dOne, 4, 0<<4 | dHundred, 0, dHundred, 6, 7, 6, 7},
+	// A timer whose cover sits in the heap while its deadline moves into the
+	// band: an earlier Reset pushes a band cover in front of the heap one,
+	// and a clock that catches up leaves a later deadline covered from the
+	// heap.
+	{4, 0<<4 | dFar, 4, 0<<4 | dLast, 4, 1<<4 | dPast, 7, dMicro, 4, 1<<4 | dPast,
+		4, 1<<4 | dNear, 4, 2<<4 | dSpan, 7, dLast, 4, 2<<4 | dMicro, 6, 7, 6, 7, 6, 7},
+	// A purge with dead events in both tiers: two timers covered from the
+	// heap and two from the band, stopped in turn beside plain events.
+	{4, 0<<4 | dFar, 4, 1<<4 | dMicro, 4, 2<<4 | dLast, 4, 3<<4 | dPast, 0, dFar, 0, dNear,
+		5, 0, 5, 1, 0, dMicro, 5, 2, 5, 3, 4, 1<<4 | dNear, 6, 7, 6, 7},
+}
 
 // Bounds on what one program may cost: the deepest heap a burst builds, and
 // how much of an input the fuzzer has grown is played.
@@ -152,6 +202,9 @@ func FuzzEngineOrder(f *testing.F) {
 		}
 		f.Add(prog)
 	}
+	for _, prog := range orderSeeds {
+		f.Add(prog)
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		eng := NewEngine()
 		got := orderPlay(prog, eng, func(fn func()) rearmer { return eng.NewTimer(fn) })
@@ -172,11 +225,39 @@ func FuzzEngineOrder(f *testing.F) {
 					i/2, pending, next, refPending, refNext)
 			}
 		}
-		// The sentinel invariant, after whatever depth the program reached.
-		for i, k := range eng.keys {
-			if i >= heapRoot && (k != sentinelKey || eng.hs[i] != nil) {
-				t.Fatalf("drained heap slot %d holds %+v / %v, want the sentinel and no handler", i, k, eng.hs[i])
-			}
-		}
+		checkDrained(t, eng)
 	})
+}
+
+// checkDrained asserts what a drained engine holds after whatever depth a
+// program reached: every heap slot is the sentinel with no handler, and every
+// band node is on the free list with no handler, in a band with no occupied
+// slot.
+func checkDrained(t *testing.T, eng *Engine) {
+	t.Helper()
+	for i, k := range eng.keys {
+		if i >= heapRoot && (k != sentinelKey || eng.hs[i] != nil) {
+			t.Fatalf("drained heap slot %d holds %+v / %v, want the sentinel and no handler", i, k, eng.hs[i])
+		}
+	}
+	if eng.nodes[0].key != sentinelKey {
+		t.Fatalf("band node 0 holds %+v, want the sentinel", eng.nodes[0].key)
+	}
+	free := 0
+	for i := eng.free; i != 0; i = eng.nodes[i].next {
+		if free++; free >= len(eng.nodes) {
+			t.Fatalf("the band's free list loops")
+		}
+	}
+	if free != len(eng.nodes)-1 {
+		t.Fatalf("drained band has %d of %d nodes free", free, len(eng.nodes)-1)
+	}
+	for i, n := range eng.nodes {
+		if n.h != nil {
+			t.Fatalf("freed band node %d still holds %v", i, n.h)
+		}
+	}
+	if eng.nb != 0 || eng.bmin != 0 || eng.occWords != 0 || eng.occ != [bandWords]uint64{} || eng.head != [bandSlots]int32{} {
+		t.Fatalf("drained band: %d events, earliest node %d, occupancy %#x %x", eng.nb, eng.bmin, eng.occWords, eng.occ)
+	}
 }

@@ -2,8 +2,8 @@ package sim
 
 import "fmt"
 
-// stamp is a heap position: an instant and the sequence number that orders
-// it among events at that instant.
+// stamp is a place in the event order: an instant and the sequence number
+// that orders it among events at that instant.
 type stamp struct {
 	at  Time
 	seq uint64
@@ -14,25 +14,25 @@ type stamp struct {
 // own Handler, so re-arming allocates nothing.
 //
 // Reset is lazy and order-preserving. It reserves a sequence number exactly
-// as After would and records the logical deadline (at, seq), but pushes a heap
+// as After would and records the logical deadline (at, seq), but pushes an
 // event only when none of the timer's queued events already fires at or
 // before that deadline. The earliest queued event is the cover. A cover that
 // fires early makes sure the deadline is still covered, pushing an event at
 // the logical (at, seq) — the reserved seq, not a fresh one — when nothing
 // else is queued before it, and the callback runs only when the firing event
-// is the logical deadline. Heap order is exactly (at, seq), so the callback
+// is the logical deadline. Event order is exactly (at, seq), so the callback
 // fires at the instant and in the position the closure of a plain After(d,
 // fn) would have: replacing a push-per-arm timeout with a Timer reorders
 // nothing.
 //
 // When the deadline moves earlier than the cover, a new cover is pushed and
 // the old one stays queued behind it; it covers a later deadline, or fires as
-// a no-op. The heap grows with the number of times the deadline moved
+// a no-op. The queue grows with the number of times the deadline moved
 // earlier, not with the number of resets.
 //
 // A disarmed timer's queued events are dead: they can only fire as no-ops.
-// The engine counts them and, once they are half as many as the live events,
-// purges them (engine.go); a timer re-armed before the purge keeps its
+// The engine counts them and, once they are half as many as the live events
+// in both tiers of its event set, purges them (engine.go); a timer re-armed before the purge keeps its
 // covers. What a push-per-arm timeout's cancelled events did for the clock —
 // a drained Run walked to the furthest deadline ever armed — the engine's
 // horizon does instead.
@@ -42,7 +42,7 @@ type Timer struct {
 
 	deadline stamp // logical deadline; seq 0 = disarmed
 
-	// queued mirrors the timer's events in the engine heap, each strictly
+	// queued mirrors the timer's events in the engine, each strictly
 	// earlier than the one below it, so the last entry is the cover and is
 	// the one firing whenever Fire runs.
 	queued []stamp
@@ -85,12 +85,14 @@ func (t *Timer) Stop() {
 func (t *Timer) Armed() bool { return t.deadline.seq != 0 }
 
 // disarm clears the deadline, which makes every queued event dead, and has
-// the engine purge once the dead are half as many as the live.
+// the engine purge once the dead are half as many as the live. Pending counts
+// both tiers: a threshold read off one tier's count would purge at a
+// different rate.
 func (t *Timer) disarm() {
 	e := t.e
 	t.deadline.seq = 0
 	e.dead += len(t.queued)
-	if e.dead > 0 && 3*e.dead >= e.n {
+	if e.dead > 0 && 3*e.dead >= e.Pending() {
 		e.purge()
 	}
 }
@@ -104,7 +106,7 @@ func (t *Timer) cover(s stamp) {
 	}
 }
 
-// Fire implements Handler for the timer's own heap events.
+// Fire implements Handler for the timer's own events.
 func (t *Timer) Fire() {
 	n := len(t.queued) - 1
 	fired := t.queued[n]

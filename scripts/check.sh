@@ -104,6 +104,15 @@ if awk '/^type (Overload|Tenant|FlowCache|Health|Upgrade|Recovery)[A-Za-z]*(Data
 	exit 1
 fi
 
+# The timer purge threshold counts the whole event set (DESIGN.md §8): timer.go
+# compares the dead against Engine.Pending(), the band and the heap together,
+# and never reads one tier's own count (the heap's e.n, the band's e.nb).
+if grep -nE '\be\.(n|nb)\b' internal/sim/timer.go ||
+	! grep -q '3\*e\.dead >= e\.Pending()' internal/sim/timer.go; then
+	echo "internal/sim/timer.go's purge threshold reads one tier's count (compare 3*e.dead with e.Pending())" >&2
+	exit 1
+fi
+
 # docs-lint: every package (internal/, cmd/, examples/, root) must carry a
 # package doc comment. Asked of the toolchain itself — go/doc's extraction,
 # via `go list -f {{.Doc}}` — so a comment the parser would not attach to
@@ -170,9 +179,10 @@ done <<'PASSES'
 # the software dataplanes over one soft core: the E1–E10 golden, every host
 # exit balances the host law, the reconciler sees every architecture's qdisc
 7 ArchTables|HostExits|ColdStart ./internal/arch/... ./internal/experiments/... .
-# the branch-free event heap and the LLC set record, fuzzed against the code
-# they replaced (seed corpora); RunUntil after Stop
-7 EngineOrder|LLCEquiv|StopRunUntil ./internal/sim/... ./internal/cache/...
+# the branch-free event heap under its near band and the LLC set record,
+# fuzzed against the code they replaced (seed corpora); the band's tier edges
+# and a purge over both tiers; RunUntil after Stop; Touch at both line sizes
+7 EngineOrder|Band|LLCEquiv|StopRunUntil|Touch ./internal/sim/... ./internal/cache/...
 # the lowered overlay executor fuzzed against the interpreter it replaced (seed
 # corpus), the cycle bound, flow-cache cacheability, the allocation pins
 7 OverlayLowering|CycleBound|Cacheable|RunZeroAlloc|StreamAllocs ./internal/overlay/... ./internal/nic/... ./internal/transport/...
