@@ -26,12 +26,12 @@ func rxChain(t *testing.T, perFlow bool) *overlay.Program {
 	return prog
 }
 
-// TestRxPathZeroAlloc pins the whole receive path — DeliverWire → wire →
-// pipeline → DMA → ring → poll-mode upcall — at zero allocations per frame
-// once the job and hop free lists and the event heap are warm: on a
-// flow-cache hit, on an interpreted chain, and on the tenant-scheduled
-// dataplane. The frame is pre-built; building it is the one allocation a
-// workload pays per packet (packet.TestConstructorAllocs).
+// TestRxPathZeroAlloc pins the whole receive path — UDPFrom → DeliverWire →
+// wire → pipeline → DMA → ring → poll-mode upcall — at zero allocations per
+// frame once the frame, job and hop free lists and the event heap are warm: on
+// a flow-cache hit, on an interpreted chain, and on the tenant-scheduled
+// dataplane. Each frame is built inside the burst, so the pin covers its
+// construction: the upcall's return gives it back for the next one.
 func TestRxPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -61,10 +61,9 @@ func TestRxPathZeroAlloc(t *testing.T) {
 			}
 			delivered := 0
 			a.SetDeliver(func(*Conn, *packet.Packet, sim.Time) { delivered++ })
-			p := w.UDPFrom(flow, 256)
 			burst := func() {
 				for i := 0; i < 8; i++ {
-					a.DeliverWire(p)
+					a.DeliverWire(w.UDPFrom(flow, 256))
 				}
 				w.Eng.Run()
 			}
@@ -85,9 +84,10 @@ func TestRxPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSendPathZeroAlloc pins the transmit path — Send → core → descriptor →
-// doorbell → fetch → egress pipeline → wire → peer — at zero allocations per
-// pre-built frame.
+// TestSendPathZeroAlloc pins the transmit path — UDPTo → Send → core →
+// descriptor → doorbell → fetch → egress pipeline → wire → peer — at zero
+// allocations per frame, its construction included: the peer's return gives
+// the frame back.
 func TestSendPathZeroAlloc(t *testing.T) {
 	a := New("kopi", WorldConfig{})
 	w := a.World()
@@ -100,10 +100,9 @@ func TestSendPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := w.UDPTo(flow, 256)
 	burst := func() {
 		for i := 0; i < 8; i++ {
-			a.Send(c, p)
+			a.Send(c, w.UDPTo(flow, 256))
 		}
 		w.Eng.Run()
 	}

@@ -101,6 +101,7 @@ type Conn struct {
 	// Deliver, when set, receives this connection's packets instead of the
 	// architecture-wide DeliverFunc (host.Mux.Handle sets it). It lives and
 	// dies with the handle: nothing keyed by connection id outlives Close.
+	// Like every DeliverFunc it borrows the packet for the call only.
 	Deliver DeliverFunc
 
 	// core is the app core of the owning process, resolved once when the
@@ -110,7 +111,10 @@ type Conn struct {
 }
 
 // DeliverFunc is the application-receive upcall. It runs after all
-// architecture-side receive costs have been charged.
+// architecture-side receive costs have been charged. It borrows p for the
+// duration of the call: the packet's journey ends when the upcall returns and
+// the world recycles its frame, so a handler that keeps p — or schedules work
+// that reads it later — keeps a Clone, as sniff.Tap does.
 type DeliverFunc func(c *Conn, p *packet.Packet, at sim.Time)
 
 // Arch is the uniform surface the experiments drive.

@@ -47,7 +47,8 @@ func (b *base) World() *World { return b.w }
 func (b *base) SetDeliver(fn DeliverFunc) { b.deliver = fn }
 
 // upcall hands a packet to the application: the connection's own handler,
-// else the architecture-wide one.
+// else the architecture-wide one. The handler borrows p; its return ends the
+// frame's journey.
 func (b *base) upcall(c *Conn, p *packet.Packet, at sim.Time) {
 	b.delivered++
 	c.Delivered++
@@ -58,6 +59,7 @@ func (b *base) upcall(c *Conn, p *packet.Packet, at sim.Time) {
 	} else if b.deliver != nil {
 		b.deliver(c, p, at)
 	}
+	b.w.Frames.Recycle(p)
 }
 
 // traceStamp assigns a lifecycle trace ID to p at its first interposition

@@ -66,14 +66,15 @@ func (b *base) hostDropped(r HostReason) uint64 { return *b.hostCtr(r) }
 
 // hostDrop ends p above the ring under reason r: count it and close its
 // journey — opened here if nothing had stamped p yet — with one host/drop
-// span. conn is the owning socket, 0 when none is known. The caller returns
-// without passing p on.
+// span. conn is the owning socket, 0 when none is known. The frame goes back
+// to the world's free list; the caller returns without passing p on.
 func (b *base) hostDrop(p *packet.Packet, conn uint64, r HostReason) {
 	*b.hostCtr(r)++
 	if b.w.Tracer != nil {
 		b.traceStamp(p)
 		b.trace(p, b.w.Eng.Now(), "host", "drop", fmt.Sprintf("reason=%s conn=%d", r, conn))
 	}
+	b.w.Frames.Recycle(p)
 }
 
 // hostDropQueued counts what q still holds under r when q is discarded. The

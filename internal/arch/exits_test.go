@@ -227,27 +227,30 @@ func TestHostExits(t *testing.T) {
 // TestSpansSurviveTheSocket: replacing a packet's metadata with the kernel's
 // trusted view must not orphan its journey. On every architecture whose
 // kernel sees the packet, an inbound frame to a connected socket is traced to
-// the upcall and an outbound one from the send call to the wire.
+// the upcall and an outbound one from the send call to the wire. The trace ID
+// is read where the journey ends — in the upcall, at the peer — because the
+// frame is the world's again once they return.
 func TestSpansSurviveTheSocket(t *testing.T) {
 	for _, name := range []string{"kernelstack", "sidecar", "kopi"} {
 		t.Run(name, func(t *testing.T) {
 			x := newExitWorld(t, name, WorldConfig{})
-			journey := func(p *packet.Packet) (first, last string) {
+			var delivered, wired uint64 // trace IDs seen at the two exits
+			x.a.SetDeliver(func(_ *Conn, p *packet.Packet, _ sim.Time) { delivered = p.Meta.Trace })
+			x.w.Peer = func(p *packet.Packet, _ sim.Time) { wired = p.Meta.Trace }
+			journey := func(id *uint64) (first, last string) {
 				x.w.Eng.Run()
-				evs := x.w.Tracer.Trace(p.Meta.Trace)
+				evs := x.w.Tracer.Trace(*id)
 				if len(evs) == 0 {
-					t.Fatalf("packet has no journey (trace id %d)", p.Meta.Trace)
+					t.Fatalf("packet has no journey (trace id %d)", *id)
 				}
 				return evs[0].Layer + " " + evs[0].Point, evs[len(evs)-1].Layer + " " + evs[len(evs)-1].Point
 			}
-			in := x.w.UDPFrom(x.flow, 64)
-			x.a.DeliverWire(in)
-			if _, last := journey(in); last != "host rx_deliver" {
+			x.a.DeliverWire(x.w.UDPFrom(x.flow, 64))
+			if _, last := journey(&delivered); last != "host rx_deliver" {
 				t.Errorf("inbound journey ends at %q, want host rx_deliver", last)
 			}
-			out := x.w.UDPTo(x.flow, 64)
-			x.a.Send(x.c, out)
-			if first, last := journey(out); first != "host syscall_send" || last != "wire tx" {
+			x.a.Send(x.c, x.w.UDPTo(x.flow, 64))
+			if first, last := journey(&wired); first != "host syscall_send" || last != "wire tx" {
 				t.Errorf("outbound journey runs %q … %q, want host syscall_send … wire tx", first, last)
 			}
 		})

@@ -13,7 +13,7 @@ const (
 	hopUpcall                 // processing done → upcall
 	hopSend                   // direct.Send's staging cost paid → descriptor + doorbell
 	hopDrain                  // KOPI's blocked owner is awake → drain its RX ring
-	hopWire                   // wire propagation done → World.Peer
+	hopWire                   // wire propagation done → World.Peer, then the frame's journey ends
 )
 
 // hop is the host side's per-packet event record, the counterpart of the
@@ -68,5 +68,6 @@ func (h *hop) Fire() {
 		b.drainBlocked(c)
 	case hopWire:
 		w.Peer(p, now)
+		w.Frames.Recycle(p)
 	}
 }

@@ -26,6 +26,11 @@ type World struct {
 	Alloc *mem.Alloc
 	Kern  *kernel.Kernel
 	NIC   *nic.NIC
+	// Frames is the world's free list of frames. UDPTo, UDPFrom and the
+	// transport's segments and ACKs are built from it; the exits where a
+	// frame's journey ends — the upcall, the wire peer, a NIC or host drop —
+	// give the frame back (DESIGN.md §8, "who owns a frame").
+	Frames *packet.Frames
 
 	// Host addressing.
 	HostMAC packet.MAC
@@ -34,7 +39,10 @@ type World struct {
 	PeerIP  packet.IPv4
 
 	// Peer receives frames that left on the wire, after propagation. The
-	// experiment installs it (echo server, sink, traffic source...).
+	// experiment installs it (echo server, sink, traffic source...). It
+	// borrows the frame for the duration of the call: the world recycles it
+	// once Peer returns, so a peer that keeps the frame — or schedules work
+	// that reads it later — keeps a Clone.
 	Peer func(p *packet.Packet, at sim.Time)
 
 	// Tracer is the packet-lifecycle tracer, nil unless EnableTracing was
@@ -84,6 +92,7 @@ func NewWorld(cfg WorldConfig) *World {
 		})
 	}
 	alloc := mem.NewAlloc()
+	frames := new(packet.Frames)
 	nKern := cfg.KernQueues
 	if nKern < 1 {
 		nKern = 1
@@ -97,6 +106,7 @@ func NewWorld(cfg WorldConfig) *World {
 		Model:     cfg.Model,
 		LLC:       llc,
 		Alloc:     alloc,
+		Frames:    frames,
 		Kern:      kernel.New(eng),
 		HostMAC:   packet.MAC{0x02, 0, 0, 0, 0, 1},
 		HostIP:    packet.MakeIP(10, 0, 0, 1),
@@ -111,6 +121,7 @@ func NewWorld(cfg WorldConfig) *World {
 		Model:      cfg.Model,
 		LLC:        llc,
 		Alloc:      alloc,
+		Frames:     frames,
 		RingSize:   cfg.RingSize,
 		BufBytes:   cfg.BufBytes,
 		SRAMBudget: cfg.SRAMBudget,
@@ -241,9 +252,11 @@ func (w *World) CPUBusy(now sim.Time) sim.Duration {
 }
 
 // SendOnWire is what architectures hook to nic.NIC.OnTransmit: it applies
-// wire propagation and hands the frame to the peer.
+// wire propagation and hands the frame to the peer, whose return ends its
+// journey (hop.go). With no peer the frame ends here.
 func (w *World) SendOnWire(p *packet.Packet, at sim.Time) {
 	if w.Peer == nil {
+		w.Frames.Recycle(p)
 		return
 	}
 	w.hop(at.Add(sim.Duration(w.Model.WireLatency)), hopWire, nil, nil, p)
@@ -258,13 +271,13 @@ func (w *World) Flow(localPort, remotePort uint16) packet.FlowKey {
 	}
 }
 
-// UDPTo builds an outbound UDP packet on a flow.
+// UDPTo builds an outbound UDP packet on a flow, from the world's free list.
 func (w *World) UDPTo(flow packet.FlowKey, payload int) *packet.Packet {
-	return packet.NewUDP(w.HostMAC, w.PeerMAC, flow.Src, flow.Dst, flow.SrcPort, flow.DstPort, payload)
+	return w.Frames.UDP(w.HostMAC, w.PeerMAC, flow.Src, flow.Dst, flow.SrcPort, flow.DstPort, payload)
 }
 
 // UDPFrom builds an inbound UDP packet for the reverse of a flow (a peer
-// response).
+// response), from the world's free list.
 func (w *World) UDPFrom(flow packet.FlowKey, payload int) *packet.Packet {
-	return packet.NewUDP(w.PeerMAC, w.HostMAC, flow.Dst, flow.Src, flow.DstPort, flow.SrcPort, payload)
+	return w.Frames.UDP(w.PeerMAC, w.HostMAC, flow.Dst, flow.Src, flow.DstPort, flow.SrcPort, payload)
 }

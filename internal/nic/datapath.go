@@ -371,11 +371,13 @@ func (n *NIC) rxAdmit(j *job, now sim.Time) {
 		return
 	}
 	if n.Down(now) {
-		n.drop(j, RxOutage)
-		if n.SlowPath != nil {
-			n.RxSlowPath++
-			n.SlowPath(p, now)
+		if n.SlowPath == nil {
+			n.drop(j, RxOutage)
+			return
 		}
+		n.count(j, RxOutage)
+		n.RxSlowPath++
+		n.SlowPath(p, now)
 		return
 	}
 	if n.tap != nil {

@@ -48,8 +48,8 @@ const (
 // datapath release it (ledger.go). The list is
 // touched only from the NIC's engine goroutine, so sharded and parallel
 // worlds share nothing; it holds as many records as were ever in flight at
-// once. Packets are not pooled: taps, captures, retransmit queues and the
-// experiments keep them, and nothing tracks who still does.
+// once. The frame a job carries is not the job's: a typed drop gives it back
+// to the host's free list (drop, Config.Frames), every other exit hands it on.
 type job struct {
 	n     *NIC
 	c     *Conn // steered / owning connection; nil for unsteered ingress

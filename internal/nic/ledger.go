@@ -131,9 +131,18 @@ func (n *NIC) txSlotFree() {
 }
 
 // drop ends j's frame under reason r: count it, charge it to the frame's row
-// of the share table, trace it, release what the job held. The caller returns
-// without arming j.
+// of the share table, trace it, release what the job held, and give the frame
+// back to the host's free list. The caller returns without arming j.
 func (n *NIC) drop(j *job, r Reason) {
+	n.count(j, r)
+	n.frames.Recycle(j.p)
+}
+
+// count is drop for the one frame whose journey goes on past its drop: an
+// ingress frame that arrived during an outage is an outage drop to the
+// ledger, and the software slow path then takes it on (rxAdmit), so it stays
+// out of the free list.
+func (n *NIC) count(j *job, r Reason) {
 	*reasons[r].ctr(n)++
 	if r.Tx() {
 		n.txAhead--

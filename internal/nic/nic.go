@@ -39,6 +39,9 @@ type Config struct {
 	Model  timing.Model
 	LLC    *cache.LLC // host LLC shared with the host model; nil = no cache modeling
 	Alloc  *mem.Alloc // host physical address allocator
+	// Frames is the host's free list of frames: a typed drop gives the
+	// frame back to it. nil leaves dropped frames to the GC.
+	Frames *packet.Frames
 
 	RingSize   int // descriptors per ring (power of two)
 	BufBytes   int // host buffer bytes per descriptor
@@ -105,9 +108,10 @@ type NIC struct {
 	eng *sim.Engine
 	// model is the NIC's own copy of the cost model, taken at New and never
 	// written again: the price list below remembers what it computed from it.
-	model timing.Model
-	llc   *cache.LLC
-	alloc *mem.Alloc
+	model  timing.Model
+	llc    *cache.LLC
+	alloc  *mem.Alloc
+	frames *packet.Frames
 
 	ringSize int
 	bufBytes int
@@ -327,6 +331,7 @@ func New(cfg Config) *NIC {
 		model:      cfg.Model,
 		llc:        cfg.LLC,
 		alloc:      cfg.Alloc,
+		frames:     cfg.Frames,
 		ringSize:   cfg.RingSize,
 		bufBytes:   cfg.BufBytes,
 		dma:        sim.NewServer("nic.dma"),

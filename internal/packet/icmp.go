@@ -16,7 +16,8 @@ type ICMP struct {
 
 // NewICMPEcho builds an ICMP echo request or reply.
 func NewICMPEcho(srcMAC, dstMAC MAC, src, dst IPv4, icmpType uint8, id, seq uint16, payloadLen int) *Packet {
-	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoICMP, 8, payloadLen)
+	p := new(Packet)
+	p.initIPv4(srcMAC, dstMAC, src, dst, ProtoICMP, 8, payloadLen)
 	p.ICMP = &ICMP{Type: icmpType, ID: id, Seq: seq}
 	return p
 }

@@ -44,6 +44,51 @@ func TestConstructorAllocs(t *testing.T) {
 	}
 }
 
+// TestFramesRecycle pins the free list's contract: only a frame it lent comes
+// back, once, with its header pointers cleared; the next frame built is that
+// one, exactly as the GC constructors would build it, without allocating; and
+// the list keeps at most framesKept.
+func TestFramesRecycle(t *testing.T) {
+	var f Frames
+	lent := f.UDP(MAC{1}, MAC{2}, 1, 2, 3, 4, 64)
+	f.Recycle(NewUDP(MAC{1}, MAC{2}, 1, 2, 3, 4, 64))
+	f.Recycle(lent.Clone())
+	if f.Len() != 0 {
+		t.Fatalf("the list took %d frames it never lent", f.Len())
+	}
+	f.Recycle(lent)
+	if f.Len() != 1 || lent.IP != nil || lent.UDP != nil || lent.TCP != nil {
+		t.Fatalf("recycled frame: list holds %d, headers IP=%v UDP=%v TCP=%v", f.Len(), lent.IP, lent.UDP, lent.TCP)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("recycling a frame twice did not panic")
+			}
+		}()
+		f.Recycle(lent)
+	}()
+	reused := f.TCP(MAC{5}, MAC{6}, 7, 8, 9, 10, TCPAck, 100)
+	fresh := NewTCP(MAC{5}, MAC{6}, 7, 8, 9, 10, TCPAck, 100)
+	if reused != lent || reused.UDP != nil || *reused.IP != *fresh.IP || *reused.TCP != *fresh.TCP ||
+		reused.Eth != fresh.Eth || reused.Meta != fresh.Meta || reused.PayloadLen != fresh.PayloadLen {
+		t.Fatalf("the rebuilt frame differs from a fresh one: %+v vs %+v", reused, fresh)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Recycle(f.UDP(MAC{1}, MAC{2}, 1, 2, 3, 4, 64)) }); allocs != 0 {
+		t.Errorf("a frame off the list allocates %.1f, want 0", allocs)
+	}
+	burst := make([]*Packet, framesKept+10)
+	for i := range burst {
+		burst[i] = f.UDP(MAC{}, MAC{}, 1, 2, 3, 4, 0)
+	}
+	for _, p := range burst {
+		f.Recycle(p)
+	}
+	if f.Len() != framesKept {
+		t.Errorf("the list holds %d frames, bound %d", f.Len(), framesKept)
+	}
+}
+
 // TestCloneOwnsItsHeaders is the aliasing half of single-allocation packets:
 // a clone's header pointers must aim at the clone's own storage, so header
 // rewrites on sibling copies never show through the origin or each other —
@@ -93,10 +138,21 @@ func TestCloneOwnsItsHeaders(t *testing.T) {
 // is an empty stub — its uses fail to type, which is fine, because a Packet
 // never flows through one.
 type module struct {
-	root string
-	fset *token.FileSet
-	info *types.Info
-	pkgs map[string]*types.Package
+	root  string
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	funcs []*ast.FuncDecl // every function declaration parsed, to name a position's enclosing one
+}
+
+// enclosing names the function declaration that contains pos, or "".
+func (m *module) enclosing(pos token.Pos) string {
+	for _, fn := range m.funcs {
+		if fn.Pos() <= pos && pos < fn.End() {
+			return fn.Name.Name
+		}
+	}
+	return ""
 }
 
 func (m *module) Import(path string) (*types.Package, error) {
@@ -122,6 +178,11 @@ func (m *module) check(path, dir string, tests bool) *types.Package {
 		if !strings.HasSuffix(name, "_test") {
 			for _, f := range p.Files {
 				files = append(files, f)
+				for _, d := range f.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok {
+						m.funcs = append(m.funcs, fn)
+					}
+				}
 			}
 		}
 	}
@@ -161,8 +222,10 @@ func holdsPacket(t types.Type) bool {
 // by-value Packet: a dereferenced *Packet used as a value, or a variable,
 // field, parameter or element declared Packet rather than *Packet. Such a
 // copy's IP/UDP/TCP pointers still aim at the origin's embedded storage —
-// two "packets" sharing one set of headers. Clone is the one place that
-// copies the struct, and it re-aims the pointers.
+// two "packets" sharing one set of headers. Two places write a whole Packet
+// through a pointer, both in packet.go: Clone copies the struct and re-aims
+// the pointers, and initIPv4 — the one in-place init every IPv4 constructor
+// and the free list build on — overwrites a frame with a fresh literal.
 func TestNoPacketValueCopies(t *testing.T) {
 	m := &module{root: filepath.Join("..", ".."), fset: token.NewFileSet(), pkgs: map[string]*types.Package{},
 		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}}}
@@ -187,7 +250,7 @@ func TestNoPacketValueCopies(t *testing.T) {
 		rel, _ := filepath.Rel(m.root, p.Filename)
 		return filepath.ToSlash(rel)
 	}
-	inClone, pointers := 0, 0
+	admitted, pointers := map[string]int{}, 0
 	for e, tv := range m.info.Types {
 		if ptr, ok := tv.Type.(*types.Pointer); ok && holdsPacket(ptr.Elem()) && !strings.Contains(where(e.Pos()), "internal/packet/") {
 			pointers++
@@ -195,8 +258,8 @@ func TestNoPacketValueCopies(t *testing.T) {
 		if _, deref := e.(*ast.StarExpr); !deref || !tv.IsValue() || !holdsPacket(tv.Type) {
 			continue
 		}
-		if where(e.Pos()) == "internal/packet/packet.go" {
-			inClone++ // `*q = *p`: the struct copy Clone then repairs
+		if fn := m.enclosing(e.Pos()); where(e.Pos()) == "internal/packet/packet.go" && (fn == "Clone" || fn == "initIPv4") {
+			admitted[fn]++ // `*q = *p`, which Clone then repairs; `*p = Packet{…}`
 			continue
 		}
 		t.Errorf("%s: *Packet dereferenced as a value; the copy shares the origin's headers — use Clone", m.fset.Position(e.Pos()))
@@ -206,9 +269,11 @@ func TestNoPacketValueCopies(t *testing.T) {
 			t.Errorf("%s: %s holds a Packet by value; hold a *Packet", m.fset.Position(id.Pos()), id.Name)
 		}
 	}
-	// Positive controls: the checker saw Clone's own copy, and resolved the
-	// type across package boundaries (the datapath is full of *Packet).
-	if inClone == 0 || pointers < 100 {
-		t.Fatalf("checker is blind: %d copies seen in Clone, %d *Packet expressions outside the package", inClone, pointers)
+	// Positive controls: the checker saw Clone's copy and the in-place init,
+	// and resolved the type across package boundaries (the datapath is full
+	// of *Packet).
+	if admitted["Clone"] == 0 || admitted["initIPv4"] == 0 || pointers < 100 {
+		t.Fatalf("checker is blind: %d derefs seen in Clone, %d in initIPv4, %d *Packet expressions outside the package",
+			admitted["Clone"], admitted["initIPv4"], pointers)
 	}
 }

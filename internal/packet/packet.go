@@ -178,9 +178,10 @@ type Packet struct {
 
 	Meta Meta
 
-	ip  IP
-	tcp TCP
-	udp UDP
+	ip    IP
+	tcp   TCP
+	udp   UDP
+	state frameState // who frees the frame (frames.go); it sits in the struct's tail padding
 }
 
 // FrameLen returns the on-wire frame length in bytes (without FCS).
@@ -248,10 +249,12 @@ func (p *Packet) Flow() (k FlowKey, ok bool) {
 // Clone returns a deep copy of the packet (headers and payload). The copy's
 // IP/UDP/TCP headers live in its own embedded storage wherever the origin's
 // lived, so the copy is one allocation plus one for ARP, ICMP or carried
-// payload bytes.
+// payload bytes. The copy belongs to whoever made it: no free list takes it
+// back, even when the origin came from one.
 func (p *Packet) Clone() *Packet {
 	q := new(Packet)
 	*q = *p
+	q.state = frameLoose
 	if p.ARP != nil {
 		a := *p.ARP
 		q.ARP = &a
@@ -278,32 +281,45 @@ func (p *Packet) Clone() *Packet {
 	return q
 }
 
-// newIPv4 builds the frame every IPv4 transport constructor starts from, its
-// IP header in embedded storage; l4 is the transport header length.
-func newIPv4(srcMAC, dstMAC MAC, src, dst IPv4, proto uint8, l4, payloadLen int) *Packet {
-	p := &Packet{
+// initIPv4 rebuilds p in place as the frame every IPv4 transport constructor
+// starts from, its IP header in embedded storage; l4 is the transport header
+// length. Every field is overwritten, so a frame off a free list (frames.go)
+// comes out exactly as a fresh one would, loose until its list marks it.
+func (p *Packet) initIPv4(srcMAC, dstMAC MAC, src, dst IPv4, proto uint8, l4, payloadLen int) {
+	*p = Packet{
 		Eth:        Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
 		PayloadLen: payloadLen,
 		ip:         IP{TotalLen: uint16(20 + l4 + payloadLen), TTL: 64, Proto: proto, Src: src, Dst: dst},
 	}
 	p.IP = &p.ip
-	return p
+}
+
+// initUDP rebuilds p in place as a UDP datagram.
+func (p *Packet) initUDP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, payloadLen int) {
+	p.initIPv4(srcMAC, dstMAC, src, dst, ProtoUDP, 8, payloadLen)
+	p.udp = UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)}
+	p.UDP = &p.udp
+}
+
+// initTCP rebuilds p in place as a TCP segment.
+func (p *Packet) initTCP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, flags uint8, payloadLen int) {
+	p.initIPv4(srcMAC, dstMAC, src, dst, ProtoTCP, 20, payloadLen)
+	p.tcp = TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535}
+	p.TCP = &p.tcp
 }
 
 // NewUDP builds a UDP datagram with the given addressing and payload size.
 func NewUDP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, payloadLen int) *Packet {
-	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoUDP, 8, payloadLen)
-	p.udp = UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)}
-	p.UDP = &p.udp
+	p := new(Packet)
+	p.initUDP(srcMAC, dstMAC, src, dst, sport, dport, payloadLen)
 	return p
 }
 
 // NewTCP builds a TCP segment with the given addressing, flags and payload
 // size.
 func NewTCP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, flags uint8, payloadLen int) *Packet {
-	p := newIPv4(srcMAC, dstMAC, src, dst, ProtoTCP, 20, payloadLen)
-	p.tcp = TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535}
-	p.TCP = &p.tcp
+	p := new(Packet)
+	p.initTCP(srcMAC, dstMAC, src, dst, sport, dport, flags, payloadLen)
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"norman/internal/packet"
 	"norman/internal/sim"
@@ -31,8 +32,11 @@ func (r Record) Attribution() string {
 // Tap collects packets mirrored to it by an interposition layer, applying a
 // filter expression and keeping at most limit records (oldest evicted).
 type Tap struct {
-	expr    *Expr
+	expr *Expr
+	// records is a ring once it holds limit records: head is the oldest, and
+	// a new record overwrites it.
 	records []Record
+	head    int
 	limit   int
 	seen    uint64
 	matched uint64
@@ -56,16 +60,27 @@ func (t *Tap) Offer(p *packet.Packet, now sim.Time) {
 		return
 	}
 	t.matched++
-	if len(t.records) >= t.limit {
-		copy(t.records, t.records[1:])
-		t.records = t.records[:len(t.records)-1]
-		t.evicted++
+	rec := Record{At: now, Pkt: p.Clone()}
+	if len(t.records) < t.limit {
+		t.records = append(t.records, rec)
+		return
 	}
-	t.records = append(t.records, Record{At: now, Pkt: p.Clone()})
+	t.records[t.head] = rec
+	t.head = (t.head + 1) % len(t.records)
+	t.evicted++
 }
 
-// Records returns the retained captures in arrival order.
-func (t *Tap) Records() []Record { return t.records }
+// Records returns the retained captures in arrival order. A wrapped ring is
+// rotated in place first, so reading costs nothing between evictions.
+func (t *Tap) Records() []Record {
+	if t.head != 0 {
+		slices.Reverse(t.records[:t.head])
+		slices.Reverse(t.records[t.head:])
+		slices.Reverse(t.records)
+		t.head = 0
+	}
+	return t.records
+}
 
 // Counters returns packets seen, matched and evicted.
 func (t *Tap) Counters() (seen, matched, evicted uint64) {

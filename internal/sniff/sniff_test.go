@@ -122,6 +122,33 @@ func TestTapFilterAndEviction(t *testing.T) {
 	}
 }
 
+// TestTapRingKeepsArrivalOrder: once full, the tap overwrites its oldest
+// record in place, and Records reads arrival order at every step — including
+// reads in the middle of a wrap, after which capture goes on where it was.
+func TestTapRingKeepsArrivalOrder(t *testing.T) {
+	const limit = 5
+	tap := NewTap(nil, limit)
+	for i := 0; i < 4*limit+2; i++ {
+		tap.Offer(udp(1, 2, uint16(i), 53), sim.Time(i))
+		if i%3 != 0 {
+			continue // let some wraps go unread
+		}
+		recs := tap.Records()
+		first := 0
+		if i >= limit {
+			first = i + 1 - limit
+		}
+		if len(recs) != i+1-first {
+			t.Fatalf("after %d offers: %d records", i+1, len(recs))
+		}
+		for k, r := range recs {
+			if want := first + k; r.At != sim.Time(want) || r.Pkt.UDP.SrcPort != uint16(want) {
+				t.Fatalf("after %d offers: record %d is #%d, want #%d", i+1, k, r.Pkt.UDP.SrcPort, want)
+			}
+		}
+	}
+}
+
 func TestTapClonesPackets(t *testing.T) {
 	tap := NewTap(nil, 10)
 	p := udp(1, 2, 3, 4)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,6 +123,34 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(tr.Format(a), "not traced") {
 		t.Fatal("format of evicted id")
+	}
+}
+
+// TestTracerWindow holds the tracker to the stamp-order queue it replaced: at
+// every stamp, below and past the depth, the tracked IDs are exactly the last
+// depth stamped, in stamp order, and only they keep a span.
+func TestTracerWindow(t *testing.T) {
+	for _, depth := range []int{1, 3, 8} {
+		tr := NewTracer(depth)
+		var order []uint64 // the oracle: every ID stamped, oldest evicted past depth
+		if ids := tr.IDs(); len(ids) != 0 {
+			t.Fatalf("depth %d: a fresh tracer tracks %v", depth, ids)
+		}
+		for i := 0; i < 4*depth; i++ {
+			order = append(order, tr.StampID())
+			if len(order) > depth {
+				order = order[1:]
+			}
+			if got := tr.IDs(); fmt.Sprint(got) != fmt.Sprint(order) {
+				t.Fatalf("depth %d, stamp %d: IDs %v, want %v", depth, i+1, got, order)
+			}
+			if _, oldest := tr.spans[order[0]]; len(tr.spans) != len(order) || !oldest {
+				t.Fatalf("depth %d, stamp %d: %d spans kept for %v", depth, i+1, len(tr.spans), order)
+			}
+		}
+		if _, _, evicted := tr.Stats(); evicted != uint64(3*depth) {
+			t.Fatalf("depth %d: %d evicted, want %d", depth, evicted, 3*depth)
+		}
 	}
 }
 

@@ -28,14 +28,15 @@ func (e Event) String() string {
 	return s
 }
 
-// Tracer records packet-lifecycle spans into a bounded ring: at most depth
-// distinct packet IDs are retained, oldest-stamped evicted first. It is
-// single-world state like every other dataplane structure — one Tracer per
-// engine, no locking, fully deterministic.
+// Tracer records packet-lifecycle spans into a bounded window: at most depth
+// distinct packet IDs are retained, oldest-stamped evicted first. IDs are
+// issued consecutively from 1, so the tracked set is always the last depth of
+// them, (nextID−depth, nextID]. It is single-world state like every other
+// dataplane structure — one Tracer per engine, no locking, fully
+// deterministic.
 type Tracer struct {
 	depth  int
 	nextID uint64
-	order  []uint64 // IDs in stamp order; the eviction ring
 	spans  map[uint64][]Event
 
 	events  uint64 // total events recorded (including onto evicted IDs' lives)
@@ -59,14 +60,10 @@ func (t *Tracer) StampID() uint64 {
 	t.nextID++
 	t.stamped++
 	id := t.nextID
-	if len(t.order) >= t.depth {
-		old := t.order[0]
-		copy(t.order, t.order[1:])
-		t.order = t.order[:len(t.order)-1]
-		delete(t.spans, old)
+	if id > uint64(t.depth) {
+		delete(t.spans, id-uint64(t.depth))
 		t.evicted++
 	}
-	t.order = append(t.order, id)
 	t.spans[id] = nil
 	return id
 }
@@ -99,7 +96,15 @@ func (t *Tracer) Trace(id uint64) []Event {
 
 // IDs returns the tracked packet IDs in stamp order.
 func (t *Tracer) IDs() []uint64 {
-	return append([]uint64(nil), t.order...)
+	first := uint64(1)
+	if t.nextID > uint64(t.depth) {
+		first = t.nextID - uint64(t.depth) + 1
+	}
+	ids := make([]uint64, 0, t.nextID+1-first)
+	for id := first; id <= t.nextID; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // Stats returns cumulative stamped IDs, recorded events, and evicted spans —

@@ -104,7 +104,7 @@ func (r *Responder) Recv(p *packet.Packet, at sim.Time) {
 		r.AckDrops++
 		return
 	}
-	ack := packet.NewTCP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
+	ack := r.a.World().Frames.TCP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
 		p.TCP.DstPort, p.TCP.SrcPort, packet.TCPAck, 0)
 	ack.TCP.Ack = r.rcvNxt
 	r.AcksSent++

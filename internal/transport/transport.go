@@ -206,14 +206,15 @@ func (s *Stream) maxRetries() int {
 
 func (s *Stream) now() sim.Time { return s.a.World().Eng.Now() }
 
-// segment builds the TCP data segment starting at seq.
+// segment builds the TCP data segment starting at seq, from the world's free
+// list: the wire peer's return ends its journey.
 func (s *Stream) segment(seq uint32) *packet.Packet {
 	n := uint32(MSS)
 	if rem := s.cfg.TotalBytes - seq; rem < n {
 		n = rem
 	}
 	w := s.a.World()
-	p := packet.NewTCP(w.HostMAC, w.PeerMAC, s.flow.Src, s.flow.Dst,
+	p := w.Frames.TCP(w.HostMAC, w.PeerMAC, s.flow.Src, s.flow.Dst,
 		s.flow.SrcPort, s.flow.DstPort, packet.TCPPsh, int(n))
 	p.TCP.Seq = seq
 	return p

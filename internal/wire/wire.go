@@ -17,7 +17,8 @@ import (
 )
 
 // Handler consumes a frame addressed to an endpoint. Responses go back
-// through Endpoint.Send.
+// through Endpoint.Send. It borrows the frame for the call, as the world's
+// Peer does: a response is a new frame, never the one received.
 type Handler func(ep *Endpoint, p *packet.Packet, at sim.Time)
 
 // Endpoint is one remote host on the network.

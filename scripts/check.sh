@@ -35,6 +35,15 @@ if grep -nE 'TxAppDrops(\+\+| \+=)|\.drops\[|hostCtr\(' \
 	exit 1
 fi
 
+# A frame goes back to its world where its journey ends (DESIGN.md §8): the
+# frames built per packet — the world's UDP frames, the transport's segments
+# and ACKs — come off the world's free list, never from the GC constructors.
+if grep -nE 'packet\.New(UDP|TCP)\(' internal/arch/world.go \
+	$(ls internal/transport/*.go | grep -v _test.go); then
+	echo "per-frame construction outside the world's free list (use World.Frames, UDPTo, UDPFrom)" >&2
+	exit 1
+fi
+
 # One executor: Machine.Run steps through lowered code with pre-decoded costs.
 # The instruction-at-a-time loop it replaced (Inst.Cost() summed per step) is
 # the differential oracle and lives in internal/overlay's test files only.
@@ -168,9 +177,10 @@ done <<'PASSES'
 # E12: the barrier coordinator's merge order at any shard count (DESIGN.md §8)
 - E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
 # datapath job records: every early exit returns its record, hot paths allocate
-# nothing; the engine timer's order identity and the stream that re-arms it;
+# nothing; every exit gives a world-built frame back once, after its callee;
+# the engine timer's order identity and the stream that re-arms it;
 # stopped timers are purged and closed connections leave nothing behind
-7 Jobs|ZeroAlloc|HandlerForm|Timer|StreamAllocs|Responder|Churn|Purge|LeavesNothing ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/... ./internal/host/... .
+7 Jobs|ZeroAlloc|FramesComeBack|SpansSurvive|HandlerForm|Timer|StreamAllocs|Responder|Churn|Purge|LeavesNothing ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/... ./internal/host/... .
 # the supervision kernel, and the goldens its three users must reproduce byte for byte
 7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
 # the NIC's one way out: every exit balances the ledger, the fuzz corpus,
