@@ -216,7 +216,7 @@ func (s *System) applyQdisc(spec *recovery.QdiscRecord) error {
 	case "pfifo":
 		q = qos.NewPFIFO(spec.Limit)
 	case "tbf":
-		q = qos.NewTBF(qos.NewPFIFO(spec.Limit), spec.RateBps, spec.BurstBytes)
+		q = qos.NewTBF(spec.Limit, spec.RateBps, spec.BurstBytes)
 	default:
 		return fmt.Errorf("norman: unknown qdisc %q", spec.Kind)
 	}

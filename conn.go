@@ -154,10 +154,6 @@ func (c *Conn) SetRateLimit(bytesPerSecond float64) error {
 	if c.c.NC == nil {
 		return fmt.Errorf("norman: rate limit: %w", arch.ErrUnsupported)
 	}
-	// One millisecond of burst, floored at a full frame.
-	burst := bytesPerSecond / 1000
-	if burst < 1514 {
-		burst = 1514
-	}
-	return c.sys.w.NIC.SetConnRate(c.c.Info.ID, bytesPerSecond, burst)
+	// One millisecond of burst; a larger frame leaves the bucket in debt.
+	return c.sys.w.NIC.SetConnRate(c.c.Info.ID, bytesPerSecond, bytesPerSecond/1000)
 }

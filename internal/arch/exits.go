@@ -36,7 +36,7 @@ const (
 var hostReasons = [NumHostReasons]struct{ name, help string }{
 	HostTxRing:     {"tx_ring", "descriptor ring full on the way down: an application's TX ring, the app-to-sidecar ring or the kernel's NIC queue"},
 	HostTxFilter:   {"tx_filter", "dropped by a software OUTPUT-chain verdict"},
-	HostTxQdisc:    {"tx_qdisc", "refused by the software qdisc at enqueue, or still queued in one that was replaced"},
+	HostTxQdisc:    {"tx_qdisc", "refused by the software qdisc at enqueue (full, or larger than a tbf burst), or still queued in one that was replaced"},
 	HostTxOutage:   {"tx_outage", "sent, or still queued, while the kernel stack's control plane (which is its dataplane) was down"},
 	HostRxOutage:   {"rx_outage", "popped from a kernel queue while the kernel stack was down"},
 	HostRxFilter:   {"rx_filter", "dropped by a software INPUT-chain verdict"},
@@ -127,6 +127,8 @@ func (b *base) backlog() uint64 {
 // packet an application sent reached a NIC TX ring, waits in the software
 // qdisc or was dropped under exactly one tx reason, and every frame popped
 // from an RX ring was delivered, absorbed or dropped under one rx reason.
+// On a drained engine nothing may wait in the qdisc (the idle law): no event
+// is left that would ever move it.
 func (b *base) balance() error {
 	var rx, tx uint64
 	for r := HostReason(0); r < NumHostReasons; r++ {
@@ -141,6 +143,9 @@ func (b *base) balance() error {
 	if down != 0 || up != 0 {
 		return fmt.Errorf("arch: host ledger residual down=%d up=%d (sent=%d handed=%d qdisc_backlog=%d tx_drops=%d; popped=%d delivered=%d absorbed=%d rx_drops=%d)",
 			down, up, b.sent, b.handed, b.backlog(), tx, b.popped, b.delivered, b.absorbed, rx)
+	}
+	if q := b.backlog(); q != 0 {
+		return fmt.Errorf("arch: drained engine leaves %d packets in the software qdisc", q)
 	}
 	return nil
 }

@@ -107,7 +107,7 @@ var hostExits = [NumHostReasons]struct {
 	// A shaped qdisc with a four-packet queue refuses most of a 200-packet
 	// burst; a replaced qdisc takes what it still queued with it.
 	HostTxQdisc: {archs: softArchs, run: func(t *testing.T, x *exitWorld) uint64 {
-		tbf := qos.NewTBF(qos.NewPFIFO(4), 1e9/8, 3000)
+		tbf := qos.NewTBF(4, 1e9/8, 3000)
 		if err := x.a.SetQdisc(tbf, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ var hostExits = [NumHostReasons]struct {
 	// The crash catches packets at every depth of the kernel stack: queued in
 	// the qdisc, between the syscall and the stack, and not yet sent.
 	HostTxOutage: {archs: []string{"kernelstack"}, run: func(t *testing.T, x *exitWorld) uint64 {
-		if err := x.a.SetQdisc(qos.NewTBF(qos.NewPFIFO(64), 1e9/8, 3000), nil); err != nil {
+		if err := x.a.SetQdisc(qos.NewTBF(64, 1e9/8, 3000), nil); err != nil {
 			t.Fatal(err)
 		}
 		x.a.SendBatch(x.c, x.burst(10, 1000))
@@ -252,6 +252,64 @@ func TestSpansSurviveTheSocket(t *testing.T) {
 			x.a.Send(x.c, x.w.UDPTo(x.flow, 64))
 			if first, last := journey(&wired); first != "host syscall_send" || last != "wire tx" {
 				t.Errorf("outbound journey runs %q … %q, want host syscall_send … wire tx", first, last)
+			}
+		})
+	}
+}
+
+// decliner is a mutant qdisc: it reports its backlog ready now and then
+// declines every Dequeue, at its own ReadyAt too.
+type decliner struct{ *qos.PFIFO }
+
+func (decliner) Dequeue(sim.Time) (*packet.Packet, bool) { return nil, false }
+
+// TestDrainCatchesStrandedQdisc: neither pump retries, so a qdisc that breaks
+// the ReadyAt contract keeps its backlog on a drained engine, and Drain
+// fails, through the NIC's idle law where the qdisc sits on the NIC and the
+// host's where it sits in software.
+func TestDrainCatchesStrandedQdisc(t *testing.T) {
+	for _, name := range []string{"kopi", "hypervisor", "kernelstack", "sidecar"} {
+		t.Run(name, func(t *testing.T) {
+			x := newExitWorld(t, name, WorldConfig{})
+			if err := x.a.SetQdisc(decliner{qos.NewPFIFO(64)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			x.a.SendBatch(x.c, x.burst(3, 64))
+			err := x.w.Drain()
+			if err == nil || !strings.Contains(err.Error(), "qdisc") {
+				t.Fatalf("Drain = %v, want the idle law to report the stranded backlog", err)
+			}
+		})
+	}
+}
+
+// TestStalePumpRearms: a shaper that already sent, installed again while the
+// pump sleeps on the qdisc it replaces, is not ready when that pump wakes;
+// the pump arms it at its own instant instead of leaving its packet behind.
+func TestStalePumpRearms(t *testing.T) {
+	for _, name := range softArchs {
+		t.Run(name, func(t *testing.T) {
+			x := newExitWorld(t, name, WorldConfig{})
+			shaper := qos.NewTBF(64, 1e5, 1514) // 1442B frames; refilling one takes 14ms
+			if err := x.a.SetQdisc(shaper, nil); err != nil {
+				t.Fatal(err)
+			}
+			x.a.Send(x.c, x.w.UDPTo(x.flow, 1400))
+			x.w.Eng.Run()
+			if err := x.a.SetQdisc(qos.NewTBF(64, 1e6, 1514), nil); err != nil {
+				t.Fatal(err)
+			}
+			x.a.SendBatch(x.c, x.burst(8, 1400))
+			x.w.Eng.RunUntil(x.w.Eng.Now().Add(50 * sim.Microsecond)) // the pump sleeps ~1.4ms
+			if err := x.a.SetQdisc(shaper, nil); err != nil {
+				t.Fatal(err)
+			}
+			x.a.Send(x.c, x.w.UDPTo(x.flow, 1400))
+			if err := x.w.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if x.onWire != 3 || x.w.host.hostDropped(HostTxQdisc) != 7 {
+				t.Fatalf("%d on the wire, %d under tx_qdisc; want 3 and 7", x.onWire, x.w.host.hostDropped(HostTxQdisc))
 			}
 		})
 	}

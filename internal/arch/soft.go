@@ -180,15 +180,20 @@ func (s *soft) pumpTx() {
 			})
 			return
 		}
-		if p, ok := s.sched.Dequeue(s.w.Eng.Now()); ok {
+		now := s.w.Eng.Now()
+		if p, ok := s.sched.Dequeue(now); ok {
 			// pushToNIC re-arms the pump once its push has landed, so the
 			// BQL check above always sees the true ring occupancy. The
 			// dequeue runs in softirq context: the kernel core pays.
 			s.pushToNIC(p, s.w.KernCore())
 			return
 		}
-		// No progress: a shaped qdisc deferred; retry shortly.
-		s.w.Eng.After(100*sim.Nanosecond, s.pumpTx)
+		// The pump slept on a qdisc SetQdisc has since replaced: arm the
+		// new one at its own instant. A qdisc that declines at its own
+		// ReadyAt gets no retry; it keeps its backlog and balance says so.
+		if at, ok := s.sched.ReadyAt(now); ok && at > now {
+			s.pumpTx()
+		}
 	})
 }
 

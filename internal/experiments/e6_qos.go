@@ -138,7 +138,7 @@ func e6Game(name string, scale Scale) E6Game {
 	// Band 0: everything else, FIFO. Band 1: the game user, shaped to 1G.
 	sched := qos.NewPrioWith(
 		qos.NewPFIFO(512),
-		qos.NewTBF(qos.NewPFIFO(512), sim.Gbps(1), 64<<10),
+		qos.NewTBF(512, sim.Gbps(1), 64<<10),
 	)
 	classify := func(p *packet.Packet) uint32 {
 		if p.Meta.TrustedMeta && p.Meta.UID == bob.UID {

@@ -91,26 +91,14 @@ func (n *NIC) drainTx(c *Conn) {
 		}
 		return
 	}
-	if c.rlRate > 0 {
-		// Per-connection pacing: fetch the next descriptor only when the
-		// token bucket covers the head frame.
-		head, err := c.TX.Peek()
-		if err == nil {
-			if now > c.rlLast {
-				c.rlTokens += now.Sub(c.rlLast).Seconds() * c.rlRate
-				if c.rlTokens > c.rlBurst {
-					c.rlTokens = c.rlBurst
-				}
-				c.rlLast = now
-			}
-			need := float64(head.Pkt.FrameLen())
-			if c.rlTokens < need {
+	if c.pacer != nil {
+		// Per-connection pacing: fetch the next descriptor only once the
+		// token bucket covers the head frame, and not a picosecond later.
+		if head, err := c.TX.Peek(); err == nil {
+			if at := c.pacer.ReadyAt(head.Pkt.FrameLen(), now); at > now {
 				if !c.rlWaiting {
 					c.rlWaiting = true
-					// The extra nanosecond absorbs float truncation; a
-					// zero wait would respin at the same instant forever.
-					wait := sim.Duration((need-c.rlTokens)/c.rlRate*float64(sim.Second)) + sim.Nanosecond
-					n.job(c, nil).arm(stTxPaced, now.Add(wait))
+					n.job(c, nil).arm(stTxPaced, at)
 				}
 				return
 			}
@@ -136,8 +124,8 @@ func (n *NIC) drainTx(c *Conn) {
 	if n.tracer != nil {
 		n.trace(p, now, "ring", "tx_dequeue", fmt.Sprintf("conn=%d slot=%d", c.ID, index))
 	}
-	if c.rlRate > 0 {
-		c.rlTokens -= float64(frame)
+	if c.pacer != nil {
+		c.pacer.Take(frame, now)
 	}
 
 	j := n.job(c, p)
@@ -255,9 +243,12 @@ func (n *NIC) pump() {
 		n.pumpWire()
 		return
 	}
-	// No progress (e.g. a shaper's tokens not yet accrued): retry a little
-	// later rather than spinning at this instant.
-	n.job(nil, nil).arm(stPumpRetry, now.Add(100*sim.Nanosecond))
+	// This dequeue was armed for a qdisc SetScheduler has since replaced:
+	// arm the new one at its own instant. A qdisc that declines at its own
+	// ReadyAt gets no retry; it keeps its backlog and Balance says so.
+	if at, ok := n.sched.ReadyAt(now); ok && at > now {
+		n.pumpWire()
+	}
 }
 
 // transmit serializes j's frame, of connection c (nil: none, or closed

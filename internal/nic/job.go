@@ -30,8 +30,7 @@ const (
 	stTxInject // control-plane frame leaves the pipeline → transmit
 	stTxWire   // serialized → release the staging slot if still held, OnTransmit
 
-	stPump      // qdisc dequeue instant → pump
-	stPumpRetry // the qdisc made no progress → pumpWire
+	stPump // qdisc dequeue instant → pump
 )
 
 // job is the NIC's one per-event record: everything a datapath continuation
@@ -149,8 +148,6 @@ func (j *job) Fire() {
 		}
 	case stPump:
 		n.pump()
-	case stPumpRetry:
-		n.pumpWire()
 	default:
 		panic("nic: datapath job fired in a stage no event resumes")
 	}

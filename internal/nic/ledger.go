@@ -206,7 +206,7 @@ var ledgerTerms = []struct {
 	{"rx_paused", "frames waiting in the cutover pause buffer", func(n *NIC) uint64 { return uint64(len(n.rxPauseBuf)) }},
 	{"rx_inflight", "frames holding an ingress FIFO slot (pipeline, DMA)", func(n *NIC) uint64 { return uint64(n.rxInflight) }},
 	{"tx_accepted", "frames taken for transmit: fetched descriptors and control-plane injects", func(n *NIC) uint64 { return n.txAccepted }},
-	{"tx_qdisc_refused", "frames the egress qdisc refused at enqueue (its own per-class bound)", func(n *NIC) uint64 { return n.txRefused }},
+	{"tx_qdisc_refused", "frames the egress qdisc refused at enqueue (its own per-class bound, or larger than a tbf burst)", func(n *NIC) uint64 { return n.txRefused }},
 	{"tx_ahead", "accepted frames not yet on the wire: in the egress pipeline or queued in the qdisc", func(n *NIC) uint64 { return uint64(n.txAhead) }},
 }
 
@@ -233,9 +233,11 @@ func (n *NIC) residuals() (rx, tx int64) {
 // Balance states the NIC's conservation law. At any instant between events
 // every frame off the wire, and every frame accepted for transmit, is
 // delivered, counted under exactly one Reason, punted, or in flight (the
-// counter law). With no job record outstanding nothing is in flight: the
-// FIFO, every tenant share, the staging buffer and the stall list are empty
-// and only the qdisc's backlog is ahead of the wire (the occupancy law).
+// counter law). With no job record outstanding nothing is in flight and
+// nothing waits (the idle law): the FIFO, every tenant share, the staging
+// buffer, the stall list and the qdisc are empty and tx_ahead is zero. A
+// qdisc backlog always has a pending dequeue holding a record; one without
+// would never move.
 func (n *NIC) Balance() error {
 	if rx, tx := n.residuals(); rx != 0 || tx != 0 {
 		return fmt.Errorf("nic: ledger residual rx=%d tx=%d (rx_wire=%d tx_frames=%d rx_drops=%d tx_drops=%d)",
@@ -245,8 +247,8 @@ func (n *NIC) Balance() error {
 	if n.sched != nil {
 		queued = n.sched.Len()
 	}
-	if n.jobsOut == 0 && (n.rxInflight != 0 || shares != 0 || n.txInflight != 0 || len(n.txStalled) != 0 || n.txAhead != queued) {
-		return fmt.Errorf("nic: idle datapath holds rx_inflight=%d tenant_shares=%d tx_inflight=%d stalled=%d tx_ahead=%d (qdisc backlog %d)",
+	if n.jobsOut == 0 && (n.rxInflight != 0 || shares != 0 || n.txInflight != 0 || len(n.txStalled) != 0 || n.txAhead != 0 || queued != 0) {
+		return fmt.Errorf("nic: idle datapath holds rx_inflight=%d tenant_shares=%d tx_inflight=%d stalled=%d tx_ahead=%d qdisc_backlog=%d",
 			n.rxInflight, shares, n.txInflight, len(n.txStalled), n.txAhead, queued)
 	}
 	return nil

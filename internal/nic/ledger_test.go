@@ -2,6 +2,7 @@ package nic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"norman/internal/mem"
@@ -32,6 +33,7 @@ func FuzzNICLedger(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Add([]byte{0x02, 0x72, 0x72, 0x0d, 0x0f, 0x0d, 0x72, 0x1f, 0x2f, 13}) // swap a backlogged qdisc, then to none and back
+	f.Add([]byte{0x02, 0x3f, 0x0f, 0x72, 0xfd, 0x72, 0x3f, 0xfd, 13})       // pace, then a TBF refusing frames past its burst
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, d := range disciplines {
@@ -65,7 +67,7 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 			_, _ = c.RX.Pop()
 		}
 	}
-	linkUp, shedding := true, false
+	linkUp, shedding, paced := true, false, false
 
 	for i, op := range ops[1:] {
 		arg := int(op >> 4)
@@ -78,7 +80,7 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 			for k := 0; k <= arg&3 && !c.TX.Full(); k++ {
 				p := udpTo(80)
 				if arg&4 != 0 {
-					p = packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 600)
+					p = packet.NewTCP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, packet.TCPAck, 1500) // 1554B: more than the TBF burst
 				}
 				_ = c.TX.Push(mem.Desc{Pkt: p})
 			}
@@ -135,14 +137,22 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 			n.InjectTx(udpTo(9))
 		case 15:
 			// Swap the egress qdisc under whatever it holds: a shaper that
-			// keeps a backlog, a short FIFO, or none.
-			switch arg % 3 {
+			// keeps a backlog, a short FIFO, or none; or pace connection 1
+			// with a one-frame burst, or stop pacing it.
+			switch arg % 4 {
 			case 0:
-				n.SetScheduler(qos.NewTBF(qos.NewPFIFO(64), 1e6, 1514))
+				n.SetScheduler(qos.NewTBF(64, 1e6, 1514))
 			case 1:
 				n.SetScheduler(qos.NewPFIFO(4))
 			case 2:
 				n.SetScheduler(nil)
+			case 3:
+				paced = !paced
+				rate, burst := 0.0, 0.0
+				if paced {
+					rate, burst = 1e6, 1514
+				}
+				_ = n.SetConnRate(1, rate, burst)
 			}
 		}
 		if err := n.Balance(); err != nil {
@@ -173,7 +183,7 @@ func TestQdiscSwapCountsBacklog(t *testing.T) {
 			t.Run(via+"/"+d.name, func(t *testing.T) {
 				n, eng, c := jobWorld(t, d.weights)
 				n.CommitConfig(eng.Now()) // known-good: no qdisc
-				n.SetScheduler(qos.NewTBF(qos.NewPFIFO(64), 1e6, 1514))
+				n.SetScheduler(qos.NewTBF(64, 1e6, 1514))
 				for i := 0; i < 8; i++ {
 					p := packet.NewUDP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, 1400)
 					if err := c.TX.Push(mem.Desc{Pkt: p}); err != nil {
@@ -207,5 +217,71 @@ func TestQdiscSwapCountsBacklog(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// decliner is a mutant qdisc: it reports its backlog ready now and then
+// declines every Dequeue, at its own ReadyAt too.
+type decliner struct{ *qos.PFIFO }
+
+func (decliner) Dequeue(sim.Time) (*packet.Packet, bool) { return nil, false }
+
+// TestIdleLawCatchesStrandedQdisc: the pump never retries, so a qdisc that
+// breaks the ReadyAt contract strands its backlog with no event left to move
+// it, and the idle law says so.
+func TestIdleLawCatchesStrandedQdisc(t *testing.T) {
+	for _, d := range disciplines {
+		t.Run(d.name, func(t *testing.T) {
+			n, eng, c := jobWorld(t, d.weights)
+			n.SetScheduler(decliner{qos.NewPFIFO(64)})
+			pushTx(t, n, c, 3)
+			drained(t, n, eng)
+			err := n.Balance()
+			if err == nil || !strings.Contains(err.Error(), "qdisc_backlog=3") {
+				t.Fatalf("Balance = %v, want the idle law to report 3 stranded frames", err)
+			}
+		})
+	}
+}
+
+// TestStalePumpRearms: RestoreConfig can put back a shaper that already sent
+// and whose bucket is still refilling, while a dequeue armed for the qdisc it
+// replaces is pending. That dequeue finds the restored shaper not yet ready
+// and arms it at its own instant instead of leaving its frame stranded.
+func TestStalePumpRearms(t *testing.T) {
+	for _, d := range disciplines {
+		t.Run(d.name, func(t *testing.T) {
+			n, eng, c := jobWorld(t, d.weights)
+			push := func(k int) {
+				for i := 0; i < k; i++ {
+					p := packet.NewUDP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, 1400)
+					if err := c.TX.Push(mem.Desc{Pkt: p}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n.DoorbellTx(c)
+			}
+			n.SetScheduler(qos.NewTBF(64, 1e5, 1514)) // 1442B frames; refilling one takes 14ms
+			push(1)
+			eng.Run()
+			n.CommitConfig(eng.Now()) // the shaper that has just sent
+			n.SetScheduler(qos.NewTBF(64, 1e6, 1514))
+			push(8)
+			eng.RunUntil(eng.Now().Add(50 * sim.Microsecond)) // one sent, a dequeue pending ~1.4ms out
+			if _, err := n.RestoreConfig(n.LastGoodConfig()); err != nil {
+				t.Fatal(err)
+			}
+			push(1)
+			drained(t, n, eng)
+			if err := n.Balance(); err != nil {
+				t.Fatal(err)
+			}
+			if n.TxFrames != 3 || n.txRefused != 7 {
+				t.Fatalf("%d sent, %d refused; want 3 and 7", n.TxFrames, n.txRefused)
+			}
+			if at := sim.Duration(eng.Now()); at < 13*sim.Millisecond {
+				t.Fatalf("the restored shaper sent at %v, before its bucket refilled", at)
+			}
+		})
 	}
 }

@@ -81,11 +81,8 @@ type Conn struct {
 	// Per-connection egress rate limit (SENIC/PicNIC-style offload): the
 	// TX drain paces descriptor fetches against a token bucket, so a
 	// misbehaving sender is throttled before its traffic ever reaches the
-	// shared scheduler. Zero rate = unlimited.
-	rlRate   float64 // bytes per second
-	rlBurst  float64 // bucket depth in bytes
-	rlTokens float64
-	rlLast   sim.Time
+	// shared scheduler. Nil = unlimited.
+	pacer *qos.Bucket
 
 	RxDelivered uint64
 	RxDropped   uint64
@@ -465,24 +462,18 @@ func (n *NIC) SRAM() (used, budget int) {
 }
 
 // SetConnRate installs (or clears, with rate<=0) a per-connection egress
-// rate limit in bytes/second with the given burst. Programmed by the
-// control plane through configuration registers (§4.4).
+// rate limit in bytes/second with the given burst, starting full. A frame
+// larger than the burst leaves from a full bucket and leaves it in debt.
+// Programmed by the control plane through configuration registers (§4.4).
 func (n *NIC) SetConnRate(id uint64, rate, burst float64) error {
 	c, ok := n.conns[id]
 	if !ok {
 		return ErrNoSuchConn
 	}
-	if rate <= 0 {
-		c.rlRate = 0
-		return nil
+	c.pacer = nil
+	if rate > 0 {
+		c.pacer = qos.NewBucket(rate, burst)
 	}
-	if burst < 1514 {
-		burst = 1514
-	}
-	c.rlRate = rate
-	c.rlBurst = burst
-	c.rlTokens = burst
-	c.rlLast = n.eng.Now()
 	return nil
 }
 

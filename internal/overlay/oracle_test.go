@@ -4,14 +4,15 @@ import (
 	"fmt"
 
 	"norman/internal/packet"
+	"norman/internal/qos"
 )
 
 // refMachine is the overlay machine as it was before lowering: Go maps for
 // tables and an instruction-at-a-time Run that decodes each Inst as it goes
 // (Cost() per step, a nested opcode switch for compares, an operand closure).
 // It is moved here verbatim — only the type's name changed — as the oracle
-// FuzzOverlayLowering holds Machine to; meterState, loadField, Trap and Env
-// are the product's, which the lowered executor shares unchanged.
+// FuzzOverlayLowering holds Machine to; the meters (newMeters, conforms),
+// loadField, Trap and Env are the product's, which the lowered executor shares unchanged.
 
 // refMachine is a loaded program plus its runtime state (table contents, meter
 // buckets, counters). One refMachine corresponds to one occupied overlay slot
@@ -19,7 +20,7 @@ import (
 type refMachine struct {
 	prog     *Program
 	tables   []map[uint64]uint64
-	meters   []meterState
+	meters   []*qos.Bucket
 	counters []uint64
 
 	runs   uint64
@@ -36,14 +37,11 @@ func newRefMachine(p *Program) *refMachine {
 	m := &refMachine{
 		prog:     p,
 		tables:   make([]map[uint64]uint64, len(p.Tables)),
-		meters:   make([]meterState, len(p.Meters)),
+		meters:   newMeters(p.Meters),
 		counters: make([]uint64, len(p.Counters)),
 	}
 	for i := range m.tables {
 		m.tables[i] = make(map[uint64]uint64, p.Tables[i].Capacity)
-	}
-	for i := range m.meters {
-		m.meters[i] = meterState{spec: p.Meters[i], tokens: p.Meters[i].Burst}
 	}
 	return m
 }
@@ -228,7 +226,7 @@ func (m *refMachine) Run(p *packet.Packet, env Env) (verdict Verdict, cost int, 
 			// A full table silently refuses dataplane inserts, as
 			// hardware match-action tables do.
 		case OpMeter:
-			if m.meters[in.Index].conforms(now, regs[in.B]) {
+			if conforms(m.meters[in.Index], now, regs[in.B]) {
 				regs[in.A] = 1
 			} else {
 				regs[in.A] = 0

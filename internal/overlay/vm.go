@@ -3,8 +3,10 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"norman/internal/packet"
+	"norman/internal/qos"
 	"norman/internal/sim"
 )
 
@@ -53,26 +55,19 @@ func (NopEnv) Mirror(*packet.Packet) {}
 // Notify discards the notification.
 func (NopEnv) Notify(*packet.Packet) {}
 
-// meterState is the runtime token bucket behind a MeterSpec.
-type meterState struct {
-	spec   MeterSpec
-	tokens float64
-	last   sim.Time
+// newMeters builds a full token bucket per declared meter.
+func newMeters(specs []MeterSpec) []*qos.Bucket {
+	meters := make([]*qos.Bucket, len(specs))
+	for i, spec := range specs {
+		meters[i] = qos.NewBucket(spec.Rate, spec.Burst)
+	}
+	return meters
 }
 
-func (m *meterState) conforms(now sim.Time, bytes uint64) bool {
-	if now > m.last {
-		m.tokens += now.Sub(m.last).Seconds() * m.spec.Rate
-		if m.tokens > m.spec.Burst {
-			m.tokens = m.spec.Burst
-		}
-		m.last = now
-	}
-	if m.tokens >= float64(bytes) {
-		m.tokens -= float64(bytes)
-		return true
-	}
-	return false
+// conforms is the meter instruction: bytes (whatever the register holds)
+// conform when the bucket covers them now, and are then paid for.
+func conforms(b *qos.Bucket, now sim.Time, bytes uint64) bool {
+	return b.Conform(int(min(bytes, math.MaxInt)), now)
 }
 
 // Machine is a loaded program plus its runtime state (table contents, meter
@@ -82,7 +77,7 @@ type Machine struct {
 	prog     *Program
 	low      *lowered // what Run executes; see lower.go
 	tables   []*table
-	meters   []meterState
+	meters   []*qos.Bucket
 	counters []uint64
 
 	runs   uint64
@@ -100,14 +95,11 @@ func NewMachine(p *Program) *Machine {
 		prog:     p,
 		low:      lower(p),
 		tables:   make([]*table, len(p.Tables)),
-		meters:   make([]meterState, len(p.Meters)),
+		meters:   newMeters(p.Meters),
 		counters: make([]uint64, len(p.Counters)),
 	}
 	for i := range m.tables {
 		m.tables[i] = newTable(p.Tables[i].Capacity)
-	}
-	for i := range m.meters {
-		m.meters[i] = meterState{spec: p.Meters[i], tokens: p.Meters[i].Burst}
 	}
 	return m
 }
@@ -398,7 +390,7 @@ func (m *Machine) Run(p *packet.Packet, env Env) (verdict Verdict, cost int, err
 			// A full table silently refuses dataplane inserts, as
 			// hardware match-action tables do.
 		case lMeter:
-			if m.meters[in.idx].conforms(now, regs[in.b]) {
+			if conforms(m.meters[in.idx], now, regs[in.b]) {
 				regs[in.a] = 1
 			} else {
 				regs[in.a] = 0

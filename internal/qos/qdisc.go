@@ -18,8 +18,14 @@ import (
 
 // Qdisc is a queueing discipline. Enqueue may drop (returns false); Dequeue
 // returns the next packet eligible at `now`. ReadyAt lets rate-limiting
-// qdiscs defer service into the future: it returns the earliest time a
-// packet could be dequeued and false when the qdisc holds nothing.
+// qdiscs defer service into the future: it returns the earliest time, no
+// earlier than now, a packet could be dequeued, and false when the qdisc
+// holds nothing.
+//
+// The contract the pumps rely on: a Dequeue at the instant ReadyAt returned
+// succeeds, and so does one at any later instant with no Dequeue between.
+// A pump sleeps until that instant and never polls, so a qdisc that declines
+// there strands its backlog, which the datapath's idle laws then report.
 type Qdisc interface {
 	Name() string
 	Enqueue(p *packet.Packet, now sim.Time) bool
@@ -42,6 +48,14 @@ type fifo struct {
 	q     []*packet.Packet
 	limit int
 	stats Stats
+}
+
+// newFifo bounds a FIFO to limit packets (1000 when limit is not positive).
+func newFifo(limit int) fifo {
+	if limit <= 0 {
+		limit = 1000
+	}
+	return fifo{limit: limit}
 }
 
 func (f *fifo) push(p *packet.Packet) bool {
@@ -67,18 +81,16 @@ func (f *fifo) pop() (*packet.Packet, bool) {
 	return p, true
 }
 
+// Stats returns cumulative counters.
+func (f *fifo) Stats() Stats { return f.stats }
+
 // PFIFO is a bounded first-in-first-out qdisc (the kernel default).
 type PFIFO struct {
 	fifo
 }
 
 // NewPFIFO creates a FIFO bounded to limit packets.
-func NewPFIFO(limit int) *PFIFO {
-	if limit <= 0 {
-		limit = 1000
-	}
-	return &PFIFO{fifo{limit: limit}}
-}
+func NewPFIFO(limit int) *PFIFO { return &PFIFO{newFifo(limit)} }
 
 // Name implements Qdisc.
 func (q *PFIFO) Name() string { return "pfifo" }
@@ -99,9 +111,6 @@ func (q *PFIFO) ReadyAt(now sim.Time) (sim.Time, bool) {
 
 // Len implements Qdisc.
 func (q *PFIFO) Len() int { return len(q.q) }
-
-// Stats returns cumulative counters.
-func (q *PFIFO) Stats() Stats { return q.stats }
 
 // Prio is a strict-priority qdisc with N bands; band 0 is served first.
 // Class c maps to band min(c, bands-1). Bands are themselves qdiscs, so

@@ -63,7 +63,7 @@ func TestPrioClassClamping(t *testing.T) {
 
 func TestTBFRateLimiting(t *testing.T) {
 	// 1 MB/s, burst exactly one 60B frame.
-	q := NewTBF(NewPFIFO(100), 1e6, 1514)
+	q := NewTBF(100, 1e6, 1514)
 	for i := 0; i < 50; i++ {
 		q.Enqueue(pkt(0, 18), 0) // 60B frames
 	}
@@ -84,8 +84,11 @@ func TestTBFRateLimiting(t *testing.T) {
 	if !ok {
 		t.Fatal("queue is non-empty")
 	}
-	if d := sim.Duration(at); d < 44*sim.Microsecond || d > 48*sim.Microsecond {
-		t.Fatalf("ReadyAt = %v, want ≈46µs", d)
+	if d := sim.Duration(at); d != 46*sim.Microsecond {
+		t.Fatalf("ReadyAt = %v, want 46µs", d)
+	}
+	if _, ok := q.Dequeue(at - 1); ok {
+		t.Fatal("a frame left a picosecond before its tokens accrued")
 	}
 	if _, ok := q.Dequeue(at); !ok {
 		t.Fatal("tokens should have accrued by the predicted time")
@@ -93,23 +96,45 @@ func TestTBFRateLimiting(t *testing.T) {
 }
 
 func TestTBFLongRunRate(t *testing.T) {
-	q := NewTBF(NewPFIFO(10000), 1e6, 1514) // 1 MB/s
+	q := NewTBF(10000, 1e6, 1514) // 1 MB/s
 	for i := 0; i < 5000; i++ {
-		q.Enqueue(pkt(0, 940), 0) // 1000B frames (per FrameLen: 42+940=982 -> use payload 958)
+		q.Enqueue(pkt(0, 940), 0) // 982B frames
 	}
-	var bytes uint64
+	var bytes, last uint64
 	for tick := sim.Time(0); tick < sim.Time(sim.Second); tick += sim.Time(100 * sim.Microsecond) {
 		for {
 			p, ok := q.Dequeue(tick)
 			if !ok {
 				break
 			}
-			bytes += uint64(p.FrameLen())
+			last = uint64(p.FrameLen())
+			bytes += last
 		}
 	}
-	// One simulated second at 1 MB/s, ±12% (bucket quantization).
-	if bytes < 880_000 || bytes > 1_120_000 {
-		t.Fatalf("shaped to %d bytes/s, want ≈1MB/s", bytes)
+	// One simulated second at 1 MB/s: the burst plus a second's refill,
+	// less the last tick's 100µs, to within one frame.
+	want := uint64(1514 + 1e6 - 100)
+	if bytes > want || bytes+last <= want {
+		t.Fatalf("shaped to %d bytes in a second, want within one %dB frame of %d", bytes, last, want)
+	}
+}
+
+// TestTBFRefusesWhatNeverFits: as in Linux's sch_tbf, a frame larger than
+// the burst is refused at enqueue and counted as a drop, instead of waiting
+// at the head for credit that never comes.
+func TestTBFRefusesWhatNeverFits(t *testing.T) {
+	q := NewTBF(10, 1e6, 1514)
+	if q.Enqueue(pkt(0, 8958), 0) {
+		t.Fatal("a 9000B frame was admitted under a 1514B burst")
+	}
+	if !q.Enqueue(pkt(0, 1472), 0) {
+		t.Fatal("a 1514B frame fits a 1514B burst")
+	}
+	if s := q.Stats(); s.DropPackets != 1 || s.EnqPackets != 1 || q.Len() != 1 {
+		t.Fatalf("stats %+v, len %d", s, q.Len())
+	}
+	if p, ok := q.Dequeue(0); !ok || p.FrameLen() != 1514 {
+		t.Fatal("the fitting frame leaves on a full bucket")
 	}
 }
 
@@ -196,7 +221,7 @@ func TestPrioWithShapedBand(t *testing.T) {
 	// Band 1 shaped to ~1 frame per 100µs; band 0 unshaped.
 	q := NewPrioWith(
 		NewPFIFO(100),
-		NewTBF(NewPFIFO(100), 10e6, 1514),
+		NewTBF(100, 10e6, 1514),
 	)
 	q.Enqueue(pkt(1, 958), 0)
 	q.Enqueue(pkt(1, 958), 0)
@@ -296,5 +321,68 @@ func TestWFQHeapOrderAndAllocs(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("WFQ enqueue/dequeue allocates %.2f per 16-frame cycle, want 0", allocs)
+	}
+}
+
+// TestReadyAtContract holds every qdisc to the contract the pumps rely on:
+// ReadyAt names an instant no earlier than now, nothing leaves a picosecond
+// before it, and a Dequeue at it succeeds. Random enqueues of frames up to
+// 9000B, random idle gaps, a fixed seed.
+func TestReadyAtContract(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() Qdisc
+	}{
+		{"pfifo", func() Qdisc { return NewPFIFO(64) }},
+		{"prio", func() Qdisc { return NewPrio(3, 16) }},
+		{"tbf", func() Qdisc { return NewTBF(64, 3e6, 9000) }},
+		{"tbf_refusing", func() Qdisc { return NewTBF(64, 1e6, 1514) }},
+		{"drr", func() Qdisc { return NewDRR(64, 1514) }},
+		{"wfq", func() Qdisc {
+			q := NewWFQ(64)
+			q.SetWeight(1, 3)
+			return q
+		}},
+		{"e6_prio_tbf", func() Qdisc { return NewPrioWith(NewPFIFO(512), NewTBF(512, sim.Gbps(1), 64<<10)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, rng := tc.mk(), sim.NewRNG(32, tc.name)
+			var now sim.Time
+			held := 0
+			for step := 0; step < 4000; step++ {
+				switch rng.Intn(4) {
+				case 0, 1:
+					if q.Enqueue(pkt(uint32(rng.Intn(3)), 1+rng.Intn(8958)), now) {
+						held++
+					}
+				case 2:
+					now += sim.Time(rng.Intn(20_000_000)) // up to 20µs idle
+				case 3:
+					at, ok := q.ReadyAt(now)
+					if ok != (held > 0) {
+						t.Fatalf("step %d: ReadyAt ok=%v holding %d", step, ok, held)
+					}
+					if !ok {
+						continue
+					}
+					if at < now {
+						t.Fatalf("step %d: ReadyAt %v before now %v", step, at, now)
+					}
+					if at > now {
+						if _, early := q.Dequeue(at - 1); early {
+							t.Fatalf("step %d: a frame left a picosecond before ReadyAt %v", step, at)
+						}
+					}
+					now = at
+					if _, ok := q.Dequeue(now); !ok {
+						t.Fatalf("step %d: Dequeue declined at its own ReadyAt %v", step, at)
+					}
+					held--
+				}
+				if q.Len() != held {
+					t.Fatalf("step %d: Len %d, holding %d", step, q.Len(), held)
+				}
+			}
+		})
 	}
 }
