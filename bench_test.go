@@ -123,9 +123,9 @@ func BenchmarkE11Overload(b *testing.B) {
 	}
 }
 
-func BenchmarkE12ShardedScale(b *testing.B) {
+func BenchmarkE12ConnScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE12(benchScale, 8)
+		_, tbl := experiments.RunE12(benchScale)
 		if i == 0 {
 			fmt.Printf("\n%s\n", tbl)
 		}
@@ -189,9 +189,9 @@ func TestEngineHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchedDrainZeroAllocs guards the sharded scale path's per-burst
-// loop — ring pop, flyweight slab updates, ring refill, batched fired
-// credit — at zero allocations.
+// TestBatchedDrainZeroAllocs guards the batched drain bench/probe.go times —
+// ring pop, flyweight slab updates, ring refill, batched fired credit — at
+// zero allocations.
 func TestBatchedDrainZeroAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	ring := mem.NewBurstRing(512, 0)

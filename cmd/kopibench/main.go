@@ -7,7 +7,6 @@
 //	kopibench -workers 4       # explicit worker-pool width (1 = sequential)
 //	kopibench -e E3            # run one experiment
 //	kopibench -scale 0.3       # compress durations/sweeps for a quick pass
-//	kopibench -shards 8        # engine shards for E12 (the table is shard-invariant)
 //	kopibench -list            # list experiments
 //	kopibench -metrics-out m.prom  # write the E9 telemetry registry (Prometheus text)
 //	kopibench -pprof cpu.out   # write a CPU profile of the whole run
@@ -60,8 +59,8 @@ var registry = map[string]struct {
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE10(s); return t }},
 	"E11": {"overload control across the DDIO cliff: admission, backpressure, priority shedding",
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE11(s); return t }},
-	"E12": {"sharded within-world engine: 10k-1M connections, shard-count-invariant tables",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE12(s, e12Shards); return t }},
+	"E12": {"connection scale on the interposed datapath: DDIO cliff and the NIC SRAM wall",
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE12(s); return t }},
 	"E13": {"multi-tenant isolation: adversarial tenant vs victim p99, raw bypass vs governed KOPI",
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE13(s); return t }},
 	"E14": {"flow-cache fast path: hit rate, interpreter cycles and tenant partitions vs a short-flow flood",
@@ -71,10 +70,6 @@ var registry = map[string]struct {
 	"E16": {"live upgrade vs bitstream respin: staged A/B cutover, canary-gated commit and automatic rollback under the E14 victim workload",
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE16(s); return t }},
 }
-
-// e12Shards is the -shards flag: how many engine shards E12 spreads its world
-// over. The table is byte-identical at any value.
-var e12Shards = 1
 
 // e9Telemetry is the observability sink E9 fills when -metrics-out is set
 // (nil otherwise, which keeps the plain benchmark path allocation-free).
@@ -87,9 +82,7 @@ func main() {
 	workersFlag := flag.Int("workers", 0, "worker-pool width each experiment's independent worlds fan across (0 = NORMAN_WORKERS, else GOMAXPROCS; 1 = sequential)")
 	metricsOut := flag.String("metrics-out", "", "write the E9 run's telemetry registry (Prometheus text) to this file")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the experiment runs to this file")
-	shards := flag.Int("shards", 1, "engine shards for E12 (the table is invariant across shard counts)")
 	flag.Parse()
-	e12Shards = *shards
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)

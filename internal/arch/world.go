@@ -68,7 +68,6 @@ type World struct {
 type WorldConfig struct {
 	Model      timing.Model
 	RingSize   int
-	BufBytes   int
 	SRAMBudget int
 	NoLLC      bool // disable cache modeling (DDIO ablation)
 	// KernQueues is the number of kernel/softirq cores (multi-queue RSS on
@@ -123,7 +122,6 @@ func NewWorld(cfg WorldConfig) *World {
 		Alloc:      alloc,
 		Frames:     frames,
 		RingSize:   cfg.RingSize,
-		BufBytes:   cfg.BufBytes,
 		SRAMBudget: cfg.SRAMBudget,
 	})
 	return w

@@ -1,156 +1,97 @@
 package experiments
 
 import (
-	"norman/internal/arch"
-	"norman/internal/mem"
+	"fmt"
+
+	"norman/internal/nic"
 	"norman/internal/sim"
 	"norman/internal/stats"
-	"norman/internal/transport"
 )
 
-// E12Point is one connection-count measurement on the sharded scale path.
+// E12Point is one offered connection count on E3's world with E14's
+// interposition in front of it: the cacheable ACL behind a 65,536-entry flow
+// cache. Connections are opened until the NIC's SRAM refuses one; each
+// accepted connection then receives e12FramesPerConn inbound frames.
 type E12Point struct {
-	Conns       int
-	Shards      int // execution parameter; excluded from the table by design
-	Pkts        uint64
-	GoodputGbps float64
-	MeanWaitUs  float64 // mean burst arrival→completion latency
-	DescHitFrac float64 // descriptor-line DDIO hit fraction
-	XShardMsgs  uint64  // mailbox events (conn completions crossing buckets)
-	Drops       uint64  // burst-ring overflow rejects
-	Epochs      uint64  // barrier epochs the coordinator ran
-	HotBytes    int     // flyweight hot state per connection
+	Offered  int // connections asked for
+	Accepted int // connections the NIC opened before its SRAM refused one
+
+	Room        int // SRAM bytes left for connections once the cache and ACL are in
+	SRAMPerConn int // SRAM bytes each accepted connection holds (context + steering)
+
+	GoodputGbps  float64
+	DescMissFrac float64 // DMA descriptor miss fraction
+	HitPct       float64 // flow-cache lookup hit rate, %
+	CycPerFrame  float64 // overlay cycles the ingress pipeline ran per offered frame
+
+	Frames uint64                 // frames offered to the accepted connections
+	Drops  [nic.NumReasons]uint64 // frames the NIC dropped, by reason
 }
 
-// e12PktsPerConn is how many packets every connection receives; the last
-// one completes the connection and sends a cross-bucket (usually
-// cross-shard) completion credit.
-const e12PktsPerConn = 4
+// E12's geometry: a flow cache with an entry for every connection the SRAM
+// wall admits (32 B a slot, 2 MiB of the 16 MiB budget), and four frames per
+// connection — a slow-path run, then up to three cache hits.
+const (
+	e12CacheSlots    = 65536
+	e12FramesPerConn = 4
+)
 
-// e12Chunk is the arrivals each bucket's generator pushes per 2µs tick —
-// ~4 Mpps per bucket offered, comfortably under the batched drain path's
-// service rate so rings never overflow at any sweep point.
-const e12Chunk = 8
-
-// RunE12 sweeps connection counts from 10k to 1M through the sharded
-// within-world engine (DESIGN.md §8): fixed RSS buckets over flyweight
-// connection records, batched burst-ring drains, and per-connection
-// completions that cross buckets through the coordinator's mailboxes. The
-// shards argument picks only the execution layout; every table cell is an
-// integer (or a float computed from invariant integers), aggregated in
-// bucket order, so the table is byte-identical at any shard count —
-// TestE12Determinism diffs shards ∈ {1,2,4,8} and scripts/check.sh repeats
-// the diff under -race.
-func RunE12(scale Scale, shards int) ([]E12Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
+// RunE12 asks §5's scale questions of the one datapath every other
+// experiment runs on: how far past E3's DDIO cliff interposition still
+// delivers, and where on-NIC memory (§5-Q3) ends the sweep. Each point is one
+// engine on a KOPI world built by E3's helper, with E14's ACL and an enabled
+// flow cache; the sweep runs up to a count the NIC's SRAM refuses, and every
+// world ends with balanced(w.Drain()).
+func RunE12(scale Scale) ([]E12Point, *stats.Table) {
+	// The last point of either sweep is past the SRAM wall, which no scale
+	// moves.
+	sweep := []int{10_000, 50_000, 100_000}
+	if scale < 0.5 {
+		sweep = []int{1_000, 100_000}
 	}
-	sweep := []int{10_000, 50_000, 100_000, 500_000, 1_000_000}
 	points := make([]E12Point, len(sweep))
 	r := NewRunner()
-	for i, base := range sweep {
-		i := i
-		n := scale.n(base, 128)
-		r.Go(func() { points[i] = e12Run(n, shards) })
+	for i, n := range sweep {
+		i, n := i, n
+		r.Go(func() { points[i] = e12Run(n) })
 	}
 	r.Wait()
 
-	t := stats.NewTable("E12: sharded within-world engine, 10k-1M connections (shard-count invariant)",
-		"conns", "pkts", "goodput (Gbps)", "burst wait (us)", "desc hit frac", "xshard msgs", "drops", "epochs", "hot B/conn")
+	t := stats.NewTable(fmt.Sprintf("E12: connection scale on the interposed datapath (E3's world + E14's ACL, %d-entry flow cache, %d frames/conn)",
+		e12CacheSlots, e12FramesPerConn),
+		"offered conns", "accepted", "SRAM B/conn", "goodput (Gbps)", "desc miss frac", "cache hit%", "overlay cyc/frame", "fifo drop%")
 	for _, p := range points {
-		t.AddRow(p.Conns, int(p.Pkts), p.GoodputGbps, p.MeanWaitUs, p.DescHitFrac,
-			int(p.XShardMsgs), int(p.Drops), int(p.Epochs), p.HotBytes)
+		t.AddRow(p.Offered, p.Accepted, p.SRAMPerConn, p.GoodputGbps, fmt.Sprintf("%.4f", p.DescMissFrac),
+			fmt.Sprintf("%.1f", p.HitPct), fmt.Sprintf("%.2f", p.CycPerFrame),
+			fmt.Sprintf("%.1f", 100*float64(p.Drops[nic.RxFifo])/float64(p.Frames)))
 	}
 	return points, t
 }
 
-// e12Run drives one sweep point: n connections spread over the world's
-// fixed buckets, e12PktsPerConn packets each, paced per bucket in
-// e12Chunk-sized ticks.
-func e12Run(n, shards int) E12Point {
-	sw := arch.NewShardedWorld(arch.ShardedConfig{
-		Shards: shards,
-		Conns:  n,
+// e12Run offers n connections to one world and reports what it accepted and
+// how the accepted ones were served.
+func e12Run(n int) E12Point {
+	p := E12Point{Offered: n}
+	var base int
+	a, flows := e3World(n, e3Variant{ddioWays: 2}, func(n *nic.NIC) {
+		loadACL(n, "e12-acl", e12CacheSlots)
+		used, budget := n.SRAM()
+		base, p.Room = used, budget-used
 	})
-	buckets := len(sw.Buckets)
-	lat := sim.Duration(sw.Model.WireLatency)
-	tick := 2 * sim.Microsecond
-
-	// Completion credits: the last packet of a connection sends a credit to
-	// the bucket across the ring — on another shard whenever shards > 1.
-	// Each slot of creditRecv is only ever written by its bucket's shard.
-	creditRecv := make([]uint64, buckets)
-	sw.Deliver = func(bucket int, d mem.PktRef, at sim.Time) {
-		if !transport.FlyweightRx(sw.Slab, int(d.Conn), d.Seq, int(d.Len), at) {
-			return
-		}
-		if d.Seq+1 == e12PktsPerConn {
-			peer := (bucket + buckets/2) % buckets
-			sw.Coord.Send(bucket, peer, at.Add(lat), func() { creditRecv[peer]++ })
-		}
+	w := a.World()
+	p.Accepted = len(flows)
+	if used, _ := w.NIC.SRAM(); p.Accepted > 0 {
+		p.SRAMPerConn = (used - base) / p.Accepted
 	}
 
-	// Per-bucket generator: a self-rescheduling event that pushes e12Chunk
-	// arrivals per tick, walking rounds × conns in connID order. Entirely
-	// bucket-local and deterministic, so the arrival schedule — like
-	// everything else — is shard-count invariant.
-	for b := range sw.Buckets {
-		bk := sw.Buckets[b]
-		conns := sw.Conns(b)
-		if len(conns) == 0 {
-			continue
-		}
-		total := len(conns) * e12PktsPerConn
-		cursor := 0
-		var pump func()
-		pump = func() {
-			for i := 0; i < e12Chunk && cursor < total; i++ {
-				c := conns[cursor%len(conns)]
-				seq := transport.FlyweightTx(sw.Slab, int(c))
-				bk.QG.Arrive(mem.PktRef{
-					Conn: c,
-					Seq:  seq,
-					Len:  uint16(256 + c%64),
-					At:   bk.Eng.Now(),
-				})
-				cursor++
-			}
-			if cursor < total {
-				bk.Eng.After(tick, pump)
-			}
-		}
-		bk.Eng.At(0, pump)
+	p.Frames = uint64(e12FramesPerConn * p.Accepted)
+	p.GoodputGbps, p.DescMissFrac = e3Offer(a, flows, sim.Duration(p.Frames)*e3Interval)
+	if fc := w.NIC.FlowCache(); fc.Hits+fc.Misses > 0 {
+		p.HitPct = 100 * float64(fc.Hits) / float64(fc.Hits+fc.Misses)
 	}
-
-	end := sw.Coord.Run()
-
-	p := E12Point{
-		Conns:    n,
-		Shards:   shards,
-		Pkts:     sw.Delivered(),
-		Drops:    sw.Drops(),
-		Epochs:   sw.Coord.Epochs(),
-		HotBytes: sw.Slab.HotBytesPerConn(),
-	}
-	for i := 0; i < sw.Coord.Shards(); i++ {
-		p.XShardMsgs += sw.Coord.MailSent(i)
-	}
-	if end > 0 {
-		p.GoodputGbps = stats.Throughput(sw.BytesDelivered(), sim.Duration(end))
-	}
-	if bursts := sw.Bursts(); bursts > 0 {
-		p.MeanWaitUs = (sim.Duration(sw.BurstWaitTotal()) / sim.Duration(bursts)).Seconds() * 1e6
-	}
-	if hit, miss := sw.DescAccesses(); hit+miss > 0 {
-		p.DescHitFrac = float64(hit) / float64(hit+miss)
-	}
-	// Every connection must have completed and credited its peer bucket.
-	var credits uint64
-	for _, c := range creditRecv {
-		credits += c
-	}
-	if credits != uint64(n) {
-		panic("e12: lost completions: the sharded merge dropped events")
+	p.CycPerFrame = float64(w.NIC.IngressProgCycles) / float64(p.Frames)
+	for r := range p.Drops {
+		p.Drops[r] = w.NIC.Dropped(nic.Reason(r))
 	}
 	return p
 }

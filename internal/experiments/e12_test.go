@@ -1,47 +1,76 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
 
-// TestE12Determinism is the acceptance gate of the sharded engine: the E12
-// table — every counter and every derived float — must be byte-identical
-// whether the buckets run on one shard or eight. scripts/check.sh repeats
-// this diff under -race via cmd/kopibench.
+	"norman/internal/nic"
+)
+
+// TestE12Determinism: the E12 sweep's typed points and rendered table are
+// byte-identical between a 1-worker (sequential, inline) run and a wide
+// run, and between two runs at the same width. scripts/check.sh repeats the
+// table diff under -race via cmd/kopibench.
 func TestE12Determinism(t *testing.T) {
 	const scale = 0.002
-	ref, refTbl := RunE12(scale, 1)
+	wide := runtime.NumCPU()
+	if wide < 4 {
+		wide = 4
+	}
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	ref, refTbl := RunE12(scale)
 	refStr := refTbl.String()
-	if len(ref) == 0 || ref[0].Pkts == 0 {
+	if len(ref) == 0 || ref[0].Accepted == 0 {
 		t.Fatal("reference sweep is empty")
 	}
-	for _, shards := range []int{2, 4, 8} {
-		_, tbl := RunE12(scale, shards)
-		if got := tbl.String(); got != refStr {
-			t.Errorf("shards=%d: table differs from 1-shard reference\n--- 1 shard\n%s\n--- %d shards\n%s",
-				shards, refStr, shards, got)
+	for _, w := range []int{1, wide} {
+		SetWorkers(w)
+		got, tbl := RunE12(scale)
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers=%d: points differ from the workers=1 reference:\n%+v\n%+v", w, ref, got)
+		}
+		if s := tbl.String(); s != refStr {
+			t.Errorf("workers=%d: table differs from the workers=1 reference\n--- workers=1\n%s\n--- workers=%d\n%s",
+				w, refStr, w, s)
 		}
 	}
 }
 
-// TestE12Shape sanity-checks one small sweep point: every packet delivered,
-// nothing dropped, every connection's completion crossed a bucket boundary,
-// and the flyweight budget held.
+// TestE12Shape checks the sweep's three laws: below the SRAM wall the NIC
+// accepts every offered connection; at the wall it accepts exactly as many
+// as its own free SRAM divided by its own per-connection charge; and every
+// frame offered to an accepted connection is steered and finds a ring slot.
+// (Line rate past E3's cliff overflows the MAC FIFO, a typed drop that
+// balanced(w.Drain()) already accounts for.)
 func TestE12Shape(t *testing.T) {
-	points, _ := RunE12(0.002, 4)
+	points, tbl := RunE12(0.002)
+	t.Logf("\n%s", tbl)
+	walled := false
 	for _, p := range points {
-		if p.Pkts != uint64(p.Conns)*e12PktsPerConn {
-			t.Errorf("conns=%d: delivered %d pkts, want %d", p.Conns, p.Pkts, p.Conns*e12PktsPerConn)
+		if p.SRAMPerConn <= 0 || p.Room <= 0 {
+			t.Fatalf("offered %d: degenerate SRAM accounting %+v", p.Offered, p)
 		}
-		if p.Drops != 0 {
-			t.Errorf("conns=%d: %d ring drops under paced load", p.Conns, p.Drops)
+		wall := p.Room / p.SRAMPerConn
+		switch {
+		case p.Offered <= wall && p.Accepted != p.Offered:
+			t.Errorf("offered %d below the wall (%d): accepted %d", p.Offered, wall, p.Accepted)
+		case p.Offered > wall:
+			walled = true
+			if p.Accepted != wall {
+				t.Errorf("offered %d: accepted %d, want the NIC's %d free bytes / %d B per conn = %d",
+					p.Offered, p.Accepted, p.Room, p.SRAMPerConn, wall)
+			}
 		}
-		if p.XShardMsgs != uint64(p.Conns) {
-			t.Errorf("conns=%d: %d cross-bucket completions", p.Conns, p.XShardMsgs)
+		if d := p.Drops[nic.RxNoSteer] + p.Drops[nic.RxRing]; d != 0 {
+			t.Errorf("offered %d: %d frames found no steering entry or ring slot", p.Offered, d)
 		}
-		if p.HotBytes > 64 {
-			t.Errorf("conns=%d: hot state %d B/conn over budget", p.Conns, p.HotBytes)
+		if p.GoodputGbps <= 0 || p.HitPct <= 0 || p.CycPerFrame <= 0 {
+			t.Errorf("offered %d: degenerate point %+v", p.Offered, p)
 		}
-		if p.GoodputGbps <= 0 || p.Epochs == 0 {
-			t.Errorf("conns=%d: degenerate point %+v", p.Conns, p)
-		}
+	}
+	if !walled {
+		t.Error("no point of the sweep reached the SRAM wall")
 	}
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"norman/internal/arch"
 	"norman/internal/host"
+	"norman/internal/nic"
 	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/stats"
@@ -72,18 +74,42 @@ type e3Variant struct {
 // the paper reports the cliff.
 const e3RingSize = 16
 
-// e3Run opens n connections on a KOPI world and blasts inbound traffic
+// e3Interval is the gap between two inbound 1502 B frames at 100 Gbps.
+var e3Interval = host.IntervalFor(100, 1502)
+
+// e3Run opens n connections on E3's world and blasts inbound traffic
 // round-robin across them at line rate, measuring steady-state delivered
 // goodput at the applications. The run lasts long enough for every ring to
 // wrap several times, so descriptor reuse (or its absence) dominates cold
 // misses; the warmup wraps are excluded from the measurement window.
 func e3Run(n int, v e3Variant, scale Scale) (gbps float64, missFrac float64) {
+	a, flows := e3World(n, v, nil)
+	if len(flows) != n {
+		panic(fmt.Sprintf("e3: the NIC refused connection %d", len(flows)))
+	}
+	// Duration: at least 6 wraps of every ring at ~8.3 Mpps aggregate
+	// (one 1502B frame every ~120 ns at 100G).
+	dur := sim.Duration(n*e3RingSize*6) * (120 * sim.Nanosecond)
+	if min := scale.d(4 * sim.Millisecond); dur < min {
+		dur = min
+	}
+	return e3Offer(a, flows, dur)
+}
+
+// e3World builds the connection-scaling world E3 and E12 share — a KOPI host
+// with an 8 MiB LLC and e3RingSize-deep rings — lets prep (nil: none) program
+// its NIC, and connects up to n flows for one server process, stopping at the
+// first connection the NIC's SRAM refuses. It returns the connected flows.
+func e3World(n int, v e3Variant, prep func(*nic.NIC)) (arch.Arch, []packet.FlowKey) {
 	model := timing.Default()
 	model.DDIOWays = v.ddioWays
 	model.LLCBytes = 8 << 20 // 8 MiB LLC -> ~1.5 MiB DDIO share at 2/11 ways
 	a := arch.New("kopi", arch.WorldConfig{Model: model, NoLLC: v.noLLC, RingSize: e3RingSize})
 	w := a.World()
 	w.Peer = func(*packet.Packet, sim.Time) {}
+	if prep != nil {
+		prep(w.NIC)
+	}
 
 	alice := w.Kern.AddUser(1000, "alice")
 	proc := w.Kern.Spawn(alice.UID, "server")
@@ -96,9 +122,11 @@ func e3Run(n int, v e3Variant, scale Scale) (gbps float64, missFrac float64) {
 	conns := make([]*arch.Conn, 0, ringConns)
 	for i := 0; i < n; i++ {
 		flow := w.Flow(uint16(2000+i), 7)
-		flows = append(flows, flow)
 		if i < ringConns {
 			c, err := a.Connect(proc, flow)
+			if errors.Is(err, nic.ErrSRAMExhausted) {
+				break
+			}
 			if err != nil {
 				panic(fmt.Sprintf("e3: connect %d: %v", i, err))
 			}
@@ -106,23 +134,24 @@ func e3Run(n int, v e3Variant, scale Scale) (gbps float64, missFrac float64) {
 		} else {
 			// Shared-ring mode: register the connection but steer its flow
 			// onto an existing ring.
-			ci, err := w.Kern.RegisterConn(proc, flow)
-			if err != nil {
+			if _, err := w.Kern.RegisterConn(proc, flow); err != nil {
 				panic(fmt.Sprintf("e3: register %d: %v", i, err))
 			}
-			_ = ci
 			if err := w.NIC.SteerFlow(flow, conns[i%ringConns].Info.ID); err != nil {
 				panic(fmt.Sprintf("e3: steer %d: %v", i, err))
 			}
 		}
+		flows = append(flows, flow)
 	}
+	return a, flows
+}
 
-	// Duration: at least 6 wraps of every ring at ~8.3 Mpps aggregate
-	// (one 1502B frame every ~120 ns at 100G).
-	dur := sim.Duration(n*e3RingSize*6) * (120 * sim.Nanosecond)
-	if min := scale.d(4 * sim.Millisecond); dur < min {
-		dur = min
-	}
+// e3Offer offers 1460 B frames at line rate round-robin over flows until
+// dur and returns the goodput the applications received in the second half
+// of the run and the DMA descriptor miss fraction. It ends the world through
+// balanced(w.Drain()).
+func e3Offer(a arch.Arch, flows []packet.FlowKey, dur sim.Duration) (gbps float64, missFrac float64) {
+	w := a.World()
 	winLo := sim.Time(dur) / 2
 	var winBytes uint64
 	a.SetDeliver(func(_ *arch.Conn, p *packet.Packet, at sim.Time) {
@@ -134,7 +163,7 @@ func e3Run(n int, v e3Variant, scale Scale) (gbps float64, missFrac float64) {
 
 	gen := &host.InboundGen{
 		Arch: a, Flows: flows, Payload: 1460,
-		Interval: host.IntervalFor(100, 1502),
+		Interval: e3Interval,
 		Until:    sim.Time(dur),
 	}
 	gen.Start(0)

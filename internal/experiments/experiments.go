@@ -38,8 +38,7 @@ func silentLoss(w *arch.World, sent, delivered uint64) int64 {
 // balanced fails the experiment unless its world's NIC ledger holds. Every
 // driver ends its world through it — balanced(w.Drain()), or
 // balanced(w.NIC.Balance()) where a fault injector keeps the engine busy
-// forever — so no table is printed over a NIC that lost a frame. (E12's
-// sharded world has queue groups and no NIC.)
+// forever — so no table is printed over a NIC that lost a frame.
 func balanced(err error) {
 	if err != nil {
 		panic("experiments: " + err.Error())

@@ -106,12 +106,22 @@ func mustAssemble(name, src string) *overlay.Program {
 // loadACL puts E14–E16's fast path in place: the 256-entry flow cache when
 // cache is set, and the cacheable ACL on the ingress pipeline.
 func (tp *tenantPair) loadACL(name string, cache bool) {
+	slots := 0
 	if cache {
-		if err := tp.w.NIC.EnableFlowCache(e14CacheSlots); err != nil {
+		slots = e14CacheSlots
+	}
+	loadACL(tp.w.NIC, name, slots)
+}
+
+// loadACL enables a flow cache of slots entries (0: none) on n and loads the
+// cacheable ACL (e14ACLSource) on its ingress pipeline.
+func loadACL(n *nic.NIC, name string, slots int) {
+	if slots > 0 {
+		if err := n.EnableFlowCache(slots); err != nil {
 			panic(fmt.Sprintf("experiments: enable cache: %v", err))
 		}
 	}
-	if _, _, err := tp.w.NIC.LoadProgram(nic.Ingress, mustAssemble(name, e14ACLSource())); err != nil {
+	if _, _, err := n.LoadProgram(nic.Ingress, mustAssemble(name, e14ACLSource())); err != nil {
 		panic(fmt.Sprintf("experiments: load %s: %v", name, err))
 	}
 }

@@ -2,93 +2,63 @@ package mem
 
 import "norman/internal/sim"
 
-// PktRef is the value-typed descriptor of the sharded scale path: where the
-// classic per-connection Ring carries *packet.Packet, the per-bucket burst
-// ring carries only what the flyweight dataplane needs — connection,
-// sequence, length, timestamp — so pushing and draining a million packets
-// allocates nothing and descriptors stay two to a cache line.
+// This file and slab.go are bench-only: bench/probe.go times a batched
+// descriptor drain over them (probe.sim.sharded_ns_per_event,
+// probe.transport.flyweight_rx_ns), and nothing else in the tree uses them.
+// They stay, with that one caller, until the ROADMAP item "Unfreeze the
+// benchmark" retires the probes.
+
+// PktRef is a value-typed receive descriptor: connection, sequence, length
+// and timestamp, so pushing and draining a burst allocates nothing and
+// descriptors stay two to a cache line.
 type PktRef struct {
-	Conn uint32   // dense connID into the bucket's ConnSlab
+	Conn uint32   // dense connID into a ConnSlab
 	Seq  uint32   // transport sequence number
 	Len  uint16   // payload bytes
 	At   sim.Time // produced (arrival at the ring)
 }
 
-// burstDescSize is the simulated bytes per descriptor: 32 B, the size class
-// of real NIC receive descriptors, two per cache line.
-const burstDescSize = 32
-
-// BurstRing is the per-RSS-bucket SPSC descriptor ring drained in bursts by
-// the batched receive path (one engine event consumes up to a burst of
-// descriptors, not one packet each). Same head/tail discipline and
-// simulated-address accounting as Ring; capacity must be a power of two.
+// BurstRing is an SPSC descriptor ring drained in bursts (one engine event
+// consumes up to a burst of descriptors, not one packet each). Same
+// head/tail discipline as Ring; capacity must be a power of two.
 type BurstRing struct {
 	entries []PktRef
 	mask    uint64
 	head    uint64
 	tail    uint64
-
-	baseAddr uint64
-
-	produced uint64
-	consumed uint64
-	dropped  uint64
 }
 
-// NewBurstRing creates a burst ring with the given power-of-two capacity,
-// mapped at the given simulated physical address.
+// NewBurstRing creates a burst ring with the given power-of-two capacity.
+// baseAddr, the ring's simulated physical address, is not modelled.
 func NewBurstRing(capacity int, baseAddr uint64) *BurstRing {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("mem: burst ring capacity must be a positive power of two")
 	}
-	return &BurstRing{
-		entries:  make([]PktRef, capacity),
-		mask:     uint64(capacity - 1),
-		baseAddr: baseAddr,
-	}
+	return &BurstRing{entries: make([]PktRef, capacity), mask: uint64(capacity - 1)}
 }
 
-// Cap returns the ring capacity in descriptors.
-func (r *BurstRing) Cap() int { return len(r.entries) }
+// free returns the number of unoccupied descriptors.
+func (r *BurstRing) free() int { return len(r.entries) - int(r.head-r.tail) }
 
-// Len returns the number of occupied descriptors.
-func (r *BurstRing) Len() int { return int(r.head - r.tail) }
-
-// Empty reports whether no descriptors are occupied.
-func (r *BurstRing) Empty() bool { return r.head == r.tail }
-
-// Full reports whether no descriptors are free.
-func (r *BurstRing) Full() bool { return r.head-r.tail == uint64(len(r.entries)) }
-
-// Push enqueues one descriptor; a full ring counts the reject and returns
-// false (the caller decides whether that is a drop or backpressure).
+// Push enqueues one descriptor and reports whether it fit.
 func (r *BurstRing) Push(d PktRef) bool {
-	if r.Full() {
-		r.dropped++
+	if r.free() == 0 {
 		return false
 	}
 	r.entries[r.head&r.mask] = d
 	r.head++
-	r.produced++
 	return true
 }
 
-// PushBurst enqueues as many of src as fit and returns how many it took;
-// refused descriptors are counted as drops. The bulk mirror of PopBurst —
-// one capacity check and at most two copies per burst.
+// PushBurst enqueues as many of src as fit and returns how many it took. The
+// bulk mirror of PopBurst — one capacity check and at most two copies per
+// burst.
 func (r *BurstRing) PushBurst(src []PktRef) int {
-	n := len(r.entries) - r.Len()
-	if n > len(src) {
-		n = len(src)
-	}
-	if short := len(src) - n; short > 0 {
-		r.dropped += uint64(short)
-	}
+	n := min(r.free(), len(src))
 	at := int(r.head & r.mask)
 	m := copy(r.entries[at:], src[:n])
 	copy(r.entries, src[m:n])
 	r.head += uint64(n)
-	r.produced += uint64(n)
 	return n
 }
 
@@ -96,40 +66,10 @@ func (r *BurstRing) PushBurst(src []PktRef) int {
 // many it moved — the batched drain primitive: one call, one burst, no
 // allocation. Copies at most two contiguous segments.
 func (r *BurstRing) PopBurst(dst []PktRef) int {
-	n := r.Len()
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(int(r.head-r.tail), len(dst))
 	at := int(r.tail & r.mask)
 	m := copy(dst[:n], r.entries[at:])
 	copy(dst[m:n], r.entries)
 	r.tail += uint64(n)
-	r.consumed += uint64(n)
 	return n
-}
-
-// SlotAddr returns the simulated physical address of the descriptor slot a
-// logical index occupies, for DDIO hit/miss charging against the ring's
-// real footprint.
-func (r *BurstRing) SlotAddr(index uint64) uint64 {
-	return r.baseAddr + (index&r.mask)*burstDescSize
-}
-
-// Tail returns the consumer counter (monotonic, unmasked).
-func (r *BurstRing) Tail() uint64 { return r.tail }
-
-// FootprintBytes returns the simulated memory the descriptor array pins.
-func (r *BurstRing) FootprintBytes() int { return len(r.entries) * burstDescSize }
-
-// Counters returns cumulative produced/consumed/dropped descriptor counts.
-func (r *BurstRing) Counters() (produced, consumed, dropped uint64) {
-	return r.produced, r.consumed, r.dropped
-}
-
-// OverflowRejects counts refused enqueues (counted drops, never silent).
-func (r *BurstRing) OverflowRejects() uint64 { return r.dropped }
-
-// OccupancyFrac returns occupancy as a fraction of capacity in [0,1].
-func (r *BurstRing) OccupancyFrac() float64 {
-	return float64(r.Len()) / float64(len(r.entries))
 }

@@ -2,37 +2,25 @@ package mem
 
 import (
 	"fmt"
-	"unsafe"
 
 	"norman/internal/sim"
 )
 
-// ConnSlab holds the flyweight per-connection records of the sharded scale
-// path (DESIGN.md §8): structure-of-arrays state indexed by dense connID,
-// replacing the per-connection heap objects (nic.Conn, two rings, buffers)
-// that make 1M-connection worlds infeasible. Opening a connection is an
-// array write, not an allocation, and the hot state per connection is a
-// handful of scalars — ≤ 64 bytes, asserted by HotBytesPerConn — so a
-// million connections cost tens of megabytes and zero allocator pressure.
-//
-// Each record is addressed at a 64-byte stride from the slab's simulated
-// physical base, one cache line per connection, so the cache model can
-// charge slab touches against the real footprint.
+// ConnSlab holds flyweight per-connection records (bench-only; see
+// burst.go): structure-of-arrays state indexed by dense connID, ≤ 64 hot
+// bytes per connection. Opening a connection is an array write, not an
+// allocation.
 type ConnSlab struct {
-	// Hot per-connection arrays. Kept exported: the dataplane indexes them
-	// directly (s.RxBytes[id] += n), the same zero-indirection access a
-	// flyweight record in hardware SRAM would get.
+	// Hot per-connection arrays, indexed directly (s.RxBytes[id] += n).
 	RxBytes []uint64   // payload bytes delivered in order
 	LastAt  []sim.Time // virtual time of the last delivery
 	RxPkts  []uint32   // packets delivered
 	TxPkts  []uint32   // packets sourced (next send sequence)
 	SeqNext []uint32   // next expected receive sequence
 	OooPkts []uint32   // out-of-order or duplicate arrivals observed
-	Tenant  []uint32   // owning tenant, for isolation accounting (0 = unattributed)
+	Tenant  []uint32   // owning tenant (0 = unattributed)
 	Bucket  []uint16   // RSS bucket the connection hashes to
 	State   []uint8    // ConnClosed / ConnOpen
-
-	baseAddr uint64
 }
 
 // Connection states in ConnSlab.State.
@@ -41,50 +29,24 @@ const (
 	ConnOpen
 )
 
-// connStride is the simulated address stride per record: one cache line.
-const connStride = 64
-
-// NewConnSlab returns a slab with capacity for n connections, mapped at the
-// given simulated physical base address.
+// NewConnSlab returns a slab with capacity for n connections. baseAddr, the
+// slab's simulated physical address, is not modelled.
 func NewConnSlab(n int, baseAddr uint64) *ConnSlab {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: conn slab capacity %d", n))
 	}
 	return &ConnSlab{
-		RxBytes:  make([]uint64, n),
-		LastAt:   make([]sim.Time, n),
-		RxPkts:   make([]uint32, n),
-		TxPkts:   make([]uint32, n),
-		SeqNext:  make([]uint32, n),
-		OooPkts:  make([]uint32, n),
-		Tenant:   make([]uint32, n),
-		Bucket:   make([]uint16, n),
-		State:    make([]uint8, n),
-		baseAddr: baseAddr,
+		RxBytes: make([]uint64, n),
+		LastAt:  make([]sim.Time, n),
+		RxPkts:  make([]uint32, n),
+		TxPkts:  make([]uint32, n),
+		SeqNext: make([]uint32, n),
+		OooPkts: make([]uint32, n),
+		Tenant:  make([]uint32, n),
+		Bucket:  make([]uint16, n),
+		State:   make([]uint8, n),
 	}
 }
-
-// Len returns the slab capacity in connections.
-func (s *ConnSlab) Len() int { return len(s.State) }
-
-// HotBytesPerConn returns the actual hot-state bytes each connection
-// occupies across the arrays — the number the ≤ 64 B flyweight budget is
-// enforced against.
-func (s *ConnSlab) HotBytesPerConn() int {
-	return int(unsafe.Sizeof(s.RxBytes[0]) + unsafe.Sizeof(s.LastAt[0]) +
-		unsafe.Sizeof(s.RxPkts[0]) + unsafe.Sizeof(s.TxPkts[0]) +
-		unsafe.Sizeof(s.SeqNext[0]) + unsafe.Sizeof(s.OooPkts[0]) +
-		unsafe.Sizeof(s.Tenant[0]) + unsafe.Sizeof(s.Bucket[0]) +
-		unsafe.Sizeof(s.State[0]))
-}
-
-// AddrOf returns the simulated physical address of a connection's record
-// (line-aligned), for cache-model charging.
-func (s *ConnSlab) AddrOf(id int) uint64 { return s.baseAddr + uint64(id)*connStride }
-
-// FootprintBytes returns the simulated memory the slab occupies at its
-// one-line-per-connection stride.
-func (s *ConnSlab) FootprintBytes() int { return s.Len() * connStride }
 
 // Open marks a connection live in the given RSS bucket for the given
 // tenant, resetting its state. It is an array write — no allocation.

@@ -9,8 +9,7 @@ import (
 )
 
 // This file is the NIC's exact-match flow cache — the hardware fast path in
-// front of the ingress overlay pipeline (the ROADMAP item "Hardware
-// flow-cache fast path with slow-path miss handling"; Deri et al.'s
+// front of the ingress overlay pipeline (DESIGN.md §10; Deri et al.'s
 // programmable flow offload). The first packet of a flow runs the full
 // overlay chain (the kernel slow path, in the paper's terms: interpretation
 // is where interposition semantics live) and installs an entry keyed by the

@@ -45,8 +45,8 @@ const (
 // frees it. Code that takes a job outside Fire settles it itself. held is what
 // the job owns of the NIC's bounded resources; the three ways out of the
 // datapath release it (ledger.go). The list is
-// touched only from the NIC's engine goroutine, so sharded and parallel
-// worlds share nothing; it holds as many records as were ever in flight at
+// touched only from the NIC's engine goroutine, so parallel worlds share
+// nothing; it holds as many records as were ever in flight at
 // once. The frame a job carries is not the job's: a typed drop gives it back
 // to the host's free list (drop, Config.Frames), every other exit hands it on.
 type job struct {

@@ -44,9 +44,12 @@ type Config struct {
 	Frames *packet.Frames
 
 	RingSize   int // descriptors per ring (power of two)
-	BufBytes   int // host buffer bytes per descriptor
 	SRAMBudget int // on-NIC memory budget; 0 = Model.NICSRAMBytes
 }
+
+// bufBytes is the host payload buffer behind each descriptor: one 2 KiB
+// slot, enough for a standard frame.
+const bufBytes = 2048
 
 // Conn is one connection's NIC-side state: a TX and an RX ring pinned in
 // host memory, the trusted metadata the kernel programmed for it (§4.3), and
@@ -92,7 +95,7 @@ type Conn struct {
 // bufAddr maps a descriptor index to its payload buffer address. The region
 // is split into a TX half and an RX half, each with ringSize slots of
 // bufBytes each.
-func (c *Conn) bufAddr(index uint64, rx bool, ringSize, bufBytes int) uint64 {
+func (c *Conn) bufAddr(index uint64, rx bool, ringSize int) uint64 {
 	off := (index % uint64(ringSize)) * uint64(bufBytes)
 	if rx {
 		off += uint64(ringSize) * uint64(bufBytes)
@@ -111,7 +114,6 @@ type NIC struct {
 	frames *packet.Frames
 
 	ringSize int
-	bufBytes int
 
 	// The price list (price.go): per-frame-length and per-cycle-count costs,
 	// each filled by the model's own formula the first time it is asked for.
@@ -314,9 +316,6 @@ func New(cfg Config) *NIC {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 512
 	}
-	if cfg.BufBytes <= 0 {
-		cfg.BufBytes = 2048
-	}
 	if cfg.SRAMBudget <= 0 {
 		cfg.SRAMBudget = cfg.Model.NICSRAMBytes
 	}
@@ -330,7 +329,6 @@ func New(cfg Config) *NIC {
 		alloc:      cfg.Alloc,
 		frames:     cfg.Frames,
 		ringSize:   cfg.RingSize,
-		bufBytes:   cfg.BufBytes,
 		dma:        sim.NewServer("nic.dma"),
 		wireTx:     sim.NewServer("nic.wiretx"),
 		wireRx:     sim.NewServer("nic.wirerx"),
@@ -368,14 +366,14 @@ func (n *NIC) OpenConn(id uint64, meta packet.Meta, queue *mem.NotifyQueue) (*Co
 		return nil, fmt.Errorf("%w: %d conns, %d/%d bytes", ErrSRAMExhausted, len(n.conns), n.sramUsed, n.sramBudget)
 	}
 	ringBytes := n.ringSize * 64
-	bufBytes := n.ringSize * n.bufBytes
+	bufRegion := n.ringSize * bufBytes
 	c := &Conn{
 		ID:      id,
 		TX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
 		RX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
 		Meta:    meta,
 		Queue:   queue,
-		bufBase: n.alloc.Take(2*bufBytes, 4096),
+		bufBase: n.alloc.Take(2*bufRegion, 4096),
 	}
 	// Default occupancy watermarks at 3/4 and 1/4 of capacity: the overload
 	// watchdog counts rings above high and clears pressure below low.
@@ -481,7 +479,7 @@ func (n *NIC) SetConnRate(id uint64, rate, burst float64) error {
 // index so the host side can charge its own cache touches against the same
 // lines the DMA engine uses.
 func (n *NIC) BufAddr(c *Conn, index uint64, rx bool) uint64 {
-	return c.bufAddr(index, rx, n.ringSize, n.bufBytes)
+	return c.bufAddr(index, rx, n.ringSize)
 }
 
 // Down reports whether the dataplane is inside a bitstream-reload outage.

@@ -95,11 +95,8 @@ func TestRSSTableMatchesToeplitz(t *testing.T) {
 				SrcPort: uint16(in[8])<<8 | uint16(in[9]),
 				DstPort: uint16(in[10])<<8 | uint16(in[11]),
 			}
-			if got, want := tab.hash(k), Toeplitz(key, in[:]); got != want {
+			if got, want := tab.hash(k), toeplitz(key, in[:]); got != want {
 				t.Fatalf("key %d: table hash of % x = %#x, Toeplitz says %#x", round, in, got, want)
-			}
-			if got, want := RSSHash(key, k), Toeplitz(key, in[:]); got != want {
-				t.Fatalf("key %d: RSSHash of % x = %#x, Toeplitz says %#x", round, in, got, want)
 			}
 		}
 		rng.Read(key[:])

@@ -24,34 +24,9 @@ var DefaultRSSKey = [RSSKeySize]byte{
 	0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 }
 
-// Toeplitz computes the RSS hash of input under key: for each set bit of
-// the input (MSB first), XOR in the 32-bit window of the key starting at
-// that bit position. It is the definition, for inputs of any length; the
-// datapath hashes flows through the key's rssTable, which is tested against it.
-func Toeplitz(key [RSSKeySize]byte, input []byte) uint32 {
-	var result uint32
-	// The sliding 32-bit window over the key, starting at bit 0.
-	window := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
-	keyBit := 32 // index of the next key bit to shift in
-	for _, b := range input {
-		for mask := byte(0x80); mask != 0; mask >>= 1 {
-			if b&mask != 0 {
-				result ^= window
-			}
-			// Slide the window one bit.
-			next := byte(0)
-			if keyBit/8 < RSSKeySize && key[keyBit/8]&(0x80>>(keyBit%8)) != 0 {
-				next = 1
-			}
-			window = window<<1 | uint32(next)
-			keyBit++
-		}
-	}
-	return result
-}
-
 // rssTable is the Toeplitz hash of the 12-byte IPv4 transport input under one
-// key, unrolled by input byte. The hash is linear over XOR, so it is the XOR
+// key, unrolled by input byte (rss_test.go holds the bit-serial definition it
+// is tested against). The hash is linear over XOR, so it is the XOR
 // of each input byte's own contribution, and a byte at position i can only
 // contribute one of 256 values: row i holds them. Hashing a flow is then 12
 // table reads where the bit-serial form shifts and tests 96 times.
@@ -89,21 +64,6 @@ func (t *rssTable) hash(k packet.FlowKey) uint32 {
 // defaultRSSTable is DefaultRSSKey's table, shared by every NIC that keeps the
 // well-known key.
 var defaultRSSTable = newRSSTable(DefaultRSSKey)
-
-// RSSHash hashes an IPv4 transport flow (src addr, dst addr, src port, dst
-// port, all network order) — the "IPv4 with TCP/UDP" RSS input. A one-off
-// hash under any other key than the default is not worth building a table for.
-func RSSHash(key [RSSKeySize]byte, k packet.FlowKey) uint32 {
-	if key == DefaultRSSKey {
-		return defaultRSSTable.hash(k)
-	}
-	var in [12]byte
-	in[0], in[1], in[2], in[3] = byte(k.Src>>24), byte(k.Src>>16), byte(k.Src>>8), byte(k.Src)
-	in[4], in[5], in[6], in[7] = byte(k.Dst>>24), byte(k.Dst>>16), byte(k.Dst>>8), byte(k.Dst)
-	in[8], in[9] = byte(k.SrcPort>>8), byte(k.SrcPort)
-	in[10], in[11] = byte(k.DstPort>>8), byte(k.DstPort)
-	return Toeplitz(key, in[:])
-}
 
 // SetRSS enables hash-based steering over the given queues (connection ids)
 // for traffic that matches no exact steering entry. Passing an empty slice

@@ -7,6 +7,32 @@ import (
 	"norman/internal/sim"
 )
 
+// toeplitz computes the RSS hash of input under key: for each set bit of
+// the input (MSB first), XOR in the 32-bit window of the key starting at
+// that bit position. It is the definition, for inputs of any length, that
+// the datapath's rssTable is tested against.
+func toeplitz(key [RSSKeySize]byte, input []byte) uint32 {
+	var result uint32
+	// The sliding 32-bit window over the key, starting at bit 0.
+	window := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
+	keyBit := 32 // index of the next key bit to shift in
+	for _, b := range input {
+		for mask := byte(0x80); mask != 0; mask >>= 1 {
+			if b&mask != 0 {
+				result ^= window
+			}
+			// Slide the window one bit.
+			next := byte(0)
+			if keyBit/8 < RSSKeySize && key[keyBit/8]&(0x80>>(keyBit%8)) != 0 {
+				next = 1
+			}
+			window = window<<1 | uint32(next)
+			keyBit++
+		}
+	}
+	return result
+}
+
 // TestToeplitzKnownVectors checks the hash against the published Microsoft
 // RSS verification vectors (IPv4 with ports, default key).
 func TestToeplitzKnownVectors(t *testing.T) {
@@ -23,8 +49,8 @@ func TestToeplitzKnownVectors(t *testing.T) {
 	}
 	for _, c := range cases {
 		k := packet.FlowKey{Src: c.src, Dst: c.dst, SrcPort: c.sport, DstPort: c.dport, Proto: packet.ProtoTCP}
-		if got := RSSHash(DefaultRSSKey, k); got != c.want {
-			t.Errorf("RSSHash(%v) = %#x, want %#x", k, got, c.want)
+		if got := defaultRSSTable.hash(k); got != c.want {
+			t.Errorf("hash(%v) = %#x, want %#x", k, got, c.want)
 		}
 	}
 }

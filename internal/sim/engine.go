@@ -516,8 +516,8 @@ func (e *Engine) due(deadline Time) bool {
 // disarmed timers' events the engine has not purged yet.
 func (e *Engine) Pending() int { return e.n + e.nb }
 
-// NextAt returns the time of the earliest pending event, if any. The shard
-// coordinator uses it to fast-forward barriers over dead air.
+// NextAt returns the time of the earliest pending event, if any. Sharded
+// uses it to fast-forward barriers over dead air.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.Pending() == 0 {
 		return 0, false
@@ -530,7 +530,8 @@ func (e *Engine) NextAt() (Time, bool) {
 // engine event drains a burst of n ring descriptors, the engine has done
 // n+1 events' worth of simulated work for one heap pop, and events/s
 // reporting (Fired, FiredTotal) must say so. Flushed with the ordinary
-// fired-count delta at run and barrier exits.
+// fired-count delta at run and barrier exits. Bench-only: the batched drain
+// bench/probe.go times is its one caller (see Sharded).
 func (e *Engine) AddFired(n int) {
 	if n > 0 {
 		e.nFired += uint64(n)

@@ -1,150 +1,82 @@
 package sim
 
 import (
-	"fmt"
-	"reflect"
-	"sync"
 	"testing"
 )
 
-// TestShardedBasics drives two shards through local and cross-bucket events
-// and checks clocks, delivery, and accounting.
+// TestShardedBasics drives two engines through their own events and checks
+// every event fires on its engine's clock and Run returns the latest clock.
 func TestShardedBasics(t *testing.T) {
 	s := NewSharded(2, 4, Microsecond)
-	// Shards run on parallel goroutines inside an epoch, so a shared
-	// recorder needs a lock; only membership is asserted.
-	var mu sync.Mutex
-	var got []string
-	record := func(ev string) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
+	fired := make([][]Time, 2)
+	for i := 0; i < 4; i++ {
+		sh := i % 2
+		e := s.Engine(sh)
+		e.At(Time(i)*Time(700*Nanosecond), func() { fired[sh] = append(fired[sh], e.Now()) })
 	}
-	for b := 0; b < 4; b++ {
-		b := b
-		s.EngineFor(b).At(Time(b)*Time(100*Nanosecond), func() {
-			record(fmt.Sprintf("local%d", b))
-		})
+	// The last event is due inside the epoch [2µs, 3µs), so the barrier
+	// leaves both clocks at that epoch's last instant.
+	if end := s.Run(); end != Time(3*Microsecond)-1 {
+		t.Fatalf("Run returned %v, want the end of the epoch holding the last event", end)
 	}
-	// Setup-time cross-bucket send: delivered before the first epoch runs.
-	s.Send(0, 3, Time(2*Microsecond), func() { record("mail0->3") })
-	end := s.RunUntil(Time(3 * Microsecond))
-	if end != Time(3*Microsecond) {
-		t.Fatalf("RunUntil returned %v", end)
-	}
-	if s.Now() != Time(3*Microsecond) {
-		t.Fatalf("Now = %v", s.Now())
-	}
-	// Buckets 0..3 interleave across two engines but each engine fires its
-	// own events in time order; with one goroutine per run observing both,
-	// the slice order here is the per-shard merge (0,2 on shard 0; 1,3 on
-	// shard 1). Only membership and the mail's presence are asserted.
-	want := map[string]bool{"local0": true, "local1": true, "local2": true, "local3": true, "mail0->3": true}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for _, g := range got {
-		if !want[g] {
-			t.Fatalf("unexpected event %q in %v", g, got)
+	want := [][]Time{{0, Time(1400 * Nanosecond)}, {Time(700 * Nanosecond), Time(2100 * Nanosecond)}}
+	for sh := range want {
+		if len(fired[sh]) != 2 || fired[sh][0] != want[sh][0] || fired[sh][1] != want[sh][1] {
+			t.Fatalf("shard %d fired at %v, want %v", sh, fired[sh], want[sh])
 		}
-	}
-	if s.Fired() != 5 {
-		t.Fatalf("Fired = %d, want 5", s.Fired())
-	}
-	if s.Delivered() != 1 || s.MailSent(s.ShardOf(0)) != 1 || s.MailRecv(s.ShardOf(3)) != 1 {
-		t.Fatalf("mail accounting: delivered=%d sent=%d recv=%d",
-			s.Delivered(), s.MailSent(s.ShardOf(0)), s.MailRecv(s.ShardOf(3)))
-	}
-	if s.PairSent(s.ShardOf(0), s.ShardOf(3)) != 1 {
-		t.Fatalf("pairSent = %d", s.PairSent(s.ShardOf(0), s.ShardOf(3)))
 	}
 }
 
-// TestShardedRunDrains checks Run executes chained cross-shard work to
-// completion and reports the final clock like Engine.Run does.
+// TestShardedRunDrains checks Run executes chained work on every engine to
+// completion, across many epochs, and reports the final clock like
+// Engine.Run does.
 func TestShardedRunDrains(t *testing.T) {
 	s := NewSharded(4, 8, Microsecond)
-	hops := 0
-	var hop func(b int)
-	hop = func(b int) {
-		hops++
-		if hops >= 10 {
-			return
+	hops := make([]int, 4)
+	for sh := 0; sh < 4; sh++ {
+		sh := sh
+		e := s.Engine(sh)
+		var hop func()
+		hop = func() {
+			if hops[sh]++; hops[sh] < 10 {
+				e.After(Duration(sh+1)*2*Microsecond, hop)
+			}
 		}
-		now := s.EngineFor(b).Now()
-		next := (b + 3) % 8
-		s.Send(b, next, now.Add(2*Microsecond), func() { hop(next) })
+		e.At(0, hop)
 	}
-	s.EngineFor(0).At(0, func() { hop(0) })
 	end := s.Run()
-	if hops != 10 {
-		t.Fatalf("hops = %d", hops)
+	for sh, n := range hops {
+		if n != 10 {
+			t.Fatalf("shard %d ran %d hops, want 10", sh, n)
+		}
 	}
-	// 9 hops of 2µs each; the final clock is the last hop's delivery time.
-	if end != Time(18*Microsecond) {
+	// Shard 3's nine hops of 8µs end last.
+	if end != Time(72*Microsecond) {
 		t.Fatalf("Run returned %v", end)
 	}
-	if s.Delivered() != 9 {
-		t.Fatalf("Delivered = %d", s.Delivered())
-	}
 }
 
-// TestShardedLookaheadViolationPanics asserts the barrier causality guard:
-// a cross-shard send targeting a time inside the current epoch is a model
-// bug and must panic rather than silently reorder.
-func TestShardedLookaheadViolationPanics(t *testing.T) {
-	s := NewSharded(2, 2, Microsecond)
-	s.EngineFor(0).At(Time(100*Nanosecond), func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("send inside the epoch did not panic")
-			}
-		}()
-		s.Send(0, 1, Time(500*Nanosecond), func() {})
-	})
-	s.RunUntil(Time(Microsecond))
-}
-
-// TestShardedStopAtBarrier checks Stop from model code ends the run at the
-// next barrier with pending work intact, and a later run resumes it.
-func TestShardedStopAtBarrier(t *testing.T) {
-	s := NewSharded(2, 2, Microsecond)
-	fired := make([]bool, 2)
-	s.EngineFor(0).At(Time(100*Nanosecond), func() {
-		fired[0] = true
-		s.Stop()
-	})
-	s.EngineFor(1).At(Time(5*Microsecond), func() { fired[1] = true })
-	s.RunUntil(Time(10 * Microsecond))
-	if !fired[0] || fired[1] {
-		t.Fatalf("after stop: fired = %v", fired)
-	}
-	s.RunUntil(Time(10 * Microsecond))
-	if !fired[1] {
-		t.Fatal("resumed run did not fire the pending event")
-	}
-}
-
-// TestShardedFiredTotalFlushedAtBarriers is the shard-aware FiredTotal
-// satellite: an event observing the global counter mid-run (several epochs
-// after another shard's burst, batched sub-events included) must see that
-// work already published, because every barrier exit flushes each shard.
+// TestShardedFiredTotalFlushedAtBarriers: an event observing the global
+// counter mid-run (several epochs after another engine's burst, batched
+// sub-events included) must see that work already published, because every
+// barrier exit flushes each engine.
 func TestShardedFiredTotalFlushedAtBarriers(t *testing.T) {
 	s := NewSharded(2, 2, Microsecond)
 	base := FiredTotal()
+	e0 := s.Engine(0)
 	for i := 0; i < 5; i++ {
-		s.EngineFor(0).At(Time(i)*Time(100*Nanosecond), func() {
-			s.EngineFor(0).AddFired(9) // one dispatch draining a 10-unit burst
+		e0.At(Time(i)*Time(100*Nanosecond), func() {
+			e0.AddFired(9) // one dispatch draining a 10-unit burst
 		})
 	}
 	var seen uint64
-	s.EngineFor(1).At(Time(4*Microsecond), func() { seen = FiredTotal() - base })
-	s.RunUntil(Time(5 * Microsecond))
+	s.Engine(1).At(Time(4*Microsecond), func() { seen = FiredTotal() - base })
+	s.Run()
 	if seen < 50 {
 		t.Fatalf("mid-run FiredTotal delta = %d, want >= 50 (5 dispatches x 10 units flushed at barriers)", seen)
 	}
-	if got := FiredTotal() - base; got != s.Fired() {
-		t.Fatalf("final FiredTotal delta %d != aggregate Fired %d", got, s.Fired())
+	if got, want := FiredTotal()-base, s.Engine(0).Fired()+s.Engine(1).Fired(); got != want {
+		t.Fatalf("final FiredTotal delta %d != the engines' Fired %d", got, want)
 	}
 }
 
@@ -162,112 +94,15 @@ func TestEngineStopFlushesFiredTotal(t *testing.T) {
 	}
 }
 
-// shardTraceEntry is one fired event in a bucket's execution trace.
-type shardTraceEntry struct {
-	At      Time
-	Payload int
-}
-
-// shardScheduleRun executes one randomized cross-bucket schedule on nShards
-// shards and returns the per-bucket traces, the merge journal, the total
-// fired count and the final time. The schedule itself is a function of
-// (seed, buckets) only — every random draw is made from a per-bucket RNG in
-// bucket-deterministic order — so any difference between shard counts is a
-// coordinator bug.
-func shardScheduleRun(seed int64, nShards, buckets int) ([][]shardTraceEntry, []MailStamp, uint64, Time) {
-	const (
-		epoch    = Duration(Microsecond)
-		quantum  = Duration(250 * Nanosecond)
-		chains   = 3
-		perBurst = 120 // event budget per bucket; chains die beyond it
-	)
-	s := NewSharded(nShards, buckets, epoch)
-	s.EnableJournal()
-	traces := make([][]shardTraceEntry, buckets)
-	rngs := make([]*RNG, buckets)
-	budget := make([]int, buckets)
-	payload := make([]int, buckets)
-	for b := 0; b < buckets; b++ {
-		rngs[b] = NewRNG(seed, fmt.Sprintf("shard-prop-bucket%d", b))
-	}
-	var step func(b int)
-	step = func(b int) {
-		eng := s.EngineFor(b)
-		now := eng.Now()
-		payload[b]++
-		traces[b] = append(traces[b], shardTraceEntry{At: now, Payload: payload[b]})
-		if budget[b]++; budget[b] >= perBurst {
-			return
-		}
-		r := rngs[b]
-		switch p := r.Float64(); {
-		case p < 0.55:
-			// Local reschedule, jitter 0 included: same-instant tie-breaks.
-			eng.At(now.Add(Duration(r.Intn(5))*quantum), func() { step(b) })
-		case p < 0.90:
-			dst := r.Intn(buckets)
-			t := now.Add(epoch + Duration(r.Intn(8))*quantum)
-			s.Send(b, dst, t, func() { step(dst) })
-		default:
-			// Chain dies.
-		}
-	}
-	for b := 0; b < buckets; b++ {
-		for c := 0; c < chains; c++ {
-			b := b
-			s.EngineFor(b).At(Time(rngs[b].Intn(40))*Time(quantum), func() { step(b) })
-		}
-	}
-	end := s.Run()
-	return traces, s.Journal(), s.Fired(), end
-}
-
-// TestShardMergeProperty is the merge property test: random cross-shard
-// event schedules must produce byte-identical per-bucket firing orders
-// (including same-timestamp tie-breaks), an identical merge journal, an
-// identical total event count, and an identical final clock at every shard
-// count — N ∈ {1, 2, 4, 8} — because the (time, srcBucket, seq) stamp never
-// mentions shards.
-func TestShardMergeProperty(t *testing.T) {
-	const buckets = 16
-	for _, seed := range []int64{1, 7, 42} {
-		refTraces, refJournal, refFired, refEnd := shardScheduleRun(seed, 1, buckets)
-		if len(refJournal) == 0 {
-			t.Fatalf("seed %d: schedule produced no cross-shard mail — property not exercised", seed)
-		}
-		for _, n := range []int{2, 4, 8} {
-			traces, journal, fired, end := shardScheduleRun(seed, n, buckets)
-			if fired != refFired {
-				t.Errorf("seed %d shards %d: fired %d != %d at 1 shard", seed, n, fired, refFired)
-			}
-			if end != refEnd {
-				t.Errorf("seed %d shards %d: final time %v != %v at 1 shard", seed, n, end, refEnd)
-			}
-			if !reflect.DeepEqual(journal, refJournal) {
-				t.Errorf("seed %d shards %d: merge journal diverges (%d vs %d entries)", seed, n, len(journal), len(refJournal))
-			}
-			for b := range traces {
-				if !reflect.DeepEqual(traces[b], refTraces[b]) {
-					t.Errorf("seed %d shards %d: bucket %d firing order diverges (%d vs %d events)",
-						seed, n, b, len(traces[b]), len(refTraces[b]))
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestShardedDeadAirFastForward checks sparse workloads do not pay one
-// barrier per epoch of empty virtual time.
+// TestShardedDeadAirFastForward checks sparse work does not pay one barrier
+// per epoch of empty virtual time: a run over 1000 s of dead air at a 1 µs
+// epoch is 10^9 barriers without the fast-forward.
 func TestShardedDeadAirFastForward(t *testing.T) {
 	s := NewSharded(2, 2, Microsecond)
 	fired := false
-	s.EngineFor(1).At(Time(Second), func() { fired = true })
-	s.RunUntil(Time(Second))
-	if !fired {
-		t.Fatal("distant event did not fire")
-	}
-	if s.Epochs() > 4 {
-		t.Fatalf("sparse run took %d epochs; dead-air fast-forward broken", s.Epochs())
+	s.Engine(0).At(0, func() {})
+	s.Engine(1).At(Time(1000*Second), func() { fired = true })
+	if end := s.Run(); !fired || end != Time(1000*Second) {
+		t.Fatalf("distant event fired=%v, run ended at %v", fired, end)
 	}
 }

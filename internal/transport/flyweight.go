@@ -5,25 +5,18 @@ import (
 	"norman/internal/sim"
 )
 
-// Flyweight transport: the per-connection protocol state of the sharded
-// scale path lives in a mem.ConnSlab — dense arrays, ≤ 64 hot bytes per
-// connection — instead of a Stream object per connection. The operations
-// below are the whole protocol surface the 100k–1M-connection worlds need
-// (sequence tracking, duplicate/gap accounting, delivery counters), written
-// as free functions over the slab so the receive path stays allocation-free
-// and a record never leaves its RSS bucket's shard.
+// Flyweight transport: per-connection receive state in a mem.ConnSlab —
+// dense arrays, ≤ 64 hot bytes per connection — instead of a Stream object
+// per connection, written as free functions over the slab so the receive
+// path stays allocation-free. Bench-only: bench/probe.go times FlyweightRx
+// (probe.transport.flyweight_rx_ns) and nothing else in the tree calls it.
+// It stays, with that one caller, until the ROADMAP item "Unfreeze the
+// benchmark" retires the probe.
 
 // FlyweightOpen admits a connection into a bucket for a tenant and resets
 // its record.
 func FlyweightOpen(s *mem.ConnSlab, id int, bucket uint16, tenant uint32) {
 	s.Open(id, bucket, tenant)
-}
-
-// FlyweightTx returns the connection's next send sequence and advances it.
-func FlyweightTx(s *mem.ConnSlab, id int) uint32 {
-	seq := s.TxPkts[id]
-	s.TxPkts[id]++
-	return seq
 }
 
 // FlyweightRx advances a connection's receive state for one delivered

@@ -45,20 +45,6 @@ func TestFlyweightRx(t *testing.T) {
 	}
 }
 
-// TestFlyweightTx checks sequence sourcing.
-func TestFlyweightTx(t *testing.T) {
-	s := mem.NewConnSlab(2, 0)
-	FlyweightOpen(s, 0, 0, 0)
-	for want := uint32(0); want < 3; want++ {
-		if got := FlyweightTx(s, 0); got != want {
-			t.Fatalf("tx seq = %d, want %d", got, want)
-		}
-	}
-	if s.TxPkts[0] != 3 {
-		t.Fatalf("TxPkts = %d", s.TxPkts[0])
-	}
-}
-
 // TestFlyweightZeroAlloc pins the receive hot path at zero allocations.
 func TestFlyweightZeroAlloc(t *testing.T) {
 	s := mem.NewConnSlab(8, 0)

@@ -23,6 +23,9 @@ import (
 // MSS is the maximum segment payload.
 const MSS = 1400
 
+// maxRTO caps the retransmission timeout's exponential backoff.
+const maxRTO = 500 * sim.Millisecond
+
 // DefaultMaxRetries is how many consecutive RTO expiries on the same
 // unacknowledged byte a stream tolerates before aborting. With the default
 // RTO schedule (10 ms initial, doubling, 500 ms cap) a total blackhole
@@ -43,8 +46,7 @@ var ErrOverload = errors.New("transport: stream shed by overload control")
 type Config struct {
 	TotalBytes uint32       // how much to transfer
 	Window     uint32       // receiver window in bytes (0 = 256 KiB)
-	InitialRTO sim.Duration // 0 = 10 ms
-	MaxRTO     sim.Duration // 0 = 500 ms
+	InitialRTO sim.Duration // 0 = 10 ms; backoff doubles it up to maxRTO
 	Done       func(at sim.Time)
 
 	// MaxRetries bounds consecutive RTO expiries on the same sndUna before
@@ -135,9 +137,6 @@ func New(a arch.Arch, conn *arch.Conn, flow packet.FlowKey, mux *host.Mux, cfg C
 	}
 	if cfg.InitialRTO == 0 {
 		cfg.InitialRTO = 10 * sim.Millisecond
-	}
-	if cfg.MaxRTO == 0 {
-		cfg.MaxRTO = 500 * sim.Millisecond
 	}
 	s := &Stream{
 		a: a, conn: conn, flow: flow, cfg: cfg,
@@ -331,8 +330,8 @@ func (s *Stream) onTimeout() {
 	s.recovering = false
 	s.dupAcks = 0
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	// Go-back-N from the timeout point: resend the first hole only; the
 	// cumulative ACK will pull the rest.
@@ -431,8 +430,8 @@ func (s *Stream) updateRTT(sample sim.Duration) {
 	if s.rto < sim.Millisecond {
 		s.rto = sim.Millisecond
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 }
 
