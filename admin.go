@@ -97,7 +97,6 @@ func (s *System) IPTablesAppend(hook string, r Rule) error {
 		return err
 	}
 	s.policy.Apply(e)
-	s.commitNICConfig()
 	return nil
 }
 
@@ -122,7 +121,6 @@ func (s *System) IPTablesFlush() error {
 		return err
 	}
 	s.policy.Apply(e)
-	s.commitNICConfig()
 	return nil
 }
 
@@ -188,7 +186,6 @@ func (s *System) TCSet(spec QdiscSpec, classOfUID map[uint32]uint32) error {
 		return err
 	}
 	s.policy.Apply(e)
-	s.commitNICConfig()
 	_ = s.resolve() // cannot newly fail here: see resolve
 	return nil
 }

@@ -45,6 +45,21 @@ func main() {
 	// below lands in the intent journal, so a SIGKILL'd daemon restarted with
 	// the same -journal reconciles instead of starting blind.
 	sys.EnableRecovery()
+	// Live upgrades: staged A/B pipeline generations with canary-gated
+	// cutover and automatic rollback; nnetstat -upgrade reads the phase and
+	// the ctl upgrade.start op drives a same-policy flip. Enabled before the
+	// journal is attached, since a hot restart re-adopts the live generation.
+	sys.EnableLiveUpgrade(upgrade.Config{})
+	// Observability on from the start: the metrics registry and the packet
+	// tracer feed nnetstat -metrics and ntcpdump -trace.
+	reg := sys.EnableTelemetry()
+	// The journal is attached before the first journaled verb (the tenant
+	// split below): replay loads only into an empty journal.
+	if *journalPath != "" {
+		if err := attachJournal(sys, *journalPath, *journalCompact); err != nil {
+			log.Fatalf("normand: journal: %v", err)
+		}
+	}
 	// Overload control before the demo dials, so they pass through admission
 	// like any tenant's would; the watchdog samples as ctl requests step
 	// virtual time, and nnetstat -pressure reads its state.
@@ -52,7 +67,8 @@ func main() {
 	// Tenant isolation over the demo users: bob is the latency-sensitive
 	// tenant (weight 3), charlie the bulk one (weight 1). The weighted
 	// scheduler, DDIO partition and per-tenant budgets are all live;
-	// nnetstat -tenants reads the merged rows.
+	// nnetstat -tenants reads the merged rows. After a replay that restored
+	// the same split this journals nothing.
 	if err := sys.EnableTenantIsolation(map[uint32]int{1: 3, 2: 1}); err != nil {
 		log.Fatalf("normand: tenant isolation: %v", err)
 	}
@@ -68,18 +84,6 @@ func main() {
 	// the component rows. With the monitor on, the flow cache verifies its
 	// entries' checksums from the first packet.
 	sys.EnableHealth(health.Config{}).Start(0)
-	// Live upgrades: staged A/B pipeline generations with canary-gated
-	// cutover and automatic rollback; nnetstat -upgrade reads the phase and
-	// the ctl upgrade.start op drives a same-policy flip.
-	sys.EnableLiveUpgrade(upgrade.Config{})
-	// Observability on from the start: the metrics registry and the packet
-	// tracer feed nnetstat -metrics and ntcpdump -trace.
-	reg := sys.EnableTelemetry()
-	if *journalPath != "" {
-		if err := attachJournal(sys, *journalPath, *journalCompact); err != nil {
-			log.Fatalf("normand: journal: %v", err)
-		}
-	}
 	// The far side of the link: a gateway endpoint (10.0.0.2) that echoes
 	// UDP and answers pings, as any real peer would.
 	net := wire.NewNetwork(sys.Arch())

@@ -64,7 +64,6 @@ func (s *System) dial(proc *Process, flow packet.FlowKey) (*Conn, error) {
 	if open.Seq != 0 {
 		s.record(recovery.Entry{Op: recovery.OpConnBind, Ref: open.Seq, ConnID: c.Info.ID})
 	}
-	s.commitNICConfig()
 	return &Conn{sys: s, c: c, flow: flow}, nil
 }
 
@@ -84,7 +83,6 @@ func (c *Conn) Close() error {
 	if s.gov != nil {
 		s.gov.ReleaseConn(s.w.Kern.TenantOf(c.c.Info.UID))
 	}
-	s.commitNICConfig()
 	return nil
 }
 

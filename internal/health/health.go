@@ -87,14 +87,17 @@ type Config struct {
 	// RestoreAfter is how many consecutive calm samples a probing component
 	// needs before it is restored to healthy (default 3).
 	RestoreAfter int
-	// DMAStallFrac is the fraction of a sample period the DMA engine may
-	// spend stalled before the dma component counts as faulty (default 0.5).
-	DMAStallFrac float64
-	// DMAQueueBound is the ingress FIFO depth a quarantined dma component is
-	// clamped to — the bounded queue that converts a stalled engine into
-	// wire backpressure instead of unbounded buffering (default 16).
-	DMAQueueBound int
 }
+
+const (
+	// dmaStallFrac is the fraction of a sample period the DMA engine may
+	// spend stalled before the dma component counts as faulty.
+	dmaStallFrac = 0.5
+	// dmaQueueBound is the ingress FIFO depth a quarantined dma component is
+	// clamped to — the bounded queue that converts a stalled engine into
+	// wire backpressure instead of unbounded buffering.
+	dmaQueueBound = 16
+)
 
 func (c Config) sampleEvery() sim.Duration {
 	if c.SampleEvery > 0 {
@@ -122,20 +125,6 @@ func (c Config) restoreAfter() int {
 		return c.RestoreAfter
 	}
 	return 3
-}
-
-func (c Config) dmaStallFrac() float64 {
-	if c.DMAStallFrac > 0 {
-		return c.DMAStallFrac
-	}
-	return 0.5
-}
-
-func (c Config) dmaQueueBound() int {
-	if c.DMAQueueBound > 0 {
-		return c.DMAQueueBound
-	}
-	return 16
 }
 
 // comp is one component's runtime state.
@@ -190,9 +179,9 @@ type Monitor struct {
 }
 
 // New builds a monitor over a world's engine and NIC. Creating the monitor
-// turns on flow-cache checksum verification (the detection half of the
-// failover story); it is re-asserted on every sample so a cache enabled
-// after the monitor is still covered.
+// turns on checksum verification in the NIC's flow cache, if it has one (the
+// detection half of the failover story); the facade's resolve covers a cache
+// enabled after the monitor.
 func New(eng *sim.Engine, n *nic.NIC, cfg Config) *Monitor {
 	m := &Monitor{
 		n:   n,
@@ -229,13 +218,10 @@ func (m *Monitor) span(now sim.Time, point string, c *comp) {
 // must stay noisy across EscalateAfter periods to be quarantined.
 func (m *Monitor) sample(now sim.Time) bool {
 	m.Samples++
-	if fc := m.n.FlowCache(); fc != nil && !fc.Verify() {
-		fc.SetVerify(true)
-	}
 
 	// DMA: injected stall time per period against the allowed fraction.
 	dStall := m.stallNs.Take(m.n.DMAStallNs)
-	budget := uint64(float64(m.cfg.sampleEvery()/sim.Nanosecond) * m.cfg.dmaStallFrac())
+	budget := uint64(float64(m.cfg.sampleEvery()/sim.Nanosecond) * dmaStallFrac)
 	// Flow cache: detected checksum failures per period.
 	dCk := m.ckFails.Take(m.n.ChecksumFails())
 	// Pipeline: traps absorbed (fallbacks) or terminal (fail-opens).
@@ -316,8 +302,8 @@ func (m *Monitor) quarantine(now sim.Time, c *comp) {
 		if c.savedWindow == 0 {
 			c.savedWindow = m.n.RxWindow()
 		}
-		if bound := m.cfg.dmaQueueBound(); m.n.RxWindow() > bound {
-			m.n.SetRxWindow(bound)
+		if m.n.RxWindow() > dmaQueueBound {
+			m.n.SetRxWindow(dmaQueueBound)
 		}
 	case Link:
 		// Carrier loss announces itself and heals itself; nothing to do.

@@ -126,13 +126,12 @@ func TestProbationRelapseRequarantines(t *testing.T) {
 }
 
 // TestDMAQuarantineBoundsQueue: sustained DMA stall time clamps the ingress
-// FIFO to the configured bound and restores it on probe.
+// FIFO to dmaQueueBound and restores it on probe.
 func TestDMAQuarantineBoundsQueue(t *testing.T) {
 	eng, n := newWorld(t)
 	m := New(eng, n, Config{
 		SampleEvery: sim.Microsecond, EscalateAfter: 2,
 		ProbationAfter: 3, RestoreAfter: 2,
-		DMAStallFrac: 0.5, DMAQueueBound: 4,
 	})
 	before := n.RxWindow()
 	// Two periods each >50% stalled.
@@ -143,8 +142,8 @@ func TestDMAQuarantineBoundsQueue(t *testing.T) {
 	m.Start(sim.Time(10 * sim.Microsecond))
 	eng.Run()
 
-	if clamped != 4 {
-		t.Fatalf("quarantined rx window = %d, want 4", clamped)
+	if before <= dmaQueueBound || clamped != dmaQueueBound {
+		t.Fatalf("rx window %d, quarantined %d; want it clamped to %d", before, clamped, dmaQueueBound)
 	}
 	if n.RxWindow() != before {
 		t.Fatalf("probe must restore the rx window: %d != %d", n.RxWindow(), before)

@@ -579,6 +579,24 @@ func (f *FlowCache) Export() []FlowEntryExport {
 	return out
 }
 
+// flowLess orders flow keys lexicographically: the one order every
+// deterministic walk of a flow-keyed map uses.
+func flowLess(a, b packet.FlowKey) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	if a.SrcPort != b.SrcPort {
+		return a.SrcPort < b.SrcPort
+	}
+	if a.DstPort != b.DstPort {
+		return a.DstPort < b.DstPort
+	}
+	return a.Proto < b.Proto
+}
+
 // EnableFlowCache installs a flow cache with at least `entries` slots
 // (rounded up to a power-of-two bucket count at 4-way associativity),
 // charging 32 bytes per slot against the on-NIC SRAM budget. Returns

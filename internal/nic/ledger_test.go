@@ -174,15 +174,14 @@ func ledgerOps(t *testing.T, weights map[uint32]int, ops []byte) {
 
 // TestQdiscSwapCountsBacklog: a qdisc replaced while it holds frames takes
 // them with it, and the ledger says so — they are never sent, so they must
-// leave tx_ahead and be counted as qdisc refusals, whether the swap comes
-// through SetScheduler or RestoreConfig, and a dequeue left pending against a
-// qdisc that was removed outright must find nothing to do.
+// leave tx_ahead and be counted as qdisc refusals, whether the swap puts
+// another qdisc in or removes it outright, and a dequeue left pending against
+// a qdisc that was removed must find nothing to do.
 func TestQdiscSwapCountsBacklog(t *testing.T) {
-	for _, via := range []string{"SetScheduler", "RestoreConfig", "removed"} {
+	for _, via := range []string{"SetScheduler", "removed"} {
 		for _, d := range disciplines {
 			t.Run(via+"/"+d.name, func(t *testing.T) {
 				n, eng, c := jobWorld(t, d.weights)
-				n.CommitConfig(eng.Now()) // known-good: no qdisc
 				n.SetScheduler(qos.NewTBF(64, 1e6, 1514))
 				for i := 0; i < 8; i++ {
 					p := packet.NewUDP(packet.MAC{1}, packet.MAC{2}, 1, 2, 3, 4, 1400)
@@ -198,10 +197,6 @@ func TestQdiscSwapCountsBacklog(t *testing.T) {
 				switch via {
 				case "SetScheduler":
 					n.SetScheduler(qos.NewPFIFO(64))
-				case "RestoreConfig":
-					if _, err := n.RestoreConfig(n.LastGoodConfig()); err != nil {
-						t.Fatal(err)
-					}
 				case "removed": // the pending dequeue finds no qdisc
 					n.SetScheduler(nil)
 				}
@@ -244,7 +239,7 @@ func TestIdleLawCatchesStrandedQdisc(t *testing.T) {
 	}
 }
 
-// TestStalePumpRearms: RestoreConfig can put back a shaper that already sent
+// TestStalePumpRearms: SetScheduler can put back a shaper that already sent
 // and whose bucket is still refilling, while a dequeue armed for the qdisc it
 // replaces is pending. That dequeue finds the restored shaper not yet ready
 // and arms it at its own instant instead of leaving its frame stranded.
@@ -261,16 +256,15 @@ func TestStalePumpRearms(t *testing.T) {
 				}
 				n.DoorbellTx(c)
 			}
-			n.SetScheduler(qos.NewTBF(64, 1e5, 1514)) // 1442B frames; refilling one takes 14ms
+			sent := qos.NewTBF(64, 1e5, 1514) // 1442B frames; refilling one takes 14ms
+			n.SetScheduler(sent)
 			push(1)
 			eng.Run()
-			n.CommitConfig(eng.Now()) // the shaper that has just sent
 			n.SetScheduler(qos.NewTBF(64, 1e6, 1514))
 			push(8)
 			eng.RunUntil(eng.Now().Add(50 * sim.Microsecond)) // one sent, a dequeue pending ~1.4ms out
-			if _, err := n.RestoreConfig(n.LastGoodConfig()); err != nil {
-				t.Fatal(err)
-			}
+			// Back to the shaper that has just sent.
+			n.SetScheduler(sent)
 			push(1)
 			drained(t, n, eng)
 			if err := n.Balance(); err != nil {

@@ -198,13 +198,6 @@ type NIC struct {
 	rxPauseCap int
 	rxPauseBuf []*packet.Packet
 
-	// lastGoodCfg widens lastGood from per-pipeline to whole-config scope:
-	// the most recent NIC configuration the control plane committed as
-	// known-good (both programs, scheduler, classifier, steering table,
-	// default conn). The crash reconciler restores from it wholesale
-	// instead of recompiling policy by policy (snapshot.go).
-	lastGoodCfg *ConfigSnapshot
-
 	sched      qos.Qdisc // egress scheduler; nil = pure FIFO via wire server
 	schedPump  bool
 	classifier func(*packet.Packet) uint32 // egress class assignment; nil = Meta.Class as-is

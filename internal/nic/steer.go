@@ -117,21 +117,6 @@ func (n *NIC) unsteerConn(c *Conn) {
 	}
 }
 
-// steeringEntries returns the table as the control plane wrote it: every
-// exact key and the connection id it is steered to.
-func (n *NIC) steeringEntries() map[packet.FlowKey]uint64 {
-	out := make(map[packet.FlowKey]uint64, len(n.steering))
-	for ck, row := range n.steering {
-		if row.fwd != nil {
-			out[ck] = row.fwd.ID
-		}
-		if row.rev != nil {
-			out[ck.Reverse()] = row.rev.ID
-		}
-	}
-	return out
-}
-
 // steer resolves the destination connection for an inbound frame: the
 // steering entry under the frame's own key, else the one under its reverse
 // (the server side of a flow steered by local tuple) — one probe of the

@@ -7,12 +7,12 @@ import (
 
 // Compact folds a journal into the minimal entry sequence that replays to
 // the same reconciled intent: the replayed Policy (its rule list in order,
-// then its qdisc), and one open/bind pair per live bound connection.
-// Aborted pairs, flushed rules, superseded qdiscs, closed connections,
-// incomplete setups and pre-epoch (stale) connections are dropped — they
-// contribute nothing to intent, only to journal length. The result passes
-// Verify and Replay(Compact(e)) equals Replay(e) on rules, qdisc and live
-// connections.
+// then its qdisc, then its tenant weights), and one open/bind pair per live
+// bound connection. Aborted pairs, flushed rules, superseded qdiscs and
+// tenant weights, closed connections, incomplete setups and pre-epoch
+// (stale) connections are dropped — they contribute nothing to intent, only
+// to journal length. The result passes Verify and Replay(Compact(e)) equals
+// Replay(e) on rules, qdisc, tenants and live connections.
 func Compact(entries []Entry) ([]Entry, error) {
 	in, err := Replay(entries)
 	if err != nil {
@@ -30,6 +30,9 @@ func Compact(entries []Entry) ([]Entry, error) {
 	}
 	if in.Qdisc != nil {
 		next(Entry{Op: OpQdiscSet, Qdisc: in.Qdisc})
+	}
+	if in.Tenants != nil {
+		next(Entry{Op: OpTenantSet, Tenants: in.Tenants})
 	}
 	for _, id := range in.sortedConnIDs() {
 		next(Entry{Op: OpConnOpen, Conn: &in.Conns[id].Rec})

@@ -12,9 +12,9 @@ import (
 )
 
 // compactFixture builds a journal with plenty of dead weight: rules that get
-// flushed, a superseded qdisc, aborted mutations, closed connections, an
-// incomplete setup, and a pre-epoch (stale) connection — plus the live state
-// compaction must preserve exactly.
+// flushed, a superseded qdisc and tenant split, aborted mutations, closed
+// connections, an incomplete setup, and a pre-epoch (stale) connection — plus
+// the live state compaction must preserve exactly.
 func compactFixture() []Entry {
 	j := NewJournal()
 	at := func(us int) sim.Duration { return sim.Duration(us) * sim.Microsecond }
@@ -41,6 +41,12 @@ func compactFixture() []Entry {
 	j.Append(Entry{At: at(8), Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "pfifo", Limit: 64}})
 	j.Append(Entry{At: at(9), Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "wfq", Weights: map[uint32]float64{1: 3, 2: 1}}})
 
+	// Tenant splits: the second wins, the third is aborted.
+	j.Append(Entry{At: at(9), Op: OpTenantSet, Tenants: map[uint32]int{1: 1, 2: 1}})
+	j.Append(Entry{At: at(9), Op: OpTenantSet, Tenants: map[uint32]int{1: 7, 2: 1}})
+	split := j.Append(Entry{At: at(9), Op: OpTenantSet, Tenants: map[uint32]int{1: 1, 2: 1, 3: 1}})
+	j.Append(Entry{At: at(9), Op: OpAbort, Ref: split.Seq})
+
 	// Connections: one live, one closed, one incomplete (open, never bound).
 	open1 := j.Append(Entry{At: at(10), Op: OpConnOpen, Conn: &ConnRecord{Flow: flow(2000), PID: 10, UID: 100, Command: "svc"}})
 	j.Append(Entry{At: at(10), Op: OpConnBind, Ref: open1.Seq, ConnID: 41})
@@ -56,8 +62,8 @@ func compactFixture() []Entry {
 
 // TestCompactReplayEquivalence is the compaction contract: the compacted
 // journal passes Verify and replays to the same reconciled state — same
-// rules in order, same final qdisc, same live bound connections under the
-// same ids — while the dead entries are gone.
+// rules in order, same final qdisc and tenant split, same live bound
+// connections under the same ids — while the dead entries are gone.
 func TestCompactReplayEquivalence(t *testing.T) {
 	entries := compactFixture()
 	before, err := Replay(entries)
@@ -87,6 +93,9 @@ func TestCompactReplayEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before.Qdisc, after.Qdisc) {
 		t.Fatalf("qdisc diverges:\nbefore %+v\nafter  %+v", before.Qdisc, after.Qdisc)
+	}
+	if before.Tenants == nil || !reflect.DeepEqual(before.Tenants, after.Tenants) {
+		t.Fatalf("tenants diverge:\nbefore %v\nafter  %v", before.Tenants, after.Tenants)
 	}
 	if len(after.Conns) != len(before.Conns) {
 		t.Fatalf("live conns diverge: %d before, %d after", len(before.Conns), len(after.Conns))

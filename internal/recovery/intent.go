@@ -6,17 +6,18 @@ import (
 )
 
 // Policy is what the control plane asked the dataplane to enforce: the
-// ordered rule list and the egress scheduler. Replay folds it from the
-// journal, Compact re-emits it, and the facade keeps the same value for the
-// live control plane, each through Apply.
+// ordered rule list, the egress scheduler and the tenant isolation weights.
+// Replay folds it from the journal, Compact re-emits it, and the facade keeps
+// the same value for the live control plane, each through Apply.
 type Policy struct {
-	Rules []RuleRecord
-	Qdisc *QdiscRecord
+	Rules   []RuleRecord
+	Qdisc   *QdiscRecord
+	Tenants map[uint32]int // nil = isolation off
 }
 
 // Apply folds one journal entry into the policy: an append adds its rule, a
-// flush clears the list, and a qdisc.set replaces the scheduler. Every other
-// op leaves the policy as it is.
+// flush clears the list, a qdisc.set replaces the scheduler and a tenant.set
+// the tenant weights. Every other op leaves the policy as it is.
 func (p *Policy) Apply(e Entry) {
 	switch e.Op {
 	case OpRuleAppend:
@@ -26,6 +27,8 @@ func (p *Policy) Apply(e Entry) {
 	case OpQdiscSet:
 		q := *e.Qdisc
 		p.Qdisc = &q
+	case OpTenantSet:
+		p.Tenants = e.Tenants
 	}
 }
 

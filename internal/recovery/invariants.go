@@ -18,7 +18,9 @@ type InvariantResult struct {
 //   - chains_verify — every loaded NIC pipeline program passes the static
 //     verifier and every intended chain is loaded (no nic.program left).
 //   - qos_weights — the live scheduler is the intended kind with every
-//     intended WFQ class weight (no qdisc divergence left).
+//     intended WFQ class weight, and the NIC's tenant scheduler and flow
+//     cache carry the intended tenant split (no qdisc or tenants divergence
+//     left).
 func checkInvariants(j *Journal, after []divergence) []InvariantResult {
 	out := []InvariantResult{{Name: "journal_consistent", OK: true}, {Name: "conn_rings", OK: true},
 		{Name: "chains_verify", OK: true}, {Name: "qos_weights", OK: true}}
@@ -36,7 +38,7 @@ func checkInvariants(j *Journal, after []divergence) []InvariantResult {
 			fail(1, d.detail)
 		case "nic.program":
 			fail(2, d.detail)
-		case "qdisc":
+		case "qdisc", "tenants":
 			fail(3, d.detail)
 		}
 	}

@@ -29,6 +29,7 @@ const (
 	OpRuleAppend Op = "rule.append"
 	OpRuleFlush  Op = "rule.flush"
 	OpQdiscSet   Op = "qdisc.set"
+	OpTenantSet  Op = "tenant.set"
 	OpConnOpen   Op = "conn.open"
 	OpConnBind   Op = "conn.bind"
 	OpConnClose  Op = "conn.close"
@@ -101,6 +102,8 @@ type Entry struct {
 	Rule  *RuleRecord  `json:"rule,omitempty"`
 	Qdisc *QdiscRecord `json:"qdisc,omitempty"`
 	Conn  *ConnRecord  `json:"conn,omitempty"`
+	// Tenants is OpTenantSet's payload: tenant id -> isolation weight.
+	Tenants map[uint32]int `json:"tenants,omitempty"`
 }
 
 // Journal is the deterministic, append-only intent log. It lives in
@@ -196,6 +199,15 @@ func (j *Journal) Verify() error {
 		case OpQdiscSet:
 			if e.Qdisc == nil {
 				return fmt.Errorf("recovery: seq %d: %s without qdisc payload", e.Seq, e.Op)
+			}
+		case OpTenantSet:
+			if len(e.Tenants) == 0 {
+				return fmt.Errorf("recovery: seq %d: %s without tenant weights", e.Seq, e.Op)
+			}
+			for id, w := range e.Tenants {
+				if w <= 0 {
+					return fmt.Errorf("recovery: seq %d: %s: tenant %d weight %d (must be positive)", e.Seq, e.Op, id, w)
+				}
 			}
 		case OpConnOpen:
 			if e.Conn == nil {

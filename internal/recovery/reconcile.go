@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"norman/internal/kernel"
@@ -37,10 +38,12 @@ type Live struct {
 
 // Applier is the control plane's repair surface: the reconciler decides
 // *what* diverged, the system decides *how* to reapply it (recompiling
-// rules, re-registering kernel connections, re-steering flows).
+// rules, reinstalling the scheduler or the tenant split, re-registering
+// kernel connections, re-steering flows).
 type Applier interface {
 	ReinstallRules(rules []RuleRecord) error
 	ReinstallQdisc(q QdiscRecord) error
+	ReinstallTenants(weights map[uint32]int) error
 	RestoreConn(rec ConnRecord, id uint64) error
 	RepairSteering(rec ConnRecord, id uint64) error
 }
@@ -74,16 +77,15 @@ type Report struct {
 // divergence is one intended-vs-live mismatch, with enough structure for
 // the repair dispatch.
 type divergence struct {
-	kind   string // rules | qdisc | nic.program | conn.kernel | conn.ring | conn.steer
+	kind   string // rules | qdisc | tenants | nic.program | conn.kernel | conn.ring | conn.steer
 	detail string
 	conn   *IntentConn // set for conn.* kinds
 }
 
 // Restart brings the control plane back: replays the journal into intent,
-// diffs against live state, repairs divergence through the applier
-// (preferring the NIC's whole-config last-good snapshot when NIC state is
-// what diverged), re-diffs to prove convergence, and runs the invariant
-// checker. The returned report is also retained as Status().Last.
+// diffs against live state, repairs divergence through the applier from that
+// intent, re-diffs to prove convergence, and runs the invariant checker. The
+// returned report is also retained as Status().Last.
 func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) {
 	// Only this outage's rejections: the lifetime counter minus its value
 	// when the outage began (zero on a cold-start Restart with no Crash).
@@ -116,7 +118,7 @@ func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) 
 		rep.Divergences = append(rep.Divergences, d.kind+": "+d.detail)
 	}
 
-	rep.Actions = m.repair(now, in, live, ap, divs)
+	rep.Actions = m.repair(now, in, ap, divs)
 	m.RepairsApplied += uint64(len(rep.Actions))
 
 	after := diff(in, live)
@@ -139,7 +141,8 @@ func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) 
 }
 
 // diff computes intended-vs-live divergences in deterministic order:
-// rules, qdisc (kind, then each intended WFQ weight), NIC programs, then
+// rules, qdisc (kind, then each intended WFQ weight), tenants (the NIC
+// scheduler's weights, then the flow cache's partition), NIC programs, then
 // connections sorted by id. It is the reconciler's one comparison: repair
 // acts on it and the invariants read the post-repair re-diff.
 func diff(in *Intent, live Live) []divergence {
@@ -190,6 +193,18 @@ func diff(in *Intent, live Live) []divergence {
 		}
 	}
 
+	if in.Tenants != nil && live.NIC != nil {
+		ts, fc := live.NIC.TenantScheduler(), live.NIC.FlowCache()
+		switch {
+		case ts == nil:
+			add("tenants", nil, "intended %v, live none", in.Tenants)
+		case !maps.Equal(ts.Weights(), in.Tenants):
+			add("tenants", nil, "live weights %v, intended %v", ts.Weights(), in.Tenants)
+		case fc != nil && fc.Quotas() == nil:
+			add("tenants", nil, "flow cache not partitioned by %v", in.Tenants)
+		}
+	}
+
 	if live.NIC != nil {
 		// Every loaded chain must pass the install-time verifier. On
 		// NIC-resident-policy architectures the intended rules also compile
@@ -231,75 +246,50 @@ func diff(in *Intent, live Live) []divergence {
 	return out
 }
 
-// repair applies one pass of fixes for the given divergences. NIC-state
-// divergence prefers restoring the whole last-good config snapshot (one
-// action, also heals steering); policy divergence falls back to
-// recompiling from journaled intent.
-func (m *Manager) repair(now sim.Time, in *Intent, live Live, ap Applier, divs []divergence) []Action {
+// repair applies one pass of fixes for the given divergences. Each kind has
+// one repair, from journaled intent: a rule-count mismatch or a lost or
+// failing chain recompiles the rules (which reloads both chains), a qdisc or
+// tenant divergence reinstalls what the policy names, and a connection
+// divergence restores its kernel row or its steering entry.
+func (m *Manager) repair(now sim.Time, in *Intent, ap Applier, divs []divergence) []Action {
+	if ap == nil {
+		return nil
+	}
 	var acts []Action
-	act := func(kind, detail string) {
+	act := func(kind, detail string, err error) {
+		if err != nil {
+			kind, detail = kind+".failed", err.Error()
+		}
 		acts = append(acts, Action{Kind: kind, Detail: detail})
 		m.span(now, "repair."+kind, detail)
 	}
 
-	var nicDiverged, rulesDiverged, qdiscDiverged bool
+	var rulesDiverged, qdiscDiverged, tenantsDiverged bool
 	for _, d := range divs {
 		switch d.kind {
-		case "nic.program", "conn.steer":
-			nicDiverged = true
-		case "rules":
+		case "rules", "nic.program":
 			rulesDiverged = true
 		case "qdisc":
 			qdiscDiverged = true
+		case "tenants":
+			tenantsDiverged = true
 		}
 	}
-
-	restored := false
-	if nicDiverged && live.NIC != nil {
-		if snap := live.NIC.LastGoodConfig(); snap != nil {
-			if _, err := live.NIC.RestoreConfig(snap); err == nil {
-				act("nic.restore_config", fmt.Sprintf("last-good snapshot from t=%v", snap.TakenAt))
-				restored = true
-			} else {
-				act("nic.restore_config.failed", err.Error())
-			}
-		}
+	if rulesDiverged {
+		act("rules.reinstall", fmt.Sprintf("%d rules recompiled", len(in.Rules)), ap.ReinstallRules(in.Rules))
 	}
-
-	if ap != nil {
-		if rulesDiverged || (nicDiverged && !restored) {
-			if err := ap.ReinstallRules(in.Rules); err == nil {
-				act("rules.reinstall", fmt.Sprintf("%d rules recompiled", len(in.Rules)))
-			} else {
-				act("rules.reinstall.failed", err.Error())
-			}
-		}
-		if qdiscDiverged && in.Qdisc != nil {
-			if err := ap.ReinstallQdisc(*in.Qdisc); err == nil {
-				act("qdisc.reinstall", in.Qdisc.Kind)
-			} else {
-				act("qdisc.reinstall.failed", err.Error())
-			}
-		}
-		for _, d := range divs {
-			switch d.kind {
-			case "conn.kernel":
-				if err := ap.RestoreConn(d.conn.Rec, d.conn.ID); err == nil {
-					act("conn.restore", fmt.Sprintf("conn %d re-registered", d.conn.ID))
-				} else {
-					act("conn.restore.failed", err.Error())
-				}
-			case "conn.steer":
-				if restored {
-					// The snapshot restore re-steered every flow already.
-					continue
-				}
-				if err := ap.RepairSteering(d.conn.Rec, d.conn.ID); err == nil {
-					act("conn.steer", fmt.Sprintf("conn %d re-steered", d.conn.ID))
-				} else {
-					act("conn.steer.failed", err.Error())
-				}
-			}
+	if qdiscDiverged {
+		act("qdisc.reinstall", in.Qdisc.Kind, ap.ReinstallQdisc(*in.Qdisc))
+	}
+	if tenantsDiverged {
+		act("tenants.reinstall", fmt.Sprintf("%d tenants", len(in.Tenants)), ap.ReinstallTenants(in.Tenants))
+	}
+	for _, d := range divs {
+		switch d.kind {
+		case "conn.kernel":
+			act("conn.restore", fmt.Sprintf("conn %d re-registered", d.conn.ID), ap.RestoreConn(d.conn.Rec, d.conn.ID))
+		case "conn.steer":
+			act("conn.steer", fmt.Sprintf("conn %d re-steered", d.conn.ID), ap.RepairSteering(d.conn.Rec, d.conn.ID))
 		}
 	}
 	return acts

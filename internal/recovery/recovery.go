@@ -5,16 +5,17 @@
 // only if three pieces exist, and this package is those pieces:
 //
 //   - an append-only intent Journal recording every control-plane mutation
-//     (filter rules, qdisc configuration, connection registrations) before
-//     it is applied, deterministic and replayable like internal/faults;
+//     (filter rules, qdisc configuration, tenant weights, connection
+//     registrations) before it is applied, deterministic and replayable like
+//     internal/faults;
 //   - a Manager that models the crash window: while the control plane is
 //     down the dataplane runs on its last-installed policies and every new
 //     mutation is rejected with the typed ErrControlPlaneDown;
 //   - a reconciler that on restart replays the journal into an Intent,
 //     diffs it against the live NIC/kernel/filter state, repairs divergence
-//     (redeploying chains, re-steering flows, restoring kernel table rows —
-//     preferring the NIC's whole-config last-good snapshot where one
-//     exists), and proves the result with an invariant checker.
+//     from that intent alone (recompiling chains, reinstalling the scheduler
+//     and the tenant split, re-steering flows, restoring kernel table rows),
+//     and proves the result with an invariant checker.
 //
 // Everything is exposed through recovery.* metrics and trace spans on the
 // unified telemetry registry; experiment E10 sweeps crash windows across

@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"norman/internal/kernel"
@@ -27,8 +28,16 @@ func TestJournalAppendVerifyEncode(t *testing.T) {
 	open := j.Append(Entry{Op: OpConnOpen, Conn: &ConnRecord{Flow: flow(1000), PID: 7, UID: 1000}})
 	j.Append(Entry{Op: OpConnBind, Ref: open.Seq, ConnID: 3})
 	j.Append(Entry{Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "wfq", Weights: map[uint32]float64{1: 2}}})
+	j.Append(Entry{Op: OpTenantSet, Tenants: map[uint32]int{1: 3, 2: 1}})
 	if err := j.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+	for _, bad := range []map[uint32]int{nil, {1: 3, 2: 0}} {
+		jb := NewJournal()
+		jb.Append(Entry{Op: OpTenantSet, Tenants: bad})
+		if err := jb.Verify(); err == nil {
+			t.Fatalf("Verify accepted tenant.set with weights %v", bad)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -106,6 +115,8 @@ func TestReplaySemantics(t *testing.T) {
 	j.Append(Entry{Op: OpConnOpen, Conn: &ConnRecord{Flow: flow(4), PID: 4}}) // crash mid-setup
 	j.Append(Entry{Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "drr"}})
 	j.Append(Entry{Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "wfq", Weights: map[uint32]float64{1: 3}}})
+	j.Append(Entry{Op: OpTenantSet, Tenants: map[uint32]int{1: 3, 2: 1}})
+	j.Append(Entry{Op: OpTenantSet, Tenants: map[uint32]int{1: 7, 2: 1}})
 
 	in, err := Replay(j.Entries())
 	if err != nil {
@@ -116,6 +127,9 @@ func TestReplaySemantics(t *testing.T) {
 	}
 	if in.Qdisc == nil || in.Qdisc.Kind != "wfq" {
 		t.Fatalf("qdisc = %+v, want last write wins", in.Qdisc)
+	}
+	if !reflect.DeepEqual(in.Tenants, map[uint32]int{1: 7, 2: 1}) {
+		t.Fatalf("tenants = %v, want last write wins", in.Tenants)
 	}
 	if len(in.Conns) != 1 || in.Conns[2] == nil {
 		t.Fatalf("conns = %+v, want only conn 2", in.Conns)
@@ -155,13 +169,20 @@ type fakeApplier struct {
 
 	kern *kernel.Kernel
 	n    *nic.NIC
+	// chain is what recompiling the rules loads as the ingress program.
+	chain *overlay.Program
 }
 
 func (f *fakeApplier) ReinstallRules(rules []RuleRecord) error {
 	f.rules = append(f.rules, rules)
+	if f.n != nil && f.chain != nil {
+		_, _, err := f.n.LoadProgram(nic.Ingress, f.chain)
+		return err
+	}
 	return nil
 }
-func (f *fakeApplier) ReinstallQdisc(q QdiscRecord) error { f.qdiscs = append(f.qdiscs, q); return nil }
+func (f *fakeApplier) ReinstallQdisc(q QdiscRecord) error    { f.qdiscs = append(f.qdiscs, q); return nil }
+func (f *fakeApplier) ReinstallTenants(map[uint32]int) error { return nil }
 func (f *fakeApplier) RestoreConn(rec ConnRecord, id uint64) error {
 	if f.connErr != nil {
 		return f.connErr
@@ -192,8 +213,9 @@ func testWorld(t *testing.T) (*nic.NIC, *kernel.Kernel) {
 
 // TestRestartRepairsInjectedDivergence is the acceptance-criteria test: an
 // injected NIC/kernel divergence (dropped steering entry, lost kernel conn
-// row, unloaded pipeline program) is detected, repaired, and the re-diff
-// plus invariants come back clean.
+// row, unloaded pipeline program) is detected, each kind is repaired by its
+// one repair from journaled intent, and the re-diff plus invariants come back
+// clean.
 func TestRestartRepairsInjectedDivergence(t *testing.T) {
 	n, k := testWorld(t)
 	m := NewManager()
@@ -229,7 +251,6 @@ func TestRestartRepairsInjectedDivergence(t *testing.T) {
 		}
 		_ = i
 	}
-	n.CommitConfig(0)
 
 	rules := 1
 	live := Live{
@@ -242,7 +263,7 @@ func TestRestartRepairsInjectedDivergence(t *testing.T) {
 		},
 		Qdisc: func() qos.Qdisc { return n.Scheduler() },
 	}
-	ap := &fakeApplier{kern: k, n: n}
+	ap := &fakeApplier{kern: k, n: n, chain: prog}
 
 	// Inject divergence: steering entry lost, kernel row lost, program gone.
 	m.Crash(sim.Time(100))
@@ -270,16 +291,14 @@ func TestRestartRepairsInjectedDivergence(t *testing.T) {
 	if len(ap.conns) != 1 || ap.conns[0] != 2 {
 		t.Fatalf("RestoreConn calls = %v", ap.conns)
 	}
-	// The whole-config snapshot restore must have been preferred for NIC
-	// state (program + steering in one action).
-	var sawRestore bool
+	// The lost chain is recompiled from the rules, the lost steering entry
+	// re-steered, the lost kernel row restored: one action each.
+	var kinds []string
 	for _, a := range rep.Actions {
-		if a.Kind == "nic.restore_config" {
-			sawRestore = true
-		}
+		kinds = append(kinds, a.Kind)
 	}
-	if !sawRestore {
-		t.Fatalf("actions = %+v, want nic.restore_config", rep.Actions)
+	if want := []string{"rules.reinstall", "conn.steer", "conn.restore"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("actions = %+v, want %v", rep.Actions, want)
 	}
 	if n.Machine(nic.Ingress) == nil {
 		t.Fatal("ingress program not restored")

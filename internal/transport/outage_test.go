@@ -111,10 +111,10 @@ func TestTotalBlackholeAbortsBounded(t *testing.T) {
 	if s.Stats.Finished > sim.Time(5*sim.Second) {
 		t.Fatalf("abort at %v, beyond the RTO schedule bound", s.Stats.Finished)
 	}
-	// The budget allows MaxRetries retransmissions; the expiry after the
+	// The budget allows maxRetries retransmissions; the expiry after the
 	// last one is the abort itself.
-	if int(s.Stats.Timeouts) != DefaultMaxRetries+1 {
-		t.Fatalf("timeouts = %d, want budget+abort %d", s.Stats.Timeouts, DefaultMaxRetries+1)
+	if int(s.Stats.Timeouts) != maxRetries+1 {
+		t.Fatalf("timeouts = %d, want budget+abort %d", s.Stats.Timeouts, maxRetries+1)
 	}
 	if idle := w.Eng.Now(); idle > sim.Time(6*sim.Second) {
 		t.Fatalf("events kept firing after the abort: engine went quiet at %v", idle)
@@ -141,37 +141,5 @@ func TestHeavyLossCompletesBounded(t *testing.T) {
 	}
 	if s.Stats.Finished > sim.Time(5*sim.Second) {
 		t.Fatalf("completion at %v, outside the run window", s.Stats.Finished)
-	}
-}
-
-// TestDeadlineAborts: a stream that cannot finish by its deadline gives up
-// at the next RTO after the deadline passes.
-func TestDeadlineAborts(t *testing.T) {
-	a := arch.New("kopi", arch.WorldConfig{})
-	w := a.World()
-	w.Peer = func(*packet.Packet, sim.Time) {}
-
-	u := w.Kern.AddUser(1, "u")
-	proc := w.Kern.Spawn(u.UID, "sender")
-	flow := packet.FlowKey{Src: w.HostIP, Dst: w.PeerIP, SrcPort: 4002, DstPort: 5001, Proto: packet.ProtoTCP}
-	conn, err := a.Connect(proc, flow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(a, conn, flow, host.NewMux(a), Config{
-		TotalBytes: 1 << 20,
-		MaxRetries: -1, // unlimited retries: only the deadline can stop it
-		Deadline:   100 * sim.Millisecond,
-	})
-	s.Start()
-	w.Eng.RunUntil(sim.Time(10 * sim.Second))
-
-	if !s.Aborted() || !errors.Is(s.Err(), ErrAborted) {
-		t.Fatalf("deadline must abort: aborted=%v err=%v", s.Aborted(), s.Err())
-	}
-	// The deadline check runs on RTO expiry, so the abort lands within one
-	// max-RTO of the deadline.
-	if s.Stats.Finished > sim.Time(100*sim.Millisecond+600*sim.Millisecond) {
-		t.Fatalf("deadline abort at %v", s.Stats.Finished)
 	}
 }

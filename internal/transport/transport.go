@@ -26,14 +26,14 @@ const MSS = 1400
 // maxRTO caps the retransmission timeout's exponential backoff.
 const maxRTO = 500 * sim.Millisecond
 
-// DefaultMaxRetries is how many consecutive RTO expiries on the same
+// maxRetries is how many consecutive RTO expiries on the same
 // unacknowledged byte a stream tolerates before aborting. With the default
 // RTO schedule (10 ms initial, doubling, 500 ms cap) a total blackhole
 // aborts in under ~4 s of virtual time — bounded, never a livelock.
-const DefaultMaxRetries = 12
+const maxRetries = 12
 
 // ErrAborted is the terminal error of a stream that gave up (retransmission
-// budget exhausted or deadline passed) rather than completing.
+// budget exhausted) rather than completing.
 var ErrAborted = errors.New("transport: stream aborted")
 
 // ErrOverload is the terminal error of a stream terminated by overload
@@ -49,14 +49,6 @@ type Config struct {
 	InitialRTO sim.Duration // 0 = 10 ms; backoff doubles it up to maxRTO
 	Done       func(at sim.Time)
 
-	// MaxRetries bounds consecutive RTO expiries on the same sndUna before
-	// the stream aborts with ErrAborted. 0 = DefaultMaxRetries; negative =
-	// unlimited (the pre-abort livelock behavior, for experiments that want
-	// it).
-	MaxRetries int
-	// Deadline, when positive, aborts the stream if it has not completed
-	// within this much virtual time of Start.
-	Deadline sim.Duration
 	// OnAbort fires exactly once when the stream gives up; Done never fires
 	// for an aborted stream.
 	OnAbort func(err error, at sim.Time)
@@ -73,7 +65,7 @@ type Stats struct {
 	Finished        sim.Time
 	// CwndMax is the peak congestion window observed, in bytes.
 	CwndMax float64
-	// Aborted records that the stream gave up (MaxRetries or Deadline)
+	// Aborted records that the stream gave up (maxRetries consecutive RTOs)
 	// instead of completing; Finished then holds the abort time.
 	Aborted bool
 	// Shed counts pressure-induced window halvings: each Backpressure(true)
@@ -191,18 +183,6 @@ func (s *Stream) abort(err error) {
 	}
 }
 
-// maxRetries resolves the configured retry budget.
-func (s *Stream) maxRetries() int {
-	switch {
-	case s.cfg.MaxRetries < 0:
-		return 0 // unlimited
-	case s.cfg.MaxRetries == 0:
-		return DefaultMaxRetries
-	default:
-		return s.cfg.MaxRetries
-	}
-}
-
 func (s *Stream) now() sim.Time { return s.a.World().Eng.Now() }
 
 // segment builds the TCP data segment starting at seq, from the world's free
@@ -316,13 +296,8 @@ func (s *Stream) onTimeout() {
 		s.rtoUna = s.sndUna
 		s.rtoStreak = 1
 	}
-	now := s.now()
-	if max := s.maxRetries(); max > 0 && s.rtoStreak > max {
+	if s.rtoStreak > maxRetries {
 		s.abort(fmt.Errorf("%w: %d consecutive RTOs at seq %d", ErrAborted, s.rtoStreak-1, s.sndUna))
-		return
-	}
-	if s.cfg.Deadline > 0 && now.Sub(s.Stats.Started) >= s.cfg.Deadline {
-		s.abort(fmt.Errorf("%w: deadline %v exceeded", ErrAborted, s.cfg.Deadline))
 		return
 	}
 	s.ssthresh = maxf(s.cwnd/2, 2*MSS)

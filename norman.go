@@ -147,14 +147,14 @@ type System struct {
 	// ticks fire in.
 	parts [numParts]component
 
-	// What has been asked for that a subsystem enabled later must still pick
-	// up; resolve links it. Which subsystems are on is the pointers above, and
-	// the flow cache is the NIC's — neither is recorded twice.
-	tenants map[uint32]int // EnableTenantIsolation's weights, nil = off
-	// policy is the control plane's rules and standing qdisc, folded by
-	// recovery.Policy.Apply from each verb that succeeded — the same fold
-	// replay runs over the journal. A crash forgets the rules; a restart
-	// reinstalls them from the journal.
+	// policy is what has been asked for — the rules, the standing qdisc and
+	// the tenant weights (nil = isolation off) — folded by
+	// recovery.Policy.Apply from each verb that succeeded, the same fold
+	// replay runs over the journal; resolve links what a subsystem enabled
+	// later must still pick up from it. Which subsystems are on is the
+	// pointers above, and the flow cache is the NIC's — neither is recorded
+	// twice. A crash forgets the rules; a restart reinstalls them from the
+	// journal.
 	policy recovery.Policy
 }
 
@@ -206,21 +206,21 @@ func (s *System) resolve() error {
 	// the flow cache (built by EnableFlowCache, before or after) is
 	// partitioned by the same weights.
 	var err error
-	if s.tenants != nil {
+	if tenants := s.policy.Tenants; tenants != nil {
 		ts := n.TenantScheduler()
-		changed := ts == nil || !maps.Equal(ts.Weights(), s.tenants)
+		changed := ts == nil || !maps.Equal(ts.Weights(), tenants)
 		if changed {
-			if shares, _ := s.ddioShares(s.tenants); shares != nil { // the split was checked when the ask was made
+			if shares, _ := s.ddioShares(tenants); shares != nil { // the split was checked when the ask was made
 				err = s.w.LLC.PartitionDDIO(shares)
 			}
-			n.SetTenantScheduler(s.tenants)
+			n.SetTenantScheduler(tenants)
 		}
 		if fc != nil && err == nil && (changed || fc.Quotas() == nil) {
-			err = fc.SetQuotas(s.tenants)
+			err = fc.SetQuotas(tenants)
 		}
 		// Governor: per-tenant budgets by the same weights.
-		if s.gov != nil && !maps.Equal(s.gov.Weights(), s.tenants) {
-			s.gov.ConfigureTenants(s.tenants)
+		if s.gov != nil && !maps.Equal(s.gov.Weights(), tenants) {
+			s.gov.ConfigureTenants(tenants)
 		}
 	}
 	// Governor: ingress shedding by the standing qdisc's class weights, so

@@ -14,17 +14,19 @@ import (
 var ErrControlPlaneDown = recovery.ErrControlPlaneDown
 
 // EnableRecovery attaches the crash-recovery subsystem: every control-plane
-// mutation (iptables, tc, dial/close) is journaled before it is applied,
-// CrashControlPlane/RestartControlPlane model outages, and the reconciler
-// repairs intended-vs-live divergence on restart. A qdisc set before this
-// call is journaled now; rules and connections that predate it are not.
-// Idempotent; returns the manager either way.
+// mutation (iptables, tc, tenant weights, dial/close) is journaled before it
+// is applied, CrashControlPlane/RestartControlPlane model outages, and the
+// reconciler repairs intended-vs-live divergence on restart. A qdisc or a
+// tenant split set before this call is journaled now; rules and connections
+// that predate it are not. Idempotent; returns the manager either way.
 func (s *System) EnableRecovery() *recovery.Manager {
 	if s.rec == nil {
 		s.rec = recovery.NewManager()
 		if s.policy.Qdisc != nil {
 			s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: s.policy.Qdisc})
-			s.commitNICConfig()
+		}
+		if s.policy.Tenants != nil {
+			s.record(recovery.Entry{Op: recovery.OpTenantSet, Tenants: s.policy.Tenants})
 		}
 		s.attach(partRecovery, s.rec)
 	}
@@ -70,31 +72,21 @@ func (s *System) RestartControlPlane() (*recovery.Report, error) {
 		return nil, fmt.Errorf("norman: %s: %w", s.a.Name(), arch.ErrUnsupported)
 	}
 	cr.RestartControlPlane()
-	rep, err := s.rec.Restart(s.w.Eng.Now(), s.recoveryLive(), sysApplier{s})
-	if err != nil {
-		return nil, err
-	}
-	s.commitNICConfig()
-	return rep, nil
+	return s.rec.Restart(s.w.Eng.Now(), s.recoveryLive(), sysApplier{s})
 }
 
 // RecoverFromJournal seeds an empty journal from persisted entries (the
 // normand cold-start path), marks the incarnation boundary — connections in
 // the old entries belonged to processes that died with the previous daemon
-// — and reconciles what remains (rules and qdisc config are re-installed;
-// pre-epoch connections are reported stale, not resurrected).
+// — and reconciles what remains (rules, qdisc config and the tenant split are
+// re-installed; pre-epoch connections are reported stale, not resurrected).
 func (s *System) RecoverFromJournal(entries []recovery.Entry) (*recovery.Report, error) {
 	rec := s.EnableRecovery()
 	if err := rec.Journal().Load(entries); err != nil {
 		return nil, err
 	}
 	rec.MarkEpoch(s.w.Eng.Now())
-	rep, err := rec.Restart(s.w.Eng.Now(), s.recoveryLive(), sysApplier{s})
-	if err != nil {
-		return nil, err
-	}
-	s.commitNICConfig()
-	return rep, nil
+	return rec.Restart(s.w.Eng.Now(), s.recoveryLive(), sysApplier{s})
 }
 
 // recoveryLive builds the reconciler's view of live state. The closures
@@ -130,16 +122,6 @@ func (s *System) recoveryLive() recovery.Live {
 // the journal is visible here even though no TCSet ran in this process.
 func (s *System) Qdisc() qos.Qdisc {
 	return s.recoveryLive().Qdisc()
-}
-
-// commitNICConfig refreshes the NIC's whole-config last-good snapshot after
-// a successful control-plane mutation (or reconciliation) on ring
-// architectures.
-func (s *System) commitNICConfig() {
-	if s.rec == nil || s.a.Caps().Transfers != 1 {
-		return
-	}
-	s.w.NIC.CommitConfig(s.w.Eng.Now())
 }
 
 // hookOf maps the admin-facing hook name to the filter hook.
@@ -179,6 +161,14 @@ func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
 	ap.s.policy.Qdisc = &q
 	_ = ap.s.resolve() // cannot newly fail here: see resolve
 	return nil
+}
+
+// ReinstallTenants makes the journaled weights the tenant split again;
+// resolve rebuilds the scheduler, the DDIO partition, the flow-cache quotas
+// and the governor's budgets from them.
+func (ap sysApplier) ReinstallTenants(weights map[uint32]int) error {
+	ap.s.policy.Tenants = weights
+	return ap.s.resolve()
 }
 
 // RestoreConn re-inserts a lost kernel table row under its original id.

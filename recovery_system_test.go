@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -301,6 +302,63 @@ func coldStart(t *testing.T, archName norman.Architecture) {
 	}
 }
 
+// TestRecoverFromJournalRestoresTenants: the tenant split is journaled like
+// any other policy, so a fresh System replaying the journal gets the same
+// isolation back — the NIC scheduler's weights, the DDIO partition and the
+// flow cache's quotas — through the one tenants repair, and asking for the
+// same split again afterwards journals nothing.
+func TestRecoverFromJournalRestoresTenants(t *testing.T) {
+	weights := map[uint32]int{1: 7, 2: 1}
+	sys1 := norman.New(norman.KOPI)
+	rec1 := sys1.EnableRecovery()
+	if err := sys1.EnableFlowCache(256); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys1.EnableTenantIsolation(weights); err != nil {
+		t.Fatal(err)
+	}
+	var persisted bytes.Buffer
+	if err := rec1.Journal().Encode(&persisted); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := recovery.Decode(&persisted)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys2 := norman.New(norman.KOPI)
+	if err := sys2.EnableFlowCache(256); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys2.RecoverFromJournal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean || !rep.InvariantsOK {
+		t.Fatalf("clean=%v invariants=%+v", rep.Clean, rep.Invariants)
+	}
+	if len(rep.Actions) != 1 || rep.Actions[0].Kind != "tenants.reinstall" {
+		t.Fatalf("divergences %q, actions %+v; want one tenants.reinstall", rep.Divergences, rep.Actions)
+	}
+	n1, n2 := sys1.World().NIC, sys2.World().NIC
+	if ts := n2.TenantScheduler(); ts == nil || !maps.Equal(ts.Weights(), weights) {
+		t.Fatalf("scheduler after replay = %v, want weights %v", ts, weights)
+	}
+	if got, want := sys2.World().LLC.TenantDMAStats(), sys1.World().LLC.TenantDMAStats(); len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DDIO partition after replay = %+v, want %+v", got, want)
+	}
+	if got, want := n2.FlowCache().Quotas(), n1.FlowCache().Quotas(); len(want) != 2 || !maps.Equal(got, want) {
+		t.Fatalf("flow-cache quotas after replay = %v, want %v", got, want)
+	}
+	before := sys2.Recovery().Journal().Len()
+	if err := sys2.EnableTenantIsolation(weights); err != nil {
+		t.Fatal(err)
+	}
+	if after := sys2.Recovery().Journal().Len(); after != before {
+		t.Fatalf("the standing split asked again journaled %d entries", after-before)
+	}
+}
+
 // TestRestartRepairsWeightDivergence: a live WFQ whose class weights drifted
 // from the journal during an outage is a qdisc divergence the restart
 // repairs, not a failed invariant left standing. On kopi the NIC keeps
@@ -352,9 +410,11 @@ func TestRestartRepairsWeightDivergence(t *testing.T) {
 // TestPolicyIsTheJournalFold: the facade's record of what the control plane
 // asked for is the journal's fold. Seeded sequences of appends (some abort:
 // an unknown proto or action, any rule on bypass), flushes, qdisc sets (an
-// unknown kind aborts) and crash/restart cycles run on kopi and bypass; after
-// every step IPTablesList and System.Qdisc equal Replay(journal).Policy,
-// except that the rules read empty while the control plane is down.
+// unknown kind aborts), tenant splits (three tenants cannot share a 2-way
+// DDIO region: that one aborts) and crash/restart cycles run on kopi and
+// bypass; after every step IPTablesList, System.Qdisc and the NIC's tenant
+// weights equal Replay(journal).Policy, except that the rules read empty
+// while the control plane is down.
 func TestPolicyIsTheJournalFold(t *testing.T) {
 	protos := []string{"", "udp", "tcp", "sctp"}
 	actions := []string{"accept", "drop", "count", "mark", "bogus"}
@@ -369,7 +429,7 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 			for step := 0; step < 40; step++ {
 				// Aborted and refused verbs are part of the sequence: errors are
 				// expected and the journal fold must account for them.
-				switch op := r.Intn(10); {
+				switch op := r.Intn(11); {
 				case op < 5:
 					rule := norman.Rule{Proto: protos[r.Intn(len(protos))], DstPort: uint16(r.Intn(3) * 1000),
 						Action: actions[r.Intn(len(actions))], Mark: uint32(r.Intn(2))}
@@ -384,6 +444,12 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 					spec := norman.QdiscSpec{Kind: kinds[r.Intn(len(kinds))], Limit: 64, RateBps: 1e9, BurstBytes: 3000,
 						Weights: map[uint32]float64{1: float64(1 + r.Intn(8)), 2: float64(1 + r.Intn(8))}}
 					_ = sys.TCSet(spec, map[uint32]uint32{1000: 1, 1001: 2})
+				case op < 9:
+					weights := map[uint32]int{}
+					for id := 1 + r.Intn(3); id > 0; id-- {
+						weights[uint32(id)] = 1 + r.Intn(4)
+					}
+					_ = sys.EnableTenantIsolation(weights)
 				case down:
 					if _, err := sys.RestartControlPlane(); err != nil {
 						t.Fatal(err)
@@ -423,6 +489,13 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 					if wfq, ok := q.(*qos.WFQ); ok && !reflect.DeepEqual(wfq.Weights(), in.Qdisc.Weights) {
 						t.Fatalf("%s: live weights %v, journal fold %v", where, wfq.Weights(), in.Qdisc.Weights)
 					}
+				}
+				var tenants map[uint32]int
+				if ts := sys.World().NIC.TenantScheduler(); ts != nil {
+					tenants = ts.Weights()
+				}
+				if !maps.Equal(tenants, in.Tenants) {
+					t.Fatalf("%s: live tenant weights %v, journal fold %v", where, tenants, in.Tenants)
 				}
 			}
 		}

@@ -106,14 +106,24 @@ if [ "$asked" -ne 5 ]; then
 fi
 
 # One record of what the control plane asked for (DESIGN.md §7): the policy ops
-# (rule.append, rule.flush, qdisc.set) are folded by recovery.Policy.Apply —
-# journal replay, compaction and the facade's own record all go through it —
-# and no other non-test switch names one, bar Journal.Verify's payload check.
+# (rule.append, rule.flush, qdisc.set, tenant.set) are folded by
+# recovery.Policy.Apply — journal replay, compaction and the facade's own
+# record all go through it — and no other non-test switch names one, bar
+# Journal.Verify's payload check.
 if awk 'FNR == 1 { fn = "" }
 	/^func / { fn = $0 }
-	/case .*Op(RuleAppend|RuleFlush|QdiscSet)([^A-Za-z]|$)/ && fn !~ /^func \((j \*Journal\) Verify|p \*Policy\) Apply)\(/ { print FILENAME ": " fn; bad = 1 }
+	/case .*Op(RuleAppend|RuleFlush|QdiscSet|TenantSet)([^A-Za-z]|$)/ && fn !~ /^func \((j \*Journal\) Verify|p \*Policy\) Apply)\(/ { print FILENAME ": " fn; bad = 1 }
 	END { exit !bad }' $(find . -name '*.go' ! -name '*_test.go'); then
 	echo "a switch outside recovery.Policy.Apply folds policy journal ops (fold through Policy.Apply)" >&2
+	exit 1
+fi
+
+# The journal is the control plane's one record (DESIGN.md §7): the NIC keeps
+# no second, whole-config snapshot of what it was programmed with, and the
+# reconciler repairs every divergence from replayed intent alone.
+if grep -nwE 'ConfigSnapshot|CommitConfig|LastGoodConfig|RestoreConfig|lastGoodCfg' \
+	$(find . -name '*.go' ! -name '*_test.go'); then
+	echo "a second record of NIC configuration besides the journal (repair from recovery.Policy)" >&2
 	exit 1
 fi
 
@@ -308,6 +318,13 @@ grep -q "replayed" "$tmp/rec.out"
 grep -q "diff clean" "$tmp/rec.status"
 grep -q "invariants ok" "$tmp/rec.status"
 "$tmp/niptables" -socket "$tmp/rec.sock" -L | grep -q 9999
+# The tenant split is journaled policy: replay restores both tenants, and the
+# boot's ask for the same split journals nothing, so the journal holds the
+# first incarnation's tenant.set and no other.
+"$tmp/nnetstat" -socket "$tmp/rec.sock" -tenants | tee "$tmp/rec.tenants"
+grep -q "tenant 1 (weight 3)" "$tmp/rec.tenants"
+grep -q "tenant 2 (weight 1)" "$tmp/rec.tenants"
+[ "$(grep -c '"op":"tenant.set"' "$tmp/intent.journal")" -eq 1 ]
 
 # Second kill cycle on the same journal: mutate at t>0 again, SIGKILL, and
 # restart a third incarnation. This fails unless the second incarnation

@@ -2,9 +2,11 @@ package norman
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"norman/internal/nic"
+	"norman/internal/recovery"
 )
 
 // TenantStatus is one tenant's combined isolation state: scheduler grants,
@@ -39,26 +41,33 @@ type TenantStatus struct {
 // is split into per-tenant shares with private health machines and the
 // cache's capacity is partitioned, by the same weights. Weights must be
 // positive; calling again with different weights replaces the previous
-// configuration, with the same weights it changes nothing. The mapping from
-// users to tenants is set with AssignTenant; unassigned users are their own
-// tenant (tenant id = uid).
+// configuration, with the same weights it changes nothing. With recovery
+// enabled the weights are journaled write-ahead like a TCSet, and a split
+// the DDIO region cannot hold is compensated with an abort record. The
+// mapping from users to tenants is set with AssignTenant; unassigned users
+// are their own tenant (tenant id = uid).
 func (s *System) EnableTenantIsolation(weights map[uint32]int) error {
+	if err := s.gate(); err != nil {
+		return err
+	}
 	if len(weights) == 0 {
 		return fmt.Errorf("norman: tenant isolation needs at least one tenant weight")
 	}
-	asked := make(map[uint32]int, len(weights))
 	for id, w := range weights {
 		if w <= 0 {
 			return fmt.Errorf("norman: tenant %d weight %d (must be positive)", id, w)
 		}
-		asked[id] = w
 	}
-	// Refused before it is recorded: an ask resolve could never install
-	// would fail every later call too.
-	if _, err := s.ddioShares(asked); err != nil {
+	if maps.Equal(weights, s.policy.Tenants) {
+		return s.resolve() // the standing ask: nothing to journal
+	}
+	e := s.record(recovery.Entry{Op: recovery.OpTenantSet, Tenants: maps.Clone(weights)})
+	// An ask resolve could never install would fail every later call too.
+	if _, err := s.ddioShares(e.Tenants); err != nil {
+		s.abortRecord(e)
 		return err
 	}
-	s.tenants = asked
+	s.policy.Apply(e)
 	return s.resolve()
 }
 
