@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"norman/internal/filter"
 	"norman/internal/nic"
 	"norman/internal/packet"
 	"norman/internal/sim"
@@ -143,7 +144,7 @@ func (a *KernelStack) onRxDeliver(nc *nic.Conn, _ sim.Time) {
 // every packet in either direction is dropped.
 func (a *KernelStack) CrashControlPlane() {
 	a.cpDown = true
-	a.fw = newSoftFilter()
+	a.fw = filter.NewEngine(true)
 	a.hostDropQueued(a.sched, HostTxOutage)
 	a.sched, a.classify = nil, nil
 }

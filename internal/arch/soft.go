@@ -37,16 +37,8 @@ type soft struct {
 func (s *soft) init(w *World, fixed sim.Duration) {
 	s.base.init(w)
 	s.fixed = fixed
-	s.fw = newSoftFilter()
+	s.fw = filter.NewEngine(true) // OS-integrated: it has the process view
 	w.NIC.OnTransmit = w.SendOnWire
-}
-
-// newSoftFilter builds the software netfilter: OS-integrated, so it has the
-// process view, with connection tracking.
-func newSoftFilter() *filter.Engine {
-	fw := filter.NewEngine(true)
-	fw.EnableConntrack(filter.NewConntrack(1<<16, 120*sim.Second))
-	return fw
 }
 
 // openQueue registers a dataplane-owned connection and opens its NIC queue.
@@ -109,7 +101,7 @@ func (s *soft) restamp(p *packet.Packet, ci *kernel.ConnInfo, enqueued sim.Time)
 // interpose runs the hook's chain over p and shows p to the tap and the
 // kernel ARP cache.
 func (s *soft) interpose(h filter.Hook, p *packet.Packet, now sim.Time) filter.Result {
-	res := s.fw.EvaluateAt(h, p, now)
+	res := s.fw.Evaluate(h, p)
 	if s.tap != nil {
 		s.tap.Offer(p, now)
 	}

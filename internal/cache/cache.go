@@ -124,9 +124,6 @@ func New(cfg Config) *LLC {
 	return c
 }
 
-// LineBytes returns the configured line size.
-func (c *LLC) LineBytes() int { return c.lineSz }
-
 // maxWays bounds the associativity: touch compares four rank bytes at a time
 // and needs their top bit free.
 const maxWays = 128

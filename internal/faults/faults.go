@@ -43,13 +43,15 @@ type WireConfig struct {
 	Corrupt   float64 // frame corrupted; the receiving MAC drops it on FCS
 	Reorder   float64 // frame delayed past its successors
 	Duplicate float64 // frame delivered twice (the copy slightly later)
-
-	// ReorderDelay is the extra latency a reordered frame picks up
-	// (default 25 µs — several wire RTTs, enough to trigger dupacks).
-	ReorderDelay sim.Duration
-	// DuplicateDelay separates a duplicate from its original (default 5 µs).
-	DuplicateDelay sim.Duration
 }
+
+// reorderDelay is the least extra latency a reordered frame picks up: several
+// wire RTTs, enough to trigger dupacks. duplicateDelay separates a duplicate
+// from its original.
+const (
+	reorderDelay   = 25 * sim.Microsecond
+	duplicateDelay = 5 * sim.Microsecond
+)
 
 // enabled reports whether any fault is configured.
 func (c WireConfig) enabled() bool {
@@ -262,23 +264,15 @@ func (i *Injector) apply(cfg WireConfig, rng *sim.RNG, st *WireStats, dir string
 	var extra sim.Duration
 	if cfg.Reorder > 0 && rng.Float64() < cfg.Reorder {
 		st.Reordered++
-		d := cfg.ReorderDelay
-		if d <= 0 {
-			d = 25 * sim.Microsecond
-		}
-		// Uniform in [d, 2d) so back-to-back reordered frames do not simply
-		// form a second in-order queue.
-		extra = d + sim.Duration(rng.Int63()%int64(d))
+		// Uniform in [reorderDelay, 2·reorderDelay) so back-to-back reordered
+		// frames do not simply form a second in-order queue.
+		extra = reorderDelay + sim.Duration(rng.Int63()%int64(reorderDelay))
 		i.trace(p, "wire_reordered", "dir="+dir)
 	}
 	if cfg.Duplicate > 0 && rng.Float64() < cfg.Duplicate {
 		st.Duplicated++
-		dd := cfg.DuplicateDelay
-		if dd <= 0 {
-			dd = 5 * sim.Microsecond
-		}
 		i.trace(p, "wire_duplicated", "dir="+dir)
-		deliver(p.Clone(), extra+dd)
+		deliver(p.Clone(), extra+duplicateDelay)
 	}
 	deliver(p, extra)
 }

@@ -38,16 +38,3 @@ func BenchmarkCompiledClassify1024(b *testing.B) {
 		c.Classify(p)
 	}
 }
-
-// BenchmarkConntrackObserve measures the flow-tracking hot path.
-func BenchmarkConntrackObserve(b *testing.B) {
-	ct := NewConntrack(1<<16, 0)
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = udp(1, 2, uint16(1000+i), 80)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.Observe(pkts[i%len(pkts)], 0)
-	}
-}

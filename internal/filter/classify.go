@@ -74,7 +74,7 @@ func fastPathable(r *Rule) bool {
 	if r.Proto == nil || r.DstPorts == nil || r.DstPorts.Lo != r.DstPorts.Hi {
 		return false
 	}
-	if r.SrcNet != nil || r.DstNet != nil || r.SrcPorts != nil || r.EthType != nil {
+	if r.SrcNet != nil || r.DstNet != nil || r.SrcPorts != nil {
 		return false
 	}
 	return true

@@ -28,17 +28,9 @@ func CompileOverlay(name string, c *Chain, internCmd func(string) uint64) (*over
 	}
 
 	for i, r := range c.Rules {
-		if r.State != nil {
-			// Conntrack state lives in the software dataplanes' engine; the
-			// NIC pipeline has no per-flow state to match it against.
-			return nil, fmt.Errorf("filter: rule %d uses -m state, which only the software dataplanes' conntrack can match", i)
-		}
 		next := fmt.Sprintf("rule%d", i+1)
 		fmt.Fprintf(&b, "# %s\n", r)
 
-		if r.EthType != nil {
-			fmt.Fprintf(&b, "ldf r0, eth_type\njne r0, %d, %s\n", *r.EthType, next)
-		}
 		if r.Proto != nil {
 			fmt.Fprintf(&b, "ldf r0, proto\njne r0, %d, %s\n", *r.Proto, next)
 		}
@@ -68,7 +60,7 @@ func CompileOverlay(name string, c *Chain, internCmd func(string) uint64) (*over
 		switch r.Action {
 		case ActAccept:
 			b.WriteString("pass\n")
-		case ActDrop, ActReject:
+		case ActDrop:
 			b.WriteString("drop\n")
 		case ActCount, ActLog:
 			// counted above; evaluation continues

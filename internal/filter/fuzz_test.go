@@ -56,9 +56,6 @@ func randomChain(rng *sim.RNG) *Chain {
 		if rng.Intn(5) == 0 {
 			r.OwnerCmd = []string{"postgres", "mysqld", "game"}[rng.Intn(3)]
 		}
-		if rng.Intn(6) == 0 {
-			r.EthType = Ether(packet.EtherTypeARP)
-		}
 		c.Rules = append(c.Rules, r)
 	}
 	return c

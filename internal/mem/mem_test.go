@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -40,49 +41,30 @@ func TestRingFIFO(t *testing.T) {
 	}
 }
 
+// TestRingWatermarks pins the high watermark exactly: a ring of capacity c
+// holding n descriptors reads above it iff n >= 3c/4 > 0, so a one-slot ring
+// never trips.
 func TestRingWatermarks(t *testing.T) {
-	r := NewRing(8, 0x1000)
-
-	// Unmonitored ring: never above high, always below low.
-	if r.AboveHigh() || !r.BelowLow() {
-		t.Fatal("zero watermarks must read as unmonitored")
-	}
-
-	r.SetWatermarks(6, 2)
-	for i := 0; i < 5; i++ {
-		if err := r.Push(Desc{}); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	if r.AboveHigh() {
-		t.Fatalf("5/8 occupancy below high=6 must not trip: len=%d", r.Len())
-	}
-	if r.BelowLow() {
-		t.Fatalf("5/8 occupancy above low=2 must not read calm: len=%d", r.Len())
-	}
-	_ = r.Push(Desc{})
-	if !r.AboveHigh() {
-		t.Fatalf("6/8 occupancy at high=6 must trip: len=%d", r.Len())
-	}
-	if got := r.OccupancyFrac(); got != 0.75 {
-		t.Fatalf("occupancy fraction: got %v want 0.75", got)
-	}
-	for r.Len() > 2 {
-		if _, err := r.Pop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.AboveHigh() || !r.BelowLow() {
-		t.Fatalf("draining to low=2 must clear: len=%d", r.Len())
-	}
-
-	// Clamping: high beyond capacity clamps to Cap, low clamps to high.
-	r.SetWatermarks(100, 50)
-	if hi, lo := r.Watermarks(); hi != 8 || lo != 8 {
-		t.Fatalf("clamped watermarks: got %d/%d want 8/8", hi, lo)
+	for _, c := range []int{1, 2, 4, 8, 16} {
+		t.Run(fmt.Sprintf("cap%d", c), func(t *testing.T) {
+			r := NewRing(c, 0x1000)
+			for n := 0; ; n++ {
+				if want := n >= 3*c/4 && 3*c/4 > 0; r.AboveHigh() != want {
+					t.Fatalf("%d/%d occupied: AboveHigh = %v, want %v", n, c, !want, want)
+				}
+				if n == c {
+					break
+				}
+				if err := r.Push(Desc{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// TestRingOverflowRejects: every push refused by a full ring is a counted
+// drop, never a silent one.
 func TestRingOverflowRejects(t *testing.T) {
 	r := NewRing(2, 0x1000)
 	_ = r.Push(Desc{})
@@ -92,12 +74,8 @@ func TestRingOverflowRejects(t *testing.T) {
 			t.Fatalf("overflow push %d: %v", i, err)
 		}
 	}
-	if got := r.OverflowRejects(); got != 3 {
-		t.Fatalf("overflow rejects: got %d want 3", got)
-	}
-	_, _, dropped := r.Counters()
-	if dropped != r.OverflowRejects() {
-		t.Fatalf("rejects must equal dropped counter: %d vs %d", r.OverflowRejects(), dropped)
+	if _, _, dropped := r.Counters(); dropped != 3 {
+		t.Fatalf("overflow rejects: got %d want 3", dropped)
 	}
 }
 

@@ -37,13 +37,6 @@ type Ring struct {
 	baseAddr uint64 // simulated physical address of the descriptor array
 	descSize int    // bytes per descriptor for footprint accounting
 
-	// Occupancy watermarks in descriptors (0 = unset). The overload
-	// watchdog reads AboveHigh/BelowLow to drive backpressure with
-	// hysteresis: pressure asserts when occupancy crosses high and clears
-	// only once it falls back under low.
-	hiWater int
-	loWater int
-
 	produced uint64
 	consumed uint64
 	dropped  uint64
@@ -127,55 +120,17 @@ func (r *Ring) HeadAddr() uint64 { return r.SlotAddr(r.head) }
 // TailAddr returns the address of the next slot to be consumed from.
 func (r *Ring) TailAddr() uint64 { return r.SlotAddr(r.tail) }
 
-// FootprintBytes returns the pinned memory the ring occupies.
-func (r *Ring) FootprintBytes() int { return len(r.entries) * r.descSize }
-
 // Counters returns cumulative produced/consumed/dropped descriptor counts.
 func (r *Ring) Counters() (produced, consumed, dropped uint64) {
 	return r.produced, r.consumed, r.dropped
 }
 
-// OverflowRejects counts enqueue attempts refused because the ring was full
-// — a producer-visible rejection, as opposed to wire loss, which never
-// reaches the ring at all. Overload accounting treats these as counted
-// drops, never silent ones.
-func (r *Ring) OverflowRejects() uint64 { return r.dropped }
-
-// SetWatermarks configures the high/low occupancy watermarks in
-// descriptors. Values are clamped into [0, Cap] and low is clamped to high.
-// Zero values leave the ring unmonitored (AboveHigh always false, BelowLow
-// always true).
-func (r *Ring) SetWatermarks(high, low int) {
-	c := len(r.entries)
-	if high < 0 {
-		high = 0
-	}
-	if high > c {
-		high = c
-	}
-	if low < 0 {
-		low = 0
-	}
-	if low > high {
-		low = high
-	}
-	r.hiWater, r.loWater = high, low
-}
-
-// Watermarks returns the configured high/low occupancy watermarks.
-func (r *Ring) Watermarks() (high, low int) { return r.hiWater, r.loWater }
-
-// AboveHigh reports whether occupancy has reached the high watermark; false
-// when no watermark is set.
-func (r *Ring) AboveHigh() bool { return r.hiWater > 0 && r.Len() >= r.hiWater }
-
-// BelowLow reports whether occupancy is at or under the low watermark (the
-// hysteresis clear condition); true when no watermark is set.
-func (r *Ring) BelowLow() bool { return r.hiWater == 0 || r.Len() <= r.loWater }
-
-// OccupancyFrac returns occupancy as a fraction of capacity in [0,1].
-func (r *Ring) OccupancyFrac() float64 {
-	return float64(r.Len()) / float64(len(r.entries))
+// AboveHigh reports whether occupancy has reached the high watermark, 3/4 of
+// capacity in whole descriptors: the overload watchdog counts such rings as
+// pressure. A one-slot ring's watermark rounds to 0 and never trips.
+func (r *Ring) AboveHigh() bool {
+	high := 3 * len(r.entries) / 4
+	return high > 0 && r.Len() >= high
 }
 
 // Alloc is a bump allocator for simulated physical addresses. It hands out

@@ -20,7 +20,6 @@ import (
 // Generation-lifecycle errors.
 var (
 	ErrNothingStaged  = errors.New("nic: no staged generation")
-	ErrAlreadyStaged  = errors.New("nic: a generation is already staged")
 	ErrNoPrevGen      = errors.New("nic: no previous generation to roll back to")
 	ErrRxPaused       = errors.New("nic: ingress already paused")
 	ErrRxNotPaused    = errors.New("nic: ingress not paused")

@@ -368,10 +368,6 @@ func (n *NIC) OpenConn(id uint64, meta packet.Meta, queue *mem.NotifyQueue) (*Co
 		Queue:   queue,
 		bufBase: n.alloc.Take(2*bufRegion, 4096),
 	}
-	// Default occupancy watermarks at 3/4 and 1/4 of capacity: the overload
-	// watchdog counts rings above high and clears pressure below low.
-	c.TX.SetWatermarks(3*n.ringSize/4, n.ringSize/4)
-	c.RX.SetWatermarks(3*n.ringSize/4, n.ringSize/4)
 	n.conns[id] = c
 	n.sramUsed += need
 	return c, nil
@@ -428,15 +424,9 @@ func (n *NIC) SetClassifier(f func(*packet.Packet) uint32) { n.classifier = f }
 // when promiscuous — by every frame the pipeline sees.
 func (n *NIC) SetTap(t *sniff.Tap) { n.tap = t }
 
-// Tap returns the installed tap.
-func (n *NIC) Tap() *sniff.Tap { return n.tap }
-
 // SetTracer installs (or, with nil, removes) the packet-lifecycle tracer
 // the datapath records span events into.
 func (n *NIC) SetTracer(t *telemetry.Tracer) { n.tracer = t }
-
-// Tracer returns the installed packet-lifecycle tracer, nil when disabled.
-func (n *NIC) Tracer() *telemetry.Tracer { return n.tracer }
 
 // trace records one span event when tracing is enabled; a nil tracer or an
 // unstamped packet costs exactly one branch.

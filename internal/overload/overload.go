@@ -4,7 +4,7 @@
 // observable, prioritized degradation instead of silent collapse.
 //
 // The paper's position (§4.3) is that the kernel must stay on the resource
-// path even when the dataplane bypasses it: admission, backpressure and
+// path even when the dataplane bypasses it: admission, pressure and
 // shedding are exactly the decisions that need a privileged, whole-host view.
 // Four mechanisms compose here:
 //
@@ -12,9 +12,10 @@
 //     memory against the DDIO share, per-tenant connection counts, watchdog
 //     saturation) and rejects with a typed AdmissionError naming the
 //     exhausted resource — the caller knows *why*, not just "no".
-//   - Watermark backpressure: when ring occupancy crosses the high
-//     watermark, subscribed transport senders halve their effective window
-//     until the low watermark clears (hysteresis, no oscillation).
+//   - Pressure signals: ring occupancy past the high watermark (or rings
+//     at 3/4 of their capacity) raises pressure, which clears only once
+//     occupancy falls back under the low watermark (hysteresis, no
+//     oscillation); each engage and release edge is counted as a signal.
 //   - Priority-aware shedding: under sustained saturation the NIC sheds
 //     ingress for low-QoS classes first, reusing the qos class weights, so
 //     high-priority goodput survives the cliff.
@@ -170,7 +171,7 @@ func (c Config) clearAfter() int {
 }
 
 // Governor is the overload controller for one host: admission budgets, the
-// watchdog state machine, backpressure fan-out and the NIC shed policy all
+// watchdog state machine, its pressure signals and the NIC shed policy all
 // hang off it. It runs entirely in virtual time and keeps plain counters, so
 // it is deterministic and free when idle.
 type Governor struct {
@@ -187,7 +188,6 @@ type Governor struct {
 	*supervise.Sampler
 	machine
 
-	subs   []func(pressured bool)
 	tracer *telemetry.Tracer
 
 	// Per-tenant isolation accounting (Config.TenantWeights). tenantOrder
@@ -402,13 +402,6 @@ func (g *Governor) ReleaseConn(tenant uint32) {
 	}
 }
 
-// Subscribe registers a backpressure listener. fn(true) fires when the
-// watchdog leaves the OK state, fn(false) when it returns to OK. Transport
-// streams subscribe their Backpressure method here.
-func (g *Governor) Subscribe(fn func(pressured bool)) {
-	g.subs = append(g.subs, fn)
-}
-
 // InstallShedding installs the priority-aware shed policy on the NIC:
 // while the watchdog is saturated, ingress frames whose class weight is
 // below the heaviest configured weight are dropped before they consume FIFO
@@ -500,17 +493,13 @@ func (g *Governor) sampleTenant(tg *tenantGov, now sim.Time) {
 }
 
 // transitioned follows a move of the global machine: emit a trace span, and
-// notify subscribers on the pressure edge (leaving OK / returning to OK).
+// count a signal on the pressure edge (leaving OK / returning to OK).
 func (g *Governor) transitioned(prev State, now sim.Time) {
 	if g.tracer != nil {
 		g.tracer.Record(g.tracer.StampID(), now, "overload", "pressure", prev.String()+"->"+g.state.String())
 	}
-	on, wasOn := g.state != StateOK, prev != StateOK
-	if on != wasOn {
+	if (g.state != StateOK) != (prev != StateOK) {
 		g.signals++
-		for _, fn := range g.subs {
-			fn(on)
-		}
 	}
 }
 

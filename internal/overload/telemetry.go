@@ -25,7 +25,7 @@ func (g *Governor) RegisterMetrics(r *telemetry.Registry, labels telemetry.Label
 		labels, func() uint64 { return g.rejectedLoad })
 	r.Counter(telemetry.Desc{Layer: "overload", Name: "shed_packets", Help: "ingress frames shed by the priority-aware policy while saturated", Unit: "frames"},
 		labels, func() uint64 { return g.shedPkts })
-	r.Counter(telemetry.Desc{Layer: "overload", Name: "backpressure_signals", Help: "pressure edges delivered to subscribers (engage + release)", Unit: "signals"},
+	r.Counter(telemetry.Desc{Layer: "overload", Name: "backpressure_signals", Help: "watchdog pressure edges: leaving ok plus returning to ok", Unit: "signals"},
 		labels, func() uint64 { return g.signals })
 	r.Gauge(telemetry.Desc{Layer: "overload", Name: "ring_bytes", Help: "RX descriptor bytes charged against the DDIO share by admitted connections", Unit: "bytes"},
 		labels, func() float64 { return float64(g.ringBytes) })

@@ -17,7 +17,6 @@ type DRR struct {
 	nitems         int
 	defaultQuantum int
 	stats          Stats
-	perClass       map[uint32]*Stats
 }
 
 type drrClass struct {
@@ -39,7 +38,6 @@ func NewDRR(limit, quantum int) *DRR {
 	}
 	return &DRR{
 		classes:        make(map[uint32]*drrClass),
-		perClass:       make(map[uint32]*Stats),
 		limit:          limit,
 		defaultQuantum: quantum,
 	}
@@ -62,15 +60,6 @@ func (q *DRR) class(id uint32) *drrClass {
 	return c
 }
 
-func (q *DRR) classStats(id uint32) *Stats {
-	s, ok := q.perClass[id]
-	if !ok {
-		s = &Stats{}
-		q.perClass[id] = s
-	}
-	return s
-}
-
 // Name implements Qdisc.
 func (q *DRR) Name() string { return "drr" }
 
@@ -84,7 +73,6 @@ func (q *DRR) Enqueue(p *packet.Packet, _ sim.Time) bool {
 	}
 	if q.nitems >= q.limit || len(c.q) >= perClass {
 		q.stats.DropPackets++
-		q.classStats(p.Meta.Class).DropPackets++
 		return false
 	}
 	c.q = append(c.q, p)
@@ -95,9 +83,6 @@ func (q *DRR) Enqueue(p *packet.Packet, _ sim.Time) bool {
 	q.nitems++
 	q.stats.EnqPackets++
 	q.stats.EnqBytes += uint64(p.FrameLen())
-	cs := q.classStats(c.id)
-	cs.EnqPackets++
-	cs.EnqBytes += uint64(p.FrameLen())
 	return true
 }
 
@@ -134,9 +119,6 @@ func (q *DRR) Dequeue(_ sim.Time) (*packet.Packet, bool) {
 		}
 		q.stats.DeqPackets++
 		q.stats.DeqBytes += uint64(need)
-		cs := q.classStats(c.id)
-		cs.DeqPackets++
-		cs.DeqBytes += uint64(need)
 		return head, true
 	}
 }
@@ -154,11 +136,3 @@ func (q *DRR) Len() int { return q.nitems }
 
 // Stats returns aggregate counters.
 func (q *DRR) Stats() Stats { return q.stats }
-
-// ClassStats returns counters for one class.
-func (q *DRR) ClassStats(class uint32) Stats {
-	if s, ok := q.perClass[class]; ok {
-		return *s
-	}
-	return Stats{}
-}

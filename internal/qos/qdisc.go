@@ -189,6 +189,3 @@ func (q *Prio) Len() int {
 	}
 	return n
 }
-
-// Band returns the i'th band qdisc.
-func (q *Prio) Band(i int) Qdisc { return q.bands[i] }

@@ -56,10 +56,3 @@ func (s *Server) Utilization(now Time) float64 {
 	}
 	return s.busy.Seconds() / Duration(now).Seconds()
 }
-
-// Reset clears accumulated state, leaving the server idle at the epoch.
-func (s *Server) Reset() {
-	s.free = 0
-	s.busy = 0
-	s.jobs = 0
-}

@@ -40,9 +40,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Seconds returns the time as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

@@ -31,10 +31,8 @@ type Model struct {
 	CopyFixed     sim.Duration // per-copy fixed cost (call, cache fills)
 	CachelineXfer sim.Duration // cross-core dirty cacheline transfer (64B)
 	CrossCoreBW   float64      // pipelined cross-core payload bandwidth, bytes/second
-	LLCHit        sim.Duration // last-level cache hit latency
 	DRAMAccess    sim.Duration // DRAM access latency
 	MMIOWrite     sim.Duration // posted MMIO write (doorbell)
-	MMIORead      sim.Duration // non-posted MMIO read (round trip)
 	PollIteration sim.Duration // one empty poll-loop iteration
 
 	// PCIe / DMA.
@@ -68,10 +66,8 @@ func Default() Model {
 		CopyFixed:     30 * sim.Nanosecond,
 		CachelineXfer: 60 * sim.Nanosecond,
 		CrossCoreBW:   30e9, // pipelined coherence traffic between cores
-		LLCHit:        15 * sim.Nanosecond,
 		DRAMAccess:    90 * sim.Nanosecond,
 		MMIOWrite:     100 * sim.Nanosecond,
-		MMIORead:      900 * sim.Nanosecond,
 		PollIteration: 20 * sim.Nanosecond,
 
 		DMALatency: 450 * sim.Nanosecond,

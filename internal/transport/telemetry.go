@@ -26,8 +26,6 @@ func RegisterStreamMetrics(r *telemetry.Registry, labels telemetry.Labels, strea
 		labels, sum(func(s *Stats) uint64 { return s.Timeouts }))
 	r.Counter(telemetry.Desc{Layer: "transport", Name: "acked_bytes", Help: "application bytes cumulatively acknowledged", Unit: "bytes"},
 		labels, sum(func(s *Stats) uint64 { return s.AckedBytes }))
-	r.Counter(telemetry.Desc{Layer: "transport", Name: "shed_halvings", Help: "pressure-induced window halvings applied on backpressure signals from the overload governor", Unit: "halvings"},
-		labels, sum(func(s *Stats) uint64 { return s.Shed }))
 	r.Gauge(telemetry.Desc{Layer: "transport", Name: "streams_aborted", Help: "streams that gave up (retransmission budget exhausted) instead of completing", Unit: "streams"},
 		labels, func() float64 {
 			var n float64

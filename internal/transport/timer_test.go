@@ -58,7 +58,7 @@ func (f *fleet) start() {
 
 // TestStreamTimerDrainedClock pins the clock Run returns for a fixed lossless
 // two-stream scenario. Both transfers finish within the first millisecond,
-// but each stream's first RTO was armed InitialRTO (10 ms) out and the engine
+// but each stream's first RTO was armed initialRTO (10 ms) out and the engine
 // still walks to it: the engine's timer horizon (sim.Engine) keeps the drained clock
 // where the push-per-arm RTO left it, because normbench's model fingerprint
 // hashes CPU-busy time up to that clock. Whoever lets a finished stream

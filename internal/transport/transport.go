@@ -23,6 +23,10 @@ import (
 // MSS is the maximum segment payload.
 const MSS = 1400
 
+// initialRTO is a stream's first retransmission timeout, before any RTT
+// sample; backoff doubles it up to maxRTO.
+const initialRTO = 10 * sim.Millisecond
+
 // maxRTO caps the retransmission timeout's exponential backoff.
 const maxRTO = 500 * sim.Millisecond
 
@@ -36,17 +40,10 @@ const maxRetries = 12
 // budget exhausted) rather than completing.
 var ErrAborted = errors.New("transport: stream aborted")
 
-// ErrOverload is the terminal error of a stream terminated by overload
-// control (admission revoked, sustained shedding) — a typed policy decision,
-// distinct from the ErrAborted RTO give-up, so callers can tell "the path
-// died" apart from "the system refused the load".
-var ErrOverload = errors.New("transport: stream shed by overload control")
-
 // Config parameterizes a stream.
 type Config struct {
-	TotalBytes uint32       // how much to transfer
-	Window     uint32       // receiver window in bytes (0 = 256 KiB)
-	InitialRTO sim.Duration // 0 = 10 ms; backoff doubles it up to maxRTO
+	TotalBytes uint32 // how much to transfer
+	Window     uint32 // receiver window in bytes (0 = 256 KiB)
 	Done       func(at sim.Time)
 
 	// OnAbort fires exactly once when the stream gives up; Done never fires
@@ -68,10 +65,6 @@ type Stats struct {
 	// Aborted records that the stream gave up (maxRetries consecutive RTOs)
 	// instead of completing; Finished then holds the abort time.
 	Aborted bool
-	// Shed counts pressure-induced window halvings: each Backpressure(true)
-	// notification from the overload governor halves the effective window
-	// once and increments this.
-	Shed uint64
 }
 
 // Goodput returns achieved application throughput in Gbit/s.
@@ -112,11 +105,6 @@ type Stream struct {
 	aborted   bool
 	err       error
 
-	// pressureShift is the number of outstanding backpressure halvings: the
-	// effective window is right-shifted by it (floored at one MSS) until the
-	// governor clears the low watermark and calls Backpressure(false).
-	pressureShift uint
-
 	Stats Stats
 }
 
@@ -127,14 +115,11 @@ func New(a arch.Arch, conn *arch.Conn, flow packet.FlowKey, mux *host.Mux, cfg C
 	if cfg.Window == 0 {
 		cfg.Window = 256 << 10
 	}
-	if cfg.InitialRTO == 0 {
-		cfg.InitialRTO = 10 * sim.Millisecond
-	}
 	s := &Stream{
 		a: a, conn: conn, flow: flow, cfg: cfg,
 		cwnd:     4 * MSS, // RFC 6928-style initial window (scaled down)
 		ssthresh: float64(cfg.Window),
-		rto:      cfg.InitialRTO,
+		rto:      initialRTO,
 	}
 	s.rtoTimer = a.World().Eng.NewTimer(s.onTimeout)
 	mux.Handle(conn, s.onAck)
@@ -158,7 +143,7 @@ func (s *Stream) Aborted() bool { return s.aborted }
 // and runs no further callback — the no-livelock guarantee E9 measures — and
 // its stopped RTO timer's queued events are dead, purged by the engine. The
 // engine's drained clock still reaches the furthest deadline the timer was
-// ever armed for (sim.Engine's horizon: up to InitialRTO after Start for a
+// ever armed for (sim.Engine's horizon: up to initialRTO after Start for a
 // transfer shorter than that); it is model-visible, so
 // TestStreamTimerDrainedClock pins it.
 func (s *Stream) Terminal() bool { return s.done || s.aborted }
@@ -205,40 +190,10 @@ func (s *Stream) inFlightLimit() uint32 {
 	if win > s.cfg.Window {
 		win = s.cfg.Window
 	}
-	win >>= s.pressureShift
 	if win < MSS {
 		win = MSS
 	}
 	return win
-}
-
-// Backpressure is the overload governor's pressure signal. on=true halves the
-// effective window (cumulative across signals, floored at one MSS) and counts
-// a Stats.Shed; on=false clears all halvings at once and immediately tries to
-// refill the restored window. Hysteresis lives in the governor — the stream
-// just obeys, so signal edges map 1:1 to window changes.
-func (s *Stream) Backpressure(on bool) {
-	if s.done || s.aborted {
-		return
-	}
-	if on {
-		if s.pressureShift < 6 {
-			s.pressureShift++
-		}
-		s.Stats.Shed++
-		return
-	}
-	if s.pressureShift != 0 {
-		s.pressureShift = 0
-		s.trySend()
-	}
-}
-
-// AbortOverload terminates the stream with ErrOverload: the overload governor
-// (not the path) decided this stream must stop. OnAbort fires once with the
-// wrapped reason; Done never fires.
-func (s *Stream) AbortOverload(reason string) {
-	s.abort(fmt.Errorf("%w: %s", ErrOverload, reason))
 }
 
 // trySend transmits as much new data as the window allows.

@@ -25,8 +25,8 @@ import (
 // Phase is the upgrade lifecycle state (DESIGN.md §12's state machine):
 //
 //	Idle --Stage--> Staged --CutOver--> Canary --window expires--> Committed
-//	                 |                    |
-//	                 +--AbortStaged       +--breach / crash / force--> RolledBack
+//	                                      |
+//	                                      +--breach / crash / force--> RolledBack
 //
 // Committed and RolledBack are terminal for one upgrade attempt; the next
 // Stage returns the manager to Staged.
@@ -195,18 +195,6 @@ func (m *Manager) Stage(now sim.Time, ing, eg *overlay.Program) error {
 		m.rec.Record(now, recovery.Entry{Op: recovery.OpUpgrade, Ref: m.n.Generation() + 1})
 	}
 	m.span(now, "stage", fmt.Sprintf("target_gen=%d sram_staged", m.n.Generation()+1))
-	return nil
-}
-
-// Abort discards a staged-but-not-activated generation.
-func (m *Manager) Abort(now sim.Time) error {
-	if m.phase != Staged {
-		return ErrNotStaged
-	}
-	m.n.AbortStaged()
-	m.pre = nil
-	m.phase = Idle
-	m.span(now, "abort", "staged generation discarded")
 	return nil
 }
 

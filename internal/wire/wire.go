@@ -77,12 +77,6 @@ func (n *Network) AddEndpoint(ip packet.IPv4, mac packet.MAC, h Handler) *Endpoi
 	return ep
 }
 
-// Endpoint looks up a remote host by address.
-func (n *Network) Endpoint(ip packet.IPv4) (*Endpoint, bool) {
-	ep, ok := n.byIP[ip]
-	return ep, ok
-}
-
 // recv is the host's egress arriving on the fabric.
 func (n *Network) recv(p *packet.Packet, at sim.Time) {
 	// Broadcast (ARP who-has): every endpoint sees it; endpoints whose IP

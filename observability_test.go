@@ -147,41 +147,54 @@ func populateFullRegistry(t *testing.T) *telemetry.Registry {
 }
 
 // TestQdiscSeriesExported: the standing qdisc's qos series are on the
-// facade's registry, on a ring dataplane and on a software one, and they read
-// the scheduler live at render time — the one TCSet installed, then its
-// replacement.
+// facade's registry, on a ring dataplane and on a software one, for every
+// qdisc TCSet accepts, and they read the scheduler live at render time — the
+// one TCSet installed, then its replacement. Prio keeps no aggregate Stats
+// (its bands keep their own), so its counters read the documented 0.
 func TestQdiscSeriesExported(t *testing.T) {
+	specs := []struct {
+		spec norman.QdiscSpec
+		enq  string // norman_qos_enq_packets after five sends
+	}{
+		{norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{0: 1}}, "5"},
+		{norman.QdiscSpec{Kind: "drr", Weights: map[uint32]float64{0: 1514}}, "5"},
+		{norman.QdiscSpec{Kind: "pfifo"}, "5"},
+		{norman.QdiscSpec{Kind: "tbf", RateBps: 1e9, BurstBytes: 1 << 16}, "5"},
+		{norman.QdiscSpec{Kind: "prio"}, "0"},
+	}
 	for _, a := range []norman.Architecture{norman.KOPI, norman.KernelStack} {
-		sys := norman.New(a)
-		sys.UseSinkPeer()
-		reg := sys.EnableTelemetry()
-		if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{0: 1}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		conn, err := sys.Dial(sys.Spawn(sys.AddUser(1000, "u"), "app"), 4000, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			conn.Send(100)
-		}
-		sys.Run()
-		sample := func(name string) string {
-			m := regexp.MustCompile(`(?m)^` + name + `\{arch="` + string(a) + `"\} (\S+)$`).FindStringSubmatch(reg.RenderPrometheus())
-			if m == nil {
-				t.Fatalf("%s: the dump carries no %s", a, name)
+		for _, tc := range specs {
+			sys := norman.New(a)
+			sys.UseSinkPeer()
+			reg := sys.EnableTelemetry()
+			if err := sys.TCSet(tc.spec, nil); err != nil {
+				t.Fatal(err)
 			}
-			return m[1]
-		}
-		sample("norman_qos_queue_depth")
-		if got := sample("norman_qos_enq_packets"); got != "5" {
-			t.Errorf("%s: norman_qos_enq_packets = %s, want the 5 frames sent", a, got)
-		}
-		if err := sys.TCSet(norman.QdiscSpec{Kind: "pfifo"}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := sample("norman_qos_enq_packets"); got != "0" {
-			t.Errorf("%s: after the swap norman_qos_enq_packets = %s, want the new qdisc's 0", a, got)
+			conn, err := sys.Dial(sys.Spawn(sys.AddUser(1000, "u"), "app"), 4000, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				conn.Send(100)
+			}
+			sys.Run()
+			sample := func(name string) string {
+				m := regexp.MustCompile(`(?m)^` + name + `\{arch="` + string(a) + `"\} (\S+)$`).FindStringSubmatch(reg.RenderPrometheus())
+				if m == nil {
+					t.Fatalf("%s/%s: the dump carries no %s", a, tc.spec.Kind, name)
+				}
+				return m[1]
+			}
+			sample("norman_qos_queue_depth")
+			if got := sample("norman_qos_enq_packets"); got != tc.enq {
+				t.Errorf("%s/%s: norman_qos_enq_packets = %s, want %s", a, tc.spec.Kind, got, tc.enq)
+			}
+			if err := sys.TCSet(norman.QdiscSpec{Kind: "pfifo"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := sample("norman_qos_enq_packets"); got != "0" {
+				t.Errorf("%s/%s: after the swap norman_qos_enq_packets = %s, want the new qdisc's 0", a, tc.spec.Kind, got)
+			}
 		}
 	}
 }

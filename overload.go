@@ -11,8 +11,8 @@ var ErrAdmission = overload.ErrAdmission
 // saturation), a weighted qdisc (TCSet, before or after this call) also
 // drives the priority-aware ingress shed policy, tenant isolation splits the
 // budgets per tenant, and the watchdog — once started with Overload().Start —
-// drives watermark backpressure to subscribed transport streams. Idempotent;
-// returns the governor either way.
+// samples ring and FIFO occupancy into its health state and counts each
+// pressure edge. Idempotent; returns the governor either way.
 //
 // The watchdog samples on a virtual-time timer, so it keeps the engine
 // non-quiescent: Run pauses it for the drain and resumes it after, while

@@ -39,14 +39,19 @@ fi
 # arithmetic — a `.Seconds() *` rate product or a `tokens` field — lives in
 # internal/qos/bucket.go and nowhere else, and neither qdisc pump polls: the
 # NIC's stPumpRetry and soft.pumpTx's fixed-delay re-arm stay gone (a pump
-# sleeps until the qdisc's own ReadyAt).
+# sleeps until the qdisc's own ReadyAt). soft.pumpTx holds exactly one
+# After(: the modelled BQL re-poll, one wire frame time after a full ring.
 if grep -nE '\.Seconds\(\) *\* *[A-Za-z_.]*[rR]ate\b|[tT]okens +float|\.[A-Za-z]*[tT]okens\b' \
 	$(find . -name '*.go' ! -name '*_test.go' ! -path ./internal/qos/bucket.go); then
 	echo "token-bucket refill arithmetic outside internal/qos/bucket.go (use qos.Bucket)" >&2
 	exit 1
 fi
 if grep -nw 'stPumpRetry' $(ls internal/nic/*.go | grep -v _test.go) ||
-	awk '/^func \(s \*soft\) pumpTx\(/ { in_pump = 1 } in_pump && /sim\.[A-Za-z]*[sS]econd/ { print FILENAME ":" FNR ": " $0; bad = 1 } in_pump && /^}/ { in_pump = 0 } END { exit !bad }' internal/arch/soft.go; then
+	awk '/^func \(s \*soft\) pumpTx\(/ { in_pump = 1 }
+		in_pump && /sim\.[A-Za-z]*[sS]econd/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+		in_pump { afters += gsub(/After\(/, "&") }
+		in_pump && /^}/ { in_pump = 0 }
+		END { if (afters != 1) { print "soft.pumpTx: " afters " After( calls, want 1 (the BQL re-poll)"; bad = 1 }; exit !bad }' internal/arch/soft.go; then
 	echo "a qdisc pump re-arms on a fixed delay (arm it at the qdisc's ReadyAt)" >&2
 	exit 1
 fi
