@@ -88,7 +88,7 @@ var hostExits = [NumHostReasons]struct {
 		case *KernelStack:
 			// The stack is slower than the NIC, so its queue never fills by
 			// itself: stage a full one.
-			x.fill(x.soft().q.TX)
+			x.fill(&x.soft().q.TX)
 			x.a.Send(x.c, x.w.UDPTo(x.flow, 64))
 			return 1
 		case *Sidecar:

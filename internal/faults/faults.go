@@ -150,12 +150,13 @@ func New(eng *sim.Engine, n *nic.NIC, llc *cache.LLC, cfg Config) *Injector {
 // *why* a frame vanished rather than just that it did.
 func (i *Injector) SetTracer(tr *telemetry.Tracer) { i.tracer = tr }
 
-// trace records a fault span event for p when tracing is on.
-func (i *Injector) trace(p *packet.Packet, point, note string) {
+// trace records a fault span event for p, noted with the frame's direction,
+// when tracing is on; the note is built only then.
+func (i *Injector) trace(p *packet.Packet, point, dir string) {
 	if i.tracer == nil || p.Meta.Trace == 0 {
 		return
 	}
-	i.tracer.Record(p.Meta.Trace, i.eng.Now(), "faults", point, note)
+	i.tracer.Record(p.Meta.Trace, i.eng.Now(), "faults", point, "dir="+dir)
 }
 
 // RegisterMetrics exposes the injector's fault counters on a registry.
@@ -250,7 +251,7 @@ func (i *Injector) apply(cfg WireConfig, rng *sim.RNG, st *WireStats, dir string
 	}
 	if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
 		st.Lost++
-		i.trace(p, "wire_lost", "dir="+dir)
+		i.trace(p, "wire_lost", dir)
 		return
 	}
 	if cfg.Corrupt > 0 && rng.Float64() < cfg.Corrupt {
@@ -258,7 +259,7 @@ func (i *Injector) apply(cfg WireConfig, rng *sim.RNG, st *WireStats, dir string
 		// serialization before the hand-off); the receiver's FCS check eats
 		// it, so past this point corruption behaves as loss.
 		st.Corrupted++
-		i.trace(p, "wire_corrupted", "dir="+dir)
+		i.trace(p, "wire_corrupted", dir)
 		return
 	}
 	var extra sim.Duration
@@ -267,11 +268,11 @@ func (i *Injector) apply(cfg WireConfig, rng *sim.RNG, st *WireStats, dir string
 		// Uniform in [reorderDelay, 2·reorderDelay) so back-to-back reordered
 		// frames do not simply form a second in-order queue.
 		extra = reorderDelay + sim.Duration(rng.Int63()%int64(reorderDelay))
-		i.trace(p, "wire_reordered", "dir="+dir)
+		i.trace(p, "wire_reordered", dir)
 	}
 	if cfg.Duplicate > 0 && rng.Float64() < cfg.Duplicate {
 		st.Duplicated++
-		i.trace(p, "wire_duplicated", "dir="+dir)
+		i.trace(p, "wire_duplicated", dir)
 		deliver(p.Clone(), extra+duplicateDelay)
 	}
 	deliver(p, extra)

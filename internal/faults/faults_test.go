@@ -8,6 +8,7 @@ import (
 	"norman/internal/overlay"
 	"norman/internal/packet"
 	"norman/internal/sim"
+	"norman/internal/telemetry"
 	"norman/internal/timing"
 )
 
@@ -174,5 +175,34 @@ func TestBackoffShape(t *testing.T) {
 	// Zero-value arguments resolve to sane defaults.
 	if d := Backoff(0, 0, 0, 0); d <= 0 || d > time.Second {
 		t.Fatalf("default backoff: %v", d)
+	}
+}
+
+// TestFaultTraceNotesDirection: a fault on a traced frame is a span event
+// whose note names the direction, in both directions, while an untraced
+// frame's fault builds and records nothing (AllocsPerRun: the note is built
+// only for a tracer).
+func TestFaultTraceNotesDirection(t *testing.T) {
+	n, eng := testNIC()
+	inj := New(eng, n, nil, Config{Seed: 1, Label: "t", Tx: WireConfig{Loss: 1}, Rx: WireConfig{Loss: 1}})
+	tr := telemetry.NewTracer(8)
+	inj.SetTracer(tr)
+	tx := inj.WrapTx(nil)
+	rx := inj.WrapRx(nil)
+	for _, c := range []struct {
+		dir  string
+		send func(*packet.Packet)
+	}{{"tx", func(p *packet.Packet) { tx(p, eng.Now()) }}, {"rx", rx}} {
+		p := frame()
+		p.Meta.Trace = tr.StampID()
+		c.send(p)
+		ev := tr.Trace(p.Meta.Trace)
+		if len(ev) != 1 || ev[0].Layer != "faults" || ev[0].Point != "wire_lost" || ev[0].Note != "dir="+c.dir {
+			t.Fatalf("%s: span events %v, want one faults/wire_lost dir=%s", c.dir, ev, c.dir)
+		}
+	}
+	p := frame()
+	if allocs := testing.AllocsPerRun(100, func() { tx(p, eng.Now()) }); allocs != 0 {
+		t.Fatalf("losing an untraced frame allocates %.1f times", allocs)
 	}
 }

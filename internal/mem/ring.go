@@ -24,10 +24,15 @@ type Desc struct {
 	Produced sim.Time
 }
 
+// DescSize is the simulated footprint of one descriptor: one cache line, as
+// hardware rings use.
+const DescSize = 64
+
 // Ring is a single-producer single-consumer descriptor ring, the structure
 // an application shares with the NIC for each connection. Capacity must be a
 // power of two. Head and tail mimic the MMIO-visible pointers: head is the
-// producer index, tail the consumer index.
+// producer index, tail the consumer index; both only ever count up, so they
+// are also the produced and consumed totals.
 type Ring struct {
 	entries []Desc
 	mask    uint64
@@ -35,25 +40,27 @@ type Ring struct {
 	tail    uint64 // next slot to consume from
 
 	baseAddr uint64 // simulated physical address of the descriptor array
-	descSize int    // bytes per descriptor for footprint accounting
 
-	produced uint64
-	consumed uint64
-	dropped  uint64
+	dropped uint64
 }
 
 // NewRing creates a ring with the given power-of-two capacity, mapped at the
 // given simulated physical address.
 func NewRing(capacity int, baseAddr uint64) *Ring {
+	r := MakeRing(make([]Desc, capacity), baseAddr)
+	return &r
+}
+
+// MakeRing returns a ring over slots, whose length is its power-of-two
+// capacity, mapped at the given simulated physical address. It lets an owner
+// keep the ring inside its own record and carve several rings out of one
+// slot array.
+func MakeRing(slots []Desc, baseAddr uint64) Ring {
+	capacity := len(slots)
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("mem: ring capacity must be a positive power of two")
 	}
-	return &Ring{
-		entries:  make([]Desc, capacity),
-		mask:     uint64(capacity - 1),
-		baseAddr: baseAddr,
-		descSize: 64, // one cache line per descriptor, as hardware rings use
-	}
+	return Ring{entries: slots, mask: uint64(capacity - 1), baseAddr: baseAddr}
 }
 
 // Cap returns the ring capacity in descriptors.
@@ -77,7 +84,6 @@ func (r *Ring) Push(d Desc) error {
 	}
 	r.entries[r.head&r.mask] = d
 	r.head++
-	r.produced++
 	return nil
 }
 
@@ -89,7 +95,6 @@ func (r *Ring) Pop() (Desc, error) {
 	d := r.entries[r.tail&r.mask]
 	r.entries[r.tail&r.mask] = Desc{} // release reference
 	r.tail++
-	r.consumed++
 	return d, nil
 }
 
@@ -105,7 +110,7 @@ func (r *Ring) Peek() (Desc, error) {
 // given logical index occupies; the cache model uses it to charge hits and
 // misses against the ring's real footprint.
 func (r *Ring) SlotAddr(index uint64) uint64 {
-	return r.baseAddr + (index&r.mask)*uint64(r.descSize)
+	return r.baseAddr + (index&r.mask)*DescSize
 }
 
 // Head returns the producer counter (monotonic, unmasked).
@@ -122,7 +127,7 @@ func (r *Ring) TailAddr() uint64 { return r.SlotAddr(r.tail) }
 
 // Counters returns cumulative produced/consumed/dropped descriptor counts.
 func (r *Ring) Counters() (produced, consumed, dropped uint64) {
-	return r.produced, r.consumed, r.dropped
+	return r.head, r.tail, r.dropped
 }
 
 // AboveHigh reports whether occupancy has reached the high watermark, 3/4 of

@@ -106,6 +106,11 @@ type FlowCache struct {
 	// as-is.
 	verify bool
 
+	// foreign is set by Install, the entry point for entries the datapath
+	// did not memoize itself (the live upgrade's warm handover), and cleared
+	// by Flush: while set, connection close scans the whole cache.
+	foreign bool
+
 	// Global counters (Hits + Misses covers every lookup; Installs −
 	// Evictions − Invalidations == live entries, the conservation ledger
 	// the property tests pin).
@@ -367,7 +372,12 @@ func (f *FlowCache) lookup(hash uint32, k packet.FlowKey) (*flowEntry, bool) {
 // tenant; when the cache is partitioned, a tenant at quota (or facing a full
 // bucket) may only evict its own entries — if none share the bucket the
 // install is denied and counted, never satisfied at a neighbor's expense.
+//
+// An entry installed here, not by the datapath, need not be keyed by its
+// connection's steering keys, so until the next Flush every connection close
+// scans the whole cache (NIC.CloseConn).
 func (f *FlowCache) Install(k packet.FlowKey, connID uint64, tenant uint32, verdict overlay.Verdict, mark, class uint32) bool {
+	f.foreign = true
 	return f.install(flowHash(k), k, connID, tenant, verdict, mark, class)
 }
 
@@ -508,6 +518,20 @@ func (f *FlowCache) InvalidateKey(k packet.FlowKey) bool {
 	return false
 }
 
+// invalidateKeyConn removes the entry for k if it points at connID.
+func (f *FlowCache) invalidateKeyConn(k packet.FlowKey, connID uint64) {
+	_, row := f.bucket(flowHash(k))
+	for i := range row {
+		e := &row[i]
+		if e.valid && e.key == k {
+			if e.connID == connID {
+				f.drop(e)
+			}
+			return
+		}
+	}
+}
+
 // InvalidateConn removes every entry pointing at one connection (connection
 // close, ring teardown).
 func (f *FlowCache) InvalidateConn(connID uint64) int {
@@ -526,6 +550,7 @@ func (f *FlowCache) InvalidateConn(connID uint64) int {
 // a new overlay chain may decide any flow differently, so nothing memoized
 // under the old chain survives it.
 func (f *FlowCache) Flush() int {
+	f.foreign = false
 	dropped := 0
 	for i := range f.entries {
 		e := &f.entries[i]

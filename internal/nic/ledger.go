@@ -112,21 +112,35 @@ func (n *NIC) release(j *job) {
 }
 
 // txSlotFree releases one staging-buffer slot and resumes a stalled queue.
-// The stall queue pops by copy+truncate so the backing array is reused and
-// never retains pointers to connections already resumed.
 func (n *NIC) txSlotFree() {
 	n.txInflight--
-	for len(n.txStalled) > 0 {
-		c := n.txStalled[0]
-		last := len(n.txStalled) - 1
-		copy(n.txStalled, n.txStalled[1:])
-		n.txStalled[last] = nil
-		n.txStalled = n.txStalled[:last]
+	for n.stalled() > 0 {
+		c := n.txStalled[n.txStallHead]
+		n.txStalled[n.txStallHead] = nil
+		n.txStallHead++
+		n.compactStalled()
 		c.txStalled = false
 		if c.txDraining {
 			n.drainTx(c)
 			return
 		}
+	}
+}
+
+// stalled is the number of queues waiting on the staging buffer.
+func (n *NIC) stalled() int { return len(n.txStalled) - n.txStallHead }
+
+// compactStalled keeps the stall list's popped prefix no longer than its live
+// part: it rewinds an empty list and slides the live part down once the
+// prefix has grown to match it, so a pop costs O(1) amortised and the
+// backing array stays within twice the longest stall.
+func (n *NIC) compactStalled() {
+	h := n.txStallHead
+	if live := len(n.txStalled) - h; live == 0 || h >= live {
+		copy(n.txStalled, n.txStalled[h:])
+		clear(n.txStalled[live:])
+		n.txStalled = n.txStalled[:live]
+		n.txStallHead = 0
 	}
 }
 
@@ -247,9 +261,9 @@ func (n *NIC) Balance() error {
 	if n.sched != nil {
 		queued = n.sched.Len()
 	}
-	if n.jobsOut == 0 && (n.rxInflight != 0 || shares != 0 || n.txInflight != 0 || len(n.txStalled) != 0 || n.txAhead != 0 || queued != 0) {
+	if n.jobsOut == 0 && (n.rxInflight != 0 || shares != 0 || n.txInflight != 0 || n.stalled() != 0 || n.txAhead != 0 || queued != 0) {
 		return fmt.Errorf("nic: idle datapath holds rx_inflight=%d tenant_shares=%d tx_inflight=%d stalled=%d tx_ahead=%d qdisc_backlog=%d",
-			n.rxInflight, shares, n.txInflight, len(n.txStalled), n.txAhead, queued)
+			n.rxInflight, shares, n.txInflight, n.stalled(), n.txAhead, queued)
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ package nic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"norman/internal/cache"
 	"norman/internal/mem"
@@ -56,8 +57,8 @@ const bufBytes = 2048
 // its notification configuration.
 type Conn struct {
 	ID   uint64
-	TX   *mem.Ring
-	RX   *mem.Ring
+	TX   mem.Ring
+	RX   mem.Ring
 	Meta packet.Meta // stamped on every packet the NIC handles for this conn
 
 	NotifyRx bool
@@ -67,6 +68,10 @@ type Conn struct {
 	txDraining  bool // a TX drain chain is in flight
 	txStalled   bool // drain paused on the NIC TX admission window
 	rlWaiting   bool // a paced drain is waiting for its token bucket
+	// wide marks a connection SetDefaultConn or SetRSS named while it was
+	// open: frames reach it under keys it was never steered by, so its close
+	// scans the whole steering table and flow cache (steer.go).
+	wide bool
 
 	Queue *mem.NotifyQueue // owning process's notification queue
 	// Host is the host side's own handle for this connection, opaque to the
@@ -80,6 +85,12 @@ type Conn struct {
 	lastNotifyAt   sim.Time
 
 	bufBase uint64 // host buffer region base address: a TX half, then an RX half
+
+	// keys are the steering keys SteerFlow ever pointed at this connection,
+	// so that its close touches only those (steer.go); keyBuf holds the usual
+	// one or two without an allocation of their own.
+	keys   []packet.FlowKey
+	keyBuf [2]packet.FlowKey
 
 	// Per-connection egress rate limit (SENIC/PicNIC-style offload): the
 	// TX drain paces descriptor fetches against a token bucket, so a
@@ -142,7 +153,10 @@ type NIC struct {
 	// bound is what propagates wire backpressure into the host rings.
 	txInflight int
 	txWindow   int
-	txStalled  []*Conn
+	// txStalled[txStallHead:] are the queues waiting for a slot, oldest
+	// first (ledger.go).
+	txStalled   []*Conn
+	txStallHead int
 
 	// The conservation ledger's private terms (ledger.go).
 	txAccepted, txRefused uint64
@@ -358,22 +372,28 @@ func (n *NIC) OpenConn(id uint64, meta packet.Meta, queue *mem.NotifyQueue) (*Co
 	if n.sramUsed+need > n.sramBudget {
 		return nil, fmt.Errorf("%w: %d conns, %d/%d bytes", ErrSRAMExhausted, len(n.conns), n.sramUsed, n.sramBudget)
 	}
-	ringBytes := n.ringSize * 64
+	ringBytes := n.ringSize * mem.DescSize
 	bufRegion := n.ringSize * bufBytes
+	// The record and one slot array shared by both rings are the
+	// connection's only allocations.
+	slots := make([]mem.Desc, 2*n.ringSize)
 	c := &Conn{
 		ID:      id,
-		TX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
-		RX:      mem.NewRing(n.ringSize, n.alloc.Take(ringBytes, 4096)),
+		TX:      mem.MakeRing(slots[:n.ringSize:n.ringSize], n.alloc.Take(ringBytes, 4096)),
+		RX:      mem.MakeRing(slots[n.ringSize:], n.alloc.Take(ringBytes, 4096)),
 		Meta:    meta,
 		Queue:   queue,
 		bufBase: n.alloc.Take(2*bufRegion, 4096),
+		wide:    id == n.defaultConn || slices.Contains(n.rssQueues, id),
 	}
+	c.keys = c.keyBuf[:0]
 	n.conns[id] = c
 	n.sramUsed += need
 	return c, nil
 }
 
-// CloseConn releases a connection's NIC state and steering entries.
+// CloseConn releases a connection's NIC state, its steering entries and the
+// flow-cache entries that point at it (unsteerConn says which it touches).
 func (n *NIC) CloseConn(id uint64) error {
 	c, ok := n.conns[id]
 	if !ok {
@@ -381,9 +401,6 @@ func (n *NIC) CloseConn(id uint64) error {
 	}
 	delete(n.conns, id)
 	n.unsteerConn(c)
-	if n.fc != nil {
-		n.fc.InvalidateConn(id)
-	}
 	n.sramUsed -= n.connSRAM()
 	return nil
 }
@@ -400,7 +417,12 @@ func (n *NIC) ConnCount() int { return len(n.conns) }
 // SetDefaultConn routes unsteered traffic to the given connection (e.g. the
 // kernel-stack architecture's kernel-owned queue); 0 restores
 // drop/slow-path behavior.
-func (n *NIC) SetDefaultConn(id uint64) { n.defaultConn = id }
+func (n *NIC) SetDefaultConn(id uint64) {
+	n.defaultConn = id
+	if c, ok := n.conns[id]; ok {
+		c.wide = true
+	}
+}
 
 // SetScheduler installs the egress qdisc (nil = plain FIFO at the wire). A
 // qdisc that is replaced takes its backlog with it: the frames are counted

@@ -85,6 +85,9 @@ func (n *NIC) SetRSS(key [RSSKeySize]byte, queues []uint64) error {
 		n.rss = newRSSTable(key)
 	}
 	n.rssQueues = append([]uint64(nil), queues...)
+	for _, id := range queues {
+		n.conns[id].wide = true
+	}
 	return nil
 }
 

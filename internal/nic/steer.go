@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"norman/internal/packet"
 )
@@ -65,6 +66,9 @@ func (n *NIC) SteerFlow(k packet.FlowKey, connID uint64) error {
 		}
 		n.sramUsed += 16
 	}
+	if *e != c && !slices.Contains(c.keys, k) {
+		c.keys = append(c.keys, k)
+	}
 	*e = c
 	n.steering[ck] = row
 	n.fcInvalidateKey(k)
@@ -99,21 +103,53 @@ func (n *NIC) DropSteering(k packet.FlowKey) bool {
 }
 
 // unsteerConn removes every steering entry that points at c (connection
-// close), releasing their SRAM.
+// close), releasing their SRAM, and every flow-cache entry that points at it.
+//
+// A frame resolves to c only through a row half c was steered by, or as the
+// default or an RSS queue. So while c was only ever steered, its entries in
+// both tables sit under the keys it remembers and their reverses, and those
+// are all its close touches: a half is cleared only if it still points at c,
+// and a cache entry only if it names c, because the key may since have been
+// re-steered and the other half of its row may belong to another connection.
+// Keys stay remembered after a re-steer or a drop, so an entry a frame
+// already in flight installs afterwards is still found. A connection the
+// default queue or RSS delivered to holds entries under any key, and so does
+// every connection while the cache holds entries the datapath did not install
+// (FlowCache.Install): those closes scan both tables.
 func (n *NIC) unsteerConn(c *Conn) {
-	for ck, row := range n.steering {
-		if row.fwd != c && row.rev != c {
-			continue
+	fc := n.fc
+	if c.wide || (fc != nil && fc.foreign) {
+		for ck, row := range n.steering {
+			if row.fwd != c && row.rev != c {
+				continue
+			}
+			if row.fwd == c {
+				row.fwd = nil
+				n.sramUsed -= 16
+			}
+			if row.rev == c {
+				row.rev = nil
+				n.sramUsed -= 16
+			}
+			n.putRow(ck, row)
 		}
-		if row.fwd == c {
-			row.fwd = nil
+		if fc != nil {
+			fc.InvalidateConn(c.ID)
+		}
+		return
+	}
+	for _, k := range c.keys {
+		ck, flipped := canonical(k)
+		row := n.steering[ck]
+		if e := row.entry(flipped); *e == c {
+			*e = nil
+			n.putRow(ck, row)
 			n.sramUsed -= 16
 		}
-		if row.rev == c {
-			row.rev = nil
-			n.sramUsed -= 16
+		if fc != nil {
+			fc.invalidateKeyConn(k, c.ID)
+			fc.invalidateKeyConn(k.Reverse(), c.ID)
 		}
-		n.putRow(ck, row)
 	}
 }
 

@@ -152,6 +152,13 @@ func FuzzSteering(f *testing.F) {
 	f.Add([]byte{0, 0x20, 0, 0x40, 1, 0x25, 1, 0x4a, 2, 0x05, 2, 0x0a})       // forward and reverse entries on different conns, dropped in turn
 	f.Add([]byte{0, 0x20, 0, 0x40, 1, 0x20, 1, 0x4f, 1, 0x40, 3, 0x40, 2, 0}) // self-reverse keys, re-steered to another conn
 	f.Add([]byte{1, 0x23, 2, 0x03, 3, 0x20, 0, 0x20, 0, 0x20, 3, 0x20})       // everything against a closed connection
+	// A close touches only the keys its connection was steered by: both
+	// halves of one row on conn 1 beside a row of conn 2, one half dropped
+	// before the close; a key re-steered away to conn 2 before conn 1 closes;
+	// and one re-steered away and back.
+	f.Add([]byte{0, 0x00, 0, 0x20, 1, 0x01, 1, 0x02, 1, 0x25, 2, 0x01, 3, 0x00, 3, 0x20})
+	f.Add([]byte{0, 0x00, 0, 0x20, 1, 0x01, 1, 0x21, 1, 0x02, 3, 0x00, 1, 0x01, 3, 0x20})
+	f.Add([]byte{0, 0x00, 0, 0x20, 1, 0x01, 1, 0x21, 1, 0x01, 3, 0x20, 3, 0x00})
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 32; i++ {
 		prog := make([]byte, 256)

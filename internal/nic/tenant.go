@@ -215,9 +215,9 @@ func (d *Stage) book(g *job, at sim.Time) sim.Time {
 func (d *Stage) cost(g *job) sim.Duration {
 	switch g.stage {
 	case stTxFetch:
-		return d.nic.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
+		return d.nic.dmaCost(g.c, &g.c.TX, g.index, g.frame, false)
 	case stRxDMA:
-		return d.nic.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
+		return d.nic.dmaCost(g.c, &g.c.RX, g.index, g.frame, true)
 	}
 	return g.est
 }

@@ -187,8 +187,10 @@ func TestWFQPerClassBufferBound(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Enqueue(pkt(1, 10), 0)
 	}
-	if got := q.ClassStats(1).DropPackets; got == 0 {
-		t.Fatal("one class must not monopolize the buffer")
+	// Two classes split the 100-frame buffer: class 1 holds its 50 and the
+	// other 50 of its frames are dropped.
+	if got := q.Stats().DropPackets; got != 50 {
+		t.Fatalf("%d frames dropped, want 50: one class must not monopolize the buffer", got)
 	}
 	if !q.Enqueue(pkt(2, 10), 0) {
 		t.Fatal("the other class must still have room")

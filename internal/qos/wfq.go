@@ -19,21 +19,21 @@ type WFQ struct {
 	nitems        int
 	seq           uint64
 	stats         Stats
-	perClass      map[uint32]*Stats
 }
 
 type wfqClass struct {
-	id     uint32
 	weight float64
 	finish float64 // finish tag of the last enqueued packet
 	queued int     // current backlog, for per-class buffer fairness
 }
 
+// wfqItem is 32 bytes. The frame length is not carried: it would take the
+// item to 40, and the heap's backing array with it.
 type wfqItem struct {
 	p      *packet.Packet
+	class  *wfqClass
 	finish float64
 	seq    uint64 // FIFO tie-break
-	class  uint32
 }
 
 // wfqHeap is a binary min-heap on (finish, seq), sifted in place on the typed
@@ -69,7 +69,7 @@ func (h *wfqHeap) pop() wfqItem {
 	top := s[0]
 	n := len(s) - 1
 	it := s[n]
-	s[n].p = nil
+	s[n].p, s[n].class = nil, nil
 	s = s[:n]
 	*h = s
 	i := 0
@@ -101,7 +101,6 @@ func NewWFQ(limit int) *WFQ {
 	}
 	return &WFQ{
 		classes:       make(map[uint32]*wfqClass),
-		perClass:      make(map[uint32]*Stats),
 		defaultWeight: 1,
 		limit:         limit,
 	}
@@ -130,19 +129,10 @@ func (q *WFQ) Weights() map[uint32]float64 {
 func (q *WFQ) class(id uint32) *wfqClass {
 	c, ok := q.classes[id]
 	if !ok {
-		c = &wfqClass{id: id, weight: q.defaultWeight}
+		c = &wfqClass{weight: q.defaultWeight}
 		q.classes[id] = c
 	}
 	return c
-}
-
-func (q *WFQ) classStats(id uint32) *Stats {
-	s, ok := q.perClass[id]
-	if !ok {
-		s = &Stats{}
-		q.perClass[id] = s
-	}
-	return s
 }
 
 // Name implements Qdisc.
@@ -161,23 +151,20 @@ func (q *WFQ) Enqueue(p *packet.Packet, _ sim.Time) bool {
 	}
 	if q.nitems >= q.limit || c.queued >= perClass {
 		q.stats.DropPackets++
-		q.classStats(p.Meta.Class).DropPackets++
 		return false
 	}
 	start := q.vtime
 	if c.finish > start {
 		start = c.finish
 	}
-	c.finish = start + float64(p.FrameLen())/c.weight
+	frame := p.FrameLen()
+	c.finish = start + float64(frame)/c.weight
 	q.seq++
-	q.heapq.push(wfqItem{p: p, finish: c.finish, seq: q.seq, class: c.id})
+	q.heapq.push(wfqItem{p: p, class: c, finish: c.finish, seq: q.seq})
 	q.nitems++
 	c.queued++
 	q.stats.EnqPackets++
-	q.stats.EnqBytes += uint64(p.FrameLen())
-	cs := q.classStats(c.id)
-	cs.EnqPackets++
-	cs.EnqBytes += uint64(p.FrameLen())
+	q.stats.EnqBytes += uint64(frame)
 	return true
 }
 
@@ -189,15 +176,12 @@ func (q *WFQ) Dequeue(_ sim.Time) (*packet.Packet, bool) {
 	}
 	it := q.heapq.pop()
 	q.nitems--
-	q.class(it.class).queued--
+	it.class.queued--
 	if it.finish > q.vtime {
 		q.vtime = it.finish
 	}
 	q.stats.DeqPackets++
 	q.stats.DeqBytes += uint64(it.p.FrameLen())
-	cs := q.classStats(it.class)
-	cs.DeqPackets++
-	cs.DeqBytes += uint64(it.p.FrameLen())
 	return it.p, true
 }
 
@@ -214,11 +198,3 @@ func (q *WFQ) Len() int { return q.nitems }
 
 // Stats returns aggregate counters.
 func (q *WFQ) Stats() Stats { return q.stats }
-
-// ClassStats returns counters for one class.
-func (q *WFQ) ClassStats(class uint32) Stats {
-	if s, ok := q.perClass[class]; ok {
-		return *s
-	}
-	return Stats{}
-}

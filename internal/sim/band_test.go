@@ -55,7 +55,7 @@ func TestBandPurgeBothTiers(t *testing.T) {
 	e := NewEngine()
 	timers := make([]*Timer, n)
 	for i := range timers {
-		timers[i] = e.NewTimer(func() { t.Error("a stopped timer fired") })
+		timers[i] = newTimer(e, func() { t.Error("a stopped timer fired") })
 	}
 	plain := 0
 	tick := func() { plain++ }

@@ -31,7 +31,7 @@ func BenchmarkTimerReset(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		e.At(Time(i)*Time(Millisecond), func() {})
 	}
-	tm := e.NewTimer(func() {})
+	tm := newTimer(e, func() {})
 	at := Time(Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()

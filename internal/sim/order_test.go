@@ -207,7 +207,7 @@ func FuzzEngineOrder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		eng := NewEngine()
-		got := orderPlay(prog, eng, func(fn func()) rearmer { return eng.NewTimer(fn) })
+		got := orderPlay(prog, eng, func(fn func()) rearmer { return newTimer(eng, fn) })
 		ref := &refEngine{}
 		want := orderPlay(prog, ref, func(fn func()) rearmer { return &refTimer{e: ref, fn: fn} })
 		for i := 0; i < len(got.trace) && i < len(want.trace); i++ {

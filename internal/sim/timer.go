@@ -11,7 +11,9 @@ type stamp struct {
 
 // Timer is a re-armable one-shot: a timeout that is usually pushed back
 // before it expires (a retransmission timer re-armed by every ACK). It is its
-// own Handler, so re-arming allocates nothing.
+// own Handler, so re-arming allocates nothing, and it fires a Handler of its
+// owner's, so an owner that keeps the Timer inside its own record (Init) and
+// is its own Handler pays for neither a timer nor a callback.
 //
 // Reset is lazy and order-preserving. It reserves a sequence number exactly
 // as After would and records the logical deadline (at, seq), but pushes an
@@ -37,8 +39,8 @@ type stamp struct {
 // a drained Run walked to the furthest deadline ever armed — the engine's
 // horizon does instead.
 type Timer struct {
-	e  *Engine
-	fn func()
+	e *Engine
+	h Handler // fired at the deadline
 
 	deadline stamp // logical deadline; seq 0 = disarmed
 
@@ -49,11 +51,11 @@ type Timer struct {
 	buf    [3]stamp // queued's first backing array; a deeper stack spills to the heap
 }
 
-// NewTimer returns a disarmed timer that runs fn when it expires.
-func (e *Engine) NewTimer(fn func()) *Timer {
-	t := &Timer{e: e, fn: fn}
+// Init makes t a disarmed timer on e that fires h when it expires. t must
+// not be copied afterwards.
+func (t *Timer) Init(e *Engine, h Handler) {
+	*t = Timer{e: e, h: h}
 	t.queued = t.buf[:0]
-	return t
 }
 
 // Reset arms the timer to expire at absolute time at, replacing any earlier
@@ -117,7 +119,7 @@ func (t *Timer) Fire() {
 	}
 	if fired.seq == t.deadline.seq {
 		t.disarm()
-		t.fn()
+		t.h.Fire()
 		if t.deadline.seq == 0 {
 			return
 		}

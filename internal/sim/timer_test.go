@@ -14,6 +14,13 @@ type rearmer interface {
 	Armed() bool
 }
 
+// newTimer returns a disarmed Timer on e that runs fn when it expires.
+func newTimer(e *Engine, fn func()) *Timer {
+	t := new(Timer)
+	t.Init(e, funcHandler(fn))
+	return t
+}
+
 // genTimer is the reference: the push-per-arm timeout Timer replaced. Every
 // Reset pushes a fresh closure tagged with a generation, a stale generation
 // fires as a no-op, and cancelled events stay in the heap until their time.
@@ -171,7 +178,7 @@ func play(sc schedule, e *Engine, run func() Time, runUntil func(Time) Time, mk 
 }
 
 func playTimer(sc schedule, e *Engine) ([]traceEntry, int, Time) {
-	return play(sc, e, e.Run, e.RunUntil, func(fn func()) rearmer { return e.NewTimer(fn) })
+	return play(sc, e, e.Run, e.RunUntil, func(fn func()) rearmer { return newTimer(e, fn) })
 }
 
 func playReference(sc schedule, e *Engine) ([]traceEntry, int, Time) {
@@ -228,7 +235,7 @@ func TestTimerOnShardEngine(t *testing.T) {
 		e := s.Engine(1)
 		trace, _, end := play(sc, e, s.Run, nil, func(fn func()) rearmer {
 			if timer {
-				return e.NewTimer(fn)
+				return newTimer(e, fn)
 			}
 			return &genTimer{e: e, fn: fn}
 		})
@@ -255,7 +262,7 @@ func TestTimerCallbackRearmAndStop(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	var tm *Timer
-	tm = e.NewTimer(func() {
+	tm = newTimer(e, func() {
 		fired = append(fired, e.Now())
 		if tm.Armed() {
 			t.Error("timer still armed inside its own callback")
@@ -290,7 +297,7 @@ func TestTimerCallbackRearmAndStop(t *testing.T) {
 
 func TestTimerResetInPastPanics(t *testing.T) {
 	e := NewEngine()
-	tm := e.NewTimer(func() {})
+	tm := newTimer(e, func() {})
 	e.At(100, func() {
 		defer func() {
 			if recover() == nil {
@@ -308,7 +315,7 @@ func TestTimerZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	var tm *Timer
-	tm = e.NewTimer(func() {
+	tm = newTimer(e, func() {
 		if n++; n < 1000 {
 			tm.Reset(e.Now().Add(Nanosecond))
 		}
@@ -347,7 +354,7 @@ func TestTimerPurge(t *testing.T) {
 	timers := make([]*Timer, n)
 	refs := make([]*genTimer, n)
 	for i := range timers {
-		timers[i] = e.NewTimer(func() { t.Error("a stopped timer fired") })
+		timers[i] = newTimer(e, func() { t.Error("a stopped timer fired") })
 		refs[i] = &genTimer{e: ref, fn: func() {}}
 	}
 	live := func() int {
@@ -396,7 +403,7 @@ func TestTimerPurge(t *testing.T) {
 	// A timer re-armed after Stop keeps the cover it had: the purge judges
 	// deadness when it runs, not when the timer stopped.
 	fired := Time(0)
-	keep := e.NewTimer(func() { fired = e.Now() })
+	keep := newTimer(e, func() { fired = e.Now() })
 	base := e.Now()
 	arm(false)
 	keep.Reset(base.Add(Millisecond))
@@ -417,7 +424,7 @@ func TestTimerPurge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Engine(0).At(Time(i)*Time(100*Nanosecond), func() {})
 	}
-	tm := s.Engine(1).NewTimer(func() {})
+	tm := newTimer(s.Engine(1), func() {})
 	tm.Reset(Time(10 * Millisecond))
 	tm.Stop()
 	if p := s.Engine(1).Pending(); p != 0 {
@@ -433,7 +440,7 @@ func TestTimerPurge(t *testing.T) {
 func TestTimerPendingBound(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := e.NewTimer(func() { fired++ })
+	tm := newTimer(e, func() { fired++ })
 	const n, earlier = 10000, 7
 	for i := 0; i < n; i++ {
 		tm.Reset(Time(1000 + i)) // later every time

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"norman/internal/arch"
 	"norman/internal/packet"
@@ -18,8 +19,10 @@ type Responder struct {
 	port uint16 // local (responder-side) port the stream targets
 
 	rcvNxt uint32
-	// ooo holds out-of-order segments: start -> end (exclusive).
-	ooo map[uint32]uint32
+	// ooo holds the data received past rcvNxt as disjoint ranges, sorted and
+	// merged wherever they touch, so a run of segments behind one hole is one
+	// range; nil until the first out-of-order segment.
+	ooo []span
 
 	// Loss model. The RNG is a 607-word source, so it is built on the first
 	// draw: a responder whose loss probabilities stay 0 never pays for one.
@@ -49,7 +52,6 @@ func NewResponder(a arch.Arch, dstPort uint16, seed int64) *Responder {
 	return &Responder{
 		a:    a,
 		port: dstPort,
-		ooo:  map[uint32]uint32{},
 		seed: seed,
 	}
 }
@@ -115,6 +117,9 @@ func (r *Responder) Recv(p *packet.Packet, at sim.Time) {
 	r.a.DeliverWire(ack)
 }
 
+// span is one out-of-order range of sequence space, end exclusive.
+type span struct{ start, end uint32 }
+
 // note records a received range and advances rcvNxt over any now-contiguous
 // out-of-order data.
 func (r *Responder) note(start, end uint32) {
@@ -122,30 +127,31 @@ func (r *Responder) note(start, end uint32) {
 		return // duplicate of already-delivered data
 	}
 	if start > r.rcvNxt {
-		// Out of order: remember the range (merge naively by start).
-		if old, ok := r.ooo[start]; !ok || end > old {
-			r.ooo[start] = end
+		// Out of order: merge the range with every buffered one it touches.
+		if r.ooo == nil {
+			r.ooo = make([]span, 0, 4)
 		}
+		i := 0
+		for i < len(r.ooo) && r.ooo[i].end < start {
+			i++
+		}
+		j := i
+		for ; j < len(r.ooo) && r.ooo[j].start <= end; j++ {
+			start, end = min(start, r.ooo[j].start), max(end, r.ooo[j].end)
+		}
+		r.ooo = slices.Replace(r.ooo, i, j, span{start, end})
 		return
 	}
-	// In order (possibly overlapping): deliver.
+	// In order (possibly overlapping): deliver, then pull the buffered
+	// ranges that are now contiguous, lowest first.
 	r.advance(end)
-	// Pull any buffered ranges that are now contiguous.
-	for {
-		progressed := false
-		for s, e := range r.ooo {
-			if s <= r.rcvNxt {
-				if e > r.rcvNxt {
-					r.advance(e)
-				}
-				delete(r.ooo, s)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
+	n := 0
+	for ; n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt; n++ {
+		if e := r.ooo[n].end; e > r.rcvNxt {
+			r.advance(e)
 		}
 	}
+	r.ooo = slices.Delete(r.ooo, 0, n)
 }
 
 func (r *Responder) advance(to uint32) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -90,10 +91,10 @@ func TestStreamTimerDrainedClock(t *testing.T) {
 // are garbage. Eight clients run 512 Connect → New → Start → Close cycles
 // through one mux, each closing from its stream's Done and opening the next;
 // once the engine drains, a GC finalizes every stream, *arch.Conn and
-// *nic.Conn — none held by the mux, the world or a stopped RTO timer. A
-// *Stream cannot carry a finalizer itself (it and its RTO timer point at each
-// other, and the runtime never finalizes an object in a cycle), so the
-// stream's is on a sentinel only its Config reaches.
+// *nic.Conn — none held by the mux, the world or a stopped RTO timer. The
+// stream carries its finalizer itself: its RTO timer lives inside it, so the
+// only pointers back at it are its own, which the collector ignores, and the
+// ACK handler that closed the loop through its connection is gone with Close.
 func TestChurnLeavesNothingBehind(t *testing.T) {
 	const cycles, clients = 512, 8
 	a := arch.New("kopi", arch.WorldConfig{})
@@ -120,9 +121,7 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 		resps[flow.DstPort] = NewResponder(a, flow.DstPort, int64(i))
-		held := new([2]int) // only the stream's Config reaches it; 16 B, so not a tiny allocation
 		s := New(a, conn, flow, mux, Config{TotalBytes: 16 << 10, Done: func(sim.Time) {
-			runtime.KeepAlive(held)
 			done++
 			delete(resps, flow.DstPort)
 			if err := a.Close(conn); err != nil {
@@ -132,7 +131,7 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 				open()
 			}
 		}})
-		runtime.SetFinalizer(held, count)
+		runtime.SetFinalizer(s, func(*Stream) { finalized.Add(1) })
 		runtime.SetFinalizer(conn, count)
 		runtime.SetFinalizer(conn.NC, count)
 		s.Start()
@@ -297,5 +296,117 @@ func TestResponderLosslessBuildsNoRNG(t *testing.T) {
 	}
 	if resp, _ := lossyRun(t); resp.rng == nil {
 		t.Fatal("a lossy responder must have built its RNG")
+	}
+}
+
+// TestStreamAllocsPerTransfer pins what a churned transfer allocates beyond
+// its connection: Connect → New → NewResponder → Start → run to Done → Close
+// costs what Connect → Close alone does (TestConnectCloseAllocs in
+// internal/arch) plus the Stream, the Responder and the ACK handler the
+// connection keeps (the stream's onAck method value), and nothing else: the
+// RTO timer rides inside the Stream and fires it directly, a lossless
+// responder buffers no out-of-order data, and every segment and ACK comes
+// from the world's free list.
+func TestStreamAllocsPerTransfer(t *testing.T) {
+	a := arch.New("kopi", arch.WorldConfig{})
+	w := a.World()
+	mux := host.NewMux(a)
+	u := w.Kern.AddUser(1, "u")
+	proc := w.Kern.Spawn(u.UID, "churn")
+	var resp *Responder
+	w.Peer = func(p *packet.Packet, at sim.Time) {
+		if resp != nil {
+			resp.Recv(p, at)
+		}
+	}
+	port := uint16(1000)
+	connect := func() (*arch.Conn, packet.FlowKey) {
+		port++ // a fresh flow every time, as a churning client's would be
+		flow := packet.FlowKey{Src: w.HostIP, Dst: w.PeerIP, SrcPort: port, DstPort: 5000, Proto: packet.ProtoTCP}
+		conn, err := a.Connect(proc, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, flow
+	}
+	closeConn := func(conn *arch.Conn) {
+		if err := a.Close(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := func() {
+		conn, _ := connect()
+		closeConn(conn)
+	}
+	transfer := func() {
+		conn, flow := connect()
+		resp = NewResponder(a, flow.DstPort, 1)
+		s := New(a, conn, flow, mux, Config{TotalBytes: 16 << 10})
+		s.Start()
+		w.Eng.Run()
+		if !s.Done() || s.Stats.Retransmits != 0 || resp.Received != 16<<10 {
+			t.Fatalf("not a clean lossless transfer: %v %+v", s, s.Stats)
+		}
+		closeConn(conn)
+		resp = nil
+	}
+	for i := 0; i < 64; i++ {
+		transfer() // grow the tables, the free lists and the event set to steady state
+		bare()
+	}
+	base := testing.AllocsPerRun(100, bare)
+	if got, want := testing.AllocsPerRun(100, transfer), base+3; got != want {
+		t.Fatalf("a transfer allocates %.2f times, want %.0f: Connect+Close's %.0f, the Stream, the Responder and the ACK handler", got, want, base)
+	}
+}
+
+// TestResponderNoteMatchesMap: the responder's merged, sorted out-of-order
+// ranges advance rcvNxt and Received exactly as the per-start map they
+// replaced did, after every segment of random arrival orders with overlaps,
+// duplicates and retransmissions off the original segment boundaries.
+func TestResponderNoteMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 500; trial++ {
+		r := &Responder{}
+		var rcvNxt uint32
+		var received uint64
+		ooo := map[uint32]uint32{}
+		for seg := 0; seg < 200; seg++ {
+			start := uint32(rng.Intn(64)) * 100
+			if rng.Intn(4) == 0 {
+				start += uint32(rng.Intn(100)) // off the usual boundaries
+			}
+			end := start + uint32(1+rng.Intn(400))
+			r.note(start, end)
+
+			// The map-based reference, as the responder kept it before.
+			switch {
+			case end <= rcvNxt:
+			case start > rcvNxt:
+				if old, ok := ooo[start]; !ok || end > old {
+					ooo[start] = end
+				}
+			default:
+				received += uint64(end - rcvNxt)
+				rcvNxt = end
+				for progressed := true; progressed; {
+					progressed = false
+					for s, e := range ooo {
+						if s <= rcvNxt {
+							if e > rcvNxt {
+								received += uint64(e - rcvNxt)
+								rcvNxt = e
+							}
+							delete(ooo, s)
+							progressed = true
+						}
+					}
+				}
+			}
+			if r.rcvNxt != rcvNxt || r.Received != received {
+				t.Fatalf("trial %d segment %d [%d,%d): rcvNxt %d received %d, the map reads %d %d",
+					trial, seg, start, end, r.rcvNxt, r.Received, rcvNxt, received)
+			}
+		}
 	}
 }

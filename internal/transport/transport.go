@@ -96,7 +96,7 @@ type Stream struct {
 	rttSentAt    sim.Time // when it was sent
 	rttValid     bool
 
-	rtoTimer *sim.Timer // the one RTO, pushed back by every advancing ACK
+	rtoTimer sim.Timer // the one RTO, pushed back by every advancing ACK; fires rtoExpiry
 	done     bool
 
 	// Give-up tracking: consecutive RTO expiries pinned on the same sndUna.
@@ -121,10 +121,17 @@ func New(a arch.Arch, conn *arch.Conn, flow packet.FlowKey, mux *host.Mux, cfg C
 		ssthresh: float64(cfg.Window),
 		rto:      initialRTO,
 	}
-	s.rtoTimer = a.World().Eng.NewTimer(s.onTimeout)
+	s.rtoTimer.Init(a.World().Eng, (*rtoExpiry)(s))
 	mux.Handle(conn, s.onAck)
 	return s
 }
+
+// rtoExpiry is the stream as its RTO timer's handler: the stream record is
+// the timer's callback, so arming one allocates nothing of its own.
+type rtoExpiry Stream
+
+// Fire implements sim.Handler.
+func (x *rtoExpiry) Fire() { (*Stream)(x).onTimeout() }
 
 // Start begins the transfer at the current virtual time.
 func (s *Stream) Start() {

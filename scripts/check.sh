@@ -248,8 +248,10 @@ done <<'PASSES'
 7 Stage|Discipline|QdiscSwap ./internal/nic/...
 # one resolution and one price list per frame: the steering table fuzzed against
 # the two-probe map it replaced (seed corpus), connection churn leaves no rows,
-# remembered costs equal the model's formulas, the RSS table equals Toeplitz
-7 Steering|FrameCost|Toeplitz ./internal/nic/... ./internal/timing/... ./internal/arch/...
+# remembered costs equal the model's formulas, the RSS table equals Toeplitz;
+# a connection costs what it owns: close against the full-scan oracle, the
+# records Connect and a transfer allocate, the responder's ranges against its map
+7 Steering|FrameCost|Toeplitz|ConnectCloseAllocs|CloseOwnKeys|StreamAllocsPerTransfer|ResponderNote ./internal/nic/... ./internal/timing/... ./internal/arch/... ./internal/transport/...
 PASSES
 
 # Every example runs once. System.Run panics unless the NIC's ledger and the
