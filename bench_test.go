@@ -1,10 +1,11 @@
 package norman_test
 
-// One benchmark per experiment in the DESIGN.md index. Each bench runs the
-// full-scale driver once per b.N iteration and reports the experiment table
-// on the first iteration; `go test -bench . -benchmem` therefore regenerates
-// every table the reproduction promises. cmd/kopibench wraps the same
-// drivers for ad-hoc runs.
+// BenchmarkExperiments runs every experiment of the index
+// (experiments.All), one sub-benchmark per ID, at full scale once per b.N
+// iteration and prints its table on the first; `go test -bench Experiments
+// -benchtime 1x .` therefore regenerates every table the reproduction
+// promises, and `-bench Experiments/E3` one of them. cmd/kopibench reads the
+// same registry for ad-hoc runs.
 //
 // The drivers fan their independent worlds across a worker pool bounded at
 // GOMAXPROCS (NORMAN_WORKERS=1 restores sequential execution for
@@ -20,151 +21,16 @@ import (
 	"norman/internal/sim"
 )
 
-// benchScale is the configuration benches run at; 1.0 is the full
-// experiment (tests use smaller scales for speed).
-const benchScale = experiments.Scale(1.0)
-
-func BenchmarkE1Dataplanes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE1(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE2Capabilities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE2(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE3ConnScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE3(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE4Reconfig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE4(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE5Exhaustion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE5(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE6QoS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE6(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE7Blocking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE7(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE8OwnerFilter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE8(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
-		}
-	}
-}
-
-func BenchmarkE9Faults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE9(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE10Recovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE10(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE11Overload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE11(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE12ConnScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE12(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE13TenantIsolation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE13(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE14FlowCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE14(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE15Health(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE15(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
-	}
-}
-
-func BenchmarkE16Upgrade(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl := experiments.RunE16(benchScale)
-		if i == 0 {
-			fmt.Printf("\n%s\n", tbl)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, tbl := e.Run(1.0)
+				if i == 0 {
+					fmt.Printf("\n%s\n", tbl) // stdout: the bench log truncates long tables
+				}
+			}
+		})
 	}
 }
 

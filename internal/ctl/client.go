@@ -27,8 +27,6 @@ type DialConfig struct {
 	BackoffMax  time.Duration
 	// RequestTimeout bounds one Call round-trip (default 10s).
 	RequestTimeout time.Duration
-	// Seed drives the backoff jitter so outage tests replay exactly.
-	Seed int64
 }
 
 func (c DialConfig) withDefaults() DialConfig {
@@ -92,7 +90,7 @@ func Dial(path string) (*Client, error) {
 // DialWith connects with explicit timeout/backoff behavior. A dead or
 // missing socket fails each attempt fast; a present-but-unresponsive one
 // fails at cfg.Timeout; the schedule between attempts is
-// faults.Backoff(base, max, attempt, seed).
+// faults.Backoff(base, max, attempt).
 func DialWith(path string, cfg DialConfig) (*Client, error) {
 	if path == "" {
 		path = DefaultSocket
@@ -101,7 +99,7 @@ func DialWith(path string, cfg DialConfig) (*Client, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cfg.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(faults.Backoff(cfg.BackoffBase, cfg.BackoffMax, attempt-1, cfg.Seed))
+			time.Sleep(faults.Backoff(cfg.BackoffBase, cfg.BackoffMax, attempt-1))
 		}
 		conn, err := net.DialTimeout("unix", path, cfg.Timeout)
 		if err == nil {

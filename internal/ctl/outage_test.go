@@ -30,7 +30,6 @@ func TestDialWithRetriesThroughOutage(t *testing.T) {
 		Retries:     6,
 		BackoffBase: 50 * time.Millisecond,
 		BackoffMax:  200 * time.Millisecond,
-		Seed:        1,
 	})
 	if err != nil {
 		t.Fatalf("dial through outage: %v", err)

@@ -1,32 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestE10Determinism pins the crash-recovery table: for a fixed fault seed
-// the whole E10 table — deliveries, rejections, repair counts, recovery
-// times — is byte-identical at any worker width. A control-plane crash is a
-// simulation input like any other.
-func TestE10Determinism(t *testing.T) {
-	t.Setenv("NORMAN_FAULT_SEED", "7")
-
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq, seqTable := RunE10(0.12)
-
-	SetWorkers(8)
-	wide, wideTable := RunE10(0.12)
-
-	if !reflect.DeepEqual(seq, wide) {
-		t.Fatalf("E10 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
-	}
-	if seqTable.String() != wideTable.String() {
-		t.Fatalf("E10 tables differ between 1 and 8 workers:\n%s\n%s",
-			seqTable.String(), wideTable.String())
-	}
-}
+import "testing"
 
 // TestE10RecoveryClaims asserts the architectural content of the table: on
 // KOPI (and bypass) the restart costs zero dataplane packets and breaks no

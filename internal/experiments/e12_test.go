@@ -1,42 +1,10 @@
 package experiments
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
 	"norman/internal/nic"
 )
-
-// TestE12Determinism: the E12 sweep's typed points and rendered table are
-// byte-identical between a 1-worker (sequential, inline) run and a wide
-// run, and between two runs at the same width. scripts/check.sh repeats the
-// table diff under -race via cmd/kopibench.
-func TestE12Determinism(t *testing.T) {
-	const scale = 0.002
-	wide := runtime.NumCPU()
-	if wide < 4 {
-		wide = 4
-	}
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	ref, refTbl := RunE12(scale)
-	refStr := refTbl.String()
-	if len(ref) == 0 || ref[0].Accepted == 0 {
-		t.Fatal("reference sweep is empty")
-	}
-	for _, w := range []int{1, wide} {
-		SetWorkers(w)
-		got, tbl := RunE12(scale)
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d: points differ from the workers=1 reference:\n%+v\n%+v", w, ref, got)
-		}
-		if s := tbl.String(); s != refStr {
-			t.Errorf("workers=%d: table differs from the workers=1 reference\n--- workers=1\n%s\n--- workers=%d\n%s",
-				w, refStr, w, s)
-		}
-	}
-}
 
 // TestE12Shape checks the sweep's three laws: below the SRAM wall the NIC
 // accepts every offered connection; at the wall it accepts exactly as many

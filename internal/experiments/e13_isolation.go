@@ -64,7 +64,7 @@ const (
 // measures the victim's delivery p99 and goodput in three worlds: the victim
 // alone (solo), both tenants on bare bypass (raw), and both tenants on KOPI
 // with tenant isolation (ctl). Every cell is byte-identical at any worker
-// width (TestE13Determinism).
+// width (TestExperimentTables).
 func RunE13(scale Scale) ([]E13Point, *stats.Table) {
 	sweep := []int{256, 1024, 2048, 4096, 8192}
 	if scale < 0.5 {
@@ -178,10 +178,8 @@ func e13Run(advConns int, leg e13Leg, scale Scale) e13Result {
 		if err := w.LLC.PartitionDDIO(map[uint32]int{pairVictimTid: 1, pairAdvTid: 1}); err != nil {
 			panic(fmt.Sprintf("e13: partition: %v", err))
 		}
-		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{
-			TenantWeights:    pairWeights(),
-			MaxProgramCycles: e13ProgCycles,
-		})
+		gov = overload.NewGovernor(w.Eng, w.NIC, w.LLC, overload.Config{MaxProgramCycles: e13ProgCycles})
+		gov.ConfigureTenants(pairWeights())
 	}
 
 	// The adversary tries to install its cycle burner. Raw bypass loads it

@@ -79,7 +79,7 @@ func e14ACLSource() string {
 // RunE14 sweeps the flood's flow count and measures hit rates, interpreter
 // cycles per frame, eviction/denial churn and the victim's delivery tail in
 // the three worlds. Every cell is byte-identical at any worker width
-// (TestE14Determinism).
+// (TestExperimentTables).
 func RunE14(scale Scale) ([]E14Point, *stats.Table) {
 	sweep := []int{64, 512, 2048, 8192}
 	if scale < 0.5 {

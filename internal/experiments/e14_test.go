@@ -1,29 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestE14Determinism pins the flow-cache table at any worker-pool width: the
-// cache's clock hands, partition quotas and per-tenant counters all advance
-// in virtual time with sorted iteration everywhere, so the whole E14 table
-// is byte-identical across widths.
-func TestE14Determinism(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq, seqTable := RunE14(0.12)
-
-	SetWorkers(8)
-	wide, wideTable := RunE14(0.12)
-	if !reflect.DeepEqual(seq, wide) {
-		t.Fatalf("E14 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
-	}
-	if seqTable.String() != wideTable.String() {
-		t.Fatalf("E14 tables differ between 1 and 8 workers:\n%s\n%s",
-			seqTable.String(), wideTable.String())
-	}
-}
+import "testing"
 
 // TestE14FlowCache asserts the architectural content of the table:
 //

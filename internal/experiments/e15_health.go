@@ -50,7 +50,7 @@ const (
 // kopi while the fault schedule fires. Only kopi runs the health monitor —
 // that is the point: the monitor's failover target is the kernel
 // interposition slow path, which the other architectures do not have. Every
-// cell is byte-identical at any worker width (TestE15Determinism).
+// cell is byte-identical at any worker width (TestExperimentTables).
 func RunE15(scale Scale) ([]E15Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E15Point, len(archs))

@@ -1,30 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestE15Determinism pins the hardware-fault table at any worker-pool width:
-// the fault schedule is virtual-time-scheduled from seeded labeled RNG
-// streams and the health monitor draws no randomness at all, so the whole
-// table is byte-identical across widths.
-func TestE15Determinism(t *testing.T) {
-	t.Setenv("NORMAN_FAULT_SEED", "7")
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq, seqTable := RunE15(0.12)
-
-	SetWorkers(8)
-	wide, wideTable := RunE15(0.12)
-	if !reflect.DeepEqual(seq, wide) {
-		t.Fatalf("E15 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
-	}
-	if seqTable.String() != wideTable.String() {
-		t.Fatalf("E15 tables differ between 1 and 8 workers:\n%s\n%s",
-			seqTable.String(), wideTable.String())
-	}
-}
+import "testing"
 
 // TestE15HealthFailover asserts the architectural content of the table:
 //

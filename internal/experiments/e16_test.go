@@ -1,30 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestE16Determinism pins the upgrade table at any worker-pool width: the
-// upgrade schedule is virtual-time-scheduled, the canary draws no randomness,
-// and the pause buffer replays in arrival order, so the whole table is
-// byte-identical across widths.
-func TestE16Determinism(t *testing.T) {
-	t.Setenv("NORMAN_FAULT_SEED", "7")
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq, seqTable := RunE16(0.12)
-
-	SetWorkers(8)
-	wide, wideTable := RunE16(0.12)
-	if !reflect.DeepEqual(seq, wide) {
-		t.Fatalf("E16 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
-	}
-	if seqTable.String() != wideTable.String() {
-		t.Fatalf("E16 tables differ between 1 and 8 workers:\n%s\n%s",
-			seqTable.String(), wideTable.String())
-	}
-}
+import "testing"
 
 // TestE16LiveUpgrade asserts the architectural content of the table:
 //

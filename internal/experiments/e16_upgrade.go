@@ -73,7 +73,7 @@ func e16BadSource() string { return "drop\n" }
 // kernelstack, bypass and kopi. Only kopi runs the upgrade manager — that is
 // the point: the kernel stack does not need one and raw bypass has no layer
 // that could even sequence a staged cutover. Every cell is byte-identical at
-// any worker width (TestE16Determinism).
+// any worker width (TestExperimentTables).
 func RunE16(scale Scale) ([]E16Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E16Point, len(archs))

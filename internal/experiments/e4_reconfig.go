@@ -74,9 +74,9 @@ func RunE4(scale Scale) (*E4Result, *stats.Table) {
 	return res, composeTables(t, t2)
 }
 
-// composeTables renders multiple sub-tables as one table object (the
-// experiment index maps one bench per experiment; some experiments report
-// sub-tables). The composite's title carries the fully rendered text.
+// composeTables renders multiple sub-tables as one table object (an entry of
+// All returns one table; some experiments report sub-tables). The
+// composite's title carries the fully rendered text.
 func composeTables(tables ...*stats.Table) *stats.Table {
 	title := ""
 	for i, tb := range tables {

@@ -1,32 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestE9Determinism pins the fault layer's headline property: for a fixed
-// NORMAN_FAULT_SEED the whole degradation table — every counter, every
-// goodput figure — is byte-identical run to run and at any worker width.
-// Injected faults are simulation inputs, not noise.
-func TestE9Determinism(t *testing.T) {
-	t.Setenv("NORMAN_FAULT_SEED", "7")
-
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq, seqTable := RunE9(0.05)
-
-	SetWorkers(8)
-	wide, wideTable := RunE9(0.05)
-
-	if !reflect.DeepEqual(seq, wide) {
-		t.Fatalf("E9 rows differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
-	}
-	if seqTable.String() != wideTable.String() {
-		t.Fatalf("E9 tables differ between 1 and 8 workers:\n%s\n%s",
-			seqTable.String(), wideTable.String())
-	}
-}
+import "testing"
 
 // TestE9GracefulDegradation asserts the robustness claims the table is built
 // to show: clean runs complete, total blackholes abort in bounded virtual

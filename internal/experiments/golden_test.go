@@ -3,51 +3,86 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestSupervisedTablesGolden pins the four tables whose worlds run a
-// supervisor — E11 (overload governor), E13 (per-tenant governor), E15
-// (health monitor), E16 (upgrade canary) — against a committed rendering, at
-// the scale and fault seed their determinism tests use. The determinism tests
-// prove a table is the same at any worker width *within* one build;
-// this proves it is the same *across* builds, so a PR that claims "tables
-// unchanged" has a file to be byte-identical to.
-func TestSupervisedTablesGolden(t *testing.T) {
+// pins is the scale each experiment's table is pinned at: small enough to
+// keep the suite quick, large enough that every row of the sweep is there.
+var pins = map[string]Scale{
+	"E1": 0.25, "E2": 0.5, "E3": 0.1, "E4": 0.5, "E5": 0.2, "E6": 0.4, "E7": 0.4, "E8": 0.5,
+	"E9": 0.05, "E10": 0.12, "E11": 0.12, "E12": 0.002, "E13": 0.12, "E14": 0.12, "E15": 0.12, "E16": 0.12,
+}
+
+// TestExperimentTables backs the harness's core guarantee for every entry of
+// All: fanning a sweep's independent worlds across a pool changes wall clock
+// only. At its pin scale and fault seed 7 each experiment runs sequentially
+// (one worker, inline) and on eight workers; the typed results must be equal
+// and both rendered tables must equal testdata/tables/<ID>.golden, so a
+// change that claims "tables unchanged" has a file to be byte-identical to
+// across builds as well as across widths.
+func TestExperimentTables(t *testing.T) {
 	t.Setenv("NORMAN_FAULT_SEED", "7")
-	var b strings.Builder
-	_, e11 := RunE11(0.12)
-	_, e13 := RunE13(0.12)
-	_, e15 := RunE15(0.12)
-	_, e16 := RunE16(0.12)
-	for _, tab := range []interface{ String() string }{e11, e13, e15, e16} {
-		b.WriteString(tab.String())
-		b.WriteString("\n")
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	ids := map[string]bool{}
+	for _, e := range All {
+		ids[e.ID] = true
+		t.Run(e.ID, func(t *testing.T) {
+			scale, ok := pins[e.ID]
+			if !ok {
+				t.Fatalf("%s has no pin scale", e.ID)
+			}
+			SetWorkers(1)
+			seq, seqTbl := e.Run(scale)
+			SetWorkers(8)
+			wide, wideTbl := e.Run(scale)
+			if !reflect.DeepEqual(seq, wide) {
+				t.Errorf("results differ between 1 and 8 workers:\n%+v\n%+v", seq, wide)
+			}
+			golden := filepath.Join("testdata", "tables", e.ID+".golden")
+			checkGolden(t, golden, seqTbl.String())
+			checkGolden(t, golden, wideTbl.String())
+		})
 	}
-	checkGolden(t, filepath.Join("testdata", "supervised_tables.golden"), b.String())
+	for id := range pins {
+		if !ids[id] {
+			t.Errorf("pins names %s, which All does not list", id)
+		}
+	}
+}
+
+// TestSupervisedTablesGolden renders the four tables whose worlds run a
+// supervisor — E11 (overload governor), E13 (per-tenant governor), E15
+// (health monitor), E16 (upgrade canary) — back to back at the default pool
+// width, the one kopibench runs at, and holds each to its golden.
+func TestSupervisedTablesGolden(t *testing.T) {
+	checkTables(t, "E11", "E13", "E15", "E16")
 }
 
 // TestArchTablesGolden does the same for the tables that sweep the dataplane
 // architectures themselves (E1, E2, E6, E7, E8 run all five; E4, E9, E10 run
-// the kernel stack beside KOPI), so a refactor of internal/arch that claims
-// "E1–E10 unchanged" is held to a file too.
+// the kernel stack beside KOPI).
 func TestArchTablesGolden(t *testing.T) {
+	checkTables(t, "E1", "E2", "E4", "E6", "E7", "E8", "E9", "E10")
+}
+
+// checkTables runs the named experiments in order at their pin scales under
+// fault seed 7 and the current pool width, and checks each rendered table
+// against testdata/tables/<ID>.golden.
+func checkTables(t *testing.T, ids ...string) {
+	t.Helper()
 	t.Setenv("NORMAN_FAULT_SEED", "7")
-	var b strings.Builder
-	_, e1 := RunE1(0.25)
-	_, e2 := RunE2(0.5)
-	_, e4 := RunE4(0.5)
-	_, e6 := RunE6(0.4)
-	_, e7 := RunE7(0.4)
-	_, e8 := RunE8(0.5)
-	_, e9 := RunE9(0.05)
-	_, e10 := RunE10(0.12)
-	for _, tab := range []interface{ String() string }{e1, e2, e4, e6, e7, e8, e9, e10} {
-		b.WriteString(tab.String())
-		b.WriteString("\n")
+	for _, id := range ids {
+		i := slices.IndexFunc(All, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("All does not list %s", id)
+		}
+		_, tbl := All[i].Run(pins[id])
+		checkGolden(t, filepath.Join("testdata", "tables", id+".golden"), tbl.String())
 	}
-	checkGolden(t, filepath.Join("testdata", "arch_tables.golden"), b.String())
 }
 
 // checkGolden compares got with the committed file. A deliberate behaviour

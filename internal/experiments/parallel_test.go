@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestRunnerPool exercises the worker pool directly: bounded concurrency,
 // inline execution at width 1, and completion of every task.
@@ -48,40 +44,5 @@ func TestSetWorkers(t *testing.T) {
 	SetWorkers(0)
 	if Workers() < 1 {
 		t.Fatalf("default Workers() = %d, want >= 1", Workers())
-	}
-}
-
-// TestParallelDeterminism backs the harness's core guarantee: fanning a
-// sweep's independent worlds across cores changes wall-clock only. Both the
-// typed results and the rendered tables must be byte-identical between a
-// 1-worker (fully sequential, inline) run and a wide run — NumCPU, floored
-// at 4 so the parallel arm is a real schedule scramble even on small CI
-// boxes.
-func TestParallelDeterminism(t *testing.T) {
-	wide := runtime.NumCPU()
-	if wide < 4 {
-		wide = 4
-	}
-
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	e3Seq, e3SeqTbl := RunE3(0.1)
-	e6Seq, e6SeqTbl := RunE6(0.05)
-
-	SetWorkers(wide)
-	e3Par, e3ParTbl := RunE3(0.1)
-	e6Par, e6ParTbl := RunE6(0.05)
-
-	if !reflect.DeepEqual(e3Seq, e3Par) {
-		t.Errorf("E3 results differ between workers=1 and workers=%d:\n%+v\n%+v", wide, e3Seq, e3Par)
-	}
-	if s, p := e3SeqTbl.String(), e3ParTbl.String(); s != p {
-		t.Errorf("E3 tables differ between workers=1 and workers=%d:\n%s\n%s", wide, s, p)
-	}
-	if !reflect.DeepEqual(e6Seq, e6Par) {
-		t.Errorf("E6 results differ between workers=1 and workers=%d", wide)
-	}
-	if s, p := e6SeqTbl.String(), e6ParTbl.String(); s != p {
-		t.Errorf("E6 tables differ between workers=1 and workers=%d:\n%s\n%s", wide, s, p)
 	}
 }

@@ -418,12 +418,12 @@ func (i *Injector) ScheduleTrapStorm(dir nic.Direction, at sim.Time, count int, 
 	}
 }
 
-// Backoff computes the capped exponential backoff with deterministic jitter
-// used by control-plane clients retrying through an injected (or real)
-// control-socket outage: base·2ⁿ capped at max, scaled by a jitter factor in
-// [0.5, 1.0) derived only from (seed, attempt) — reproducible, yet spread
-// enough that a thundering herd of tools does not re-dial in lockstep.
-func Backoff(base, max time.Duration, attempt int, seed int64) time.Duration {
+// Backoff computes the capped exponential backoff used by control-plane
+// clients retrying through an injected (or real) control-socket outage:
+// base·2ⁿ capped at max, scaled by a jitter factor in [0.5, 1.0) derived only
+// from the attempt number, so every client's schedule is the same and
+// reproducible.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
@@ -437,8 +437,8 @@ func Backoff(base, max time.Duration, attempt int, seed int64) time.Duration {
 	if d > max {
 		d = max
 	}
-	// FNV-style mix of seed and attempt for the jitter fraction.
-	h := uint64(seed) ^ 0xcbf29ce484222325
+	// FNV-style mix of the attempt for the jitter fraction.
+	h := uint64(0xcbf29ce484222325)
 	h = h*1099511628211 + uint64(attempt) + 1
 	h ^= h >> 33
 	frac := 0.5 + 0.5*float64(h%1024)/1024

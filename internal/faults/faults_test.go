@@ -146,34 +146,21 @@ func TestScheduleOverlayTrap(t *testing.T) {
 
 func TestBackoffShape(t *testing.T) {
 	base, max := 50*time.Millisecond, time.Second
-	prev := time.Duration(0)
 	for attempt := 0; attempt < 10; attempt++ {
-		d := Backoff(base, max, attempt, 3)
+		d := Backoff(base, max, attempt)
 		if d < base/2 || d > max {
 			t.Fatalf("attempt %d: %v outside [base/2, max]", attempt, d)
 		}
-		if d != Backoff(base, max, attempt, 3) {
+		if d != Backoff(base, max, attempt) {
 			t.Fatalf("attempt %d: backoff not deterministic", attempt)
 		}
-		_ = prev
-		prev = d
 	}
 	// The cap binds: large attempts never exceed max.
-	if d := Backoff(base, max, 50, 3); d > max {
+	if d := Backoff(base, max, 50); d > max {
 		t.Fatalf("uncapped backoff: %v", d)
 	}
-	// Jitter spreads different seeds.
-	same := true
-	for seed := int64(0); seed < 8; seed++ {
-		if Backoff(base, max, 4, seed) != Backoff(base, max, 4, 0) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("jitter is seed-independent")
-	}
 	// Zero-value arguments resolve to sane defaults.
-	if d := Backoff(0, 0, 0, 0); d <= 0 || d > time.Second {
+	if d := Backoff(0, 0, 0); d <= 0 || d > time.Second {
 		t.Fatalf("default backoff: %v", d)
 	}
 }

@@ -137,13 +137,6 @@ type Config struct {
 	// the sampling frequency.
 	EscalateAfter int
 	ClearAfter    int
-	// TenantWeights, when non-nil, turns on per-tenant isolation accounting:
-	// the ring/DDIO budget is split across the listed tenants in proportion
-	// to their weights (mirroring the NIC scheduler's weights), and each
-	// tenant gets a private health machine with the same hysteresis as the
-	// global watchdog — a tenant that saturates its own share is throttled
-	// with typed errors while its neighbors keep dialing.
-	TenantWeights map[uint32]int
 	// MaxProgramCycles caps the verified worst-case per-packet cycle bound
 	// of overlay programs tenants may install (AdmitProgram). 0 = unlimited.
 	MaxProgramCycles int
@@ -190,7 +183,7 @@ type Governor struct {
 
 	tracer *telemetry.Tracer
 
-	// Per-tenant isolation accounting (Config.TenantWeights). tenantOrder
+	// Per-tenant isolation accounting (ConfigureTenants). tenantOrder
 	// keeps every iteration — sampling, snapshots, metrics — in ascending
 	// tenant order so no map-range order ever leaks into output.
 	tenants     map[uint32]*tenantGov
@@ -261,16 +254,16 @@ func NewGovernor(eng *sim.Engine, n *nic.NIC, llc *cache.LLC, cfg Config) *Gover
 	if llc != nil {
 		g.ringBudget = int(ddioShare * float64(llc.DDIOBytes()))
 	}
-	if len(cfg.TenantWeights) > 0 {
-		g.ConfigureTenants(cfg.TenantWeights)
-	}
 	return g
 }
 
 // ConfigureTenants (re)installs per-tenant isolation accounting: the ring
-// budget is split weight-proportionally across the listed tenants and each
-// gets a fresh health machine. Existing per-tenant charges are preserved for
-// tenants that survive the reconfiguration.
+// budget is split weight-proportionally across the listed tenants (mirroring
+// the NIC scheduler's weights) and each gets a fresh health machine with the
+// global watchdog's hysteresis, so a tenant that saturates its own share is
+// throttled with typed errors while its neighbors keep dialing. Existing
+// per-tenant charges are preserved for tenants that survive the
+// reconfiguration.
 func (g *Governor) ConfigureTenants(weights map[uint32]int) {
 	ids := make([]uint32, 0, len(weights))
 	total := 0

@@ -286,9 +286,8 @@ func TestShedPolicy(t *testing.T) {
 // snapshots of unchanged state are identical.
 func TestTenantSnapshotOrder(t *testing.T) {
 	_, w := newWorld(t)
-	g := NewGovernor(w.Eng, w.NIC, w.LLC, Config{
-		TenantWeights: map[uint32]int{9: 1, 3: 7, 27: 2, 1: 4},
-	})
+	g := NewGovernor(w.Eng, w.NIC, w.LLC, Config{})
+	g.ConfigureTenants(map[uint32]int{9: 1, 3: 7, 27: 2, 1: 4})
 	// Tenants 14 and 5 hold connections without being configured: they must
 	// appear in the snapshot union, still in ascending order.
 	for _, id := range []uint32{14, 5, 3} {

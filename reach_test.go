@@ -2,11 +2,14 @@ package norman_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,9 +19,8 @@ import (
 // reachAllowed are the exported internal names no non-test code references,
 // each kept on purpose.
 var reachAllowed = map[string]string{
-	"norman/internal/sniff.ReadPcap":    "the pcap round-trip oracle: WritePcap's output must parse back",
-	"norman/internal/experiments.RunE9": "the test suites' E9 entry; kopibench reaches E9 through the registry",
-	"norman/internal/filter.Ports":      "the port-range matcher's constructor, the counterpart of Port",
+	"norman/internal/sniff.ReadPcap": "the pcap round-trip oracle: WritePcap's output must parse back",
+	"norman/internal/filter.Ports":   "the port-range matcher's constructor, the counterpart of Port",
 }
 
 // TestEveryExportHasACaller: every exported package-level func and type under
@@ -27,7 +29,7 @@ var reachAllowed = map[string]string{
 // tests alone. A name that only tests use is either deleted or listed in
 // reachAllowed with the reason it stays.
 func TestEveryExportHasACaller(t *testing.T) {
-	files := parseProduct(t)
+	files := parseTree(t, token.NewFileSet(), ".", "norman")
 
 	declared := map[string]bool{} // "importpath.Name"
 	used := map[string]bool{}
@@ -126,117 +128,13 @@ var knobAllowed = map[string]string{
 // TestEveryKnobHasASetter: every exported field of an exported *Config struct
 // under internal/ is set by some non-test file — as a key of a composite
 // literal of that type, or by a .Field = assignment outside the declaring
-// package — so no option survives with one value that only its default
-// gives it. A knob nothing sets is a constant, or listed in knobAllowed with
-// the reason it stays.
+// package whose selector's base has that type — so no option survives with
+// one value that only its default gives it. A knob nothing sets is a
+// constant, or listed in knobAllowed with the reason it stays.
 func TestEveryKnobHasASetter(t *testing.T) {
-	files := parseProduct(t)
-
-	declared := map[string]string{} // "importpath.Type.Field" → declaring package
-	for _, f := range files {
-		if !strings.HasPrefix(f.pkg, "norman/internal/") {
-			continue
-		}
-		for _, d := range f.ast.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, sp := range gd.Specs {
-				ts, ok := sp.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						if name.IsExported() {
-							declared[f.pkg+"."+ts.Name.Name+"."+name.Name] = f.pkg
-						}
-					}
-				}
-			}
-		}
-	}
-
-	set := map[string]bool{}          // "importpath.Type.Field"
-	assigned := map[string][]string{} // field name → packages assigning .Field =
-	for _, f := range files {
-		imports := f.imports()
-		// typeName resolves a type expression naming a struct to
-		// "importpath.Type", or "" when it names none.
-		typeName := func(e ast.Expr) string {
-			switch e := e.(type) {
-			case *ast.Ident:
-				return f.pkg + "." + e.Name
-			case *ast.SelectorExpr:
-				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					return imports[x.Name] + "." + e.Sel.Name
-				}
-			}
-			return ""
-		}
-		// literal records the keys of a composite literal of type typ, and
-		// of the literals nested in it whose element type is elided.
-		var literal func(lit *ast.CompositeLit, typ ast.Expr)
-		literal = func(lit *ast.CompositeLit, typ ast.Expr) {
-			if lit.Type != nil {
-				typ = lit.Type
-			}
-			var elem ast.Expr
-			switch tt := typ.(type) {
-			case *ast.ArrayType:
-				elem = tt.Elt
-			case *ast.MapType:
-				elem = tt.Value
-			}
-			if star, ok := elem.(*ast.StarExpr); ok {
-				elem = star.X
-			}
-			name := typeName(typ)
-			for _, el := range lit.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok && name != "" {
-						set[name+"."+key.Name] = true
-					}
-					el = kv.Value
-				}
-				if u, ok := el.(*ast.UnaryExpr); ok {
-					el = u.X
-				}
-				if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
-					literal(inner, elem)
-				}
-			}
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if n.Type != nil {
-					literal(n, nil)
-				}
-			case *ast.AssignStmt:
-				if n.Tok == token.ASSIGN {
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							assigned[sel.Sel.Name] = append(assigned[sel.Sel.Name], f.pkg)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
+	knobs := knobsSet(t, ".", "norman")
 	var unset []string
-	for knob, pkg := range declared {
-		isSet := set[knob]
-		for _, by := range assigned[knob[strings.LastIndexByte(knob, '.')+1:]] {
-			isSet = isSet || by != pkg
-		}
+	for knob, isSet := range knobs {
 		if !isSet && knobAllowed[knob] == "" {
 			unset = append(unset, knob)
 		}
@@ -249,10 +147,129 @@ func TestEveryKnobHasASetter(t *testing.T) {
 		t.Errorf("%s is a knob no non-test file sets: make it a constant, or allow it with a reason", knob)
 	}
 	for knob := range knobAllowed {
-		if declared[knob] == "" {
+		if _, ok := knobs[knob]; !ok {
 			t.Errorf("knobAllowed lists %s, which no longer exists", knob)
 		}
 	}
+}
+
+// TestKnobLawReadsTypes holds the knob law to types, not names: in the
+// fixture module under testdata/knobs a command assigns Power on a struct of
+// its own, which must not count as setting radio.Config.Power, while its
+// assignment to a real radio.Config's Band does count.
+func TestKnobLawReadsTypes(t *testing.T) {
+	got := knobsSet(t, filepath.Join("testdata", "knobs"), "knobs")
+	want := map[string]bool{
+		"knobs/internal/radio.Config.Band":  true,
+		"knobs/internal/radio.Config.Power": false,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("knobs = %v, want %v", got, want)
+	}
+}
+
+// knobsSet type-checks the non-test packages under root, whose import paths
+// begin with module, and reports every knob — an exported field of an
+// exported *Config struct under module/internal/ — with whether some file
+// sets it.
+func knobsSet(t *testing.T, root, module string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := parseTree(t, fset, root, module)
+	imp := &treeImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
+	}
+	for _, f := range files {
+		imp.files[f.pkg] = append(imp.files[f.pkg], f.ast)
+	}
+
+	type knob struct{ name, pkg string }
+	fields := map[*types.Var]knob{}
+	set := map[string]bool{}
+	for p := range imp.files {
+		pkg, err := imp.Import(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(p, module+"/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Exported() {
+					k := knob{p + "." + name + "." + fld.Name(), p}
+					fields[fld] = k
+					set[k.name] = false
+				}
+			}
+		}
+	}
+	field := func(id *ast.Ident) (knob, bool) {
+		v, _ := imp.info.Uses[id].(*types.Var)
+		k, ok := fields[v]
+		return k, ok
+	}
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					if k, ok := field(key); ok {
+						set[k.name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.ASSIGN {
+					break
+				}
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if k, ok := field(sel.Sel); ok && k.pkg != f.pkg {
+							set[k.name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
+}
+
+// treeImporter type-checks a parsed tree's packages on demand, each once, and
+// takes every other import from the toolchain's export data.
+type treeImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (im *treeImporter) Import(p string) (*types.Package, error) {
+	if pkg := im.pkgs[p]; pkg != nil {
+		return pkg, nil
+	}
+	files, ok := im.files[p]
+	if !ok {
+		return im.std.Import(p)
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(p, im.fset, files, im.info)
+	im.pkgs[p] = pkg
+	return pkg, err
 }
 
 // srcFile is one parsed non-test Go file of the module.
@@ -275,18 +292,18 @@ func (f srcFile) imports() map[string]string {
 	return imports
 }
 
-// parseProduct parses every non-test Go file of the module, testdata and
-// dot-directories aside.
-func parseProduct(t *testing.T) []srcFile {
+// parseTree parses every non-test Go file under root, testdata and
+// dot-directories aside, into packages whose import paths are module joined
+// with their directory under root.
+func parseTree(t *testing.T, fset *token.FileSet, root, module string) []srcFile {
 	t.Helper()
 	var files []srcFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -298,7 +315,11 @@ func parseProduct(t *testing.T) []srcFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, srcFile{pkg: path.Join("norman", filepath.ToSlash(filepath.Dir(p))), ast: f})
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		files = append(files, srcFile{pkg: path.Join(module, filepath.ToSlash(rel)), ast: f})
 		return nil
 	})
 	if err != nil {

@@ -192,7 +192,11 @@ go test ./...
 # machines, and each subsystem's determinism tests run at an explicit
 # non-default fault seed: its experiment table and its slice of the chaos
 # soak must be byte-identical sequentially and at any pool width. One row per
-# pass: fault seed (- = default), -run pattern (- = every test), packages.
+# pass: fault seed (- = default), -run pattern (- = every test), packages. An
+# experiment's width check and golden is the subtest TestExperimentTables/<ID>:
+# -run matches each top-level |-alternative on its own, so
+# 'E9|Fault|ExperimentTables/^E9$' runs every E9 and Fault test whole plus
+# that one subtest.
 while read -r seed pattern pkgs; do
 	case "$seed" in '' | '#'*) continue ;; esac
 	[ "$seed" = - ] && seed= || seed="NORMAN_FAULT_SEED=$seed"
@@ -203,36 +207,38 @@ done <<'PASSES'
 # every test of the packages that run worlds on parallel goroutines
 - - ./internal/sim/... ./internal/experiments/... ./internal/faults/...
 # E9: fault injection, trap fallback, transport aborts
-7 E9|Fault|Trap|Abort ./internal/experiments/... ./internal/faults/... ./internal/transport/... ./internal/nic/... ./internal/overlay/...
+7 E9|Fault|Trap|Abort|ExperimentTables/^E9$ ./internal/experiments/... ./internal/faults/... ./internal/transport/... ./internal/nic/... ./internal/overlay/...
 # E10: crash, journal replay, reconciliation
-7 E10|Recovery|Journal|Reconcile ./internal/experiments/... ./internal/recovery/... ./internal/ctl/...
+7 E10|Recovery|Journal|Reconcile|ExperimentTables/^E10$ ./internal/experiments/... ./internal/recovery/... ./internal/ctl/...
 # E11: admission, backpressure, shedding past the DDIO cliff; the chaos soak
-7 E11|Overload|Watchdog|Watermark|Chaos ./internal/experiments/... ./internal/overload/... ./internal/transport/... ./internal/mem/... .
+7 E11|Overload|Watchdog|Watermark|Chaos|ExperimentTables/^E11$ ./internal/experiments/... ./internal/overload/... ./internal/transport/... ./internal/mem/... .
 # E13: weighted scheduling, DDIO partitioning, the adversarial-tenant soak
-7 E13|Tenant ./internal/experiments/... ./internal/nic/... ./internal/cache/... ./internal/overload/... ./internal/ctl/... .
+7 E13|Tenant|ExperimentTables/^E13$ ./internal/experiments/... ./internal/nic/... ./internal/cache/... ./internal/overload/... ./internal/ctl/... .
 # E14: flow-cache hit rates, partition quotas, clock eviction, the ledger
-7 E14|FlowCache ./internal/experiments/... ./internal/nic/... ./internal/ctl/... .
+7 E14|FlowCache|ExperimentTables/^E14$ ./internal/experiments/... ./internal/nic/... ./internal/ctl/... .
 # E15: checksum detection, quarantine, slow-path failover, probation failback
-7 E15|Health|Chaos ./internal/experiments/... ./internal/health/... ./internal/faults/... ./internal/nic/... .
+7 E15|Health|Chaos|ExperimentTables/^E15$ ./internal/experiments/... ./internal/health/... ./internal/faults/... ./internal/nic/... .
 # E16: staged A/B cutover, pause buffering, canary rollback; the journal's
 # wire format, its one policy fold, and a repaired weight divergence
-7 E16|Upgrade|Compact|Generation|Pause|Outage|WeightDivergence|WireCompat|JournalFold ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
+7 E16|Upgrade|Compact|Generation|Pause|Outage|WeightDivergence|WireCompat|JournalFold|ExperimentTables/^E16$ ./internal/experiments/... ./internal/upgrade/... ./internal/recovery/... ./internal/nic/... ./internal/ctl/... .
 # E12 on the interposed datapath; the bench-only barrier engine, burst ring,
 # slab and flyweight receive path bench/probe.go times (DESIGN.md §8)
-- E12|Shard|Flyweight|Slab|Burst ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/...
+- E12|Shard|Flyweight|Slab|Burst|ExperimentTables/^E12$ ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/...
 # datapath job records: every early exit returns its record, hot paths allocate
 # nothing; every exit gives a world-built frame back once, after its callee;
 # the engine timer's order identity and the stream that re-arms it;
 # stopped timers are purged and closed connections leave nothing behind
 7 Jobs|ZeroAlloc|FramesComeBack|SpansSurvive|HandlerForm|Timer|StreamAllocs|Responder|Churn|Purge|LeavesNothing ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/transport/... ./internal/host/... .
-# the supervision kernel, and the goldens its three users must reproduce byte for byte
-7 Supervis|Sampler|Streak|Hysteresis|Golden ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
+# the supervision kernel, and the tables of its users (E11, E13, E15, E16),
+# which must reproduce their goldens byte for byte
+7 Supervis|Sampler|Streak|Hysteresis|ExperimentTables/^E1[1356]$ ./internal/supervise/... ./internal/overload/... ./internal/health/... ./internal/upgrade/... ./internal/experiments/... .
 # the NIC's one way out: every exit balances the ledger, the fuzz corpus,
 # FIFO clamps reach tenant shares, every world's drain asserts Balance()
 7 Ledger|Balance|EveryExit|RxWindow ./internal/nic/... ./internal/arch/... ./internal/experiments/... .
-# the software dataplanes over one soft core: the E1–E10 golden, every host
+# the software dataplanes over one soft core: the goldens of the tables that
+# sweep the architectures (E1, E2, E4, E6–E10), every host
 # exit balances the host law, the reconciler sees every architecture's qdisc
-7 ArchTables|HostExits|ColdStart ./internal/arch/... ./internal/experiments/... .
+7 HostExits|ColdStart|ExperimentTables/^E([1246789]|10)$ ./internal/arch/... ./internal/experiments/... .
 # the branch-free event heap under its near band and the LLC set record,
 # fuzzed against the code they replaced (seed corpora); the band's tier edges
 # and a purge over both tiers; RunUntil after Stop; Touch at both line sizes

@@ -131,9 +131,6 @@ func (s *System) TenantsStatus() []TenantStatus {
 			r.RingBudget = gs.RingBudget
 			r.State = gs.State
 			r.Transitions = gs.Transitions
-			if gs.FifoDrops > r.FifoDrops {
-				r.FifoDrops = gs.FifoDrops
-			}
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
