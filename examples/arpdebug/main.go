@@ -3,82 +3,45 @@
 // process*. Under raw kernel bypass she would audit every application by
 // hand; with an on-path, OS-integrated interposition layer she runs one
 // capture and reads the attribution off the packets — and the kernel ARP
-// accounting names the culprit directly.
+// accounting names the culprit directly. The scenario is
+// experiments.ARPFlood, the one E2's debugging cell grades.
 package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"norman"
-	"norman/internal/packet"
+	"norman/internal/experiments"
 )
 
-func main() {
-	for _, archName := range []norman.Architecture{norman.Bypass, norman.Hypervisor, norman.KOPI} {
-		fmt.Printf("=== %s\n", archName)
-		run(archName)
-		fmt.Println()
+func main() { run(os.Stdout) }
+
+func run(out io.Writer) {
+	for _, a := range []norman.Architecture{norman.Bypass, norman.Hypervisor, norman.KOPI} {
+		fmt.Fprintf(out, "=== %s\n", a)
+		report(out, experiments.ARPFlood(a, 1))
+		fmt.Fprintln(out)
 	}
 }
 
-func run(archName norman.Architecture) {
-	sys := norman.New(archName)
-	sys.UseSinkPeer()
-
-	bob := sys.AddUser(1001, "bob")
-	charlie := sys.AddUser(1002, "charlie")
-	web := sys.Spawn(bob, "webserver")
-	leaky := sys.Spawn(charlie, "leakyd") // the buggy app
-
-	webConn, err := sys.Dial(web, 8080, 80)
-	if err != nil {
-		panic(err)
-	}
-	leakyConn, err := sys.Dial(leaky, 9999, 99)
-	if err != nil {
-		panic(err)
-	}
-
-	// Alice attaches tcpdump with the filter "arp".
-	capture, tapErr := sys.Tcpdump("arp")
-
-	// Normal traffic from the web server...
-	for i := 0; i < 40; i++ {
-		i := i
-		sys.At(norman.Duration(i)*50*norman.Microsecond, func() { webConn.Send(256) })
-	}
-	// ...and the flood: leakyd broadcasts ARP requests from its ring —
-	// raw frames on its own connection, the freedom kernel bypass grants.
-	w := sys.World()
-	target := uint32(0)
-	for i := 0; i < 80; i++ {
-		i := i
-		sys.At(norman.Duration(i)*25*norman.Microsecond, func() {
-			target++
-			leakyConn.SendRaw(packet.NewARPRequest(w.HostMAC, w.HostIP,
-				packet.MakeIP(10, 0, byte(target>>8), byte(target))))
-		})
-	}
-	sys.Run()
-
-	if tapErr != nil {
-		fmt.Printf("tcpdump: %v\n", tapErr)
-		fmt.Println("verdict: no visibility — audit every app by hand (§2)")
+func report(out io.Writer, r experiments.ARPFloodResult) {
+	if r.TapErr != nil {
+		fmt.Fprintf(out, "tcpdump: %v\n", r.TapErr)
+		fmt.Fprintln(out, "verdict: no visibility — audit every app by hand (§2)")
 		return
 	}
-	seen, matched := capture.Counters()
-	fmt.Printf("tcpdump arp: %d frames seen, %d ARP matched\n", seen, matched)
-	attributed := map[string]int{}
-	for _, rec := range capture.Records() {
-		attributed[rec.Attribution()]++
+	fmt.Fprintf(out, "tcpdump arp: %d frames seen, %d ARP matched\n", r.Seen, r.Matched)
+	for _, s := range r.ByWho {
+		fmt.Fprintf(out, "  %4d ARP frames from [%s]\n", s.Frames, s.Who)
 	}
-	for who, n := range attributed {
-		fmt.Printf("  %4d ARP frames from [%s]\n", n, who)
+	if r.TopRequests > 0 {
+		fmt.Fprintf(out, "kernel ARP accounting: pid %d sent %d requests\n", r.TopPID, r.TopRequests)
 	}
-	if pid, n := sys.ARPTopRequester(); n > 0 {
-		fmt.Printf("kernel ARP accounting: pid %d sent %d requests\n", pid, n)
-		fmt.Printf("verdict: culprit identified (leakyd pid=%d)\n", leaky.PID())
+	if r.Named {
+		fmt.Fprintf(out, "verdict: culprit identified (leakyd pid=%d)\n", r.CulpritPID)
 	} else {
-		fmt.Println("verdict: flood visible but unattributable — still auditing apps")
+		fmt.Fprintln(out, "verdict: flood visible but unattributable — still auditing apps")
 	}
 }

@@ -3,68 +3,32 @@
 // kernel never sees arrivals and cannot wake anyone — so apps poll and burn
 // whole cores. KOPI's NIC appends to a shared notification queue that the
 // kernel monitors (§4.3), restoring blocking I/O. This example measures
-// cores burned and delivery latency for poll vs block at a low arrival
-// rate, where the difference is most painful.
+// cores burned and median delivery latency for poll vs block at a low
+// arrival rate, where the difference is most painful. The scenario is
+// experiments.Blocking, the one E2's scheduling cell grades.
 package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"norman"
+	"norman/internal/experiments"
 )
 
-func main() {
-	fmt.Println("workload: 5000 packets/s inbound for 20ms of virtual time")
-	fmt.Printf("%-12s  %-7s  %-13s  %-12s  %s\n", "architecture", "mode", "cores burned", "p50 latency", "delivered")
-	for _, archName := range []norman.Architecture{norman.Bypass, norman.KernelStack, norman.KOPI} {
-		for _, block := range []bool{false, true} {
-			run(archName, block)
+func main() { run(os.Stdout) }
+
+func run(out io.Writer) {
+	fmt.Fprintln(out, "workload: 5000 packets/s inbound for 20ms of virtual time")
+	fmt.Fprintf(out, "%-12s  %-7s  %-13s  %-12s  %s\n", "architecture", "mode", "cores burned", "p50 latency", "delivered")
+	for _, a := range []norman.Architecture{norman.Bypass, norman.KernelStack, norman.KOPI} {
+		for _, r := range experiments.Blocking(a, 1) {
+			if r.Err != nil {
+				fmt.Fprintf(out, "%-12s  %-7s  %v\n", a, r.Mode, r.Err)
+				continue
+			}
+			fmt.Fprintf(out, "%-12s  %-7s  %-13.4f  %-12s  %d\n", a, r.Mode, r.Cores, r.P50.String(), r.Delivered)
 		}
 	}
-}
-
-func run(archName norman.Architecture, block bool) {
-	sys := norman.New(archName)
-	sys.UseSinkPeer()
-
-	bob := sys.AddUser(1001, "bob")
-	worker := sys.Spawn(bob, "worker")
-	conn, err := sys.Dial(worker, 7000, 7)
-	if err != nil {
-		panic(err)
-	}
-
-	mode := "poll"
-	if block {
-		mode = "block"
-		if err := conn.SetBlocking(true); err != nil {
-			fmt.Printf("%-12s  %-7s  %v\n", archName, mode, err)
-			return
-		}
-	}
-
-	var delivered uint64
-	var latSum norman.Duration
-	conn.OnReceive(func(d norman.Delivery) {
-		// Packets are injected at i*gap and delivered in order, so the
-		// i'th delivery's latency is its timestamp minus its send time.
-		latSum += d.At - norman.Duration(delivered)*(200*norman.Microsecond)
-		delivered++
-	})
-
-	const dur = 20 * norman.Millisecond
-	const gap = 200 * norman.Microsecond // 5k packets/s
-	n := int(dur / gap)
-	for i := 0; i < n; i++ {
-		sys.At(norman.Duration(i)*gap, func() { sys.InjectInbound(conn, 256) })
-	}
-	sys.Run()
-
-	end := sys.Now()
-	cores := sys.World().CPUBusy(sys.World().Eng.Now()).Seconds() / end.Seconds()
-	meanLat := norman.Duration(0)
-	if delivered > 0 {
-		meanLat = latSum / norman.Duration(delivered)
-	}
-	fmt.Printf("%-12s  %-7s  %-13.4f  %-12s  %d\n", archName, mode, cores, meanLat.String(), delivered)
 }

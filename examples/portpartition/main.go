@@ -3,89 +3,27 @@
 // destination port 5432 — trivial under kernel bypass, where applications
 // own their rings. This example runs the attack against every architecture
 // and shows where the owner-based policy is even expressible, and where it
-// actually holds.
+// actually holds. The scenario is experiments.PortPartition, the one E8a's
+// rows and E2's port-partition cell run; Scale(0.25) sends 50 frames each.
 package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"norman"
-	"norman/internal/packet"
-	"norman/internal/sim"
+	"norman/internal/experiments"
 )
 
-func main() {
-	fmt.Println("policy: only uid=1001 cmd=postgres may send to UDP port 5432")
-	fmt.Println()
-	fmt.Printf("%-12s  %-18s  %-16s  %s\n", "architecture", "policy installable", "legit delivered", "violations escaped")
+func main() { run(os.Stdout) }
 
-	for _, archName := range norman.Architectures() {
-		run(archName)
+func run(out io.Writer) {
+	fmt.Fprintln(out, "policy: only uid=1001 cmd=postgres may send to UDP port 5432")
+	fmt.Fprintln(out)
+	fmt.Fprintf(out, "%-12s  %-18s  %-16s  %s\n", "architecture", "policy installable", "legit delivered", "violations escaped")
+	for _, a := range norman.Architectures() {
+		r := experiments.PortPartition(a, 0.25)
+		fmt.Fprintf(out, "%-12s  %-18v  %-16d  %d\n", a, r.PolicyInstalled, r.LegitPackets, r.Violations)
 	}
-}
-
-func run(archName norman.Architecture) {
-	sys := norman.New(archName)
-	w := sys.World()
-
-	var legit, violations uint64
-	w.Peer = func(p *packet.Packet, at sim.Time) {
-		if p.UDP == nil || p.UDP.DstPort != 5432 {
-			return
-		}
-		if p.UDP.SrcPort == 5432 {
-			legit++
-		} else {
-			violations++
-		}
-	}
-
-	bob := sys.AddUser(1001, "bob")
-	charlie := sys.AddUser(1002, "charlie")
-	postgres := sys.Spawn(bob, "postgres")
-	script := sys.Spawn(charlie, "script")
-
-	pg, err := sys.Dial(postgres, 5432, 5432)
-	if err != nil {
-		panic(err)
-	}
-	rogue, err := sys.Dial(script, 33000, 9)
-	if err != nil {
-		panic(err)
-	}
-
-	// Alice's transactional policy: allow Bob's postgres, then drop the
-	// rest of 5432. If the allow half cannot be expressed, she installs
-	// neither (a blanket drop would break the legitimate user).
-	installable := true
-	err = sys.IPTablesAppend(norman.Output, norman.Rule{
-		Proto: "udp", DstPort: 5432,
-		OwnerUID: norman.UID(bob.UID), OwnerCmd: "postgres",
-		Action: "accept",
-	})
-	if err != nil {
-		installable = false
-	} else if err := sys.IPTablesAppend(norman.Output, norman.Rule{
-		Proto: "udp", DstPort: 5432, Action: "drop",
-	}); err != nil {
-		installable = false
-	}
-
-	// Legitimate postgres traffic...
-	for i := 0; i < 50; i++ {
-		i := i
-		sys.At(norman.Duration(i)*20*norman.Microsecond, func() { pg.Send(200) })
-	}
-	// ...and Charlie's spoofed frames: raw packets on his own connection
-	// claiming dst port 5432.
-	spoof := w.Flow(33000, 5432)
-	for i := 0; i < 50; i++ {
-		i := i
-		sys.At(norman.Duration(i)*20*norman.Microsecond, func() {
-			rogue.SendRaw(w.UDPTo(spoof, 200))
-		})
-	}
-	sys.Run()
-
-	fmt.Printf("%-12s  %-18v  %-16d  %d\n", archName, installable, legit, violations)
 }

@@ -3,89 +3,30 @@
 // Work-conserving per-user scheduling needs an interposition point with a
 // global view AND a process view. This example configures a WFQ weighted
 // 8:1 in favor of the backup, classified by user id, and shows the achieved
-// split on three architectures.
+// split on three architectures. The scenario is experiments.QoSShare, the
+// one E2's QoS cell grades.
 package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"norman"
-	"norman/internal/packet"
-	"norman/internal/sim"
-	"norman/internal/timing"
+	"norman/internal/experiments"
 )
 
-func main() {
-	fmt.Println("policy: tc qdisc wfq — backup (charlie) weight 8, game (bob) weight 1")
-	fmt.Printf("%-12s  %-14s  %-14s  %s\n", "architecture", "backup (Gbps)", "game (Gbps)", "achieved ratio")
-	for _, archName := range []norman.Architecture{norman.Bypass, norman.Hypervisor, norman.KOPI} {
-		run(archName)
-	}
-}
+func main() { run(os.Stdout) }
 
-func run(archName norman.Architecture) {
-	// Contend on a 10G wire so the scheduler, not a CPU, is the bottleneck.
-	model := timing.Default()
-	model.WireBW = sim.Gbps(10)
-	sys := norman.New(archName, norman.WithModel(model))
-
-	until := 6 * norman.Millisecond
-	winLo := until / 4
-	perPort := map[uint16]uint64{}
-	sys.World().Peer = func(p *packet.Packet, at sim.Time) {
-		// Steady-state window only: the queue-fill ramp and the post-run
-		// backlog drain would dilute the ratio.
-		if p.UDP != nil && norman.Duration(at) >= winLo && norman.Duration(at) <= until {
-			perPort[p.UDP.DstPort] += uint64(p.FrameLen())
+func run(out io.Writer) {
+	fmt.Fprintln(out, "policy: tc qdisc wfq — backup (charlie) weight 8, game (bob) weight 1")
+	fmt.Fprintf(out, "%-12s  %-14s  %-14s  %s\n", "architecture", "backup (Gbps)", "game (Gbps)", "achieved ratio")
+	for _, a := range []norman.Architecture{norman.Bypass, norman.Hypervisor, norman.KOPI} {
+		r := experiments.QoSShare(a, 1)
+		if r.Err != nil {
+			fmt.Fprintf(out, "%-12s  tc: %v\n", a, r.Err)
+			continue
 		}
+		fmt.Fprintf(out, "%-12s  %-14.2f  %-14.2f  %.2f : 1\n", a, r.BackupGbps, r.GameGbps, r.Ratio)
 	}
-
-	bob := sys.AddUser(1001, "bob")
-	charlie := sys.AddUser(1002, "charlie")
-	game := sys.Spawn(bob, "game")
-	backup := sys.Spawn(charlie, "backup")
-
-	gameConn, err := sys.Dial(game, 20001, 1234)
-	if err != nil {
-		panic(err)
-	}
-	backupConn, err := sys.Dial(backup, 20002, 873)
-	if err != nil {
-		panic(err)
-	}
-
-	err = sys.TCSet(norman.QdiscSpec{
-		Kind:    "wfq",
-		Weights: map[uint32]float64{1: 8, 2: 1},
-		Limit:   512,
-	}, map[uint32]uint32{charlie.UID: 1, bob.UID: 2})
-	if err != nil {
-		fmt.Printf("%-12s  tc: %v\n", archName, err)
-		return
-	}
-
-	// Both users offer ~9.5G of jumbo-frame bulk; only ~10G fits.
-	blast := func(c *norman.Conn) {
-		var tick func()
-		tick = func() {
-			if sys.Now() >= until {
-				return
-			}
-			c.SendBatch(8958, 4)
-			sys.After(4*norman.Duration(7578)*norman.Nanosecond/norman.Duration(1), tick)
-		}
-		sys.At(0, tick)
-	}
-	blast(gameConn)
-	blast(backupConn)
-	sys.Run()
-
-	win := (until - winLo).Seconds()
-	backupG := float64(perPort[873]) * 8 / win / 1e9
-	gameG := float64(perPort[1234]) * 8 / win / 1e9
-	ratio := 0.0
-	if gameG > 0 {
-		ratio = backupG / gameG
-	}
-	fmt.Printf("%-12s  %-14.2f  %-14.2f  %.2f : 1\n", archName, backupG, gameG, ratio)
 }

@@ -36,7 +36,7 @@ func TestCapsMatchBehavior(t *testing.T) {
 				t.Errorf("OwnerFiltering=%v but install err=%v", caps.OwnerFiltering, ownerErr)
 			}
 
-			_, tapErr := a.AttachTap(sniff.MustParse("udp"))
+			_, tapErr := a.AttachTap(udpFilter(t))
 			if caps.GlobalCapture != (tapErr == nil) {
 				t.Errorf("GlobalCapture=%v but tap err=%v", caps.GlobalCapture, tapErr)
 			}
@@ -176,4 +176,14 @@ func TestWorldCPUAccounting(t *testing.T) {
 	if got := w.CPUBusy(now); got != 10*sim.Microsecond {
 		t.Fatalf("unmarked busy = %v", got)
 	}
+}
+
+// udpFilter is the capture expression the tap tests attach.
+func udpFilter(t *testing.T) *sniff.Expr {
+	t.Helper()
+	e, err := sniff.Parse("udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }

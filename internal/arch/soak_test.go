@@ -7,7 +7,6 @@ import (
 	"norman/internal/packet"
 	"norman/internal/qos"
 	"norman/internal/sim"
-	"norman/internal/sniff"
 )
 
 // TestSoakConservation runs a mixed workload — many connections, bursty
@@ -47,7 +46,7 @@ func TestSoakConservation(t *testing.T) {
 			wfq := qos.NewWFQ(512)
 			wfq.SetWeight(1, 2)
 			_ = a.SetQdisc(wfq, func(p *packet.Packet) uint32 { return p.Meta.Class })
-			_, _ = a.AttachTap(sniff.MustParse("udp"))
+			_, _ = a.AttachTap(udpFilter(t))
 
 			var appDelivered uint64
 			a.SetDeliver(func(*Conn, *packet.Packet, sim.Time) { appDelivered++ })

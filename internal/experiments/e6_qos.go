@@ -166,3 +166,88 @@ func e6Game(name string, scale Scale) E6Game {
 	g.Enforceable = g.GameGbps < 1.6 && g.BulkGbps > 5.0
 	return g
 }
+
+// runQoSShare is E6a's sweep point: two competing bulk users through a
+// weighted scheduler (WFQ or DRR) classed by uid; it returns
+// achieved(weighted)/achieved(unweighted) bytes. E2's QoS cell runs the
+// facade scenario QoSShare instead, at the one weight examples/qosgame shows.
+//
+// The wire is set to 10G so the scheduler — not the software stack's CPU —
+// is the contended resource on every architecture: E6 tests the shaping
+// *mechanism*; E1 already measures who can drive 100G.
+func runQoSShare(name string, weight float64, scale Scale, kind string) (float64, error) {
+	model := timing.Default()
+	model.WireBW = sim.Gbps(10)
+	a := arch.New(name, arch.WorldConfig{Model: model})
+	w := a.World()
+
+	// Measure achieved shares only inside a steady-state window: the ramp
+	// while queues fill and the post-run backlog drain both serve classes
+	// ~equally and would dilute the ratio.
+	until := sim.Time(scale.d(8 * sim.Millisecond))
+	winLo, winHi := until/4, until
+	perPort := map[uint16]uint64{}
+	w.Peer = func(p *packet.Packet, at sim.Time) {
+		if p.UDP == nil || at < winLo || at > winHi {
+			return
+		}
+		perPort[p.UDP.DstPort] += uint64(p.FrameLen())
+	}
+
+	bob := w.Kern.AddUser(1001, "bob")
+	charlie := w.Kern.AddUser(1002, "charlie")
+	game := w.Kern.Spawn(bob.UID, "game")
+	backup := w.Kern.Spawn(charlie.UID, "backup")
+
+	gameFlow := w.Flow(20001, 1234)
+	backupFlow := w.Flow(20002, 873)
+	gameConn, err := a.Connect(game, gameFlow)
+	if err != nil {
+		return 0, err
+	}
+	backupConn, err := a.Connect(backup, backupFlow)
+	if err != nil {
+		return 0, err
+	}
+
+	classify := func(p *packet.Packet) uint32 {
+		if p.Meta.TrustedMeta && p.Meta.UID == charlie.UID {
+			return 1 // weighted class
+		}
+		return 2
+	}
+	var q qos.Qdisc
+	switch kind {
+	case "drr":
+		d := qos.NewDRR(512, 1514)
+		d.SetQuantum(1, int(1514*weight))
+		d.SetQuantum(2, 1514)
+		q = d
+	default:
+		wf := qos.NewWFQ(512)
+		wf.SetWeight(1, weight)
+		wf.SetWeight(2, 1)
+		q = wf
+	}
+	if err := a.SetQdisc(q, classify); err != nil {
+		return 0, err
+	}
+
+	// Both users offer well above their weighted share so the scheduler
+	// must choose; bulk senders use jumbo (GSO-sized) frames, as real bulk
+	// transfers do, so per-packet CPU cost does not cap demand first.
+	mk := func(c *arch.Conn, f packet.FlowKey) *host.Sender {
+		return &host.Sender{Arch: a, Conn: c, Flow: f, Payload: 8958,
+			Interval: host.IntervalFor(9.5, 9000), Until: until, Burst: 8}
+	}
+	mk(gameConn, gameFlow).Start(0)
+	mk(backupConn, backupFlow).Start(0)
+	balanced(w.Drain())
+
+	gameBytes := float64(perPort[1234])
+	backupBytes := float64(perPort[873])
+	if gameBytes == 0 {
+		return 0, fmt.Errorf("e6: no unweighted traffic arrived")
+	}
+	return backupBytes / gameBytes, nil
+}

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"errors"
-
-	"norman/internal/arch"
+	"norman"
 	"norman/internal/filter"
-	"norman/internal/host"
 	"norman/internal/packet"
 	"norman/internal/sim"
 	"norman/internal/stats"
 )
 
 // E8Row is one architecture's port-partition enforcement outcome under a
-// spoofing workload.
+// spoofing workload: the result of the PortPartition scenario.
 type E8Row struct {
 	Arch            string
 	PolicyInstalled bool
@@ -43,7 +40,7 @@ type E8Result struct {
 // ablation shows why on-NIC enforcement wants exact-match tables: linear
 // evaluation cost grows with the rule count, the compiled path does not.
 func RunE8(scale Scale) (*E8Result, *stats.Table) {
-	names := arch.Names()
+	names := norman.Architectures()
 	ruleCounts := []int{16, 128, 1024}
 	res := &E8Result{
 		Enforcement: make([]E8Row, len(names)),
@@ -51,11 +48,9 @@ func RunE8(scale Scale) (*E8Result, *stats.Table) {
 	}
 	pool := NewRunner()
 	for i, name := range names {
-		i, name := i, name
-		pool.Go(func() { res.Enforcement[i] = e8Enforce(name, scale) })
+		pool.Go(func() { res.Enforcement[i] = PortPartition(name, scale) })
 	}
 	for i, n := range ruleCounts {
-		i, n := i, n
 		pool.Go(func() { res.Classifier[i] = e8Classify(n) })
 	}
 	pool.Wait()
@@ -71,78 +66,6 @@ func RunE8(scale Scale) (*E8Result, *stats.Table) {
 		t2.AddRow(c.Rules, c.LinearEvals, c.CompiledEvals)
 	}
 	return res, composeTables(t, t2)
-}
-
-func e8Enforce(name string, scale Scale) E8Row {
-	row := E8Row{Arch: name}
-	a := arch.New(name, arch.WorldConfig{})
-	w := a.World()
-
-	var legit, violations uint64
-	w.Peer = func(p *packet.Packet, at sim.Time) {
-		if p.UDP == nil || p.UDP.DstPort != 5432 {
-			return
-		}
-		// The receiving side distinguishes the legitimate postgres flow by
-		// its source port (5432 both ways in this scenario).
-		if p.UDP.SrcPort == 5432 {
-			legit++
-		} else {
-			violations++
-		}
-	}
-
-	bob := w.Kern.AddUser(1001, "bob")
-	charlie := w.Kern.AddUser(1002, "charlie")
-	postgres := w.Kern.Spawn(bob.UID, "postgres")
-	rogue := w.Kern.Spawn(charlie.UID, "script")
-
-	pgFlow := w.Flow(5432, 5432)
-	pgConn, err := a.Connect(postgres, pgFlow)
-	if err != nil {
-		return row
-	}
-	rogueFlow := w.Flow(33000, 9)
-	rogueConn, err := a.Connect(rogue, rogueFlow)
-	if err != nil {
-		return row
-	}
-
-	allow := &filter.Rule{
-		Proto: filter.Proto(packet.ProtoUDP), DstPorts: filter.Port(5432),
-		OwnerUID: filter.UID(bob.UID), OwnerCmd: "postgres",
-		Action: filter.ActAccept,
-	}
-	deny := &filter.Rule{
-		Proto: filter.Proto(packet.ProtoUDP), DstPorts: filter.Port(5432),
-		Action: filter.ActDrop,
-	}
-	// The policy is transactional: without the owner-scoped allow, the
-	// blanket deny would break the legitimate user, so an admin who cannot
-	// install the first rule installs neither (the paper's point is that
-	// the policy is *unenforceable*, not that port 5432 can be killed).
-	err1 := a.InstallRule(filter.HookOutput, allow)
-	if err1 == nil {
-		err2 := a.InstallRule(filter.HookOutput, deny)
-		row.PolicyInstalled = err2 == nil
-	} else if !errors.Is(err1, filter.ErrNeedsProcessView) && !errors.Is(err1, arch.ErrUnsupported) {
-		panic("e8: unexpected install error: " + err1.Error())
-	}
-
-	until := sim.Time(scale.d(4 * sim.Millisecond))
-	pg := &host.Sender{Arch: a, Conn: pgConn, Flow: pgFlow, Payload: 200,
-		Interval: 20 * sim.Microsecond, Until: until}
-	pg.Start(0)
-	spoofFlow := w.Flow(33000, 5432)
-	rg := &host.Sender{Arch: a, Conn: rogueConn, Flow: rogueFlow, Payload: 200,
-		Interval: 20 * sim.Microsecond, Until: until,
-		Build: func(uint64) *packet.Packet { return w.UDPTo(spoofFlow, 200) }}
-	rg.Start(0)
-	balanced(w.Drain())
-
-	row.LegitPackets = legit
-	row.Violations = violations
-	return row
 }
 
 // e8Classify measures average rules-examined per packet for a chain of n

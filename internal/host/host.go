@@ -239,34 +239,3 @@ func (g *InboundGen) tick() {
 	g.Arch.DeliverWire(w.UDPFrom(flow, g.Payload))
 	w.Eng.After(g.Interval, g.tick)
 }
-
-// ARPFlooder is the buggy application from the paper's debugging scenario:
-// it broadcasts ARP who-has requests at a fixed rate from its connection.
-type ARPFlooder struct {
-	Arch     arch.Arch
-	Conn     *arch.Conn
-	SrcMAC   packet.MAC
-	SrcIP    packet.IPv4
-	Interval sim.Duration
-	Until    sim.Time
-	Sent     uint64
-	target   uint32
-}
-
-// Start schedules the flood.
-func (f *ARPFlooder) Start(at sim.Time) {
-	f.Arch.World().Eng.At(at, f.tick)
-}
-
-func (f *ARPFlooder) tick() {
-	w := f.Arch.World()
-	now := w.Eng.Now()
-	if f.Until > 0 && !now.Before(f.Until) {
-		return
-	}
-	f.target++
-	p := packet.NewARPRequest(f.SrcMAC, f.SrcIP, packet.MakeIP(10, 0, byte(f.target>>8), byte(f.target)))
-	f.Sent++
-	f.Arch.Send(f.Conn, p)
-	w.Eng.After(f.Interval, f.tick)
-}

@@ -78,15 +78,6 @@ func Parse(src string) (*Expr, error) {
 	return &Expr{root: root, src: src, usesProcView: p.usesProcView}, nil
 }
 
-// MustParse is Parse panicking on error; for tests and constant filters.
-func MustParse(src string) *Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func tokenize(src string) []string {
 	src = strings.ReplaceAll(src, "(", " ( ")
 	src = strings.ReplaceAll(src, ")", " ) ")

@@ -69,7 +69,7 @@ func TestExprProcessView(t *testing.T) {
 	p.Meta.PID = 77
 	p.Meta.Command = "postgres"
 
-	e := MustParse("uid 1001")
+	e := mustParse("uid 1001")
 	if !e.RequiresProcessView() {
 		t.Fatal("uid expressions need a process view")
 	}
@@ -80,13 +80,13 @@ func TestExprProcessView(t *testing.T) {
 	if !e.Match(p) {
 		t.Fatal("trusted uid should match")
 	}
-	if !MustParse("cmd postgres").Match(p) {
+	if !mustParse("cmd postgres").Match(p) {
 		t.Fatal("cmd should match")
 	}
-	if !MustParse("pid 77").Match(p) {
+	if !mustParse("pid 77").Match(p) {
 		t.Fatal("pid should match")
 	}
-	if MustParse("udp and port 4").RequiresProcessView() {
+	if mustParse("udp and port 4").RequiresProcessView() {
 		t.Fatal("plain expressions do not need a process view")
 	}
 }
@@ -104,7 +104,7 @@ func TestExprErrors(t *testing.T) {
 }
 
 func TestTapFilterAndEviction(t *testing.T) {
-	tap := NewTap(MustParse("port 53"), 3)
+	tap := NewTap(mustParse("port 53"), 3)
 	for i := 0; i < 5; i++ {
 		tap.Offer(udp(1, 2, uint16(1000+i), 53), sim.Time(i))
 	}
@@ -250,7 +250,7 @@ func TestPcapRoundTripQuick(t *testing.T) {
 // including the boundary where the buffer is exactly full.
 func TestTapEvictionAccountingInvariant(t *testing.T) {
 	const limit = 4
-	tap := NewTap(MustParse("udp"), limit)
+	tap := NewTap(mustParse("udp"), limit)
 	reg := telemetry.NewRegistry()
 	tap.RegisterMetrics(reg, telemetry.Labels{"tap": "test"})
 
@@ -311,4 +311,13 @@ func TestTapWritePcap(t *testing.T) {
 			t.Fatalf("record %d corrupted: %+v", i, r.Pkt)
 		}
 	}
+}
+
+// mustParse is Parse panicking on error, for the tests' constant filters.
+func mustParse(src string) *Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

@@ -237,8 +237,10 @@ done <<'PASSES'
 7 Ledger|Balance|EveryExit|RxWindow ./internal/nic/... ./internal/arch/... ./internal/experiments/... .
 # the software dataplanes over one soft core: the goldens of the tables that
 # sweep the architectures (E1, E2, E4, E6–E10), every host
-# exit balances the host law, the reconciler sees every architecture's qdisc
-7 HostExits|ColdStart|ExperimentTables/^E([1246789]|10)$ ./internal/arch/... ./internal/experiments/... .
+# exit balances the host law, the reconciler sees every architecture's qdisc;
+# the §2 examples' output goldens (portpartition, arpdebug, blocking, qosgame),
+# so each shared §2 scenario runs from both its callers, E2/E8 and its example
+7 HostExits|ColdStart|ExperimentTables/^E([1246789]|10)$|OutputGolden ./internal/arch/... ./internal/experiments/... ./examples/... .
 # the branch-free event heap under its near band and the LLC set record,
 # fuzzed against the code they replaced (seed corpora); the band's tier edges
 # and a purge over both tiers; RunUntil after Stop; Touch at both line sizes
