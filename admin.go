@@ -23,6 +23,10 @@ const (
 	Output = "OUTPUT"
 )
 
+// hooks maps the hook names to the filter hooks; IPTablesAppend refuses every
+// other name.
+var hooks = map[string]filter.Hook{Input: filter.HookInput, Output: filter.HookOutput}
+
 // UID returns a pointer-typed uid for Rule.OwnerUID.
 func UID(u uint32) *uint32 { return &u }
 
@@ -80,34 +84,30 @@ func compile(r Rule) (*filter.Rule, error) {
 }
 
 // IPTablesAppend installs a rule at the architecture's interposition point
-// (the `iptables -A` of the reproduction). On architectures without one, or
-// without a process view for owner rules, an error explains which §2
-// scenario just became unenforceable. With recovery enabled the intent is
-// journaled write-ahead: a crash after the journal write but before the
-// install is repaired by the reconciler, and an install failure is
+// (the `iptables -A` of the reproduction) on hook Input or Output; any other
+// hook is refused before it is journaled. On architectures without an
+// interposition point, or without a process view for owner rules, an error
+// explains which §2 scenario just became unenforceable. With recovery enabled
+// the intent is journaled write-ahead: a crash after the journal write but
+// before the install is repaired by the reconciler, and an install failure is
 // compensated with an abort record.
 func (s *System) IPTablesAppend(hook string, r Rule) error {
 	if err := s.gate(); err != nil {
 		return err
 	}
-	rr := recovery.RuleRecord{Hook: hook, Rule: r}
-	e := s.record(recovery.Entry{Op: recovery.OpRuleAppend, Rule: &rr})
-	if err := s.applyRule(rr); err != nil {
-		s.abortRecord(e)
-		return err
+	if _, ok := hooks[hook]; !ok {
+		return fmt.Errorf("norman: unknown hook %q (want %s or %s)", hook, Input, Output)
 	}
-	s.policy.Apply(e)
-	return nil
+	return s.commit(recovery.Entry{Op: recovery.OpRuleAppend, Rule: &recovery.RuleRecord{Hook: hook, Rule: r}}, s.installRule)
 }
 
-// applyRule is the raw (journal-free) install path; the reconciler replays
-// through it.
-func (s *System) applyRule(rr recovery.RuleRecord) error {
-	fr, err := compile(rr.Rule)
+// installRule compiles and installs an append entry's rule.
+func (s *System) installRule(e recovery.Entry) error {
+	fr, err := compile(e.Rule.Rule)
 	if err != nil {
 		return err
 	}
-	return s.a.InstallRule(hookOf(rr.Hook), fr)
+	return s.a.InstallRule(hooks[e.Rule.Hook], fr)
 }
 
 // IPTablesFlush removes all rules.
@@ -115,19 +115,16 @@ func (s *System) IPTablesFlush() error {
 	if err := s.gate(); err != nil {
 		return err
 	}
-	e := s.record(recovery.Entry{Op: recovery.OpRuleFlush})
-	if err := s.a.FlushRules(); err != nil {
-		s.abortRecord(e)
-		return err
-	}
-	s.policy.Apply(e)
-	return nil
+	return s.commit(recovery.Entry{Op: recovery.OpRuleFlush}, s.flushRules)
 }
 
-// RuleStatus is one installed rule with its hit counter (`iptables -L -v`).
+// flushRules empties every chain.
+func (s *System) flushRules(recovery.Entry) error { return s.a.FlushRules() }
+
+// RuleStatus is one installed rule, as journaled, with its hit counter
+// (`iptables -L -v`).
 type RuleStatus struct {
-	Hook string
-	Rule Rule
+	recovery.RuleRecord
 	Hits uint64
 }
 
@@ -139,64 +136,57 @@ func (s *System) IPTablesList() []RuleStatus {
 	for _, rr := range s.policy.Rules {
 		idx := perHook[rr.Hook]
 		perHook[rr.Hook]++
-		hits, _ := s.a.RuleHits(hookOf(rr.Hook), idx)
-		out = append(out, RuleStatus{Hook: rr.Hook, Rule: rr.Rule, Hits: hits})
+		hits, _ := s.a.RuleHits(hooks[rr.Hook], idx)
+		out = append(out, RuleStatus{RuleRecord: rr, Hits: hits})
 	}
 	return out
 }
 
-// QdiscSpec configures the egress scheduler (`tc qdisc add`).
-type QdiscSpec struct {
-	Kind string // "wfq", "drr", "prio", "pfifo", "tbf"
-
-	// Weights maps class id -> weight (wfq) or quantum bytes (drr).
-	Weights map[uint32]float64
-	// RateBps and BurstBytes parameterize tbf.
-	RateBps    float64
-	BurstBytes float64
-	Limit      int
-}
+// QdiscSpec configures the egress scheduler (`tc qdisc add`): the qdisc
+// payload the recovery journal records. Kind is "wfq" (the default), "drr",
+// "prio", "pfifo" or "tbf"; Weights maps class id -> weight (wfq) or quantum
+// bytes (drr); RateBps and BurstBytes parameterize tbf; ClassOfUID maps
+// uid -> class, and unmapped users get class 0.
+type QdiscSpec = recovery.QdiscRecord
 
 // TCSet installs an egress qdisc with a classifier that assigns classes by
 // owning user id (the cgroup-style classification of the paper's QoS
-// scenario): ClassOfUID maps uid -> class; unmapped users get class 0.
-// With recovery enabled the full spec (including the uid->class map) is
-// journaled, so the reconciler can rebuild an identical scheduler. With the
-// overload governor enabled — before or after this call — the same class
-// weights drive ingress shedding: under saturation the NIC drops low-weight
-// classes first.
-func (s *System) TCSet(spec QdiscSpec, classOfUID map[uint32]uint32) error {
+// scenario), through spec.ClassOfUID. With recovery enabled the spec is
+// journaled as given, its empty Kind resolved to "wfq", so the reconciler can
+// rebuild an identical scheduler. With the overload governor enabled —
+// before or after this call — the same class weights drive ingress shedding:
+// under saturation the NIC drops low-weight classes first.
+func (s *System) TCSet(spec QdiscSpec) error {
 	if err := s.gate(); err != nil {
 		return err
 	}
-	rec := &recovery.QdiscRecord{
-		Kind:       spec.Kind,
-		Weights:    spec.Weights,
-		ClassOfUID: classOfUID,
-		RateBps:    spec.RateBps,
-		BurstBytes: spec.BurstBytes,
-		Limit:      spec.Limit,
+	if spec.Kind == "" {
+		spec.Kind = "wfq" // the default; journal the resolved kind
 	}
-	if rec.Kind == "" {
-		rec.Kind = "wfq" // the default; journal the resolved kind
-	}
-	e := s.record(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: rec})
-	if err := s.applyQdisc(rec); err != nil {
-		s.abortRecord(e)
+	if err := s.commit(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &spec}, s.installQdisc); err != nil {
 		return err
 	}
-	s.policy.Apply(e)
 	_ = s.resolve() // cannot newly fail here: see resolve
 	return nil
 }
 
-// applyQdisc is the raw (journal-free) install path; the reconciler replays
-// through it.
-func (s *System) applyQdisc(spec *recovery.QdiscRecord) error {
-	classOfUID := spec.ClassOfUID
+// TCShow returns the standing qdisc spec (`tc qdisc show`): the one the last
+// TCSet folded or the reconciler reinstalled from the journal; false when
+// none was set.
+func (s *System) TCShow() (QdiscSpec, bool) {
+	if s.policy.Qdisc == nil {
+		return QdiscSpec{}, false
+	}
+	return *s.policy.Qdisc, true
+}
+
+// installQdisc builds a set entry's scheduler and its uid classifier and
+// installs them.
+func (s *System) installQdisc(e recovery.Entry) error {
+	spec := e.Qdisc
 	var q qos.Qdisc
 	switch spec.Kind {
-	case "wfq", "":
+	case "wfq":
 		wf := qos.NewWFQ(spec.Limit)
 		for class, weight := range spec.Weights {
 			wf.SetWeight(class, weight)
@@ -217,6 +207,7 @@ func (s *System) applyQdisc(spec *recovery.QdiscRecord) error {
 	default:
 		return fmt.Errorf("norman: unknown qdisc %q", spec.Kind)
 	}
+	classOfUID := spec.ClassOfUID
 	classify := func(p *packet.Packet) uint32 {
 		if !p.Meta.TrustedMeta {
 			return 0

@@ -123,8 +123,8 @@ func chaosRun(t *testing.T) chaosResult {
 
 	// The qdisc arms both egress WFQ and the governor's ingress shedding:
 	// class 1 (weight 8) is protected, class 2 (weight 1) is shed first.
-	if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1}},
-		map[uint32]uint32{hi.UID: 1, lo.UID: 2}); err != nil {
+	if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1},
+		ClassOfUID: map[uint32]uint32{hi.UID: 1, lo.UID: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	// A filter rule installed pre-crash: the reconciler must carry it across.

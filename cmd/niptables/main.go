@@ -1,6 +1,8 @@
 // Command niptables manages firewall rules on a running normand, in
 // (abridged) iptables syntax — including the owner matches that make the
-// paper's port-partitioning scenario enforceable on KOPI:
+// paper's port-partitioning scenario enforceable on KOPI. It sends the
+// recovery.RuleRecord the daemon journals; the chain name is upper-cased, and
+// any chain but INPUT or OUTPUT is refused:
 //
 //	niptables -A OUTPUT -p udp --dport 5432 -m-owner-uid 1001 -m-owner-cmd postgres -j ACCEPT
 //	niptables -A OUTPUT -p udp --dport 5432 -j DROP
@@ -13,8 +15,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"norman/internal/ctl"
+	"norman/internal/recovery"
 )
 
 func main() {
@@ -56,37 +60,22 @@ func main() {
 		}
 		fmt.Println("flushed")
 	case *appendHook != "":
-		args := ctl.RuleArgs{
-			Hook: *appendHook, Proto: *proto, SrcNet: *src, DstNet: *dst,
+		rr := recovery.RuleRecord{Hook: strings.ToUpper(*appendHook), Rule: recovery.Rule{
+			Proto: *proto, SrcNet: *src, DstNet: *dst,
 			SrcPort: uint16(*sport), DstPort: uint16(*dport),
-			OwnerCmd: *cmdOwner, Action: actionWord(*action),
-		}
+			OwnerCmd: *cmdOwner, Action: strings.ToLower(*action),
+		}}
 		if *uidOwner >= 0 {
 			u := uint32(*uidOwner)
-			args.OwnerUID = &u
+			rr.OwnerUID = &u
 		}
-		if err := c.Call(ctl.OpIPTablesAdd, args, nil); err != nil {
+		if err := c.Call(ctl.OpIPTablesAdd, rr, nil); err != nil {
 			fatal(err)
 		}
 		fmt.Println("rule installed (compiled to the NIC overlay where applicable)")
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-}
-
-func actionWord(s string) string {
-	switch s {
-	case "ACCEPT":
-		return "accept"
-	case "DROP":
-		return "drop"
-	case "COUNT":
-		return "count"
-	case "LOG":
-		return "log"
-	default:
-		return s
 	}
 }
 

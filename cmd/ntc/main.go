@@ -1,6 +1,9 @@
 // Command ntc configures the egress scheduler on a running normand — the
 // paper's QoS scenario as a tool. Classification is by owning user id,
-// which only an OS-integrated interposition point can do.
+// which only an OS-integrated interposition point can do. It sends the
+// norman.QdiscSpec the daemon journals, with classes numbered in ascending
+// uid order; -show prints the daemon's standing spec, whether set in this
+// daemon or recovered from its journal.
 //
 //	ntc -qdisc wfq -class 1001=1 -class 1002=8      # bob weight 1, charlie 8
 //	ntc -qdisc tbf -rate-gbps 1                      # cap everything at 1G
@@ -12,9 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
+	"norman"
 	"norman/internal/ctl"
 )
 
@@ -64,20 +69,7 @@ func main() {
 		}
 		fmt.Println(desc)
 	case *qdisc != "":
-		args := ctl.TCArgs{
-			Kind:       *qdisc,
-			Weights:    map[uint32]float64{},
-			ClassOfUID: map[uint32]uint32{},
-			RateBps:    *rate * 1e9 / 8,
-			BurstBytes: *burst * 1024,
-		}
-		class := uint32(1)
-		for uid, w := range classes {
-			args.Weights[class] = w
-			args.ClassOfUID[uid] = class
-			class++
-		}
-		if err := c.Call(ctl.OpTCSet, args, nil); err != nil {
+		if err := c.Call(ctl.OpTCSet, buildSpec(*qdisc, classes, *rate, *burst), nil); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("qdisc %s installed\n", *qdisc)
@@ -85,6 +77,30 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// buildSpec builds the tc.set payload: classes 1, 2, … go to the -class uids
+// in ascending uid order, so the same flags always install and journal the
+// same classes.
+func buildSpec(kind string, classes classFlags, rateGbps, burstKB float64) norman.QdiscSpec {
+	spec := norman.QdiscSpec{
+		Kind:       kind,
+		Weights:    map[uint32]float64{},
+		ClassOfUID: map[uint32]uint32{},
+		RateBps:    rateGbps * 1e9 / 8,
+		BurstBytes: burstKB * 1024,
+	}
+	uids := make([]uint32, 0, len(classes))
+	for uid := range classes {
+		uids = append(uids, uid)
+	}
+	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
+	for i, uid := range uids {
+		class := uint32(i + 1)
+		spec.Weights[class] = classes[uid]
+		spec.ClassOfUID[uid] = class
+	}
+	return spec
 }
 
 func fatal(err error) {

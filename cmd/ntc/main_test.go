@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"norman"
+)
 
 func TestClassFlags(t *testing.T) {
 	c := classFlags{}
@@ -20,5 +25,29 @@ func TestClassFlags(t *testing.T) {
 	}
 	if c.String() == "" {
 		t.Fatal("String must render")
+	}
+}
+
+// TestBuildSpecNumbersClassesByUID: classes go to uids in ascending uid
+// order whatever order the flags (or the map holding them) give, so the same
+// command installs and journals the same classes on every run.
+func TestBuildSpecNumbersClassesByUID(t *testing.T) {
+	c := classFlags{}
+	for _, arg := range []string{"1003=2", "1001=1", "1002=8"} {
+		if err := c.Set(arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := norman.QdiscSpec{
+		Kind:       "wfq",
+		Weights:    map[uint32]float64{1: 1, 2: 8, 3: 2},
+		ClassOfUID: map[uint32]uint32{1001: 1, 1002: 2, 1003: 3},
+		RateBps:    1e9 / 8,
+		BurstBytes: 64 * 1024,
+	}
+	for i := 0; i < 20; i++ {
+		if got := buildSpec("wfq", c, 1, 64); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: buildSpec = %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -1,13 +1,17 @@
 package ctl
 
 import (
+	"bytes"
+	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"norman"
 	"norman/internal/overload"
+	"norman/internal/recovery"
 	"norman/internal/wire"
 )
 
@@ -96,10 +100,9 @@ func TestStatusCountsLinkDrops(t *testing.T) {
 func TestRuleLifecycle(t *testing.T) {
 	c, _ := startServer(t)
 	uid := uint32(1000)
-	err := c.Call(OpIPTablesAdd, RuleArgs{
-		Hook: "OUTPUT", Proto: "udp", DstPort: 9999,
-		OwnerUID: &uid, Action: "drop",
-	}, nil)
+	err := c.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{
+		Proto: "udp", DstPort: 9999, OwnerUID: &uid, Action: "drop",
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +121,98 @@ func TestRuleLifecycle(t *testing.T) {
 	}
 	if len(rules) != 0 {
 		t.Fatalf("after flush: %q", rules)
+	}
+}
+
+// TestWireRecordCarriesMark: iptables.append carries the journal's rule
+// record whole, so a mark rule reaches the NIC and reads back with its mark.
+func TestWireRecordCarriesMark(t *testing.T) {
+	c, sys := startServer(t)
+	rr := recovery.RuleRecord{Hook: "INPUT", Rule: recovery.Rule{Proto: "udp", Action: "mark", Mark: 7}}
+	if err := c.Call(OpIPTablesAdd, rr, nil); err != nil {
+		t.Fatal(err)
+	}
+	var rules []string
+	if err := c.Call(OpIPTablesList, nil, &rules); err != nil {
+		t.Fatal(err)
+	}
+	if len(rules) != 1 || !strings.HasPrefix(rules[0], "-A INPUT -p udp -j MARK --set-mark 7   [") {
+		t.Fatalf("rules: %q", rules)
+	}
+	if got := sys.IPTablesList(); len(got) != 1 || got[0].RuleRecord != rr {
+		t.Fatalf("installed %+v, want %+v", got, rr)
+	}
+}
+
+// TestWireRecordDecodesOldTools: the bytes a tool built against the old
+// per-field wire structs sends (recorded from that build) install the same
+// rule and qdisc, and journal the same entries, as the typed records.
+func TestWireRecordDecodesOldTools(t *testing.T) {
+	legacy := []string{
+		`{"op":"iptables.append","args":{"hook":"OUTPUT","proto":"udp","src":"10.0.0.0/8","dport":9999,"uid_owner":1000,"cmd_owner":"curl","action":"drop"}}`,
+		`{"op":"tc.set","args":{"kind":"wfq","weights":{"1":8,"2":1},"class_of_uid":{"1001":1,"1002":2},"limit":512}}`,
+		`{"op":"tc.show"}`,
+	}
+	typed := []any{
+		recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{Proto: "udp", SrcNet: "10.0.0.0/8", DstPort: 9999,
+			OwnerUID: norman.UID(1000), OwnerCmd: "curl", Action: "drop"}},
+		norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1},
+			ClassOfUID: map[uint32]uint32{1001: 1, 1002: 2}, Limit: 512},
+		nil,
+	}
+	type outcome struct {
+		rules   []norman.RuleStatus
+		qdisc   norman.QdiscSpec
+		show    string
+		journal string
+	}
+	run := func(reqs []Request) outcome {
+		sys := norman.New(norman.KOPI)
+		rec := sys.EnableRecovery()
+		srv := NewServer(sys)
+		var o outcome
+		for _, req := range reqs {
+			data, err := srv.dispatch(req)
+			if err != nil {
+				t.Fatalf("%s: %v", req.Op, err)
+			}
+			if req.Op == OpTCShow {
+				if err := json.Unmarshal(data, &o.show); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		o.rules = sys.IPTablesList()
+		o.qdisc, _ = sys.TCShow()
+		var j bytes.Buffer
+		if err := rec.Journal().Encode(&j); err != nil {
+			t.Fatal(err)
+		}
+		o.journal = j.String()
+		return o
+	}
+	var old, cur []Request
+	for i, line := range legacy {
+		var req Request
+		if err := json.Unmarshal([]byte(line), &req); err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, req)
+		b, err := Marshal(req.Op, typed[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &req); err != nil {
+			t.Fatal(err)
+		}
+		cur = append(cur, req)
+	}
+	got, want := run(old), run(cur)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old tool's bytes installed\n%+v\nthe typed records\n%+v", got, want)
+	}
+	if len(got.rules) != 1 || got.qdisc.Kind != "wfq" || got.show != "qdisc wfq weights=map[1:8 2:1] class_of_uid=map[1001:1 1002:2]" {
+		t.Fatalf("installed %+v", got)
 	}
 }
 
@@ -223,7 +318,7 @@ func TestToolDegradationByArchitecture(t *testing.T) {
 		t.Error("bypass tcpdump should fail")
 	}
 	uid := uint32(1001)
-	if err := bp.Call(OpIPTablesAdd, RuleArgs{Hook: "OUTPUT", OwnerUID: &uid, Action: "drop"}, nil); err == nil {
+	if err := bp.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{OwnerUID: &uid, Action: "drop"}}, nil); err == nil {
 		t.Error("bypass owner rule should fail")
 	}
 	if err := bp.Call(OpPing, PingArgs{Dst: "10.0.0.2", Count: 1}, nil); err == nil {
@@ -239,7 +334,7 @@ func TestToolDegradationByArchitecture(t *testing.T) {
 	if err := ks.Call(OpDumpStart, DumpArgs{Expr: "udp"}, nil); err != nil {
 		t.Errorf("kernelstack tcpdump: %v", err)
 	}
-	if err := ks.Call(OpIPTablesAdd, RuleArgs{Hook: "OUTPUT", OwnerUID: &uid, Action: "drop"}, nil); err != nil {
+	if err := ks.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{OwnerUID: &uid, Action: "drop"}}, nil); err != nil {
 		t.Errorf("kernelstack owner rule: %v", err)
 	}
 	var ping PingData

@@ -198,7 +198,7 @@ func TestCallDoesNotRetryMutations(t *testing.T) {
 	go func() { _ = srv.Listen(path) }()
 	t.Cleanup(func() { _ = srv.Close() })
 
-	err = c.Call(OpIPTablesAdd, RuleArgs{Hook: "OUTPUT", Action: "drop"}, nil)
+	err = c.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{Action: "drop"}}, nil)
 	if err == nil {
 		t.Fatal("mutation on a broken connection must not be silently retried")
 	}
@@ -231,7 +231,7 @@ func TestRecoveryStatusOp(t *testing.T) {
 	if data.Down || data.Last != nil {
 		t.Fatalf("fresh daemon recovery status = %+v", data)
 	}
-	if err := c.Call(OpIPTablesAdd, RuleArgs{Hook: "OUTPUT", DstPort: 9999, Action: "drop"}, nil); err != nil {
+	if err := c.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{DstPort: 9999, Action: "drop"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Call(ctlOpRecoveryRefresh, nil, &data); err == nil {

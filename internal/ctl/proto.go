@@ -28,7 +28,9 @@ type Response struct {
 	Data  json.RawMessage `json:"data,omitempty"`
 }
 
-// Ops.
+// Ops. iptables.append carries a recovery.RuleRecord and tc.set a
+// norman.QdiscSpec: the journal's own records are the wire form, so a field
+// added there crosses the socket with no second declaration here.
 const (
 	OpStatus        = "status"
 	OpAdvance       = "advance"
@@ -66,29 +68,6 @@ func IdempotentOp(op string) bool {
 		return true
 	}
 	return false
-}
-
-// RuleArgs is the wire form of a firewall rule (iptables.append).
-type RuleArgs struct {
-	Hook     string  `json:"hook"` // INPUT / OUTPUT
-	Proto    string  `json:"proto,omitempty"`
-	SrcNet   string  `json:"src,omitempty"`
-	DstNet   string  `json:"dst,omitempty"`
-	SrcPort  uint16  `json:"sport,omitempty"`
-	DstPort  uint16  `json:"dport,omitempty"`
-	OwnerUID *uint32 `json:"uid_owner,omitempty"`
-	OwnerCmd string  `json:"cmd_owner,omitempty"`
-	Action   string  `json:"action"`
-}
-
-// TCArgs configures the egress scheduler (tc.set).
-type TCArgs struct {
-	Kind       string             `json:"kind"`
-	Weights    map[uint32]float64 `json:"weights,omitempty"` // class -> weight/quantum
-	ClassOfUID map[uint32]uint32  `json:"class_of_uid,omitempty"`
-	RateBps    float64            `json:"rate_bps,omitempty"`
-	BurstBytes float64            `json:"burst_bytes,omitempty"`
-	Limit      int                `json:"limit,omitempty"`
 }
 
 // DumpArgs starts a capture (tcpdump.start).

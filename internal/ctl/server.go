@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"norman"
+	"norman/internal/recovery"
 	"norman/internal/sniff"
 	"norman/internal/telemetry"
 )
@@ -28,7 +29,6 @@ type Server struct {
 	StepPerRequest norman.Duration
 
 	capture *norman.Capture
-	tcDesc  string
 
 	// Request accounting, exposed through RegisterMetrics as the ctl layer.
 	requests uint64
@@ -133,37 +133,24 @@ func (s *Server) dispatch(req Request) (data json.RawMessage, err error) {
 		s.sys.RunFor(norman.Duration(a.Millis) * norman.Millisecond)
 		return s.status()
 	case OpIPTablesAdd:
-		var a RuleArgs
+		var a recovery.RuleRecord
 		if err := json.Unmarshal(req.Args, &a); err != nil {
 			return nil, err
 		}
-		return nil, s.iptablesAdd(a)
+		return nil, s.sys.IPTablesAppend(a.Hook, a.Rule)
 	case OpIPTablesList:
 		return marshal(s.renderRules())
 	case OpIPTablesFlush:
 		return nil, s.sys.IPTablesFlush()
 	case OpTCSet:
-		var a TCArgs
+		var a norman.QdiscSpec
 		if err := json.Unmarshal(req.Args, &a); err != nil {
 			return nil, err
 		}
-		err := s.sys.TCSet(norman.QdiscSpec{
-			Kind: a.Kind, Weights: a.Weights,
-			RateBps: a.RateBps, BurstBytes: a.BurstBytes, Limit: a.Limit,
-		}, a.ClassOfUID)
-		if err != nil {
-			return nil, err
-		}
-		s.tcDesc = fmt.Sprintf("qdisc %s weights=%v class_of_uid=%v", a.Kind, a.Weights, a.ClassOfUID)
-		return nil, nil
+		return nil, s.sys.TCSet(a)
 	case OpTCShow:
-		if s.tcDesc != "" {
-			return marshal(s.tcDesc)
-		}
-		// No TCSet in this process — but a journal replay may have
-		// reinstalled a scheduler; report the live one, not the cache.
-		if q := s.sys.Qdisc(); q != nil && q.Name() != "pfifo" {
-			return marshal(fmt.Sprintf("qdisc %s (recovered from journal)", q.Name()))
+		if q, ok := s.sys.TCShow(); ok {
+			return marshal(fmt.Sprintf("qdisc %s weights=%v class_of_uid=%v", q.Kind, q.Weights, q.ClassOfUID))
 		}
 		return marshal("qdisc pfifo (default)")
 	case OpDumpStart:
@@ -260,19 +247,6 @@ func (s *Server) status() (json.RawMessage, error) {
 	})
 }
 
-func (s *Server) iptablesAdd(a RuleArgs) error {
-	hook := norman.Output
-	if strings.EqualFold(a.Hook, "input") {
-		hook = norman.Input
-	}
-	return s.sys.IPTablesAppend(hook, norman.Rule{
-		Proto: a.Proto, SrcNet: a.SrcNet, DstNet: a.DstNet,
-		SrcPort: a.SrcPort, DstPort: a.DstPort,
-		OwnerUID: a.OwnerUID, OwnerCmd: a.OwnerCmd,
-		Action: a.Action,
-	})
-}
-
 func (s *Server) renderRules() []string {
 	list := s.sys.IPTablesList()
 	out := make([]string, 0, len(list))
@@ -301,6 +275,9 @@ func (s *Server) renderRules() []string {
 			line += " --cmd-owner " + a.OwnerCmd
 		}
 		line += " -j " + strings.ToUpper(a.Action)
+		if a.Mark != 0 {
+			line += fmt.Sprintf(" --set-mark %d", a.Mark)
+		}
 		line += fmt.Sprintf("   [%d pkts]", rs.Hits)
 		out = append(out, line)
 	}

@@ -12,6 +12,7 @@ import (
 	"norman"
 	"norman/internal/health"
 	"norman/internal/overload"
+	"norman/internal/recovery"
 	"norman/internal/upgrade"
 	"norman/internal/wire"
 )
@@ -132,8 +133,8 @@ func TestStatusWire(t *testing.T) {
 		}
 		return data
 	}
-	call(OpIPTablesAdd, RuleArgs{Hook: "INPUT", Proto: "udp", DstPort: 9, Action: "drop"})
-	call(OpTCSet, TCArgs{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1},
+	call(OpIPTablesAdd, recovery.RuleRecord{Hook: "INPUT", Rule: recovery.Rule{Proto: "udp", DstPort: 9, Action: "drop"}})
+	call(OpTCSet, norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1},
 		ClassOfUID: map[uint32]uint32{1001: 1, 1002: 2}})
 	call(OpAdvance, AdvanceArgs{Millis: 2})
 	call(OpUpgradeStart, nil)

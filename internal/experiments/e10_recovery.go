@@ -169,7 +169,7 @@ func e10Point(name string, outage sim.Duration, pkts int, seed int64, crash bool
 	// the NIC qdisc.
 	_ = sys.IPTablesAppend(norman.Output, norman.Rule{Proto: "udp", DstPort: 9999, Action: "drop"})
 	_ = sys.IPTablesAppend(norman.Input, norman.Rule{Proto: "udp", Action: "count"})
-	_ = sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4, 2: 1}}, map[uint32]uint32{1000: 1})
+	_ = sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4, 2: 1}, ClassOfUID: map[uint32]uint32{1000: 1}})
 
 	// Inbound traffic: pkts per connection, evenly spread over the window.
 	interval := e10TrafficSpan / sim.Duration(pkts)

@@ -217,8 +217,8 @@ func QoSShare(a norman.Architecture, scale Scale) QoSShareResult {
 	backup := dial(sys, sys.Spawn(charlie, "backup"), 20002, 873)
 
 	var r QoSShareResult
-	if r.Err = sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1}, Limit: 512},
-		map[uint32]uint32{charlie.UID: 1, bob.UID: 2}); r.Err != nil {
+	if r.Err = sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1}, Limit: 512,
+		ClassOfUID: map[uint32]uint32{charlie.UID: 1, bob.UID: 2}}); r.Err != nil {
 		return r
 	}
 	for _, c := range []*norman.Conn{game, backup} {

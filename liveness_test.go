@@ -65,5 +65,5 @@ func TestShapedJumboFrameRunReturns(t *testing.T) {
 
 // tbf shapes the system's egress to 1 MB/s with a one-frame burst.
 func tbf(sys *norman.System, _ *norman.Conn) error {
-	return sys.TCSet(norman.QdiscSpec{Kind: "tbf", RateBps: 1e6, BurstBytes: 1514}, nil)
+	return sys.TCSet(norman.QdiscSpec{Kind: "tbf", RateBps: 1e6, BurstBytes: 1514})
 }

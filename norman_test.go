@@ -150,7 +150,7 @@ func TestBypassRefusesAdminVerbs(t *testing.T) {
 	if _, err := sys.Tcpdump("udp"); err == nil {
 		t.Fatal("bypass tcpdump must fail")
 	}
-	if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq"}, nil); err == nil {
+	if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq"}); err == nil {
 		t.Fatal("bypass tc must fail")
 	}
 }

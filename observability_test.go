@@ -167,7 +167,7 @@ func TestQdiscSeriesExported(t *testing.T) {
 			sys := norman.New(a)
 			sys.UseSinkPeer()
 			reg := sys.EnableTelemetry()
-			if err := sys.TCSet(tc.spec, nil); err != nil {
+			if err := sys.TCSet(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 			conn, err := sys.Dial(sys.Spawn(sys.AddUser(1000, "u"), "app"), 4000, 7)
@@ -189,7 +189,7 @@ func TestQdiscSeriesExported(t *testing.T) {
 			if got := sample("norman_qos_enq_packets"); got != tc.enq {
 				t.Errorf("%s/%s: norman_qos_enq_packets = %s, want %s", a, tc.spec.Kind, got, tc.enq)
 			}
-			if err := sys.TCSet(norman.QdiscSpec{Kind: "pfifo"}, nil); err != nil {
+			if err := sys.TCSet(norman.QdiscSpec{Kind: "pfifo"}); err != nil {
 				t.Fatal(err)
 			}
 			if got := sample("norman_qos_enq_packets"); got != "0" {

@@ -103,51 +103,41 @@ func (s *System) recoveryLive() recovery.Live {
 			if !ok {
 				return 0
 			}
-			return len(f.Filter().Chain(hookOf(hook)).Rules)
+			return len(f.Filter().Chain(hooks[hook]).Rules)
 		},
-		Qdisc: func() qos.Qdisc {
-			if s.a.Caps().Transfers == 1 {
-				return s.w.NIC.Scheduler()
-			}
-			if q, ok := s.a.(interface{ Qdisc() qos.Qdisc }); ok {
-				return q.Qdisc()
-			}
-			return nil
-		},
+		Qdisc: s.Qdisc,
 	}
 }
 
-// Qdisc returns the live egress scheduler, nil when none is installed. It
-// reads the same state the reconciler diffs, so a qdisc reinstalled from
-// the journal is visible here even though no TCSet ran in this process.
+// Qdisc returns the live egress scheduler, nil when none is installed: the
+// NIC's on architectures where each connection owns a ring, the host
+// software's otherwise. The reconciler diffs the same reader, so a qdisc
+// reinstalled from the journal is visible here even though no TCSet ran in
+// this process.
 func (s *System) Qdisc() qos.Qdisc {
-	return s.recoveryLive().Qdisc()
-}
-
-// hookOf maps the admin-facing hook name to the filter hook.
-func hookOf(hook string) filter.Hook {
-	if hook == Input {
-		return filter.HookInput
+	if s.a.Caps().Transfers == 1 {
+		return s.w.NIC.Scheduler()
 	}
-	return filter.HookOutput
+	if q, ok := s.a.(interface{ Qdisc() qos.Qdisc }); ok {
+		return q.Qdisc()
+	}
+	return nil
 }
 
 // sysApplier is the reconciler's repair surface over a System: it reapplies
-// journaled intent through the raw (non-journaling) mutation paths.
+// journaled intent through the verbs' own install-and-fold path, unjournaled.
 type sysApplier struct{ s *System }
 
 // ReinstallRules recompiles the full intended rule list from scratch.
 func (ap sysApplier) ReinstallRules(rules []recovery.RuleRecord) error {
 	s := ap.s
-	if err := s.a.FlushRules(); err != nil {
+	if err := s.fold(recovery.Entry{Op: recovery.OpRuleFlush}, s.flushRules); err != nil {
 		return err
 	}
-	s.policy.Rules = nil
-	for _, rr := range rules {
-		if err := s.applyRule(rr); err != nil {
+	for i := range rules {
+		if err := s.fold(recovery.Entry{Op: recovery.OpRuleAppend, Rule: &rules[i]}, s.installRule); err != nil {
 			return err
 		}
-		s.policy.Rules = append(s.policy.Rules, rr)
 	}
 	return nil
 }
@@ -155,10 +145,9 @@ func (ap sysApplier) ReinstallRules(rules []recovery.RuleRecord) error {
 // ReinstallQdisc re-creates the intended scheduler; resolve re-arms the
 // shedding that follows from it.
 func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
-	if err := ap.s.applyQdisc(&q); err != nil {
+	if err := ap.s.fold(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &q}, ap.s.installQdisc); err != nil {
 		return err
 	}
-	ap.s.policy.Qdisc = &q
 	_ = ap.s.resolve() // cannot newly fail here: see resolve
 	return nil
 }
@@ -167,7 +156,9 @@ func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
 // resolve rebuilds the scheduler, the DDIO partition, the flow-cache quotas
 // and the governor's budgets from them.
 func (ap sysApplier) ReinstallTenants(weights map[uint32]int) error {
-	ap.s.policy.Tenants = weights
+	if err := ap.s.fold(recovery.Entry{Op: recovery.OpTenantSet, Tenants: weights}, ap.s.fitTenants); err != nil {
+		return err
+	}
 	return ap.s.resolve()
 }
 
@@ -192,8 +183,7 @@ func (s *System) gate() error {
 }
 
 // record journals a mutation when recovery is enabled and returns the
-// entry, which a successful verb then folds into s.policy. Seq 0 means "not
-// journaled".
+// entry. Seq 0 means "not journaled".
 func (s *System) record(e recovery.Entry) recovery.Entry {
 	if s.rec == nil {
 		return e
@@ -201,11 +191,34 @@ func (s *System) record(e recovery.Entry) recovery.Entry {
 	return s.rec.Record(s.w.Eng.Now(), e)
 }
 
+// commit is every policy verb's one write path: journal e write-ahead, install
+// and fold it, and void the journal entry with an abort record when the
+// install fails.
+func (s *System) commit(e recovery.Entry, install func(recovery.Entry) error) error {
+	e = s.record(e)
+	if err := s.fold(e, install); err != nil {
+		s.abortRecord(e)
+		return err
+	}
+	return nil
+}
+
 // abortRecord compensates a journaled mutation whose application failed.
 func (s *System) abortRecord(e recovery.Entry) {
 	if s.rec != nil && e.Seq != 0 {
 		s.rec.Abort(s.w.Eng.Now(), e.Seq)
 	}
+}
+
+// fold installs one policy entry and, when that succeeds, folds it into
+// s.policy through Policy.Apply, the fold journal replay runs. The verbs reach
+// it through commit; the reconciler's repairs call it unjournaled.
+func (s *System) fold(e recovery.Entry, install func(recovery.Entry) error) error {
+	if err := install(e); err != nil {
+		return err
+	}
+	s.policy.Apply(e)
+	return nil
 }
 
 var _ recovery.Applier = sysApplier{}

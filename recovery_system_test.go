@@ -112,6 +112,62 @@ func TestKernelStackCrashStopsDataplane(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesUnknownHook: a hook other than INPUT or OUTPUT is refused
+// before it is journaled. An accepted "input" would land on some chain and in
+// the journal under a name the reconciler's diff counts on neither, so a
+// crash would lose the rule while the restart read clean.
+func TestAppendRefusesUnknownHook(t *testing.T) {
+	for _, a := range []norman.Architecture{norman.KOPI, norman.KernelStack} {
+		t.Run(string(a), func(t *testing.T) {
+			sys := norman.New(a)
+			rec := sys.EnableRecovery()
+			want := []recovery.RuleRecord{
+				{Hook: norman.Input, Rule: norman.Rule{Proto: "udp", Action: "count"}},
+				{Hook: norman.Output, Rule: norman.Rule{Proto: "udp", DstPort: 9999, Action: "drop"}},
+			}
+			for _, rr := range want {
+				if err := sys.IPTablesAppend(rr.Hook, rr.Rule); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before bytes.Buffer
+			if err := rec.Journal().Encode(&before); err != nil {
+				t.Fatal(err)
+			}
+			for _, hook := range []string{"input", "FORWARD", ""} {
+				if err := sys.IPTablesAppend(hook, norman.Rule{Action: "drop"}); err == nil {
+					t.Fatalf("append on hook %q succeeded", hook)
+				}
+			}
+			var after bytes.Buffer
+			if err := rec.Journal().Encode(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatalf("refused appends changed the journal:\n%s\nwant\n%s", after.Bytes(), before.Bytes())
+			}
+
+			if err := sys.CrashControlPlane(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sys.RestartControlPlane()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean || !rep.InvariantsOK || rep.Rules != len(want) {
+				t.Fatalf("restart report = %+v", rep)
+			}
+			var got []recovery.RuleRecord
+			for _, rs := range sys.IPTablesList() {
+				got = append(got, rs.RuleRecord)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rules after restart = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
 // TestRejectedPerOutage pins Report.Rejected to the outage it reports:
 // across two crash/restart cycles each restart must count only its own
 // outage's refused mutations, not the lifetime total.
@@ -249,7 +305,7 @@ func coldStart(t *testing.T, archName norman.Architecture) {
 	if err := sys1.IPTablesAppend(norman.Output, norman.Rule{Proto: "udp", DstPort: 9999, Action: "drop"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys1.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 3}}, map[uint32]uint32{1000: 1}); err != nil {
+	if err := sys1.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 3}, ClassOfUID: map[uint32]uint32{1000: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if sys1.Qdisc() == nil {
@@ -378,7 +434,7 @@ func TestRestartRepairsWeightDivergence(t *testing.T) {
 			sys := norman.New(tc.arch)
 			sys.EnableRecovery()
 			sys.UseEchoPeer()
-			if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4, 2: 1}}, nil); err != nil {
+			if err := sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4, 2: 1}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sys.CrashControlPlane(); err != nil {
@@ -442,8 +498,9 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 					_ = sys.IPTablesFlush()
 				case op < 8:
 					spec := norman.QdiscSpec{Kind: kinds[r.Intn(len(kinds))], Limit: 64, RateBps: 1e9, BurstBytes: 3000,
-						Weights: map[uint32]float64{1: float64(1 + r.Intn(8)), 2: float64(1 + r.Intn(8))}}
-					_ = sys.TCSet(spec, map[uint32]uint32{1000: 1, 1001: 2})
+						Weights:    map[uint32]float64{1: float64(1 + r.Intn(8)), 2: float64(1 + r.Intn(8))},
+						ClassOfUID: map[uint32]uint32{1000: 1, 1001: 2}}
+					_ = sys.TCSet(spec)
 				case op < 9:
 					weights := map[uint32]int{}
 					for id := 1 + r.Intn(3); id > 0; id-- {

@@ -30,8 +30,8 @@ var bootSteps = []struct {
 	{"upgrade", func(sys *norman.System) error { sys.EnableLiveUpgrade(upgrade.Config{}); return nil }},
 	{"telemetry", func(sys *norman.System) error { sys.EnableTelemetry(); return nil }},
 	{"tc", func(sys *norman.System) error {
-		return sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1}},
-			map[uint32]uint32{1001: 1, 1002: 2})
+		return sys.TCSet(norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 8, 2: 1},
+			ClassOfUID: map[uint32]uint32{1001: 1, 1002: 2}})
 	}},
 }
 
@@ -229,7 +229,7 @@ func TestResolveKeepsLiveTenantState(t *testing.T) {
 	sys.EnableHealth(health.Config{})
 	sys.EnableLiveUpgrade(upgrade.Config{})
 	sys.EnableTelemetry()
-	if err := sys.TCSet(norman.QdiscSpec{Weights: map[uint32]float64{1: 8, 2: 1}}, map[uint32]uint32{1001: 1, 1002: 2}); err != nil {
+	if err := sys.TCSet(norman.QdiscSpec{Weights: map[uint32]float64{1: 8, 2: 1}, ClassOfUID: map[uint32]uint32{1001: 1, 1002: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.EnableTenantIsolation(weights); err != nil {

@@ -132,6 +132,15 @@ if grep -nwE 'ConfigSnapshot|CommitConfig|LastGoodConfig|RestoreConfig|lastGoodC
 	exit 1
 fi
 
+# One record per policy verb (DESIGN.md §7): iptables.append and tc.set carry
+# the journal's own RuleRecord and QdiscSpec, and tc.show reads the facade's
+# standing record, so the per-field wire copies and the daemon's second qdisc
+# description stay deleted.
+if grep -nwE 'RuleArgs|TCArgs|tcDesc' $(find . -name '*.go' ! -name '*_test.go'); then
+	echo "a second declaration of a policy payload besides the journal's records (send recovery.RuleRecord / norman.QdiscSpec)" >&2
+	exit 1
+fi
+
 # One status struct per subsystem: the overload, tenant, flow-cache, health,
 # upgrade and recovery status ops serve the struct the subsystem declares (DESIGN.md §13),
 # so internal/ctl/proto.go may wrap one in an Enabled flag and declare nothing
@@ -249,8 +258,10 @@ done <<'PASSES'
 # corpus), the cycle bound, flow-cache cacheability, the allocation pins
 7 OverlayLowering|CycleBound|Cacheable|RunZeroAlloc|StreamAllocs ./internal/overlay/... ./internal/nic/... ./internal/transport/...
 # the control plane says each thing once: any Enable*/TCSet order boots the
-# same system, and the status ops serve the subsystems' own structs
-7 EnableOrder|StatusWire . ./internal/ctl/...
+# same system, the status ops serve the subsystems' own structs, the policy
+# ops carry the journal's records (old tools' bytes included), and an unknown
+# hook is refused before the journal
+7 EnableOrder|StatusWire|WireRecord|UnknownHook . ./internal/ctl/...
 # a stage is a server plus a discipline: FIFO is the bare server, the ring-slot
 # claim stays with the discipline, a swapped qdisc's backlog is counted
 7 Stage|Discipline|QdiscSwap ./internal/nic/...
@@ -423,7 +434,9 @@ grep -q '^host_ledger_sent' "$tmp/ledger.out"
 kill "$daemon_pid"
 
 # The same cold start on the sidecar, whose qdisc lives in host software: the
-# reconciler must see it (soft.Qdisc) to reinstall it and report a clean diff.
+# reconciler must see it (soft.Qdisc) to reinstall it and report a clean diff,
+# and tc.show must print the reinstalled spec, kind and weights — the restarted
+# daemon never ran tc.set, so only the journal can have supplied them.
 go build -o "$tmp/ntc" ./cmd/ntc
 "$tmp/normand" -arch sidecar -socket "$tmp/sc.sock" -journal "$tmp/sc.journal" &
 daemon_pid=$!
@@ -448,7 +461,7 @@ done
 "$tmp/nnetstat" -socket "$tmp/sc.sock" -recovery | tee "$tmp/sc.status"
 grep -q "diff clean" "$tmp/sc.status"
 grep -q "invariants ok" "$tmp/sc.status"
-"$tmp/ntc" -socket "$tmp/sc.sock" -show | grep -q "wfq (recovered from journal)"
+"$tmp/ntc" -socket "$tmp/sc.sock" -show | grep -qF "qdisc wfq weights=map[1:3]"
 kill "$daemon_pid"
 
 # Modeled-output gate: a short normbench run must reproduce the committed

@@ -61,14 +61,18 @@ func (s *System) EnableTenantIsolation(weights map[uint32]int) error {
 	if maps.Equal(weights, s.policy.Tenants) {
 		return s.resolve() // the standing ask: nothing to journal
 	}
-	e := s.record(recovery.Entry{Op: recovery.OpTenantSet, Tenants: maps.Clone(weights)})
-	// An ask resolve could never install would fail every later call too.
-	if _, err := s.ddioShares(e.Tenants); err != nil {
-		s.abortRecord(e)
+	if err := s.commit(recovery.Entry{Op: recovery.OpTenantSet, Tenants: maps.Clone(weights)}, s.fitTenants); err != nil {
 		return err
 	}
-	s.policy.Apply(e)
 	return s.resolve()
+}
+
+// fitTenants refuses a set entry whose split the DDIO region cannot hold: an
+// ask resolve could never install would fail every later call too. resolve
+// installs the rest.
+func (s *System) fitTenants(e recovery.Entry) error {
+	_, err := s.ddioShares(e.Tenants)
+	return err
 }
 
 // ddioShares splits the LLC's DDIO ways among the tenants by weight; nil when
