@@ -5,7 +5,6 @@ import (
 
 	"norman/internal/filter"
 	"norman/internal/kernel"
-	"norman/internal/packet"
 	"norman/internal/qos"
 	"norman/internal/recovery"
 	"norman/internal/sim"
@@ -30,59 +29,6 @@ var hooks = map[string]filter.Hook{Input: filter.HookInput, Output: filter.HookO
 // UID returns a pointer-typed uid for Rule.OwnerUID.
 func UID(u uint32) *uint32 { return &u }
 
-// compile lowers an admin rule to the filter engine's form.
-func compile(r Rule) (*filter.Rule, error) {
-	out := &filter.Rule{OwnerUID: r.OwnerUID, OwnerCmd: r.OwnerCmd, MarkVal: r.Mark}
-	switch r.Proto {
-	case "udp":
-		out.Proto = filter.Proto(packet.ProtoUDP)
-	case "tcp":
-		out.Proto = filter.Proto(packet.ProtoTCP)
-	case "":
-	default:
-		return nil, fmt.Errorf("norman: unknown proto %q", r.Proto)
-	}
-	if r.SrcPort != 0 {
-		out.SrcPorts = filter.Port(r.SrcPort)
-	}
-	if r.DstPort != 0 {
-		out.DstPorts = filter.Port(r.DstPort)
-	}
-	parseNet := func(s string) (*filter.Prefix, error) {
-		if s == "" {
-			return nil, nil
-		}
-		var a, b, c, d byte
-		var bits int
-		if _, err := fmt.Sscanf(s, "%d.%d.%d.%d/%d", &a, &b, &c, &d, &bits); err != nil {
-			return nil, fmt.Errorf("norman: bad CIDR %q", s)
-		}
-		return filter.Net(packet.MakeIP(a, b, c, d), bits), nil
-	}
-	var err error
-	if out.SrcNet, err = parseNet(r.SrcNet); err != nil {
-		return nil, err
-	}
-	if out.DstNet, err = parseNet(r.DstNet); err != nil {
-		return nil, err
-	}
-	switch r.Action {
-	case "accept", "":
-		out.Action = filter.ActAccept
-	case "drop":
-		out.Action = filter.ActDrop
-	case "count":
-		out.Action = filter.ActCount
-	case "log":
-		out.Action = filter.ActLog
-	case "mark":
-		out.Action = filter.ActMark
-	default:
-		return nil, fmt.Errorf("norman: unknown action %q", r.Action)
-	}
-	return out, nil
-}
-
 // IPTablesAppend installs a rule at the architecture's interposition point
 // (the `iptables -A` of the reproduction) on hook Input or Output; any other
 // hook is refused before it is journaled. On architectures without an
@@ -103,7 +49,7 @@ func (s *System) IPTablesAppend(hook string, r Rule) error {
 
 // installRule compiles and installs an append entry's rule.
 func (s *System) installRule(e recovery.Entry) error {
-	fr, err := compile(e.Rule.Rule)
+	fr, err := e.Rule.Compile()
 	if err != nil {
 		return err
 	}
@@ -121,32 +67,32 @@ func (s *System) IPTablesFlush() error {
 // flushRules empties every chain.
 func (s *System) flushRules(recovery.Entry) error { return s.a.FlushRules() }
 
-// RuleStatus is one installed rule, as journaled, with its hit counter
-// (`iptables -L -v`).
+// RuleStatus is one installed rule, read back as the journal's record, with
+// its hit counter (`iptables -L -v`).
 type RuleStatus struct {
 	recovery.RuleRecord
 	Hits uint64
 }
 
-// IPTablesList returns the installed rules with hit counters where the
-// architecture tracks them.
+// IPTablesList returns the installed rules as LivePolicy reads them back,
+// hook by hook, each with its own hit counter where the architecture tracks
+// them.
 func (s *System) IPTablesList() []RuleStatus {
-	out := make([]RuleStatus, 0, len(s.policy.Rules))
+	var out []RuleStatus
 	perHook := map[string]int{}
-	for _, rr := range s.policy.Rules {
-		idx := perHook[rr.Hook]
+	for _, rr := range s.LivePolicy().Rules {
+		hits, _ := s.a.RuleHits(hooks[rr.Hook], perHook[rr.Hook])
 		perHook[rr.Hook]++
-		hits, _ := s.a.RuleHits(hooks[rr.Hook], idx)
 		out = append(out, RuleStatus{RuleRecord: rr, Hits: hits})
 	}
 	return out
 }
 
 // QdiscSpec configures the egress scheduler (`tc qdisc add`): the qdisc
-// payload the recovery journal records. Kind is "wfq" (the default), "drr",
-// "prio", "pfifo" or "tbf"; Weights maps class id -> weight (wfq) or quantum
-// bytes (drr); RateBps and BurstBytes parameterize tbf; ClassOfUID maps
-// uid -> class, and unmapped users get class 0.
+// payload the recovery journal records, qos.Spec. Kind is "wfq" (the
+// default), "drr", "prio", "pfifo" or "tbf"; Weights maps class id -> weight
+// (wfq) or quantum bytes (drr); RateBps and BurstBytes parameterize tbf;
+// ClassOfUID maps uid -> class, and unmapped users get class 0.
 type QdiscSpec = recovery.QdiscRecord
 
 // TCSet installs an egress qdisc with a classifier that assigns classes by
@@ -163,7 +109,7 @@ func (s *System) TCSet(spec QdiscSpec) error {
 	if spec.Kind == "" {
 		spec.Kind = "wfq" // the default; journal the resolved kind
 	}
-	if err := s.commit(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &spec}, s.installQdisc); err != nil {
+	if err := s.commit(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &spec}, s.setQdisc); err != nil {
 		return err
 	}
 	_ = s.resolve() // cannot newly fail here: see resolve
@@ -180,39 +126,12 @@ func (s *System) TCShow() (QdiscSpec, bool) {
 	return *s.policy.Qdisc, true
 }
 
-// installQdisc builds a set entry's scheduler and its uid classifier and
+// setQdisc builds a set entry's scheduler and its uid classifier and
 // installs them.
-func (s *System) installQdisc(e recovery.Entry) error {
-	spec := e.Qdisc
-	var q qos.Qdisc
-	switch spec.Kind {
-	case "wfq":
-		wf := qos.NewWFQ(spec.Limit)
-		for class, weight := range spec.Weights {
-			wf.SetWeight(class, weight)
-		}
-		q = wf
-	case "drr":
-		d := qos.NewDRR(spec.Limit, 1514)
-		for class, weight := range spec.Weights {
-			d.SetQuantum(class, int(weight))
-		}
-		q = d
-	case "prio":
-		q = qos.NewPrio(3, spec.Limit)
-	case "pfifo":
-		q = qos.NewPFIFO(spec.Limit)
-	case "tbf":
-		q = qos.NewTBF(spec.Limit, spec.RateBps, spec.BurstBytes)
-	default:
-		return fmt.Errorf("norman: unknown qdisc %q", spec.Kind)
-	}
-	classOfUID := spec.ClassOfUID
-	classify := func(p *packet.Packet) uint32 {
-		if !p.Meta.TrustedMeta {
-			return 0
-		}
-		return classOfUID[p.Meta.UID]
+func (s *System) setQdisc(e recovery.Entry) error {
+	q, classify, err := qos.Build(*e.Qdisc)
+	if err != nil {
+		return err
 	}
 	return s.a.SetQdisc(q, classify)
 }

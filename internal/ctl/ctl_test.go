@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"norman"
+	"norman/internal/filter"
 	"norman/internal/overload"
 	"norman/internal/recovery"
 	"norman/internal/wire"
@@ -121,6 +122,37 @@ func TestRuleLifecycle(t *testing.T) {
 	}
 	if len(rules) != 0 {
 		t.Fatalf("after flush: %q", rules)
+	}
+}
+
+// TestRuleListReadsBack: iptables -L -v lists the rules the NIC holds, as
+// read back, each beside its own hit counter. A rule installed under the
+// control plane, which the journal never saw, lists beside the journaled one
+// instead of lending it its counter, and a rule sent with no action lists as
+// the ACCEPT it was installed as.
+func TestRuleListReadsBack(t *testing.T) {
+	c, sys := startServer(t)
+	stray, err := recovery.Rule{Proto: "udp", DstPort: 5555, Action: "count"}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Arch().InstallRule(filter.HookOutput, stray); err != nil {
+		t.Fatal(err)
+	}
+	// The workload's datagrams go to port 7.
+	if err := c.Call(OpIPTablesAdd, recovery.RuleRecord{Hook: "OUTPUT", Rule: recovery.Rule{Proto: "udp", DstPort: 7}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var rules []string
+	if err := c.Call(OpIPTablesList, nil, &rules); err != nil {
+		t.Fatal(err)
+	}
+	if len(rules) != 2 || rules[0] != "-A OUTPUT -p udp --dport 5555 -j COUNT   [0 pkts]" ||
+		!strings.HasPrefix(rules[1], "-A OUTPUT -p udp --dport 7 -j ACCEPT   [") || strings.HasSuffix(rules[1], "[0 pkts]") {
+		t.Fatalf("rules: %q", rules)
 	}
 }
 

@@ -247,39 +247,12 @@ func (s *Server) status() (json.RawMessage, error) {
 	})
 }
 
+// renderRules is `iptables -L -v`: each installed rule as the line that
+// installs it, with its own hit counter.
 func (s *Server) renderRules() []string {
-	list := s.sys.IPTablesList()
-	out := make([]string, 0, len(list))
-	for _, rs := range list {
-		a := rs.Rule
-		line := fmt.Sprintf("-A %s", strings.ToUpper(rs.Hook))
-		if a.Proto != "" {
-			line += " -p " + a.Proto
-		}
-		if a.SrcNet != "" {
-			line += " -s " + a.SrcNet
-		}
-		if a.DstNet != "" {
-			line += " -d " + a.DstNet
-		}
-		if a.SrcPort != 0 {
-			line += fmt.Sprintf(" --sport %d", a.SrcPort)
-		}
-		if a.DstPort != 0 {
-			line += fmt.Sprintf(" --dport %d", a.DstPort)
-		}
-		if a.OwnerUID != nil {
-			line += fmt.Sprintf(" -m owner --uid-owner %d", *a.OwnerUID)
-		}
-		if a.OwnerCmd != "" {
-			line += " --cmd-owner " + a.OwnerCmd
-		}
-		line += " -j " + strings.ToUpper(a.Action)
-		if a.Mark != 0 {
-			line += fmt.Sprintf(" --set-mark %d", a.Mark)
-		}
-		line += fmt.Sprintf("   [%d pkts]", rs.Hits)
-		out = append(out, line)
+	out := []string{}
+	for _, rs := range s.sys.IPTablesList() {
+		out = append(out, fmt.Sprintf("%s   [%d pkts]", rs.RuleRecord, rs.Hits))
 	}
 	return out
 }

@@ -153,7 +153,7 @@ func e11Run(n int, governed bool, scale Scale) e11Result {
 		wfq := qos.NewWFQ(0)
 		wfq.SetWeight(1, 8)
 		wfq.SetWeight(2, 1)
-		gov.InstallShedding(func(uid uint32) uint32 { return uid }, wfq.Weights())
+		gov.InstallShedding(func(uid uint32) uint32 { return uid }, wfq.Spec().Weights)
 	}
 
 	// Dial order: the high tenant first (its conns always fit the budget),

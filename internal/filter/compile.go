@@ -29,7 +29,6 @@ func CompileOverlay(name string, c *Chain, internCmd func(string) uint64) (*over
 
 	for i, r := range c.Rules {
 		next := fmt.Sprintf("rule%d", i+1)
-		fmt.Fprintf(&b, "# %s\n", r)
 
 		if r.Proto != nil {
 			fmt.Fprintf(&b, "ldf r0, proto\njne r0, %d, %s\n", *r.Proto, next)

@@ -47,7 +47,7 @@ func (e *Engine) Chain(h Hook) *Chain { return e.chains[h] }
 // without a process view.
 func (e *Engine) Append(h Hook, r *Rule) error {
 	if r.NeedsOwner() && !e.hasProcessView {
-		return fmt.Errorf("%w: %s", ErrNeedsProcessView, r)
+		return ErrNeedsProcessView
 	}
 	e.chains[h].Rules = append(e.chains[h].Rules, r)
 	return nil

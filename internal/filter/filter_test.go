@@ -2,7 +2,6 @@ package filter
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -226,18 +225,3 @@ func TestCompileOverlayEquivalenceQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRuleString(t *testing.T) {
-	r := &Rule{
-		Proto: Proto(packet.ProtoUDP), DstPorts: Port(5432),
-		OwnerUID: UID(1001), OwnerCmd: "postgres", Action: ActAccept,
-	}
-	s := r.String()
-	for _, want := range []string{"-p 17", "--dport 5432", "--uid-owner 1001", "--cmd-owner postgres", "-j ACCEPT"} {
-		if !contains(s, want) {
-			t.Errorf("%q missing %q", s, want)
-		}
-	}
-}
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }

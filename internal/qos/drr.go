@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"maps"
+
 	"norman/internal/packet"
 	"norman/internal/sim"
 )
@@ -12,7 +14,8 @@ import (
 // WFQ under identical load.
 type DRR struct {
 	classes        map[uint32]*drrClass
-	active         []uint32 // round-robin order of classes with queued packets
+	quanta         map[uint32]float64 // what SetQuantum configured, as Spec reads it back
+	active         []uint32           // round-robin order of classes with queued packets
 	limit          int
 	nitems         int
 	defaultQuantum int
@@ -38,6 +41,7 @@ func NewDRR(limit, quantum int) *DRR {
 	}
 	return &DRR{
 		classes:        make(map[uint32]*drrClass),
+		quanta:         make(map[uint32]float64),
 		limit:          limit,
 		defaultQuantum: quantum,
 	}
@@ -49,6 +53,7 @@ func (q *DRR) SetQuantum(class uint32, quantum int) {
 		quantum = 1
 	}
 	q.class(class).quantum = quantum
+	q.quanta[class] = float64(quantum)
 }
 
 func (q *DRR) class(id uint32) *drrClass {
@@ -60,8 +65,9 @@ func (q *DRR) class(id uint32) *drrClass {
 	return c
 }
 
-// Name implements Qdisc.
-func (q *DRR) Name() string { return "drr" }
+// Spec implements Qdisc: the configured quanta are the weights. A class
+// Enqueue created on a miss runs at the default quantum and is not listed.
+func (q *DRR) Spec() Spec { return Spec{Kind: "drr", Limit: q.limit, Weights: maps.Clone(q.quanta)} }
 
 // Enqueue implements Qdisc. As with WFQ, each class is bounded to its share
 // of the buffer so a slow class cannot monopolize it under overload.

@@ -10,8 +10,6 @@
 package qos
 
 import (
-	"fmt"
-
 	"norman/internal/packet"
 	"norman/internal/sim"
 )
@@ -26,8 +24,10 @@ import (
 // succeeds, and so does one at any later instant with no Dequeue between.
 // A pump sleeps until that instant and never polls, so a qdisc that declines
 // there strands its backlog, which the datapath's idle laws then report.
+//
+// Spec reads the configuration back as the record Build makes it from.
 type Qdisc interface {
-	Name() string
+	Spec() Spec
 	Enqueue(p *packet.Packet, now sim.Time) bool
 	Dequeue(now sim.Time) (*packet.Packet, bool)
 	ReadyAt(now sim.Time) (sim.Time, bool)
@@ -92,8 +92,8 @@ type PFIFO struct {
 // NewPFIFO creates a FIFO bounded to limit packets.
 func NewPFIFO(limit int) *PFIFO { return &PFIFO{newFifo(limit)} }
 
-// Name implements Qdisc.
-func (q *PFIFO) Name() string { return "pfifo" }
+// Spec implements Qdisc.
+func (q *PFIFO) Spec() Spec { return Spec{Kind: "pfifo", Limit: q.limit} }
 
 // Enqueue implements Qdisc.
 func (q *PFIFO) Enqueue(p *packet.Packet, _ sim.Time) bool { return q.push(p) }
@@ -141,8 +141,9 @@ func NewPrioWith(bands ...Qdisc) *Prio {
 	return &Prio{bands: bands}
 }
 
-// Name implements Qdisc.
-func (q *Prio) Name() string { return fmt.Sprintf("prio%d", len(q.bands)) }
+// Spec implements Qdisc: the kind and the first band's limit, the shape
+// Build makes (three FIFO bands of one limit).
+func (q *Prio) Spec() Spec { return Spec{Kind: "prio", Limit: q.bands[0].Spec().Limit} }
 
 // Enqueue places the packet in the band selected by Meta.Class.
 func (q *Prio) Enqueue(p *packet.Packet, now sim.Time) bool {

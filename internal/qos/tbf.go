@@ -19,8 +19,10 @@ func NewTBF(limit int, rate, burst float64) *TBF {
 	return &TBF{fifo: newFifo(limit), bucket: NewBucket(rate, burst)}
 }
 
-// Name implements Qdisc.
-func (q *TBF) Name() string { return "tbf" }
+// Spec implements Qdisc: the rate and burst as the bucket holds them.
+func (q *TBF) Spec() Spec {
+	return Spec{Kind: "tbf", Limit: q.limit, RateBps: float64(q.bucket.rate), BurstBytes: float64(q.bucket.depth)}
+}
 
 // Enqueue implements Qdisc. As in Linux's sch_tbf, a frame larger than the
 // burst is refused: no amount of waiting would let it leave.

@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"maps"
+
 	"norman/internal/packet"
 	"norman/internal/sim"
 )
@@ -12,6 +14,7 @@ import (
 // while remaining work-conserving: idle classes donate bandwidth.
 type WFQ struct {
 	classes       map[uint32]*wfqClass
+	weights       map[uint32]float64 // what SetWeight configured, as Spec reads it back
 	defaultWeight float64
 	limit         int
 	vtime         float64 // global virtual time
@@ -101,6 +104,7 @@ func NewWFQ(limit int) *WFQ {
 	}
 	return &WFQ{
 		classes:       make(map[uint32]*wfqClass),
+		weights:       make(map[uint32]float64),
 		defaultWeight: 1,
 		limit:         limit,
 	}
@@ -114,16 +118,7 @@ func (q *WFQ) SetWeight(class uint32, weight float64) {
 	}
 	c := q.class(class)
 	c.weight = weight
-}
-
-// Weights returns the configured class weights. The crash reconciler's
-// qos_weights invariant compares these against journaled intent.
-func (q *WFQ) Weights() map[uint32]float64 {
-	out := make(map[uint32]float64, len(q.classes))
-	for id, c := range q.classes {
-		out[id] = c.weight
-	}
-	return out
+	q.weights[class] = weight
 }
 
 func (q *WFQ) class(id uint32) *wfqClass {
@@ -135,8 +130,9 @@ func (q *WFQ) class(id uint32) *wfqClass {
 	return c
 }
 
-// Name implements Qdisc.
-func (q *WFQ) Name() string { return "wfq" }
+// Spec implements Qdisc: the weights SetWeight configured. A class Enqueue
+// created on a miss runs at the default weight and is not listed.
+func (q *WFQ) Spec() Spec { return Spec{Kind: "wfq", Limit: q.limit, Weights: maps.Clone(q.weights)} }
 
 // Enqueue tags the packet with a virtual finish time and inserts it. The
 // buffer is shared, but no class may occupy more than its per-class share —

@@ -3,6 +3,8 @@ package recovery
 import (
 	"fmt"
 	"sort"
+
+	"norman/internal/qos"
 )
 
 // Policy is what the control plane asked the dataplane to enforce: the
@@ -39,6 +41,37 @@ func (p *Policy) RulesFor(hook string) []RuleRecord {
 		if r.Hook == hook {
 			out = append(out, r)
 		}
+	}
+	return out
+}
+
+// hooks are the hooks a rule installs on, in the order the dataplane's
+// chains are read back; indexed by nic.Direction, INPUT guards ingress and
+// OUTPUT egress.
+var hooks = [...]string{"INPUT", "OUTPUT"}
+
+// Canonical is the policy as the dataplane reads it back once installed, the
+// form the reconciler compares with the live read-back: the rules hook by
+// hook (the order between two hooks is not state a chain holds), each
+// compiled and read back through RuleOf, and the qdisc built and read back
+// through its Spec. A record that does not install stays as written; the
+// tenant weights read back as asked.
+func (p Policy) Canonical() Policy {
+	out := Policy{Tenants: p.Tenants}
+	for _, hook := range hooks {
+		for _, r := range p.RulesFor(hook) {
+			if fr, err := r.Compile(); err == nil {
+				r.Rule = RuleOf(fr)
+			}
+			out.Rules = append(out.Rules, r)
+		}
+	}
+	if p.Qdisc != nil {
+		q := *p.Qdisc
+		if built, _, err := qos.Build(q); err == nil {
+			q = built.Spec()
+		}
+		out.Qdisc = &q
 	}
 	return out
 }

@@ -17,10 +17,10 @@ type InvariantResult struct {
 //     flow steered to it (no conn.* divergence left).
 //   - chains_verify — every loaded NIC pipeline program passes the static
 //     verifier and every intended chain is loaded (no nic.program left).
-//   - qos_weights — the live scheduler is the intended kind with every
-//     intended WFQ class weight, and the NIC's tenant scheduler and flow
-//     cache carry the intended tenant split (no qdisc or tenants divergence
-//     left).
+//   - qos_weights — the live scheduler reads back as the journal's qdisc
+//     record in canonical form (its kind, limit, configured weights or
+//     quanta, rate and burst), and the NIC's tenant scheduler and flow cache
+//     carry the intended tenant split (no qdisc or tenants divergence left).
 func checkInvariants(j *Journal, after []divergence) []InvariantResult {
 	out := []InvariantResult{{Name: "journal_consistent", OK: true}, {Name: "conn_rings", OK: true},
 		{Name: "chains_verify", OK: true}, {Name: "qos_weights", OK: true}}

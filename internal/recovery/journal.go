@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"norman/internal/packet"
+	"norman/internal/qos"
 	"norman/internal/sim"
 )
 
@@ -47,37 +48,9 @@ const (
 	OpUpgrade Op = "upgrade.gen"
 )
 
-// Rule is a firewall rule in administrator-facing form (norman.Rule names
-// this type). Zero fields are wildcards. Owner fields require an
-// architecture with a process view.
-type Rule struct {
-	Proto    string  `json:"proto,omitempty"` // "udp", "tcp", "" = any
-	SrcNet   string  `json:"src,omitempty"`   // "10.0.0.0/8", "" = any
-	DstNet   string  `json:"dst,omitempty"`
-	SrcPort  uint16  `json:"sport,omitempty"` // 0 = any
-	DstPort  uint16  `json:"dport,omitempty"`
-	OwnerUID *uint32 `json:"uid_owner,omitempty"`
-	OwnerCmd string  `json:"cmd_owner,omitempty"`
-	Action   string  `json:"action,omitempty"` // "accept", "drop", "count", "log", "mark"
-	Mark     uint32  `json:"mark,omitempty"`
-}
-
-// RuleRecord is the journal form of one firewall rule: the rule and its
-// hook, encoded as one flat object.
-type RuleRecord struct {
-	Hook string `json:"hook"` // INPUT / OUTPUT
-	Rule
-}
-
-// QdiscRecord is the journal form of one egress scheduler configuration.
-type QdiscRecord struct {
-	Kind       string             `json:"kind"`
-	Weights    map[uint32]float64 `json:"weights,omitempty"`
-	ClassOfUID map[uint32]uint32  `json:"class_of_uid,omitempty"`
-	RateBps    float64            `json:"rate_bps,omitempty"`
-	BurstBytes float64            `json:"burst_bytes,omitempty"`
-	Limit      int                `json:"limit,omitempty"`
-}
+// QdiscRecord is the journal form of one egress scheduler configuration:
+// the scheduler's own record, which it reads back as it was built from.
+type QdiscRecord = qos.Spec
 
 // ConnRecord is the journal form of one connection registration.
 type ConnRecord struct {

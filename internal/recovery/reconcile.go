@@ -3,12 +3,11 @@ package recovery
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"reflect"
 
 	"norman/internal/kernel"
 	"norman/internal/nic"
 	"norman/internal/overlay"
-	"norman/internal/qos"
 	"norman/internal/sim"
 )
 
@@ -30,10 +29,10 @@ type Live struct {
 	// architecture connections share kernel-owned queues and no per-conn NIC
 	// state exists to reconcile.
 	RingPerConn bool
-	// RuleCount reports how many filter rules are live on a hook.
-	RuleCount func(hook string) int
-	// Qdisc returns the live egress scheduler (nil = none installed).
-	Qdisc func() qos.Qdisc
+	// Policy reads the dataplane's policy back as the journal's records: the
+	// rules installed on each hook, the live scheduler's Spec (nil = none)
+	// and the NIC's tenant weights (nil = isolation off).
+	Policy func() Policy
 }
 
 // Applier is the control plane's repair surface: the reconciler decides
@@ -140,68 +139,43 @@ func (m *Manager) Restart(now sim.Time, live Live, ap Applier) (*Report, error) 
 	return rep, nil
 }
 
-// diff computes intended-vs-live divergences in deterministic order:
-// rules, qdisc (kind, then each intended WFQ weight), tenants (the NIC
-// scheduler's weights, then the flow cache's partition), NIC programs, then
-// connections sorted by id. It is the reconciler's one comparison: repair
-// acts on it and the invariants read the post-repair re-diff.
+// diff computes intended-vs-live divergences in deterministic order: rules
+// (per hook, element by element), qdisc, tenants (the weights, then the flow
+// cache's partition), NIC programs, then connections sorted by id. Policy is
+// compared as records: the journal's canonical fold against the live
+// read-back, the qdisc and the tenants only where the journal holds one. It
+// is the reconciler's one comparison: repair acts on it and the invariants
+// read the post-repair re-diff.
 func diff(in *Intent, live Live) []divergence {
 	var out []divergence
 	add := func(kind string, c *IntentConn, format string, args ...any) {
 		out = append(out, divergence{kind: kind, conn: c, detail: fmt.Sprintf(format, args...)})
 	}
 
-	for _, hook := range []string{"INPUT", "OUTPUT"} {
-		want := len(in.RulesFor(hook))
-		got := 0
-		if live.RuleCount != nil {
-			got = live.RuleCount(hook)
-		}
-		if want != got {
-			add("rules", nil, "%s: intended %d, live %d", hook, want, got)
+	want, got := in.Canonical(), live.Policy()
+	for _, hook := range hooks {
+		if w, g := want.RulesFor(hook), got.RulesFor(hook); !reflect.DeepEqual(g, w) {
+			add("rules", nil, "%s: live %v, intended %v", hook, g, w)
 		}
 	}
 
-	if in.Qdisc != nil {
-		var q qos.Qdisc
-		if live.Qdisc != nil {
-			q = live.Qdisc()
-		}
+	if want.Qdisc != nil {
 		switch {
-		case q == nil:
-			add("qdisc", nil, "intended %s, live none", in.Qdisc.Kind)
-		case q.Name() != in.Qdisc.Kind:
-			add("qdisc", nil, "intended %s, live %s", in.Qdisc.Kind, q.Name())
-		default:
-			if wfq, ok := q.(*qos.WFQ); ok {
-				// Per class in ascending order, so the report never depends
-				// on map iteration order.
-				want := in.Qdisc.Weights
-				classes := make([]uint32, 0, len(want))
-				for class := range want {
-					classes = append(classes, class)
-				}
-				sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-				have := wfq.Weights()
-				for _, class := range classes {
-					if got, ok := have[class]; !ok || got != want[class] {
-						add("qdisc", nil, "wfq class %d weight %v, intended %v", class, got, want[class])
-						break
-					}
-				}
-			}
+		case got.Qdisc == nil:
+			add("qdisc", nil, "intended %s, live none", want.Qdisc.Kind)
+		case !reflect.DeepEqual(*got.Qdisc, *want.Qdisc):
+			add("qdisc", nil, "live %+v, intended %+v", *got.Qdisc, *want.Qdisc)
 		}
 	}
 
-	if in.Tenants != nil && live.NIC != nil {
-		ts, fc := live.NIC.TenantScheduler(), live.NIC.FlowCache()
+	if want.Tenants != nil {
 		switch {
-		case ts == nil:
-			add("tenants", nil, "intended %v, live none", in.Tenants)
-		case !maps.Equal(ts.Weights(), in.Tenants):
-			add("tenants", nil, "live weights %v, intended %v", ts.Weights(), in.Tenants)
-		case fc != nil && fc.Quotas() == nil:
-			add("tenants", nil, "flow cache not partitioned by %v", in.Tenants)
+		case got.Tenants == nil:
+			add("tenants", nil, "intended %v, live none", want.Tenants)
+		case !maps.Equal(got.Tenants, want.Tenants):
+			add("tenants", nil, "live weights %v, intended %v", got.Tenants, want.Tenants)
+		case live.NIC != nil && live.NIC.FlowCache() != nil && live.NIC.FlowCache().Quotas() == nil:
+			add("tenants", nil, "flow cache not partitioned by %v", want.Tenants)
 		}
 	}
 
@@ -209,7 +183,6 @@ func diff(in *Intent, live Live) []divergence {
 		// Every loaded chain must pass the install-time verifier. On
 		// NIC-resident-policy architectures the intended rules also compile
 		// into pipeline chains: INPUT guards ingress, OUTPUT guards egress.
-		hooks := [2]string{nic.Ingress: "INPUT", nic.Egress: "OUTPUT"}
 		for dir := nic.Ingress; dir <= nic.Egress; dir++ {
 			mach := live.NIC.Machine(dir)
 			switch {
@@ -247,7 +220,7 @@ func diff(in *Intent, live Live) []divergence {
 }
 
 // repair applies one pass of fixes for the given divergences. Each kind has
-// one repair, from journaled intent: a rule-count mismatch or a lost or
+// one repair, from journaled intent: a rule mismatch or a lost or
 // failing chain recompiles the rules (which reloads both chains), a qdisc or
 // tenant divergence reinstalls what the policy names, and a connection
 // divergence restores its kernel row or its steering entry.

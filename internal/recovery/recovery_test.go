@@ -224,7 +224,7 @@ func TestRestartRepairsInjectedDivergence(t *testing.T) {
 	m.Record(0, Entry{Op: OpRuleAppend, Rule: &RuleRecord{Hook: "INPUT", Rule: Rule{Action: "drop", DstPort: 9999}}})
 	wfq := qos.NewWFQ(64)
 	wfq.SetWeight(1, 3)
-	m.Record(0, Entry{Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "wfq", Weights: map[uint32]float64{1: 3}}})
+	m.Record(0, Entry{Op: OpQdiscSet, Qdisc: &QdiscRecord{Kind: "wfq", Weights: map[uint32]float64{1: 3}, Limit: 64}})
 
 	prog, err := overlay.Assemble("input-chain", "pass\n")
 	if err != nil {
@@ -252,16 +252,12 @@ func TestRestartRepairsInjectedDivergence(t *testing.T) {
 		_ = i
 	}
 
-	rules := 1
 	live := Live{
 		NIC: n, Kern: k, RingPerConn: true,
-		RuleCount: func(hook string) int {
-			if hook == "INPUT" {
-				return rules
-			}
-			return 0
+		Policy: func() Policy {
+			spec := n.Scheduler().Spec()
+			return Policy{Rules: []RuleRecord{{Hook: "INPUT", Rule: Rule{Action: "drop", DstPort: 9999}}}, Qdisc: &spec}
 		},
-		Qdisc: func() qos.Qdisc { return n.Scheduler() },
 	}
 	ap := &fakeApplier{kern: k, n: n, chain: prog}
 

@@ -89,24 +89,40 @@ func (s *System) RecoverFromJournal(entries []recovery.Entry) (*recovery.Report,
 	return rec.Restart(s.w.Eng.Now(), s.recoveryLive(), sysApplier{s})
 }
 
-// recoveryLive builds the reconciler's view of live state. The closures
-// re-read the architecture on every call — a crash replaces the filter
-// engine wholesale, so capturing a pointer here would diff against the dead
-// incarnation's heap.
+// recoveryLive builds the reconciler's view of live state.
 func (s *System) recoveryLive() recovery.Live {
 	return recovery.Live{
 		NIC:         s.w.NIC,
 		Kern:        s.w.Kern,
 		RingPerConn: s.a.Caps().Transfers == 1,
-		RuleCount: func(hook string) int {
-			f, ok := s.a.(interface{ Filter() *filter.Engine })
-			if !ok {
-				return 0
-			}
-			return len(f.Filter().Chain(hooks[hook]).Rules)
-		},
-		Qdisc: s.Qdisc,
+		Policy:      s.LivePolicy,
 	}
+}
+
+// LivePolicy reads the dataplane's policy back as the journal's records: the
+// rules installed on each hook (INPUT, then OUTPUT) through recovery.RuleOf,
+// the live scheduler through its Spec, and the NIC's tenant weights. The
+// reconciler diffs it with the journal's canonical fold, and IPTablesList
+// lists its rules. The uid classifier cannot be read back, so the qdisc's
+// ClassOfUID stays what TCShow prints. Every call re-reads the architecture:
+// a crash replaces the filter engine wholesale.
+func (s *System) LivePolicy() recovery.Policy {
+	var p recovery.Policy
+	if f, ok := s.a.(interface{ Filter() *filter.Engine }); ok {
+		for _, h := range []filter.Hook{filter.HookInput, filter.HookOutput} {
+			for _, fr := range f.Filter().Chain(h).Rules {
+				p.Rules = append(p.Rules, recovery.RuleRecord{Hook: h.String(), Rule: recovery.RuleOf(fr)})
+			}
+		}
+	}
+	if q := s.Qdisc(); q != nil {
+		spec := q.Spec()
+		p.Qdisc = &spec
+	}
+	if ts := s.w.NIC.TenantScheduler(); ts != nil {
+		p.Tenants = ts.Weights()
+	}
+	return p
 }
 
 // Qdisc returns the live egress scheduler, nil when none is installed: the
@@ -145,7 +161,7 @@ func (ap sysApplier) ReinstallRules(rules []recovery.RuleRecord) error {
 // ReinstallQdisc re-creates the intended scheduler; resolve re-arms the
 // shedding that follows from it.
 func (ap sysApplier) ReinstallQdisc(q recovery.QdiscRecord) error {
-	if err := ap.s.fold(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &q}, ap.s.installQdisc); err != nil {
+	if err := ap.s.fold(recovery.Entry{Op: recovery.OpQdiscSet, Qdisc: &q}, ap.s.setQdisc); err != nil {
 		return err
 	}
 	_ = ap.s.resolve() // cannot newly fail here: see resolve

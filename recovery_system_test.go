@@ -7,9 +7,11 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"norman"
+	"norman/internal/filter"
 	"norman/internal/qos"
 	"norman/internal/recovery"
 	"norman/internal/sim"
@@ -336,7 +338,7 @@ func coldStart(t *testing.T, archName norman.Architecture) {
 	if !rep.InvariantsOK {
 		t.Fatalf("invariants: %+v", rep.Invariants)
 	}
-	if q := sys2.Qdisc(); q == nil || q.Name() != "wfq" {
+	if q := sys2.Qdisc(); q == nil || q.Spec().Kind != "wfq" {
 		t.Fatalf("qdisc after cold start = %v, want the journaled wfq", q)
 	}
 	rules := sys2.IPTablesList()
@@ -427,7 +429,8 @@ func TestRestartRepairsWeightDivergence(t *testing.T) {
 		tamper bool
 		want   string
 	}{
-		{norman.KOPI, true, "qdisc: wfq class 1 weight 1, intended 4"},
+		{norman.KOPI, true, "qdisc: live {Kind:wfq Weights:map[1:1 2:1] ClassOfUID:map[] RateBps:0 BurstBytes:0 Limit:4096}, " +
+			"intended {Kind:wfq Weights:map[1:4 2:1] ClassOfUID:map[] RateBps:0 BurstBytes:0 Limit:4096}"},
 		{norman.KernelStack, false, "qdisc: intended wfq, live none"},
 	} {
 		t.Run(string(tc.arch), func(t *testing.T) {
@@ -456,26 +459,193 @@ func TestRestartRepairsWeightDivergence(t *testing.T) {
 			if !rep.Clean || !rep.InvariantsOK {
 				t.Fatalf("clean=%v invariants=%+v", rep.Clean, rep.Invariants)
 			}
-			if w := sys.Qdisc().(*qos.WFQ).Weights(); w[1] != 4 || w[2] != 1 {
+			if w := sys.Qdisc().Spec().Weights; w[1] != 4 || w[2] != 1 {
 				t.Fatalf("live weights after repair = %v, want {1:4 2:1}", w)
 			}
 		})
 	}
 }
 
-// TestPolicyIsTheJournalFold: the facade's record of what the control plane
-// asked for is the journal's fold. Seeded sequences of appends (some abort:
-// an unknown proto or action, any rule on bypass), flushes, qdisc sets (an
-// unknown kind aborts), tenant splits (three tenants cannot share a 2-way
-// DDIO region: that one aborts) and crash/restart cycles run on kopi and
-// bypass; after every step IPTablesList, System.Qdisc and the NIC's tenant
-// weights equal Replay(journal).Policy, except that the rules read empty
-// while the control plane is down.
+// TestRestartRepairsMutatedRule: a live chain holding as many rules as the
+// journal, one with the wrong port, is a rules divergence the restart
+// repairs. Rules are compared as records, not counted.
+func TestRestartRepairsMutatedRule(t *testing.T) {
+	for _, archName := range []norman.Architecture{norman.KOPI, norman.KernelStack} {
+		t.Run(string(archName), func(t *testing.T) {
+			sys := norman.New(archName)
+			sys.EnableRecovery()
+			sys.UseEchoPeer()
+			journaled := norman.Rule{Proto: "udp", DstPort: 9999, Action: "drop"}
+			if err := sys.IPTablesAppend(norman.Output, journaled); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CrashControlPlane(); err != nil {
+				t.Fatal(err)
+			}
+			// The crash emptied the chain; it comes back holding the rule with
+			// another port.
+			mutant := journaled
+			mutant.DstPort = 8888
+			fr, err := mutant.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Arch().InstallRule(filter.HookOutput, fr); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sys.RestartControlPlane()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "rules: OUTPUT: live [-A OUTPUT -p udp --dport 8888 -j DROP], intended [-A OUTPUT -p udp --dport 9999 -j DROP]"
+			if len(rep.Divergences) != 1 || rep.Divergences[0] != want {
+				t.Fatalf("divergences = %q, want [%q]", rep.Divergences, want)
+			}
+			if len(rep.Actions) != 1 || rep.Actions[0].Kind != "rules.reinstall" {
+				t.Fatalf("actions = %+v, want one rules.reinstall", rep.Actions)
+			}
+			if !rep.Clean || !rep.InvariantsOK {
+				t.Fatalf("clean=%v invariants=%+v", rep.Clean, rep.Invariants)
+			}
+			if rules := sys.IPTablesList(); len(rules) != 1 || rules[0].DstPort != 9999 {
+				t.Fatalf("rules after repair = %+v, want the journaled port 9999", rules)
+			}
+		})
+	}
+}
+
+// TestRestartRepairsQdiscDrift: on kopi the NIC keeps running its scheduler
+// through a crash, so any field of the live qdisc can drift from the journal
+// during the outage — a TBF's rate, a DRR quantum, the limit — and each is a
+// qdisc divergence the restart repairs back to the journaled record.
+func TestRestartRepairsQdiscDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spec   norman.QdiscSpec
+		tamper func(sys *norman.System) error
+	}{
+		{"tbf-rate", norman.QdiscSpec{Kind: "tbf", RateBps: 1e6, BurstBytes: 3000, Limit: 64}, func(sys *norman.System) error {
+			return sys.Arch().SetQdisc(qos.NewTBF(64, 2e6, 3000), nil)
+		}},
+		{"drr-quantum", norman.QdiscSpec{Kind: "drr", Weights: map[uint32]float64{1: 3000, 2: 1500}}, func(sys *norman.System) error {
+			sys.Qdisc().(*qos.DRR).SetQuantum(1, 1500)
+			return nil
+		}},
+		{"wfq-limit", norman.QdiscSpec{Kind: "wfq", Weights: map[uint32]float64{1: 4}, Limit: 128}, func(sys *norman.System) error {
+			q := qos.NewWFQ(256)
+			q.SetWeight(1, 4)
+			return sys.Arch().SetQdisc(q, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := norman.New(norman.KOPI)
+			sys.EnableRecovery()
+			sys.UseEchoPeer()
+			if err := sys.TCSet(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CrashControlPlane(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.tamper(sys); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sys.RestartControlPlane()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Divergences) != 1 || !strings.HasPrefix(rep.Divergences[0], "qdisc: live ") {
+				t.Fatalf("divergences = %q, want one qdisc divergence", rep.Divergences)
+			}
+			if len(rep.Actions) != 1 || rep.Actions[0].Kind != "qdisc.reinstall" {
+				t.Fatalf("actions = %+v, want one qdisc.reinstall", rep.Actions)
+			}
+			if !rep.Clean || !rep.InvariantsOK {
+				t.Fatalf("clean=%v invariants=%+v", rep.Clean, rep.Invariants)
+			}
+			built, _, err := qos.Build(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sys.Qdisc().Spec(), built.Spec(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("live qdisc after repair = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestPrioRestartsClean: a journaled prio qdisc reconciles like every other
+// kind. On kopi it survives the crash and the restart finds nothing to do;
+// the kernel stack's crash takes it, and the restart reinstalls it; sidecar
+// cold-starts it from the journal.
+func TestPrioRestartsClean(t *testing.T) {
+	spec := norman.QdiscSpec{Kind: "prio", Limit: 64, ClassOfUID: map[uint32]uint32{1000: 1}}
+	for _, tc := range []struct {
+		arch    norman.Architecture
+		repairs int
+	}{{norman.KOPI, 0}, {norman.KernelStack, 1}} {
+		t.Run(string(tc.arch), func(t *testing.T) {
+			sys := norman.New(tc.arch)
+			sys.EnableRecovery()
+			sys.UseEchoPeer()
+			if err := sys.TCSet(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CrashControlPlane(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sys.RestartControlPlane()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean || !rep.InvariantsOK || len(rep.Actions) != tc.repairs {
+				t.Fatalf("clean=%v divergences %q actions %+v invariants %+v; want clean after %d repairs",
+					rep.Clean, rep.Divergences, rep.Actions, rep.Invariants, tc.repairs)
+			}
+		})
+	}
+	t.Run(string(norman.Sidecar), func(t *testing.T) {
+		sys1 := norman.New(norman.Sidecar)
+		rec1 := sys1.EnableRecovery()
+		if err := sys1.TCSet(spec); err != nil {
+			t.Fatal(err)
+		}
+		var persisted bytes.Buffer
+		if err := rec1.Journal().Encode(&persisted); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := recovery.Decode(&persisted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys2 := norman.New(norman.Sidecar)
+		rep, err := sys2.RecoverFromJournal(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean || !rep.InvariantsOK {
+			t.Fatalf("clean=%v divergences %q invariants %+v", rep.Clean, rep.Divergences, rep.Invariants)
+		}
+		if q := sys2.Qdisc(); q == nil || q.Spec().Kind != "prio" {
+			t.Fatalf("qdisc after cold start = %v, want the journaled prio", q)
+		}
+	})
+}
+
+// TestPolicyIsTheJournalFold: the policy the dataplane reads back is the
+// journal's fold in canonical form. Seeded sequences of appends (some abort:
+// an unknown proto or action, any rule on bypass), flushes, qdisc sets of
+// every kind (an unknown one aborts), tenant splits (three tenants cannot
+// share a 2-way DDIO region: that one aborts) and crash/restart cycles run on
+// kopi, bypass and the kernel stack. After every step LivePolicy equals
+// Replay(journal).Canonical(), except that the rules read empty while the
+// control plane is down, and so does the kernel stack's qdisc, which its
+// crash takes with it; every restart comes back clean.
 func TestPolicyIsTheJournalFold(t *testing.T) {
 	protos := []string{"", "udp", "tcp", "sctp"}
-	actions := []string{"accept", "drop", "count", "mark", "bogus"}
-	kinds := []string{"wfq", "drr", "pfifo", "tbf", "cbq"}
-	for _, archName := range []norman.Architecture{norman.KOPI, norman.Bypass} {
+	actions := []string{"", "accept", "drop", "count", "mark", "bogus"}
+	kinds := []string{"wfq", "drr", "prio", "pfifo", "tbf", "cbq"}
+	for _, archName := range []norman.Architecture{norman.KOPI, norman.Bypass, norman.KernelStack} {
 		for seed := int64(1); seed <= 8; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			sys := norman.New(archName)
@@ -483,6 +653,7 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 			sys.UseEchoPeer()
 			down := false
 			for step := 0; step < 40; step++ {
+				where := fmt.Sprintf("%s seed %d step %d", archName, seed, step)
 				// Aborted and refused verbs are part of the sequence: errors are
 				// expected and the journal fold must account for them.
 				switch op := r.Intn(11); {
@@ -497,7 +668,7 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 				case op < 6:
 					_ = sys.IPTablesFlush()
 				case op < 8:
-					spec := norman.QdiscSpec{Kind: kinds[r.Intn(len(kinds))], Limit: 64, RateBps: 1e9, BurstBytes: 3000,
+					spec := norman.QdiscSpec{Kind: kinds[r.Intn(len(kinds))], Limit: 64 * r.Intn(2), RateBps: 1e9, BurstBytes: 3000,
 						Weights:    map[uint32]float64{1: float64(1 + r.Intn(8)), 2: float64(1 + r.Intn(8))},
 						ClassOfUID: map[uint32]uint32{1000: 1, 1001: 2}}
 					_ = sys.TCSet(spec)
@@ -508,8 +679,12 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 					}
 					_ = sys.EnableTenantIsolation(weights)
 				case down:
-					if _, err := sys.RestartControlPlane(); err != nil {
+					rep, err := sys.RestartControlPlane()
+					if err != nil {
 						t.Fatal(err)
+					}
+					if !rep.Clean || !rep.InvariantsOK {
+						t.Fatalf("%s: restart clean=%v, divergences %q, invariants %+v", where, rep.Clean, rep.Divergences, rep.Invariants)
 					}
 					down = false
 				default:
@@ -522,37 +697,15 @@ func TestPolicyIsTheJournalFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				where := fmt.Sprintf("%s seed %d step %d", archName, seed, step)
-				want := []recovery.RuleRecord{}
-				if !down {
-					want = append(want, in.Rules...)
-				}
-				got := []recovery.RuleRecord{}
-				for _, rs := range sys.IPTablesList() {
-					got = append(got, recovery.RuleRecord{Hook: rs.Hook, Rule: rs.Rule})
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: IPTablesList = %+v, journal fold = %+v", where, got, want)
-				}
-				q := sys.Qdisc()
-				switch {
-				case in.Qdisc == nil:
-					if q != nil {
-						t.Fatalf("%s: live qdisc %s, journal fold none", where, q.Name())
-					}
-				case q == nil || q.Name() != in.Qdisc.Kind:
-					t.Fatalf("%s: live qdisc %v, journal fold %s", where, q, in.Qdisc.Kind)
-				default:
-					if wfq, ok := q.(*qos.WFQ); ok && !reflect.DeepEqual(wfq.Weights(), in.Qdisc.Weights) {
-						t.Fatalf("%s: live weights %v, journal fold %v", where, wfq.Weights(), in.Qdisc.Weights)
+				want := in.Canonical()
+				if down {
+					want.Rules = nil
+					if archName == norman.KernelStack {
+						want.Qdisc = nil
 					}
 				}
-				var tenants map[uint32]int
-				if ts := sys.World().NIC.TenantScheduler(); ts != nil {
-					tenants = ts.Weights()
-				}
-				if !maps.Equal(tenants, in.Tenants) {
-					t.Fatalf("%s: live tenant weights %v, journal fold %v", where, tenants, in.Tenants)
+				if got := sys.LivePolicy(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: live policy %+v, canonical journal fold %+v", where, got, want)
 				}
 			}
 		}
