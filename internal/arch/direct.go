@@ -225,8 +225,10 @@ func (d *direct) internCmd() func(string) uint64 {
 
 // reloadPrograms compiles both firewall chains onto the NIC pipelines (§4.4's
 // runtime configuration path: iptables → kernel → overlay program). Chains
-// that are empty with ACCEPT policy unload their pipeline's program. The
-// returned duration is the control-plane load latency (MMIO writes).
+// that are empty with ACCEPT policy unload their pipeline's program. An append
+// renumbers no rule, so each rule's hit counter carries over from the machine
+// its program replaces; after a flush there is nothing to carry. The returned
+// duration is the control-plane load latency (MMIO writes).
 func (d *direct) reloadPrograms() (sim.Duration, error) {
 	var total sim.Duration
 	for _, h := range []filter.Hook{filter.HookInput, filter.HookOutput} {
@@ -239,9 +241,13 @@ func (d *direct) reloadPrograms() (sim.Duration, error) {
 		if err != nil {
 			return total, err
 		}
-		_, load, err := d.w.NIC.LoadProgram(dir, prog)
+		old := d.w.NIC.Machine(dir)
+		m, load, err := d.w.NIC.LoadProgram(dir, prog)
 		if err != nil {
 			return total, err
+		}
+		if old != nil {
+			m.CarryCounters(old)
 		}
 		total += load
 	}

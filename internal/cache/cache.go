@@ -50,13 +50,17 @@ type LLC struct {
 
 	// data holds one record per set, stride words apart: the ways' line tags
 	// (line number + 1; 0 = invalid), then one recency-rank byte per way,
-	// packed four to a word. Ranks are a permutation of 0..ways-1, 0 the least
-	// recently used, and order the ways exactly as a global access stamp per
-	// way would: never-touched ways, whose stamps would tie, keep their
-	// initial ranks 0..ways-1 below every touched way, so the lowest index
-	// among them is replaced first (DESIGN.md §5 "LLC set record"). The
-	// stride is a whole number of 64-byte host lines; the default 11-way set
-	// (44 tag bytes + 11 rank bytes) is exactly one.
+	// packed four to a word. Ranks order the ways exactly as a global access
+	// stamp per way would (DESIGN.md §5 "LLC set record"). A never-touched way
+	// has rank 0, as in a zeroed record; touch lifts the way it touches to
+	// ways-1 and moves down only the ways ranked above it, so the touched
+	// ways hold the top ranks in recency order, and once every way is touched
+	// the ranks are a permutation of 0..ways-1, 0 the least recently used.
+	// The victim search breaks ties by the lowest way index, so never-touched
+	// ways, whose stamps would tie, are replaced first, lowest index first.
+	// Zeroed memory is thus an empty cache: New and Reset write no record.
+	// The stride is a whole number of 64-byte host lines; the default 11-way
+	// set (44 tag bytes + 11 rank bytes) is exactly one.
 	data      []uint32
 	rankWords int
 	stride    int
@@ -120,7 +124,6 @@ func New(cfg Config) *LLC {
 	const hostLine = 64 / 4 // words
 	c.stride = (c.ways + c.rankWords + hostLine - 1) / hostLine * hostLine
 	c.data = make([]uint32, sets*c.stride)
-	c.Reset()
 	return c
 }
 
@@ -177,7 +180,8 @@ func (c *LLC) accessWays(addr uint64, lookupLo, lookupHi, allocLo, allocHi int) 
 	if allocHi <= allocLo {
 		return false
 	}
-	// Lowest rank in the window, carried with its way in the low byte.
+	// Lowest rank in the window, carried with its way in the low byte: a tie
+	// goes to the lowest way.
 	oldest := rankOf(ranks, allocLo)<<8 | uint32(allocLo)
 	for w := allocLo + 1; w < allocHi; w++ {
 		oldest = min(oldest, rankOf(ranks, w)<<8|uint32(w))
@@ -386,13 +390,6 @@ func (c *LLC) DDIOWays() int { return c.ddioWays }
 // Reset invalidates the cache and zeroes statistics.
 func (c *LLC) Reset() {
 	clear(c.data)
-	ranks := make([]uint32, c.rankWords) // way w at rank w
-	for w := 0; w < c.ways; w++ {
-		ranks[w>>2] |= uint32(w) << (uint(w&3) * 8)
-	}
-	for rec := c.data; len(rec) > 0; rec = rec[c.stride:] {
-		copy(rec[c.ways:], ranks)
-	}
 	c.hits, c.misses, c.dmaHits, c.dmaMisses = 0, 0, 0, 0
 	if c.tenantHit != nil {
 		c.tenantHit = make(map[uint32]uint64, len(c.parts))

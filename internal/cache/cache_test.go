@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,26 @@ func TestReset(t *testing.T) {
 	h, m, dh, dm := c.Stats()
 	if h != 0 || m != 1 || dh != 0 || dm != 0 {
 		t.Fatalf("stats after reset+1 access: %d %d %d %d", h, m, dh, dm)
+	}
+
+	// A used cache, once Reset, answers a stream exactly as a new one does:
+	// every set is back to its never-touched state, whatever its ranks were.
+	used, fresh := small(), small()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		used.CPUAccess(uint64(rng.Intn(1 << 16)))
+		used.DMAAccess(uint64(rng.Intn(1 << 16)))
+	}
+	used.Reset()
+	for i := 0; i < 20000; i++ {
+		addr := uint64(rng.Intn(1 << 16))
+		if rng.Intn(2) == 0 {
+			if u, f := used.CPUAccess(addr), fresh.CPUAccess(addr); u != f {
+				t.Fatalf("access %d, CPU %#x: reset cache hit=%v, new cache hit=%v", i, addr, u, f)
+			}
+		} else if u, f := used.DMAAccess(addr), fresh.DMAAccess(addr); u != f {
+			t.Fatalf("access %d, DMA %#x: reset cache hit=%v, new cache hit=%v", i, addr, u, f)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 var (
 	fuzzWays  = []int{1, 2, 8, 11, 12, 13, 20}
 	fuzzLines = []int{64, 48} // the shift path and the divide path
-	fuzzSets  = []int{4, 3}   // the mask path and the modulo path
+	// the mask path, the modulo path, and more sets than a seed has
+	// accesses, so sets are first touched late or never
+	fuzzSets = []int{4, 3, 1024}
 )
 
 // FuzzLLCEquivalence drives the set-record LLC and the stamp/tag oracle with
@@ -18,13 +20,20 @@ var (
 // read two bytes at a time as (opcode, operand); geom picks the associativity,
 // the DDIO share, the line size and the set count. Few sets and a 256-line
 // address space keep every set over capacity, so replacement decides most
-// answers.
+// answers; 1024 sets leave most of them untouched until late, or for good.
 func FuzzLLCEquivalence(f *testing.F) {
 	g := rand.New(rand.NewSource(15))
-	for geom := 0; geom < len(fuzzWays)*3*2*2; geom++ {
+	for geom := 0; geom < len(fuzzWays)*3*2*len(fuzzSets); geom++ {
 		prog := make([]byte, 4096)
 		g.Read(prog)
 		f.Add(uint8(geom), prog)
+	}
+	// Over 1024 sets at 1 and 2 ways, every DDIO share and line size: sets
+	// first touched late, inside tenant windows, and again after a Reset.
+	for geom := 2 * len(fuzzWays) * 3 * 2; geom < len(fuzzWays)*3*2*len(fuzzSets); geom++ {
+		if fuzzWays[geom%len(fuzzWays)] <= 2 {
+			f.Add(uint8(geom), lateTouchProg())
+		}
 	}
 	f.Fuzz(func(t *testing.T, geom uint8, prog []byte) {
 		sel := int(geom)
@@ -33,7 +42,7 @@ func FuzzLLCEquivalence(f *testing.F) {
 		ddio := []int{0, min(2, ways), ways}[sel%3]
 		sel /= 3
 		line := fuzzLines[sel%2]
-		sets := fuzzSets[sel/2%2]
+		sets := fuzzSets[sel/2%len(fuzzSets)]
 		cfg := Config{TotalBytes: sets * ways * line, Ways: ways, DDIOWays: ddio, LineBytes: line}
 		got, want := New(cfg), newStampLLC(cfg)
 
@@ -81,6 +90,27 @@ func FuzzLLCEquivalence(f *testing.F) {
 		check(len(prog), "Stats", [4]uint64{gh, gm, gdh, gdm}, [4]uint64{wh, wm, wdh, wdm})
 		check(len(prog), "TenantDMAStats", got.TenantDMAStats(), want.TenantDMAStats())
 	})
+}
+
+// lateTouchProg is a FuzzLLCEquivalence stream in the fuzzer's two-byte
+// encoding: one line over and over, then a partition giving tenant 1 one DDIO
+// way and device accesses from tenants 1 and 2 (outside the partition) to
+// lines never seen before, then a Reset and device and CPU accesses to more
+// new lines.
+func lateTouchProg() []byte {
+	var b []byte
+	for i := 0; i < 20; i++ {
+		b = append(b, 0x00, 1) // CPUAccess, line 1
+	}
+	b = append(b, 0x07, 1) // PartitionDDIO{1: 1}
+	for l := byte(2); l < 40; l++ {
+		b = append(b, 0x44, l, 0x84, l) // DMAAccessTenant, tenants 1 and 2
+	}
+	b = append(b, 0x07, 16) // Reset
+	for l := byte(40); l < 80; l++ {
+		b = append(b, 0x02, l, 0x44, l, 0x01, l+40) // DMAAccess, tenant 1, CPUAccess
+	}
+	return b
 }
 
 // TestSetRecordIsOneHostLine pins the layout the set record exists for: the

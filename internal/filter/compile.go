@@ -2,15 +2,21 @@ package filter
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"norman/internal/overlay"
 )
 
+// nextRule is the jump target a rule's mismatch branches carry until the rule
+// ends and the next rule's first instruction is known.
+const nextRule = -2
+
 // CompileOverlay translates a chain into an overlay program, which is how
 // the Norman kernel pushes iptables state to the SmartNIC (§4.4): rules
 // become straight-line match/jump sequences, counters become overlay
-// counters, and the chain policy becomes the fall-through verdict.
+// counters, and the chain policy becomes the fall-through verdict. It emits
+// instructions directly and ends in overlay.NewProgram, the verifier
+// overlay.Assemble ends in.
 //
 // Overlay uid/pid/cmd_id fields are stamped by the NIC from the kernel-owned
 // connection table, so owner matches compiled here are trusted — this
@@ -19,82 +25,87 @@ import (
 // the kernel programs into connection metadata; it may be nil when no rule
 // uses cmd-owner.
 func CompileOverlay(name string, c *Chain, internCmd func(string) uint64) (*overlay.Program, error) {
-	var b strings.Builder
-
-	// Every rule gets a hit counter (what `iptables -L -v` reports); the
-	// counter for rule i is named hit<i>.
-	for i := range c.Rules {
-		fmt.Fprintf(&b, ".counter hit%d\n", i)
+	// A rule matching a protocol and a port, then counting and acting, is
+	// six instructions; most chains fit without regrowing the code.
+	p := overlay.Program{Name: name, Code: make([]overlay.Inst, 0, 8*len(c.Rules)+1)}
+	emit := func(in ...overlay.Inst) { p.Code = append(p.Code, in...) }
+	ldf := func(f overlay.Field) overlay.Inst { return overlay.Inst{Op: overlay.OpLdf, F: f, Target: -1} }
+	// jump branches to the next rule when the loaded value compares true
+	// against v.
+	jump := func(op overlay.Op, v uint64) overlay.Inst {
+		return overlay.Inst{Op: op, Imm: true, Val: v, Target: nextRule}
+	}
+	ports := func(f overlay.Field, r PortRange) {
+		if r.Lo == r.Hi {
+			emit(ldf(f), jump(overlay.OpJne, uint64(r.Lo)))
+		} else {
+			emit(ldf(f), jump(overlay.OpJlt, uint64(r.Lo)), jump(overlay.OpJgt, uint64(r.Hi)))
+		}
+	}
+	prefix := func(f overlay.Field, n Prefix) {
+		if n.Bits <= 0 {
+			return // wildcard
+		}
+		mask := uint64(0xffffffff)
+		if n.Bits < 32 {
+			mask = mask << (32 - n.Bits) & 0xffffffff
+		}
+		emit(ldf(f), overlay.Inst{Op: overlay.OpAnd, Imm: true, Val: mask, Target: -1}, jump(overlay.OpJne, uint64(n.Net)&mask))
 	}
 
 	for i, r := range c.Rules {
-		next := fmt.Sprintf("rule%d", i+1)
-
+		// Every rule gets a hit counter (what `iptables -L -v` reports); the
+		// counter for rule i is named hit<i>.
+		p.Counters = append(p.Counters, overlay.CounterSpec{Name: "hit" + strconv.Itoa(i)})
+		start := len(p.Code)
 		if r.Proto != nil {
-			fmt.Fprintf(&b, "ldf r0, proto\njne r0, %d, %s\n", *r.Proto, next)
+			emit(ldf(overlay.FProto), jump(overlay.OpJne, uint64(*r.Proto)))
 		}
 		if r.SrcNet != nil {
-			emitPrefix(&b, "src_ip", *r.SrcNet, next)
+			prefix(overlay.FSrcIP, *r.SrcNet)
 		}
 		if r.DstNet != nil {
-			emitPrefix(&b, "dst_ip", *r.DstNet, next)
+			prefix(overlay.FDstIP, *r.DstNet)
 		}
 		if r.SrcPorts != nil {
-			emitRange(&b, "src_port", *r.SrcPorts, next)
+			ports(overlay.FSrcPort, *r.SrcPorts)
 		}
 		if r.DstPorts != nil {
-			emitRange(&b, "dst_port", *r.DstPorts, next)
+			ports(overlay.FDstPort, *r.DstPorts)
 		}
 		if r.OwnerUID != nil {
-			fmt.Fprintf(&b, "ldf r0, uid\njne r0, %d, %s\n", *r.OwnerUID, next)
+			emit(ldf(overlay.FUID), jump(overlay.OpJne, uint64(*r.OwnerUID)))
 		}
 		if r.OwnerCmd != "" {
 			if internCmd == nil {
 				return nil, fmt.Errorf("filter: rule %d uses cmd-owner but no command interner was provided", i)
 			}
-			fmt.Fprintf(&b, "ldf r0, cmd_id\njne r0, %d, %s\n", internCmd(r.OwnerCmd), next)
+			emit(ldf(overlay.FCmdID), jump(overlay.OpJne, internCmd(r.OwnerCmd)))
 		}
 
-		fmt.Fprintf(&b, "count hit%d\n", i)
+		// Count, then act; count and log continue evaluation.
+		emit(overlay.Inst{Op: overlay.OpCount, Index: i, Target: -1})
 		switch r.Action {
 		case ActAccept:
-			b.WriteString("pass\n")
+			emit(overlay.Inst{Op: overlay.OpPass, Target: -1})
 		case ActDrop:
-			b.WriteString("drop\n")
-		case ActCount, ActLog:
-			// counted above; evaluation continues
+			emit(overlay.Inst{Op: overlay.OpDrop, Target: -1})
 		case ActMark:
-			fmt.Fprintf(&b, "ldi r2, %d\nsetf mark, r2\n", r.MarkVal)
+			emit(overlay.Inst{Op: overlay.OpLdi, A: 2, Val: uint64(r.MarkVal), Target: -1},
+				overlay.Inst{Op: overlay.OpSetf, F: overlay.FMark, B: 2, Target: -1})
 		}
-		fmt.Fprintf(&b, "rule%d:\n", i+1)
+		for j := start; j < len(p.Code); j++ {
+			if p.Code[j].Target == nextRule {
+				p.Code[j].Target = len(p.Code)
+			}
+		}
 	}
 
 	// Chain policy.
+	policy := overlay.OpDrop
 	if c.Policy == ActAccept {
-		b.WriteString("pass\n")
-	} else {
-		b.WriteString("drop\n")
+		policy = overlay.OpPass
 	}
-
-	return overlay.Assemble(name, b.String())
-}
-
-func emitPrefix(b *strings.Builder, field string, p Prefix, next string) {
-	if p.Bits <= 0 {
-		return // wildcard
-	}
-	mask := uint64(0xffffffff)
-	if p.Bits < 32 {
-		mask = mask << (32 - p.Bits) & 0xffffffff
-	}
-	want := uint64(p.Net) & mask
-	fmt.Fprintf(b, "ldf r0, %s\nand r0, %d\njne r0, %d, %s\n", field, mask, want, next)
-}
-
-func emitRange(b *strings.Builder, field string, r PortRange, next string) {
-	if r.Lo == r.Hi {
-		fmt.Fprintf(b, "ldf r0, %s\njne r0, %d, %s\n", field, r.Lo, next)
-		return
-	}
-	fmt.Fprintf(b, "ldf r0, %s\njlt r0, %d, %s\njgt r0, %d, %s\n", field, r.Lo, next, r.Hi, next)
+	emit(overlay.Inst{Op: policy, Target: -1})
+	return overlay.NewProgram(p)
 }

@@ -9,17 +9,18 @@ import (
 	"norman/internal/sim"
 )
 
-// randomChain builds an arbitrary (but compilable) chain from an RNG: every
-// matcher kind, every terminal and non-terminal action, random policies.
+// randomChain builds an arbitrary chain from an RNG: every matcher kind
+// (prefixes from /0 to /32, single ports and ranges), every terminal and
+// non-terminal action, random policies, and now and then no rules at all.
 func randomChain(rng *sim.RNG) *Chain {
 	c := &Chain{Name: "OUTPUT", Policy: ActAccept}
 	if rng.Intn(3) == 0 {
 		c.Policy = ActDrop
 	}
-	n := 1 + rng.Intn(10)
+	n := rng.Intn(11)
 	for i := 0; i < n; i++ {
 		r := &Rule{}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			r.Action = ActAccept
 		case 1:
@@ -29,15 +30,17 @@ func randomChain(rng *sim.RNG) *Chain {
 		case 3:
 			r.Action = ActMark
 			r.MarkVal = uint32(rng.Intn(100) + 1)
+		case 4:
+			r.Action = ActLog
 		}
 		if rng.Intn(2) == 0 {
 			r.Proto = Proto([]uint8{packet.ProtoUDP, packet.ProtoTCP}[rng.Intn(2)])
 		}
 		if rng.Intn(3) == 0 {
-			r.SrcNet = Net(packet.MakeIP(10, byte(rng.Intn(4)), 0, 0), []int{8, 16, 24, 32}[rng.Intn(4)])
+			r.SrcNet = Net(packet.MakeIP(10, byte(rng.Intn(4)), 0, 0), []int{0, 8, 16, 24, 32}[rng.Intn(5)])
 		}
 		if rng.Intn(3) == 0 {
-			r.DstNet = Net(packet.MakeIP(10, 0, byte(rng.Intn(4)), 0), 24)
+			r.DstNet = Net(packet.MakeIP(10, 0, byte(rng.Intn(4)), byte(rng.Intn(8))), []int{0, 24, 32}[rng.Intn(3)])
 		}
 		if rng.Intn(2) == 0 {
 			lo := uint16(1000 + rng.Intn(50))

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -28,10 +29,11 @@ import (
 //	mirror | notify | pass | drop | nop
 //
 // Labels must be defined after every jump that references them (forward-only
-// control flow); Assemble enforces this and runs the full verifier before
-// returning.
+// control flow); Assemble enforces this and ends in NewProgram, the full
+// verifier.
 func Assemble(name, src string) (*Program, error) {
-	p := &Program{Name: name, labels: map[string]int{}}
+	p := &Program{Name: name}
+	labels := map[string]int{}
 	tables := map[string]int{}
 	meters := map[string]int{}
 	counters := map[string]int{}
@@ -107,17 +109,18 @@ func Assemble(name, src string) (*Program, error) {
 			if !validIdent(label) {
 				return nil, asmErr(lineNo, "bad label %q", label)
 			}
-			if _, dup := p.labels[label]; dup {
+			if _, dup := labels[label]; dup {
 				return nil, asmErr(lineNo, "duplicate label %q", label)
 			}
-			p.labels[label] = len(p.Code)
+			labels[label] = len(p.Code)
 			continue
 		}
 
 		// Instructions.
 		mn, rest, _ := strings.Cut(line, " ")
 		args := splitArgs(rest)
-		in := Inst{Target: -1}
+		// An unknown mnemonic is index -1: an Op the switch below refuses.
+		in := Inst{Op: Op(slices.Index(opNames[:], mn)), Target: -1}
 
 		regOf := func(s string) (uint8, error) {
 			if !strings.HasPrefix(s, "r") {
@@ -133,10 +136,8 @@ func Assemble(name, src string) (*Program, error) {
 			return strconv.ParseUint(strings.TrimPrefix(s, "0x"), base(s), 64)
 		}
 		fieldOf := func(s string) (Field, error) {
-			for f, n := range fieldNames {
-				if n == s {
-					return f, nil
-				}
+			if f := slices.Index(fieldNames[:], s); f >= 0 {
+				return Field(f), nil
 			}
 			return 0, fmt.Errorf("unknown field %q", s)
 		}
@@ -158,59 +159,43 @@ func Assemble(name, src string) (*Program, error) {
 		}
 
 		var err error
-		switch mn {
-		case "nop":
-			in.Op = OpNop
-		case "pass":
-			in.Op = OpPass
-		case "drop":
-			in.Op = OpDrop
-		case "mirror":
-			in.Op = OpMirror
-		case "notify":
-			in.Op = OpNotify
-		case "ldf":
-			in.Op = OpLdf
+		switch in.Op {
+		case OpNop, OpPass, OpDrop, OpMirror, OpNotify:
+			// no operands
+		case OpLdf:
 			if len(args) != 2 {
 				return nil, asmErr(lineNo, "ldf wants rD, <field>")
 			}
 			if in.A, err = regOf(args[0]); err == nil {
 				in.F, err = fieldOf(args[1])
 			}
-		case "ldi":
-			in.Op = OpLdi
+		case OpLdi:
 			if len(args) != 2 {
 				return nil, asmErr(lineNo, "ldi wants rD, <imm>")
 			}
 			if in.A, err = regOf(args[0]); err == nil {
 				in.Val, err = immOf(args[1])
 			}
-		case "mov":
-			in.Op = OpMov
+		case OpMov:
 			if len(args) != 2 {
 				return nil, asmErr(lineNo, "mov wants rD, rS")
 			}
 			if in.A, err = regOf(args[0]); err == nil {
 				in.B, err = regOf(args[1])
 			}
-		case "add", "sub", "and", "or", "xor", "shl", "shr":
-			in.Op = map[string]Op{"add": OpAdd, "sub": OpSub, "and": OpAnd,
-				"or": OpOr, "xor": OpXor, "shl": OpShl, "shr": OpShr}[mn]
+		case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr:
 			if len(args) != 2 {
 				return nil, asmErr(lineNo, "%s wants rD, rS|imm", mn)
 			}
 			if in.A, err = regOf(args[0]); err == nil {
 				err = regOrImm(args[1])
 			}
-		case "jmp":
-			in.Op = OpJmp
+		case OpJmp:
 			if len(args) != 1 {
 				return nil, asmErr(lineNo, "jmp wants <label>")
 			}
 			fixups = append(fixups, fixup{len(p.Code), args[0], lineNo})
-		case "jeq", "jne", "jlt", "jle", "jgt", "jge":
-			in.Op = map[string]Op{"jeq": OpJeq, "jne": OpJne, "jlt": OpJlt,
-				"jle": OpJle, "jgt": OpJgt, "jge": OpJge}[mn]
+		case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge:
 			if len(args) != 3 {
 				return nil, asmErr(lineNo, "%s wants rA, rB|imm, <label>", mn)
 			}
@@ -218,8 +203,7 @@ func Assemble(name, src string) (*Program, error) {
 				err = regOrImm(args[1])
 			}
 			fixups = append(fixups, fixup{len(p.Code), args[2], lineNo})
-		case "lookup":
-			in.Op = OpLookup
+		case OpLookup:
 			if len(args) != 4 {
 				return nil, asmErr(lineNo, "lookup wants rD, <table>, rKey, <miss-label>")
 			}
@@ -232,8 +216,7 @@ func Assemble(name, src string) (*Program, error) {
 				in.B, err = regOf(args[2])
 			}
 			fixups = append(fixups, fixup{len(p.Code), args[3], lineNo})
-		case "update":
-			in.Op = OpUpdate
+		case OpUpdate:
 			if len(args) != 3 {
 				return nil, asmErr(lineNo, "update wants <table>, rKey, rV")
 			}
@@ -245,8 +228,7 @@ func Assemble(name, src string) (*Program, error) {
 			if in.A, err = regOf(args[1]); err == nil {
 				in.B, err = regOf(args[2])
 			}
-		case "meter":
-			in.Op = OpMeter
+		case OpMeter:
 			if len(args) != 3 {
 				return nil, asmErr(lineNo, "meter wants rD, <meter>, rLen")
 			}
@@ -258,8 +240,7 @@ func Assemble(name, src string) (*Program, error) {
 				in.Index = idx
 				in.B, err = regOf(args[2])
 			}
-		case "setf":
-			in.Op = OpSetf
+		case OpSetf:
 			if len(args) != 2 {
 				return nil, asmErr(lineNo, "setf wants <field>, rS")
 			}
@@ -269,8 +250,7 @@ func Assemble(name, src string) (*Program, error) {
 				}
 				in.B, err = regOf(args[1])
 			}
-		case "count":
-			in.Op = OpCount
+		case OpCount:
 			if len(args) != 1 {
 				return nil, asmErr(lineNo, "count wants <counter>")
 			}
@@ -290,17 +270,14 @@ func Assemble(name, src string) (*Program, error) {
 
 	// Resolve jump targets.
 	for _, fx := range fixups {
-		target, ok := p.labels[fx.label]
+		target, ok := labels[fx.label]
 		if !ok {
 			return nil, asmErr(fx.line, "undefined label %q", fx.label)
 		}
 		p.Code[fx.inst].Target = target
 	}
 
-	if err := Verify(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	return p, nil
+	return NewProgram(*p)
 }
 
 func asmErr(line int, format string, args ...interface{}) error {

@@ -53,9 +53,12 @@ const (
 	OpNotify    // append a notification for the owning connection
 	OpPass      // terminal: accept packet
 	OpDrop      // terminal: drop packet
+	numOps
 )
 
-var opNames = map[Op]string{
+// opNames and fieldNames are indexed by value; the assembler reads them
+// backwards with slices.Index.
+var opNames = [numOps]string{
 	OpNop: "nop", OpLdf: "ldf", OpLdi: "ldi", OpMov: "mov",
 	OpAdd: "add", OpSub: "sub", OpAnd: "and", OpOr: "or", OpXor: "xor",
 	OpShl: "shl", OpShr: "shr",
@@ -67,8 +70,8 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < numOps {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -99,7 +102,7 @@ const (
 	numFields
 )
 
-var fieldNames = map[Field]string{
+var fieldNames = [numFields]string{
 	FSrcIP: "src_ip", FDstIP: "dst_ip", FSrcPort: "src_port", FDstPort: "dst_port",
 	FProto: "proto", FLen: "len", FEthType: "eth_type", FARPOp: "arp_op",
 	FTOS: "tos", FTCPFlags: "tcp_flags", FUID: "uid", FPID: "pid",
@@ -108,8 +111,8 @@ var fieldNames = map[Field]string{
 }
 
 func (f Field) String() string {
-	if s, ok := fieldNames[f]; ok {
-		return s
+	if f < numFields {
+		return fieldNames[f]
 	}
 	return fmt.Sprintf("field(%d)", uint8(f))
 }
@@ -189,7 +192,17 @@ type Program struct {
 	Tables   []TableSpec
 	Meters   []MeterSpec
 	Counters []CounterSpec
-	labels   map[string]int // retained for disassembly
+}
+
+// NewProgram verifies p and returns it, or the verifier's error prefixed
+// with the program's name. Assemble ends here, and so does a compiler that
+// emits Inst values directly (filter.CompileOverlay): one verification tail
+// for every program the product builds.
+func NewProgram(p Program) (*Program, error) {
+	if err := Verify(&p); err != nil {
+		return nil, fmt.Errorf("%s: %w", p.Name, err)
+	}
+	return &p, nil
 }
 
 // Verdict is the terminal decision of a program run.

@@ -173,6 +173,17 @@ func (m *Machine) Counter(name string) uint64 {
 	return 0
 }
 
+// CarryCounters copies each of from's counters into this machine's counter
+// of the same index and name: a reload that renumbers no counter keeps their
+// counts.
+func (m *Machine) CarryCounters(from *Machine) {
+	for i, c := range from.prog.Counters {
+		if i < len(m.counters) && m.prog.Counters[i] == c {
+			m.counters[i] = from.counters[i]
+		}
+	}
+}
+
 // Stats returns total runs and cycles executed.
 func (m *Machine) Stats() (runs, cycles uint64) { return m.runs, m.cycles }
 

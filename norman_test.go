@@ -142,6 +142,70 @@ func TestAdminRuleValidation(t *testing.T) {
 	}
 }
 
+// TestRuleHitsSurviveAppend: `iptables -A` on either hook keeps every
+// installed rule's hit counter, on every architecture that has rules, and a
+// flush starts the counters from zero again.
+func TestRuleHitsSurviveAppend(t *testing.T) {
+	for _, a := range norman.Architectures() {
+		if a == norman.Bypass {
+			continue // no interposition point, no rules
+		}
+		t.Run(string(a), func(t *testing.T) {
+			sys := norman.New(a)
+			sys.UseSinkPeer()
+			conn, err := sys.Dial(sys.Spawn(sys.AddUser(1000, "alice"), "app"), 40000, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			send := func(n int) {
+				for i := 0; i < n; i++ {
+					conn.Send(64)
+				}
+				sys.Run()
+			}
+			countRule := norman.Rule{Proto: "udp", DstPort: 7, Action: "count"}
+			hits := func() uint64 {
+				t.Helper()
+				for _, rs := range sys.IPTablesList() {
+					if rs.Hook == norman.Output && rs.Rule == countRule {
+						return rs.Hits
+					}
+				}
+				t.Fatal("the OUTPUT count rule is not listed")
+				return 0
+			}
+			if err := sys.IPTablesAppend(norman.Output, countRule); err != nil {
+				t.Fatal(err)
+			}
+			send(5)
+			if h := hits(); h != 5 {
+				t.Fatalf("%d hits after 5 sends, want 5", h)
+			}
+			for _, hook := range []string{norman.Input, norman.Output} {
+				if err := sys.IPTablesAppend(hook, norman.Rule{Proto: "tcp", DstPort: 9, Action: "drop"}); err != nil {
+					t.Fatal(err)
+				}
+				if h := hits(); h != 5 {
+					t.Fatalf("%d hits after an %s append, want the 5 counted before it", h, hook)
+				}
+			}
+			send(2)
+			if h := hits(); h != 7 {
+				t.Fatalf("%d hits after 2 more sends, want 7", h)
+			}
+			if err := sys.IPTablesFlush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.IPTablesAppend(norman.Output, countRule); err != nil {
+				t.Fatal(err)
+			}
+			if h := hits(); h != 0 {
+				t.Fatalf("%d hits on the rule appended after a flush, want 0", h)
+			}
+		})
+	}
+}
+
 func TestBypassRefusesAdminVerbs(t *testing.T) {
 	sys := norman.New(norman.Bypass)
 	if err := sys.IPTablesAppend(norman.Output, norman.Rule{Action: "drop"}); err == nil {

@@ -73,6 +73,15 @@ if grep -nE '[+]= *[A-Za-z_.]+\.Cost\(\)' $(ls internal/overlay/*.go | grep -v _
 	exit 1
 fi
 
+# One compiler backend (DESIGN.md §8, "What set-up costs"): an iptables chain
+# compiles straight to overlay instructions and ends in overlay.NewProgram.
+# Printing the chain as assembly and parsing it back is the text emitter the
+# compiler is tested against, and lives in internal/filter's test files only.
+if grep -n 'overlay\.Assemble(' $(ls internal/filter/*.go | grep -v _test.go); then
+	echo "overlay.Assemble in non-test internal/filter: emit overlay.Inst values and end in overlay.NewProgram" >&2
+	exit 1
+fi
+
 # One resolution and one price list per frame (DESIGN.md §8): the cost model is
 # never copied — every Model method takes a pointer — and an ingress frame's
 # 5-tuple is extracted exactly once in internal/nic, at admission; steering,
@@ -255,12 +264,15 @@ done <<'PASSES'
 # so each shared §2 scenario runs from both its callers, E2/E8 and its example
 7 HostExits|ColdStart|ExperimentTables/^E([1246789]|10)$|OutputGolden ./internal/arch/... ./internal/experiments/... ./examples/... .
 # the branch-free event heap under its near band and the LLC set record,
-# fuzzed against the code they replaced (seed corpora); the band's tier edges
-# and a purge over both tiers; RunUntil after Stop; Touch at both line sizes
-7 EngineOrder|Band|LLCEquiv|StopRunUntil|Touch ./internal/sim/... ./internal/cache/...
+# fuzzed against the code they replaced (seed corpora, sets first touched late
+# included); the band's tier edges and a purge over both tiers; RunUntil after
+# Stop; Touch at both line sizes; a Reset cache answers as a new one
+7 EngineOrder|Band|LLCEquiv|StopRunUntil|Touch|^TestReset$ ./internal/sim/... ./internal/cache/...
 # the lowered overlay executor fuzzed against the interpreter it replaced (seed
-# corpus), the cycle bound, flow-cache cacheability, the allocation pins
-7 OverlayLowering|CycleBound|Cacheable|RunZeroAlloc|StreamAllocs ./internal/overlay/... ./internal/nic/... ./internal/transport/...
+# corpus), the cycle bound, flow-cache cacheability, the allocation pins; the
+# typed chain compiler against the text emitter it replaced, and rule hit
+# counters that survive an append on every architecture
+7 OverlayLowering|CycleBound|Cacheable|RunZeroAlloc|StreamAllocs|CompileOverlayMatchesText|RuleHitsSurviveAppend ./internal/overlay/... ./internal/nic/... ./internal/transport/... ./internal/filter/... .
 # the control plane says each thing once: any Enable*/TCSet order boots the
 # same system, the status ops serve the subsystems' own structs, the policy
 # ops carry the journal's records (old tools' bytes included), and an unknown
